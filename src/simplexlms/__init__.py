@@ -28,9 +28,7 @@ from .signals import (
     MomentSet,
     StreamBatch,
     StreamConfig,
-    build_regressors,
     generate_stream,
-    local_regressor,
     moments_closed_form,
     moments_empirical,
     sample_mask,

@@ -18,10 +18,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .complexes import hodge_laplacians, laplacian_powers
+from .complexes import hodge_laplacians
 from .datasets import EdgeSeriesDataset
 from .diffusion import CombinationMatrix, NetworkState, atc_step
 from .lms import LmsState, lms_step
+from .signals import regressor_tensor
 
 __all__ = [
     "ARTrainResult",
@@ -68,18 +69,11 @@ def extend_series(series: np.ndarray, epochs: int) -> np.ndarray:
 
 
 def ar_regressor_tensor(series: np.ndarray, ops, order: int) -> np.ndarray:
-    """Lag-1..M regressors for every snapshot, shape (N, E, 2M); rows < M zero."""
-    series = np.asarray(series, dtype=np.float64)
-    N, E = series.shape
-    up, lo = laplacian_powers(ops, order)
-    out = np.zeros((N, E, 2 * order))
-    if N <= order:
-        return out
-    for m in range(1, order + 1):
-        shifted = series[order - m : N - m]
-        out[order:, :, m - 1] = shifted @ up[m].T
-        out[order:, :, order + m - 1] = shifted @ lo[m].T
-    return out
+    """Lag-1..M regressors for every snapshot, shape (N, E, 2M); rows < M zero.
+
+    These are the columns of :func:`regressor_tensor` without the lag-0 one.
+    """
+    return regressor_tensor(series, ops, order)[:, :, 1:]
 
 
 def _variant_tensor(R: np.ndarray, order: int, variant: str) -> np.ndarray:

@@ -19,6 +19,7 @@ from .complexes import (
     SimplicialComplex2,
     grown_complex,
     hodge_laplacians,
+    laplacian_powers,
     load_complex,
 )
 from .errors import ConfigError
@@ -198,11 +199,7 @@ def synthetic_traffic_series(
     rng = np.random.default_rng(seed)
     coeffs = _stable_ar_coeffs(ops, order, rng, with_upper)
     E = complex_.num_edges
-    up = [np.eye(E)]
-    lo = [np.eye(E)]
-    for _ in range(order):
-        up.append(up[-1] @ ops.upper)
-        lo.append(lo[-1] @ ops.lower)
+    up, lo = laplacian_powers(ops, order)
     total = warmup + snapshots
     x = np.zeros((total, E))
     innov = noise_std * rng.standard_normal((total, E))

@@ -9,11 +9,14 @@ and every agent then averages the intermediate estimates of its
 neighbourhood with row-stochastic weights. Stacking the per-agent
 errors, the mean recursion is driven by ``B = A_blk (I - M C_z)`` with
 ``A_blk = A (x) I``, ``M = diag(mu_i I)`` and ``C_z`` the block diagonal
-of the masked local moments; the steady-state network deviation is
+of the masked local moments. The network is called stable only when
+``rho(B)`` clears 1 by a small margin (see :mod:`.lms`); the
+steady-state network deviation is then
 
-    vec(A_blk M G M A_blk^T)^T (I - F)^{-1} vec(I),  F ~= B^T (x) B^T,
+    Tr(A_blk M G M A_blk^T S),  S = B^T S B + I,
 
-with ``G = diag(sigma_v2_i * C_z_i)``.
+with ``G = diag(sigma_v2_i * C_z_i)`` and ``S`` from a discrete
+Lyapunov (Stein) solve.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ import scipy.linalg
 
 from .complexes import SimplicialComplex2, hodge_laplacians
 from .errors import DivergenceError
-from .lms import derived_seeds
+from .lms import _is_stable, derived_seeds
 from .signals import (
     FilterCoeffs,
     StreamConfig,
@@ -50,11 +53,6 @@ __all__ = [
     "save_combination",
     "load_combination",
 ]
-
-# Largest stacked dimension E*(2M+1) for which the Kronecker operator is
-# materialised; beyond it the Stein-equation solver is used.
-_KRON_LIMIT = 64
-
 
 @dataclass
 class CombinationMatrix:
@@ -215,8 +213,9 @@ def dist_theory(
     """Stability and steady-state analysis of the diffusion recursion.
 
     ``local_moments`` holds the masked per-agent moments ``C_z_i``
-    (shape (E, dim, dim)); an unstable configuration is reported through
-    the ``stable`` flag rather than raised.
+    (shape (E, dim, dim)); an unstable configuration, one whose
+    ``rho(B)`` does not clear 1 by the stability margin, is reported
+    through the ``stable`` flag and NaN deviations rather than raised.
     """
     A = comb.a
     E = A.shape[0]
@@ -247,19 +246,14 @@ def dist_theory(
         stepsizes_within_local_bounds=bool(np.all(mu < local_bounds)),
     )
 
-    stable = rho_b < 1.0
+    stable = _is_stable(rho_b)
     msd_total = float("nan")
     if stable:
         g_blocks = sigma_v2[:, None, None] * local_moments
         g = scipy.linalg.block_diag(*g_blocks)
         core = (m_diag[:, None] * g) * m_diag[None, :]
         R = a_blk @ core @ a_blk.T
-        if n <= _KRON_LIMIT:
-            F = np.kron(B.T, B.T)
-            s = np.linalg.solve(np.eye(n * n) - F, np.eye(n).reshape(-1, order="F"))
-            S = s.reshape((n, n), order="F")
-        else:
-            S = scipy.linalg.solve_discrete_lyapunov(B.T, np.eye(n))
+        S = scipy.linalg.solve_discrete_lyapunov(B.T, np.eye(n))
         msd_total = float(np.trace(R @ S))
     return DistTheoryReport(
         b_matrix=B,

@@ -178,15 +178,18 @@ def draw_bounded_coeffs(order: int, seed: int, magnitude: float = 1.0) -> Filter
 
 
 def emit_results(payload: dict, path, fmt: str = "json", fieldnames=None) -> None:
-    """Write a result payload as JSON, or its ``records`` rows as CSV.
+    """Write a result payload as strict JSON, or its ``records`` rows as CSV.
 
-    CSV needs an explicit column order (``fieldnames``) or at least one
-    record; an empty record list still produces the header line.
+    JSON files never hold the non-standard tokens ``NaN`` or
+    ``Infinity``: a payload with a non-finite float raises before the
+    file is opened. CSV needs an explicit column order (``fieldnames``)
+    or at least one record; an empty record list still produces the
+    header line.
     """
     if fmt == "json":
+        text = json.dumps(payload, indent=2, allow_nan=False)
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2)
-            fh.write("\n")
+            fh.write(text + "\n")
     elif fmt == "csv":
         records = payload.get("records", [])
         if fieldnames is None:
@@ -390,7 +393,7 @@ def mode_run_distributed(cfg: ExperimentConfig) -> dict:
             "rho_b": result.theory.rho_b,
             "stable": result.theory.stable,
             "hypotheses_hold": result.theory.checks.all_hold(),
-            "msd_per_agent": result.theory.msd_per_agent,
+            "msd_per_agent": result.theory.msd_per_agent if result.theory.stable else None,
             "msd_per_agent_db": (
                 float(to_db(result.theory.msd_per_agent)) if result.theory.stable else None
             ),

@@ -6,11 +6,14 @@ The update is the stochastic-gradient step
 
 whose error recursion is governed by Q = I - mu * c_X. Mean stability
 requires mu < 2 / lambda_max(c_X); under the small-step approximation
-F ~= Q^T (x) Q^T the weighted deviation converges to
+the deviation converges to mu^2 Tr(g S), where S solves the Stein
+equation S = Q^T S Q + I. Q is symmetric, so with Q = U diag(q) U^T the
+solution is exactly
 
-    mu^2 * vec(g)^T (I - F)^{-1} vec(I),
+    S = U diag(1 / (1 - q^2)) U^T,
 
-which expands to (mu/2) Tr(g c_X^{-1}) plus a second-order remainder.
+and mu^2 Tr(g S) expands to (mu/2) Tr(g c_X^{-1}) plus a second-order
+remainder.
 """
 
 from __future__ import annotations
@@ -19,7 +22,6 @@ import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.linalg
 
 from .complexes import SimplicialComplex2, hodge_laplacians
 from .errors import DivergenceError, StabilityError
@@ -46,9 +48,13 @@ __all__ = [
     "derived_seeds",
 ]
 
-# Largest coefficient dimension for which the Kronecker operator is
-# materialised; beyond it the fixed-point (Stein) solve is used.
-_KRON_LIMIT = 16
+# Margin below 1 that a spectral radius must clear to count as stable.
+# An exact unit eigenvalue (diffusion agents cut off from the rest of the
+# network that all leave one tap unexcited, for instance) is computed a
+# few ulps below 1 (by up to 4e-16 in practice), and a bare ``rho < 1``
+# would call it stable and hand a singular or meaningless steady-state
+# equation to the solver.
+_STABILITY_TOL = 1e-9
 
 
 def to_db(value) -> np.ndarray:
@@ -100,32 +106,39 @@ def max_stepsize(c_X: np.ndarray) -> float:
     return 2.0 / lam_max
 
 
+def _is_stable(rho: float) -> bool:
+    """True iff a recursion with spectral radius ``rho`` is stable with margin."""
+    return rho < 1.0 - _STABILITY_TOL
+
+
 def _steady_state_weight(Q: np.ndarray) -> np.ndarray:
-    """Solve vec(S) = (I - Q^T (x) Q^T)^{-1} vec(I) for the weight matrix S."""
-    dim = Q.shape[0]
-    if dim <= _KRON_LIMIT:
-        F = np.kron(Q.T, Q.T)
-        s = np.linalg.solve(np.eye(dim * dim) - F, np.eye(dim).reshape(-1, order="F"))
-        return s.reshape((dim, dim), order="F")
-    # S = Q^T S Q + I, solvable because rho(Q) < 1
-    return scipy.linalg.solve_discrete_lyapunov(Q.T, np.eye(dim))
+    """Solve S = Q^T S Q + I for symmetric Q with rho(Q) < 1.
+
+    In the eigenbasis Q = U diag(q) U^T the equation decouples entry by
+    entry, so S = U diag(1 / (1 - q^2)) U^T exactly.
+    """
+    q, u = np.linalg.eigh(Q)
+    return (u / (1.0 - q**2)) @ u.T
 
 
 def steady_state_msd(c_X: np.ndarray, g: np.ndarray, mu: float) -> tuple[float, float]:
-    """Limiting deviation: the Kronecker-operator value and its first-order term.
+    """Limiting deviation: the exact value mu^2 Tr(g S) and its first-order term.
 
-    Returns ``(msd_exact, msd_first_order)`` where the first order term is
-    (mu/2) Tr(g c_X^{-1}). Raises :class:`StabilityError` when the
-    step-size is not mean-stable for the given moment matrix.
+    ``S`` solves S = Q^T S Q + I with Q = I - mu c_X (see the module
+    docstring). Returns ``(msd_exact, msd_first_order)`` where the first
+    order term is (mu/2) Tr(g c_X^{-1}). Raises :class:`StabilityError`
+    when the step-size is not mean-stable, with margin, for the given
+    moment matrix.
     """
     c_X = np.asarray(c_X, dtype=np.float64)
     g = np.asarray(g, dtype=np.float64)
     dim = c_X.shape[0]
     Q = np.eye(dim) - mu * c_X
     rho = float(np.max(np.abs(np.linalg.eigvalsh(Q))))
-    if mu <= 0 or rho >= 1.0:
+    if mu <= 0 or not _is_stable(rho):
         raise StabilityError(
-            f"step-size {mu} is unstable: spectral radius {rho:.6f} >= 1"
+            f"step-size {mu} is unstable: spectral radius {rho:.6f} is not below "
+            f"1 - {_STABILITY_TOL:g}"
         )
     S = _steady_state_weight(Q)
     msd_exact = float(mu**2 * np.trace(g @ S))

@@ -336,7 +336,6 @@ def solve_sampling(
         # penalty weight large enough to dominate the unit objective slope
         kappa = 10.0 * E
         step_scale = 0.05 * float(np.max(p_max)) if np.max(p_max) > 0 else 0.0
-        last_best_here = np.inf
         for k in range(1, max_iter + 1):
             iterations_used += 1
             candidate = _rescaled_candidate(prob, p, tol)
@@ -349,8 +348,6 @@ def solve_sampling(
                         improved_late = True
                     best_obj = obj
                     best_p = candidate
-                if obj < last_best_here - tol:
-                    last_best_here = obj
             lam_min, lam_grad = _lambda_min_and_subgradient(prob, p)
             grad = np.ones(E)
             if lam_min < threshold:

@@ -31,9 +31,7 @@ __all__ = [
     "StreamConfig",
     "StreamBatch",
     "MomentSet",
-    "build_regressors",
     "regressor_tensor",
-    "local_regressor",
     "sample_mask",
     "generate_stream",
     "moments_closed_form",
@@ -222,28 +220,6 @@ def _regressor_operators(ops: HodgeOperators, order: int) -> tuple[list[np.ndarr
     return operators, lags
 
 
-def build_regressors(history: list[np.ndarray], ops: HodgeOperators, order: int) -> np.ndarray:
-    """Regressor matrix from the signal history ``[x(n), ..., x(n-M)]``.
-
-    ``history`` is newest-first with length ``order + 1``; the result is
-    E x (2M+1).
-    """
-    if len(history) != order + 1:
-        raise ValueError(f"history must hold {order + 1} signals, got {len(history)}")
-    E = ops.l1.shape[0]
-    hist = [np.asarray(h, dtype=np.float64) for h in history]
-    for h in hist:
-        if h.shape != (E,):
-            raise ValueError(f"history entries must have shape ({E},)")
-    up, lo = laplacian_powers(ops, order)
-    cols = [hist[0]]
-    for m in range(1, order + 1):
-        cols.append(up[m] @ hist[m])
-    for m in range(1, order + 1):
-        cols.append(lo[m] @ hist[m])
-    return np.stack(cols, axis=1)
-
-
 def regressor_tensor(x: np.ndarray, ops: HodgeOperators, order: int) -> np.ndarray:
     """Regressor matrices for a whole stream, shape (N, E, 2M+1).
 
@@ -261,13 +237,6 @@ def regressor_tensor(x: np.ndarray, ops: HodgeOperators, order: int) -> np.ndarr
         out[order:, :, m] = shifted @ up[m].T
         out[order:, :, order + m] = shifted @ lo[m].T
     return out
-
-
-def local_regressor(edge: int, X: np.ndarray) -> np.ndarray:
-    """Regressor of a single edge: row ``edge`` of the regressor matrix."""
-    if not 0 <= edge < X.shape[0]:
-        raise IndexError(f"edge index {edge} out of range [0, {X.shape[0]})")
-    return X[edge, :].copy()
 
 
 def sample_mask(p: np.ndarray, rng: np.random.Generator) -> np.ndarray:
@@ -339,8 +308,9 @@ def moments_closed_form(
 ) -> MomentSet:
     """Exact moments for temporally white signals.
 
-    Each entry pairs two regressor columns; whiteness kills every pair
-    with different lags, and the surviving entries are traces of
+    Both moment matrices are weighted sums of the per-edge basis ``Z_i``
+    of :func:`edge_moment_matrices`, ``c_X = sum_i p_i Z_i`` and
+    ``g = sum_i sigma_v2_i p_i Z_i``. Entry-wise these are traces of
     operator products weighted by the expected sampling matrix:
 
         c_X[a, b] = Tr(Op_a^T diag(p) Op_b c_x)          (equal lags)
@@ -357,19 +327,9 @@ def moments_closed_form(
         raise ValueError("moment inputs must all match the edge count")
     if coeffs.order != order:
         raise ValueError("coefficient order does not match the requested order")
-    operators, lags = _regressor_operators(ops, order)
-    dim = len(operators)
-    c_X = np.zeros((dim, dim))
-    g = np.zeros((dim, dim))
-    noise_weight = sigma_v2 * p
-    for a in range(dim):
-        for b in range(a, dim):
-            if lags[a] != lags[b]:
-                continue
-            # Tr(Op_a^T diag(w) Op_b c_x) = sum_i w_i (Op_a c_x Op_b^T)_{ii}
-            rows = np.einsum("ij,jk,ik->i", operators[a], c_x, operators[b])
-            c_X[a, b] = c_X[b, a] = float(p @ rows)
-            g[a, b] = g[b, a] = float(noise_weight @ rows)
+    Z = edge_moment_matrices(ops, c_x, order)
+    c_X = np.tensordot(p, Z, axes=1)
+    g = np.tensordot(sigma_v2 * p, Z, axes=1)
     c_Xy = c_X @ coeffs.flatten()
     return MomentSet(c_X=c_X, g=g, c_Xy=c_Xy)
 
@@ -410,7 +370,8 @@ def edge_moment_matrices(ops: HodgeOperators, c_x: np.ndarray, order: int) -> np
     These are the building blocks of every masked moment: weighting by
     the sampling probabilities recovers the global Gram matrix,
     ``c_X = sum_i p_i Z_i``, and each agent's masked local moment is
-    ``p_i Z_i``.
+    ``p_i Z_i``. Whiteness zeroes every pair of regressor columns with
+    different lags.
     """
     c_x = np.asarray(c_x, dtype=np.float64)
     E = ops.l1.shape[0]
@@ -421,6 +382,7 @@ def edge_moment_matrices(ops: HodgeOperators, c_x: np.ndarray, order: int) -> np
         for b in range(a, dim):
             if lags[a] != lags[b]:
                 continue
+            # Z_i[a, b] = (Op_a c_x Op_b^T)_{ii}
             rows = np.einsum("ij,jk,ik->i", operators[a], c_x, operators[b])
             Z[:, a, b] = rows
             Z[:, b, a] = rows

@@ -167,6 +167,36 @@ def test_run_distributed_with_agent_traces(tmp_path, complex_file):
     assert header == "i,l,a_il"
 
 
+def test_unstable_network_writes_strict_json(tmp_path):
+    # grown_complex(11, 11, 5, seed=0) holds two agents cut off from the rest
+    # whose upper taps are never excited, so rho(B) is 1 up to rounding
+    complex_path = tmp_path / "complex.txt"
+    assert run_cli(
+        [
+            "generate-complex", "--nodes", 11, "--edges", 11, "--triangles", 5,
+            "--seed", 0, "--complex-out", complex_path,
+        ]
+    ) == 0
+    out = tmp_path / "dist.json"
+    code = run_cli(
+        [
+            "run-distributed", "--complex-file", complex_path, "--order", 2,
+            "--mu", 1e-3, "--horizon", 50, "--realizations", 1,
+            "--signal-var", 1.0, "--noise-var", 1e-4, "--rule", "uniform",
+            "--out", out,
+        ]
+    )
+    assert code == 0
+
+    def reject(token):
+        raise ValueError(f"non-standard JSON constant {token}")
+
+    payload = json.loads(out.read_text(), parse_constant=reject)
+    assert payload["theory"]["stable"] is False
+    assert payload["theory"]["msd_per_agent"] is None
+    assert payload["theory"]["msd_per_agent_db"] is None
+
+
 def test_ar_train_with_surrogate_and_csv(tmp_path):
     out = tmp_path / "ar.csv"
     code = run_cli(

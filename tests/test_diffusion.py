@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from simplexlms.complexes import grown_complex, hodge_laplacians, random_complex
 from simplexlms.diffusion import (
@@ -207,6 +208,49 @@ def test_dist_theory_reducible_counterexample():
     assert report.rho_b >= 1.0
     assert not report.stable
     assert np.isnan(report.msd_total)
+
+
+def test_dist_theory_matches_kronecker_solve():
+    # brute-force reference: vec(S) = (I - B^T (x) B^T)^{-1} vec(I), n = E * dim = 45
+    c = grown_complex(11, 15, 10, seed=0)
+    ops = hodge_laplacians(c)
+    E = c.num_edges
+    locals_ = local_moment_matrices(ops, np.ones(E), 0.1 * np.eye(E), 1)
+    comb = build_combination(lower_adjacency_neighborhoods(c), "uniform")
+    sigma_v2 = np.linspace(1e-5, 1e-4, E)
+    mu = np.full(E, 1e-2)
+    report = dist_theory(comb, locals_, sigma_v2, mu)
+    assert report.stable
+    dim = locals_.shape[1]
+    n = E * dim
+    assert n == 45
+    B = report.b_matrix
+    s = np.linalg.solve(np.eye(n * n) - np.kron(B.T, B.T), np.eye(n).reshape(-1, order="F"))
+    S = s.reshape((n, n), order="F")
+    a_blk = np.kron(comb.a, np.eye(dim))
+    m_blk = np.kron(np.diag(mu), np.eye(dim))
+    g = scipy.linalg.block_diag(*(sigma_v2[:, None, None] * locals_))
+    expected = float(np.trace(a_blk @ m_blk @ g @ m_blk @ a_blk.T @ S))
+    assert abs(report.msd_total - expected) <= 1e-10 * abs(expected)
+
+
+@pytest.mark.parametrize(
+    "rule, signal_var, mu",
+    [("uniform", 1.0, 1e-3), ("uniform", 0.002, 1e-3), ("metropolis", 0.002, 1e-2)],
+)
+def test_isolated_agent_is_unstable(rule, signal_var, mu):
+    # agents 1 and 2 form a component cut off from the other nine, and no
+    # triangle touches them, so their upper taps are never excited: B keeps
+    # an exact unit eigenvalue, computed a few ulps below 1
+    c = grown_complex(11, 11, 5, seed=0)
+    ops = hodge_laplacians(c)
+    E = c.num_edges
+    comb = build_combination(lower_adjacency_neighborhoods(c), rule)
+    locals_ = local_moment_matrices(ops, np.ones(E), signal_var * np.eye(E), 2)
+    report = dist_theory(comb, locals_, np.full(E, 1e-4), np.full(E, mu))
+    assert report.stable is False
+    assert np.isnan(report.msd_total)
+    assert np.isnan(report.msd_per_agent)
 
 
 def test_sum_of_local_moments_is_global_moment():

@@ -3,16 +3,15 @@
 import numpy as np
 import pytest
 
+from simplexlms.artrain import ar_regressor_tensor
 from simplexlms.complexes import hodge_laplacians, laplacian_powers, random_complex
 from simplexlms.signals import (
     FilterCoeffs,
     MomentSet,
     StreamConfig,
-    build_regressors,
     edge_moment_matrices,
     generate_stream,
     local_moment_matrices,
-    local_regressor,
     moments_closed_form,
     moments_empirical,
     read_stream_csv,
@@ -74,7 +73,7 @@ def test_coeff_validation():
 
 def test_regressors_order_zero(small_ops):
     x = np.arange(small_ops.l1.shape[0], dtype=float)
-    X = build_regressors([x], small_ops, 0)
+    X = regressor_tensor(x[None, :], small_ops, 0)[0]
     assert X.shape == (x.size, 1)
     assert np.array_equal(X[:, 0], x)
 
@@ -83,50 +82,29 @@ def test_regressors_upper_zero_without_triangles():
     c = random_complex(8, 0.5, 0.0, 3)
     ops = hodge_laplacians(c)
     rng = np.random.default_rng(0)
-    hist = [rng.standard_normal(c.num_edges) for _ in range(2)]
-    X = build_regressors(hist, ops, 1)
+    x = rng.standard_normal((2, c.num_edges))
+    X = regressor_tensor(x, ops, 1)[1]
     assert np.allclose(X[:, 1], 0.0)
     assert not np.allclose(X[:, 2], 0.0)
 
 
 def test_regressors_match_naive_oracle(small_ops):
-    rng = np.random.default_rng(1)
-    E = small_ops.l1.shape[0]
-    for _ in range(10):
-        hist = [rng.standard_normal(E) for _ in range(3)]
-        X = build_regressors(hist, small_ops, 2)
-        assert np.allclose(X, naive_regressors(hist, small_ops, 2), atol=1e-12)
-
-
-def test_regressor_tensor_matches_per_step(small_ops):
+    # both tensor builders, row by row, including the zero rows n < order
     rng = np.random.default_rng(2)
     E = small_ops.l1.shape[0]
-    x = rng.standard_normal((30, E))
-    R = regressor_tensor(x, small_ops, 2)
-    assert np.allclose(R[:2], 0.0)
-    for n in range(2, 30):
-        hist = [x[n - m] for m in range(3)]
-        assert np.allclose(R[n], build_regressors(hist, small_ops, 2), atol=1e-12)
-
-
-def test_local_regressor_consistency(small_ops):
-    rng = np.random.default_rng(3)
-    E = small_ops.l1.shape[0]
-    hist = [rng.standard_normal(E) for _ in range(3)]
-    X = build_regressors(hist, small_ops, 2)
-    stacked = np.stack([local_regressor(i, X) for i in range(E)])
-    assert np.array_equal(stacked, X)
-    h = rng.standard_normal(5)
-    for i in range(E):
-        assert np.isclose(local_regressor(i, X) @ h, (X @ h)[i])
-    with pytest.raises(IndexError):
-        local_regressor(E, X)
-
-
-def test_local_regressor_order_zero(small_ops):
-    x = np.arange(small_ops.l1.shape[0], dtype=float)
-    X = build_regressors([x], small_ops, 0)
-    assert local_regressor(3, X).tolist() == [3.0]
+    x = rng.standard_normal((12, E))
+    for order in range(3):
+        R = regressor_tensor(x, small_ops, order)
+        R_ar = ar_regressor_tensor(x, small_ops, order)
+        assert R.shape == (12, E, 2 * order + 1)
+        assert R_ar.shape == (12, E, 2 * order)
+        assert np.all(R[:order] == 0.0)
+        assert np.all(R_ar[:order] == 0.0)
+        for n in range(order, 12):
+            hist = [x[n - m] for m in range(order + 1)]
+            expected = naive_regressors(hist, small_ops, order)
+            assert np.allclose(R[n], expected, atol=1e-12)
+            assert np.allclose(R_ar[n], expected[:, 1:], atol=1e-12)
 
 
 # ------------------------------------------------------------------- masks
@@ -176,7 +154,7 @@ def test_stream_matches_model_identity(small_complex, small_ops):
     h = coeffs.flatten()
     for n in range(batch.order, 60):
         hist = [batch.x[n - m] for m in range(3)]
-        X = build_regressors(hist, small_ops, 2)
+        X = naive_regressors(hist, small_ops, 2)
         expected = batch.d[n] * (X @ h + batch.v[n])
         assert np.max(np.abs(batch.y[n] - expected)) < 1e-12
     assert np.allclose(batch.y[: batch.order], 0.0)
