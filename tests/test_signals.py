@@ -107,6 +107,21 @@ def test_regressors_match_naive_oracle(small_ops):
             assert np.allclose(R_ar[n], expected[:, 1:], atol=1e-12)
 
 
+def test_regressor_tensor_matches_per_step(small_ops):
+    # row n of the stream tensor depends only on the window x[n-2..n]:
+    # it equals the last row built from that window alone
+    rng = np.random.default_rng(2)
+    E = small_ops.l1.shape[0]
+    x = rng.standard_normal((30, E))
+    R = regressor_tensor(x, small_ops, 2)
+    assert np.allclose(R[:2], 0.0)
+    for n in range(2, 30):
+        step = regressor_tensor(x[n - 2 : n + 1], small_ops, 2)[-1]
+        assert np.allclose(R[n], step, atol=1e-12)
+        hist = [x[n - m] for m in range(3)]
+        assert np.allclose(R[n], naive_regressors(hist, small_ops, 2), atol=1e-12)
+
+
 # ------------------------------------------------------------------- masks
 
 
