@@ -22,7 +22,7 @@ from .complexes import hodge_laplacians
 from .datasets import EdgeSeriesDataset
 from .diffusion import CombinationMatrix, NetworkState, atc_step
 from .lms import LmsState, lms_step
-from .signals import regressor_tensor
+from .signals import _regressor_windows, regressor_tensor
 
 __all__ = [
     "ARTrainResult",
@@ -68,19 +68,25 @@ def extend_series(series: np.ndarray, epochs: int) -> np.ndarray:
     return np.tile(np.asarray(series, dtype=np.float64), (epochs, 1))
 
 
-def ar_regressor_tensor(series: np.ndarray, ops, order: int) -> np.ndarray:
+def ar_regressor_tensor(series: np.ndarray, ops, order: int, powers=None) -> np.ndarray:
     """Lag-1..M regressors for every snapshot, shape (N, E, 2M); rows < M zero.
 
-    These are the columns of :func:`regressor_tensor` without the lag-0 one.
+    These are the columns of :func:`regressor_tensor` without the lag-0
+    one; ``powers`` is passed through to it.
     """
-    return regressor_tensor(series, ops, order)[:, :, 1:]
+    return regressor_tensor(series, ops, order, powers)[:, :, 1:]
 
 
-def _variant_tensor(R: np.ndarray, order: int, variant: str) -> np.ndarray:
-    if variant == "edge-laplacian-baseline":
-        R = R.copy()
-        R[:, :, :order] = 0.0
-    return R
+def _ar_windows(series: np.ndarray, ops, order: int, variant: str, first: int):
+    """``(start, R)`` blocks of the variant's lag regressors for rows ``first..N-1``.
+
+    The baseline variant zeroes the upper columns of each block, on a copy.
+    """
+    for start, R in _regressor_windows(series, ops, order, first, build=ar_regressor_tensor):
+        if variant == "edge-laplacian-baseline":
+            R = R.copy()
+            R[:, :, :order] = 0.0
+        yield start, R
 
 
 def _normalized_error(predicted: np.ndarray, actual: np.ndarray) -> float:
@@ -106,21 +112,21 @@ def run_ar_training(
         raise ValueError("filter order must be below the training length")
     ops = hodge_laplacians(ds.complex)
     extended = extend_series(ds.train_series, epochs)
-    R = _variant_tensor(ar_regressor_tensor(extended, ops, order), order, variant)
     E = ds.complex.num_edges
     ones = np.ones(E)
 
     state = LmsState(h=np.zeros(2 * order), mu=mu)
     train_errors = []
-    for n in range(order, extended.shape[0]):
-        target = extended[n]
-        train_errors.append(_normalized_error(R[n] @ state.h, target))
-        state = lms_step(state, R[n], ones, target)
+    for start, R in _ar_windows(extended, ops, order, variant, order):
+        for n, X in enumerate(R, start):
+            target = extended[n]
+            train_errors.append(_normalized_error(X @ state.h, target))
+            state = lms_step(state, X, ones, target)
 
-    R_full = _variant_tensor(ar_regressor_tensor(ds.series, ops, order), order, variant)
     test_errors = [
-        _normalized_error(R_full[n] @ state.h, ds.series[n])
-        for n in range(ds.train_count, ds.series.shape[0])
+        _normalized_error(X @ state.h, ds.series[n])
+        for start, R in _ar_windows(ds.series, ops, order, variant, ds.train_count)
+        for n, X in enumerate(R, start)
     ]
     return ARTrainResult(
         coeffs=state.h,
@@ -148,23 +154,23 @@ def run_distributed_ar(
         raise ValueError("filter order must be below the training length")
     ops = hodge_laplacians(ds.complex)
     extended = extend_series(ds.train_series, epochs)
-    R = _variant_tensor(ar_regressor_tensor(extended, ops, order), order, variant)
     E = ds.complex.num_edges
     ones = np.ones(E)
 
     net = NetworkState(estimates=np.zeros((E, 2 * order)), mu=np.full(E, mu))
     train_errors = []
-    for n in range(order, extended.shape[0]):
-        target = extended[n]
-        predicted = np.einsum("ij,ij->i", R[n], net.estimates)
-        train_errors.append(_normalized_error(predicted, target))
-        net = atc_step(net, comb, R[n], ones, target)
+    for start, R in _ar_windows(extended, ops, order, variant, order):
+        for n, X in enumerate(R, start):
+            target = extended[n]
+            predicted = np.einsum("ij,ij->i", X, net.estimates)
+            train_errors.append(_normalized_error(predicted, target))
+            net = atc_step(net, comb, X, ones, target)
 
-    R_full = _variant_tensor(ar_regressor_tensor(ds.series, ops, order), order, variant)
-    test_errors = []
-    for n in range(ds.train_count, ds.series.shape[0]):
-        predicted = np.einsum("ij,ij->i", R_full[n], net.estimates)
-        test_errors.append(_normalized_error(predicted, ds.series[n]))
+    test_errors = [
+        _normalized_error(np.einsum("ij,ij->i", X, net.estimates), ds.series[n])
+        for start, R in _ar_windows(ds.series, ops, order, variant, ds.train_count)
+        for n, X in enumerate(R, start)
+    ]
     return ARTrainResult(
         coeffs=net.estimates,
         train_errors=np.asarray(train_errors),

@@ -17,6 +17,7 @@ arithmetic, which downstream code relies on.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -70,14 +71,26 @@ class HodgeOperators:
     ``l1 = lower + upper`` and the eigenvalues are sorted ascending.
     Repeated eigenvalues make the eigenvector basis non-unique; consumers
     must only rely on basis-independent quantities (projections, norms).
+    The O(E^3) eigendecomposition runs on first access to the eigenbasis,
+    since only the simplicial Fourier transform needs it.
     """
 
     l0: np.ndarray
     lower: np.ndarray
     upper: np.ndarray
     l1: np.ndarray
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
+
+    @cached_property
+    def _eigh(self) -> tuple[np.ndarray, np.ndarray]:
+        return np.linalg.eigh(self.l1)
+
+    @property
+    def eigenvalues(self) -> np.ndarray:
+        return self._eigh[0]
+
+    @property
+    def eigenvectors(self) -> np.ndarray:
+        return self._eigh[1]
 
 
 @dataclass
@@ -163,22 +176,13 @@ def build_incidence(
 
 
 def hodge_laplacians(complex_: SimplicialComplex2) -> HodgeOperators:
-    """Vertex Laplacian, lower/upper edge Laplacians and the L1 eigenbasis."""
+    """Vertex Laplacian, lower/upper edge Laplacians and the (lazy) L1 eigenbasis."""
     b1 = complex_.b1.astype(np.float64)
     b2 = complex_.b2.astype(np.float64)
     l0 = b1 @ b1.T
     lower = b1.T @ b1
     upper = b2 @ b2.T
-    l1 = lower + upper
-    eigenvalues, eigenvectors = np.linalg.eigh(l1)
-    return HodgeOperators(
-        l0=l0,
-        lower=lower,
-        upper=upper,
-        l1=l1,
-        eigenvalues=eigenvalues,
-        eigenvectors=eigenvectors,
-    )
+    return HodgeOperators(l0=l0, lower=lower, upper=upper, l1=lower + upper)
 
 
 def laplacian_powers(ops: HodgeOperators, order: int) -> tuple[list[np.ndarray], list[np.ndarray]]:

@@ -79,7 +79,7 @@ def write_edge_series(path, series: np.ndarray) -> None:
 
 
 def read_edge_series(path) -> np.ndarray:
-    """Load a snapshot CSV; malformed cells name the offending row."""
+    """Load a snapshot CSV; malformed or non-finite cells name the offending line."""
     rows: list[list[float]] = []
     with open(path, "r", newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -103,7 +103,12 @@ def read_edge_series(path) -> np.ndarray:
                 raise ConfigError(f"{path}: line {lineno}: non-numeric cell") from None
     if not rows:
         raise ConfigError(f"{path}: series file holds no snapshots")
-    return np.asarray(rows, dtype=np.float64)
+    series = np.asarray(rows, dtype=np.float64)
+    # float() accepts "nan" and "inf"; reject them here, not as a divergence later
+    bad = np.flatnonzero(~np.all(np.isfinite(series), axis=1))
+    if bad.size:
+        raise ConfigError(f"{path}: line {bad[0] + 2}: non-finite cell")
+    return series
 
 
 def ingest_edge_series(

@@ -28,9 +28,9 @@ from .errors import DivergenceError, StabilityError
 from .signals import (
     FilterCoeffs,
     StreamConfig,
+    _regressor_windows,
     generate_stream,
     moments_closed_form,
-    regressor_tensor,
 )
 
 __all__ = [
@@ -243,7 +243,10 @@ def run_experiment(
     Each realization draws an independent stream from a seed derived
     from ``cfg.seed``; trajectories of diverged realizations are dropped
     and their indices reported. The trajectory has ``horizon + 1``
-    entries starting at the initial deviation.
+    entries starting at the initial deviation. One stream is alive at a
+    time and its regressors are built in windows, so memory does not
+    grow with the number of realizations, and with the horizon only
+    through the stream and the trajectory.
     """
     ops = hodge_laplacians(complex_)
     order = coeffs.order
@@ -274,15 +277,16 @@ def run_experiment(
             continue
         run_cfg = replace(cfg, horizon=horizon + order, seed=seeds[r])
         batch = generate_stream(coeffs, None, run_cfg, ops=ops)
-        R = regressor_tensor(batch.x, ops, order)
         try:
-            for k in range(horizon):
-                n = order + k
-                state = lms_step(state, R[n], batch.d[n], batch.y[n])
-                traj[k + 1] = float(np.sum((h_true - state.h) ** 2))
+            for start, X in _regressor_windows(batch.x, ops, order, first=order):
+                for n, X_n in enumerate(X, start):
+                    state = lms_step(state, X_n, batch.d[n], batch.y[n])
+                    traj[n - order + 1] = float(np.sum((h_true - state.h) ** 2))
         except DivergenceError:
             diverged.append(r)
             continue
+        finally:
+            del batch  # one live stream: free it before the next one is drawn
         total += traj
         kept += 1
     if kept == 0:

@@ -42,6 +42,10 @@ __all__ = [
     "read_stream_csv",
 ]
 
+# Floats in one regressor window (2 MB): the unit in which stream consumers
+# build regressors, so their memory does not grow with the horizon.
+_WINDOW_ELEMENTS = 1 << 18
+
 
 @dataclass
 class FilterCoeffs:
@@ -220,14 +224,22 @@ def _regressor_operators(ops: HodgeOperators, order: int) -> tuple[list[np.ndarr
     return operators, lags
 
 
-def regressor_tensor(x: np.ndarray, ops: HodgeOperators, order: int) -> np.ndarray:
+def regressor_tensor(
+    x: np.ndarray,
+    ops: HodgeOperators,
+    order: int,
+    powers: tuple[list[np.ndarray], list[np.ndarray]] | None = None,
+) -> np.ndarray:
     """Regressor matrices for a whole stream, shape (N, E, 2M+1).
 
     Rows ``n < order`` are zero: no full history window exists there.
+    ``powers`` is ``laplacian_powers(ops, order)``, for callers that build
+    many windows of one stream and would otherwise recompute the O(E^3)
+    matrix powers for each.
     """
     x = np.asarray(x, dtype=np.float64)
     N, E = x.shape
-    up, lo = laplacian_powers(ops, order)
+    up, lo = laplacian_powers(ops, order) if powers is None else powers
     out = np.zeros((N, E, 2 * order + 1))
     if N <= order:
         return out
@@ -237,6 +249,29 @@ def regressor_tensor(x: np.ndarray, ops: HodgeOperators, order: int) -> np.ndarr
         out[order:, :, m] = shifted @ up[m].T
         out[order:, :, order + m] = shifted @ lo[m].T
     return out
+
+
+def _regressor_windows(x: np.ndarray, ops: HodgeOperators, order: int, first: int = 0,
+                       build=None):
+    """Rows ``first..N-1`` of the stream's regressor tensor, one block at a time.
+
+    Yields ``(start, X)`` where ``X[j]`` is row ``start + j`` of
+    ``build(x, ops, order)`` (by default :func:`regressor_tensor`). Each
+    block is built from its own rows plus the ``order`` rows of history
+    before them, so the blocks concatenate to the whole-stream tensor
+    while only one of them is alive. A block holds about
+    ``_WINDOW_ELEMENTS`` floats whatever the edge count, so stream
+    consumers need regressor memory independent of the horizon.
+    """
+    # resolved per call, not as a default argument, so that a wrapper put on
+    # the module attribute (perfbench's span tracer) sees every build
+    build = regressor_tensor if build is None else build
+    N, E = x.shape
+    powers = laplacian_powers(ops, order)
+    rows = max(1, _WINDOW_ELEMENTS // (E * (2 * order + 1)))
+    for start in range(first, N, rows):
+        lo = max(start - order, 0)
+        yield start, build(x[lo : start + rows], ops, order, powers)[start - lo :]
 
 
 def sample_mask(p: np.ndarray, rng: np.random.Generator) -> np.ndarray:
@@ -268,7 +303,9 @@ def generate_stream(
 
     Signals and noise are i.i.d. Gaussian; masks are Bernoulli. Three
     child generators (signal, noise, mask) are spawned from the seed so
-    the draws stay decoupled yet fully reproducible.
+    the draws stay decoupled yet fully reproducible. The observations
+    are built window by window, so the regressor tensor of the whole
+    stream is never held.
     """
     if ops is None:
         if complex_ is None:
@@ -291,10 +328,11 @@ def generate_stream(
     v = rng_noise.standard_normal((N, E)) * np.sqrt(cfg.sigma_v2)
     d = (rng_mask.random((N, E)) < cfg.p).astype(np.float64)
 
-    R = regressor_tensor(x, ops, order)
     h = coeffs.flatten()
-    y = d * (R @ h + v)
-    y[:order] = 0.0
+    y = np.zeros((N, E))
+    for start, X in _regressor_windows(x, ops, order, first=order):
+        rows = slice(start, start + X.shape[0])
+        y[rows] = d[rows] * (X @ h + v[rows])
     return StreamBatch(x=x, d=d, y=y, order=order, v=v)
 
 

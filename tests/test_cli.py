@@ -1,6 +1,10 @@
 """End-to-end command-line runs, exit codes, and reproducibility."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -229,6 +233,43 @@ def test_ar_train_from_files(tmp_path):
     )
     assert code == 0
     assert json.loads(out.read_text())["mean_test_error"] > 0
+
+
+@pytest.mark.parametrize("token", ["nan", "inf"])
+def test_ar_train_non_finite_cell_exits_2(tmp_path, token, capsys):
+    from simplexlms.datasets import traffic_surrogate, write_edge_series
+    from simplexlms.complexes import save_complex
+
+    ds = traffic_surrogate(seed=2)
+    complex_path = tmp_path / "c.txt"
+    series_path = tmp_path / "s.csv"
+    save_complex(ds.complex, complex_path)
+    write_edge_series(series_path, ds.series)
+    lines = series_path.read_text().splitlines()
+    cells = lines[4].split(",")
+    cells[3] = token
+    lines[4] = ",".join(cells)
+    series_path.write_text("\n".join(lines) + "\n")
+    code = run_cli(
+        [
+            "ar-train", "--complex-file", complex_path, "--series-file", series_path,
+            "--order", 2, "--mu", 1e-4, "--out", tmp_path / "ar.json",
+        ]
+    )
+    assert code == 2
+    assert "line 5: non-finite cell" in capsys.readouterr().err
+    assert not (tmp_path / "ar.json").exists()
+
+
+def test_cli_import_leaves_scipy_out():
+    # scipy is a test dependency only: no module of the package may import it
+    import simplexlms
+
+    code = "import sys, simplexlms.cli; print('scipy' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(Path(simplexlms.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, check=True, timeout=120)
+    assert proc.stdout.strip() == "False"
 
 
 def test_analyze_summarises_results(tmp_path, complex_file, capsys):

@@ -108,6 +108,23 @@ def test_laplacian_identities_over_seeded_complexes():
 # ------------------------------------------------------------- decomposition
 
 
+def test_eigenbasis_is_computed_on_first_use(monkeypatch):
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counting_eigh(a):
+        calls.append(a.shape)
+        return eigh(a)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    ops = hodge_laplacians(random_complex(10, 0.5, 0.5, 1))
+    assert calls == []
+    x = np.arange(ops.l1.shape[0], dtype=float)
+    assert np.allclose(inverse_sft(sft(x, ops), ops), x)
+    assert np.allclose(ops.l1 @ ops.eigenvectors, ops.eigenvectors * ops.eigenvalues)
+    assert len(calls) == 1
+
+
 def test_decompose_zero_signal():
     c = random_complex(10, 0.5, 0.5, 3)
     parts = hodge_decompose(np.zeros(c.num_edges), c)

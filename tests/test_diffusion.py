@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from simplexlms import signals
 from simplexlms.complexes import grown_complex, hodge_laplacians, random_complex
 from simplexlms.diffusion import (
     CombinationMatrix,
@@ -234,6 +235,42 @@ def test_dist_theory_matches_kronecker_solve():
     assert abs(report.msd_total - expected) <= 1e-10 * abs(expected)
 
 
+def kronecker_stein(B):
+    # vec(S) = (I - B^T (x) B^T)^{-1} vec(I), with the n^2 x n^2 system built
+    # once and factored in place: at n = 75 it alone holds 253 MB
+    n = B.shape[0]
+    k = (B[:, None, :, None] * B[None, :, None, :]).reshape(n * n, n * n)  # B (x) B
+    np.negative(k, out=k)
+    k.flat[:: n * n + 1] += 1.0
+    # k.T = I - B^T (x) B^T, in the Fortran order LAPACK factors without a copy
+    s = scipy.linalg.solve(
+        k.T, np.eye(n).reshape(-1, order="F"), overwrite_a=True, check_finite=False
+    )
+    return s.reshape((n, n), order="F")
+
+
+def test_dist_theory_near_margin_matches_kronecker_solve():
+    # 1 - rho(B) = 0.1 mu = 2e-6: the Stein series needs about 2^23 terms
+    c = grown_complex(11, 15, 10, seed=0)
+    ops = hodge_laplacians(c)
+    E = c.num_edges
+    locals_ = local_moment_matrices(ops, np.ones(E), 0.1 * np.eye(E), 2)
+    comb = build_combination(lower_adjacency_neighborhoods(c), "uniform")
+    sigma_v2 = np.linspace(1e-5, 1e-4, E)
+    mu = np.full(E, 2e-5)
+    report = dist_theory(comb, locals_, sigma_v2, mu)
+    assert report.stable
+    assert 1e-6 < 1.0 - report.rho_b < 4e-6
+    dim = locals_.shape[1]
+    assert E * dim == 75
+    S = kronecker_stein(report.b_matrix)
+    a_blk = np.kron(comb.a, np.eye(dim))
+    m_blk = np.kron(np.diag(mu), np.eye(dim))
+    g = scipy.linalg.block_diag(*(sigma_v2[:, None, None] * locals_))
+    expected = float(np.trace(a_blk @ m_blk @ g @ m_blk @ a_blk.T @ S))
+    assert abs(report.msd_total - expected) <= 1e-10 * abs(expected)
+
+
 @pytest.mark.parametrize(
     "rule, signal_var, mu",
     [("uniform", 1.0, 1e-3), ("uniform", 0.002, 1e-3), ("metropolis", 0.002, 1e-2)],
@@ -327,6 +364,33 @@ def test_run_distributed_identity_combination_matches_independent_runs(network_i
         assert np.isclose(
             result.agent_msd[i, 40], np.sum((h_true - state.h) ** 2), atol=1e-12
         )
+
+
+def test_run_distributed_multi_window_matches_step_replay(network_instance, monkeypatch):
+    # 7-row regressor windows: the 40 rounds span six windows
+    complex_, coeffs, cfg, comb = network_instance
+    E = complex_.num_edges
+    monkeypatch.setattr(signals, "_WINDOW_ELEMENTS", 7 * E * 5)
+    result = run_distributed(complex_, coeffs, cfg, comb, 1e-2, realizations=2, horizon=40,
+                             track_agents=True)
+
+    from simplexlms.lms import derived_seeds
+    from simplexlms.signals import generate_stream, regressor_tensor
+    from dataclasses import replace
+
+    ops = hodge_laplacians(complex_)
+    h_true = coeffs.flatten()
+    total = np.zeros((E, 41))
+    for seed in derived_seeds(cfg.seed, 2):
+        batch = generate_stream(coeffs, None, replace(cfg, horizon=42, seed=seed), ops=ops)
+        net = NetworkState(estimates=np.zeros((E, 5)), mu=np.full(E, 1e-2))
+        total[:, 0] += np.sum(h_true**2)
+        for n in range(2, 42):
+            z = regressor_tensor(batch.x[n - 2 : n + 1], ops, 2)[-1]
+            net = atc_step(net, comb, z, batch.d[n], batch.y[n])
+            total[:, n - 1] += np.sum((h_true[None, :] - net.estimates) ** 2, axis=1)
+    np.testing.assert_allclose(result.agent_msd, total / 2, rtol=1e-12)
+    np.testing.assert_allclose(result.msd, np.mean(total / 2, axis=0), rtol=1e-12)
 
 
 def test_run_distributed_matches_theory(network_instance):

@@ -5,7 +5,9 @@ import json
 import numpy as np
 import pytest
 
+from simplexlms import signals
 from simplexlms.artrain import (
+    VARIANTS,
     ar_regressor_tensor,
     extend_series,
     run_ar_training,
@@ -156,6 +158,26 @@ def test_distributed_ar_identity_combination_reduces_to_per_edge_lms():
                 state, R[n, i][None, :], np.ones(1), ds.train_series[n, i : i + 1]
             )
         assert np.allclose(dist.coeffs[i], state.h, atol=1e-13)
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_ar_protocols_multi_window_match_one_window(variant, monkeypatch):
+    # 7-row windows: the 498 training rows and the 38 test rows (from 250)
+    # both cross window boundaries
+    ds = traffic_surrogate(seed=2)
+    E = ds.complex.num_edges
+    comb = build_combination(lower_adjacency_neighborhoods(ds.complex), "uniform")
+
+    def runs():
+        return (run_ar_training(ds, 2, 1e-3, variant=variant, epochs=2),
+                run_distributed_ar(ds, 2, 1e-2, comb, epochs=2, variant=variant))
+
+    whole = runs()
+    monkeypatch.setattr(signals, "_WINDOW_ELEMENTS", 7 * E * 5)
+    for one, windowed in zip(whole, runs()):
+        for name in ("coeffs", "train_errors", "test_errors"):
+            np.testing.assert_allclose(getattr(windowed, name), getattr(one, name),
+                                       rtol=1e-12, atol=1e-15)
 
 
 def test_distributed_ar_deterministic():

@@ -1,13 +1,17 @@
 """Adaptive filter step, stability bounds and steady-state formulas."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from simplexlms import signals
 from simplexlms.complexes import hodge_laplacians, random_complex
 from simplexlms.errors import DivergenceError, StabilityError
 from simplexlms.lms import (
     LmsState,
     convergence_rate,
+    derived_seeds,
     lms_step,
     max_stepsize,
     run_experiment,
@@ -16,7 +20,13 @@ from simplexlms.lms import (
     theory_report,
     to_db,
 )
-from simplexlms.signals import FilterCoeffs, StreamConfig, moments_closed_form
+from simplexlms.signals import (
+    FilterCoeffs,
+    StreamConfig,
+    generate_stream,
+    moments_closed_form,
+    regressor_tensor,
+)
 
 
 def random_psd(dim, rng, scale=1.0):
@@ -212,6 +222,31 @@ def test_run_experiment_horizon_zero(experiment_complex):
                             realizations=2, horizon=0)
     assert result.msd.shape == (1,)
     assert np.isclose(result.msd[0], np.sum(coeffs.flatten() ** 2))
+
+
+def test_run_experiment_multi_window_matches_step_replay(experiment_complex, monkeypatch):
+    # 7-row regressor windows: the 40 steps span six windows
+    rng = np.random.default_rng(14)
+    coeffs = FilterCoeffs.random(2, rng, scale=0.5)
+    E = experiment_complex.num_edges
+    cfg = StreamConfig.white(E, signal_var=0.01, sigma_v2=1e-4, p=0.8, horizon=10, seed=4)
+    monkeypatch.setattr(signals, "_WINDOW_ELEMENTS", 7 * E * 5)
+    result = run_experiment(experiment_complex, coeffs, cfg, 5e-3, realizations=2, horizon=40)
+    assert result.theory is not None
+
+    ops = hodge_laplacians(experiment_complex)
+    h_true = coeffs.flatten()
+    total = np.zeros(41)
+    for seed in derived_seeds(cfg.seed, 2):
+        batch = generate_stream(coeffs, None, replace(cfg, horizon=42, seed=seed), ops=ops)
+        state = LmsState(h=np.zeros(5), mu=5e-3)
+        traj = [np.sum(h_true**2)]
+        for n in range(2, 42):
+            X = regressor_tensor(batch.x[n - 2 : n + 1], ops, 2)[-1]
+            state = lms_step(state, X, batch.d[n], batch.y[n])
+            traj.append(np.sum((h_true - state.h) ** 2))
+        total += traj
+    np.testing.assert_allclose(result.msd, total / 2, rtol=1e-12)
 
 
 def test_run_experiment_matches_theory(experiment_complex):
