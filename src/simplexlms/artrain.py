@@ -94,6 +94,38 @@ def _normalized_error(predicted: np.ndarray, actual: np.ndarray) -> float:
     return float(np.linalg.norm(predicted - actual)) / max(scale, 1e-300)
 
 
+def _train_then_test(ds: EdgeSeriesDataset, order: int, variant: str, epochs: int,
+                     state, predict, step):
+    """The train-then-test loop both protocols share.
+
+    ``step(state, X, d, y)`` adapts ``state`` over the periodically
+    extended training series with a full mask; ``predict(state, X)`` is
+    the one-step prediction from regressor matrix ``X``, scored before
+    each training step and, with the final state and true histories, on
+    every test snapshot. Returns the final state and both error traces.
+    """
+    _check_variant(variant)
+    if order >= ds.train_count:
+        raise ValueError("filter order must be below the training length")
+    ops = hodge_laplacians(ds.complex)
+    extended = extend_series(ds.train_series, epochs)
+    ones = np.ones(ds.complex.num_edges)
+
+    train_errors = []
+    for start, R in _ar_windows(extended, ops, order, variant, order):
+        for n, X in enumerate(R, start):
+            target = extended[n]
+            train_errors.append(_normalized_error(predict(state, X), target))
+            state = step(state, X, ones, target)
+
+    test_errors = [
+        _normalized_error(predict(state, X), ds.series[n])
+        for start, R in _ar_windows(ds.series, ops, order, variant, ds.train_count)
+        for n, X in enumerate(R, start)
+    ]
+    return state, np.asarray(train_errors), np.asarray(test_errors)
+
+
 def run_ar_training(
     ds: EdgeSeriesDataset,
     order: int,
@@ -107,33 +139,12 @@ def run_ar_training(
     mask; prediction on the test split uses the final coefficients with
     true histories (no adaptation on test data).
     """
-    _check_variant(variant)
-    if order >= ds.train_count:
-        raise ValueError("filter order must be below the training length")
-    ops = hodge_laplacians(ds.complex)
-    extended = extend_series(ds.train_series, epochs)
-    E = ds.complex.num_edges
-    ones = np.ones(E)
-
-    state = LmsState(h=np.zeros(2 * order), mu=mu)
-    train_errors = []
-    for start, R in _ar_windows(extended, ops, order, variant, order):
-        for n, X in enumerate(R, start):
-            target = extended[n]
-            train_errors.append(_normalized_error(X @ state.h, target))
-            state = lms_step(state, X, ones, target)
-
-    test_errors = [
-        _normalized_error(X @ state.h, ds.series[n])
-        for start, R in _ar_windows(ds.series, ops, order, variant, ds.train_count)
-        for n, X in enumerate(R, start)
-    ]
-    return ARTrainResult(
-        coeffs=state.h,
-        train_errors=np.asarray(train_errors),
-        test_errors=np.asarray(test_errors),
-        variant=variant,
+    state, train_errors, test_errors = _train_then_test(
+        ds, order, variant, epochs, LmsState(h=np.zeros(2 * order), mu=mu),
+        lambda s, X: X @ s.h, lms_step,
     )
+    return ARTrainResult(coeffs=state.h, train_errors=train_errors,
+                         test_errors=test_errors, variant=variant)
 
 
 def run_distributed_ar(
@@ -149,31 +160,12 @@ def run_distributed_ar(
     Test predictions are made per agent with its own final coefficients.
     The reported coefficient matrix stacks the per-agent vectors as rows.
     """
-    _check_variant(variant)
-    if order >= ds.train_count:
-        raise ValueError("filter order must be below the training length")
-    ops = hodge_laplacians(ds.complex)
-    extended = extend_series(ds.train_series, epochs)
     E = ds.complex.num_edges
-    ones = np.ones(E)
-
-    net = NetworkState(estimates=np.zeros((E, 2 * order)), mu=np.full(E, mu))
-    train_errors = []
-    for start, R in _ar_windows(extended, ops, order, variant, order):
-        for n, X in enumerate(R, start):
-            target = extended[n]
-            predicted = np.einsum("ij,ij->i", X, net.estimates)
-            train_errors.append(_normalized_error(predicted, target))
-            net = atc_step(net, comb, X, ones, target)
-
-    test_errors = [
-        _normalized_error(np.einsum("ij,ij->i", X, net.estimates), ds.series[n])
-        for start, R in _ar_windows(ds.series, ops, order, variant, ds.train_count)
-        for n, X in enumerate(R, start)
-    ]
-    return ARTrainResult(
-        coeffs=net.estimates,
-        train_errors=np.asarray(train_errors),
-        test_errors=np.asarray(test_errors),
-        variant=variant,
+    net, train_errors, test_errors = _train_then_test(
+        ds, order, variant, epochs,
+        NetworkState(estimates=np.zeros((E, 2 * order)), mu=np.full(E, mu)),
+        lambda net, X: np.einsum("ij,ij->i", X, net.estimates),
+        lambda net, X, d, y: atc_step(net, comb, X, d, y),
     )
+    return ARTrainResult(coeffs=net.estimates, train_errors=train_errors,
+                         test_errors=test_errors, variant=variant)

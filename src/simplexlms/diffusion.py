@@ -29,11 +29,10 @@ import numpy as np
 
 from .complexes import SimplicialComplex2, hodge_laplacians
 from .errors import DivergenceError
-from .lms import _is_stable, derived_seeds
+from .lms import _is_stable, _monte_carlo, _stream_states
 from .signals import (
     FilterCoeffs,
     StreamConfig,
-    _regressor_windows,
     generate_stream,
     local_moment_matrices,
 )
@@ -328,66 +327,35 @@ def run_distributed(
     Every realization draws one global signal stream; each agent sees
     its own regressor row, mask and observation entry. Rounds are
     synchronous with fixed agent order, so a fixed seed reproduces the
-    trajectory bit for bit. As in :func:`.lms.run_experiment`, one stream
-    is alive at a time and its regressors are built in windows.
+    trajectory bit for bit. Realizations run through the Monte-Carlo
+    engine, :func:`.lms._monte_carlo`.
     """
     ops = hodge_laplacians(complex_)
     order = coeffs.order
     E = complex_.num_edges
     h_true = coeffs.flatten()
-    dim = h_true.size
     mu_vec = np.broadcast_to(np.asarray(mu, dtype=np.float64), (E,)).copy()
 
     locals_ = local_moment_matrices(ops, cfg.p, cfg.c_x, order)
     theory = dist_theory(comb, locals_, cfg.sigma_v2, mu_vec)
 
-    seeds = derived_seeds(cfg.seed, realizations)
-    total = np.zeros(horizon + 1)
-    agent_total = np.zeros((E, horizon + 1)) if track_agents else None
-    diverged: list[int] = []
-    kept = 0
-    for r in range(realizations):
-        net = NetworkState(estimates=np.zeros((E, dim)), mu=mu_vec)
+    def run_one(seed: int) -> tuple[np.ndarray, ...]:
         traj = np.empty(horizon + 1)
         agent_traj = np.empty((E, horizon + 1)) if track_agents else None
-        dev = np.sum((h_true[None, :] - net.estimates) ** 2, axis=1)
-        traj[0] = float(np.mean(dev))
-        if track_agents:
-            agent_traj[:, 0] = dev
-        if horizon == 0:
-            total += traj
+        batch = generate_stream(coeffs, None, replace(cfg, horizon=horizon + order, seed=seed),
+                                ops=ops)
+        states = _stream_states(NetworkState(estimates=np.zeros((E, h_true.size)), mu=mu_vec),
+                                lambda net, z, d, y: atc_step(net, comb, z, d, y), batch, ops)
+        for k, net in enumerate(states):
+            dev = np.sum((h_true - net.estimates) ** 2, axis=1)
+            traj[k] = np.mean(dev)
             if track_agents:
-                agent_total += agent_traj
-            kept += 1
-            continue
-        run_cfg = replace(cfg, horizon=horizon + order, seed=seeds[r])
-        batch = generate_stream(coeffs, None, run_cfg, ops=ops)
-        try:
-            for start, X in _regressor_windows(batch.x, ops, order, first=order):
-                for n, X_n in enumerate(X, start):
-                    net = atc_step(net, comb, X_n, batch.d[n], batch.y[n])
-                    dev = np.sum((h_true[None, :] - net.estimates) ** 2, axis=1)
-                    traj[n - order + 1] = float(np.mean(dev))
-                    if track_agents:
-                        agent_traj[:, n - order + 1] = dev
-        except DivergenceError:
-            diverged.append(r)
-            continue
-        finally:
-            del batch  # one live stream: free it before the next one is drawn
-        total += traj
-        if track_agents:
-            agent_total += agent_traj
-        kept += 1
-    if kept == 0:
-        raise DivergenceError("all realizations diverged")
-    return DistResult(
-        msd=total / kept,
-        agent_msd=agent_total / kept if track_agents else None,
-        theory=theory,
-        realizations=kept,
-        diverged=diverged,
-    )
+                agent_traj[:, k] = dev
+        return (traj, agent_traj) if track_agents else (traj,)
+
+    means, kept, diverged = _monte_carlo(cfg.seed, realizations, run_one)
+    return DistResult(msd=means[0], agent_msd=means[1] if track_agents else None,
+                      theory=theory, realizations=kept, diverged=diverged)
 
 
 def save_combination(comb: CombinationMatrix, path) -> None:

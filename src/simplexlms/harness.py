@@ -32,8 +32,8 @@ from .diffusion import (
     save_combination,
 )
 from .errors import ConfigError
-from .inference import candidate_set, run_inference
-from .lms import run_experiment, tail_average, to_db
+from .inference import _check_threshold_order, candidate_set, run_inference
+from .lms import _db_or_none, run_experiment, tail_average, to_db
 from .sampling import SamplingProblem, solve_sampling
 from .signals import FilterCoeffs, StreamConfig
 
@@ -83,8 +83,15 @@ def _sub_rng(seed: int, tag: str) -> np.random.Generator:
 
 def _positive(cfg: ExperimentConfig, key: str, value) -> float:
     value = float(value)
-    if value <= 0:
+    if not value > 0:
         raise ConfigError(f"config key {key!r} must be positive, got {value}")
+    return value
+
+
+def _count(cfg: ExperimentConfig, key: str, value, minimum: int = 0) -> int:
+    value = int(value)
+    if value < minimum:
+        raise ConfigError(f"config key {key!r} must be at least {minimum}, got {value}")
     return value
 
 
@@ -210,29 +217,27 @@ def _metadata(cfg: ExperimentConfig) -> dict:
 
 
 def _stream_pieces(cfg: ExperimentConfig, complex_: SimplicialComplex2):
+    """Coefficients, stream config, horizon and realization count of a simulation mode."""
     seed = int(cfg.get("seed", 0))
     E = complex_.num_edges
-    order = int(cfg.require("order"))
+    order = _count(cfg, "order", cfg.require("order"))
+    horizon = _count(cfg, "horizon", cfg.require("horizon"))
+    realizations = _count(cfg, "realizations", cfg.get("realizations", 30), minimum=1)
     sigma_v2 = resolve_noise(cfg.get("noise_var", 0.0), E, seed)
     p = resolve_p(cfg.get("p", 1.0), E, sigma_v2)
     signal_var = _positive(cfg, "signal_var", cfg.get("signal_var", 1.0))
-    coeffs = draw_coeffs(order, seed, scale=float(cfg.get("coeff_scale", 1.0)))
+    scale = _positive(cfg, "coeff_scale", cfg.get("coeff_scale", 1.0))
+    coeffs = draw_coeffs(order, seed, scale=scale)
     stream = StreamConfig(
-        c_x=signal_var * np.eye(E),
-        sigma_v2=sigma_v2,
-        p=p,
-        horizon=int(cfg.get("horizon", 1000)) + order,
-        seed=seed,
+        c_x=signal_var * np.eye(E), sigma_v2=sigma_v2, p=p, horizon=horizon + order, seed=seed
     )
-    return order, coeffs, stream
+    return coeffs, stream, horizon, realizations
 
 
 def mode_run_lms(cfg: ExperimentConfig) -> dict:
     complex_ = build_complex_from_config(cfg)
-    order, coeffs, stream = _stream_pieces(cfg, complex_)
+    coeffs, stream, horizon, realizations = _stream_pieces(cfg, complex_)
     mu = _positive(cfg, "mu", cfg.require("mu"))
-    horizon = int(cfg.require("horizon"))
-    realizations = int(cfg.get("realizations", 30))
     result = run_experiment(complex_, coeffs, stream, mu, realizations, horizon)
     payload = {
         "config": dict(cfg.values),
@@ -251,9 +256,7 @@ def mode_run_lms(cfg: ExperimentConfig) -> dict:
             {
                 "iteration": k,
                 "msd_db": float(db),
-                "msd_theory_db": (
-                    float(to_db(result.theory.msd_exact)) if result.theory else ""
-                ),
+                "msd_theory_db": _db_or_none(result.theory.msd_exact) if result.theory else "",
             }
             for k, db in enumerate(result.msd_db)
         ],
@@ -266,7 +269,7 @@ def mode_design_sampling(cfg: ExperimentConfig) -> dict:
     ops = hodge_laplacians(complex_)
     E = complex_.num_edges
     seed = int(cfg.get("seed", 0))
-    order = int(cfg.require("order"))
+    order = _count(cfg, "order", cfg.require("order"))
     sigma_v2 = resolve_noise(cfg.get("noise_var", 0.0), E, seed)
     signal_var = _positive(cfg, "signal_var", cfg.get("signal_var", 1.0))
     problem = SamplingProblem.from_moments(
@@ -305,16 +308,23 @@ def mode_design_sampling(cfg: ExperimentConfig) -> dict:
 def mode_infer_topology(cfg: ExperimentConfig) -> dict:
     complex_ = build_complex_from_config(cfg)
     seed = int(cfg.get("seed", 0))
-    order = int(cfg.require("order"))
+    order = _count(cfg, "order", cfg.require("order"))
+    horizon = _count(cfg, "horizon", cfg.require("horizon"))
+    realizations = _count(cfg, "realizations", cfg.get("realizations", 10), minimum=1)
+    lam0, lam1 = float(cfg.require("lambda0")), float(cfg.require("lambda1"))
+    try:
+        _check_threshold_order(lam0, lam1)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     E = complex_.num_edges
     sigma_v2 = resolve_noise(cfg.get("noise_var", 0.0), E, seed)
     p = resolve_p(cfg.get("p", 1.0), E, sigma_v2)
-    coeffs = draw_bounded_coeffs(order, seed, magnitude=float(cfg.get("coeff_magnitude", 1.0)))
+    magnitude = _positive(cfg, "coeff_magnitude", cfg.get("coeff_magnitude", 1.0))
+    coeffs = draw_bounded_coeffs(order, seed, magnitude=magnitude)
     cand = candidate_set(complex_, order)
     t_true = cand.true_indicator(complex_)
-    horizon = int(cfg.require("horizon"))
     schedule = [(0, t_true)]
-    removals = int(cfg.get("remove_triangles", 0))
+    removals = _count(cfg, "remove_triangles", cfg.get("remove_triangles", 0))
     if removals:
         filled = np.flatnonzero(t_true)
         if removals > filled.size:
@@ -332,10 +342,10 @@ def mode_infer_topology(cfg: ExperimentConfig) -> dict:
         schedule,
         mu1=_positive(cfg, "mu1", cfg.require("mu1")),
         mu2=_positive(cfg, "mu2", cfg.require("mu2")),
-        lam0=float(cfg.require("lambda0")),
-        lam1=float(cfg.require("lambda1")),
+        lam0=lam0,
+        lam1=lam1,
         horizon=horizon,
-        realizations=int(cfg.get("realizations", 10)),
+        realizations=realizations,
         seed=seed,
         signal_var=_positive(cfg, "signal_var", cfg.get("signal_var", 1.0)),
     )
@@ -364,10 +374,8 @@ def mode_infer_topology(cfg: ExperimentConfig) -> dict:
 
 def mode_run_distributed(cfg: ExperimentConfig) -> dict:
     complex_ = build_complex_from_config(cfg)
-    order, coeffs, stream = _stream_pieces(cfg, complex_)
-    horizon = int(cfg.require("horizon"))
-    realizations = int(cfg.get("realizations", 30))
-    mu = cfg.require("mu")
+    coeffs, stream, horizon, realizations = _stream_pieces(cfg, complex_)
+    mu = np.array([_positive(cfg, "mu", m) for m in np.ravel(cfg.require("mu"))])
     neighborhoods = lower_adjacency_neighborhoods(complex_)
     comb = build_combination(neighborhoods, rule=cfg.get("rule", "uniform"))
     result = run_distributed(
@@ -394,9 +402,7 @@ def mode_run_distributed(cfg: ExperimentConfig) -> dict:
             "stable": result.theory.stable,
             "hypotheses_hold": result.theory.checks.all_hold(),
             "msd_per_agent": result.theory.msd_per_agent if result.theory.stable else None,
-            "msd_per_agent_db": (
-                float(to_db(result.theory.msd_per_agent)) if result.theory.stable else None
-            ),
+            "msd_per_agent_db": _db_or_none(result.theory.msd_per_agent),
         },
         "diverged": result.diverged,
     }

@@ -36,7 +36,8 @@ from .complexes import (
     laplacian_powers,
 )
 from .errors import DivergenceError
-from .lms import LmsState, lms_step, derived_seeds
+from .lms import LmsState, _monte_carlo, lms_step
+from .signals import StreamConfig, _draw
 
 __all__ = [
     "CandidateSet",
@@ -262,76 +263,45 @@ def run_inference(
     first entry starting at 0; observations at step ``n`` are generated
     with the indicator active at ``n``, so mid-stream entries model
     topology changes. Signals are white Gaussian; masks Bernoulli(p).
+    Each realization's draws are those of a stream of ``horizon + order``
+    rows (:func:`.signals.generate_stream` draws the same way), and
+    realizations run through the Monte-Carlo engine,
+    :func:`.lms._monte_carlo`.
     """
-    E = cand.num_edges
     order = cand.order
     h_true = coeffs.flatten()
-    dim = h_true.size
     if not schedule or schedule[0][0] != 0:
         raise ValueError("schedule must start at iteration 0")
 
-    seeds = derived_seeds(seed, realizations)
-    h_err = np.zeros((realizations, horizon + 1))
-    t_err = np.zeros((realizations, horizon + 1))
-    exact = np.zeros((realizations, horizon + 1))
-    support = np.zeros((realizations, horizon + 1))
-    diverged: list[int] = []
+    stream = StreamConfig.white(cand.num_edges, signal_var, sigma_v2, p,
+                                horizon=horizon + order, seed=seed)
 
-    sigma_v = np.sqrt(np.asarray(sigma_v2, dtype=np.float64))
-    sig_scale = np.sqrt(signal_var)
-
-    for r in range(realizations):
-        sig_ss, noise_ss, mask_ss = np.random.SeedSequence(seeds[r]).spawn(3)
-        rng_sig = np.random.default_rng(sig_ss)
-        rng_noise = np.random.default_rng(noise_ss)
-        rng_mask = np.random.default_rng(mask_ss)
-        N = horizon + order
-        x = sig_scale * rng_sig.standard_normal((N, E))
-        v = rng_noise.standard_normal((N, E)) * sigma_v
-        d = (rng_mask.random((N, E)) < p).astype(np.float64)
-
-        state = TopologyState(
-            h=np.zeros(dim),
-            t=np.full(cand.num_candidates, t0),
-            mu1=mu1,
-            mu2=mu2,
-            lam0=lam0,
-            lam1=lam1,
-        )
+    def run_one(seed_r: int) -> np.ndarray:
+        traj = np.empty((4, horizon + 1))
+        x, v, d = _draw(replace(stream, seed=seed_r))
+        state = TopologyState(h=np.zeros(h_true.size), t=np.full(cand.num_candidates, t0),
+                              mu1=mu1, mu2=mu2, lam0=lam0, lam1=lam1)
         seg = 0
         t_true = np.asarray(schedule[0][1], dtype=np.float64)
-        h_err[r, 0] = np.sum((h_true - state.h) ** 2)
-        t_err[r, 0] = np.sum((t_true - state.t) ** 2)
-        exact[r, 0] = float(np.array_equal(state.t, t_true))
-        support[r, 0] = float(np.count_nonzero(state.t))
-        try:
-            for k in range(horizon):
-                if seg + 1 < len(schedule) and k >= schedule[seg + 1][0]:
-                    seg += 1
-                    t_true = np.asarray(schedule[seg][1], dtype=np.float64)
-                n = order + k
-                hist = x[n - order : n + 1][::-1]
-                X_true = regressors_from_t(t_true, cand, hist)
-                y = d[n] * (X_true @ h_true + v[n])
-                state = infer_step(state, cand, Observation(x_hist=hist, d=d[n], y=y))
-                h_err[r, k + 1] = np.sum((h_true - state.h) ** 2)
-                t_err[r, k + 1] = np.sum((t_true - state.t) ** 2)
-                exact[r, k + 1] = float(np.array_equal(state.t, t_true))
-                support[r, k + 1] = float(np.count_nonzero(state.t))
-        except DivergenceError:
-            diverged.append(r)
-            h_err[r] = np.nan
-            t_err[r] = np.nan
-            exact[r] = np.nan
-            support[r] = np.nan
-    keep = [r for r in range(realizations) if r not in diverged]
-    if not keep:
-        raise DivergenceError("all realizations diverged")
-    return InferenceResult(
-        h_error=np.mean(h_err[keep], axis=0),
-        t_error=np.mean(t_err[keep], axis=0),
-        recovery_rate=np.mean(exact[keep], axis=0),
-        support_size=np.mean(support[keep], axis=0),
-        realizations=len(keep),
-        diverged=diverged,
-    )
+
+        def record(k: int) -> None:
+            traj[:, k] = (np.sum((h_true - state.h) ** 2), np.sum((t_true - state.t) ** 2),
+                          float(np.array_equal(state.t, t_true)), float(np.count_nonzero(state.t)))
+
+        record(0)
+        for k in range(horizon):
+            if seg + 1 < len(schedule) and k >= schedule[seg + 1][0]:
+                seg += 1
+                t_true = np.asarray(schedule[seg][1], dtype=np.float64)
+            n = order + k
+            hist = x[n - order : n + 1][::-1]
+            X_true = regressors_from_t(t_true, cand, hist)
+            y = d[n] * (X_true @ h_true + v[n])
+            state = infer_step(state, cand, Observation(x_hist=hist, d=d[n], y=y))
+            record(k + 1)
+        return traj
+
+    (h_error, t_error, recovery, support), kept, diverged = _monte_carlo(seed, realizations,
+                                                                         run_one)
+    return InferenceResult(h_error=h_error, t_error=t_error, recovery_rate=recovery,
+                           support_size=support, realizations=kept, diverged=diverged)

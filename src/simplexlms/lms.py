@@ -62,6 +62,11 @@ def to_db(value) -> np.ndarray:
     return 10.0 * np.log10(np.asarray(value, dtype=np.float64))
 
 
+def _db_or_none(value: float) -> float | None:
+    """Deviation in dB for result files: ``None`` (JSON ``null``) unless positive."""
+    return float(to_db(value)) if value > 0 else None
+
+
 def tail_average(trajectory: np.ndarray, fraction: float = 0.1) -> float:
     """Mean of the final ``fraction`` of a trajectory (steady-state probe)."""
     trajectory = np.asarray(trajectory, dtype=np.float64)
@@ -186,7 +191,7 @@ class TheoryReport:
             "mu_max": self.mu_max,
             "rho_Q": self.rho_Q,
             "msd_exact": self.msd_exact,
-            "msd_exact_db": float(to_db(self.msd_exact)) if self.msd_exact > 0 else None,
+            "msd_exact_db": _db_or_none(self.msd_exact),
             "msd_first_order": self.msd_first_order,
             "alpha": self.alpha,
             "f_norm": self.f_norm,
@@ -210,6 +215,54 @@ def theory_report(c_X: np.ndarray, g: np.ndarray, mu: float) -> TheoryReport:
         alpha=alpha,
         f_norm=f_norm,
     )
+
+
+def _monte_carlo(seed: int, realizations: int, run_one):
+    """The Monte-Carlo engine of every recursion runner.
+
+    Calls ``run_one(seed_r)`` once per realization with the seeds
+    :func:`derived_seeds` gives for ``seed``; each call draws one stream,
+    steps the recursion and returns a sequence of fresh trajectory arrays
+    (the rows of a 2-D array count as one each; the engine sums into the
+    first kept ones in place). A realization that raises
+    :class:`DivergenceError` is dropped and its index recorded. The kept
+    trajectories are summed in realization order, so one realization's
+    stream is alive at a time and memory does not grow with the
+    realization count. Returns ``(means, kept, diverged)`` with the mean
+    of each trajectory over the kept realizations.
+    """
+    if realizations < 1:
+        raise ValueError(f"realizations must be at least 1, got {realizations}")
+    sums = None
+    diverged: list[int] = []
+    for r, seed_r in enumerate(derived_seeds(seed, realizations)):
+        try:
+            trajectories = run_one(seed_r)
+        except DivergenceError:
+            diverged.append(r)
+            continue
+        if sums is None:
+            sums = list(trajectories)
+        else:
+            for total, trajectory in zip(sums, trajectories):
+                total += trajectory
+    if sums is None:
+        raise DivergenceError("all realizations diverged")
+    kept = realizations - len(diverged)
+    return [total / kept for total in sums], kept, diverged
+
+
+def _stream_states(state, step, batch, ops):
+    """The initial state, then the state after each step along the stream.
+
+    ``step(state, X, d, y)`` is applied at every row with a full history
+    window, its regressors built one window at a time.
+    """
+    yield state
+    for start, X in _regressor_windows(batch.x, ops, batch.order, first=batch.order):
+        for n, X_n in enumerate(X, start):
+            state = step(state, X_n, batch.d[n], batch.y[n])
+            yield state
 
 
 @dataclass
@@ -241,17 +294,13 @@ def run_experiment(
     """Monte-Carlo deviation trajectory of the adaptive filter.
 
     Each realization draws an independent stream from a seed derived
-    from ``cfg.seed``; trajectories of diverged realizations are dropped
-    and their indices reported. The trajectory has ``horizon + 1``
-    entries starting at the initial deviation. One stream is alive at a
-    time and its regressors are built in windows, so memory does not
-    grow with the number of realizations, and with the horizon only
-    through the stream and the trajectory.
+    from ``cfg.seed`` (see :func:`_monte_carlo`, which also drops and
+    reports diverged realizations). The trajectory has ``horizon + 1``
+    entries starting at the initial deviation.
     """
     ops = hodge_laplacians(complex_)
     order = coeffs.order
     h_true = coeffs.flatten()
-    dim = h_true.size
 
     moments = moments_closed_form(ops, cfg.p, cfg.c_x, cfg.sigma_v2, order, coeffs)
     theory: TheoryReport | None
@@ -262,38 +311,15 @@ def run_experiment(
         warnings.warn("step-size fails the mean-stability bound; no theory report",
                       stacklevel=2)
 
-    seeds = derived_seeds(cfg.seed, realizations)
-    total = np.zeros(horizon + 1)
-    diverged: list[int] = []
-    kept = 0
-    for r in range(realizations):
-        state = LmsState(h=np.zeros(dim) if h0 is None else np.array(h0, dtype=np.float64),
-                         mu=mu)
+    h_init = np.zeros(h_true.size) if h0 is None else np.array(h0, dtype=np.float64)
+
+    def run_one(seed: int) -> tuple[np.ndarray]:
         traj = np.empty(horizon + 1)
-        traj[0] = float(np.sum((h_true - state.h) ** 2))
-        if horizon == 0:
-            total += traj
-            kept += 1
-            continue
-        run_cfg = replace(cfg, horizon=horizon + order, seed=seeds[r])
-        batch = generate_stream(coeffs, None, run_cfg, ops=ops)
-        try:
-            for start, X in _regressor_windows(batch.x, ops, order, first=order):
-                for n, X_n in enumerate(X, start):
-                    state = lms_step(state, X_n, batch.d[n], batch.y[n])
-                    traj[n - order + 1] = float(np.sum((h_true - state.h) ** 2))
-        except DivergenceError:
-            diverged.append(r)
-            continue
-        finally:
-            del batch  # one live stream: free it before the next one is drawn
-        total += traj
-        kept += 1
-    if kept == 0:
-        raise DivergenceError("all realizations diverged")
-    return ExperimentResult(
-        msd=total / kept,
-        theory=theory,
-        realizations=kept,
-        diverged=diverged,
-    )
+        batch = generate_stream(coeffs, None, replace(cfg, horizon=horizon + order, seed=seed),
+                                ops=ops)
+        for k, state in enumerate(_stream_states(LmsState(h=h_init, mu=mu), lms_step, batch, ops)):
+            traj[k] = np.sum((h_true - state.h) ** 2)
+        return (traj,)
+
+    (msd,), kept, diverged = _monte_carlo(cfg.seed, realizations, run_one)
+    return ExperimentResult(msd=msd, theory=theory, realizations=kept, diverged=diverged)

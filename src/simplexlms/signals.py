@@ -116,8 +116,7 @@ class StreamConfig:
             raise ValueError("c_x must be square")
         if not np.allclose(self.c_x, self.c_x.T, atol=1e-12):
             raise ValueError("c_x must be symmetric")
-        if np.min(np.linalg.eigvalsh(self.c_x)) < -1e-10:
-            raise ValueError("c_x must be positive semi-definite")
+        _covariance_factor(self.c_x)  # raises unless c_x is positive semi-definite
         if self.sigma_v2.shape != (E,) or np.any(self.sigma_v2 < 0):
             raise ValueError("sigma_v2 must be a nonnegative length-E vector")
         if self.p.shape != (E,) or np.any(self.p < 0) or np.any(self.p > 1):
@@ -293,6 +292,26 @@ def _covariance_factor(c_x: np.ndarray) -> np.ndarray:
         return u * np.sqrt(np.clip(lam, 0.0, None))
 
 
+def _draw(cfg: StreamConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Signals ``x``, noise ``v`` and masks ``d`` of one stream, each (horizon, E).
+
+    Signals and noise are i.i.d. Gaussian; masks are Bernoulli. Three
+    child generators (signal, noise, mask) are spawned from ``cfg.seed``,
+    so the draws stay decoupled yet fully reproducible.
+    """
+    sig_ss, noise_ss, mask_ss = np.random.SeedSequence(cfg.seed).spawn(3)
+    shape = (cfg.horizon, cfg.num_edges)
+    factor = _covariance_factor(cfg.c_x)
+    scale = np.diag(factor)
+    x = np.random.default_rng(sig_ss).standard_normal(shape)
+    # a diagonal factor (white signals) scales columns: the same bits as the
+    # product, without the matrix product's work buffer in memory
+    x = x * scale if np.array_equal(factor, np.diag(scale)) else x @ factor.T
+    v = np.random.default_rng(noise_ss).standard_normal(shape) * np.sqrt(cfg.sigma_v2)
+    d = (np.random.default_rng(mask_ss).random(shape) < cfg.p).astype(np.float64)
+    return x, v, d
+
+
 def generate_stream(
     coeffs: FilterCoeffs,
     complex_: SimplicialComplex2 | None,
@@ -301,35 +320,24 @@ def generate_stream(
 ) -> StreamBatch:
     """Draw one stream realisation of the observation model.
 
-    Signals and noise are i.i.d. Gaussian; masks are Bernoulli. Three
-    child generators (signal, noise, mask) are spawned from the seed so
-    the draws stay decoupled yet fully reproducible. The observations
-    are built window by window, so the regressor tensor of the whole
-    stream is never held.
+    The draws are those of :func:`_draw`. Rows ``n < order`` have no
+    full history window and observe zero, so a stream of ``order`` rows
+    observes nothing. The observations are built window by window, so
+    the regressor tensor of the whole stream is never held.
     """
     if ops is None:
         if complex_ is None:
             raise ValueError("either the complex or its operators must be given")
         ops = hodge_laplacians(complex_)
-    E = cfg.num_edges
-    if ops.l1.shape[0] != E:
+    if ops.l1.shape[0] != cfg.num_edges:
         raise ValueError("config dimension does not match the complex")
     order = coeffs.order
-    if cfg.horizon <= order:
-        raise ValueError("horizon must exceed the filter order")
-    sig_ss, noise_ss, mask_ss = np.random.SeedSequence(cfg.seed).spawn(3)
-    rng_sig = np.random.default_rng(sig_ss)
-    rng_noise = np.random.default_rng(noise_ss)
-    rng_mask = np.random.default_rng(mask_ss)
-
-    N = cfg.horizon
-    factor = _covariance_factor(cfg.c_x)
-    x = rng_sig.standard_normal((N, E)) @ factor.T
-    v = rng_noise.standard_normal((N, E)) * np.sqrt(cfg.sigma_v2)
-    d = (rng_mask.random((N, E)) < cfg.p).astype(np.float64)
+    if cfg.horizon < order:
+        raise ValueError("horizon must be at least the filter order")
+    x, v, d = _draw(cfg)
 
     h = coeffs.flatten()
-    y = np.zeros((N, E))
+    y = np.zeros_like(x)
     for start, X in _regressor_windows(x, ops, order, first=order):
         rows = slice(start, start + X.shape[0])
         y[rows] = d[rows] * (X @ h + v[rows])

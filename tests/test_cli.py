@@ -17,6 +17,10 @@ def run_cli(args):
     return main([str(a) for a in args])
 
 
+def _reject_constant(token):
+    raise ValueError(f"non-standard JSON constant {token}")
+
+
 @pytest.fixture()
 def complex_file(tmp_path):
     path = tmp_path / "complex.txt"
@@ -192,13 +196,79 @@ def test_unstable_network_writes_strict_json(tmp_path):
     )
     assert code == 0
 
-    def reject(token):
-        raise ValueError(f"non-standard JSON constant {token}")
-
-    payload = json.loads(out.read_text(), parse_constant=reject)
+    payload = json.loads(out.read_text(), parse_constant=_reject_constant)
     assert payload["theory"]["stable"] is False
     assert payload["theory"]["msd_per_agent"] is None
     assert payload["theory"]["msd_per_agent_db"] is None
+
+
+SIMULATION_KNOBS = {
+    "run-lms": {"mu": 1e-3},
+    "run-distributed": {"mu": 1e-3},
+    "infer-topology": {"mu1": 1e-2, "mu2": 1e-2, "lambda0": 0.1, "lambda1": 0.1},
+}
+
+
+def run_simulation(tmp_path, complex_file, mode, *flags, **values):
+    """Run a simulation mode on a short, noise-free config with ``values`` merged in."""
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "complex_file": str(complex_file), "order": 1, "horizon": 20, "realizations": 1,
+        "signal_var": 0.1, "seed": 2, **SIMULATION_KNOBS[mode], **values,
+    }))
+    return run_cli([mode, "--config", config, *flags])
+
+
+@pytest.mark.parametrize("mode", ["run-lms", "run-distributed"])
+def test_zero_deviation_writes_strict_json(tmp_path, complex_file, mode):
+    # no noise (the default noise_var 0): the theoretical deviation is exactly 0
+    out = tmp_path / "result.json"
+    assert run_simulation(tmp_path, complex_file, mode, "--out", out) == 0
+    payload = json.loads(out.read_text(), parse_constant=_reject_constant)
+    theory = payload["theory"]
+    if mode == "run-lms":
+        assert theory["msd_exact"] == 0 and theory["msd_exact_db"] is None
+        assert all(record["msd_theory_db"] is None for record in payload["records"])
+    else:
+        assert theory["stable"] is True
+        assert theory["msd_per_agent"] == 0 and theory["msd_per_agent_db"] is None
+
+
+def test_zero_deviation_csv_cell_is_empty(tmp_path, complex_file):
+    out = tmp_path / "result.csv"
+    assert run_simulation(tmp_path, complex_file, "run-lms", "--format", "csv", "--out", out) == 0
+    rows = out.read_text().splitlines()
+    assert rows[0] == "iteration,msd_db,msd_theory_db"
+    assert len(rows) == 22 and all(row.endswith(",") for row in rows[1:])
+
+
+@pytest.mark.parametrize("mode", ["run-lms", "run-distributed", "infer-topology"])
+@pytest.mark.parametrize("flag, value", [
+    ("--realizations", 0), ("--realizations", -1), ("--horizon", -1), ("--order", -1),
+])
+def test_bad_counts_exit_2(tmp_path, complex_file, capsys, mode, flag, value):
+    assert run_simulation(tmp_path, complex_file, mode, flag, value) == 2
+    assert f"'{flag[2:]}' must be at least" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("mode, values, message", [
+    ("run-lms", {"coeff_scale": 0}, "'coeff_scale' must be positive"),
+    ("run-lms", {"mu": float("nan")}, "'mu' must be positive"),
+    ("run-distributed", {"coeff_scale": 0}, "'coeff_scale' must be positive"),
+    ("run-distributed", {"mu": 0}, "'mu' must be positive"),
+    ("run-distributed", {"mu": [1e-3, 0.0]}, "'mu' must be positive"),
+    ("infer-topology", {"coeff_magnitude": 0}, "'coeff_magnitude' must be positive"),
+    ("infer-topology", {"lambda0": 0.4, "lambda1": 0.4}, "threshold ordering violated"),
+])
+def test_bad_knobs_exit_2(tmp_path, complex_file, capsys, monkeypatch, mode, values, message):
+    from simplexlms import harness
+
+    def no_run(*args, **kwargs):
+        raise AssertionError("the run started before the config was checked")
+
+    monkeypatch.setattr(harness, "run_inference", no_run)
+    assert run_simulation(tmp_path, complex_file, mode, **values) == 2
+    assert message in capsys.readouterr().err
 
 
 def test_ar_train_with_surrogate_and_csv(tmp_path):

@@ -322,6 +322,27 @@ def network_instance():
     return complex_, coeffs, cfg, comb
 
 
+def atc_replay(instance, mu, seed, horizon):
+    """Per-agent deviations of one realization, replayed round by round from its seed."""
+    from simplexlms.signals import generate_stream, regressor_tensor
+    from dataclasses import replace
+
+    complex_, coeffs, cfg, comb = instance
+    E, order = complex_.num_edges, coeffs.order
+    ops = hodge_laplacians(complex_)
+    h_true = coeffs.flatten()
+    batch = generate_stream(coeffs, None, replace(cfg, horizon=horizon + order, seed=seed),
+                            ops=ops)
+    net = NetworkState(estimates=np.zeros((E, h_true.size)), mu=np.full(E, mu))
+    traj = np.empty((E, horizon + 1))
+    traj[:, 0] = np.sum(h_true**2)
+    for n in range(order, horizon + order):
+        z = regressor_tensor(batch.x[n - order : n + 1], ops, order)[-1]
+        net = atc_step(net, comb, z, batch.d[n], batch.y[n])
+        traj[:, n - order + 1] = np.sum((h_true[None, :] - net.estimates) ** 2, axis=1)
+    return traj
+
+
 def test_run_distributed_horizon_zero(network_instance):
     complex_, coeffs, cfg, comb = network_instance
     result = run_distributed(complex_, coeffs, cfg, comb, 1e-2, realizations=2, horizon=0)
@@ -375,22 +396,28 @@ def test_run_distributed_multi_window_matches_step_replay(network_instance, monk
                              track_agents=True)
 
     from simplexlms.lms import derived_seeds
-    from simplexlms.signals import generate_stream, regressor_tensor
-    from dataclasses import replace
 
-    ops = hodge_laplacians(complex_)
-    h_true = coeffs.flatten()
-    total = np.zeros((E, 41))
-    for seed in derived_seeds(cfg.seed, 2):
-        batch = generate_stream(coeffs, None, replace(cfg, horizon=42, seed=seed), ops=ops)
-        net = NetworkState(estimates=np.zeros((E, 5)), mu=np.full(E, 1e-2))
-        total[:, 0] += np.sum(h_true**2)
-        for n in range(2, 42):
-            z = regressor_tensor(batch.x[n - 2 : n + 1], ops, 2)[-1]
-            net = atc_step(net, comb, z, batch.d[n], batch.y[n])
-            total[:, n - 1] += np.sum((h_true[None, :] - net.estimates) ** 2, axis=1)
+    total = sum(atc_replay(network_instance, 1e-2, seed, 40)
+                for seed in derived_seeds(cfg.seed, 2))
     np.testing.assert_allclose(result.agent_msd, total / 2, rtol=1e-12)
     np.testing.assert_allclose(result.msd, np.mean(total / 2, axis=0), rtol=1e-12)
+
+
+def test_run_distributed_drops_diverged_realization(network_instance, diverge_in):
+    from simplexlms import diffusion
+    from simplexlms.lms import derived_seeds
+
+    complex_, coeffs, cfg, comb = network_instance
+    replays = [atc_replay(network_instance, 1e-2, seed, 30)
+               for seed in derived_seeds(cfg.seed, 3)]
+    diverge_in(diffusion, "atc_step", {1})
+    result = run_distributed(complex_, coeffs, cfg, comb, 1e-2, realizations=3, horizon=30,
+                             track_agents=True)
+    assert result.diverged == [1]
+    assert result.realizations == 2
+    kept = (replays[0] + replays[2]) / 2
+    np.testing.assert_allclose(result.agent_msd, kept, rtol=1e-12)
+    np.testing.assert_allclose(result.msd, np.mean(kept, axis=0), rtol=1e-12)
 
 
 def test_run_distributed_matches_theory(network_instance):

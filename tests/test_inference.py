@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from simplexlms import inference
 from simplexlms.complexes import build_incidence, hodge_laplacians, random_complex
 from simplexlms.inference import (
     Observation,
@@ -15,6 +16,7 @@ from simplexlms.inference import (
     regressors_from_t,
     run_inference,
 )
+from simplexlms.lms import derived_seeds
 from simplexlms.signals import FilterCoeffs
 
 
@@ -291,6 +293,82 @@ def test_recovery_on_small_complex():
     assert result.recovery_rate[-1] == 1.0
     assert result.t_error[-1] == 0.0
     assert result.h_error[-1] < result.h_error[0] * 1e-2
+
+
+def hand_rolled_replay(complex_, coeffs, cand, sigma_v2, schedule, horizon, seed,
+                       signal_var, mu=1e-2, lam=0.1):
+    """One realization of run_inference with the per-realization draw written out.
+
+    Returns the h-error, t-error, exact-recovery and support trajectories,
+    stacked as rows.
+    """
+    E, order = complex_.num_edges, cand.order
+    h_true = coeffs.flatten()
+    sig_ss, noise_ss, mask_ss = np.random.SeedSequence(seed).spawn(3)
+    N = horizon + order
+    x = np.sqrt(signal_var) * np.random.default_rng(sig_ss).standard_normal((N, E))
+    v = np.random.default_rng(noise_ss).standard_normal((N, E)) * np.sqrt(sigma_v2)
+    d = (np.random.default_rng(mask_ss).random((N, E)) < 1.0).astype(np.float64)
+    state = TopologyState(h=np.zeros(h_true.size), t=np.full(cand.num_candidates, 0.5),
+                          mu1=mu, mu2=mu, lam0=lam, lam1=lam)
+    out = np.empty((4, horizon + 1))
+    t_true = schedule[0][1]
+    for k in range(horizon + 1):
+        if k:
+            if len(schedule) > 1 and k - 1 >= schedule[1][0]:
+                t_true = schedule[1][1]
+            n = order + k - 1
+            hist = x[n - order : n + 1][::-1]
+            y = d[n] * (regressors_from_t(t_true, cand, hist) @ h_true + v[n])
+            state = infer_step(state, cand, Observation(x_hist=hist, d=d[n], y=y))
+        out[:, k] = (np.sum((h_true - state.h) ** 2), np.sum((t_true - state.t) ** 2),
+                     float(np.array_equal(state.t, t_true)), float(np.count_nonzero(state.t)))
+    return out
+
+
+@pytest.fixture(scope="module")
+def switch_instance():
+    c = random_complex(12, 0.5, 0.5, 23)
+    cand = candidate_set(c, order=2)
+    coeffs = FilterCoeffs(h_u=[0.6, 0.5, 0.4], h_d=[0.3, -0.2])
+    t_true = cand.true_indicator(c)
+    t_after = t_true.copy()
+    t_after[np.flatnonzero(t_true)[0]] = 0.0
+    sigma_v2 = np.random.default_rng(4).choice([1e-4, 1e-3], c.num_edges)
+    return c, coeffs, cand, sigma_v2, [(0, t_true), (20, t_after)]
+
+
+def _run_switch(instance, realizations, seed):
+    c, coeffs, cand, sigma_v2, schedule = instance
+    return run_inference(c, coeffs, cand, sigma_v2, np.ones(c.num_edges), schedule,
+                         mu1=1e-2, mu2=1e-2, lam0=0.1, lam1=0.1, horizon=40,
+                         realizations=realizations, seed=seed, signal_var=0.005)
+
+
+def _replays(instance, seed, count):
+    c, coeffs, cand, sigma_v2, schedule = instance
+    return [hand_rolled_replay(c, coeffs, cand, sigma_v2, schedule, 40, seed_r, 0.005)
+            for seed_r in derived_seeds(seed, count)]
+
+
+def _fields(result):
+    return np.stack([result.h_error, result.t_error, result.recovery_rate, result.support_size])
+
+
+def test_run_inference_matches_hand_rolled_draw(switch_instance):
+    result = _run_switch(switch_instance, 2, seed=8)
+    first, second = _replays(switch_instance, 8, 2)
+    assert (result.realizations, result.diverged) == (2, [])
+    np.testing.assert_array_equal(_fields(result), (first + second) / 2)
+
+
+def test_run_inference_drops_diverged_realization(switch_instance, diverge_in):
+    replays = _replays(switch_instance, 9, 3)
+    diverge_in(inference, "infer_step", {1})
+    result = _run_switch(switch_instance, 3, seed=9)
+    assert result.diverged == [1]
+    assert result.realizations == 2
+    np.testing.assert_array_equal(_fields(result), (replays[0] + replays[2]) / 2)
 
 
 def test_indicators_stay_in_unit_box_under_random_data():

@@ -5,11 +5,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from simplexlms import signals
+from simplexlms import lms, signals
 from simplexlms.complexes import hodge_laplacians, random_complex
 from simplexlms.errors import DivergenceError, StabilityError
 from simplexlms.lms import (
     LmsState,
+    _monte_carlo,
     convergence_rate,
     derived_seeds,
     lms_step,
@@ -212,6 +213,22 @@ def experiment_complex():
     return random_complex(12, 0.45, 0.6, 21)
 
 
+def lms_replay(complex_, coeffs, cfg, mu, seed, horizon):
+    """Deviation trajectory of one realization, replayed step by step from its seed."""
+    ops = hodge_laplacians(complex_)
+    order = coeffs.order
+    h_true = coeffs.flatten()
+    batch = generate_stream(coeffs, None, replace(cfg, horizon=horizon + order, seed=seed),
+                            ops=ops)
+    state = LmsState(h=np.zeros(h_true.size), mu=mu)
+    traj = [np.sum(h_true**2)]
+    for n in range(order, horizon + order):
+        X = regressor_tensor(batch.x[n - order : n + 1], ops, order)[-1]
+        state = lms_step(state, X, batch.d[n], batch.y[n])
+        traj.append(np.sum((h_true - state.h) ** 2))
+    return np.array(traj)
+
+
 def test_run_experiment_horizon_zero(experiment_complex):
     coeffs = FilterCoeffs(h_u=[0.5, 0.1], h_d=[0.2])
     cfg = StreamConfig.white(
@@ -234,19 +251,49 @@ def test_run_experiment_multi_window_matches_step_replay(experiment_complex, mon
     result = run_experiment(experiment_complex, coeffs, cfg, 5e-3, realizations=2, horizon=40)
     assert result.theory is not None
 
-    ops = hodge_laplacians(experiment_complex)
-    h_true = coeffs.flatten()
-    total = np.zeros(41)
-    for seed in derived_seeds(cfg.seed, 2):
-        batch = generate_stream(coeffs, None, replace(cfg, horizon=42, seed=seed), ops=ops)
-        state = LmsState(h=np.zeros(5), mu=5e-3)
-        traj = [np.sum(h_true**2)]
-        for n in range(2, 42):
-            X = regressor_tensor(batch.x[n - 2 : n + 1], ops, 2)[-1]
-            state = lms_step(state, X, batch.d[n], batch.y[n])
-            traj.append(np.sum((h_true - state.h) ** 2))
-        total += traj
+    total = sum(lms_replay(experiment_complex, coeffs, cfg, 5e-3, seed, 40)
+                for seed in derived_seeds(cfg.seed, 2))
     np.testing.assert_allclose(result.msd, total / 2, rtol=1e-12)
+
+
+def test_run_experiment_drops_diverged_realization(experiment_complex, diverge_in):
+    rng = np.random.default_rng(15)
+    coeffs = FilterCoeffs.random(1, rng, scale=0.5)
+    cfg = StreamConfig.white(experiment_complex.num_edges, signal_var=0.01, sigma_v2=1e-4,
+                             p=0.8, horizon=10, seed=6)
+    replays = [lms_replay(experiment_complex, coeffs, cfg, 5e-3, seed, 30)
+               for seed in derived_seeds(cfg.seed, 3)]
+    diverge_in(lms, "lms_step", {1})
+    result = run_experiment(experiment_complex, coeffs, cfg, 5e-3, realizations=3, horizon=30)
+    assert result.diverged == [1]
+    assert result.realizations == 2
+    np.testing.assert_allclose(result.msd, (replays[0] + replays[2]) / 2, rtol=1e-12)
+
+
+def test_run_experiment_all_diverged_raises(experiment_complex, diverge_in):
+    coeffs = FilterCoeffs(h_u=[0.5, 0.1], h_d=[0.2])
+    cfg = StreamConfig.white(experiment_complex.num_edges, signal_var=0.1, horizon=10, seed=0)
+    diverge_in(lms, "lms_step", {0, 1})
+    with pytest.raises(DivergenceError, match="all realizations diverged"):
+        run_experiment(experiment_complex, coeffs, cfg, 1e-3, realizations=2, horizon=5)
+
+
+def test_monte_carlo_engine_bookkeeping():
+    seeds = derived_seeds(5, 4)
+
+    def run_one(seed):
+        if seed in (seeds[1], seeds[3]):
+            raise DivergenceError("diverged")
+        return np.array([float(seed), 1.0]), np.full((2, 2), 3.0)
+
+    (first, second), kept, diverged = _monte_carlo(5, 4, run_one)
+    assert (kept, diverged) == (2, [1, 3])
+    np.testing.assert_array_equal(first, [(seeds[0] + seeds[2]) / 2, 1.0])
+    np.testing.assert_array_equal(second, np.full((2, 2), 3.0))
+    with pytest.raises(DivergenceError, match="all realizations diverged"):
+        _monte_carlo(5, 2, lambda seed: run_one(seeds[1]))
+    with pytest.raises(ValueError, match="at least 1"):
+        _monte_carlo(5, 0, run_one)
 
 
 def test_run_experiment_matches_theory(experiment_complex):

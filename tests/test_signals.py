@@ -9,6 +9,7 @@ from simplexlms.signals import (
     FilterCoeffs,
     MomentSet,
     StreamConfig,
+    _draw,
     edge_moment_matrices,
     generate_stream,
     local_moment_matrices,
@@ -185,6 +186,23 @@ def test_stream_determinism(small_complex):
     assert np.array_equal(a.x, b.x)
     assert np.array_equal(a.d, b.d)
     assert np.array_equal(a.y, b.y)
+
+
+@pytest.mark.parametrize("edges", [3, 30, 57])
+def test_signal_draw_is_the_factor_product(edges):
+    # white signals scale columns instead of multiplying by the diagonal
+    # factor; both covariance kinds must give the bits of the product
+    rng = np.random.default_rng(edges)
+    mixed = rng.standard_normal((edges, edges))
+    covariances = [s * np.eye(edges) for s in (1e-3, 0.002, 0.1, 1.0, 7.3)]
+    covariances += [np.diag(rng.uniform(0.01, 3.0, edges)), mixed @ mixed.T + np.eye(edges)]
+    for c_x in covariances:
+        cfg = StreamConfig(c_x=c_x, sigma_v2=np.zeros(edges), p=np.ones(edges),
+                           horizon=40, seed=edges)
+        x, _, _ = _draw(cfg)
+        sig_ss = np.random.SeedSequence(cfg.seed).spawn(3)[0]
+        z = np.random.default_rng(sig_ss).standard_normal((40, edges))
+        np.testing.assert_array_equal(x, z @ np.linalg.cholesky(c_x).T)
 
 
 def test_stream_sample_covariance(small_complex):
