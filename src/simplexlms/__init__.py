@@ -27,7 +27,9 @@ from .signals import (
     FilterCoeffs,
     MomentSet,
     StreamBatch,
+    StreamBlock,
     StreamConfig,
+    collect_stream,
     generate_stream,
     moments_closed_form,
     moments_empirical,

@@ -2,8 +2,9 @@
 
 Every subcommand reads an optional JSON config (``--config``) and merges
 command-line flags on top of it, flags winning. Results are written with
-``--out`` (JSON by default, ``--format csv`` for record tables) and a
-short summary is printed.
+``--out`` (JSON by default, ``--format csv`` for the mode's row table) and
+a short summary is printed; an output that cannot be written is a
+configuration error, found before the run starts.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical divergence,
 4 infeasible sampling problem.
@@ -16,7 +17,7 @@ import json
 import sys
 
 from .errors import ConfigError, DivergenceError, InfeasibleProblemError
-from .harness import emit_results, load_config, run_mode
+from .harness import check_output, emit_results, load_config, run_mode
 
 _EXIT_OK = 0
 _EXIT_CONFIG = 2
@@ -161,6 +162,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         values = _collect_values(args)
+        if args.out:
+            check_output(args.mode, args.out, args.format)
         payload = run_mode(args.mode, values)
         if args.out:
             emit_results(payload, args.out, fmt=args.format)

@@ -342,10 +342,10 @@ def run_distributed(
     def run_one(seed: int) -> tuple[np.ndarray, ...]:
         traj = np.empty(horizon + 1)
         agent_traj = np.empty((E, horizon + 1)) if track_agents else None
-        batch = generate_stream(coeffs, None, replace(cfg, horizon=horizon + order, seed=seed),
-                                ops=ops)
+        blocks = generate_stream(coeffs, None, replace(cfg, horizon=horizon + order, seed=seed),
+                                 ops=ops)
         states = _stream_states(NetworkState(estimates=np.zeros((E, h_true.size)), mu=mu_vec),
-                                lambda net, z, d, y: atc_step(net, comb, z, d, y), batch, ops)
+                                lambda net, z, d, y: atc_step(net, comb, z, d, y), blocks, order)
         for k, net in enumerate(states):
             dev = np.sum((h_true - net.estimates) ** 2, axis=1)
             traj[k] = np.mean(dev)

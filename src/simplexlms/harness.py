@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import json
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,6 +42,7 @@ __all__ = [
     "ExperimentConfig",
     "load_config",
     "emit_results",
+    "check_output",
     "run_mode",
     "MODES",
 ]
@@ -184,32 +186,77 @@ def draw_bounded_coeffs(order: int, seed: int, magnitude: float = 1.0) -> Filter
     return FilterCoeffs(h_u=h_u, h_d=h_d)
 
 
-def emit_results(payload: dict, path, fmt: str = "json", fieldnames=None) -> None:
-    """Write a result payload as strict JSON, or its ``records`` rows as CSV.
+# The CSV row table of each mode: the header of the row-number column, then
+# (header, payload key) per column. A key names a per-row array, or a scalar
+# repeated on every row (a dotted path into the payload).
+_CSV_COLUMNS = {
+    "run-lms": ("iteration", (("msd_db", "msd_db"), ("msd_theory_db", "theory.msd_exact_db"))),
+    "run-distributed": ("iteration", (("msd_db", "msd_db"),)),
+    "infer-topology": ("iteration", (("h_error", "h_error"), ("t_error", "t_error"),
+                                     ("recovery_rate", "recovery_rate"),
+                                     ("support_size", "support_size"))),
+    "ar-train": ("snapshot", (("test_error", "test_errors"),)),
+}
+
+
+def _csv_table(mode):
+    if mode not in _CSV_COLUMNS:
+        raise ConfigError(f"mode {mode!r} has no CSV row table; write JSON instead")
+    return _CSV_COLUMNS[mode]
+
+
+def check_output(mode: str, path, fmt: str = "json") -> None:
+    """Reject, before a run, an output :func:`emit_results` could not write.
+
+    CSV needs a row table for ``mode``, and ``path`` must name a file in
+    an existing directory.
+    """
+    if fmt == "csv":
+        _csv_table(mode)
+    folder = os.path.dirname(os.path.abspath(path))
+    if not os.path.isdir(folder):
+        raise ConfigError(f"cannot write {path}: no directory {folder}")
+    if os.path.isdir(path):
+        raise ConfigError(f"cannot write {path}: it is a directory")
+
+
+def _csv_rows(payload: dict, table):
+    """Header, then one row per entry of the table's per-row arrays."""
+    index, columns = table
+    values = []
+    for _, key in columns:
+        value = payload
+        for part in key.split("."):
+            value = (value or {}).get(part)
+        values.append(value)
+    yield [index] + [header for header, _ in columns]
+    for k in range(len(values[0])):
+        yield [k] + [v[k] if isinstance(v, list) else v for v in values]
+
+
+def emit_results(payload: dict, path, fmt: str = "json") -> None:
+    """Write a result payload as strict JSON, or its mode's row table as CSV.
 
     JSON files never hold the non-standard tokens ``NaN`` or
     ``Infinity``: a payload with a non-finite float raises before the
-    file is opened. CSV needs an explicit column order (``fieldnames``)
-    or at least one record; an empty record list still produces the
-    header line.
+    file is opened. CSV rows come from the payload's per-row arrays,
+    through the column table of its ``metadata.mode``; a mode without a
+    table, or a file that cannot be written, is a :class:`ConfigError`.
     """
     if fmt == "json":
         text = json.dumps(payload, indent=2, allow_nan=False)
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
     elif fmt == "csv":
-        records = payload.get("records", [])
-        if fieldnames is None:
-            if not records:
-                raise ConfigError("CSV output with no records needs explicit fieldnames")
-            fieldnames = list(records[0].keys())
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.DictWriter(fh, fieldnames=fieldnames)
-            writer.writeheader()
-            for record in records:
-                writer.writerow(record)
+        table = _csv_table(payload.get("metadata", {}).get("mode"))
     else:
         raise ConfigError(f"unknown output format {fmt!r}")
+    try:
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            if fmt == "json":
+                fh.write(text + "\n")
+            else:
+                csv.writer(fh).writerows(_csv_rows(payload, table))
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc}") from exc
 
 
 def _metadata(cfg: ExperimentConfig) -> dict:
@@ -252,14 +299,6 @@ def mode_run_lms(cfg: ExperimentConfig) -> dict:
         "steady_state_db": result.steady_state_db(),
         "theory": result.theory.to_dict() if result.theory else None,
         "diverged": result.diverged,
-        "records": [
-            {
-                "iteration": k,
-                "msd_db": float(db),
-                "msd_theory_db": _db_or_none(result.theory.msd_exact) if result.theory else "",
-            }
-            for k, db in enumerate(result.msd_db)
-        ],
     }
     return payload
 
@@ -359,16 +398,6 @@ def mode_infer_topology(cfg: ExperimentConfig) -> dict:
         "recovery_rate": result.recovery_rate.tolist(),
         "support_size": result.support_size.tolist(),
         "diverged": result.diverged,
-        "records": [
-            {
-                "iteration": k,
-                "h_error": float(result.h_error[k]),
-                "t_error": float(result.t_error[k]),
-                "recovery_rate": float(result.recovery_rate[k]),
-                "support_size": float(result.support_size[k]),
-            }
-            for k in range(result.h_error.size)
-        ],
     }
 
 
@@ -446,10 +475,6 @@ def mode_ar_train(cfg: ExperimentConfig) -> dict:
         "train_errors": result.train_errors.tolist(),
         "test_errors": result.test_errors.tolist(),
         "mean_test_error": result.mean_test_error,
-        "records": [
-            {"snapshot": j, "test_error": float(e)}
-            for j, e in enumerate(result.test_errors)
-        ],
     }
 
 

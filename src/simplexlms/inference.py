@@ -150,7 +150,11 @@ def prox_hard_threshold(v: np.ndarray, lam0: float, lam1: float) -> np.ndarray:
     interval in between is left untouched.
     """
     _check_threshold_order(lam0, lam1)
-    v = np.clip(np.asarray(v, dtype=np.float64), 0.0, 1.0)
+    return _hard_threshold(np.clip(np.asarray(v, dtype=np.float64), 0.0, 1.0), lam0, lam1)
+
+
+def _hard_threshold(v: np.ndarray, lam0: float, lam1: float) -> np.ndarray:
+    # the map of prox_hard_threshold on v in [0, 1], with thresholds already checked
     low = np.sqrt(2.0 * lam0)
     high = 1.0 - np.sqrt(2.0 * lam1)
     return np.where(v <= low, 0.0, np.where(v >= high, 1.0, v))
@@ -217,15 +221,22 @@ def grad_t(
 
 
 def infer_step(state: TopologyState, cand: CandidateSet, obs: Observation) -> TopologyState:
-    """One joint update: masked LMS on ``h``, thresholded gradient on ``t``."""
+    """One joint update: masked LMS on ``h``, thresholded gradient on ``t``.
+
+    ``state`` was checked when it was constructed; the step keeps ``t`` in
+    [0, 1] and the thresholds unchanged, so the new state is not checked
+    again.
+    """
     X = regressors_from_t(state.t, cand, obs.x_hist)
     lms = lms_step(LmsState(h=state.h, mu=state.mu1, n=state.n), X, obs.d, obs.y)
     g = grad_t(lms.h, state.t, cand, obs)
     t_pre = np.clip(state.t - state.mu2 * g, 0.0, 1.0)
-    t_new = prox_hard_threshold(t_pre, state.lam0, state.lam1)
+    t_new = _hard_threshold(t_pre, state.lam0, state.lam1)
     if not np.all(np.isfinite(t_new)):
         raise DivergenceError(f"non-finite indicators at iteration {state.n + 1}")
-    return replace(state, h=lms.h, t=t_new, n=state.n + 1)
+    new = object.__new__(TopologyState)
+    new.__dict__.update(vars(state), h=lms.h, t=t_new, n=state.n + 1)
+    return new
 
 
 @dataclass
@@ -278,7 +289,7 @@ def run_inference(
 
     def run_one(seed_r: int) -> np.ndarray:
         traj = np.empty((4, horizon + 1))
-        x, v, d = _draw(replace(stream, seed=seed_r))
+        [(x, v, d)] = _draw(replace(stream, seed=seed_r))
         state = TopologyState(h=np.zeros(h_true.size), t=np.full(cand.num_candidates, t0),
                               mu1=mu1, mu2=mu2, lam0=lam0, lam1=lam1)
         seg = 0

@@ -25,13 +25,7 @@ import numpy as np
 
 from .complexes import SimplicialComplex2, hodge_laplacians
 from .errors import DivergenceError, StabilityError
-from .signals import (
-    FilterCoeffs,
-    StreamConfig,
-    _regressor_windows,
-    generate_stream,
-    moments_closed_form,
-)
+from .signals import FilterCoeffs, StreamConfig, generate_stream, moments_closed_form
 
 __all__ = [
     "LmsState",
@@ -252,16 +246,17 @@ def _monte_carlo(seed: int, realizations: int, run_one):
     return [total / kept for total in sums], kept, diverged
 
 
-def _stream_states(state, step, batch, ops):
+def _stream_states(state, step, blocks, first):
     """The initial state, then the state after each step along the stream.
 
-    ``step(state, X, d, y)`` is applied at every row with a full history
-    window, its regressors built one window at a time.
+    ``step(state, X, d, y)`` is applied at every row from ``first`` on
+    (the rows with a full history window), straight from the
+    :class:`.signals.StreamBlock` blocks of :func:`.signals.generate_stream`.
     """
     yield state
-    for start, X in _regressor_windows(batch.x, ops, batch.order, first=batch.order):
-        for n, X_n in enumerate(X, start):
-            state = step(state, X_n, batch.d[n], batch.y[n])
+    for block in blocks:
+        for j in range(max(first - block.start, 0), block.y.shape[0]):
+            state = step(state, block.X[j], block.d[j], block.y[j])
             yield state
 
 
@@ -315,9 +310,10 @@ def run_experiment(
 
     def run_one(seed: int) -> tuple[np.ndarray]:
         traj = np.empty(horizon + 1)
-        batch = generate_stream(coeffs, None, replace(cfg, horizon=horizon + order, seed=seed),
-                                ops=ops)
-        for k, state in enumerate(_stream_states(LmsState(h=h_init, mu=mu), lms_step, batch, ops)):
+        blocks = generate_stream(coeffs, None, replace(cfg, horizon=horizon + order, seed=seed),
+                                 ops=ops)
+        states = _stream_states(LmsState(h=h_init, mu=mu), lms_step, blocks, order)
+        for k, state in enumerate(states):
             traj[k] = np.sum((h_true - state.h) ** 2)
         return (traj,)
 

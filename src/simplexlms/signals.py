@@ -18,9 +18,9 @@ otherwise; correlated signals are only supported empirically.
 
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -30,16 +30,16 @@ __all__ = [
     "FilterCoeffs",
     "StreamConfig",
     "StreamBatch",
+    "StreamBlock",
     "MomentSet",
     "regressor_tensor",
     "sample_mask",
     "generate_stream",
+    "collect_stream",
     "moments_closed_form",
     "moments_empirical",
     "edge_moment_matrices",
     "local_moment_matrices",
-    "write_stream_csv",
-    "read_stream_csv",
 ]
 
 # Floats in one regressor window (2 MB): the unit in which stream consumers
@@ -152,8 +152,7 @@ class StreamBatch:
 
     ``y[n]`` is zero for ``n < order`` (the filter needs a full history
     window). The noise draw ``v`` is kept when available so that exact
-    model identities can be verified; it is not part of the serialised
-    format.
+    model identities can be verified.
     """
 
     x: np.ndarray
@@ -169,6 +168,24 @@ class StreamBatch:
     @property
     def num_edges(self) -> int:
         return self.x.shape[1]
+
+
+@dataclass
+class StreamBlock:
+    """Consecutive rows ``start, start + 1, ...`` of one stream realisation.
+
+    ``x``, ``d``, ``y`` and ``v`` hold the block's rows of the signals,
+    masks, observations and noise, and ``X[j]`` is the regressor matrix
+    of row ``start + j``. Rows ``n < order`` have zero regressors and
+    observe zero.
+    """
+
+    start: int
+    x: np.ndarray
+    X: np.ndarray
+    d: np.ndarray
+    y: np.ndarray
+    v: np.ndarray
 
 
 @dataclass
@@ -250,6 +267,11 @@ def regressor_tensor(
     return out
 
 
+def _window_rows(num_edges: int, order: int) -> int:
+    """Rows of one regressor window: about ``_WINDOW_ELEMENTS`` floats."""
+    return max(1, _WINDOW_ELEMENTS // (num_edges * (2 * order + 1)))
+
+
 def _regressor_windows(x: np.ndarray, ops: HodgeOperators, order: int, first: int = 0,
                        build=None):
     """Rows ``first..N-1`` of the stream's regressor tensor, one block at a time.
@@ -267,7 +289,7 @@ def _regressor_windows(x: np.ndarray, ops: HodgeOperators, order: int, first: in
     build = regressor_tensor if build is None else build
     N, E = x.shape
     powers = laplacian_powers(ops, order)
-    rows = max(1, _WINDOW_ELEMENTS // (E * (2 * order + 1)))
+    rows = _window_rows(E, order)
     for start in range(first, N, rows):
         lo = max(start - order, 0)
         yield start, build(x[lo : start + rows], ops, order, powers)[start - lo :]
@@ -292,24 +314,37 @@ def _covariance_factor(c_x: np.ndarray) -> np.ndarray:
         return u * np.sqrt(np.clip(lam, 0.0, None))
 
 
-def _draw(cfg: StreamConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Signals ``x``, noise ``v`` and masks ``d`` of one stream, each (horizon, E).
+def _draw(cfg: StreamConfig, stops=None):
+    """Signals ``x``, noise ``v`` and masks ``d`` of one stream, block by block.
 
-    Signals and noise are i.i.d. Gaussian; masks are Bernoulli. Three
-    child generators (signal, noise, mask) are spawned from ``cfg.seed``,
-    so the draws stay decoupled yet fully reproducible.
+    Yields one ``(x, v, d)`` triple of ``(rows, E)`` arrays per entry of
+    the increasing row bounds ``stops``, holding the rows from the
+    previous stop (0 at first) up to it; by default one block of all
+    ``cfg.horizon`` rows. Signals and noise are i.i.d. Gaussian; masks are
+    Bernoulli. Three child generators (signal, noise, mask) are spawned
+    from ``cfg.seed``, so the draws stay decoupled yet fully reproducible.
+    They carry their state from block to block, so a white stream's
+    blocks concatenate to the one-block draw bit for bit; a dense
+    covariance factor enters one matrix product per block, whose rounding
+    may depend on the block size.
     """
-    sig_ss, noise_ss, mask_ss = np.random.SeedSequence(cfg.seed).spawn(3)
-    shape = (cfg.horizon, cfg.num_edges)
+    sig, noise, mask = (np.random.default_rng(s)
+                        for s in np.random.SeedSequence(cfg.seed).spawn(3))
     factor = _covariance_factor(cfg.c_x)
     scale = np.diag(factor)
-    x = np.random.default_rng(sig_ss).standard_normal(shape)
     # a diagonal factor (white signals) scales columns: the same bits as the
     # product, without the matrix product's work buffer in memory
-    x = x * scale if np.array_equal(factor, np.diag(scale)) else x @ factor.T
-    v = np.random.default_rng(noise_ss).standard_normal(shape) * np.sqrt(cfg.sigma_v2)
-    d = (np.random.default_rng(mask_ss).random(shape) < cfg.p).astype(np.float64)
-    return x, v, d
+    white = np.array_equal(factor, np.diag(scale))
+    noise_scale = np.sqrt(cfg.sigma_v2)
+    start = 0
+    for stop in (cfg.horizon,) if stops is None else stops:
+        shape = (stop - start, cfg.num_edges)
+        x = sig.standard_normal(shape)
+        x = x * scale if white else x @ factor.T
+        v = noise.standard_normal(shape) * noise_scale
+        d = (mask.random(shape) < cfg.p).astype(np.float64)
+        yield x, v, d
+        start = stop
 
 
 def generate_stream(
@@ -317,13 +352,18 @@ def generate_stream(
     complex_: SimplicialComplex2 | None,
     cfg: StreamConfig,
     ops: HodgeOperators | None = None,
-) -> StreamBatch:
-    """Draw one stream realisation of the observation model.
+):
+    """Draw one stream realisation of the observation model, block by block.
 
-    The draws are those of :func:`_draw`. Rows ``n < order`` have no
-    full history window and observe zero, so a stream of ``order`` rows
-    observes nothing. The observations are built window by window, so
-    the regressor tensor of the whole stream is never held.
+    A generator of :class:`StreamBlock`. The first block holds rows
+    ``0..order+rows-1`` and each later one the next ``rows`` rows, where
+    a block's regressors hold about ``_WINDOW_ELEMENTS`` floats; only the
+    block's own rows are drawn (:func:`_draw`). Its regressors are built
+    once, from its signal rows plus the ``order`` signal rows before
+    them, and give ``y = d * (X h + v)``. Rows ``n < order`` have no full
+    history window and observe zero, so a stream of ``order`` rows
+    observes nothing. Memory does not grow with the horizon;
+    :func:`collect_stream` gives the whole stream as one batch.
     """
     if ops is None:
         if complex_ is None:
@@ -332,16 +372,43 @@ def generate_stream(
     if ops.l1.shape[0] != cfg.num_edges:
         raise ValueError("config dimension does not match the complex")
     order = coeffs.order
-    if cfg.horizon < order:
+    N = cfg.horizon
+    if N < order:
         raise ValueError("horizon must be at least the filter order")
-    x, v, d = _draw(cfg)
 
     h = coeffs.flatten()
-    y = np.zeros_like(x)
-    for start, X in _regressor_windows(x, ops, order, first=order):
-        rows = slice(start, start + X.shape[0])
-        y[rows] = d[rows] * (X @ h + v[rows])
-    return StreamBatch(x=x, d=d, y=y, order=order, v=v)
+    powers = laplacian_powers(ops, order)
+    rows = _window_rows(cfg.num_edges, order)
+    history = np.empty((0, cfg.num_edges))
+    start = 0
+    for x, v, d in _draw(cfg, chain(range(order + rows, N, rows), (N,))):
+        lead = history.shape[0]
+        window = np.concatenate([history, x]) if lead else x
+        X = regressor_tensor(window, ops, order, powers)[lead:]
+        first = max(order - start, 0)
+        y = np.zeros_like(x)
+        y[first:] = d[first:] * (X[first:] @ h + v[first:])
+        yield StreamBlock(start=start, x=x, X=X, d=d, y=y, v=v)
+        # blocks shorter than the order take history from several blocks
+        history = window[window.shape[0] - order :].copy()
+        start += x.shape[0]
+
+
+def collect_stream(
+    coeffs: FilterCoeffs,
+    complex_: SimplicialComplex2 | None,
+    cfg: StreamConfig,
+    ops: HodgeOperators | None = None,
+) -> StreamBatch:
+    """The blocks of :func:`generate_stream` concatenated into one batch.
+
+    For whole-stream consumers such as tests and
+    :func:`moments_empirical`; the batch holds every row at once, but
+    not the regressors.
+    """
+    parts = [(b.x, b.d, b.y, b.v) for b in generate_stream(coeffs, complex_, cfg, ops)]
+    x, d, y, v = (np.concatenate(column) for column in zip(*parts))
+    return StreamBatch(x=x, d=d, y=y, order=coeffs.order, v=v)
 
 
 def moments_closed_form(
@@ -441,39 +508,3 @@ def local_moment_matrices(
     """Masked per-edge moments ``E{d_i z_i z_i^T} = p_i E{z_i z_i^T}``."""
     p = np.asarray(p, dtype=np.float64)
     return p[:, None, None] * edge_moment_matrices(ops, c_x, order)
-
-
-def write_stream_csv(batch: StreamBatch, path) -> None:
-    """Serialise a stream as rows ``n, edge_id, x, d, y``."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["n", "edge_id", "x", "d", "y"])
-        for n in range(batch.horizon):
-            for e in range(batch.num_edges):
-                writer.writerow(
-                    [n, e, repr(float(batch.x[n, e])), int(batch.d[n, e]), repr(float(batch.y[n, e]))]
-                )
-
-
-def read_stream_csv(path, order: int) -> StreamBatch:
-    """Load a stream written by :func:`write_stream_csv` (noise is not stored)."""
-    rows = []
-    with open(path, "r", newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if header != ["n", "edge_id", "x", "d", "y"]:
-            raise ValueError(f"{path}: unexpected stream header {header!r}")
-        for row in reader:
-            rows.append((int(row[0]), int(row[1]), float(row[2]), float(row[3]), float(row[4])))
-    if not rows:
-        raise ValueError(f"{path}: empty stream file")
-    N = max(r[0] for r in rows) + 1
-    E = max(r[1] for r in rows) + 1
-    x = np.zeros((N, E))
-    d = np.zeros((N, E))
-    y = np.zeros((N, E))
-    for n, e, xv, dv, yv in rows:
-        x[n, e] = xv
-        d[n, e] = dv
-        y[n, e] = yv
-    return StreamBatch(x=x, d=d, y=y, order=order)

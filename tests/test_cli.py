@@ -228,7 +228,10 @@ def test_zero_deviation_writes_strict_json(tmp_path, complex_file, mode):
     theory = payload["theory"]
     if mode == "run-lms":
         assert theory["msd_exact"] == 0 and theory["msd_exact_db"] is None
-        assert all(record["msd_theory_db"] is None for record in payload["records"])
+        # the theory dB is written once, not per row; the rows' dB trajectory is floats
+        assert "records" not in payload
+        assert len(payload["msd_db"]) == 21
+        assert all(isinstance(db, float) for db in payload["msd_db"])
     else:
         assert theory["stable"] is True
         assert theory["msd_per_agent"] == 0 and theory["msd_per_agent_db"] is None
@@ -240,6 +243,42 @@ def test_zero_deviation_csv_cell_is_empty(tmp_path, complex_file):
     rows = out.read_text().splitlines()
     assert rows[0] == "iteration,msd_db,msd_theory_db"
     assert len(rows) == 22 and all(row.endswith(",") for row in rows[1:])
+
+
+def test_run_distributed_csv_rows(tmp_path, complex_file):
+    out = tmp_path / "result.csv"
+    assert run_simulation(tmp_path, complex_file, "run-distributed", "--noise-var", 1e-4,
+                          "--format", "csv", "--out", out) == 0
+    rows = out.read_text().splitlines()
+    assert rows[0] == "iteration,msd_db"
+    assert len(rows) == 22
+    assert [row.split(",")[0] for row in rows[1:]] == [str(k) for k in range(21)]
+    assert all(np.isfinite(float(row.split(",")[1])) for row in rows[1:])
+
+
+@pytest.fixture()
+def no_run(monkeypatch):
+    import simplexlms.cli
+
+    def fail(*args, **kwargs):
+        raise AssertionError("the run started before the output was checked")
+
+    monkeypatch.setattr(simplexlms.cli, "run_mode", fail)
+
+
+@pytest.mark.parametrize("mode", ["design-sampling", "generate-complex", "analyze"])
+def test_csv_without_row_table_exits_2(tmp_path, capsys, no_run, mode):
+    out = tmp_path / "result.csv"
+    assert run_cli([mode, "--format", "csv", "--out", out]) == 2
+    assert f"mode '{mode}' has no CSV row table" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("where", ["missing directory", "directory"])
+def test_unwritable_out_exits_2_before_the_run(tmp_path, complex_file, capsys, no_run, where):
+    out = tmp_path / "missing" / "x.json" if where == "missing directory" else tmp_path
+    assert run_simulation(tmp_path, complex_file, "run-lms", "--out", out) == 2
+    assert f"cannot write {out}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("mode", ["run-lms", "run-distributed", "infer-topology"])

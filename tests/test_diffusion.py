@@ -324,15 +324,15 @@ def network_instance():
 
 def atc_replay(instance, mu, seed, horizon):
     """Per-agent deviations of one realization, replayed round by round from its seed."""
-    from simplexlms.signals import generate_stream, regressor_tensor
+    from simplexlms.signals import collect_stream, regressor_tensor
     from dataclasses import replace
 
     complex_, coeffs, cfg, comb = instance
     E, order = complex_.num_edges, coeffs.order
     ops = hodge_laplacians(complex_)
     h_true = coeffs.flatten()
-    batch = generate_stream(coeffs, None, replace(cfg, horizon=horizon + order, seed=seed),
-                            ops=ops)
+    batch = collect_stream(coeffs, None, replace(cfg, horizon=horizon + order, seed=seed),
+                           ops=ops)
     net = NetworkState(estimates=np.zeros((E, h_true.size)), mu=np.full(E, mu))
     traj = np.empty((E, horizon + 1))
     traj[:, 0] = np.sum(h_true**2)
@@ -367,12 +367,12 @@ def test_run_distributed_identity_combination_matches_independent_runs(network_i
     )
     # replay edge-wise LMS on the same stream
     from simplexlms.lms import derived_seeds
-    from simplexlms.signals import generate_stream, regressor_tensor
+    from simplexlms.signals import collect_stream, regressor_tensor
     from dataclasses import replace
 
     ops = hodge_laplacians(complex_)
     seed = derived_seeds(cfg.seed, 1)[0]
-    batch = generate_stream(coeffs, None, replace(cfg, horizon=42, seed=seed), ops=ops)
+    batch = collect_stream(coeffs, None, replace(cfg, horizon=42, seed=seed), ops=ops)
     R = regressor_tensor(batch.x, ops, 2)
     h_true = coeffs.flatten()
     for i in range(0, E, 5):

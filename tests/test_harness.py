@@ -229,21 +229,34 @@ def test_emit_results_json_full_precision(tmp_path):
 
 
 def test_emit_results_csv_fixed_columns(tmp_path):
+    # each mode's column table fixes the column order; scalars repeat on every row
     path = tmp_path / "out.csv"
-    emit_results(
-        {"records": [{"b": 2, "a": 1}, {"b": 4, "a": 3}]}, path, fmt="csv"
-    )
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "b,a"
-    assert lines[1] == "2,1"
+    emit_results({"metadata": {"mode": "ar-train"}, "train_errors": [9.0],
+                  "test_errors": [0.5, 0.25]}, path, fmt="csv")
+    assert path.read_text().splitlines() == ["snapshot,test_error", "0,0.5", "1,0.25"]
+    payload = {"metadata": {"mode": "run-lms"}, "msd": [1.0, 0.1], "msd_db": [0.0, -10.0],
+               "theory": {"msd_exact_db": -30.5}}
+    emit_results(payload, path, fmt="csv")
+    assert path.read_text().splitlines() == [
+        "iteration,msd_db,msd_theory_db", "0,0.0,-30.5", "1,-10.0,-30.5"]
+    emit_results({**payload, "theory": None}, path, fmt="csv")
+    assert path.read_text().splitlines()[1:] == ["0,0.0,", "1,-10.0,"]
 
 
 def test_emit_results_empty_records_with_header(tmp_path):
     path = tmp_path / "empty.csv"
-    emit_results({"records": []}, path, fmt="csv", fieldnames=["iteration", "msd_db"])
+    emit_results({"metadata": {"mode": "run-distributed"}, "msd_db": []}, path, fmt="csv")
     assert path.read_text().strip() == "iteration,msd_db"
-    with pytest.raises(ConfigError):
-        emit_results({"records": []}, tmp_path / "x.csv", fmt="csv")
+    with pytest.raises(ConfigError, match="'design-sampling' has no CSV row table"):
+        emit_results({"metadata": {"mode": "design-sampling"}}, tmp_path / "x.csv", fmt="csv")
+    assert not (tmp_path / "x.csv").exists()
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_emit_results_write_error_is_config_error(tmp_path, fmt):
+    payload = {"metadata": {"mode": "run-distributed"}, "msd_db": [0.0]}
+    with pytest.raises(ConfigError, match="cannot write"):
+        emit_results(payload, tmp_path / "missing" / "out", fmt=fmt)
 
 
 # -------------------------------------------------------------- mode runners
@@ -276,4 +289,7 @@ def test_mode_run_lms_payload():
     assert len(payload["msd"]) == 201
     assert payload["theory"]["mu_max"] > 0
     assert payload["metadata"]["seed"] == 5
-    assert payload["records"][0]["iteration"] == 0
+    # each trajectory is written once, row 0 being the initial deviation
+    assert "records" not in payload
+    assert len(payload["msd_db"]) == 201
+    assert payload["msd_db"][0] == pytest.approx(10 * np.log10(payload["msd"][0]), rel=1e-14)

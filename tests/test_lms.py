@@ -1,5 +1,6 @@
 """Adaptive filter step, stability bounds and steady-state formulas."""
 
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -24,7 +25,7 @@ from simplexlms.lms import (
 from simplexlms.signals import (
     FilterCoeffs,
     StreamConfig,
-    generate_stream,
+    collect_stream,
     moments_closed_form,
     regressor_tensor,
 )
@@ -218,8 +219,8 @@ def lms_replay(complex_, coeffs, cfg, mu, seed, horizon):
     ops = hodge_laplacians(complex_)
     order = coeffs.order
     h_true = coeffs.flatten()
-    batch = generate_stream(coeffs, None, replace(cfg, horizon=horizon + order, seed=seed),
-                            ops=ops)
+    batch = collect_stream(coeffs, None, replace(cfg, horizon=horizon + order, seed=seed),
+                           ops=ops)
     state = LmsState(h=np.zeros(h_true.size), mu=mu)
     traj = [np.sum(h_true**2)]
     for n in range(order, horizon + order):
@@ -254,6 +255,43 @@ def test_run_experiment_multi_window_matches_step_replay(experiment_complex, mon
     total = sum(lms_replay(experiment_complex, coeffs, cfg, 5e-3, seed, 40)
                 for seed in derived_seeds(cfg.seed, 2))
     np.testing.assert_allclose(result.msd, total / 2, rtol=1e-12)
+
+
+def traced_peak(run):
+    """Peak bytes that tracemalloc sees while ``run()`` executes."""
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("runner", ["run_experiment", "run_distributed"])
+def test_runner_memory_does_not_grow_with_horizon(experiment_complex, monkeypatch, runner):
+    # 50-row stream blocks: both horizons span many blocks, so at four times
+    # the horizon only the trajectories may grow, not the stream
+    from simplexlms.diffusion import build_combination, lower_adjacency_neighborhoods, run_distributed
+
+    E = experiment_complex.num_edges
+    coeffs = FilterCoeffs(h_u=[0.5, 0.1], h_d=[0.2])
+    cfg = StreamConfig.white(E, signal_var=0.01, sigma_v2=1e-4, p=0.8, horizon=10, seed=3)
+    monkeypatch.setattr(signals, "_WINDOW_ELEMENTS", 50 * E * 3)
+    if runner == "run_experiment":
+        def run(horizon):
+            run_experiment(experiment_complex, coeffs, cfg, 5e-3, realizations=2, horizon=horizon)
+    else:
+        comb = build_combination(lower_adjacency_neighborhoods(experiment_complex))
+
+        def run(horizon):
+            run_distributed(experiment_complex, coeffs, cfg, comb, 5e-3, realizations=2,
+                            horizon=horizon)
+    horizon = 400
+    run(horizon)  # warm caches
+    short, long = (traced_peak(lambda: run(h)) for h in (horizon, 4 * horizon))
+    # the running sum, one realization's trajectory and the mean: three floats a step
+    trajectories = 3 * 8 * (4 * horizon - horizon)
+    assert long - short <= trajectories, (short, long)
 
 
 def test_run_experiment_drops_diverged_realization(experiment_complex, diverge_in):

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from simplexlms import signals
@@ -11,7 +11,7 @@ from simplexlms.signals import (
     FilterCoeffs,
     StreamConfig,
     edge_moment_matrices,
-    generate_stream,
+    collect_stream,
     moments_closed_form,
     regressor_tensor,
 )
@@ -110,11 +110,46 @@ def test_windowed_stream_matches_one_window(order, rows, extra):
     E = WINDOW_OPS.l1.shape[0]
     coeffs = FilterCoeffs.random(order, np.random.default_rng(extra), scale=0.5)
     cfg = StreamConfig.white(E, sigma_v2=0.05, p=0.7, horizon=order + extra, seed=extra)
-    whole = generate_stream(coeffs, None, cfg, ops=WINDOW_OPS)
+    whole = collect_stream(coeffs, None, cfg, ops=WINDOW_OPS)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(signals, "_WINDOW_ELEMENTS", window_budget(rows, order))
-        windowed = generate_stream(coeffs, None, cfg, ops=WINDOW_OPS)
+        windowed = collect_stream(coeffs, None, cfg, ops=WINDOW_OPS)
     for name in ("x", "d", "v"):
         assert np.array_equal(getattr(windowed, name), getattr(whole, name))
     assert np.all(windowed.y[:order] == 0.0)
     np.testing.assert_allclose(windowed.y, whole.y, rtol=0, atol=round_off(whole.y))
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(
+    order=st.integers(0, 3),
+    rows=st.integers(1, 5),
+    blocks=st.integers(0, 4),
+    overhang=st.integers(-1, 1),
+)
+@example(order=3, rows=1, blocks=0, overhang=0)   # horizon == order
+@example(order=0, rows=2, blocks=0, overhang=0)   # the empty stream
+def test_stream_blocks_concatenate_to_one_block_draw(order, rows, blocks, overhang):
+    # horizons at, one short of and one past a block boundary, and horizon == order
+    E = WINDOW_OPS.l1.shape[0]
+    horizon = max(order, order + blocks * rows + overhang)
+    rng = np.random.default_rng(horizon + 7 * order)
+    coeffs = FilterCoeffs.random(order, rng, scale=0.5)
+    # a non-uniform white covariance, so the draw scales its columns
+    cfg = StreamConfig(c_x=np.diag(rng.uniform(0.5, 2.0, E)), sigma_v2=rng.uniform(0.0, 0.1, E),
+                       p=rng.uniform(0.3, 1.0, E), horizon=horizon, seed=horizon)
+    [(x, v, d)] = signals._draw(cfg)
+    h = coeffs.flatten()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(signals, "_WINDOW_ELEMENTS", window_budget(rows, order))
+        got = list(signals.generate_stream(coeffs, None, cfg, ops=WINDOW_OPS))
+        # oracle: the observations of the one-block draw, built in the same windows
+        y = np.zeros_like(x)
+        for start, X in signals._regressor_windows(x, WINDOW_OPS, order, first=order):
+            y[start : start + len(X)] = d[start : start + len(X)] * (X @ h + v[start : start + len(X)])
+    assert [b.start for b in got] == [0] + list(range(order + rows, horizon, rows))
+    for name, whole in (("x", x), ("d", d), ("v", v), ("y", y)):
+        np.testing.assert_array_equal(np.concatenate([getattr(b, name) for b in got]), whole)
+    full = regressor_tensor(x, WINDOW_OPS, order)
+    np.testing.assert_allclose(np.concatenate([b.X for b in got]), full,
+                               rtol=0, atol=round_off(full) if full.size else 0.0)

@@ -10,15 +10,13 @@ from simplexlms.signals import (
     MomentSet,
     StreamConfig,
     _draw,
+    collect_stream,
     edge_moment_matrices,
-    generate_stream,
     local_moment_matrices,
     moments_closed_form,
     moments_empirical,
-    read_stream_csv,
     regressor_tensor,
     sample_mask,
-    write_stream_csv,
 )
 
 
@@ -148,7 +146,7 @@ def test_stream_identity_filter_passthrough(small_complex):
     E = small_complex.num_edges
     coeffs = FilterCoeffs(h_u=[1.0], h_d=[])
     cfg = StreamConfig.white(E, sigma_v2=0.0, p=1.0, horizon=50, seed=0)
-    batch = generate_stream(coeffs, small_complex, cfg)
+    batch = collect_stream(coeffs, small_complex, cfg)
     assert np.allclose(batch.y[0:], batch.x[0:][np.arange(50) >= 0] * (np.arange(50)[:, None] >= 0))
     # order 0: y(n) = x(n) for every n
     assert np.allclose(batch.y, batch.x)
@@ -157,7 +155,7 @@ def test_stream_identity_filter_passthrough(small_complex):
 def test_stream_zero_sampling(small_complex):
     coeffs = FilterCoeffs(h_u=[1.0, 0.5], h_d=[0.2])
     cfg = StreamConfig.white(small_complex.num_edges, sigma_v2=0.1, p=0.0, horizon=40, seed=1)
-    batch = generate_stream(coeffs, small_complex, cfg)
+    batch = collect_stream(coeffs, small_complex, cfg)
     assert np.allclose(batch.y, 0.0)
 
 
@@ -166,7 +164,7 @@ def test_stream_matches_model_identity(small_complex, small_ops):
     coeffs = FilterCoeffs.random(2, rng)
     E = small_complex.num_edges
     cfg = StreamConfig.white(E, sigma_v2=0.05, p=0.7, horizon=60, seed=2)
-    batch = generate_stream(coeffs, small_complex, cfg)
+    batch = collect_stream(coeffs, small_complex, cfg)
     h = coeffs.flatten()
     for n in range(batch.order, 60):
         hist = [batch.x[n - m] for m in range(3)]
@@ -181,8 +179,8 @@ def test_stream_matches_model_identity(small_complex, small_ops):
 def test_stream_determinism(small_complex):
     coeffs = FilterCoeffs(h_u=[0.5, 0.1], h_d=[0.3])
     cfg = StreamConfig.white(small_complex.num_edges, sigma_v2=0.01, p=0.5, horizon=30, seed=77)
-    a = generate_stream(coeffs, small_complex, cfg)
-    b = generate_stream(coeffs, small_complex, cfg)
+    a = collect_stream(coeffs, small_complex, cfg)
+    b = collect_stream(coeffs, small_complex, cfg)
     assert np.array_equal(a.x, b.x)
     assert np.array_equal(a.d, b.d)
     assert np.array_equal(a.y, b.y)
@@ -199,7 +197,7 @@ def test_signal_draw_is_the_factor_product(edges):
     for c_x in covariances:
         cfg = StreamConfig(c_x=c_x, sigma_v2=np.zeros(edges), p=np.ones(edges),
                            horizon=40, seed=edges)
-        x, _, _ = _draw(cfg)
+        [(x, _, _)] = _draw(cfg)
         sig_ss = np.random.SeedSequence(cfg.seed).spawn(3)[0]
         z = np.random.default_rng(sig_ss).standard_normal((40, edges))
         np.testing.assert_array_equal(x, z @ np.linalg.cholesky(c_x).T)
@@ -213,7 +211,7 @@ def test_stream_sample_covariance(small_complex):
     cfg = StreamConfig(
         c_x=c_x, sigma_v2=np.zeros(E), p=np.ones(E), horizon=100_000, seed=3
     )
-    batch = generate_stream(FilterCoeffs(h_u=[1.0], h_d=[]), small_complex, cfg)
+    batch = collect_stream(FilterCoeffs(h_u=[1.0], h_d=[]), small_complex, cfg)
     sample = batch.x.T @ batch.x / batch.horizon
     rel = np.linalg.norm(sample - c_x) / np.linalg.norm(c_x)
     assert rel < 0.05
@@ -272,7 +270,7 @@ def test_moments_match_monte_carlo(small_complex, small_ops):
     p = rng.uniform(0.4, 1.0, E)
     sigma_v2 = rng.uniform(0.01, 0.05, E)
     cfg = StreamConfig(c_x=np.eye(E), sigma_v2=sigma_v2, p=p, horizon=100_000, seed=4)
-    batch = generate_stream(coeffs, small_complex, cfg)
+    batch = collect_stream(coeffs, small_complex, cfg)
     closed = moments_closed_form(small_ops, p, np.eye(E), sigma_v2, 1, coeffs)
     empirical = moments_empirical(batch, 1, small_ops, sigma_v2=sigma_v2)
     rel_c = np.linalg.norm(empirical.c_X - closed.c_X) / np.linalg.norm(closed.c_X)
@@ -325,18 +323,6 @@ def test_edge_moments_sum_to_global(small_ops):
 
 
 # ---------------------------------------------------------------- serialize
-
-
-def test_stream_csv_roundtrip(tmp_path, small_complex):
-    coeffs = FilterCoeffs(h_u=[0.4, 0.2], h_d=[0.1])
-    cfg = StreamConfig.white(small_complex.num_edges, sigma_v2=0.02, p=0.6, horizon=15, seed=5)
-    batch = generate_stream(coeffs, small_complex, cfg)
-    path = tmp_path / "stream.csv"
-    write_stream_csv(batch, path)
-    loaded = read_stream_csv(path, order=batch.order)
-    assert np.array_equal(loaded.x, batch.x)
-    assert np.array_equal(loaded.d, batch.d)
-    assert np.array_equal(loaded.y, batch.y)
 
 
 def test_momentset_json_roundtrip(small_ops):
