@@ -66,19 +66,41 @@ class SimplicialComplex2:
 
 @dataclass
 class HodgeOperators:
-    """Laplacians of a 2-complex plus the edge-Laplacian eigenbasis.
+    """Float incidence matrices of a 2-complex with its lazy Hodge algebra.
 
-    ``l1 = lower + upper`` and the eigenvalues are sorted ascending.
+    ``b1`` (vertices x edges) and ``b2`` (edges x triangles) are held as
+    given. The Laplacians are Gram products of them, ``l0 = b1 b1^T``,
+    ``lower = b1^T b1``, ``upper = b2 b2^T`` and ``l1 = lower + upper``,
+    each a dense product computed on first access, since the moment basis
+    needs only the incidence factors. The O(E^3) eigendecomposition of
+    ``l1`` (eigenvalues ascending) likewise runs on first access to the
+    eigenbasis, since only the simplicial Fourier transform needs it.
     Repeated eigenvalues make the eigenvector basis non-unique; consumers
     must only rely on basis-independent quantities (projections, norms).
-    The O(E^3) eigendecomposition runs on first access to the eigenbasis,
-    since only the simplicial Fourier transform needs it.
     """
 
-    l0: np.ndarray
-    lower: np.ndarray
-    upper: np.ndarray
-    l1: np.ndarray
+    b1: np.ndarray
+    b2: np.ndarray
+
+    @property
+    def num_edges(self) -> int:
+        return self.b2.shape[0]
+
+    @cached_property
+    def l0(self) -> np.ndarray:
+        return self.b1 @ self.b1.T
+
+    @cached_property
+    def lower(self) -> np.ndarray:
+        return self.b1.T @ self.b1
+
+    @cached_property
+    def upper(self) -> np.ndarray:
+        return self.b2 @ self.b2.T
+
+    @cached_property
+    def l1(self) -> np.ndarray:
+        return self.lower + self.upper
 
     @cached_property
     def _eigh(self) -> tuple[np.ndarray, np.ndarray]:
@@ -176,19 +198,13 @@ def build_incidence(
 
 
 def hodge_laplacians(complex_: SimplicialComplex2) -> HodgeOperators:
-    """Vertex Laplacian, lower/upper edge Laplacians and the (lazy) L1 eigenbasis."""
-    b1 = complex_.b1.astype(np.float64)
-    b2 = complex_.b2.astype(np.float64)
-    l0 = b1 @ b1.T
-    lower = b1.T @ b1
-    upper = b2 @ b2.T
-    return HodgeOperators(l0=l0, lower=lower, upper=upper, l1=lower + upper)
+    """Float incidence matrices of the complex; its Laplacians are built on first use."""
+    return HodgeOperators(b1=complex_.b1.astype(np.float64), b2=complex_.b2.astype(np.float64))
 
 
 def laplacian_powers(ops: HodgeOperators, order: int) -> tuple[list[np.ndarray], list[np.ndarray]]:
     """Matrix powers ``upper^m`` and ``lower^m`` for ``m = 0..order``."""
-    E = ops.l1.shape[0]
-    eye = np.eye(E)
+    eye = np.eye(ops.num_edges)
     up = [eye]
     lo = [eye]
     for _ in range(order):
@@ -227,17 +243,17 @@ def hodge_decompose(x: np.ndarray, complex_: SimplicialComplex2) -> HodgeCompone
 def sft(x: np.ndarray, ops: HodgeOperators) -> np.ndarray:
     """Spectral coefficients of an edge signal in the L1 eigenbasis."""
     x = np.asarray(x, dtype=np.float64)
-    if x.shape != (ops.l1.shape[0],):
-        raise ValueError(f"signal has shape {x.shape}, expected ({ops.l1.shape[0]},)")
+    if x.shape != (ops.num_edges,):
+        raise ValueError(f"signal has shape {x.shape}, expected ({ops.num_edges},)")
     return ops.eigenvectors.T @ x
 
 
 def inverse_sft(coeffs: np.ndarray, ops: HodgeOperators) -> np.ndarray:
     """Reconstruct an edge signal from its spectral coefficients."""
     coeffs = np.asarray(coeffs, dtype=np.float64)
-    if coeffs.shape != (ops.l1.shape[0],):
+    if coeffs.shape != (ops.num_edges,):
         raise ValueError(
-            f"coefficients have shape {coeffs.shape}, expected ({ops.l1.shape[0]},)"
+            f"coefficients have shape {coeffs.shape}, expected ({ops.num_edges},)"
         )
     return ops.eigenvectors @ coeffs
 

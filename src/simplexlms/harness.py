@@ -118,6 +118,14 @@ def build_complex_from_config(cfg: ExperimentConfig) -> SimplicialComplex2:
         raise ConfigError(f"invalid complex parameters: {exc}") from exc
 
 
+def _complex_with_edges(cfg: ExperimentConfig) -> SimplicialComplex2:
+    """The config's complex, for the modes that estimate or design over its edges."""
+    complex_ = build_complex_from_config(cfg)
+    if complex_.num_edges == 0:
+        raise ConfigError(f"mode {cfg.mode!r} needs a complex with edges; its edge set is empty")
+    return complex_
+
+
 def resolve_noise(spec, num_edges: int, seed: int) -> np.ndarray:
     """Per-edge noise variances from a scalar, list, or random draw spec.
 
@@ -282,7 +290,7 @@ def _stream_pieces(cfg: ExperimentConfig, complex_: SimplicialComplex2):
 
 
 def mode_run_lms(cfg: ExperimentConfig) -> dict:
-    complex_ = build_complex_from_config(cfg)
+    complex_ = _complex_with_edges(cfg)
     coeffs, stream, horizon, realizations = _stream_pieces(cfg, complex_)
     mu = _positive(cfg, "mu", cfg.require("mu"))
     result = run_experiment(complex_, coeffs, stream, mu, realizations, horizon)
@@ -304,7 +312,7 @@ def mode_run_lms(cfg: ExperimentConfig) -> dict:
 
 
 def mode_design_sampling(cfg: ExperimentConfig) -> dict:
-    complex_ = build_complex_from_config(cfg)
+    complex_ = _complex_with_edges(cfg)
     ops = hodge_laplacians(complex_)
     E = complex_.num_edges
     seed = int(cfg.get("seed", 0))
@@ -402,7 +410,7 @@ def mode_infer_topology(cfg: ExperimentConfig) -> dict:
 
 
 def mode_run_distributed(cfg: ExperimentConfig) -> dict:
-    complex_ = build_complex_from_config(cfg)
+    complex_ = _complex_with_edges(cfg)
     coeffs, stream, horizon, realizations = _stream_pieces(cfg, complex_)
     mu = np.array([_positive(cfg, "mu", m) for m in np.ravel(cfg.require("mu"))])
     neighborhoods = lower_adjacency_neighborhoods(complex_)

@@ -37,7 +37,7 @@ from .complexes import (
 )
 from .errors import DivergenceError
 from .lms import LmsState, _monte_carlo, lms_step
-from .signals import StreamConfig, _draw
+from .signals import StreamConfig, _block_stops, _draw
 
 __all__ = [
     "CandidateSet",
@@ -275,8 +275,10 @@ def run_inference(
     with the indicator active at ``n``, so mid-stream entries model
     topology changes. Signals are white Gaussian; masks Bernoulli(p).
     Each realization's draws are those of a stream of ``horizon + order``
-    rows (:func:`.signals.generate_stream` draws the same way), and
-    realizations run through the Monte-Carlo engine,
+    rows, made block by block at the row bounds
+    :func:`.signals.generate_stream` uses, with the last ``order`` signal
+    rows carried over as history, so memory does not grow with the
+    horizon. Realizations run through the Monte-Carlo engine,
     :func:`.lms._monte_carlo`.
     """
     order = cand.order
@@ -284,12 +286,12 @@ def run_inference(
     if not schedule or schedule[0][0] != 0:
         raise ValueError("schedule must start at iteration 0")
 
-    stream = StreamConfig.white(cand.num_edges, signal_var, sigma_v2, p,
-                                horizon=horizon + order, seed=seed)
+    E = cand.num_edges
+    N = horizon + order
+    stream = StreamConfig.white(E, signal_var, sigma_v2, p, horizon=N, seed=seed)
 
     def run_one(seed_r: int) -> np.ndarray:
         traj = np.empty((4, horizon + 1))
-        [(x, v, d)] = _draw(replace(stream, seed=seed_r))
         state = TopologyState(h=np.zeros(h_true.size), t=np.full(cand.num_candidates, t0),
                               mu1=mu1, mu2=mu2, lam0=lam0, lam1=lam1)
         seg = 0
@@ -300,16 +302,24 @@ def run_inference(
                           float(np.array_equal(state.t, t_true)), float(np.count_nonzero(state.t)))
 
         record(0)
-        for k in range(horizon):
-            if seg + 1 < len(schedule) and k >= schedule[seg + 1][0]:
-                seg += 1
-                t_true = np.asarray(schedule[seg][1], dtype=np.float64)
-            n = order + k
-            hist = x[n - order : n + 1][::-1]
-            X_true = regressors_from_t(t_true, cand, hist)
-            y = d[n] * (X_true @ h_true + v[n])
-            state = infer_step(state, cand, Observation(x_hist=hist, d=d[n], y=y))
-            record(k + 1)
+        history = np.empty((0, E))
+        start = 0
+        for x, v, d in _draw(replace(stream, seed=seed_r), _block_stops(E, order, N)):
+            lead = history.shape[0]
+            window = np.concatenate([history, x])
+            for n in range(max(start, order), start + x.shape[0]):
+                k = n - order
+                if seg + 1 < len(schedule) and k >= schedule[seg + 1][0]:
+                    seg += 1
+                    t_true = np.asarray(schedule[seg][1], dtype=np.float64)
+                j = n - start
+                hist = window[lead + j - order : lead + j + 1][::-1]
+                X_true = regressors_from_t(t_true, cand, hist)
+                y = d[j] * (X_true @ h_true + v[j])
+                state = infer_step(state, cand, Observation(x_hist=hist, d=d[j], y=y))
+                record(k + 1)
+            history = window[window.shape[0] - order :].copy()
+            start += x.shape[0]
         return traj
 
     (h_error, t_error, recovery, support), kept, diverged = _monte_carlo(seed, realizations,

@@ -80,7 +80,7 @@ class SamplingProblem:
         gamma: float,
         p_max: np.ndarray | float = 1.0,
     ) -> "SamplingProblem":
-        E = ops.l1.shape[0]
+        E = ops.num_edges
         p_max_vec = np.broadcast_to(np.asarray(p_max, dtype=np.float64), (E,)).copy()
         return cls(
             mu=mu,

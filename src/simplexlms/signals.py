@@ -219,27 +219,6 @@ class MomentSet:
         )
 
 
-def _regressor_operators(ops: HodgeOperators, order: int) -> tuple[list[np.ndarray], list[int]]:
-    """Column operators of the regressor matrix with their time lags.
-
-    Column 0 applies the identity to x(n); columns 1..M apply upper^m to
-    x(n-m); columns M+1..2M apply lower^m to x(n-m). The same ranges are
-    used for every moment formula below, including the cross moment,
-    whose tap index ranges are not spelled out anywhere else: upper taps
-    run over m = 0..M and lower taps over m = 1..M throughout.
-    """
-    up, lo = laplacian_powers(ops, order)
-    operators = [up[0]]
-    lags = [0]
-    for m in range(1, order + 1):
-        operators.append(up[m])
-        lags.append(m)
-    for m in range(1, order + 1):
-        operators.append(lo[m])
-        lags.append(m)
-    return operators, lags
-
-
 def regressor_tensor(
     x: np.ndarray,
     ops: HodgeOperators,
@@ -269,7 +248,13 @@ def regressor_tensor(
 
 def _window_rows(num_edges: int, order: int) -> int:
     """Rows of one regressor window: about ``_WINDOW_ELEMENTS`` floats."""
-    return max(1, _WINDOW_ELEMENTS // (num_edges * (2 * order + 1)))
+    return max(1, _WINDOW_ELEMENTS // (max(num_edges, 1) * (2 * order + 1)))
+
+
+def _block_stops(num_edges: int, order: int, horizon: int):
+    """Row bounds for :func:`_draw`: ``order`` plus one window's rows, then a window each."""
+    rows = _window_rows(num_edges, order)
+    return chain(range(order + rows, horizon, rows), (horizon,))
 
 
 def _regressor_windows(x: np.ndarray, ops: HodgeOperators, order: int, first: int = 0,
@@ -369,7 +354,7 @@ def generate_stream(
         if complex_ is None:
             raise ValueError("either the complex or its operators must be given")
         ops = hodge_laplacians(complex_)
-    if ops.l1.shape[0] != cfg.num_edges:
+    if ops.num_edges != cfg.num_edges:
         raise ValueError("config dimension does not match the complex")
     order = coeffs.order
     N = cfg.horizon
@@ -378,10 +363,9 @@ def generate_stream(
 
     h = coeffs.flatten()
     powers = laplacian_powers(ops, order)
-    rows = _window_rows(cfg.num_edges, order)
     history = np.empty((0, cfg.num_edges))
     start = 0
-    for x, v, d in _draw(cfg, chain(range(order + rows, N, rows), (N,))):
+    for x, v, d in _draw(cfg, _block_stops(cfg.num_edges, order, N)):
         lead = history.shape[0]
         window = np.concatenate([history, x]) if lead else x
         X = regressor_tensor(window, ops, order, powers)[lead:]
@@ -435,7 +419,7 @@ def moments_closed_form(
     p = np.asarray(p, dtype=np.float64)
     c_x = np.asarray(c_x, dtype=np.float64)
     sigma_v2 = np.asarray(sigma_v2, dtype=np.float64)
-    E = ops.l1.shape[0]
+    E = ops.num_edges
     if p.shape != (E,) or c_x.shape != (E, E) or sigma_v2.shape != (E,):
         raise ValueError("moment inputs must all match the edge count")
     if coeffs.order != order:
@@ -483,22 +467,42 @@ def edge_moment_matrices(ops: HodgeOperators, c_x: np.ndarray, order: int) -> np
     These are the building blocks of every masked moment: weighting by
     the sampling probabilities recovers the global Gram matrix,
     ``c_X = sum_i p_i Z_i``, and each agent's masked local moment is
-    ``p_i Z_i``. Whiteness zeroes every pair of regressor columns with
-    different lags.
+    ``p_i Z_i``. Regressor column 0 applies the identity to ``x(n)``,
+    columns ``1..M`` apply ``upper^m`` and columns ``M+1..2M`` apply
+    ``lower^m`` to ``x(n-m)``. Whiteness zeroes every pair of columns
+    with different lags, so ``Z_i[a, b] = (Op_a c_x Op_b)_{ii}`` for
+    equal lags.
+
+    Both powers factor through the incidence matrices, ``Op = A F^T``:
+    ``upper^m`` with ``F = b2`` and ``A = b2 (b2^T b2)^(m-1)``, ``lower^m``
+    with ``F = b1^T`` and ``A = b1^T l0^(m-1)``. Hence
+    ``Z_i[a, b] = sum_k (A_a W_ab)_{ik} (A_b)_{ik}`` with the small
+    ``W_ab = F_a^T c_x F_b``, the same for every ``m``, and no E x E
+    operator is formed.
     """
     c_x = np.asarray(c_x, dtype=np.float64)
-    E = ops.l1.shape[0]
-    operators, lags = _regressor_operators(ops, order)
-    dim = len(operators)
-    Z = np.zeros((E, dim, dim))
-    for a in range(dim):
-        for b in range(a, dim):
-            if lags[a] != lags[b]:
-                continue
-            # Z_i[a, b] = (Op_a c_x Op_b^T)_{ii}
-            rows = np.einsum("ij,jk,ik->i", operators[a], c_x, operators[b])
-            Z[:, a, b] = rows
-            Z[:, b, a] = rows
+    dim = 2 * order + 1
+    Z = np.zeros((ops.num_edges, dim, dim))
+    Z[:, 0, 0] = np.diag(c_x)
+    if order == 0:
+        return Z
+    # factors F and first columns of the upper and the lower taps
+    F = [ops.b2, ops.b1.T]
+    first = [1, order + 1]
+    grams = [f.T @ f for f in F]
+    weights = {}
+    for t in range(2):
+        cx_f = c_x @ F[t]
+        for s in range(t + 1):
+            weights[s, t] = F[s].T @ cx_f
+    A = F
+    for m in range(order):
+        if m:
+            A = [a @ gram for a, gram in zip(A, grams)]
+        for (s, t), w in weights.items():
+            rows = np.einsum("ik,ik->i", A[s] @ w, A[t])
+            Z[:, first[s] + m, first[t] + m] = rows
+            Z[:, first[t] + m, first[s] + m] = rows
     return Z
 
 

@@ -310,6 +310,29 @@ def test_bad_knobs_exit_2(tmp_path, complex_file, capsys, monkeypatch, mode, val
     assert message in capsys.readouterr().err
 
 
+def edgeless_config(tmp_path):
+    edgeless = tmp_path / "edgeless.txt"
+    edgeless.write_text("3\n")
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "complex_file": str(edgeless), "order": 1, "horizon": 20, "realizations": 1,
+        "mu": 1e-3, "alpha": 0.99, "gamma": 1e-3, **SIMULATION_KNOBS["infer-topology"],
+    }))
+    return config
+
+
+@pytest.mark.parametrize("mode", ["design-sampling", "run-lms", "run-distributed"])
+def test_edgeless_complex_exits_2(tmp_path, capsys, mode):
+    assert run_cli([mode, "--config", edgeless_config(tmp_path)]) == 2
+    assert "edge set is empty" in capsys.readouterr().err
+
+
+def test_edgeless_complex_infer_topology_runs(tmp_path):
+    # no edges, no candidate triangles: the indicator vector is empty and
+    # trivially recovered, as before the stream was drawn block by block
+    assert run_cli(["infer-topology", "--config", edgeless_config(tmp_path)]) == 0
+
+
 def test_ar_train_with_surrogate_and_csv(tmp_path):
     out = tmp_path / "ar.csv"
     code = run_cli(

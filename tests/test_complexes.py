@@ -125,6 +125,19 @@ def test_eigenbasis_is_computed_on_first_use(monkeypatch):
     assert len(calls) == 1
 
 
+def test_laplacians_are_computed_on_first_use():
+    c = random_complex(10, 0.5, 0.5, 1)
+    ops = hodge_laplacians(c)
+    assert set(vars(ops)) == {"b1", "b2"}
+    assert ops.num_edges == c.num_edges
+    b1, b2 = c.b1.astype(float), c.b2.astype(float)
+    assert np.array_equal(ops.l0, b1 @ b1.T)
+    assert np.array_equal(ops.lower, b1.T @ b1)
+    assert np.array_equal(ops.upper, b2 @ b2.T)
+    assert np.array_equal(ops.l1, b1.T @ b1 + b2 @ b2.T)
+    assert set(vars(ops)) == {"b1", "b2", "l0", "lower", "upper", "l1"}
+
+
 def test_decompose_zero_signal():
     c = random_complex(10, 0.5, 0.5, 3)
     parts = hodge_decompose(np.zeros(c.num_edges), c)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from simplexlms import inference
+from simplexlms import inference, signals
 from simplexlms.complexes import build_incidence, hodge_laplacians, random_complex
 from simplexlms.inference import (
     Observation,
@@ -359,6 +359,17 @@ def test_run_inference_matches_hand_rolled_draw(switch_instance):
     result = _run_switch(switch_instance, 2, seed=8)
     first, second = _replays(switch_instance, 8, 2)
     assert (result.realizations, result.diverged) == (2, [])
+    np.testing.assert_array_equal(_fields(result), (first + second) / 2)
+
+
+@pytest.mark.parametrize("rows", [1, 7])
+def test_run_inference_blocks_match_hand_rolled_draw(switch_instance, monkeypatch, rows):
+    # order-2 draws in blocks of one row (history from several blocks) or of
+    # seven rows: the 42 stream rows span many blocks, with the same bits
+    c, _, cand, _, _ = switch_instance
+    monkeypatch.setattr(signals, "_WINDOW_ELEMENTS", rows * c.num_edges * (2 * cand.order + 1))
+    result = _run_switch(switch_instance, 2, seed=8)
+    first, second = _replays(switch_instance, 8, 2)
     np.testing.assert_array_equal(_fields(result), (first + second) / 2)
 
 

@@ -267,11 +267,12 @@ def traced_peak(run):
         tracemalloc.stop()
 
 
-@pytest.mark.parametrize("runner", ["run_experiment", "run_distributed"])
+@pytest.mark.parametrize("runner", ["run_experiment", "run_distributed", "run_inference"])
 def test_runner_memory_does_not_grow_with_horizon(experiment_complex, monkeypatch, runner):
     # 50-row stream blocks: both horizons span many blocks, so at four times
     # the horizon only the trajectories may grow, not the stream
     from simplexlms.diffusion import build_combination, lower_adjacency_neighborhoods, run_distributed
+    from simplexlms.inference import candidate_set, run_inference
 
     E = experiment_complex.num_edges
     coeffs = FilterCoeffs(h_u=[0.5, 0.1], h_d=[0.2])
@@ -280,17 +281,27 @@ def test_runner_memory_does_not_grow_with_horizon(experiment_complex, monkeypatc
     if runner == "run_experiment":
         def run(horizon):
             run_experiment(experiment_complex, coeffs, cfg, 5e-3, realizations=2, horizon=horizon)
-    else:
+    elif runner == "run_distributed":
         comb = build_combination(lower_adjacency_neighborhoods(experiment_complex))
 
         def run(horizon):
             run_distributed(experiment_complex, coeffs, cfg, comb, 5e-3, realizations=2,
                             horizon=horizon)
+    else:
+        cand = candidate_set(experiment_complex, 1)
+        schedule = [(0, cand.true_indicator(experiment_complex))]
+
+        def run(horizon):
+            run_inference(experiment_complex, coeffs, cand, cfg.sigma_v2, cfg.p, schedule,
+                          mu1=1e-2, mu2=1e-2, lam0=0.1, lam1=0.1, horizon=horizon,
+                          realizations=2, seed=3, signal_var=0.01)
     horizon = 400
     run(horizon)  # warm caches
     short, long = (traced_peak(lambda: run(h)) for h in (horizon, 4 * horizon))
-    # the running sum, one realization's trajectory and the mean: three floats a step
-    trajectories = 3 * 8 * (4 * horizon - horizon)
+    # the running sum, one realization's trajectory and the mean: three floats
+    # a step for each trajectory row (four rows in run_inference's array)
+    rows = 4 if runner == "run_inference" else 1
+    trajectories = 3 * 8 * rows * (4 * horizon - horizon)
     assert long - short <= trajectories, (short, long)
 
 

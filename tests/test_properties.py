@@ -41,7 +41,7 @@ def trace_moment(ops, order, w, c_x):
     vertices=st.integers(3, 8),
     edge_prob=st.floats(0.3, 1.0),
     fill_prob=st.floats(0.0, 1.0),
-    order=st.integers(0, 2),
+    order=st.integers(0, 3),
     seed=st.integers(0, 2**16),
 )
 def test_moments_match_trace_formula(vertices, edge_prob, fill_prob, order, seed):

@@ -1,10 +1,12 @@
 """Stream generation, regressors and moment formulas."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from simplexlms.artrain import ar_regressor_tensor
-from simplexlms.complexes import hodge_laplacians, laplacian_powers, random_complex
+from simplexlms.complexes import grown_complex, hodge_laplacians, laplacian_powers, random_complex
 from simplexlms.signals import (
     FilterCoeffs,
     MomentSet,
@@ -320,6 +322,24 @@ def test_edge_moments_sum_to_global(small_ops):
     # per-edge moments are PSD
     for i in range(E):
         assert np.min(np.linalg.eigvalsh(Z[i])) > -1e-12
+
+
+@pytest.mark.parametrize("order", [1, 2, 3])
+def test_edge_moments_need_no_edge_by_edge_array(order):
+    # a dense skeleton (600 edges on 40 vertices, 40 triangles): the basis is
+    # built from the incidence factors, never from an E x E operator
+    ops = hodge_laplacians(grown_complex(40, 600, 40, seed=0))
+    E = ops.num_edges
+    a = np.random.default_rng(order).standard_normal((E, 8))
+    c_x = a @ a.T / 8 + np.eye(E)
+    tracemalloc.start()
+    try:
+        edge_moment_matrices(ops, c_x, order)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < E * E * 8, peak
+    assert set(vars(ops)) == {"b1", "b2"}  # no Laplacian was formed
 
 
 # ---------------------------------------------------------------- serialize
