@@ -23,7 +23,7 @@ equation XA + BX = C", SIAM J. Appl. Math. 16(1), 1968).
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,6 +33,7 @@ from .lms import _is_stable, _monte_carlo, _stream_states
 from .signals import (
     FilterCoeffs,
     StreamConfig,
+    _realization,
     generate_stream,
     local_moment_matrices,
 )
@@ -342,8 +343,7 @@ def run_distributed(
     def run_one(seed: int) -> tuple[np.ndarray, ...]:
         traj = np.empty(horizon + 1)
         agent_traj = np.empty((E, horizon + 1)) if track_agents else None
-        blocks = generate_stream(coeffs, None, replace(cfg, horizon=horizon + order, seed=seed),
-                                 ops=ops)
+        blocks = generate_stream(coeffs, None, _realization(cfg, horizon + order, seed), ops=ops)
         states = _stream_states(NetworkState(estimates=np.zeros((E, h_true.size)), mu=mu_vec),
                                 lambda net, z, d, y: atc_step(net, comb, z, d, y), blocks, order)
         for k, net in enumerate(states):

@@ -8,6 +8,7 @@ config reproduces its result file byte for byte.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import json
 import os
@@ -245,26 +246,33 @@ def _csv_rows(payload: dict, table):
 def emit_results(payload: dict, path, fmt: str = "json") -> None:
     """Write a result payload as strict JSON, or its mode's row table as CSV.
 
-    JSON files never hold the non-standard tokens ``NaN`` or
-    ``Infinity``: a payload with a non-finite float raises before the
-    file is opened. CSV rows come from the payload's per-row arrays,
-    through the column table of its ``metadata.mode``; a mode without a
-    table, or a file that cannot be written, is a :class:`ConfigError`.
+    The file is streamed into a sibling ``<path>.part`` and renamed onto
+    ``path`` once complete, so memory does not grow with the file and a
+    failed write leaves no file: an existing one keeps its bytes. JSON
+    files never hold the non-standard tokens ``NaN`` or ``Infinity``: a
+    payload with a non-finite float raises and leaves no file. CSV rows
+    come from the payload's per-row arrays, through the column table of
+    its ``metadata.mode``; a mode without a table, or a file that cannot
+    be written, is a :class:`ConfigError`.
     """
-    if fmt == "json":
-        text = json.dumps(payload, indent=2, allow_nan=False)
-    elif fmt == "csv":
+    if fmt == "csv":
         table = _csv_table(payload.get("metadata", {}).get("mode"))
-    else:
+    elif fmt != "json":
         raise ConfigError(f"unknown output format {fmt!r}")
+    part = os.fspath(path) + ".part"
     try:
-        with open(path, "w", newline="", encoding="utf-8") as fh:
+        with open(part, "w", newline="", encoding="utf-8") as fh:
             if fmt == "json":
-                fh.write(text + "\n")
+                json.dump(payload, fh, indent=2, allow_nan=False)
+                fh.write("\n")
             else:
                 csv.writer(fh).writerows(_csv_rows(payload, table))
+        os.replace(part, path)
     except OSError as exc:
         raise ConfigError(f"cannot write {path}: {exc}") from exc
+    finally:
+        with contextlib.suppress(OSError):  # already gone after the rename
+            os.remove(part)
 
 
 def _metadata(cfg: ExperimentConfig) -> dict:
@@ -321,7 +329,7 @@ def mode_design_sampling(cfg: ExperimentConfig) -> dict:
     signal_var = _positive(cfg, "signal_var", cfg.get("signal_var", 1.0))
     problem = SamplingProblem.from_moments(
         ops,
-        signal_var * np.eye(E),
+        signal_var,
         sigma_v2,
         order,
         mu=_positive(cfg, "mu", cfg.require("mu")),

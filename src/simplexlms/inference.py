@@ -25,7 +25,7 @@ differences in the test-suite.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,7 +37,7 @@ from .complexes import (
 )
 from .errors import DivergenceError
 from .lms import LmsState, _monte_carlo, lms_step
-from .signals import StreamConfig, _block_stops, _draw
+from .signals import StreamConfig, _block_stops, _draw, _realization
 
 __all__ = [
     "CandidateSet",
@@ -187,14 +187,20 @@ def regressors_from_t(
 
 
 def grad_t(
-    h: np.ndarray, t: np.ndarray, cand: CandidateSet, obs: Observation
+    h: np.ndarray, t: np.ndarray, cand: CandidateSet, obs: Observation, *,
+    X: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Instantaneous gradient of the masked squared residual w.r.t. ``t``."""
+    """Instantaneous gradient of the masked squared residual w.r.t. ``t``.
+
+    ``X`` is ``regressors_from_t(t, cand, obs.x_hist)``, for a caller that
+    has built it already; it is built here otherwise.
+    """
     order = cand.order
     B = cand.b_matrix
     if t.shape != (B.shape[1],):
         raise ValueError("indicator dimension mismatch")
-    X = regressors_from_t(t, cand, obs.x_hist)
+    if X is None:
+        X = regressors_from_t(t, cand, obs.x_hist)
     r_masked = obs.d * (obs.y - X @ h)
 
     # w[l] = B^T L^l (d*r): iterate the weighted Laplacian on the residual
@@ -229,7 +235,7 @@ def infer_step(state: TopologyState, cand: CandidateSet, obs: Observation) -> To
     """
     X = regressors_from_t(state.t, cand, obs.x_hist)
     lms = lms_step(LmsState(h=state.h, mu=state.mu1, n=state.n), X, obs.d, obs.y)
-    g = grad_t(lms.h, state.t, cand, obs)
+    g = grad_t(lms.h, state.t, cand, obs, X=X)
     t_pre = np.clip(state.t - state.mu2 * g, 0.0, 1.0)
     t_new = _hard_threshold(t_pre, state.lam0, state.lam1)
     if not np.all(np.isfinite(t_new)):
@@ -304,7 +310,7 @@ def run_inference(
         record(0)
         history = np.empty((0, E))
         start = 0
-        for x, v, d in _draw(replace(stream, seed=seed_r), _block_stops(E, order, N)):
+        for x, v, d in _draw(_realization(stream, N, seed_r), _block_stops(E, order, N)):
             lead = history.shape[0]
             window = np.concatenate([history, x])
             for n in range(max(start, order), start + x.shape[0]):

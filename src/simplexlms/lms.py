@@ -19,13 +19,13 @@ remainder.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .complexes import SimplicialComplex2, hodge_laplacians
 from .errors import DivergenceError, StabilityError
-from .signals import FilterCoeffs, StreamConfig, generate_stream, moments_closed_form
+from .signals import FilterCoeffs, StreamConfig, _realization, generate_stream, moments_closed_form
 
 __all__ = [
     "LmsState",
@@ -310,8 +310,7 @@ def run_experiment(
 
     def run_one(seed: int) -> tuple[np.ndarray]:
         traj = np.empty(horizon + 1)
-        blocks = generate_stream(coeffs, None, replace(cfg, horizon=horizon + order, seed=seed),
-                                 ops=ops)
+        blocks = generate_stream(coeffs, None, _realization(cfg, horizon + order, seed), ops=ops)
         states = _stream_states(LmsState(h=h_init, mu=mu), lms_step, blocks, order)
         for k, state in enumerate(states):
             traj[k] = np.sum((h_true - state.h) ** 2)

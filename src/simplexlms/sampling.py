@@ -72,7 +72,7 @@ class SamplingProblem:
     def from_moments(
         cls,
         ops: HodgeOperators,
-        c_x: np.ndarray,
+        c_x: np.ndarray | float,
         sigma_v2: np.ndarray,
         order: int,
         mu: float,

@@ -18,6 +18,7 @@ otherwise; correlated signals are only supported empirically.
 
 from __future__ import annotations
 
+import copy
 import json
 from dataclasses import dataclass, field
 from itertools import chain
@@ -42,9 +43,13 @@ __all__ = [
     "local_moment_matrices",
 ]
 
-# Floats in one regressor window (2 MB): the unit in which stream consumers
-# build regressors, so their memory does not grow with the horizon.
-_WINDOW_ELEMENTS = 1 << 18
+# Floats in one regressor window (256 KB): the unit in which stream consumers
+# build regressors, so a block's working set fits in cache and memory does
+# not grow with the horizon.
+_WINDOW_ELEMENTS = 1 << 15
+# Fewest rows in a window: each window re-reads every E x E Laplacian power,
+# which at large edge counts costs more than a few rows' products.
+_MIN_WINDOW_ROWS = 64
 
 
 @dataclass
@@ -98,7 +103,9 @@ class StreamConfig:
     process, ``sigma_v2`` the per-edge noise variances and ``p`` the
     per-edge Bernoulli sampling probabilities. All randomness derives
     from ``seed`` through independent child streams for signal, noise
-    and masks.
+    and masks. The covariance factor the draws use is computed once, by
+    the check at construction; change ``c_x`` with ``dataclasses.replace``,
+    not by assignment.
     """
 
     c_x: np.ndarray
@@ -116,7 +123,8 @@ class StreamConfig:
             raise ValueError("c_x must be square")
         if not np.allclose(self.c_x, self.c_x.T, atol=1e-12):
             raise ValueError("c_x must be symmetric")
-        _covariance_factor(self.c_x)  # raises unless c_x is positive semi-definite
+        # raises unless c_x is positive semi-definite; kept for the draws
+        self._factor = _covariance_factor(self.c_x)
         if self.sigma_v2.shape != (E,) or np.any(self.sigma_v2 < 0):
             raise ValueError("sigma_v2 must be a nonnegative length-E vector")
         if self.p.shape != (E,) or np.any(self.p < 0) or np.any(self.p > 1):
@@ -247,14 +255,22 @@ def regressor_tensor(
 
 
 def _window_rows(num_edges: int, order: int) -> int:
-    """Rows of one regressor window: about ``_WINDOW_ELEMENTS`` floats."""
-    return max(1, _WINDOW_ELEMENTS // (max(num_edges, 1) * (2 * order + 1)))
+    """Rows of one regressor window: about ``_WINDOW_ELEMENTS`` floats, or the floor."""
+    return max(_MIN_WINDOW_ROWS, _WINDOW_ELEMENTS // (max(num_edges, 1) * (2 * order + 1)))
+
+
+def _stops(first: int, stop: int, rows: int):
+    """Ends of the windows of ``rows`` rows from ``first`` up to ``stop``.
+
+    A last window shorter than ``_MIN_WINDOW_ROWS`` joins the one before it,
+    so no window but a lone one is thinner than the floor.
+    """
+    return chain(range(first + rows, stop - _MIN_WINDOW_ROWS + 1, rows), (stop,))
 
 
 def _block_stops(num_edges: int, order: int, horizon: int):
     """Row bounds for :func:`_draw`: ``order`` plus one window's rows, then a window each."""
-    rows = _window_rows(num_edges, order)
-    return chain(range(order + rows, horizon, rows), (horizon,))
+    return _stops(order, horizon, _window_rows(num_edges, order))
 
 
 def _regressor_windows(x: np.ndarray, ops: HodgeOperators, order: int, first: int = 0,
@@ -266,7 +282,8 @@ def _regressor_windows(x: np.ndarray, ops: HodgeOperators, order: int, first: in
     block is built from its own rows plus the ``order`` rows of history
     before them, so the blocks concatenate to the whole-stream tensor
     while only one of them is alive. A block holds about
-    ``_WINDOW_ELEMENTS`` floats whatever the edge count, so stream
+    ``_WINDOW_ELEMENTS`` floats whatever the edge count, but never fewer
+    than ``_MIN_WINDOW_ROWS`` rows unless it is the only one, so stream
     consumers need regressor memory independent of the horizon.
     """
     # resolved per call, not as a default argument, so that a wrapper put on
@@ -274,10 +291,11 @@ def _regressor_windows(x: np.ndarray, ops: HodgeOperators, order: int, first: in
     build = regressor_tensor if build is None else build
     N, E = x.shape
     powers = laplacian_powers(ops, order)
-    rows = _window_rows(E, order)
-    for start in range(first, N, rows):
+    start = first
+    for stop in _stops(first, N, _window_rows(E, order)) if first < N else ():
         lo = max(start - order, 0)
-        yield start, build(x[lo : start + rows], ops, order, powers)[start - lo :]
+        yield start, build(x[lo:stop], ops, order, powers)[start - lo :]
+        start = stop
 
 
 def sample_mask(p: np.ndarray, rng: np.random.Generator) -> np.ndarray:
@@ -299,6 +317,13 @@ def _covariance_factor(c_x: np.ndarray) -> np.ndarray:
         return u * np.sqrt(np.clip(lam, 0.0, None))
 
 
+def _realization(cfg: StreamConfig, horizon: int, seed: int) -> StreamConfig:
+    """``cfg`` with another horizon and seed, sharing its checked arrays and factor."""
+    out = copy.copy(cfg)
+    out.horizon, out.seed = horizon, seed
+    return out
+
+
 def _draw(cfg: StreamConfig, stops=None):
     """Signals ``x``, noise ``v`` and masks ``d`` of one stream, block by block.
 
@@ -306,7 +331,8 @@ def _draw(cfg: StreamConfig, stops=None):
     the increasing row bounds ``stops``, holding the rows from the
     previous stop (0 at first) up to it; by default one block of all
     ``cfg.horizon`` rows. Signals and noise are i.i.d. Gaussian; masks are
-    Bernoulli. Three child generators (signal, noise, mask) are spawned
+    Bernoulli; signals use the covariance factor computed when ``cfg`` was
+    checked. Three child generators (signal, noise, mask) are spawned
     from ``cfg.seed``, so the draws stay decoupled yet fully reproducible.
     They carry their state from block to block, so a white stream's
     blocks concatenate to the one-block draw bit for bit; a dense
@@ -315,7 +341,7 @@ def _draw(cfg: StreamConfig, stops=None):
     """
     sig, noise, mask = (np.random.default_rng(s)
                         for s in np.random.SeedSequence(cfg.seed).spawn(3))
-    factor = _covariance_factor(cfg.c_x)
+    factor = cfg._factor
     scale = np.diag(factor)
     # a diagonal factor (white signals) scales columns: the same bits as the
     # product, without the matrix product's work buffer in memory
@@ -342,12 +368,13 @@ def generate_stream(
 
     A generator of :class:`StreamBlock`. The first block holds rows
     ``0..order+rows-1`` and each later one the next ``rows`` rows, where
-    a block's regressors hold about ``_WINDOW_ELEMENTS`` floats; only the
-    block's own rows are drawn (:func:`_draw`). Its regressors are built
-    once, from its signal rows plus the ``order`` signal rows before
-    them, and give ``y = d * (X h + v)``. Rows ``n < order`` have no full
-    history window and observe zero, so a stream of ``order`` rows
-    observes nothing. Memory does not grow with the horizon;
+    a block's regressors hold about ``_WINDOW_ELEMENTS`` floats and
+    ``rows`` is at least ``_MIN_WINDOW_ROWS``; a shorter last block joins
+    the one before it. Only the block's own rows are drawn
+    (:func:`_draw`). Its regressors are built once, from its signal rows
+    plus the ``order`` signal rows before them, and give
+    ``y = d * (X h + v)``. Rows ``n < order`` have no full history window
+    and observe zero, so a stream of ``order`` rows observes nothing. Memory does not grow with the horizon;
     :func:`collect_stream` gives the whole stream as one batch.
     """
     if ops is None:
@@ -461,7 +488,8 @@ def moments_empirical(
     return MomentSet(c_X=c_X, g=g, c_Xy=c_Xy)
 
 
-def edge_moment_matrices(ops: HodgeOperators, c_x: np.ndarray, order: int) -> np.ndarray:
+def edge_moment_matrices(ops: HodgeOperators, c_x: np.ndarray | float,
+                         order: int) -> np.ndarray:
     """Per-edge regressor moments ``E{z_i z_i^T}``, shape (E, 2M+1, 2M+1).
 
     These are the building blocks of every masked moment: weighting by
@@ -478,12 +506,14 @@ def edge_moment_matrices(ops: HodgeOperators, c_x: np.ndarray, order: int) -> np
     with ``F = b1^T`` and ``A = b1^T l0^(m-1)``. Hence
     ``Z_i[a, b] = sum_k (A_a W_ab)_{ik} (A_b)_{ik}`` with the small
     ``W_ab = F_a^T c_x F_b``, the same for every ``m``, and no E x E
-    operator is formed.
+    operator is formed. A 0-d ``c_x`` stands for ``c_x I`` (white signals
+    of equal variance); it scales the factors instead of multiplying them.
     """
     c_x = np.asarray(c_x, dtype=np.float64)
+    scalar = c_x.ndim == 0
     dim = 2 * order + 1
     Z = np.zeros((ops.num_edges, dim, dim))
-    Z[:, 0, 0] = np.diag(c_x)
+    Z[:, 0, 0] = c_x if scalar else np.diag(c_x)
     if order == 0:
         return Z
     # factors F and first columns of the upper and the lower taps
@@ -492,7 +522,7 @@ def edge_moment_matrices(ops: HodgeOperators, c_x: np.ndarray, order: int) -> np
     grams = [f.T @ f for f in F]
     weights = {}
     for t in range(2):
-        cx_f = c_x @ F[t]
+        cx_f = c_x * F[t] if scalar else c_x @ F[t]
         for s in range(t + 1):
             weights[s, t] = F[s].T @ cx_f
     A = F

@@ -392,6 +392,7 @@ def test_run_distributed_multi_window_matches_step_replay(network_instance, monk
     complex_, coeffs, cfg, comb = network_instance
     E = complex_.num_edges
     monkeypatch.setattr(signals, "_WINDOW_ELEMENTS", 7 * E * 5)
+    monkeypatch.setattr(signals, "_MIN_WINDOW_ROWS", 1)
     result = run_distributed(complex_, coeffs, cfg, comb, 1e-2, realizations=2, horizon=40,
                              track_agents=True)
 

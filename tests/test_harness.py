@@ -1,6 +1,7 @@
 """Dataset ingestion, AR protocols, config handling and result emission."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -172,8 +173,10 @@ def test_ar_protocols_multi_window_match_one_window(variant, monkeypatch):
         return (run_ar_training(ds, 2, 1e-3, variant=variant, epochs=2),
                 run_distributed_ar(ds, 2, 1e-2, comb, epochs=2, variant=variant))
 
+    monkeypatch.setattr(signals, "_WINDOW_ELEMENTS", 1 << 18)  # one window of every row
     whole = runs()
     monkeypatch.setattr(signals, "_WINDOW_ELEMENTS", 7 * E * 5)
+    monkeypatch.setattr(signals, "_MIN_WINDOW_ROWS", 1)
     for one, windowed in zip(whole, runs()):
         for name in ("coeffs", "train_errors", "test_errors"):
             np.testing.assert_allclose(getattr(windowed, name), getattr(one, name),
@@ -257,6 +260,49 @@ def test_emit_results_write_error_is_config_error(tmp_path, fmt):
     payload = {"metadata": {"mode": "run-distributed"}, "msd_db": [0.0]}
     with pytest.raises(ConfigError, match="cannot write"):
         emit_results(payload, tmp_path / "missing" / "out", fmt=fmt)
+
+
+def long_payload():
+    rng = np.random.default_rng(4)
+    return {"metadata": {"mode": "run-lms"}, "msd": rng.random(30_001).tolist(),
+            "msd_db": rng.standard_normal(30_001).tolist()}
+
+
+def test_emit_results_json_is_the_indented_dump(tmp_path):
+    payload = long_payload()
+    path = tmp_path / "out.json"
+    emit_results(payload, path)
+    assert path.read_text(encoding="utf-8") == json.dumps(payload, indent=2) + "\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out.json"]
+
+
+def test_emit_results_streams_the_file(tmp_path):
+    # the writer holds a buffer, not the file's text
+    payload = long_payload()
+    path = tmp_path / "out.json"
+    emit_results(payload, path)  # warm up the encoder
+    tracemalloc.start()
+    try:
+        emit_results(payload, path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < path.stat().st_size / 8, (peak, path.stat().st_size)
+
+
+@pytest.mark.parametrize("existing", [False, True])
+def test_emit_results_failed_write_leaves_no_file(tmp_path, existing):
+    # the non-finite value sits after most of the file has been streamed out
+    payload = long_payload()
+    payload["msd"][-1] = float("nan")
+    path = tmp_path / "out.json"
+    if existing:
+        path.write_bytes(b"previous result\n")
+    with pytest.raises(ValueError, match="JSON compliant"):
+        emit_results(payload, path)
+    if existing:
+        assert path.read_bytes() == b"previous result\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == (["out.json"] if existing else [])
 
 
 # -------------------------------------------------------------- mode runners

@@ -249,6 +249,7 @@ def test_run_experiment_multi_window_matches_step_replay(experiment_complex, mon
     E = experiment_complex.num_edges
     cfg = StreamConfig.white(E, signal_var=0.01, sigma_v2=1e-4, p=0.8, horizon=10, seed=4)
     monkeypatch.setattr(signals, "_WINDOW_ELEMENTS", 7 * E * 5)
+    monkeypatch.setattr(signals, "_MIN_WINDOW_ROWS", 1)
     result = run_experiment(experiment_complex, coeffs, cfg, 5e-3, realizations=2, horizon=40)
     assert result.theory is not None
 
@@ -278,6 +279,7 @@ def test_runner_memory_does_not_grow_with_horizon(experiment_complex, monkeypatc
     coeffs = FilterCoeffs(h_u=[0.5, 0.1], h_d=[0.2])
     cfg = StreamConfig.white(E, signal_var=0.01, sigma_v2=1e-4, p=0.8, horizon=10, seed=3)
     monkeypatch.setattr(signals, "_WINDOW_ELEMENTS", 50 * E * 3)
+    monkeypatch.setattr(signals, "_MIN_WINDOW_ROWS", 1)
     if runner == "run_experiment":
         def run(horizon):
             run_experiment(experiment_complex, coeffs, cfg, 5e-3, realizations=2, horizon=horizon)
@@ -303,6 +305,84 @@ def test_runner_memory_does_not_grow_with_horizon(experiment_complex, monkeypatc
     rows = 4 if runner == "run_inference" else 1
     trajectories = 3 * 8 * rows * (4 * horizon - horizon)
     assert long - short <= trajectories, (short, long)
+
+
+@pytest.mark.parametrize("runner", ["run_experiment", "run_distributed"])
+def test_runner_working_set_is_one_cache_sized_block(runner):
+    # long streams at the default block rule: the peak is a block of about
+    # 256 KB of regressors plus the trajectories, not a 2 MB window
+    from simplexlms.complexes import grown_complex
+    from simplexlms.diffusion import build_combination, lower_adjacency_neighborhoods, run_distributed
+
+    if runner == "run_experiment":
+        complex_ = grown_complex(12, 32, 8, seed=0)
+        coeffs = FilterCoeffs.random(2, np.random.default_rng(1), scale=0.5)
+        cfg = StreamConfig.white(32, signal_var=0.01, sigma_v2=1e-4, p=0.8, horizon=10, seed=3)
+
+        def run():
+            run_experiment(complex_, coeffs, cfg, 5e-3, realizations=1, horizon=20_000)
+    else:
+        complex_ = grown_complex(8, 15, 4, seed=0)
+        coeffs = FilterCoeffs.random(1, np.random.default_rng(1), scale=0.5)
+        cfg = StreamConfig.white(15, signal_var=0.01, sigma_v2=1e-4, p=0.8, horizon=10, seed=3)
+        comb = build_combination(lower_adjacency_neighborhoods(complex_))
+
+        def run():
+            run_distributed(complex_, coeffs, cfg, comb, 5e-3, realizations=1, horizon=30_000)
+    assert traced_peak(run) < 2 * 2**20
+
+
+@pytest.mark.parametrize("runner", ["run_experiment", "run_distributed", "run_inference"])
+def test_covariance_is_factored_once_per_run(experiment_complex, monkeypatch, runner):
+    # the factor checked with the config serves every realization's draw
+    from simplexlms.diffusion import build_combination, lower_adjacency_neighborhoods, run_distributed
+    from simplexlms.inference import candidate_set, run_inference
+
+    E = experiment_complex.num_edges
+    coeffs = FilterCoeffs(h_u=[0.5, 0.1], h_d=[0.2])
+    cfg = StreamConfig.white(E, signal_var=0.01, sigma_v2=1e-4, p=0.8, horizon=10, seed=3)
+    if runner == "run_experiment":
+        def run():
+            run_experiment(experiment_complex, coeffs, cfg, 5e-3, realizations=5, horizon=30)
+    elif runner == "run_distributed":
+        comb = build_combination(lower_adjacency_neighborhoods(experiment_complex))
+
+        def run():
+            run_distributed(experiment_complex, coeffs, cfg, comb, 5e-3, realizations=5,
+                            horizon=30)
+    else:
+        cand = candidate_set(experiment_complex, 1)
+        schedule = [(0, cand.true_indicator(experiment_complex))]
+
+        def run():
+            run_inference(experiment_complex, coeffs, cand, cfg.sigma_v2, cfg.p, schedule,
+                          mu1=1e-2, mu2=1e-2, lam0=0.1, lam1=0.1, horizon=30,
+                          realizations=5, seed=3, signal_var=0.01)
+    factor = signals._covariance_factor
+    calls = []
+
+    def counted(c_x):
+        calls.append(c_x.shape)
+        return factor(c_x)
+
+    monkeypatch.setattr(signals, "_covariance_factor", counted)
+    run()
+    assert len(calls) <= 1, calls
+
+
+def test_realization_config_draws_like_a_replaced_one(experiment_complex):
+    # a realization's config shares the checked arrays and factor, and draws
+    # the bits of a freshly validated config with the same horizon and seed
+    E = experiment_complex.num_edges
+    rng = np.random.default_rng(5)
+    cfg = StreamConfig(c_x=random_psd(E, rng), sigma_v2=np.full(E, 1e-3), p=np.full(E, 0.7),
+                       horizon=10, seed=2)
+    coeffs = FilterCoeffs(h_u=[0.5, 0.1], h_d=[0.2])
+    fresh = collect_stream(coeffs, experiment_complex, replace(cfg, horizon=90, seed=11))
+    shared = collect_stream(coeffs, experiment_complex, signals._realization(cfg, 90, 11))
+    assert (cfg.horizon, cfg.seed) == (10, 2)
+    for name in ("x", "v", "d", "y"):
+        np.testing.assert_array_equal(getattr(shared, name), getattr(fresh, name))
 
 
 def test_run_experiment_drops_diverged_realization(experiment_complex, diverge_in):

@@ -97,6 +97,7 @@ def test_windows_concatenate_to_regressor_tensor(order, rows, first, blocks, ove
     full = regressor_tensor(x, WINDOW_OPS, order)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(signals, "_WINDOW_ELEMENTS", window_budget(rows, order))
+        mp.setattr(signals, "_MIN_WINDOW_ROWS", 1)
         windows = list(signals._regressor_windows(x, WINDOW_OPS, order, first))
     assert [start for start, _ in windows] == list(range(first, N, rows))
     assert all(X.shape == (min(rows, N - start), E, 2 * order + 1) for start, X in windows)
@@ -113,6 +114,7 @@ def test_windowed_stream_matches_one_window(order, rows, extra):
     whole = collect_stream(coeffs, None, cfg, ops=WINDOW_OPS)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(signals, "_WINDOW_ELEMENTS", window_budget(rows, order))
+        mp.setattr(signals, "_MIN_WINDOW_ROWS", 1)
         windowed = collect_stream(coeffs, None, cfg, ops=WINDOW_OPS)
     for name in ("x", "d", "v"):
         assert np.array_equal(getattr(windowed, name), getattr(whole, name))
@@ -142,6 +144,7 @@ def test_stream_blocks_concatenate_to_one_block_draw(order, rows, blocks, overha
     h = coeffs.flatten()
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(signals, "_WINDOW_ELEMENTS", window_budget(rows, order))
+        mp.setattr(signals, "_MIN_WINDOW_ROWS", 1)
         got = list(signals.generate_stream(coeffs, None, cfg, ops=WINDOW_OPS))
         # oracle: the observations of the one-block draw, built in the same windows
         y = np.zeros_like(x)

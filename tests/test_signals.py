@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from simplexlms import signals
 from simplexlms.artrain import ar_regressor_tensor
 from simplexlms.complexes import grown_complex, hodge_laplacians, laplacian_powers, random_complex
 from simplexlms.signals import (
@@ -339,7 +340,49 @@ def test_edge_moments_need_no_edge_by_edge_array(order):
     finally:
         tracemalloc.stop()
     assert peak < E * E * 8, peak
+    # white signals of one variance, as a 0-d covariance: input included
+    tracemalloc.start()
+    try:
+        edge_moment_matrices(ops, np.float64(0.05), order)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < E * E * 8, peak
     assert set(vars(ops)) == {"b1", "b2"}  # no Laplacian was formed
+
+
+@pytest.mark.parametrize("order", [0, 1, 2, 3])
+def test_scalar_covariance_is_the_scaled_identity(small_ops, order):
+    E = small_ops.num_edges
+    for variance in (1.0, 0.05, 3.7):
+        dense = edge_moment_matrices(small_ops, variance * np.eye(E), order)
+        scalar = edge_moment_matrices(small_ops, variance, order)
+        np.testing.assert_allclose(scalar, dense, rtol=1e-15,
+                                   atol=1e-15 * float(np.max(np.abs(dense))))
+
+
+def test_window_rule_fits_cache_with_a_row_floor():
+    # about 256 KB of regressors per window, but never under 64 rows: a thin
+    # window at a large edge count re-reads the E x E powers for few rows
+    assert signals._window_rows(32, 2) * 32 * 5 <= 2**15
+    assert signals._window_rows(32, 2) > 64
+    assert signals._window_rows(900, 3) >= 64
+
+
+def test_a_thin_last_block_joins_the_one_before(small_ops):
+    # no block or window is thinner than the floor unless it is the only one
+    E = small_ops.num_edges
+    rows = signals._window_rows(E, 2)
+    floor = signals._MIN_WINDOW_ROWS
+    thin, full = 2 + 2 * rows + floor - 1, 2 + 2 * rows + floor
+    assert list(signals._block_stops(E, 2, thin)) == [2 + rows, thin]
+    assert list(signals._block_stops(E, 2, full)) == [2 + rows, 2 + 2 * rows, full]
+    assert list(signals._block_stops(E, 2, 10)) == [10]
+    x = np.random.default_rng(3).standard_normal((2 + 2 * rows + 5, E))
+    windows = list(signals._regressor_windows(x, small_ops, 2, first=2))
+    assert [(start, len(X)) for start, X in windows] == [(2, rows), (2 + rows, rows + 5)]
+    np.testing.assert_allclose(np.concatenate([X for _, X in windows]),
+                               regressor_tensor(x, small_ops, 2)[2:], rtol=0, atol=1e-12)
 
 
 # ---------------------------------------------------------------- serialize
