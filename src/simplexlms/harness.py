@@ -86,8 +86,8 @@ def _sub_rng(seed: int, tag: str) -> np.random.Generator:
 
 def _positive(cfg: ExperimentConfig, key: str, value) -> float:
     value = float(value)
-    if not value > 0:
-        raise ConfigError(f"config key {key!r} must be positive, got {value}")
+    if not 0 < value < np.inf:
+        raise ConfigError(f"config key {key!r} must be positive and finite, got {value}")
     return value
 
 
@@ -145,8 +145,8 @@ def resolve_noise(spec, num_edges: int, seed: int) -> np.ndarray:
             return rng.uniform(low, high, size=num_edges)
         raise ConfigError(f"unsupported noise spec {spec!r}")
     arr = np.broadcast_to(np.asarray(spec, dtype=np.float64), (num_edges,)).copy()
-    if np.any(arr < 0):
-        raise ConfigError("noise variances must be nonnegative")
+    if not np.all((0 <= arr) & (arr < np.inf)):
+        raise ConfigError("noise variances must be finite and nonnegative")
     return arr
 
 
@@ -327,22 +327,24 @@ def mode_design_sampling(cfg: ExperimentConfig) -> dict:
     order = _count(cfg, "order", cfg.require("order"))
     sigma_v2 = resolve_noise(cfg.get("noise_var", 0.0), E, seed)
     signal_var = _positive(cfg, "signal_var", cfg.get("signal_var", 1.0))
-    problem = SamplingProblem.from_moments(
-        ops,
-        signal_var,
-        sigma_v2,
-        order,
-        mu=_positive(cfg, "mu", cfg.require("mu")),
-        alpha=float(cfg.require("alpha")),
-        gamma=_positive(cfg, "gamma", cfg.require("gamma")),
-        p_max=cfg.get("p_max", 1.0),
-    )
-    solution = solve_sampling(
-        problem,
-        tol=float(cfg.get("tol", 1e-6)),
-        max_iter=int(cfg.get("max_iter", 2000)),
-        seed=seed,
-    )
+    tol = float(cfg.get("tol", 1e-6))
+    if not 0.0 <= tol < np.inf:
+        raise ConfigError(f"config key 'tol' must be finite and nonnegative, got {tol}")
+    max_iter = _count(cfg, "max_iter", cfg.get("max_iter", 2000), minimum=1)
+    try:
+        problem = SamplingProblem.from_moments(
+            ops,
+            signal_var,
+            sigma_v2,
+            order,
+            mu=_positive(cfg, "mu", cfg.require("mu")),
+            alpha=float(cfg.require("alpha")),
+            gamma=_positive(cfg, "gamma", cfg.require("gamma")),
+            p_max=cfg.get("p_max", 1.0),
+        )
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+    solution = solve_sampling(problem, tol=tol, max_iter=max_iter)
     return {
         "config": dict(cfg.values),
         "metadata": _metadata(cfg),

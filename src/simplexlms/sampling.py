@@ -3,24 +3,28 @@
 The design problem minimises the expected sampling rate ``sum(p)`` over
 the box ``0 <= p <= p_max`` subject to
 
-    (b)  lambda_min(c_X(p)) >= (1 - alpha) / (2 mu)      (rate target)
-    (c)  Tr(g(p)) <= (2 gamma / mu) * lambda_min(c_X(p)) (deviation budget)
+    (b)  lambda_min(c_X(p)) >= r = (1 - alpha) / (2 mu)         (rate target)
+    (c)  Tr(g(p)) <= f * lambda_min(c_X(p)),  f = 2 gamma / mu  (deviation budget)
 
 where both moment maps are linear in ``p``:
 ``c_X(p) = sum_i p_i Z_i`` and ``g(p) = sum_i p_i sigma_v2_i Z_i`` with
-``Z_i`` the per-edge regressor moments. ``lambda_min`` of a linear
-matrix map is concave, so the feasible set is convex.
+``Z_i`` the per-edge regressor moments, so ``Tr(g(p)) = a^T p`` with
+``a_i = sigma_v2_i Tr(Z_i)``.
 
-Two structural facts drive the solver:
+Constraint (c) is scale invariant and (b) scales linearly, so a feasible
+point with ``lambda_min > r`` scaled down onto the floor stays feasible
+and costs less. The optimum therefore has ``lambda_min = r``, and it is
+the optimum of
 
-* Constraint (c) is scale invariant: both sides are linear in ``p``, so
-  it holds for ``s * p`` (s > 0) iff it holds for ``p``.
-* Constraint (b) scales linearly, so any point that is feasible for (c)
-  can be rescaled onto the (b) boundary, where the optimum lives.
+    min 1^T p  s.t.  u^T c_X(p) u >= r for every unit vector u,
+                     a^T p <= f r,  0 <= p <= p_max.
 
-The solver runs a projected subgradient method on an exact-penalty
-objective and extracts a rescaled feasible candidate from every iterate,
-keeping the best. On one-edge problems the rescaling alone is exact.
+Each ``u`` gives one linear cut. The solver runs Kelley's cutting planes
+(Kelley 1960): a bounded-variable two-phase simplex solves the LP over
+finitely many cuts, and the eigenvectors of ``c_X(p)`` below the floor
+join them until the LP point meets it. The LP is a relaxation, so its
+value is a lower bound that the returned point attains, and an
+infeasible LP proves the design problem infeasible.
 """
 
 from __future__ import annotations
@@ -41,9 +45,9 @@ __all__ = [
     "solve_sampling",
 ]
 
-_CROSSING_TOL = 1e-9
-# relative margin an objective must win by to replace the incumbent
-_TIE_RTOL = 1e-9
+# pivot, pricing and phase-1 tolerance of the simplex; every LP row is
+# scaled to a unit right-hand side, so it is relative to the targets
+_LP_TOL = 1e-9
 
 
 @dataclass
@@ -61,11 +65,12 @@ class SamplingProblem:
         self.p_max = np.asarray(self.p_max, dtype=np.float64)
         self.basis = np.asarray(self.basis, dtype=np.float64)
         self.sigma_v2 = np.asarray(self.sigma_v2, dtype=np.float64)
+        # written so that NaN fails every check
         if not 0.0 < self.alpha < 1.0:
             raise ValueError("alpha must lie in (0, 1)")
-        if self.gamma <= 0 or self.mu <= 0:
+        if not (self.gamma > 0 and self.mu > 0):
             raise ValueError("gamma and mu must be positive")
-        if np.any(self.p_max < 0) or np.any(self.p_max > 1):
+        if not np.all((0 <= self.p_max) & (self.p_max <= 1)):
             raise ValueError("p_max must lie in [0, 1]")
 
     @classmethod
@@ -108,13 +113,10 @@ class SamplingProblem:
     def moment(self, p: np.ndarray) -> np.ndarray:
         return np.tensordot(np.asarray(p, dtype=np.float64), self.basis, axes=1)
 
-    def noise_moment(self, p: np.ndarray) -> np.ndarray:
-        weights = np.asarray(p, dtype=np.float64) * self.sigma_v2
-        return np.tensordot(weights, self.basis, axes=1)
-
-    def noise_trace(self, p: np.ndarray) -> float:
-        traces = np.trace(self.basis, axis1=1, axis2=2)
-        return float(np.sum(np.asarray(p) * self.sigma_v2 * traces))
+    @property
+    def noise_weights(self) -> np.ndarray:
+        """Per-edge weights ``a_i = sigma_v2_i Tr(Z_i)``, so Tr(g(p)) = a^T p."""
+        return self.sigma_v2 * np.trace(self.basis, axis1=1, axis2=2)
 
 
 @dataclass
@@ -142,30 +144,12 @@ class SamplingSolution:
         return np.flatnonzero(self.p_star > threshold)
 
 
-def _lambda_min_and_subgradient(
-    prob: SamplingProblem, p: np.ndarray
-) -> tuple[float, np.ndarray]:
-    """Smallest eigenvalue of c_X(p) and a subgradient of p -> lambda_min.
-
-    Each eigenvector u contributes the gradient u^T Z_i u per edge; near
-    eigenvalue crossings the contributions of all crossing eigenvectors
-    are averaged.
-    """
-    c = prob.moment(p)
-    lam, vecs = np.linalg.eigh(c)
-    crossing = np.flatnonzero(lam <= lam[0] + _CROSSING_TOL)
-    U = vecs[:, crossing]
-    # grad_i = mean_j u_j^T Z_i u_j
-    grads = np.einsum("aj,iab,bj->i", U, prob.basis, U) / crossing.size
-    return float(lam[0]), grads
-
-
 def check_constraints(p: np.ndarray, prob: SamplingProblem) -> ConstraintSlacks:
     """Slack report for one candidate probability vector."""
     p = np.asarray(p, dtype=np.float64)
     lam_min = float(np.linalg.eigvalsh(prob.moment(p))[0])
     rate = lam_min - prob.rate_threshold
-    budget = prob.budget_factor * lam_min - prob.noise_trace(p)
+    budget = prob.budget_factor * lam_min - float(prob.noise_weights @ p)
     return ConstraintSlacks(
         rate=rate,
         budget=budget,
@@ -174,202 +158,158 @@ def check_constraints(p: np.ndarray, prob: SamplingProblem) -> ConstraintSlacks:
     )
 
 
-def _rescaled_candidate(
-    prob: SamplingProblem, p: np.ndarray, tol: float
-) -> np.ndarray | None:
-    """Scale ``p`` onto the rate boundary if the result stays feasible."""
-    threshold = prob.rate_threshold
-    if threshold <= 0.0:
-        return np.zeros_like(p)
-    lam_min = float(np.linalg.eigvalsh(prob.moment(p))[0])
-    if lam_min <= 0.0:
-        return None
-    scale = threshold / lam_min * (1.0 + 1e-12)
-    # budget feasibility is decided by the direction of p, but its slack
-    # scales with p, so evaluate it at the rescaled point
-    budget_slack = scale * (prob.budget_factor * lam_min - prob.noise_trace(p))
-    if budget_slack < -tol * max(1.0, threshold):
-        return None
-    candidate = scale * p
-    if np.any(candidate > prob.p_max + 1e-15):
-        return None
-    return np.minimum(candidate, prob.p_max)
+class _CutLP:
+    """The design LP over a growing set of cuts, by bounded-variable simplex.
 
-
-def _beats(obj: float, incumbent: float) -> bool:
-    """True if ``obj`` improves on ``incumbent`` by more than fp noise.
-
-    Objectives within a relative ``_TIE_RTOL`` of the incumbent tie and
-    keep it. An infinite incumbent (nothing found yet) loses to any
-    finite objective.
+    Columns are ``p``, the budget slack, then a surplus and an artificial
+    per cut; every row is scaled to a unit right-hand side. The tableau
+    ``T = [B^-1 A | B^-1 b]`` holds the basis ``basis``; a nonbasic
+    variable sits at its upper bound where ``at_upper`` is set, at 0
+    otherwise. New cuts join in the current basis with their artificials
+    basic, so each round starts from the last round's optimum.
     """
-    if np.isinf(incumbent):
-        return obj < incumbent
-    return obj < incumbent - _TIE_RTOL * max(1.0, abs(incumbent))
 
+    def __init__(self, prob: SamplingProblem):
+        E, self.prob = prob.num_edges, prob
+        budget_row = prob.noise_weights / (prob.budget_factor * prob.rate_threshold)
+        self.T = np.r_[budget_row, 1.0, 1.0][None, :]
+        self.basis = np.array([E])
+        self.at_upper = np.zeros(E + 1, dtype=bool)
+        self.upper = np.r_[prob.p_max, np.inf]
+        self.artificial = np.zeros(E + 1, dtype=bool)
+        self.pivots = 0  # bound flips included
 
-def _noise_ordered_sweep(prob: SamplingProblem, tol: float) -> np.ndarray | None:
-    """Best feasible point of the form ``min(s * prefix, p_max)``.
+    def add_cuts(self, cuts: np.ndarray) -> None:
+        """Append the rows ``u^T c_X(p) u >= r`` for the rows ``u`` of ``cuts``."""
+        prob, K = self.prob, len(cuts)
+        m, n = self.T.shape[0], self.T.shape[1] - 1
+        rows = np.zeros((K, n + 2 * K + 1))
+        moments = np.einsum("ka,iab,kb->ki", cuts, prob.basis, cuts, optimize=True)
+        rows[:, :prob.num_edges] = moments / prob.rate_threshold
+        rows[:, n:n + K] = -np.eye(K)
+        rows[:, n + K:-1] = np.eye(K)
+        rows[:, -1] = 1.0
+        T = np.hstack([self.T[:, :-1], np.zeros((m, 2 * K)), self.T[:, -1:]])
+        rows -= rows[:, self.basis] @ T
+        self.T = np.vstack([T, rows])
+        self.basis = np.r_[self.basis, np.arange(n + K, n + 2 * K)]
+        self.at_upper = np.r_[self.at_upper, np.zeros(2 * K, dtype=bool)]
+        self.upper = np.r_[self.upper, np.full(2 * K, np.inf)]
+        self.artificial = np.r_[self.artificial, np.zeros(K, dtype=bool), np.ones(K, dtype=bool)]
 
-    Prefixes follow ascending noise variance; for each prefix size the
-    smallest scale meeting the rate floor is found by bisection (the
-    floor is monotone in the scale). Saturated-box prefixes model the
-    demanding-rate regime where clean edges alone cannot carry the
-    floor. Returns the cheapest candidate that also meets the budget.
+    def values(self) -> np.ndarray:
+        """The basic solution: every nonbasic variable sits at a bound."""
+        at_upper, upper = self.at_upper, self.upper
+        x = np.where(at_upper, upper, 0.0)
+        x[self.basis] = self.T[:, -1] - self.T[:, :-1][:, at_upper] @ upper[at_upper]
+        return x
 
-    Ties go to the earliest (sparsest) prefix: a later prefix replaces
-    the incumbent only if it is cheaper by more than a relative
-    ``_TIE_RTOL``, so bisection rounding cannot pick a denser design.
-    This keeps the sweep's support non-increasing as the rate floor
-    ``r`` is relaxed: prefix ``c`` costs ``r * P_c / lambda_c`` (``P_c``
-    its saturated mass, ``lambda_c`` its saturated ``lambda_min``), the
-    prefixes that reach the floor are those with ``c >= c_min(r)``, and
-    ``c_min`` can only fall with ``r``, so the earliest minimiser can only
-    move to an earlier prefix.
-    """
-    E = prob.num_edges
-    threshold = prob.rate_threshold
-    if threshold <= 0.0:
-        return np.zeros(E)
-    order = np.argsort(prob.sigma_v2, kind="stable")
-    best: np.ndarray | None = None
-    best_obj = np.inf
+    def solve(self, max_pivots: int) -> bool:
+        """Two-phase simplex until ``pivots`` reaches ``max_pivots``; True at the optimum.
 
-    def rate_ok(p: np.ndarray) -> bool:
-        return float(np.linalg.eigvalsh(prob.moment(p))[0]) >= threshold
+        Raises :class:`InfeasibleProblemError` if phase 1 proves the LP infeasible.
+        """
+        phase1 = self.artificial.astype(np.float64)
+        if not self._minimise(phase1, max_pivots):
+            return False
+        residual = float(phase1 @ self.values())
+        if residual > _LP_TOL:
+            raise InfeasibleProblemError(
+                "the rate floor and the deviation budget cannot both hold: the "
+                f"cut LP is infeasible (phase-1 residual {residual:.3e})"
+            )
+        # artificials left basic at zero must stay there
+        self.upper[self.artificial] = 0.0
+        cost = (np.arange(self.upper.size) < self.prob.num_edges).astype(np.float64)
+        return self._minimise(cost, max_pivots)
 
-    for count in range(1, E + 1):
-        direction = np.zeros(E)
-        direction[order[:count]] = prob.p_max[order[:count]]
-        if not rate_ok(direction):
-            continue  # even the saturated prefix misses the floor
-        lo, hi = 0.0, 1.0
-        for _ in range(50):
-            mid = 0.5 * (lo + hi)
-            if rate_ok(mid * direction):
-                hi = mid
-            else:
-                lo = mid
-        candidate = hi * direction
-        obj = float(np.sum(candidate))
-        if not _beats(obj, best_obj):
-            continue
-        slacks = check_constraints(candidate, prob)
-        if slacks.budget >= -tol * max(1.0, threshold) and slacks.rate >= -1e-12:
-            best_obj = obj
-            best = candidate
-    return best
+    def _minimise(self, cost: np.ndarray, max_pivots: int) -> bool:
+        """Pivot towards the minimum of ``cost @ x``; True once it is reached.
+
+        A variable with upper bound 0 never moves. Pricing is Dantzig's
+        rule, and Bland's smallest-index rule, which cannot cycle, after
+        every degenerate pivot.
+        """
+        T, basis, at_upper, upper = self.T, self.basis, self.at_upper, self.upper
+        degenerate = False
+        while self.pivots < max_pivots:
+            x_basic = self.values()[basis]
+            reduced = cost - cost[basis] @ T[:, :-1]
+            # objective decrease per unit move away from the current bound
+            gain = np.where(at_upper, reduced, -reduced)
+            gain[upper <= 0.0] = 0.0
+            eligible = gain > _LP_TOL
+            if not eligible.any():
+                return True
+            bland = degenerate
+            j = int(np.argmax(eligible)) if bland else int(np.argmax(gain))
+            # basic values fall by alpha per unit step of x_j
+            alpha = -T[:, j] if at_upper[j] else T[:, j]
+            limit = np.full(alpha.size, np.inf)
+            down, up = alpha > _LP_TOL, alpha < -_LP_TOL
+            limit[down] = x_basic[down] / alpha[down]
+            limit[up] = (upper[basis[up]] - x_basic[up]) / -alpha[up]
+            np.maximum(limit, 0.0, out=limit)
+            step = float(limit.min())
+            self.pivots += 1
+            degenerate = min(step, upper[j]) <= _LP_TOL
+            if upper[j] <= step:
+                at_upper[j] = not at_upper[j]
+                continue
+            ties = np.flatnonzero(limit == step)
+            r = ties[np.argmin(basis[ties])] if bland else ties[np.argmax(np.abs(alpha[ties]))]
+            at_upper[basis[r]] = alpha[r] < 0
+            at_upper[j] = False
+            T[r] /= T[r, j]
+            others = np.arange(len(T)) != r
+            T[others] -= np.outer(T[others, j], T[r])
+            basis[r] = j
+        return False
 
 
 def solve_sampling(
-    prob: SamplingProblem,
-    tol: float = 1e-6,
-    max_iter: int = 2000,
-    num_starts: int = 4,
-    seed: int = 0,
-    extra_start: np.ndarray | None = None,
+    prob: SamplingProblem, tol: float = 1e-6, max_iter: int = 2000
 ) -> SamplingSolution:
     """Minimise the sampling rate subject to the rate and budget targets.
 
-    Infeasibility is decided at ``p = p_max``: the rate constraint is
-    monotone in ``p`` (the per-edge moments are PSD), so if it fails
-    there it fails everywhere. A budget violation at ``p_max`` is only a
-    heuristic alarm because feasibility depends on the direction of
-    ``p``; the solver still searches from randomised starts.
+    The cuts start as the unit vectors and the eigenvectors of
+    ``c_X(p_max)``; while the LP point misses a constraint by more than
+    ``tol``, the eigenvectors of ``c_X(p)`` below the floor join them.
+    ``max_iter`` caps the simplex pivots of all rounds; ``iterations``
+    counts them. ``converged`` means certified: the point meets every
+    constraint within ``tol`` and ``objective``, the LP value, is a lower
+    bound on the optimum. If the cap comes first, or a round leaves the
+    point in place, the last LP point is returned unconverged with its
+    true slacks.
 
-    ``extra_start`` warm-starts the search, e.g. with the solution of a
-    neighbouring target (continuation over the rate parameter); its
-    rescaled version also enters the candidate pool directly.
-
-    A candidate replaces the incumbent only if it is cheaper by more than
-    a relative ``_TIE_RTOL``, so ties keep the sweep's design (or a
-    sparser warm start). Beyond that and the sweep's own tie rule, which
-    of several tied optima is returned is unspecified.
+    Infeasibility is proved: the rate constraint is monotone in ``p``
+    (each ``Z_i`` is PSD), so it is tested at ``p_max`` first, and an
+    infeasible cut LP, a relaxation, proves the rest.
     """
-    E = prob.num_edges
-    p_max = prob.p_max
-    slack_at_max = check_constraints(p_max, prob)
+    slack_at_max = check_constraints(prob.p_max, prob)
     if slack_at_max.rate < -tol:
         raise InfeasibleProblemError(
             f"rate constraint infeasible: lambda_min at p_max falls short by "
             f"{-slack_at_max.rate:.3e}"
         )
-    budget_suspect = slack_at_max.budget < -tol
-
-    rng = np.random.default_rng(seed)
-    starts = [p_max.copy()]
-    sweep_best = _noise_ordered_sweep(prob, tol)
-    sweep_obj = float(np.sum(sweep_best)) if sweep_best is not None else np.inf
-    if sweep_best is not None:
-        starts.append(sweep_best.copy())
-    if extra_start is not None:
-        warm = np.clip(np.asarray(extra_start, dtype=np.float64), 0.0, p_max)
-        candidate = _rescaled_candidate(prob, warm, tol)
-        if candidate is not None:
-            # near-equal objectives (rate rescaling makes many directions
-            # tie exactly): prefer the sparser candidate, then the warm one
-            warm_obj = float(np.sum(candidate))
-            # an empty sweep (sweep_obj = inf) is beaten outright
-            if _beats(warm_obj, sweep_obj) or (
-                not _beats(sweep_obj, warm_obj)
-                and np.count_nonzero(candidate > 1e-12)
-                <= np.count_nonzero(sweep_best > 1e-12)
-            ):
-                sweep_best = candidate
-                sweep_obj = warm_obj
-        starts.insert(0, warm)
-    for _ in range(num_starts - 1):
-        starts.append(p_max * rng.uniform(0.2, 1.0, size=E))
-
-    traces = np.trace(prob.basis, axis1=1, axis2=2)
-    budget_grad_linear = prob.sigma_v2 * traces
-    threshold = prob.rate_threshold
-    factor = prob.budget_factor
-
-    best_p: np.ndarray | None = sweep_best
-    best_obj = sweep_obj
-    iterations_used = 0
-    improved_late = False
-
-    for start in starts:
-        p = start.copy()
-        # penalty weight large enough to dominate the unit objective slope
-        kappa = 10.0 * E
-        step_scale = 0.05 * float(np.max(p_max)) if np.max(p_max) > 0 else 0.0
-        for k in range(1, max_iter + 1):
-            iterations_used += 1
-            candidate = _rescaled_candidate(prob, p, tol)
-            if candidate is not None:
-                obj = float(np.sum(candidate))
-                # require a real improvement so that fp-level ties keep
-                # the incumbent (sweep or warm start) deterministically
-                if _beats(obj, best_obj):
-                    if k > max_iter // 2:
-                        improved_late = True
-                    best_obj = obj
-                    best_p = candidate
-            lam_min, lam_grad = _lambda_min_and_subgradient(prob, p)
-            grad = np.ones(E)
-            if lam_min < threshold:
-                grad -= kappa * lam_grad
-            if prob.noise_trace(p) > factor * lam_min:
-                grad += kappa * (budget_grad_linear - factor * lam_grad)
-            norm = float(np.max(np.abs(grad)))
-            if norm == 0.0:
-                break
-            p = np.clip(p - (step_scale / np.sqrt(k)) * grad / norm, 0.0, p_max)
-
-    if best_p is None:
-        raise InfeasibleProblemError(
-            "no feasible point found"
-            + (" (deviation budget appears infeasible)" if budget_suspect else "")
-        )
-    slacks = check_constraints(best_p, prob)
-    converged = slacks.feasible(tol) and not improved_late
+    dim = prob.basis.shape[1]
+    cuts = np.vstack([np.eye(dim), np.linalg.eigh(prob.moment(prob.p_max))[1].T])
+    lp, p = _CutLP(prob), None
+    while True:
+        lp.add_cuts(cuts)
+        optimal, last = lp.solve(max_iter), p
+        if optimal or p is None:
+            p = np.clip(lp.values()[:prob.num_edges], 0.0, prob.p_max)
+        slacks = check_constraints(p, prob)
+        # cuts that left the point in place cannot move it in a later round either
+        if not optimal or slacks.feasible(tol) or np.array_equal(p, last):
+            break
+        lam, vecs = np.linalg.eigh(prob.moment(p))
+        cuts = vecs[:, lam < prob.rate_threshold].T
     return SamplingSolution(
-        p_star=best_p,
-        objective=float(np.sum(best_p)),
+        p_star=p,
+        objective=float(np.sum(p)),
         slacks=slacks,
-        iterations=iterations_used,
-        converged=converged,
+        iterations=lp.pivots,
+        converged=optimal and slacks.feasible(tol),
     )

@@ -8,6 +8,8 @@ eigenvalues grow with high Laplacian powers, which bounds admissible
 signal power at fixed step-size).
 """
 
+import json
+
 import numpy as np
 import pytest
 
@@ -19,6 +21,7 @@ from simplexlms.complexes import (
     hodge_laplacians,
     inverse_sft,
     random_complex,
+    save_complex,
     sft,
 )
 from simplexlms.artrain import run_ar_training, run_distributed_ar
@@ -43,6 +46,8 @@ from simplexlms.lms import (
     tail_average,
     to_db,
 )
+from simplexlms.cli import main as cli_main
+from simplexlms.errors import InfeasibleProblemError
 from simplexlms.sampling import SamplingProblem, solve_sampling
 from simplexlms.signals import (
     FilterCoeffs,
@@ -150,13 +155,11 @@ def test_criterion_3_sampling_design():
 
     supports = []
     tails_db = []
-    prev = None
     for alpha in (0.97, 0.98, 0.99):
         prob = SamplingProblem.from_moments(
             ops, sv * np.eye(E), sigma_v2, 1, mu=mu, alpha=alpha, gamma=gamma, p_max=1.0
         )
-        solution = solve_sampling(prob, tol=1e-6, max_iter=1200, seed=9, extra_start=prev)
-        prev = solution.p_star
+        solution = solve_sampling(prob, tol=1e-6, max_iter=1200)
         assert solution.slacks.feasible(1e-6), f"alpha={alpha}: {solution.slacks}"
         supports.append(solution.support(1e-3).size)
         cfg = StreamConfig(
@@ -174,6 +177,28 @@ def test_criterion_3_sampling_design():
         f"supports {supports} non-increasing; validation tails {tails_db} dB "
         f"all <= {to_db(gamma):.0f} dB; scalar oracle to 1e-6",
     )
+
+
+@pytest.mark.parametrize("order", [2, 3])
+def test_criterion_3_higher_orders_are_proved_infeasible(tmp_path, order):
+    # at orders 2 and 3 the cut LP is infeasible: a proof, where a heuristic
+    # could only report that it found no feasible point
+    complex_, ops, sigma_v2, sv = _sampling_instance()
+    E = complex_.num_edges
+    save_complex(complex_, tmp_path / "complex.txt")
+    for alpha in (0.97, 0.98, 0.99):
+        prob = SamplingProblem.from_moments(
+            ops, sv * np.eye(E), sigma_v2, order, mu=1e-2, alpha=alpha, gamma=1e-7, p_max=1.0
+        )
+        with pytest.raises(InfeasibleProblemError, match="deviation budget cannot both hold"):
+            solve_sampling(prob, tol=1e-6, max_iter=1200)
+        config = tmp_path / "design.json"
+        config.write_text(json.dumps({
+            "complex_file": str(tmp_path / "complex.txt"), "order": order, "mu": 1e-2,
+            "alpha": alpha, "gamma": 1e-7, "signal_var": sv, "noise_var": sigma_v2.tolist(),
+            "max_iter": 1200,
+        }))
+        assert cli_main(["design-sampling", "--config", str(config)]) == 4
 
 
 # ------------------------------------------------------------- criterion 4

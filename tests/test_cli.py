@@ -203,6 +203,7 @@ def test_unstable_network_writes_strict_json(tmp_path):
 
 
 SIMULATION_KNOBS = {
+    "design-sampling": {"mu": 1e-2, "alpha": 0.98, "gamma": 1e-3},
     "run-lms": {"mu": 1e-3},
     "run-distributed": {"mu": 1e-3},
     "infer-topology": {"mu1": 1e-2, "mu2": 1e-2, "lambda0": 0.1, "lambda1": 0.1},
@@ -298,6 +299,17 @@ def test_bad_counts_exit_2(tmp_path, complex_file, capsys, mode, flag, value):
     ("run-distributed", {"mu": [1e-3, 0.0]}, "'mu' must be positive"),
     ("infer-topology", {"coeff_magnitude": 0}, "'coeff_magnitude' must be positive"),
     ("infer-topology", {"lambda0": 0.4, "lambda1": 0.4}, "threshold ordering violated"),
+    ("design-sampling", {"alpha": 1.5}, "alpha must lie in (0, 1)"),
+    ("design-sampling", {"alpha": float("nan")}, "alpha must lie in (0, 1)"),
+    ("design-sampling", {"p_max": 2.0}, "p_max must lie in [0, 1]"),
+    ("design-sampling", {"p_max": float("nan")}, "p_max must lie in [0, 1]"),
+    ("design-sampling", {"tol": -1}, "'tol' must be finite and nonnegative"),
+    ("design-sampling", {"tol": float("nan")}, "'tol' must be finite and nonnegative"),
+    ("design-sampling", {"max_iter": 0}, "'max_iter' must be at least 1"),
+    ("design-sampling", {"max_iter": -5}, "'max_iter' must be at least 1"),
+    ("design-sampling", {"gamma": float("inf")}, "'gamma' must be positive and finite"),
+    ("design-sampling", {"signal_var": float("inf")}, "'signal_var' must be positive and finite"),
+    ("design-sampling", {"noise_var": float("nan")}, "noise variances must be finite"),
 ])
 def test_bad_knobs_exit_2(tmp_path, complex_file, capsys, monkeypatch, mode, values, message):
     from simplexlms import harness
@@ -306,6 +318,7 @@ def test_bad_knobs_exit_2(tmp_path, complex_file, capsys, monkeypatch, mode, val
         raise AssertionError("the run started before the config was checked")
 
     monkeypatch.setattr(harness, "run_inference", no_run)
+    monkeypatch.setattr(harness, "solve_sampling", no_run)
     assert run_simulation(tmp_path, complex_file, mode, **values) == 2
     assert message in capsys.readouterr().err
 
