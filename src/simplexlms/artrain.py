@@ -68,13 +68,12 @@ def extend_series(series: np.ndarray, epochs: int) -> np.ndarray:
     return np.tile(np.asarray(series, dtype=np.float64), (epochs, 1))
 
 
-def ar_regressor_tensor(series: np.ndarray, ops, order: int, powers=None) -> np.ndarray:
+def ar_regressor_tensor(series: np.ndarray, ops, order: int) -> np.ndarray:
     """Lag-1..M regressors for every snapshot, shape (N, E, 2M); rows < M zero.
 
-    These are the columns of :func:`regressor_tensor` without the lag-0
-    one; ``powers`` is passed through to it.
+    These are the columns of :func:`regressor_tensor` without the lag-0 one.
     """
-    return regressor_tensor(series, ops, order, powers)[:, :, 1:]
+    return regressor_tensor(series, ops, order)[:, :, 1:]
 
 
 def _ar_windows(series: np.ndarray, ops, order: int, variant: str, first: int):

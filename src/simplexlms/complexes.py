@@ -27,7 +27,6 @@ __all__ = [
     "HodgeComponents",
     "build_incidence",
     "hodge_laplacians",
-    "laplacian_powers",
     "hodge_decompose",
     "sft",
     "inverse_sft",
@@ -70,9 +69,12 @@ class HodgeOperators:
 
     ``b1`` (vertices x edges) and ``b2`` (edges x triangles) are held as
     given. The Laplacians are Gram products of them, ``l0 = b1 b1^T``,
-    ``lower = b1^T b1``, ``upper = b2 b2^T`` and ``l1 = lower + upper``,
-    each a dense product computed on first access, since the moment basis
-    needs only the incidence factors. The O(E^3) eigendecomposition of
+    ``l2 = b2^T b2``, ``lower = b1^T b1``, ``upper = b2 b2^T`` and
+    ``l1 = lower + upper``, each a dense product computed on first
+    access. The moment basis and the regressors need only the incidence
+    factors and the small Grams ``l0`` and ``l2``, through which every
+    Laplacian power factors; the E x E ones are formed only on request.
+    The O(E^3) eigendecomposition of
     ``l1`` (eigenvalues ascending) likewise runs on first access to the
     eigenbasis, since only the simplicial Fourier transform needs it.
     Repeated eigenvalues make the eigenvector basis non-unique; consumers
@@ -89,6 +91,10 @@ class HodgeOperators:
     @cached_property
     def l0(self) -> np.ndarray:
         return self.b1 @ self.b1.T
+
+    @cached_property
+    def l2(self) -> np.ndarray:
+        return self.b2.T @ self.b2
 
     @cached_property
     def lower(self) -> np.ndarray:
@@ -200,17 +206,6 @@ def build_incidence(
 def hodge_laplacians(complex_: SimplicialComplex2) -> HodgeOperators:
     """Float incidence matrices of the complex; its Laplacians are built on first use."""
     return HodgeOperators(b1=complex_.b1.astype(np.float64), b2=complex_.b2.astype(np.float64))
-
-
-def laplacian_powers(ops: HodgeOperators, order: int) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """Matrix powers ``upper^m`` and ``lower^m`` for ``m = 0..order``."""
-    eye = np.eye(ops.num_edges)
-    up = [eye]
-    lo = [eye]
-    for _ in range(order):
-        up.append(up[-1] @ ops.upper)
-        lo.append(lo[-1] @ ops.lower)
-    return up, lo
 
 
 def hodge_decompose(x: np.ndarray, complex_: SimplicialComplex2) -> HodgeComponents:

@@ -15,15 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .complexes import (
-    SimplicialComplex2,
-    grown_complex,
-    hodge_laplacians,
-    laplacian_powers,
-    load_complex,
-)
+from .complexes import SimplicialComplex2, grown_complex, hodge_laplacians, load_complex
 from .errors import ConfigError
-from .signals import FilterCoeffs
+from .signals import FilterCoeffs, regressor_tensor
 
 __all__ = [
     "EdgeSeriesDataset",
@@ -164,10 +158,12 @@ def _stable_ar_coeffs(
     most the family margin (reached on the top eigenvalue). Weight
     concentrates on lag 1, which puts the dominant curl modes near the
     unit circle; the baseline filter class cannot represent those modes
-    at all, so they carry the measurable upper-structure signal.
+    at all, so they carry the measurable upper-structure signal. The top
+    eigenvalues are read from ``l2`` and ``l0``, whose nonzero spectra
+    are those of the upper and the lower Laplacian.
     """
-    lam_u = float(np.max(np.linalg.eigvalsh(ops.upper))) or 1.0
-    lam_d = float(np.max(np.linalg.eigvalsh(ops.lower))) or 1.0
+    lam_u = float(np.max(np.linalg.eigvalsh(ops.l2), initial=0.0)) or 1.0
+    lam_d = float(np.max(np.linalg.eigvalsh(ops.l0), initial=0.0)) or 1.0
     lag_weights = 0.3 ** np.arange(order)
 
     def family(margin: float) -> np.ndarray:
@@ -203,19 +199,17 @@ def synthetic_traffic_series(
     ops = hodge_laplacians(complex_)
     rng = np.random.default_rng(seed)
     coeffs = _stable_ar_coeffs(ops, order, rng, with_upper)
-    E = complex_.num_edges
-    up, lo = laplacian_powers(ops, order)
     total = warmup + snapshots
-    x = np.zeros((total, E))
-    innov = noise_std * rng.standard_normal((total, E))
-    x[0] = innov[0]
-    for n in range(1, total):
-        acc = innov[n].copy()
-        for m in range(1, min(order, n) + 1):
-            acc += coeffs.h_u[m] * (up[m] @ x[n - m])
-            acc += coeffs.h_d[m - 1] * (lo[m] @ x[n - m])
-        x[n] = acc
-    return x[warmup:], coeffs
+    innov = noise_std * rng.standard_normal((total, complex_.num_edges))
+    taps = coeffs.flatten()[1:]
+    # ``order`` zero rows of history before the first snapshot; row
+    # ``order + n`` is x(n), and the last row of a window is only a
+    # placeholder for it, since the lag-0 column is dropped
+    x = np.zeros((order + total, complex_.num_edges))
+    for n in range(total):
+        lags = regressor_tensor(x[n : n + order + 1], ops, order)[-1, :, 1:]
+        x[order + n] = innov[n] + lags @ taps
+    return x[order + warmup :], coeffs
 
 
 def traffic_surrogate(

@@ -29,15 +29,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .complexes import (
-    SimplicialComplex2,
-    enumerate_3cliques,
-    hodge_laplacians,
-    laplacian_powers,
-)
+from .complexes import HodgeOperators, SimplicialComplex2, enumerate_3cliques
 from .errors import DivergenceError
 from .lms import LmsState, _monte_carlo, lms_step
-from .signals import StreamConfig, _block_stops, _draw, _realization
+from .signals import StreamConfig, _block_stops, _draw, _power_columns, _realization
 
 __all__ = [
     "CandidateSet",
@@ -56,11 +51,17 @@ __all__ = [
 
 @dataclass
 class CandidateSet:
-    """Candidate triangles of a 1-skeleton: triples and incidence columns."""
+    """Candidate triangles of a 1-skeleton: triples and incidence columns.
+
+    ``gram`` is ``b_matrix^T b_matrix`` and ``skeleton`` holds the
+    operators of the 1-skeleton, whose lower Laplacian the candidates
+    leave unchanged.
+    """
 
     triples: tuple[tuple[int, int, int], ...]
     b_matrix: np.ndarray        # (E, T_max) signed incidence columns
-    ld_powers: tuple[np.ndarray, ...]
+    gram: np.ndarray            # (T_max, T_max)
+    skeleton: HodgeOperators
     order: int
 
     @property
@@ -78,18 +79,18 @@ class CandidateSet:
 
 
 def candidate_set(complex_: SimplicialComplex2, order: int) -> CandidateSet:
-    """Enumerate candidates and cache the fixed lower-Laplacian powers."""
+    """Enumerate candidates with their Gram and the 1-skeleton's operators."""
     cliques = enumerate_3cliques(complex_)
+    E = complex_.num_edges
     if cliques:
         b_matrix = np.stack([b for _, b in cliques], axis=1)
     else:
-        b_matrix = np.zeros((complex_.num_edges, 0))
-    ops = hodge_laplacians(complex_)
-    _, lo = laplacian_powers(ops, order)
+        b_matrix = np.zeros((E, 0))
     return CandidateSet(
         triples=tuple(t for t, _ in cliques),
         b_matrix=b_matrix,
-        ld_powers=tuple(lo),
+        gram=b_matrix.T @ b_matrix,
+        skeleton=HodgeOperators(b1=complex_.b1.astype(np.float64), b2=np.zeros((E, 0))),
         order=order,
     )
 
@@ -160,11 +161,6 @@ def _hard_threshold(v: np.ndarray, lam0: float, lam1: float) -> np.ndarray:
     return np.where(v <= low, 0.0, np.where(v >= high, 1.0, v))
 
 
-def _upper_apply(t: np.ndarray, b_matrix: np.ndarray, vec: np.ndarray) -> np.ndarray:
-    # L_u(t) v without forming the E x E matrix
-    return b_matrix @ (t * (b_matrix.T @ vec))
-
-
 def regressors_from_t(
     t: np.ndarray, cand: CandidateSet, x_hist: np.ndarray
 ) -> np.ndarray:
@@ -175,15 +171,12 @@ def regressors_from_t(
         raise ValueError(
             f"history has shape {x_hist.shape}, expected ({order + 1}, {cand.num_edges})"
         )
-    cols = [x_hist[0]]
-    for m in range(1, order + 1):
-        vec = x_hist[m]
-        for _ in range(m):
-            vec = _upper_apply(t, cand.b_matrix, vec)
-        cols.append(vec)
-    for m in range(1, order + 1):
-        cols.append(cand.ld_powers[m] @ x_hist[m])
-    return np.stack(cols, axis=1)
+    X = np.empty((1, cand.num_edges, 2 * order + 1))
+    X[0, :, 0] = x_hist[0]
+    rows = x_hist[::-1]
+    _power_columns(rows, cand.b_matrix, cand.gram, order, X[:, :, 1 : order + 1], t)
+    _power_columns(rows, cand.skeleton.b1.T, cand.skeleton.l0, order, X[:, :, order + 1 :])
+    return X[0]
 
 
 def grad_t(
@@ -193,7 +186,9 @@ def grad_t(
     """Instantaneous gradient of the masked squared residual w.r.t. ``t``.
 
     ``X`` is ``regressors_from_t(t, cand, obs.x_hist)``, for a caller that
-    has built it already; it is built here otherwise.
+    has built it already; it is built here otherwise. With ``G = B^T B``,
+    ``B^T L^k v = (G diag(t))^k B^T v``, so both factors of each term
+    are iterated in the candidate space.
     """
     order = cand.order
     B = cand.b_matrix
@@ -203,26 +198,16 @@ def grad_t(
         X = regressors_from_t(t, cand, obs.x_hist)
     r_masked = obs.d * (obs.y - X @ h)
 
-    # w[l] = B^T L^l (d*r): iterate the weighted Laplacian on the residual
-    w = []
-    vec = r_masked
-    for _ in range(order):
-        w.append(B.T @ vec)
-        vec = _upper_apply(t, B, vec)
-
-    # q[k][m] = B^T L^k x(n-m)
+    # row 0: B^T (d*r); row m: B^T x(n-m). Power k of all rows at once:
+    # w[k] = B^T L^k (d*r) and q[k][m] = B^T L^k x(n-m).
+    v = np.vstack([r_masked, obs.x_hist[1:]]) @ B
+    iterates = [v]
+    for _ in range(order - 1):
+        iterates.append((iterates[-1] * t) @ cand.gram)
     grad = np.zeros(B.shape[1])
     for m in range(1, order + 1):
-        coeff = h[m]
-        if coeff == 0.0:
-            continue
-        vec = np.asarray(obs.x_hist[m], dtype=np.float64)
-        q = []
-        for _ in range(m):
-            q.append(B.T @ vec)
-            vec = _upper_apply(t, B, vec)
         for l in range(m):
-            grad += -2.0 * coeff * w[l] * q[m - 1 - l]
+            grad -= 2.0 * h[m] * iterates[l][0] * iterates[m - 1 - l][m]
     return grad
 
 

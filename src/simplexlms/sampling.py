@@ -72,6 +72,8 @@ class SamplingProblem:
             raise ValueError("gamma and mu must be positive")
         if not np.all((0 <= self.p_max) & (self.p_max <= 1)):
             raise ValueError("p_max must lie in [0, 1]")
+        if not np.all(np.isfinite(self.basis)):
+            raise ValueError("the moment basis must be finite")
 
     @classmethod
     def from_moments(
@@ -87,12 +89,15 @@ class SamplingProblem:
     ) -> "SamplingProblem":
         E = ops.num_edges
         p_max_vec = np.broadcast_to(np.asarray(p_max, dtype=np.float64), (E,)).copy()
+        # an overflowing basis is not a warning but an input error, raised by the check
+        with np.errstate(over="ignore", invalid="ignore"):
+            basis = edge_moment_matrices(ops, c_x, order)
         return cls(
             mu=mu,
             alpha=alpha,
             gamma=gamma,
             p_max=p_max_vec,
-            basis=edge_moment_matrices(ops, c_x, order),
+            basis=basis,
             sigma_v2=np.asarray(sigma_v2, dtype=np.float64),
         )
 

@@ -25,7 +25,7 @@ from itertools import chain
 
 import numpy as np
 
-from .complexes import HodgeOperators, SimplicialComplex2, hodge_laplacians, laplacian_powers
+from .complexes import HodgeOperators, SimplicialComplex2, hodge_laplacians
 
 __all__ = [
     "FilterCoeffs",
@@ -47,8 +47,8 @@ __all__ = [
 # build regressors, so a block's working set fits in cache and memory does
 # not grow with the horizon.
 _WINDOW_ELEMENTS = 1 << 15
-# Fewest rows in a window: each window re-reads every E x E Laplacian power,
-# which at large edge counts costs more than a few rows' products.
+# Fewest rows in a window: each window copies and re-reads both incidence
+# factors, which at large edge counts costs more than a few rows' products.
 _MIN_WINDOW_ROWS = 64
 
 
@@ -227,30 +227,48 @@ class MomentSet:
         )
 
 
-def regressor_tensor(
-    x: np.ndarray,
-    ops: HodgeOperators,
-    order: int,
-    powers: tuple[list[np.ndarray], list[np.ndarray]] | None = None,
-) -> np.ndarray:
+def _power_columns(x: np.ndarray, factor: np.ndarray, gram: np.ndarray, order: int,
+                   out: np.ndarray, weights: np.ndarray | None = None) -> None:
+    """Write ``L^m x(n-m)`` for ``m = 1..order`` into ``out``, with ``L = F diag(w) F^T``.
+
+    ``x`` holds N consecutive signal rows, ``factor`` is ``F`` (E x K),
+    ``gram`` is ``F^T F`` and ``weights`` is ``w`` (all ones if omitted).
+    ``out`` is ``(N - order, E, order)``, a column block of a regressor
+    tensor, and ``out[j, :, m - 1]`` receives ``L^m x(order + j - m)``.
+    Since ``L^m = F (diag(w) F^T F)^(m-1) diag(w) F^T``, the rows are
+    projected into the K-dimensional factor space once, each further
+    power is one product with the K x K ``gram`` and one product maps it
+    back, so no E x E operator is formed. Every power goes through one
+    buffer, so no edge-sized temporary is allocated per power.
+    """
+    N = x.shape[0]
+    # both operands of every product C-ordered: BLAS runs small products of
+    # that layout up to twice as fast, so each call copies the factor once
+    q = x @ np.ascontiguousarray(factor)
+    back = np.ascontiguousarray(factor.T)
+    buf = np.empty(out.shape[:2])
+    for m in range(1, order + 1):
+        if weights is not None:
+            q = q * weights
+        out[:, :, m - 1] = np.matmul(q[order - m : N - m], back, out=buf)
+        if m < order:
+            q = q @ gram
+
+
+def regressor_tensor(x: np.ndarray, ops: HodgeOperators, order: int) -> np.ndarray:
     """Regressor matrices for a whole stream, shape (N, E, 2M+1).
 
     Rows ``n < order`` are zero: no full history window exists there.
-    ``powers`` is ``laplacian_powers(ops, order)``, for callers that build
-    many windows of one stream and would otherwise recompute the O(E^3)
-    matrix powers for each.
+    The upper columns are :func:`_power_columns` of ``b2`` with Gram
+    ``l2``, the lower ones of ``b1^T`` with Gram ``l0``.
     """
     x = np.asarray(x, dtype=np.float64)
     N, E = x.shape
-    up, lo = laplacian_powers(ops, order) if powers is None else powers
     out = np.zeros((N, E, 2 * order + 1))
-    if N <= order:
-        return out
-    out[order:, :, 0] = x[order:]
-    for m in range(1, order + 1):
-        shifted = x[order - m : N - m]
-        out[order:, :, m] = shifted @ up[m].T
-        out[order:, :, order + m] = shifted @ lo[m].T
+    if N > order:
+        out[order:, :, 0] = x[order:]
+        _power_columns(x, ops.b2, ops.l2, order, out[order:, :, 1 : order + 1])
+        _power_columns(x, ops.b1.T, ops.l0, order, out[order:, :, order + 1 :])
     return out
 
 
@@ -290,11 +308,10 @@ def _regressor_windows(x: np.ndarray, ops: HodgeOperators, order: int, first: in
     # the module attribute (perfbench's span tracer) sees every build
     build = regressor_tensor if build is None else build
     N, E = x.shape
-    powers = laplacian_powers(ops, order)
     start = first
     for stop in _stops(first, N, _window_rows(E, order)) if first < N else ():
         lo = max(start - order, 0)
-        yield start, build(x[lo:stop], ops, order, powers)[start - lo :]
+        yield start, build(x[lo:stop], ops, order)[start - lo :]
         start = stop
 
 
@@ -389,13 +406,12 @@ def generate_stream(
         raise ValueError("horizon must be at least the filter order")
 
     h = coeffs.flatten()
-    powers = laplacian_powers(ops, order)
     history = np.empty((0, cfg.num_edges))
     start = 0
     for x, v, d in _draw(cfg, _block_stops(cfg.num_edges, order, N)):
         lead = history.shape[0]
         window = np.concatenate([history, x]) if lead else x
-        X = regressor_tensor(window, ops, order, powers)[lead:]
+        X = regressor_tensor(window, ops, order)[lead:]
         first = max(order - start, 0)
         y = np.zeros_like(x)
         y[first:] = d[first:] * (X[first:] @ h + v[first:])

@@ -310,6 +310,8 @@ def test_bad_counts_exit_2(tmp_path, complex_file, capsys, mode, flag, value):
     ("design-sampling", {"gamma": float("inf")}, "'gamma' must be positive and finite"),
     ("design-sampling", {"signal_var": float("inf")}, "'signal_var' must be positive and finite"),
     ("design-sampling", {"noise_var": float("nan")}, "noise variances must be finite"),
+    ("design-sampling", {"signal_var": 1e308, "noise_var": 1e-3},
+     "the moment basis must be finite"),
 ])
 def test_bad_knobs_exit_2(tmp_path, complex_file, capsys, monkeypatch, mode, values, message):
     from simplexlms import harness

@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from simplexlms import signals
+from simplexlms import datasets, signals
 from simplexlms.artrain import (
     VARIANTS,
     ar_regressor_tensor,
@@ -14,7 +14,7 @@ from simplexlms.artrain import (
     run_ar_training,
     run_distributed_ar,
 )
-from simplexlms.complexes import hodge_laplacians, save_complex
+from simplexlms.complexes import hodge_laplacians, random_complex, save_complex
 from simplexlms.datasets import (
     ingest_edge_series,
     read_edge_series,
@@ -88,6 +88,35 @@ def test_surrogate_is_stable_and_seeded():
     assert np.all(np.isfinite(a.series))
     c = traffic_surrogate(seed=6)
     assert not np.array_equal(a.series, c.series)
+
+
+@pytest.mark.parametrize("complex_", [reference_traffic_complex(), random_complex(10, 0.5, 0.0, 3)],
+                         ids=["reference", "triangle-free"])
+@pytest.mark.parametrize("with_upper", [True, False])
+@pytest.mark.parametrize("warmup", [0, 7])
+def test_surrogate_follows_its_ar_recursion(complex_, with_upper, warmup):
+    order, snapshots, seed = 3, 40, 4
+    E = complex_.num_edges
+    series, coeffs = synthetic_traffic_series(complex_, order, snapshots, seed,
+                                              with_upper=with_upper, warmup=warmup)
+    ops = hodge_laplacians(complex_)
+    # replay the generator's draws: the taps first, then the innovations
+    rng = np.random.default_rng(seed)
+    np.testing.assert_array_equal(
+        datasets._stable_ar_coeffs(ops, order, rng, with_upper).flatten(), coeffs.flatten())
+    innov = 0.05 * rng.standard_normal((warmup + snapshots, E))[warmup:]
+    if with_upper and not complex_.triangles:
+        # no upper spectrum: the upper taps are budgeted against lambda_max 1.0
+        assert coeffs.h_u[1:].sum() == pytest.approx(0.93)
+    # without a warmup the recursion starts from zero history
+    lead = order if warmup == 0 else 0
+    x = np.concatenate([np.zeros((lead, E)), series])
+    power = np.linalg.matrix_power
+    for n in range(order, x.shape[0]):
+        pred = sum(coeffs.h_u[m] * power(ops.upper, m) @ x[n - m]
+                   + coeffs.h_d[m - 1] * power(ops.lower, m) @ x[n - m]
+                   for m in range(1, order + 1))
+        np.testing.assert_allclose(x[n] - pred, innov[n - lead], rtol=0, atol=1e-12)
 
 
 # ----------------------------------------------------------------- artrain

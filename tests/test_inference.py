@@ -137,9 +137,9 @@ def test_regressors_from_t_match_explicit_build(filled_complex):
     hist = rng.standard_normal((3, filled_complex.num_edges))
     X = regressors_from_t(t, cand, hist)
     lu = param_upper_laplacian(t, cand.b_matrix)
+    ld = hodge_laplacians(filled_complex).lower
     expected = np.stack(
-        [hist[0], lu @ hist[1], lu @ lu @ hist[2],
-         cand.ld_powers[1] @ hist[1], cand.ld_powers[2] @ hist[2]],
+        [hist[0], lu @ hist[1], lu @ lu @ hist[2], ld @ hist[1], ld @ ld @ hist[2]],
         axis=1,
     )
     assert np.allclose(X, expected, atol=1e-12)

@@ -6,7 +6,8 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from simplexlms import signals
-from simplexlms.complexes import hodge_laplacians, random_complex
+from simplexlms.complexes import build_incidence, hodge_laplacians, random_complex
+from simplexlms.inference import candidate_set, regressors_from_t
 from simplexlms.signals import (
     FilterCoeffs,
     StreamConfig,
@@ -15,6 +16,7 @@ from simplexlms.signals import (
     moments_closed_form,
     regressor_tensor,
 )
+from test_signals import naive_regressors
 
 # 13 edges, 2 triangles: upper and lower taps are both nonzero at every order
 WINDOW_OPS = hodge_laplacians(random_complex(8, 0.6, 0.5, 4))
@@ -156,3 +158,50 @@ def test_stream_blocks_concatenate_to_one_block_draw(order, rows, blocks, overha
     full = regressor_tensor(x, WINDOW_OPS, order)
     np.testing.assert_allclose(np.concatenate([b.X for b in got]), full,
                                rtol=0, atol=round_off(full) if full.size else 0.0)
+
+
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(
+    vertices=st.integers(3, 8),
+    edge_prob=st.floats(0.3, 1.0),
+    fill_prob=st.floats(0.0, 1.0),
+    order=st.integers(0, 3),
+    seed=st.integers(0, 2**16),
+)
+@example(vertices=6, edge_prob=0.8, fill_prob=0.0, order=3, seed=1)   # triangle-free
+@example(vertices=5, edge_prob=1.0, fill_prob=1.0, order=2, seed=2)   # every triangle filled
+def test_regressor_tensor_matches_repeated_products(vertices, edge_prob, fill_prob, order, seed):
+    complex_ = random_complex(vertices, edge_prob, fill_prob, seed)
+    E = complex_.num_edges
+    assume(E > 0)
+    ops = hodge_laplacians(complex_)
+    x = np.random.default_rng(seed).standard_normal((order + 6, E))
+    R = regressor_tensor(x, ops, order)
+    assert np.all(R[:order] == 0.0)
+    for n in range(order, x.shape[0]):
+        expected = naive_regressors(x[n - order : n + 1][::-1], ops, order)
+        np.testing.assert_allclose(R[n], expected, rtol=0, atol=round_off(expected))
+
+
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(
+    vertices=st.integers(3, 8),
+    edge_prob=st.floats(0.3, 1.0),
+    order=st.integers(0, 3),
+    seed=st.integers(0, 2**16),
+)
+@example(vertices=3, edge_prob=1.0, order=2, seed=0)   # one candidate
+def test_indicator_regressors_match_the_filled_complex(vertices, edge_prob, order, seed):
+    # a 0/1 indicator builds the regressors of the complex with exactly those triangles
+    skeleton = random_complex(vertices, edge_prob, 0.0, seed)
+    E = skeleton.num_edges
+    assume(E > 0)
+    cand = candidate_set(skeleton, order)
+    rng = np.random.default_rng(seed)
+    t = (rng.random(cand.num_candidates) < 0.5).astype(np.float64)
+    filled = [triple for triple, on in zip(cand.triples, t) if on]
+    ops = hodge_laplacians(build_incidence(vertices, list(skeleton.edges), filled))
+    hist = rng.standard_normal((order + 1, E))
+    expected = regressor_tensor(hist[::-1], ops, order)[-1]
+    np.testing.assert_allclose(regressors_from_t(t, cand, hist), expected,
+                               rtol=0, atol=round_off(expected))

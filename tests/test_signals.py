@@ -5,9 +5,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from simplexlms import signals
-from simplexlms.artrain import ar_regressor_tensor
-from simplexlms.complexes import grown_complex, hodge_laplacians, laplacian_powers, random_complex
+from simplexlms import artrain, datasets, lms, signals
+from simplexlms.artrain import ar_regressor_tensor, run_ar_training
+from simplexlms.complexes import grown_complex, hodge_laplacians, random_complex
+from simplexlms.datasets import traffic_surrogate
+from simplexlms.inference import candidate_set, run_inference
+from simplexlms.lms import run_experiment
 from simplexlms.signals import (
     FilterCoeffs,
     MomentSet,
@@ -351,6 +354,35 @@ def test_edge_moments_need_no_edge_by_edge_array(order):
     assert set(vars(ops)) == {"b1", "b2"}  # no Laplacian was formed
 
 
+def test_stream_paths_form_no_edge_by_edge_laplacian(small_complex, monkeypatch):
+    # regressors, indicator regressors and the AR surrogate all go through the
+    # incidence factors and their small Grams, never an E x E Laplacian
+    made = []
+
+    def record(complex_):
+        made.append(hodge_laplacians(complex_))
+        return made[-1]
+
+    for module in (lms, datasets, artrain):
+        monkeypatch.setattr(module, "hodge_laplacians", record)
+    E, order = small_complex.num_edges, 2
+    coeffs = FilterCoeffs.random(order, np.random.default_rng(0), scale=0.3)
+    cfg = StreamConfig.white(E, 0.1, 1e-3, 0.8, horizon=300, seed=0)
+    ops = hodge_laplacians(small_complex)
+    for _ in signals.generate_stream(coeffs, None, cfg, ops=ops):
+        pass
+    run_experiment(small_complex, coeffs, cfg, mu=1e-3, realizations=2, horizon=300)
+    cand = candidate_set(small_complex, order)
+    run_inference(small_complex, coeffs, cand, np.full(E, 1e-3), np.full(E, 0.8),
+                  [(0, cand.true_indicator(small_complex))], 1e-2, 1e-2, 0.1, 0.1,
+                  horizon=100, realizations=1, seed=0, signal_var=0.005)
+    ds = traffic_surrogate(1, order=order, snapshots=60, train_count=50, complex_=small_complex)
+    run_ar_training(ds, order, mu=1e-3)
+    assert len(made) == 3   # run_experiment, the surrogate, run_ar_training
+    for built in (ops, cand.skeleton, *made):
+        assert not {"upper", "lower", "l1"} & set(vars(built))
+
+
 @pytest.mark.parametrize("order", [0, 1, 2, 3])
 def test_scalar_covariance_is_the_scaled_identity(small_ops, order):
     E = small_ops.num_edges
@@ -363,7 +395,7 @@ def test_scalar_covariance_is_the_scaled_identity(small_ops, order):
 
 def test_window_rule_fits_cache_with_a_row_floor():
     # about 256 KB of regressors per window, but never under 64 rows: a thin
-    # window at a large edge count re-reads the E x E powers for few rows
+    # window at a large edge count re-reads the incidence factors for few rows
     assert signals._window_rows(32, 2) * 32 * 5 <= 2**15
     assert signals._window_rows(32, 2) > 64
     assert signals._window_rows(900, 3) >= 64
