@@ -10,8 +10,10 @@ signs of the two incidence matrices:
   contributes ``+1`` at edge ``(i, j)``, ``-1`` at ``(i, k)`` and ``+1``
   at ``(j, k)``.
 
-With this convention ``B1 @ B2 == 0`` holds exactly in integer
-arithmetic, which downstream code relies on.
+Both are held as one read-only ``float64`` pair, shared by every
+operator built from the complex. Their entries are small integers, so
+``B1 @ B2 == 0`` holds exactly in floating point too, which downstream
+code relies on.
 """
 
 from __future__ import annotations
@@ -31,7 +33,6 @@ __all__ = [
     "sft",
     "inverse_sft",
     "enumerate_3cliques",
-    "triangle_incidence_vector",
     "random_complex",
     "grown_complex",
     "save_complex",
@@ -44,7 +45,8 @@ class SimplicialComplex2:
     """A complex with vertices, oriented edges and oriented triangles.
 
     Instances are built by :func:`build_incidence` and treated as
-    immutable afterwards; all derived operators copy rather than mutate.
+    immutable afterwards. ``b1`` and ``b2`` are ``float64`` and read-only,
+    so derived operators share them instead of copying.
     """
 
     num_vertices: int
@@ -68,7 +70,8 @@ class HodgeOperators:
     """Float incidence matrices of a 2-complex with its lazy Hodge algebra.
 
     ``b1`` (vertices x edges) and ``b2`` (edges x triangles) are held as
-    given. The Laplacians are Gram products of them, ``l0 = b1 b1^T``,
+    given; :func:`hodge_laplacians` passes the complex's own read-only
+    pair. The Laplacians are Gram products of them, ``l0 = b1 b1^T``,
     ``l2 = b2^T b2``, ``lower = b1^T b1``, ``upper = b2 b2^T`` and
     ``l1 = lower + upper``, each a dense product computed on first
     access. The moment basis and the regressors need only the incidence
@@ -182,16 +185,19 @@ def build_incidence(
 
     E = len(edge_list)
     T = len(tri_list)
-    b1 = np.zeros((num_vertices, E), dtype=np.int64)
+    b1 = np.zeros((num_vertices, E))
     for col, (i, j) in enumerate(edge_list):
-        b1[i, col] = -1
-        b1[j, col] = 1
+        b1[i, col] = -1.0
+        b1[j, col] = 1.0
 
-    b2 = np.zeros((E, T), dtype=np.int64)
+    b2 = np.zeros((E, T))
     for col, (i, j, k) in enumerate(tri_list):
-        b2[edge_index[(i, j)], col] = 1
-        b2[edge_index[(i, k)], col] = -1
-        b2[edge_index[(j, k)], col] = 1
+        b2[edge_index[(i, j)], col] = 1.0
+        b2[edge_index[(i, k)], col] = -1.0
+        b2[edge_index[(j, k)], col] = 1.0
+    # one pair for the complex and every operator built from it
+    b1.setflags(write=False)
+    b2.setflags(write=False)
 
     return SimplicialComplex2(
         num_vertices=num_vertices,
@@ -204,8 +210,8 @@ def build_incidence(
 
 
 def hodge_laplacians(complex_: SimplicialComplex2) -> HodgeOperators:
-    """Float incidence matrices of the complex; its Laplacians are built on first use."""
-    return HodgeOperators(b1=complex_.b1.astype(np.float64), b2=complex_.b2.astype(np.float64))
+    """The complex's incidence pair, shared; its Laplacians are built on first use."""
+    return HodgeOperators(b1=complex_.b1, b2=complex_.b2)
 
 
 def hodge_decompose(x: np.ndarray, complex_: SimplicialComplex2) -> HodgeComponents:
@@ -221,16 +227,15 @@ def hodge_decompose(x: np.ndarray, complex_: SimplicialComplex2) -> HodgeCompone
         raise ValueError(
             f"signal has shape {x.shape}, expected ({complex_.num_edges},)"
         )
-    b1t = complex_.b1.T.astype(np.float64)
+    b1t = complex_.b1.T
     gradient = np.zeros_like(x)
     if complex_.num_vertices > 0:
         z, *_ = np.linalg.lstsq(b1t, x, rcond=None)
         gradient = b1t @ z
     curl = np.zeros_like(x)
     if complex_.num_triangles > 0:
-        b2 = complex_.b2.astype(np.float64)
-        w, *_ = np.linalg.lstsq(b2, x, rcond=None)
-        curl = b2 @ w
+        w, *_ = np.linalg.lstsq(complex_.b2, x, rcond=None)
+        curl = complex_.b2 @ w
     harmonic = x - gradient - curl
     return HodgeComponents(gradient=gradient, curl=curl, harmonic=harmonic)
 
@@ -253,38 +258,24 @@ def inverse_sft(coeffs: np.ndarray, ops: HodgeOperators) -> np.ndarray:
     return ops.eigenvectors @ coeffs
 
 
-def triangle_incidence_vector(
-    triple: tuple[int, int, int], edge_index: dict[tuple[int, int], int], num_edges: int
-) -> np.ndarray:
-    """Signed edge-incidence column of one (candidate) triangle."""
-    i, j, k = triple
-    b = np.zeros(num_edges, dtype=np.float64)
-    b[edge_index[(i, j)]] = 1.0
-    b[edge_index[(i, k)]] = -1.0
-    b[edge_index[(j, k)]] = 1.0
-    return b
+def enumerate_3cliques(complex_: SimplicialComplex2) -> list[tuple[int, int, int]]:
+    """All 3-vertex cliques of the 1-skeleton, as ascending vertex triples.
 
-
-def enumerate_3cliques(
-    complex_: SimplicialComplex2,
-) -> list[tuple[tuple[int, int, int], np.ndarray]]:
-    """All 3-vertex cliques of the 1-skeleton with their incidence vectors.
-
-    Returned in lexicographic triple order; every filled triangle of the
-    complex appears among the cliques (downward closure guarantees it).
+    Returned in lexicographic order; every filled triangle of the complex
+    appears among the cliques (downward closure guarantees it). Their
+    incidence columns are ``build_incidence(V, edges, cliques).b2``.
     """
     adjacency: list[set[int]] = [set() for _ in range(complex_.num_vertices)]
     for i, j in complex_.edges:
         adjacency[i].add(j)
         adjacency[j].add(i)
-    cliques: list[tuple[tuple[int, int, int], np.ndarray]] = []
-    for i, j in complex_.edges:
-        for k in sorted(adjacency[i] & adjacency[j]):
-            if k > j:
-                triple = (i, j, k)
-                b = triangle_incidence_vector(triple, complex_.edge_index, complex_.num_edges)
-                cliques.append((triple, b))
-    cliques.sort(key=lambda item: item[0])
+    cliques = [
+        (i, j, k)
+        for i, j in complex_.edges
+        for k in adjacency[i] & adjacency[j]
+        if k > j
+    ]
+    cliques.sort()
     return cliques
 
 
@@ -306,11 +297,7 @@ def random_complex(
         if rng.random() < edge_prob
     ]
     skeleton = build_incidence(num_vertices, edges, [])
-    triangles = [
-        triple
-        for triple, _ in enumerate_3cliques(skeleton)
-        if rng.random() < fill_prob
-    ]
+    triangles = [triple for triple in enumerate_3cliques(skeleton) if rng.random() < fill_prob]
     return build_incidence(num_vertices, edges, triangles)
 
 
@@ -371,7 +358,7 @@ def grown_complex(
 
         edges = sorted(have)
         skeleton = build_incidence(num_vertices, edges, [])
-        cliques = [triple for triple, _ in enumerate_3cliques(skeleton)]
+        cliques = enumerate_3cliques(skeleton)
         if len(cliques) < num_triangles:
             continue
         chosen = rng.choice(len(cliques), size=num_triangles, replace=False)

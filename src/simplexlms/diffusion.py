@@ -72,12 +72,17 @@ class CombinationMatrix:
 
 
 def lower_adjacency_neighborhoods(complex_: SimplicialComplex2) -> list[list[int]]:
-    """Edges sharing a vertex, plus the edge itself (the default comm graph)."""
-    ops = hodge_laplacians(complex_)
-    E = complex_.num_edges
+    """Edges sharing a vertex, plus the edge itself (the default comm graph).
+
+    These are the nonzero columns of ``lower = b1^T b1`` in each row, read
+    from the incidence matrix without forming it: the edges at a vertex
+    are the nonzeros of its row of ``b1``, and an edge's neighbourhood is
+    the union over the two vertices in its column.
+    """
+    at_vertex = [set(np.flatnonzero(row).tolist()) for row in complex_.b1]
     return [
-        sorted(set(np.flatnonzero(ops.lower[i] != 0).tolist()) | {i})
-        for i in range(E)
+        sorted(set().union(*(at_vertex[v] for v in np.flatnonzero(column))))
+        for column in complex_.b1.T
     ]
 
 

@@ -208,6 +208,12 @@ _CSV_COLUMNS = {
 }
 
 
+# Characters of encoded JSON gathered before one write to a result file. The
+# encoder's chunks are a few characters each, and a list of them takes about
+# six bytes per character, so this keeps the writer's buffer near 100 KB.
+_WRITE_CHARS = 1 << 14
+
+
 def _csv_table(mode):
     if mode not in _CSV_COLUMNS:
         raise ConfigError(f"mode {mode!r} has no CSV row table; write JSON instead")
@@ -243,6 +249,26 @@ def _csv_rows(payload: dict, table):
         yield [k] + [v[k] if isinstance(v, list) else v for v in values]
 
 
+def _write_json(payload: dict, fh) -> None:
+    """The bytes of ``json.dump(payload, fh, indent=2, allow_nan=False)`` and a newline.
+
+    The encoder's chunks (a few characters each) are joined into pieces of
+    about ``_WRITE_CHARS`` characters before each write, so a long file
+    takes few writes while memory stays bounded.
+    """
+    pending: list[str] = []
+    size = 0
+    for chunk in json.JSONEncoder(indent=2, allow_nan=False).iterencode(payload):
+        pending.append(chunk)
+        size += len(chunk)
+        if size >= _WRITE_CHARS:
+            fh.write("".join(pending))
+            pending.clear()
+            size = 0
+    pending.append("\n")
+    fh.write("".join(pending))
+
+
 def emit_results(payload: dict, path, fmt: str = "json") -> None:
     """Write a result payload as strict JSON, or its mode's row table as CSV.
 
@@ -263,8 +289,7 @@ def emit_results(payload: dict, path, fmt: str = "json") -> None:
     try:
         with open(part, "w", newline="", encoding="utf-8") as fh:
             if fmt == "json":
-                json.dump(payload, fh, indent=2, allow_nan=False)
-                fh.write("\n")
+                _write_json(payload, fh)
             else:
                 csv.writer(fh).writerows(_csv_rows(payload, table))
         os.replace(part, path)
@@ -291,17 +316,29 @@ def _stream_pieces(cfg: ExperimentConfig, complex_: SimplicialComplex2):
     signal_var = _positive(cfg, "signal_var", cfg.get("signal_var", 1.0))
     scale = _positive(cfg, "coeff_scale", cfg.get("coeff_scale", 1.0))
     coeffs = draw_coeffs(order, seed, scale=scale)
-    stream = StreamConfig(
-        c_x=signal_var * np.eye(E), sigma_v2=sigma_v2, p=p, horizon=horizon + order, seed=seed
-    )
+    stream = StreamConfig.white(E, signal_var, sigma_v2, p, horizon=horizon + order, seed=seed)
     return coeffs, stream, horizon, realizations
+
+
+@contextlib.contextmanager
+def _input_errors():
+    """Report a library call's rejection of its inputs (a ``ValueError``) as a config error.
+
+    The library checks what only it can, such as threshold orderings or a
+    moment basis that overflows at the configured signal scale.
+    """
+    try:
+        yield
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def mode_run_lms(cfg: ExperimentConfig) -> dict:
     complex_ = _complex_with_edges(cfg)
     coeffs, stream, horizon, realizations = _stream_pieces(cfg, complex_)
     mu = _positive(cfg, "mu", cfg.require("mu"))
-    result = run_experiment(complex_, coeffs, stream, mu, realizations, horizon)
+    with _input_errors():
+        result = run_experiment(complex_, coeffs, stream, mu, realizations, horizon)
     payload = {
         "config": dict(cfg.values),
         "metadata": _metadata(cfg),
@@ -331,7 +368,7 @@ def mode_design_sampling(cfg: ExperimentConfig) -> dict:
     if not 0.0 <= tol < np.inf:
         raise ConfigError(f"config key 'tol' must be finite and nonnegative, got {tol}")
     max_iter = _count(cfg, "max_iter", cfg.get("max_iter", 2000), minimum=1)
-    try:
+    with _input_errors():
         problem = SamplingProblem.from_moments(
             ops,
             signal_var,
@@ -342,8 +379,6 @@ def mode_design_sampling(cfg: ExperimentConfig) -> dict:
             gamma=_positive(cfg, "gamma", cfg.require("gamma")),
             p_max=cfg.get("p_max", 1.0),
         )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
     solution = solve_sampling(problem, tol=tol, max_iter=max_iter)
     return {
         "config": dict(cfg.values),
@@ -369,10 +404,8 @@ def mode_infer_topology(cfg: ExperimentConfig) -> dict:
     horizon = _count(cfg, "horizon", cfg.require("horizon"))
     realizations = _count(cfg, "realizations", cfg.get("realizations", 10), minimum=1)
     lam0, lam1 = float(cfg.require("lambda0")), float(cfg.require("lambda1"))
-    try:
+    with _input_errors():
         _check_threshold_order(lam0, lam1)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
     E = complex_.num_edges
     sigma_v2 = resolve_noise(cfg.get("noise_var", 0.0), E, seed)
     p = resolve_p(cfg.get("p", 1.0), E, sigma_v2)
@@ -390,22 +423,23 @@ def mode_infer_topology(cfg: ExperimentConfig) -> dict:
         t_after = t_true.copy()
         t_after[drop] = 0.0
         schedule.append((horizon // 2, t_after))
-    result = run_inference(
-        complex_,
-        coeffs,
-        cand,
-        sigma_v2,
-        p,
-        schedule,
-        mu1=_positive(cfg, "mu1", cfg.require("mu1")),
-        mu2=_positive(cfg, "mu2", cfg.require("mu2")),
-        lam0=lam0,
-        lam1=lam1,
-        horizon=horizon,
-        realizations=realizations,
-        seed=seed,
-        signal_var=_positive(cfg, "signal_var", cfg.get("signal_var", 1.0)),
-    )
+    with _input_errors():
+        result = run_inference(
+            complex_,
+            coeffs,
+            cand,
+            sigma_v2,
+            p,
+            schedule,
+            mu1=_positive(cfg, "mu1", cfg.require("mu1")),
+            mu2=_positive(cfg, "mu2", cfg.require("mu2")),
+            lam0=lam0,
+            lam1=lam1,
+            horizon=horizon,
+            realizations=realizations,
+            seed=seed,
+            signal_var=_positive(cfg, "signal_var", cfg.get("signal_var", 1.0)),
+        )
     return {
         "config": dict(cfg.values),
         "metadata": _metadata(cfg),
@@ -425,16 +459,17 @@ def mode_run_distributed(cfg: ExperimentConfig) -> dict:
     mu = np.array([_positive(cfg, "mu", m) for m in np.ravel(cfg.require("mu"))])
     neighborhoods = lower_adjacency_neighborhoods(complex_)
     comb = build_combination(neighborhoods, rule=cfg.get("rule", "uniform"))
-    result = run_distributed(
-        complex_,
-        coeffs,
-        stream,
-        comb,
-        mu,
-        realizations,
-        horizon,
-        track_agents=bool(cfg.get("emit_agent_traces", False)),
-    )
+    with _input_errors():
+        result = run_distributed(
+            complex_,
+            coeffs,
+            stream,
+            comb,
+            mu,
+            realizations,
+            horizon,
+            track_agents=bool(cfg.get("emit_agent_traces", False)),
+        )
     combination_file = cfg.get("combination_out")
     if combination_file:
         save_combination(comb, combination_file)
@@ -459,11 +494,14 @@ def mode_run_distributed(cfg: ExperimentConfig) -> dict:
 
 
 def mode_ar_train(cfg: ExperimentConfig) -> dict:
+    order = _count(cfg, "order", cfg.require("order"))
+    mu = _positive(cfg, "mu", cfg.require("mu"))
+    epochs = _count(cfg, "epochs", cfg.get("epochs", 1), minimum=1)
     if "surrogate" in cfg.values:
         spec = cfg.values["surrogate"]
         ds = traffic_surrogate(
             seed=int(spec.get("seed", 0)),
-            order=int(spec.get("order", cfg.get("order", 3))),
+            order=_count(cfg, "surrogate.order", spec.get("order", order)),
             with_upper=bool(spec.get("with_upper", True)),
         )
     else:
@@ -472,11 +510,8 @@ def mode_ar_train(cfg: ExperimentConfig) -> dict:
             cfg.require("series_file"),
             train_count=cfg.get("train_count"),
         )
-    order = int(cfg.require("order"))
-    mu = _positive(cfg, "mu", cfg.require("mu"))
-    epochs = int(cfg.get("epochs", 1))
     variant = cfg.get("variant", "topo")
-    try:
+    with _input_errors():
         if cfg.get("distributed", False):
             comb = build_combination(
                 lower_adjacency_neighborhoods(ds.complex), rule=cfg.get("rule", "uniform")
@@ -484,8 +519,6 @@ def mode_ar_train(cfg: ExperimentConfig) -> dict:
             result = run_distributed_ar(ds, order, mu, comb, epochs=epochs, variant=variant)
         else:
             result = run_ar_training(ds, order, mu, variant=variant, epochs=epochs)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
     return {
         "config": dict(cfg.values),
         "metadata": _metadata(cfg),
@@ -505,7 +538,7 @@ def mode_generate_complex(cfg: ExperimentConfig) -> dict:
     if series_out:
         ds = traffic_surrogate(
             seed=int(cfg.get("seed", 0)),
-            order=int(cfg.get("order", 3)),
+            order=_count(cfg, "order", cfg.get("order", 3)),
             with_upper=bool(cfg.get("with_upper", True)),
             complex_=complex_,
         )

@@ -29,10 +29,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .complexes import HodgeOperators, SimplicialComplex2, enumerate_3cliques
+from .complexes import HodgeOperators, SimplicialComplex2, build_incidence, enumerate_3cliques
 from .errors import DivergenceError
 from .lms import LmsState, _monte_carlo, lms_step
-from .signals import StreamConfig, _block_stops, _draw, _power_columns, _realization
+from .signals import (StreamConfig, _block_stops, _draw, _power_columns, _realization,
+                      edge_moment_matrices)
 
 __all__ = [
     "CandidateSet",
@@ -79,18 +80,18 @@ class CandidateSet:
 
 
 def candidate_set(complex_: SimplicialComplex2, order: int) -> CandidateSet:
-    """Enumerate candidates with their Gram and the 1-skeleton's operators."""
+    """Enumerate candidates with their Gram and the 1-skeleton's operators.
+
+    The candidates' incidence columns are those of the complex filled with
+    every 3-clique; the skeleton shares the complex's ``b1``.
+    """
     cliques = enumerate_3cliques(complex_)
-    E = complex_.num_edges
-    if cliques:
-        b_matrix = np.stack([b for _, b in cliques], axis=1)
-    else:
-        b_matrix = np.zeros((E, 0))
+    b_matrix = build_incidence(complex_.num_vertices, list(complex_.edges), cliques).b2
     return CandidateSet(
-        triples=tuple(t for t, _ in cliques),
+        triples=tuple(cliques),
         b_matrix=b_matrix,
         gram=b_matrix.T @ b_matrix,
-        skeleton=HodgeOperators(b1=complex_.b1.astype(np.float64), b2=np.zeros((E, 0))),
+        skeleton=HodgeOperators(b1=complex_.b1, b2=np.zeros((complex_.num_edges, 0))),
         order=order,
     )
 
@@ -270,7 +271,8 @@ def run_inference(
     :func:`.signals.generate_stream` uses, with the last ``order`` signal
     rows carried over as history, so memory does not grow with the
     horizon. Realizations run through the Monte-Carlo engine,
-    :func:`.lms._monte_carlo`.
+    :func:`.lms._monte_carlo`. A signal scale whose moments overflow on
+    the complex of all candidates raises a ``ValueError`` before any step.
     """
     order = cand.order
     h_true = coeffs.flatten()
@@ -280,6 +282,8 @@ def run_inference(
     E = cand.num_edges
     N = horizon + order
     stream = StreamConfig.white(E, signal_var, sigma_v2, p, horizon=N, seed=seed)
+    # every indicator in [0, 1] weights the triangles of this complex
+    edge_moment_matrices(HodgeOperators(b1=cand.skeleton.b1, b2=cand.b_matrix), signal_var, order)
 
     def run_one(seed_r: int) -> np.ndarray:
         traj = np.empty((4, horizon + 1))

@@ -89,15 +89,12 @@ class SamplingProblem:
     ) -> "SamplingProblem":
         E = ops.num_edges
         p_max_vec = np.broadcast_to(np.asarray(p_max, dtype=np.float64), (E,)).copy()
-        # an overflowing basis is not a warning but an input error, raised by the check
-        with np.errstate(over="ignore", invalid="ignore"):
-            basis = edge_moment_matrices(ops, c_x, order)
         return cls(
             mu=mu,
             alpha=alpha,
             gamma=gamma,
             p_max=p_max_vec,
-            basis=basis,
+            basis=edge_moment_matrices(ops, c_x, order),
             sigma_v2=np.asarray(sigma_v2, dtype=np.float64),
         )
 

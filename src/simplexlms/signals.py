@@ -100,12 +100,13 @@ class StreamConfig:
     """Generator parameters for one synthetic stream.
 
     ``c_x`` is the (symmetric PSD) spatial covariance of the white signal
-    process, ``sigma_v2`` the per-edge noise variances and ``p`` the
-    per-edge Bernoulli sampling probabilities. All randomness derives
-    from ``seed`` through independent child streams for signal, noise
-    and masks. The covariance factor the draws use is computed once, by
-    the check at construction; change ``c_x`` with ``dataclasses.replace``,
-    not by assignment.
+    process, or a 0-d variance ``c`` standing for ``c I`` (white signals of
+    equal variance, with no E x E array); ``sigma_v2`` the per-edge noise
+    variances and ``p`` the per-edge Bernoulli sampling probabilities. All
+    randomness derives from ``seed`` through independent child streams for
+    signal, noise and masks. The covariance factor the draws use is
+    computed once, by the check at construction; change ``c_x`` with
+    ``dataclasses.replace``, not by assignment.
     """
 
     c_x: np.ndarray
@@ -118,11 +119,12 @@ class StreamConfig:
         self.c_x = np.asarray(self.c_x, dtype=np.float64)
         self.sigma_v2 = np.asarray(self.sigma_v2, dtype=np.float64)
         self.p = np.asarray(self.p, dtype=np.float64)
-        E = self.c_x.shape[0]
-        if self.c_x.shape != (E, E):
-            raise ValueError("c_x must be square")
-        if not np.allclose(self.c_x, self.c_x.T, atol=1e-12):
-            raise ValueError("c_x must be symmetric")
+        E = self.c_x.shape[0] if self.c_x.ndim else self.sigma_v2.size
+        if self.c_x.ndim:
+            if self.c_x.shape != (E, E):
+                raise ValueError("c_x must be square")
+            if not np.allclose(self.c_x, self.c_x.T, atol=1e-12):
+                raise ValueError("c_x must be symmetric")
         # raises unless c_x is positive semi-definite; kept for the draws
         self._factor = _covariance_factor(self.c_x)
         if self.sigma_v2.shape != (E,) or np.any(self.sigma_v2 < 0):
@@ -132,7 +134,7 @@ class StreamConfig:
 
     @property
     def num_edges(self) -> int:
-        return self.c_x.shape[0]
+        return self.sigma_v2.shape[0]
 
     @classmethod
     def white(
@@ -146,7 +148,7 @@ class StreamConfig:
     ) -> "StreamConfig":
         """Convenience constructor for i.i.d. signals with scalar knobs."""
         return cls(
-            c_x=signal_var * np.eye(num_edges),
+            c_x=np.float64(signal_var),
             sigma_v2=np.broadcast_to(np.asarray(sigma_v2, dtype=np.float64), (num_edges,)).copy(),
             p=np.broadcast_to(np.asarray(p, dtype=np.float64), (num_edges,)).copy(),
             horizon=horizon,
@@ -324,7 +326,15 @@ def sample_mask(p: np.ndarray, rng: np.random.Generator) -> np.ndarray:
 
 
 def _covariance_factor(c_x: np.ndarray) -> np.ndarray:
-    """Matrix A with A A^T = c_x; Cholesky with an eigen fallback."""
+    """Matrix A with A A^T = c_x; Cholesky with an eigen fallback.
+
+    A 0-d variance ``c`` gives the 0-d ``sqrt(c)``, the diagonal of the
+    Cholesky factor of ``c I`` bit for bit.
+    """
+    if c_x.ndim == 0:
+        if not c_x >= 0:
+            raise ValueError("c_x must be positive semi-definite")
+        return np.sqrt(c_x)
     try:
         return np.linalg.cholesky(c_x)
     except np.linalg.LinAlgError:
@@ -359,10 +369,10 @@ def _draw(cfg: StreamConfig, stops=None):
     sig, noise, mask = (np.random.default_rng(s)
                         for s in np.random.SeedSequence(cfg.seed).spawn(3))
     factor = cfg._factor
-    scale = np.diag(factor)
+    scale = factor if factor.ndim == 0 else np.diag(factor)
     # a diagonal factor (white signals) scales columns: the same bits as the
     # product, without the matrix product's work buffer in memory
-    white = np.array_equal(factor, np.diag(scale))
+    white = factor.ndim == 0 or np.array_equal(factor, np.diag(scale))
     noise_scale = np.sqrt(cfg.sigma_v2)
     start = 0
     for stop in (cfg.horizon,) if stops is None else stops:
@@ -456,14 +466,15 @@ def moments_closed_form(
         c_X[a, b] = Tr(Op_a^T diag(p) Op_b c_x)          (equal lags)
         g[a, b]   = Tr(Op_a^T diag(sigma_v2 * p) Op_b c_x)
 
-    The cross moment follows from the generative model itself:
-    substituting ``y = D (X h + v)`` gives ``c_Xy = c_X h`` exactly.
+    A 0-d ``c_x`` stands for ``c_x I``. The cross moment follows from the
+    generative model itself: substituting ``y = D (X h + v)`` gives
+    ``c_Xy = c_X h`` exactly.
     """
     p = np.asarray(p, dtype=np.float64)
     c_x = np.asarray(c_x, dtype=np.float64)
     sigma_v2 = np.asarray(sigma_v2, dtype=np.float64)
     E = ops.num_edges
-    if p.shape != (E,) or c_x.shape != (E, E) or sigma_v2.shape != (E,):
+    if p.shape != (E,) or c_x.shape not in {(), (E, E)} or sigma_v2.shape != (E,):
         raise ValueError("moment inputs must all match the edge count")
     if coeffs.order != order:
         raise ValueError("coefficient order does not match the requested order")
@@ -522,34 +533,64 @@ def edge_moment_matrices(ops: HodgeOperators, c_x: np.ndarray | float,
     with ``F = b1^T`` and ``A = b1^T l0^(m-1)``. Hence
     ``Z_i[a, b] = sum_k (A_a W_ab)_{ik} (A_b)_{ik}`` with the small
     ``W_ab = F_a^T c_x F_b``, the same for every ``m``, and no E x E
-    operator is formed. A 0-d ``c_x`` stands for ``c_x I`` (white signals
-    of equal variance); it scales the factors instead of multiplying them.
+    operator is formed. The rows of ``A`` are walked in blocks of about
+    ``_WINDOW_ELEMENTS`` floats, so no edge-sized temporary is formed
+    either. A 0-d ``c_x`` stands for ``c_x I`` (white signals of equal
+    variance): then the upper weight is ``c_x`` times the Gram, with no
+    scaled ``E x T`` factor, and the upper/lower weight ``c_x b2^T b1^T``
+    is zero because ``b1 b2 = 0``, so it is skipped and those entries stay
+    exact zeros. A basis whose sum over the edges (``c_X`` at ``p = 1``)
+    is not finite, from a signal scale too large to represent, raises a
+    ``ValueError``.
     """
     c_x = np.asarray(c_x, dtype=np.float64)
-    scalar = c_x.ndim == 0
     dim = 2 * order + 1
     Z = np.zeros((ops.num_edges, dim, dim))
-    Z[:, 0, 0] = c_x if scalar else np.diag(c_x)
-    if order == 0:
-        return Z
+    # an overflowing scale leaves inf or nan entries, which the check rejects
+    with np.errstate(over="ignore", invalid="ignore"):
+        Z[:, 0, 0] = np.diag(c_x) if c_x.ndim else c_x
+        if order:
+            _factor_moments(Z, ops, c_x, order)
+        finite = np.all(np.isfinite(Z.sum(axis=0)))
+    if not finite:
+        raise ValueError("the moment basis must be finite: the signal scale overflows it "
+                         "on this complex at this order")
+    return Z
+
+
+def _factor_moments(Z: np.ndarray, ops: HodgeOperators, c_x: np.ndarray, order: int) -> None:
+    """Fill the upper and lower entries of :func:`edge_moment_matrices`, row block by block."""
     # factors F and first columns of the upper and the lower taps
     F = [ops.b2, ops.b1.T]
     first = [1, order + 1]
-    grams = [f.T @ f for f in F]
-    weights = {}
-    for t in range(2):
-        cx_f = c_x * F[t] if scalar else c_x @ F[t]
-        for s in range(t + 1):
-            weights[s, t] = F[s].T @ cx_f
-    A = F
-    for m in range(order):
-        if m:
-            A = [a @ gram for a, gram in zip(A, grams)]
-        for (s, t), w in weights.items():
-            rows = np.einsum("ik,ik->i", A[s] @ w, A[t])
-            Z[:, first[s] + m, first[t] + m] = rows
-            Z[:, first[t] + m, first[s] + m] = rows
-    return Z
+    if c_x.ndim:
+        weights = {}
+        for t in range(2):
+            cx_f = c_x @ F[t]
+            for s in range(t + 1):
+                weights[s, t] = F[s].T @ cx_f
+        grams = [f.T @ f for f in F]
+    else:
+        # Each entry of the upper weight sums at most three terms c_x, so it
+        # is c_x times the Gram bit for bit. The lower weight's diagonal sums
+        # a vertex degree of them, and its last bit depends on the order of
+        # that sum, so it stays the BLAS product with the scaled factor
+        # (E x V, smaller than the upper E x T): a sampling design with tied
+        # optima can turn on that bit.
+        lower = F[1].T @ (c_x * F[1])
+        grams = [f.T @ f for f in F]
+        weights = {(0, 0): c_x * grams[0], (1, 1): lower}
+    step = max(1, _WINDOW_ELEMENTS // max(F[0].shape[1], F[1].shape[1], 1))
+    for lo in range(0, Z.shape[0], step):
+        block = Z[lo : lo + step]
+        A = [f[lo : lo + step] for f in F]
+        for m in range(order):
+            if m:
+                A = [a @ gram for a, gram in zip(A, grams)]
+            for (s, t), w in weights.items():
+                values = np.einsum("ik,ik->i", A[s] @ w, A[t])
+                block[:, first[s] + m, first[t] + m] = values
+                block[:, first[t] + m, first[s] + m] = values
 
 
 def local_moment_matrices(

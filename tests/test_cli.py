@@ -207,6 +207,7 @@ SIMULATION_KNOBS = {
     "run-lms": {"mu": 1e-3},
     "run-distributed": {"mu": 1e-3},
     "infer-topology": {"mu1": 1e-2, "mu2": 1e-2, "lambda0": 0.1, "lambda1": 0.1},
+    "ar-train": {"mu": 1e-4, "surrogate": {"seed": 1}},
 }
 
 
@@ -312,6 +313,9 @@ def test_bad_counts_exit_2(tmp_path, complex_file, capsys, mode, flag, value):
     ("design-sampling", {"noise_var": float("nan")}, "noise variances must be finite"),
     ("design-sampling", {"signal_var": 1e308, "noise_var": 1e-3},
      "the moment basis must be finite"),
+    ("ar-train", {"order": -1}, "'order' must be at least 0"),
+    ("ar-train", {"epochs": 0}, "'epochs' must be at least 1"),
+    ("ar-train", {"surrogate": {"seed": 1, "order": -2}}, "'surrogate.order' must be at least 0"),
 ])
 def test_bad_knobs_exit_2(tmp_path, complex_file, capsys, monkeypatch, mode, values, message):
     from simplexlms import harness
@@ -323,6 +327,14 @@ def test_bad_knobs_exit_2(tmp_path, complex_file, capsys, monkeypatch, mode, val
     monkeypatch.setattr(harness, "solve_sampling", no_run)
     assert run_simulation(tmp_path, complex_file, mode, **values) == 2
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("mode", ["run-lms", "run-distributed", "infer-topology"])
+def test_overflowing_signal_scale_exits_2(tmp_path, complex_file, capsys, mode):
+    # a configuration error, found where the closed-form moments are built:
+    # not a divergence verdict, nor a linear-algebra traceback
+    assert run_simulation(tmp_path, complex_file, mode, signal_var=1e308, noise_var=1e-3) == 2
+    assert "the moment basis must be finite" in capsys.readouterr().err
 
 
 def edgeless_config(tmp_path):

@@ -215,10 +215,18 @@ def test_clique_counts():
 
 
 def test_clique_incidence_vectors_match_filled_columns():
+    # the candidate columns of every 3-clique: the sign rule by hand, and the
+    # filled triangles' columns of the complex itself
+    from simplexlms.inference import candidate_set
+
     c = random_complex(12, 0.45, 0.6, 8)
-    cliques = dict(
-        (triple, vec) for triple, vec in enumerate_3cliques(c)
-    )
+    cand = candidate_set(c, 1)
+    assert list(cand.triples) == enumerate_3cliques(c)
+    cliques = dict(zip(cand.triples, cand.b_matrix.T))
+    for (i, j, k), vec in cliques.items():
+        expected = np.zeros(c.num_edges)
+        expected[[c.edge_index[(i, j)], c.edge_index[(i, k)], c.edge_index[(j, k)]]] = [1, -1, 1]
+        assert np.array_equal(vec, expected)
     for col, triple in enumerate(c.triangles):
         assert triple in cliques
         assert np.allclose(cliques[triple], c.b2[:, col])

@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from simplexlms import datasets, signals
+from simplexlms import datasets, harness, signals
 from simplexlms.artrain import (
     VARIANTS,
     ar_regressor_tensor,
@@ -295,6 +295,21 @@ def long_payload():
     rng = np.random.default_rng(4)
     return {"metadata": {"mode": "run-lms"}, "msd": rng.random(30_001).tolist(),
             "msd_db": rng.standard_normal(30_001).tolist()}
+
+
+def test_json_writer_groups_the_encoder_chunks():
+    # the bytes of the indented dump, in a few large writes, not one per chunk
+    payload = long_payload()
+    writes = []
+
+    class Sink:
+        def write(self, text):
+            writes.append(text)
+
+    harness._write_json(payload, Sink())
+    text = "".join(writes)
+    assert text == json.dumps(payload, indent=2) + "\n"
+    assert len(writes) <= len(text) // harness._WRITE_CHARS + 2
 
 
 def test_emit_results_json_is_the_indented_dump(tmp_path):

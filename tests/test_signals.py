@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from simplexlms import artrain, datasets, lms, signals
+from simplexlms import artrain, datasets, diffusion, lms, signals
 from simplexlms.artrain import ar_regressor_tensor, run_ar_training
 from simplexlms.complexes import grown_complex, hodge_laplacians, random_complex
 from simplexlms.datasets import traffic_surrogate
@@ -207,6 +207,13 @@ def test_signal_draw_is_the_factor_product(edges):
         sig_ss = np.random.SeedSequence(cfg.seed).spawn(3)[0]
         z = np.random.default_rng(sig_ss).standard_normal((40, edges))
         np.testing.assert_array_equal(x, z @ np.linalg.cholesky(c_x).T)
+    # a 0-d variance c stands for c I: the bits of the dense config's draw
+    for variance in (1e-3, 0.002, 0.1, 1.0, 7.3):
+        cfg = StreamConfig(c_x=variance, sigma_v2=np.zeros(edges), p=np.ones(edges),
+                           horizon=40, seed=edges)
+        assert cfg.num_edges == edges
+        [(x, _, _)] = _draw(cfg)
+        np.testing.assert_array_equal(x, z @ np.linalg.cholesky(variance * np.eye(edges)).T)
 
 
 def test_stream_sample_covariance(small_complex):
@@ -354,6 +361,55 @@ def test_edge_moments_need_no_edge_by_edge_array(order):
     assert set(vars(ops)) == {"b1", "b2"}  # no Laplacian was formed
 
 
+@pytest.fixture(scope="module")
+def design_complex():
+    # the largest design-scale complex: 900 edges, 150 vertices, 300 triangles
+    return grown_complex(150, 900, 300, seed=2)
+
+
+def test_operators_share_one_read_only_incidence_pair(design_complex):
+    c = design_complex
+    ops = hodge_laplacians(c)
+    assert ops.b1 is c.b1 and ops.b2 is c.b2
+    assert c.b1.dtype == c.b2.dtype == np.float64
+    for factor in (ops.b1, ops.b2):
+        with pytest.raises(ValueError):
+            factor[0, 0] = 5.0
+    assert candidate_set(c, 1).skeleton.b1 is c.b1
+
+
+@pytest.mark.parametrize("order", [1, 2, 3])
+def test_white_moment_basis_is_built_in_row_blocks(design_complex, order):
+    # a 0-d covariance at 900 edges: the basis needs less than one dense copy
+    # of both incidence factors, so no E x K product is formed whole
+    c = design_complex
+    ops = hodge_laplacians(c)
+    tracemalloc.start()
+    try:
+        edge_moment_matrices(ops, 0.05, order)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < c.num_edges * (c.num_vertices + c.num_triangles) * 8, peak
+
+
+def test_white_run_keeps_a_scalar_covariance():
+    # white streams at 600 edges: no E x E covariance, factor or moment input
+    complex_ = grown_complex(40, 600, 40, seed=0)
+    E = complex_.num_edges
+    coeffs = FilterCoeffs.random(1, np.random.default_rng(2), scale=0.3)
+    cfg = StreamConfig.white(E, 0.05, 1e-3, 0.8, horizon=10, seed=1)
+    run_experiment(complex_, coeffs, cfg, mu=1e-3, realizations=1, horizon=40)
+    tracemalloc.start()
+    try:
+        cfg = StreamConfig.white(E, 0.05, 1e-3, 0.8, horizon=10, seed=1)
+        run_experiment(complex_, coeffs, cfg, mu=1e-3, realizations=1, horizon=40)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < E * E * 8, peak
+
+
 def test_stream_paths_form_no_edge_by_edge_laplacian(small_complex, monkeypatch):
     # regressors, indicator regressors and the AR surrogate all go through the
     # incidence factors and their small Grams, never an E x E Laplacian
@@ -363,7 +419,7 @@ def test_stream_paths_form_no_edge_by_edge_laplacian(small_complex, monkeypatch)
         made.append(hodge_laplacians(complex_))
         return made[-1]
 
-    for module in (lms, datasets, artrain):
+    for module in (lms, datasets, artrain, diffusion):
         monkeypatch.setattr(module, "hodge_laplacians", record)
     E, order = small_complex.num_edges, 2
     coeffs = FilterCoeffs.random(order, np.random.default_rng(0), scale=0.3)
@@ -378,7 +434,11 @@ def test_stream_paths_form_no_edge_by_edge_laplacian(small_complex, monkeypatch)
                   horizon=100, realizations=1, seed=0, signal_var=0.005)
     ds = traffic_surrogate(1, order=order, snapshots=60, train_count=50, complex_=small_complex)
     run_ar_training(ds, order, mu=1e-3)
-    assert len(made) == 3   # run_experiment, the surrogate, run_ar_training
+    comb = diffusion.build_combination(diffusion.lower_adjacency_neighborhoods(small_complex))
+    diffusion.run_distributed(small_complex, coeffs, cfg, comb, 1e-3, realizations=1,
+                              horizon=100)
+    # run_experiment, the surrogate, run_ar_training, run_distributed
+    assert len(made) == 4
     for built in (ops, cand.skeleton, *made):
         assert not {"upper", "lower", "l1"} & set(vars(built))
 
@@ -391,6 +451,47 @@ def test_scalar_covariance_is_the_scaled_identity(small_ops, order):
         scalar = edge_moment_matrices(small_ops, variance, order)
         np.testing.assert_allclose(scalar, dense, rtol=1e-15,
                                    atol=1e-15 * float(np.max(np.abs(dense))))
+        # the upper/lower cross entries vanish exactly, since b1 b2 = 0
+        assert np.all(scalar[:, 1 : order + 1, order + 1 :] == 0)
+
+
+def test_moments_take_a_scalar_covariance(small_ops):
+    E = small_ops.num_edges
+    rng = np.random.default_rng(5)
+    coeffs = FilterCoeffs.random(2, rng)
+    p, sigma_v2 = rng.uniform(0, 1, E), rng.uniform(0.001, 0.1, E)
+    dense = moments_closed_form(small_ops, p, 0.3 * np.eye(E), sigma_v2, 2, coeffs)
+    scalar = moments_closed_form(small_ops, p, np.float64(0.3), sigma_v2, 2, coeffs)
+    for a, b in ((scalar.c_X, dense.c_X), (scalar.g, dense.g), (scalar.c_Xy, dense.c_Xy)):
+        np.testing.assert_allclose(a, b, rtol=1e-14, atol=1e-14 * float(np.max(np.abs(b))))
+    with pytest.raises(ValueError):
+        moments_closed_form(small_ops, p, np.eye(E + 1), sigma_v2, 2, coeffs)
+
+
+@pytest.mark.parametrize("order", [1, 2, 3])
+def test_moment_basis_does_not_depend_on_the_row_block(monkeypatch, order):
+    # blocks of a few rows give the one-block basis to round-off, both for a
+    # 0-d and for a dense covariance
+    ops = hodge_laplacians(grown_complex(30, 120, 40, seed=1))
+    E = ops.num_edges
+    a = np.random.default_rng(order).standard_normal((E, 6))
+    for c_x in (np.float64(0.05), a @ a.T / 6 + np.eye(E)):
+        whole = edge_moment_matrices(ops, c_x, order)
+        monkeypatch.setattr(signals, "_WINDOW_ELEMENTS", 7 * 40)
+        blocked = edge_moment_matrices(ops, c_x, order)
+        monkeypatch.undo()
+        np.testing.assert_allclose(blocked, whole, rtol=1e-14,
+                                   atol=1e-14 * float(np.max(np.abs(whole))))
+        assert np.array_equal(blocked == 0, whole == 0)
+
+
+def test_overflowing_moment_basis_is_rejected(small_ops):
+    # every E{z z^T} entry is finite, but their sum over the edges is not
+    E = small_ops.num_edges
+    with pytest.raises(ValueError, match="the moment basis must be finite"):
+        edge_moment_matrices(small_ops, 1e308, 0)
+    with pytest.raises(ValueError, match="the moment basis must be finite"):
+        local_moment_matrices(small_ops, np.ones(E), 1e307 * np.eye(E), 2)
 
 
 def test_window_rule_fits_cache_with_a_row_floor():
