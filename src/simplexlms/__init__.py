@@ -26,14 +26,11 @@ from .complexes import (
 from .signals import (
     FilterCoeffs,
     MomentSet,
-    StreamBatch,
     StreamBlock,
     StreamConfig,
-    collect_stream,
     generate_stream,
     moments_closed_form,
     moments_empirical,
-    sample_mask,
 )
 from .lms import (
     LmsState,
@@ -51,7 +48,6 @@ from .inference import (
     candidate_set,
     grad_t,
     infer_step,
-    param_upper_laplacian,
     prox_hard_threshold,
 )
 from .diffusion import (

@@ -22,7 +22,7 @@ from .complexes import hodge_laplacians
 from .datasets import EdgeSeriesDataset
 from .diffusion import CombinationMatrix, NetworkState, atc_step
 from .lms import LmsState, lms_step
-from .signals import _regressor_windows, regressor_tensor
+from .signals import _series_walk, regressor_tensor
 
 __all__ = [
     "ARTrainResult",
@@ -81,7 +81,8 @@ def _ar_windows(series: np.ndarray, ops, order: int, variant: str, first: int):
 
     The baseline variant zeroes the upper columns of each block, on a copy.
     """
-    for start, R in _regressor_windows(series, ops, order, first, build=ar_regressor_tensor):
+    for start, window, lead, _ in _series_walk(series, order, first):
+        R = ar_regressor_tensor(window, ops, order)[lead:]
         if variant == "edge-laplacian-baseline":
             R = R.copy()
             R[:, :, :order] = 0.0

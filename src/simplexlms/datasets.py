@@ -56,10 +56,6 @@ class EdgeSeriesDataset:
     def train_series(self) -> np.ndarray:
         return self.series[: self.train_count]
 
-    @property
-    def test_series(self) -> np.ndarray:
-        return self.series[self.train_count :]
-
 
 def write_edge_series(path, series: np.ndarray) -> None:
     """CSV with header ``n,e_1,...,e_E`` and one snapshot per row."""

@@ -51,7 +51,6 @@ __all__ = [
     "dist_theory",
     "run_distributed",
     "save_combination",
-    "load_combination",
 ]
 
 # Squarings allowed in the Stein solve: 2^64 terms of its series cover
@@ -348,7 +347,7 @@ def run_distributed(
     def run_one(seed: int) -> tuple[np.ndarray, ...]:
         traj = np.empty(horizon + 1)
         agent_traj = np.empty((E, horizon + 1)) if track_agents else None
-        blocks = generate_stream(coeffs, None, _realization(cfg, horizon + order, seed), ops=ops)
+        blocks = generate_stream(coeffs, ops, _realization(cfg, horizon + order, seed))
         states = _stream_states(NetworkState(estimates=np.zeros((E, h_true.size)), mu=mu_vec),
                                 lambda net, z, d, y: atc_step(net, comb, z, d, y), blocks, order)
         for k, net in enumerate(states):
@@ -371,18 +370,3 @@ def save_combination(comb: CombinationMatrix, path) -> None:
         for i in range(comb.num_agents):
             for l in np.flatnonzero(comb.a[i]):
                 writer.writerow([i, int(l), repr(float(comb.a[i, l]))])
-
-
-def load_combination(path, num_agents: int) -> CombinationMatrix:
-    a = np.zeros((num_agents, num_agents))
-    with open(path, "r", newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if header != ["i", "l", "a_il"]:
-            raise ValueError(f"{path}: unexpected combination header {header!r}")
-        for row in reader:
-            a[int(row[0]), int(row[1])] = float(row[2])
-    neighborhoods = tuple(
-        tuple(int(j) for j in np.flatnonzero(a[i])) for i in range(num_agents)
-    )
-    return CombinationMatrix(a=a, neighborhoods=neighborhoods)

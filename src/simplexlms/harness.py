@@ -135,16 +135,20 @@ def resolve_noise(spec, num_edges: int, seed: int) -> np.ndarray:
     log-uniform). Draws use the tagged child generator of ``seed``.
     """
     rng = _sub_rng(seed, "noise")
-    if isinstance(spec, dict):
-        if "choices" in spec:
-            return rng.choice(np.asarray(spec["choices"], dtype=np.float64), size=num_edges)
-        if "low" in spec and "high" in spec:
-            low, high = float(spec["low"]), float(spec["high"])
-            if spec.get("log"):
-                return np.exp(rng.uniform(np.log(low), np.log(high), size=num_edges))
-            return rng.uniform(low, high, size=num_edges)
+    if not isinstance(spec, dict):
+        arr = np.broadcast_to(np.asarray(spec, dtype=np.float64), (num_edges,)).copy()
+    elif "choices" in spec:
+        arr = rng.choice(np.asarray(spec["choices"], dtype=np.float64), size=num_edges)
+    elif "low" in spec and "high" in spec:
+        bounds = np.array([spec["low"], spec["high"]], dtype=np.float64)
+        # the bits of rng.uniform, which raises on a non-finite range: bad
+        # bounds give NaN or inf draws, which the check below rejects
+        with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+            low, high = np.log(bounds) if spec.get("log") else bounds
+            arr = low + (high - low) * rng.random(num_edges)
+            arr = np.exp(arr) if spec.get("log") else arr
+    else:
         raise ConfigError(f"unsupported noise spec {spec!r}")
-    arr = np.broadcast_to(np.asarray(spec, dtype=np.float64), (num_edges,)).copy()
     if not np.all((0 <= arr) & (arr < np.inf)):
         raise ConfigError("noise variances must be finite and nonnegative")
     return arr
@@ -171,7 +175,7 @@ def resolve_p(spec, num_edges: int, sigma_v2: np.ndarray | None = None) -> np.nd
             return p
         raise ConfigError(f"unsupported sampling spec {spec!r}")
     arr = np.broadcast_to(np.asarray(spec, dtype=np.float64), (num_edges,)).copy()
-    if np.any(arr < 0) or np.any(arr > 1):
+    if not np.all((0 <= arr) & (arr <= 1)):  # NaN fails too
         raise ConfigError("sampling probabilities must lie in [0, 1]")
     return arr
 
@@ -304,20 +308,22 @@ def _metadata(cfg: ExperimentConfig) -> dict:
     return {"version": __version__, "mode": cfg.mode, "seed": int(cfg.get("seed", 0))}
 
 
-def _stream_pieces(cfg: ExperimentConfig, complex_: SimplicialComplex2):
-    """Coefficients, stream config, horizon and realization count of a simulation mode."""
+def _stream_pieces(cfg: ExperimentConfig, complex_: SimplicialComplex2, realizations: int = 30):
+    """Filter order, stream config, horizon and realization count of a simulation mode.
+
+    ``realizations`` is the count when the config gives none. The caller
+    draws the coefficients, whose law depends on the mode.
+    """
     seed = int(cfg.get("seed", 0))
     E = complex_.num_edges
     order = _count(cfg, "order", cfg.require("order"))
     horizon = _count(cfg, "horizon", cfg.require("horizon"))
-    realizations = _count(cfg, "realizations", cfg.get("realizations", 30), minimum=1)
+    realizations = _count(cfg, "realizations", cfg.get("realizations", realizations), minimum=1)
     sigma_v2 = resolve_noise(cfg.get("noise_var", 0.0), E, seed)
     p = resolve_p(cfg.get("p", 1.0), E, sigma_v2)
     signal_var = _positive(cfg, "signal_var", cfg.get("signal_var", 1.0))
-    scale = _positive(cfg, "coeff_scale", cfg.get("coeff_scale", 1.0))
-    coeffs = draw_coeffs(order, seed, scale=scale)
     stream = StreamConfig.white(E, signal_var, sigma_v2, p, horizon=horizon + order, seed=seed)
-    return coeffs, stream, horizon, realizations
+    return order, stream, horizon, realizations
 
 
 @contextlib.contextmanager
@@ -335,7 +341,9 @@ def _input_errors():
 
 def mode_run_lms(cfg: ExperimentConfig) -> dict:
     complex_ = _complex_with_edges(cfg)
-    coeffs, stream, horizon, realizations = _stream_pieces(cfg, complex_)
+    order, stream, horizon, realizations = _stream_pieces(cfg, complex_)
+    scale = _positive(cfg, "coeff_scale", cfg.get("coeff_scale", 1.0))
+    coeffs = draw_coeffs(order, stream.seed, scale=scale)
     mu = _positive(cfg, "mu", cfg.require("mu"))
     with _input_errors():
         result = run_experiment(complex_, coeffs, stream, mu, realizations, horizon)
@@ -399,18 +407,12 @@ def mode_design_sampling(cfg: ExperimentConfig) -> dict:
 
 def mode_infer_topology(cfg: ExperimentConfig) -> dict:
     complex_ = build_complex_from_config(cfg)
-    seed = int(cfg.get("seed", 0))
-    order = _count(cfg, "order", cfg.require("order"))
-    horizon = _count(cfg, "horizon", cfg.require("horizon"))
-    realizations = _count(cfg, "realizations", cfg.get("realizations", 10), minimum=1)
+    order, stream, horizon, realizations = _stream_pieces(cfg, complex_, realizations=10)
     lam0, lam1 = float(cfg.require("lambda0")), float(cfg.require("lambda1"))
     with _input_errors():
         _check_threshold_order(lam0, lam1)
-    E = complex_.num_edges
-    sigma_v2 = resolve_noise(cfg.get("noise_var", 0.0), E, seed)
-    p = resolve_p(cfg.get("p", 1.0), E, sigma_v2)
     magnitude = _positive(cfg, "coeff_magnitude", cfg.get("coeff_magnitude", 1.0))
-    coeffs = draw_bounded_coeffs(order, seed, magnitude=magnitude)
+    coeffs = draw_bounded_coeffs(order, stream.seed, magnitude=magnitude)
     cand = candidate_set(complex_, order)
     t_true = cand.true_indicator(complex_)
     schedule = [(0, t_true)]
@@ -419,17 +421,15 @@ def mode_infer_topology(cfg: ExperimentConfig) -> dict:
         filled = np.flatnonzero(t_true)
         if removals > filled.size:
             raise ConfigError("cannot remove more triangles than the complex holds")
-        drop = _sub_rng(seed, "removals").choice(filled, size=removals, replace=False)
+        drop = _sub_rng(stream.seed, "removals").choice(filled, size=removals, replace=False)
         t_after = t_true.copy()
         t_after[drop] = 0.0
         schedule.append((horizon // 2, t_after))
     with _input_errors():
         result = run_inference(
-            complex_,
-            coeffs,
             cand,
-            sigma_v2,
-            p,
+            coeffs,
+            stream,
             schedule,
             mu1=_positive(cfg, "mu1", cfg.require("mu1")),
             mu2=_positive(cfg, "mu2", cfg.require("mu2")),
@@ -437,8 +437,6 @@ def mode_infer_topology(cfg: ExperimentConfig) -> dict:
             lam1=lam1,
             horizon=horizon,
             realizations=realizations,
-            seed=seed,
-            signal_var=_positive(cfg, "signal_var", cfg.get("signal_var", 1.0)),
         )
     return {
         "config": dict(cfg.values),
@@ -455,7 +453,9 @@ def mode_infer_topology(cfg: ExperimentConfig) -> dict:
 
 def mode_run_distributed(cfg: ExperimentConfig) -> dict:
     complex_ = _complex_with_edges(cfg)
-    coeffs, stream, horizon, realizations = _stream_pieces(cfg, complex_)
+    order, stream, horizon, realizations = _stream_pieces(cfg, complex_)
+    scale = _positive(cfg, "coeff_scale", cfg.get("coeff_scale", 1.0))
+    coeffs = draw_coeffs(order, stream.seed, scale=scale)
     mu = np.array([_positive(cfg, "mu", m) for m in np.ravel(cfg.require("mu"))])
     neighborhoods = lower_adjacency_neighborhoods(complex_)
     comb = build_combination(neighborhoods, rule=cfg.get("rule", "uniform"))

@@ -32,8 +32,8 @@ import numpy as np
 from .complexes import HodgeOperators, SimplicialComplex2, build_incidence, enumerate_3cliques
 from .errors import DivergenceError
 from .lms import LmsState, _monte_carlo, lms_step
-from .signals import (StreamConfig, _block_stops, _draw, _power_columns, _realization,
-                      edge_moment_matrices)
+from .signals import (StreamConfig, _block_stops, _draw, _history_walk, _power_columns,
+                      _realization, edge_moment_matrices)
 
 __all__ = [
     "CandidateSet",
@@ -41,7 +41,6 @@ __all__ = [
     "Observation",
     "InferenceResult",
     "candidate_set",
-    "param_upper_laplacian",
     "prox_hard_threshold",
     "regressors_from_t",
     "grad_t",
@@ -132,16 +131,6 @@ def _check_threshold_order(lam0: float, lam1: float) -> None:
         raise ValueError(
             "threshold ordering violated: need 1 - sqrt(2*lam1) > sqrt(2*lam0)"
         )
-
-
-def param_upper_laplacian(t: np.ndarray, b_matrix: np.ndarray) -> np.ndarray:
-    """Upper Laplacian of the weighted candidate set, ``sum_j t_j b_j b_j^T``."""
-    t = np.asarray(t, dtype=np.float64)
-    if t.shape != (b_matrix.shape[1],):
-        raise ValueError(
-            f"indicator vector has shape {t.shape}, expected ({b_matrix.shape[1]},)"
-        )
-    return (b_matrix * t) @ b_matrix.T
 
 
 def prox_hard_threshold(v: np.ndarray, lam0: float, lam1: float) -> np.ndarray:
@@ -244,11 +233,9 @@ class InferenceResult:
 
 
 def run_inference(
-    complex_: SimplicialComplex2,
-    coeffs,
     cand: CandidateSet,
-    sigma_v2: np.ndarray,
-    p: np.ndarray,
+    coeffs,
+    cfg: StreamConfig,
     schedule: list[tuple[int, np.ndarray]],
     mu1: float,
     mu2: float,
@@ -256,8 +243,6 @@ def run_inference(
     lam1: float,
     horizon: int,
     realizations: int,
-    seed: int,
-    signal_var: float = 1.0,
     t0: float = 0.5,
 ) -> InferenceResult:
     """Monte-Carlo run of the joint recursion with a topology schedule.
@@ -265,14 +250,16 @@ def run_inference(
     ``schedule`` lists ``(start_iteration, true_indicator)`` segments,
     first entry starting at 0; observations at step ``n`` are generated
     with the indicator active at ``n``, so mid-stream entries model
-    topology changes. Signals are white Gaussian; masks Bernoulli(p).
-    Each realization's draws are those of a stream of ``horizon + order``
-    rows, made block by block at the row bounds
-    :func:`.signals.generate_stream` uses, with the last ``order`` signal
-    rows carried over as history, so memory does not grow with the
-    horizon. Realizations run through the Monte-Carlo engine,
-    :func:`.lms._monte_carlo`. A signal scale whose moments overflow on
-    the complex of all candidates raises a ``ValueError`` before any step.
+    topology changes. ``cfg`` gives the signal covariance, noise
+    variances, sampling probabilities and master seed, as it does for
+    :func:`.lms.run_experiment`. Each realization's draws are those of a
+    stream of ``horizon + order`` rows, made block by block at the row
+    bounds :func:`.signals.generate_stream` uses and walked with the same
+    history carry (:func:`.signals._history_walk`), so memory does not
+    grow with the horizon. Realizations run through the Monte-Carlo
+    engine, :func:`.lms._monte_carlo`. A signal scale whose moments
+    overflow on the complex of all candidates raises a ``ValueError``
+    before any step.
     """
     order = cand.order
     h_true = coeffs.flatten()
@@ -281,9 +268,8 @@ def run_inference(
 
     E = cand.num_edges
     N = horizon + order
-    stream = StreamConfig.white(E, signal_var, sigma_v2, p, horizon=N, seed=seed)
     # every indicator in [0, 1] weights the triangles of this complex
-    edge_moment_matrices(HodgeOperators(b1=cand.skeleton.b1, b2=cand.b_matrix), signal_var, order)
+    edge_moment_matrices(HodgeOperators(b1=cand.skeleton.b1, b2=cand.b_matrix), cfg.c_x, order)
 
     def run_one(seed_r: int) -> np.ndarray:
         traj = np.empty((4, horizon + 1))
@@ -297,11 +283,8 @@ def run_inference(
                           float(np.array_equal(state.t, t_true)), float(np.count_nonzero(state.t)))
 
         record(0)
-        history = np.empty((0, E))
-        start = 0
-        for x, v, d in _draw(_realization(stream, N, seed_r), _block_stops(E, order, N)):
-            lead = history.shape[0]
-            window = np.concatenate([history, x])
+        draws = _draw(_realization(cfg, N, seed_r), _block_stops(E, order, N))
+        for start, window, lead, x, v, d in _history_walk(draws, order):
             for n in range(max(start, order), start + x.shape[0]):
                 k = n - order
                 if seg + 1 < len(schedule) and k >= schedule[seg + 1][0]:
@@ -313,11 +296,9 @@ def run_inference(
                 y = d[j] * (X_true @ h_true + v[j])
                 state = infer_step(state, cand, Observation(x_hist=hist, d=d[j], y=y))
                 record(k + 1)
-            history = window[window.shape[0] - order :].copy()
-            start += x.shape[0]
         return traj
 
-    (h_error, t_error, recovery, support), kept, diverged = _monte_carlo(seed, realizations,
+    (h_error, t_error, recovery, support), kept, diverged = _monte_carlo(cfg.seed, realizations,
                                                                          run_one)
     return InferenceResult(h_error=h_error, t_error=t_error, recovery_rate=recovery,
                            support_size=support, realizations=kept, diverged=diverged)

@@ -310,7 +310,7 @@ def run_experiment(
 
     def run_one(seed: int) -> tuple[np.ndarray]:
         traj = np.empty(horizon + 1)
-        blocks = generate_stream(coeffs, None, _realization(cfg, horizon + order, seed), ops=ops)
+        blocks = generate_stream(coeffs, ops, _realization(cfg, horizon + order, seed))
         states = _stream_states(LmsState(h=h_init, mu=mu), lms_step, blocks, order)
         for k, state in enumerate(states):
             traj[k] = np.sum((h_true - state.h) ** 2)

@@ -123,15 +123,23 @@ class SamplingProblem:
 
 @dataclass
 class ConstraintSlacks:
-    """Signed slacks; nonnegative means satisfied."""
+    """Signed slacks; nonnegative means satisfied.
+
+    :meth:`feasible` measures the rate and budget slacks relative to their
+    targets ``r`` and ``f r``, as the LP rows are, so that a verdict does
+    not depend on the problem's units; the box slacks are probabilities.
+    """
 
     rate: float
     budget: float
     box_lower: float
     box_upper: float
+    rate_target: float
+    budget_target: float
 
     def feasible(self, tol: float = 1e-6) -> bool:
-        return min(self.rate, self.budget, self.box_lower, self.box_upper) >= -tol
+        return min(self.rate / self.rate_target, self.budget / self.budget_target,
+                   self.box_lower, self.box_upper) >= -tol
 
 
 @dataclass
@@ -157,6 +165,8 @@ def check_constraints(p: np.ndarray, prob: SamplingProblem) -> ConstraintSlacks:
         budget=budget,
         box_lower=float(np.min(p)),
         box_upper=float(np.min(prob.p_max - p)),
+        rate_target=prob.rate_threshold,
+        budget_target=prob.budget_factor * prob.rate_threshold,
     )
 
 
@@ -276,20 +286,21 @@ def solve_sampling(
 
     The cuts start as the unit vectors and the eigenvectors of
     ``c_X(p_max)``; while the LP point misses a constraint by more than
-    ``tol``, the eigenvectors of ``c_X(p)`` below the floor join them.
-    ``max_iter`` caps the simplex pivots of all rounds; ``iterations``
-    counts them. ``converged`` means certified: the point meets every
-    constraint within ``tol`` and ``objective``, the LP value, is a lower
-    bound on the optimum. If the cap comes first, or a round leaves the
-    point in place, the last LP point is returned unconverged with its
-    true slacks.
+    ``tol`` (relative to its target, see :class:`ConstraintSlacks`), the
+    eigenvectors of ``c_X(p)`` below the floor join them. ``max_iter``
+    caps the simplex pivots of all rounds; ``iterations`` counts them.
+    ``converged`` means certified: the point meets every constraint
+    within ``tol`` and ``objective``, the LP value, is a lower bound on
+    the optimum. If the cap comes first, or a round leaves the point in
+    place, the last LP point is returned unconverged with its true
+    slacks.
 
     Infeasibility is proved: the rate constraint is monotone in ``p``
     (each ``Z_i`` is PSD), so it is tested at ``p_max`` first, and an
     infeasible cut LP, a relaxation, proves the rest.
     """
     slack_at_max = check_constraints(prob.p_max, prob)
-    if slack_at_max.rate < -tol:
+    if slack_at_max.rate < -tol * prob.rate_threshold:
         raise InfeasibleProblemError(
             f"rate constraint infeasible: lambda_min at p_max falls short by "
             f"{-slack_at_max.rate:.3e}"

@@ -19,24 +19,20 @@ otherwise; correlated signals are only supported empirically.
 from __future__ import annotations
 
 import copy
-import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import chain
 
 import numpy as np
 
-from .complexes import HodgeOperators, SimplicialComplex2, hodge_laplacians
+from .complexes import HodgeOperators
 
 __all__ = [
     "FilterCoeffs",
     "StreamConfig",
-    "StreamBatch",
     "StreamBlock",
     "MomentSet",
     "regressor_tensor",
-    "sample_mask",
     "generate_stream",
-    "collect_stream",
     "moments_closed_form",
     "moments_empirical",
     "edge_moment_matrices",
@@ -127,9 +123,10 @@ class StreamConfig:
                 raise ValueError("c_x must be symmetric")
         # raises unless c_x is positive semi-definite; kept for the draws
         self._factor = _covariance_factor(self.c_x)
-        if self.sigma_v2.shape != (E,) or np.any(self.sigma_v2 < 0):
+        # written so that NaN fails both checks
+        if self.sigma_v2.shape != (E,) or not np.all(self.sigma_v2 >= 0):
             raise ValueError("sigma_v2 must be a nonnegative length-E vector")
-        if self.p.shape != (E,) or np.any(self.p < 0) or np.any(self.p > 1):
+        if self.p.shape != (E,) or not np.all((0 <= self.p) & (self.p <= 1)):
             raise ValueError("p must be a length-E vector of probabilities")
 
     @property
@@ -154,30 +151,6 @@ class StreamConfig:
             horizon=horizon,
             seed=seed,
         )
-
-
-@dataclass
-class StreamBatch:
-    """Realised stream: signals ``x``, masks ``d`` and observations ``y``.
-
-    ``y[n]`` is zero for ``n < order`` (the filter needs a full history
-    window). The noise draw ``v`` is kept when available so that exact
-    model identities can be verified.
-    """
-
-    x: np.ndarray
-    d: np.ndarray
-    y: np.ndarray
-    order: int
-    v: np.ndarray | None = field(default=None, repr=False)
-
-    @property
-    def horizon(self) -> int:
-        return self.x.shape[0]
-
-    @property
-    def num_edges(self) -> int:
-        return self.x.shape[1]
 
 
 @dataclass
@@ -210,23 +183,6 @@ class MomentSet:
     c_X: np.ndarray
     g: np.ndarray
     c_Xy: np.ndarray
-
-    def to_json(self) -> str:
-        payload = {
-            "c_X": self.c_X.tolist(),
-            "g": self.g.tolist(),
-            "c_Xy": self.c_Xy.tolist(),
-        }
-        return json.dumps(payload)
-
-    @classmethod
-    def from_json(cls, text: str) -> "MomentSet":
-        payload = json.loads(text)
-        return cls(
-            c_X=np.asarray(payload["c_X"], dtype=np.float64),
-            g=np.asarray(payload["g"], dtype=np.float64),
-            c_Xy=np.asarray(payload["c_Xy"], dtype=np.float64),
-        )
 
 
 def _power_columns(x: np.ndarray, factor: np.ndarray, gram: np.ndarray, order: int,
@@ -293,36 +249,38 @@ def _block_stops(num_edges: int, order: int, horizon: int):
     return _stops(order, horizon, _window_rows(num_edges, order))
 
 
-def _regressor_windows(x: np.ndarray, ops: HodgeOperators, order: int, first: int = 0,
-                       build=None):
-    """Rows ``first..N-1`` of the stream's regressor tensor, one block at a time.
+def _history_walk(blocks, order: int, start: int = 0, history: np.ndarray | None = None):
+    """Carry the signal rows before each block of a stream into it.
 
-    Yields ``(start, X)`` where ``X[j]`` is row ``start + j`` of
-    ``build(x, ops, order)`` (by default :func:`regressor_tensor`). Each
-    block is built from its own rows plus the ``order`` rows of history
-    before them, so the blocks concatenate to the whole-stream tensor
-    while only one of them is alive. A block holds about
-    ``_WINDOW_ELEMENTS`` floats whatever the edge count, but never fewer
-    than ``_MIN_WINDOW_ROWS`` rows unless it is the only one, so stream
-    consumers need regressor memory independent of the horizon.
+    ``blocks`` yields tuples ``(x, ...)`` where ``x`` holds the stream's
+    next consecutive signal rows, from row ``start`` on, and ``history``
+    holds the (at most ``order``) rows just before ``start``. Yields
+    ``(start, window, lead, x, ...)`` per block, where ``window`` stacks
+    the ``lead`` rows before the block, at most ``order``, on top of
+    ``x``: the rows of ``regressor_tensor(window)[lead:]`` are the
+    block's regressors, so the blocks concatenate to the whole-stream
+    tensor while one window is alive. A block shorter than the order
+    takes history from several.
     """
-    # resolved per call, not as a default argument, so that a wrapper put on
-    # the module attribute (perfbench's span tracer) sees every build
-    build = regressor_tensor if build is None else build
+    for block in blocks:
+        x = block[0]
+        lead = 0 if history is None else history.shape[0]
+        window = np.concatenate([history, x]) if lead else x
+        yield (start, window, lead, *block)
+        history = window[max(window.shape[0] - order, 0) :].copy()
+        start += x.shape[0]
+
+
+def _series_walk(x: np.ndarray, order: int, first: int = 0):
+    """:func:`_history_walk` over rows ``first..N-1`` of an in-memory series.
+
+    A block is one regressor window (:func:`_window_rows`, :func:`_stops`),
+    and the history of the first one is the series' rows before ``first``.
+    """
     N, E = x.shape
-    start = first
-    for stop in _stops(first, N, _window_rows(E, order)) if first < N else ():
-        lo = max(start - order, 0)
-        yield start, build(x[lo:stop], ops, order)[start - lo :]
-        start = stop
-
-
-def sample_mask(p: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """One Bernoulli mask draw, independent across edges."""
-    p = np.asarray(p, dtype=np.float64)
-    if np.any(p < 0) or np.any(p > 1):
-        raise ValueError("sampling probabilities must lie in [0, 1]")
-    return (rng.random(p.shape) < p).astype(np.float64)
+    bounds = [first, *_stops(first, N, _window_rows(E, order))] if first < N else []
+    blocks = ((x[lo:hi],) for lo, hi in zip(bounds, bounds[1:]))
+    return _history_walk(blocks, order, first, x[max(first - order, 0) : first])
 
 
 def _covariance_factor(c_x: np.ndarray) -> np.ndarray:
@@ -385,12 +343,7 @@ def _draw(cfg: StreamConfig, stops=None):
         start = stop
 
 
-def generate_stream(
-    coeffs: FilterCoeffs,
-    complex_: SimplicialComplex2 | None,
-    cfg: StreamConfig,
-    ops: HodgeOperators | None = None,
-):
+def generate_stream(coeffs: FilterCoeffs, ops: HodgeOperators, cfg: StreamConfig):
     """Draw one stream realisation of the observation model, block by block.
 
     A generator of :class:`StreamBlock`. The first block holds rows
@@ -399,15 +352,11 @@ def generate_stream(
     ``rows`` is at least ``_MIN_WINDOW_ROWS``; a shorter last block joins
     the one before it. Only the block's own rows are drawn
     (:func:`_draw`). Its regressors are built once, from its signal rows
-    plus the ``order`` signal rows before them, and give
-    ``y = d * (X h + v)``. Rows ``n < order`` have no full history window
-    and observe zero, so a stream of ``order`` rows observes nothing. Memory does not grow with the horizon;
-    :func:`collect_stream` gives the whole stream as one batch.
+    plus the ``order`` signal rows before them (:func:`_history_walk`),
+    and give ``y = d * (X h + v)``. Rows ``n < order`` have no full
+    history window and observe zero, so a stream of ``order`` rows
+    observes nothing. Memory does not grow with the horizon.
     """
-    if ops is None:
-        if complex_ is None:
-            raise ValueError("either the complex or its operators must be given")
-        ops = hodge_laplacians(complex_)
     if ops.num_edges != cfg.num_edges:
         raise ValueError("config dimension does not match the complex")
     order = coeffs.order
@@ -416,36 +365,13 @@ def generate_stream(
         raise ValueError("horizon must be at least the filter order")
 
     h = coeffs.flatten()
-    history = np.empty((0, cfg.num_edges))
-    start = 0
-    for x, v, d in _draw(cfg, _block_stops(cfg.num_edges, order, N)):
-        lead = history.shape[0]
-        window = np.concatenate([history, x]) if lead else x
+    draws = _draw(cfg, _block_stops(cfg.num_edges, order, N))
+    for start, window, lead, x, v, d in _history_walk(draws, order):
         X = regressor_tensor(window, ops, order)[lead:]
         first = max(order - start, 0)
         y = np.zeros_like(x)
         y[first:] = d[first:] * (X[first:] @ h + v[first:])
         yield StreamBlock(start=start, x=x, X=X, d=d, y=y, v=v)
-        # blocks shorter than the order take history from several blocks
-        history = window[window.shape[0] - order :].copy()
-        start += x.shape[0]
-
-
-def collect_stream(
-    coeffs: FilterCoeffs,
-    complex_: SimplicialComplex2 | None,
-    cfg: StreamConfig,
-    ops: HodgeOperators | None = None,
-) -> StreamBatch:
-    """The blocks of :func:`generate_stream` concatenated into one batch.
-
-    For whole-stream consumers such as tests and
-    :func:`moments_empirical`; the batch holds every row at once, but
-    not the regressors.
-    """
-    parts = [(b.x, b.d, b.y, b.v) for b in generate_stream(coeffs, complex_, cfg, ops)]
-    x, d, y, v = (np.concatenate(column) for column in zip(*parts))
-    return StreamBatch(x=x, d=d, y=y, order=coeffs.order, v=v)
 
 
 def moments_closed_form(
@@ -485,34 +411,31 @@ def moments_closed_form(
     return MomentSet(c_X=c_X, g=g, c_Xy=c_Xy)
 
 
-def moments_empirical(
-    batch: StreamBatch,
-    order: int,
-    ops: HodgeOperators,
-    sigma_v2: np.ndarray | None = None,
-) -> MomentSet:
+def moments_empirical(blocks, order: int, sigma_v2: np.ndarray | None = None) -> MomentSet:
     """Time-averaged moment estimates from one realised stream.
 
-    The noise-weighted moment needs the noise variances, which are model
-    knowledge rather than observables; pass ``sigma_v2`` to estimate it
-    (otherwise it is reported as zero).
+    ``blocks`` are the :class:`StreamBlock` blocks of
+    :func:`generate_stream`; the sums run over their regressors block by
+    block, so memory does not grow with the horizon. Rows ``n < order``
+    have no full history window and are left out. The noise-weighted
+    moment needs the noise variances, which are model knowledge rather
+    than observables; pass ``sigma_v2`` to estimate it (otherwise it is
+    reported as zero).
     """
-    if batch.horizon < order + 1:
-        raise ValueError("batch too short for the requested order")
-    R = regressor_tensor(batch.x, ops, order)
-    R = R[order:]
-    d = batch.d[order:]
-    y = batch.y[order:]
-    count = R.shape[0]
-    c_X = np.einsum("nia,ni,nib->ab", R, d, R) / count
-    c_Xy = np.einsum("nia,ni,ni->a", R, d, y) / count
     dim = 2 * order + 1
-    if sigma_v2 is None:
-        g = np.zeros((dim, dim))
-    else:
-        sigma_v2 = np.asarray(sigma_v2, dtype=np.float64)
-        g = np.einsum("nia,i,ni,nib->ab", R, sigma_v2, d, R) / count
-    return MomentSet(c_X=c_X, g=g, c_Xy=c_Xy)
+    c_X, g, c_Xy = np.zeros((dim, dim)), np.zeros((dim, dim)), np.zeros(dim)
+    count = 0
+    for block in blocks:
+        first = max(order - block.start, 0)
+        R, d, y = block.X[first:], block.d[first:], block.y[first:]
+        c_X += np.einsum("nia,ni,nib->ab", R, d, R)
+        c_Xy += np.einsum("nia,ni,ni->a", R, d, y)
+        if sigma_v2 is not None:
+            g += np.einsum("nia,i,ni,nib->ab", R, sigma_v2, d, R)
+        count += R.shape[0]
+    if count < 1:
+        raise ValueError("stream too short for the requested order")
+    return MomentSet(c_X=c_X / count, g=g / count, c_Xy=c_Xy / count)
 
 
 def edge_moment_matrices(ops: HodgeOperators, c_x: np.ndarray | float,

@@ -1,8 +1,23 @@
-"""Shared fixtures."""
+"""Shared fixtures and helpers."""
 
+from types import SimpleNamespace
+
+import numpy as np
 import pytest
 
 from simplexlms.errors import DivergenceError
+from simplexlms.signals import generate_stream
+
+
+def whole_stream(coeffs, ops, cfg):
+    """The blocks of ``generate_stream`` concatenated into one stream's rows.
+
+    A namespace of the signals ``x``, masks ``d``, observations ``y`` and
+    noise ``v`` (the regressors are not kept), plus ``order`` and ``horizon``.
+    """
+    rows = [(b.x, b.d, b.y, b.v) for b in generate_stream(coeffs, ops, cfg)]
+    x, d, y, v = (np.concatenate(column) for column in zip(*rows))
+    return SimpleNamespace(x=x, d=d, y=y, v=v, order=coeffs.order, horizon=cfg.horizon)
 
 
 @pytest.fixture()

@@ -277,10 +277,10 @@ def test_criterion_5_topology_recovery_and_tracking():
         rng = np.random.default_rng(1000 + draw)
         coeffs = _inference_coeffs(rng)
         result = run_inference(
-            complex_, coeffs, cand, sigma_v2, np.ones(E),
+            cand, coeffs, StreamConfig.white(E, sv, sigma_v2, seed=3000 + draw),
             [(0, t_true), (switch, t_after)],
             mu1=1e-2, mu2=1e-2, lam0=0.1, lam1=0.1,
-            horizon=horizon, realizations=5, seed=3000 + draw, signal_var=sv,
+            horizon=horizon, realizations=5,
         )
         recovered += result.recovery_rate[4999] * result.realizations
         tracked += result.recovery_rate[-1] * result.realizations

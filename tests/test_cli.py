@@ -316,6 +316,23 @@ def test_bad_counts_exit_2(tmp_path, complex_file, capsys, mode, flag, value):
     ("ar-train", {"order": -1}, "'order' must be at least 0"),
     ("ar-train", {"epochs": 0}, "'epochs' must be at least 1"),
     ("ar-train", {"surrogate": {"seed": 1, "order": -2}}, "'surrogate.order' must be at least 0"),
+    # every noise spec is checked after its draw, and NaN fails the range checks
+    ("run-lms", {"noise_var": {"choices": [-0.001]}}, "noise variances must be finite"),
+    ("run-lms", {"noise_var": {"low": -1e-3, "high": -1e-4}}, "noise variances must be finite"),
+    ("run-lms", {"noise_var": {"choices": [float("nan")]}}, "noise variances must be finite"),
+    ("run-lms", {"noise_var": {"low": float("nan"), "high": 1e-3}},
+     "noise variances must be finite"),
+    ("run-distributed", {"noise_var": {"low": -1e-3, "high": 1e-3, "log": True}},
+     "noise variances must be finite"),
+    ("design-sampling", {"noise_var": {"choices": [-0.001]}}, "noise variances must be finite"),
+    ("design-sampling", {"noise_var": {"low": -1e-3, "high": -1e-4}},
+     "noise variances must be finite"),
+    ("design-sampling", {"noise_var": {"choices": [float("nan")]}},
+     "noise variances must be finite"),
+    ("run-lms", {"p": float("nan")}, "sampling probabilities must lie in [0, 1]"),
+    ("run-distributed", {"p": float("nan")}, "sampling probabilities must lie in [0, 1]"),
+    ("infer-topology", {"p": float("nan")}, "sampling probabilities must lie in [0, 1]"),
+    ("infer-topology", {"noise_var": {"choices": [-0.001]}}, "noise variances must be finite"),
 ])
 def test_bad_knobs_exit_2(tmp_path, complex_file, capsys, monkeypatch, mode, values, message):
     from simplexlms import harness

@@ -1,5 +1,7 @@
 """Combination matrices, the diffusion recursion and its theory."""
 
+import csv
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -13,7 +15,6 @@ from simplexlms.diffusion import (
     build_combination,
     check_irreducible,
     dist_theory,
-    load_combination,
     lower_adjacency_neighborhoods,
     run_distributed,
     save_combination,
@@ -25,6 +26,7 @@ from simplexlms.signals import (
     local_moment_matrices,
     moments_closed_form,
 )
+from conftest import whole_stream
 
 
 # ------------------------------------------------------------- combination
@@ -324,15 +326,14 @@ def network_instance():
 
 def atc_replay(instance, mu, seed, horizon):
     """Per-agent deviations of one realization, replayed round by round from its seed."""
-    from simplexlms.signals import collect_stream, regressor_tensor
+    from simplexlms.signals import regressor_tensor
     from dataclasses import replace
 
     complex_, coeffs, cfg, comb = instance
     E, order = complex_.num_edges, coeffs.order
     ops = hodge_laplacians(complex_)
     h_true = coeffs.flatten()
-    batch = collect_stream(coeffs, None, replace(cfg, horizon=horizon + order, seed=seed),
-                           ops=ops)
+    batch = whole_stream(coeffs, ops, replace(cfg, horizon=horizon + order, seed=seed))
     net = NetworkState(estimates=np.zeros((E, h_true.size)), mu=np.full(E, mu))
     traj = np.empty((E, horizon + 1))
     traj[:, 0] = np.sum(h_true**2)
@@ -367,12 +368,12 @@ def test_run_distributed_identity_combination_matches_independent_runs(network_i
     )
     # replay edge-wise LMS on the same stream
     from simplexlms.lms import derived_seeds
-    from simplexlms.signals import collect_stream, regressor_tensor
+    from simplexlms.signals import regressor_tensor
     from dataclasses import replace
 
     ops = hodge_laplacians(complex_)
     seed = derived_seeds(cfg.seed, 1)[0]
-    batch = collect_stream(coeffs, None, replace(cfg, horizon=42, seed=seed), ops=ops)
+    batch = whole_stream(coeffs, ops, replace(cfg, horizon=42, seed=seed))
     R = regressor_tensor(batch.x, ops, 2)
     h_true = coeffs.flatten()
     for i in range(0, E, 5):
@@ -439,9 +440,15 @@ def test_combination_csv_roundtrip(tmp_path, network_instance):
     _, _, _, comb = network_instance
     path = tmp_path / "comb.csv"
     save_combination(comb, path)
-    loaded = load_combination(path, comb.num_agents)
-    assert np.array_equal(loaded.a, comb.a)
-    assert loaded.neighborhoods == comb.neighborhoods
+    with open(path, newline="", encoding="utf-8") as fh:
+        header, *rows = csv.reader(fh)
+    assert header == ["i", "l", "a_il"]
+    loaded = np.zeros_like(comb.a)
+    for i, l, a_il in rows:
+        loaded[int(i), int(l)] = float(a_il)
+    assert np.array_equal(loaded, comb.a)
+    neighborhoods = tuple(tuple(int(j) for j in np.flatnonzero(row)) for row in loaded)
+    assert neighborhoods == comb.neighborhoods
 
 
 def test_mean_recursion_matrix_decays_geometrically():

@@ -11,13 +11,17 @@ from simplexlms.inference import (
     candidate_set,
     grad_t,
     infer_step,
-    param_upper_laplacian,
     prox_hard_threshold,
     regressors_from_t,
     run_inference,
 )
 from simplexlms.lms import derived_seeds
-from simplexlms.signals import FilterCoeffs
+from simplexlms.signals import FilterCoeffs, StreamConfig
+
+
+def param_upper_laplacian(t, b_matrix):
+    # dense oracle: the upper Laplacian of the weighted candidates, sum_j t_j b_j b_j^T
+    return (b_matrix * t) @ b_matrix.T
 
 
 def brute_force_prox(v, lam0, lam1):
@@ -275,11 +279,9 @@ def test_recovery_on_small_complex():
     coeffs = FilterCoeffs(h_u=0.4 + 0.3 * rng.random(3), h_d=0.3 * rng.random(2))
     E = c.num_edges
     result = run_inference(
-        c,
-        coeffs,
         cand,
-        sigma_v2=np.full(E, 1e-4),
-        p=np.ones(E),
+        coeffs,
+        StreamConfig.white(E, signal_var=0.005, sigma_v2=1e-4, p=1.0, seed=31),
         schedule=[(0, cand.true_indicator(c))],
         mu1=1e-2,
         mu2=1e-2,
@@ -287,8 +289,6 @@ def test_recovery_on_small_complex():
         lam1=0.1,
         horizon=3000,
         realizations=3,
-        seed=31,
-        signal_var=0.005,
     )
     assert result.recovery_rate[-1] == 1.0
     assert result.t_error[-1] == 0.0
@@ -340,9 +340,9 @@ def switch_instance():
 
 def _run_switch(instance, realizations, seed):
     c, coeffs, cand, sigma_v2, schedule = instance
-    return run_inference(c, coeffs, cand, sigma_v2, np.ones(c.num_edges), schedule,
-                         mu1=1e-2, mu2=1e-2, lam0=0.1, lam1=0.1, horizon=40,
-                         realizations=realizations, seed=seed, signal_var=0.005)
+    cfg = StreamConfig.white(c.num_edges, signal_var=0.005, sigma_v2=sigma_v2, seed=seed)
+    return run_inference(cand, coeffs, cfg, schedule, mu1=1e-2, mu2=1e-2, lam0=0.1, lam1=0.1,
+                         horizon=40, realizations=realizations)
 
 
 def _replays(instance, seed, count):

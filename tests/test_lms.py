@@ -25,10 +25,10 @@ from simplexlms.lms import (
 from simplexlms.signals import (
     FilterCoeffs,
     StreamConfig,
-    collect_stream,
     moments_closed_form,
     regressor_tensor,
 )
+from conftest import whole_stream
 
 
 def random_psd(dim, rng, scale=1.0):
@@ -219,8 +219,7 @@ def lms_replay(complex_, coeffs, cfg, mu, seed, horizon):
     ops = hodge_laplacians(complex_)
     order = coeffs.order
     h_true = coeffs.flatten()
-    batch = collect_stream(coeffs, None, replace(cfg, horizon=horizon + order, seed=seed),
-                           ops=ops)
+    batch = whole_stream(coeffs, ops, replace(cfg, horizon=horizon + order, seed=seed))
     state = LmsState(h=np.zeros(h_true.size), mu=mu)
     traj = [np.sum(h_true**2)]
     for n in range(order, horizon + order):
@@ -294,9 +293,8 @@ def test_runner_memory_does_not_grow_with_horizon(experiment_complex, monkeypatc
         schedule = [(0, cand.true_indicator(experiment_complex))]
 
         def run(horizon):
-            run_inference(experiment_complex, coeffs, cand, cfg.sigma_v2, cfg.p, schedule,
-                          mu1=1e-2, mu2=1e-2, lam0=0.1, lam1=0.1, horizon=horizon,
-                          realizations=2, seed=3, signal_var=0.01)
+            run_inference(cand, coeffs, cfg, schedule, mu1=1e-2, mu2=1e-2, lam0=0.1, lam1=0.1,
+                          horizon=horizon, realizations=2)
     horizon = 400
     run(horizon)  # warm caches
     short, long = (traced_peak(lambda: run(h)) for h in (horizon, 4 * horizon))
@@ -355,9 +353,8 @@ def test_covariance_is_factored_once_per_run(experiment_complex, monkeypatch, ru
         schedule = [(0, cand.true_indicator(experiment_complex))]
 
         def run():
-            run_inference(experiment_complex, coeffs, cand, cfg.sigma_v2, cfg.p, schedule,
-                          mu1=1e-2, mu2=1e-2, lam0=0.1, lam1=0.1, horizon=30,
-                          realizations=5, seed=3, signal_var=0.01)
+            run_inference(cand, coeffs, cfg, schedule, mu1=1e-2, mu2=1e-2, lam0=0.1, lam1=0.1,
+                          horizon=30, realizations=5)
     factor = signals._covariance_factor
     calls = []
 
@@ -378,8 +375,9 @@ def test_realization_config_draws_like_a_replaced_one(experiment_complex):
     cfg = StreamConfig(c_x=random_psd(E, rng), sigma_v2=np.full(E, 1e-3), p=np.full(E, 0.7),
                        horizon=10, seed=2)
     coeffs = FilterCoeffs(h_u=[0.5, 0.1], h_d=[0.2])
-    fresh = collect_stream(coeffs, experiment_complex, replace(cfg, horizon=90, seed=11))
-    shared = collect_stream(coeffs, experiment_complex, signals._realization(cfg, 90, 11))
+    ops = hodge_laplacians(experiment_complex)
+    fresh = whole_stream(coeffs, ops, replace(cfg, horizon=90, seed=11))
+    shared = whole_stream(coeffs, ops, signals._realization(cfg, 90, 11))
     assert (cfg.horizon, cfg.seed) == (10, 2)
     for name in ("x", "v", "d", "y"):
         np.testing.assert_array_equal(getattr(shared, name), getattr(fresh, name))

@@ -12,10 +12,10 @@ from simplexlms.signals import (
     FilterCoeffs,
     StreamConfig,
     edge_moment_matrices,
-    collect_stream,
     moments_closed_form,
     regressor_tensor,
 )
+from conftest import whole_stream
 from test_signals import naive_regressors
 
 # 13 edges, 2 triangles: upper and lower taps are both nonzero at every order
@@ -92,7 +92,8 @@ def round_off(reference):
     overhang=st.integers(-1, 1),
 )
 def test_windows_concatenate_to_regressor_tensor(order, rows, first, blocks, overhang):
-    # stream lengths one short of, at and one past a window boundary
+    # an in-memory series walked from row `first`, with lengths one short of,
+    # at and one past a window boundary
     E = WINDOW_OPS.l1.shape[0]
     N = max(1, first + blocks * rows + overhang)
     x = np.random.default_rng(N).standard_normal((N, E))
@@ -100,7 +101,8 @@ def test_windows_concatenate_to_regressor_tensor(order, rows, first, blocks, ove
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(signals, "_WINDOW_ELEMENTS", window_budget(rows, order))
         mp.setattr(signals, "_MIN_WINDOW_ROWS", 1)
-        windows = list(signals._regressor_windows(x, WINDOW_OPS, order, first))
+        windows = [(start, regressor_tensor(window, WINDOW_OPS, order)[lead:])
+                   for start, window, lead, _ in signals._series_walk(x, order, first)]
     assert [start for start, _ in windows] == list(range(first, N, rows))
     assert all(X.shape == (min(rows, N - start), E, 2 * order + 1) for start, X in windows)
     got = np.concatenate([X for _, X in windows]) if windows else full[:0]
@@ -113,11 +115,11 @@ def test_windowed_stream_matches_one_window(order, rows, extra):
     E = WINDOW_OPS.l1.shape[0]
     coeffs = FilterCoeffs.random(order, np.random.default_rng(extra), scale=0.5)
     cfg = StreamConfig.white(E, sigma_v2=0.05, p=0.7, horizon=order + extra, seed=extra)
-    whole = collect_stream(coeffs, None, cfg, ops=WINDOW_OPS)
+    whole = whole_stream(coeffs, WINDOW_OPS, cfg)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(signals, "_WINDOW_ELEMENTS", window_budget(rows, order))
         mp.setattr(signals, "_MIN_WINDOW_ROWS", 1)
-        windowed = collect_stream(coeffs, None, cfg, ops=WINDOW_OPS)
+        windowed = whole_stream(coeffs, WINDOW_OPS, cfg)
     for name in ("x", "d", "v"):
         assert np.array_equal(getattr(windowed, name), getattr(whole, name))
     assert np.all(windowed.y[:order] == 0.0)
@@ -147,10 +149,11 @@ def test_stream_blocks_concatenate_to_one_block_draw(order, rows, blocks, overha
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(signals, "_WINDOW_ELEMENTS", window_budget(rows, order))
         mp.setattr(signals, "_MIN_WINDOW_ROWS", 1)
-        got = list(signals.generate_stream(coeffs, None, cfg, ops=WINDOW_OPS))
+        got = list(signals.generate_stream(coeffs, WINDOW_OPS, cfg))
         # oracle: the observations of the one-block draw, built in the same windows
         y = np.zeros_like(x)
-        for start, X in signals._regressor_windows(x, WINDOW_OPS, order, first=order):
+        for start, window, lead, _ in signals._series_walk(x, order, first=order):
+            X = regressor_tensor(window, WINDOW_OPS, order)[lead:]
             y[start : start + len(X)] = d[start : start + len(X)] * (X @ h + v[start : start + len(X)])
     assert [b.start for b in got] == [0] + list(range(order + rows, horizon, rows))
     for name, whole in (("x", x), ("d", d), ("v", v), ("y", y)):
@@ -158,6 +161,47 @@ def test_stream_blocks_concatenate_to_one_block_draw(order, rows, blocks, overha
     full = regressor_tensor(x, WINDOW_OPS, order)
     np.testing.assert_allclose(np.concatenate([b.X for b in got]), full,
                                rtol=0, atol=round_off(full) if full.size else 0.0)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(
+    order=st.integers(0, 3),
+    rows=st.integers(1, 5),
+    first=st.integers(0, 5),
+    blocks=st.integers(0, 4),
+    drawn=st.booleans(),
+)
+@example(order=3, rows=1, first=0, blocks=3, drawn=True)    # history from several blocks
+@example(order=2, rows=1, first=1, blocks=3, drawn=False)   # first > 0, short history
+def test_history_walk_carries_the_rows_before_each_block(order, rows, first, blocks, drawn):
+    # each window is the block under the rows just before it, at most `order`
+    # of them, bit for bit: for a drawn stream and for an in-memory series
+    E = WINDOW_OPS.l1.shape[0]
+    N = first + blocks * rows + 1
+    cfg = StreamConfig.white(E, sigma_v2=0.05, p=0.7, horizon=N, seed=N)
+    [(x, v, d)] = signals._draw(cfg)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(signals, "_WINDOW_ELEMENTS", window_budget(rows, order))
+        mp.setattr(signals, "_MIN_WINDOW_ROWS", 1)
+        if drawn:
+            first = 0
+            walk = signals._history_walk(signals._draw(cfg, signals._block_stops(E, order, N)),
+                                         order)
+        else:
+            walk = signals._series_walk(x, order, first)
+        walked = [(start, window.copy(), lead, block) for start, window, lead, *block in walk]
+    assert walked[0][0] == first
+    end = first
+    for start, window, lead, block in walked:
+        assert start == end
+        assert lead == min(order, start)
+        np.testing.assert_array_equal(window, x[start - lead : start + len(block[0])])
+        np.testing.assert_array_equal(window[lead:], block[0])
+        if drawn:
+            np.testing.assert_array_equal(block[1], v[start : start + len(block[0])])
+            np.testing.assert_array_equal(block[2], d[start : start + len(block[0])])
+        end = start + len(block[0])
+    assert end == N
 
 
 @settings(derandomize=True, max_examples=30, deadline=None)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from simplexlms.complexes import hodge_laplacians, random_complex
+from simplexlms.complexes import grown_complex, hodge_laplacians, random_complex
 from simplexlms.errors import InfeasibleProblemError
 from simplexlms.sampling import SamplingProblem, check_constraints, solve_sampling
 
@@ -282,10 +282,39 @@ def test_no_rescaled_direction_beats_the_certified_design(seed, edges, dim):
 
 def test_a_round_that_leaves_the_point_in_place_ends_the_loop():
     # the budget admits the rate-floor point p = 0.25 only up to a relative
-    # 1e-11: within the LP's rounding, but a budget slack near -2.5e-5 at
-    # this scale, so no cut can move the point and the loop must stop
+    # 1e-11 (a budget slack near -2.5e-5 at this scale): within the LP's
+    # rounding, so the default tolerance certifies it, but no cut can move
+    # the point to meet a tolerance of 1e-12, and the loop must stop
     prob = scalar_problem(c=1e6, g_var=10.0, mu=1e-6, alpha=0.5, gamma=5e-6 * (1 - 1e-11))
-    solution = solve_sampling(prob)
+    assert solve_sampling(prob).converged
+    solution = solve_sampling(prob, tol=1e-12)
     assert solution.converged is False
     assert solution.iterations < 10
     assert solution.slacks == check_constraints(solution.p_star, prob)
+
+
+def core_noise(complex_, rng):
+    # criterion 3's noise law: triangle edges and every other edge form a 1e-7
+    # core, the rest draw log-uniform from [1e-4, 1e-2]
+    E = complex_.num_edges
+    core = set(np.flatnonzero(np.any(complex_.b2 != 0, axis=1)).tolist()) | set(range(0, E, 2))
+    noise = np.full(E, 1e-7)
+    noisy = [i for i in range(E) if i not in core]
+    noise[noisy] = np.exp(rng.uniform(np.log(1e-4), np.log(1e-2), len(noisy)))
+    return noise
+
+
+def test_design_verdict_does_not_depend_on_units():
+    # scaling the signal variance and the noise by s and dividing mu by s
+    # leaves the LP unchanged but scales the rate slack by s and the budget
+    # slack by s^2; a 250-edge criterion-3 design must stay certified
+    complex_ = grown_complex(60, 250, 80, seed=1)
+    ops = hodge_laplacians(complex_)
+    noise = core_noise(complex_, np.random.default_rng([1, 3, 1]))
+    designs = []
+    for s in (1.0, 1e8):
+        prob = SamplingProblem.from_moments(ops, 0.05 * s, noise * s, 1, mu=1e-2 / s,
+                                            alpha=0.98, gamma=1e-7)
+        designs.append(solve_sampling(prob, tol=1e-6, max_iter=1200))
+    assert [d.converged for d in designs] == [True, True]
+    assert abs(designs[1].objective - designs[0].objective) <= 1e-9 * designs[0].objective

@@ -13,17 +13,17 @@ from simplexlms.inference import candidate_set, run_inference
 from simplexlms.lms import run_experiment
 from simplexlms.signals import (
     FilterCoeffs,
-    MomentSet,
+    StreamBlock,
     StreamConfig,
     _draw,
-    collect_stream,
     edge_moment_matrices,
+    generate_stream,
     local_moment_matrices,
     moments_closed_form,
     moments_empirical,
     regressor_tensor,
-    sample_mask,
 )
+from conftest import whole_stream
 
 
 @pytest.fixture(scope="module")
@@ -130,38 +130,50 @@ def test_regressor_tensor_matches_per_step(small_ops):
 # ------------------------------------------------------------------- masks
 
 
+def stream_masks(p, horizon, seed):
+    """The masks ``d`` of one white stream's draw, ``horizon`` rows of them."""
+    [(_, _, d)] = _draw(StreamConfig.white(np.size(p), p=p, horizon=horizon, seed=seed))
+    return d
+
+
 def test_mask_extremes():
-    rng = np.random.default_rng(4)
-    assert np.all(sample_mask(np.ones(6), rng) == 1.0)
-    assert np.all(sample_mask(np.zeros(6), rng) == 0.0)
+    assert np.all(stream_masks(np.ones(6), 10, 4) == 1.0)
+    assert np.all(stream_masks(np.zeros(6), 10, 4) == 0.0)
     with pytest.raises(ValueError):
-        sample_mask(np.array([1.5]), rng)
+        StreamConfig.white(1, p=np.array([1.5]))
 
 
 def test_mask_monte_carlo_mean():
-    rng = np.random.default_rng(5)
     p = np.array([0.1, 0.35, 0.5, 0.8, 1.0])
-    draws = np.stack([sample_mask(p, rng) for _ in range(100_000)])
+    draws = stream_masks(p, 100_000, 5)
     assert np.max(np.abs(draws.mean(axis=0) - p)) < 0.01
+
+
+@pytest.mark.parametrize("knob", ["p", "sigma_v2"])
+def test_stream_config_rejects_nan_knobs(knob):
+    # NaN compares false with everything, so a range check must fail it
+    values = {"p": 1.0, "sigma_v2": 0.0, knob: np.array([0.5, np.nan])}
+    with pytest.raises(ValueError, match=knob):
+        StreamConfig.white(2, **values)
 
 
 # ------------------------------------------------------------------ stream
 
 
-def test_stream_identity_filter_passthrough(small_complex):
+def test_stream_identity_filter_passthrough(small_complex, small_ops):
     E = small_complex.num_edges
     coeffs = FilterCoeffs(h_u=[1.0], h_d=[])
     cfg = StreamConfig.white(E, sigma_v2=0.0, p=1.0, horizon=50, seed=0)
-    batch = collect_stream(coeffs, small_complex, cfg)
+    batch = whole_stream(coeffs, small_ops, cfg)
     assert np.allclose(batch.y[0:], batch.x[0:][np.arange(50) >= 0] * (np.arange(50)[:, None] >= 0))
     # order 0: y(n) = x(n) for every n
     assert np.allclose(batch.y, batch.x)
 
 
-def test_stream_zero_sampling(small_complex):
+def test_stream_zero_sampling(small_complex, small_ops):
     coeffs = FilterCoeffs(h_u=[1.0, 0.5], h_d=[0.2])
     cfg = StreamConfig.white(small_complex.num_edges, sigma_v2=0.1, p=0.0, horizon=40, seed=1)
-    batch = collect_stream(coeffs, small_complex, cfg)
+    batch = whole_stream(coeffs, small_ops, cfg)
     assert np.allclose(batch.y, 0.0)
 
 
@@ -170,7 +182,7 @@ def test_stream_matches_model_identity(small_complex, small_ops):
     coeffs = FilterCoeffs.random(2, rng)
     E = small_complex.num_edges
     cfg = StreamConfig.white(E, sigma_v2=0.05, p=0.7, horizon=60, seed=2)
-    batch = collect_stream(coeffs, small_complex, cfg)
+    batch = whole_stream(coeffs, small_ops, cfg)
     h = coeffs.flatten()
     for n in range(batch.order, 60):
         hist = [batch.x[n - m] for m in range(3)]
@@ -182,11 +194,11 @@ def test_stream_matches_model_identity(small_complex, small_ops):
     assert np.all(batch.y[batch.d == 0.0] == 0.0)
 
 
-def test_stream_determinism(small_complex):
+def test_stream_determinism(small_complex, small_ops):
     coeffs = FilterCoeffs(h_u=[0.5, 0.1], h_d=[0.3])
     cfg = StreamConfig.white(small_complex.num_edges, sigma_v2=0.01, p=0.5, horizon=30, seed=77)
-    a = collect_stream(coeffs, small_complex, cfg)
-    b = collect_stream(coeffs, small_complex, cfg)
+    a = whole_stream(coeffs, small_ops, cfg)
+    b = whole_stream(coeffs, small_ops, cfg)
     assert np.array_equal(a.x, b.x)
     assert np.array_equal(a.d, b.d)
     assert np.array_equal(a.y, b.y)
@@ -216,7 +228,7 @@ def test_signal_draw_is_the_factor_product(edges):
         np.testing.assert_array_equal(x, z @ np.linalg.cholesky(variance * np.eye(edges)).T)
 
 
-def test_stream_sample_covariance(small_complex):
+def test_stream_sample_covariance(small_complex, small_ops):
     E = small_complex.num_edges
     rng = np.random.default_rng(7)
     a = rng.standard_normal((E, E)) / np.sqrt(E)
@@ -224,7 +236,7 @@ def test_stream_sample_covariance(small_complex):
     cfg = StreamConfig(
         c_x=c_x, sigma_v2=np.zeros(E), p=np.ones(E), horizon=100_000, seed=3
     )
-    batch = collect_stream(FilterCoeffs(h_u=[1.0], h_d=[]), small_complex, cfg)
+    batch = whole_stream(FilterCoeffs(h_u=[1.0], h_d=[]), small_ops, cfg)
     sample = batch.x.T @ batch.x / batch.horizon
     rel = np.linalg.norm(sample - c_x) / np.linalg.norm(c_x)
     assert rel < 0.05
@@ -283,9 +295,8 @@ def test_moments_match_monte_carlo(small_complex, small_ops):
     p = rng.uniform(0.4, 1.0, E)
     sigma_v2 = rng.uniform(0.01, 0.05, E)
     cfg = StreamConfig(c_x=np.eye(E), sigma_v2=sigma_v2, p=p, horizon=100_000, seed=4)
-    batch = collect_stream(coeffs, small_complex, cfg)
     closed = moments_closed_form(small_ops, p, np.eye(E), sigma_v2, 1, coeffs)
-    empirical = moments_empirical(batch, 1, small_ops, sigma_v2=sigma_v2)
+    empirical = moments_empirical(generate_stream(coeffs, small_ops, cfg), 1, sigma_v2=sigma_v2)
     rel_c = np.linalg.norm(empirical.c_X - closed.c_X) / np.linalg.norm(closed.c_X)
     rel_g = np.linalg.norm(empirical.g - closed.g) / np.linalg.norm(closed.g)
     rel_xy = np.linalg.norm(empirical.c_Xy - closed.c_Xy) / np.linalg.norm(closed.c_Xy)
@@ -300,19 +311,18 @@ def test_moments_empirical_single_sample(small_ops):
     x = rng.standard_normal((1, E))
     d = np.ones((1, E))
     y = x.copy()
-    from simplexlms.signals import StreamBatch
-
-    batch = StreamBatch(x=x, d=d, y=y, order=0)
-    m = moments_empirical(batch, 0, small_ops)
+    block = StreamBlock(start=0, x=x, X=regressor_tensor(x, small_ops, 0), d=d, y=y,
+                        v=np.zeros_like(x))
+    m = moments_empirical([block], 0)
     assert np.isclose(m.c_X[0, 0], np.sum(x**2))
 
 
 def test_moments_empirical_zero_signal(small_ops):
     E = small_ops.l1.shape[0]
-    from simplexlms.signals import StreamBatch
-
-    batch = StreamBatch(x=np.zeros((20, E)), d=np.ones((20, E)), y=np.zeros((20, E)), order=1)
-    m = moments_empirical(batch, 1, small_ops, sigma_v2=np.ones(E))
+    x = np.zeros((20, E))
+    block = StreamBlock(start=0, x=x, X=regressor_tensor(x, small_ops, 1), d=np.ones((20, E)),
+                        y=np.zeros((20, E)), v=np.zeros((20, E)))
+    m = moments_empirical([block], 1, sigma_v2=np.ones(E))
     assert np.allclose(m.c_X, 0)
     assert np.allclose(m.g, 0)
     assert np.allclose(m.c_Xy, 0)
@@ -425,13 +435,13 @@ def test_stream_paths_form_no_edge_by_edge_laplacian(small_complex, monkeypatch)
     coeffs = FilterCoeffs.random(order, np.random.default_rng(0), scale=0.3)
     cfg = StreamConfig.white(E, 0.1, 1e-3, 0.8, horizon=300, seed=0)
     ops = hodge_laplacians(small_complex)
-    for _ in signals.generate_stream(coeffs, None, cfg, ops=ops):
+    for _ in signals.generate_stream(coeffs, ops, cfg):
         pass
     run_experiment(small_complex, coeffs, cfg, mu=1e-3, realizations=2, horizon=300)
     cand = candidate_set(small_complex, order)
-    run_inference(small_complex, coeffs, cand, np.full(E, 1e-3), np.full(E, 0.8),
+    run_inference(cand, coeffs, StreamConfig.white(E, 0.005, 1e-3, 0.8, seed=0),
                   [(0, cand.true_indicator(small_complex))], 1e-2, 1e-2, 0.1, 0.1,
-                  horizon=100, realizations=1, seed=0, signal_var=0.005)
+                  horizon=100, realizations=1)
     ds = traffic_surrogate(1, order=order, snapshots=60, train_count=50, complex_=small_complex)
     run_ar_training(ds, order, mu=1e-3)
     comb = diffusion.build_combination(diffusion.lower_adjacency_neighborhoods(small_complex))
@@ -512,20 +522,8 @@ def test_a_thin_last_block_joins_the_one_before(small_ops):
     assert list(signals._block_stops(E, 2, full)) == [2 + rows, 2 + 2 * rows, full]
     assert list(signals._block_stops(E, 2, 10)) == [10]
     x = np.random.default_rng(3).standard_normal((2 + 2 * rows + 5, E))
-    windows = list(signals._regressor_windows(x, small_ops, 2, first=2))
+    windows = [(start, regressor_tensor(window, small_ops, 2)[lead:])
+               for start, window, lead, _ in signals._series_walk(x, 2, first=2)]
     assert [(start, len(X)) for start, X in windows] == [(2, rows), (2 + rows, rows + 5)]
     np.testing.assert_allclose(np.concatenate([X for _, X in windows]),
                                regressor_tensor(x, small_ops, 2)[2:], rtol=0, atol=1e-12)
-
-
-# ---------------------------------------------------------------- serialize
-
-
-def test_momentset_json_roundtrip(small_ops):
-    E = small_ops.l1.shape[0]
-    coeffs = FilterCoeffs(h_u=[1.0, -0.3], h_d=[0.7])
-    m = moments_closed_form(small_ops, np.ones(E), np.eye(E), np.full(E, 0.01), 1, coeffs)
-    back = MomentSet.from_json(m.to_json())
-    assert np.array_equal(back.c_X, m.c_X)
-    assert np.array_equal(back.g, m.g)
-    assert np.array_equal(back.c_Xy, m.c_Xy)
