@@ -7,9 +7,11 @@ has length ``2M`` in the layout ``[h_u[1..M], h_d[1..M]]``. The
 which keeps the upper coefficients exactly at zero throughout training
 while sharing the identical update path.
 
-Multiple epochs follow the periodic-extension convention: the training
-series is tiled, so global index ``i`` visits snapshot ``i mod N_train``
-and history windows wrap across the epoch boundary.
+Multiple epochs follow the periodic-extension convention: global index
+``i`` visits snapshot ``i mod N_train`` and history windows wrap across
+the epoch boundary. The extension is walked window by window, never
+built, so memory does not grow with the epoch count apart from the
+training error trace.
 """
 
 from __future__ import annotations
@@ -28,7 +30,6 @@ __all__ = [
     "ARTrainResult",
     "VARIANTS",
     "ar_regressor_tensor",
-    "extend_series",
     "run_ar_training",
     "run_distributed_ar",
 ]
@@ -61,13 +62,6 @@ def _check_variant(variant: str) -> None:
         raise ValueError(f"variant must be one of {VARIANTS}, got {variant!r}")
 
 
-def extend_series(series: np.ndarray, epochs: int) -> np.ndarray:
-    """Periodic extension: snapshot ``i`` of the result is ``series[i mod N]``."""
-    if epochs < 1:
-        raise ValueError("epochs must be at least 1")
-    return np.tile(np.asarray(series, dtype=np.float64), (epochs, 1))
-
-
 def ar_regressor_tensor(series: np.ndarray, ops, order: int) -> np.ndarray:
     """Lag-1..M regressors for every snapshot, shape (N, E, 2M); rows < M zero.
 
@@ -76,15 +70,17 @@ def ar_regressor_tensor(series: np.ndarray, ops, order: int) -> np.ndarray:
     return regressor_tensor(series, ops, order)[:, :, 1:]
 
 
-def _ar_windows(series: np.ndarray, ops, order: int, variant: str, first: int):
-    """``(start, R)`` blocks of the variant's lag regressors for rows ``first..N-1``.
+def _ar_windows(series: np.ndarray, ops, order: int, variant: str, first: int,
+                stop: int | None = None):
+    """``(start, R)`` blocks of the variant's lag regressors for rows ``first..stop-1``.
 
-    The baseline variant zeroes the upper columns of each block, on a copy.
+    Row ``n`` is ``series[n mod N]`` (:func:`_series_walk`), up to row
+    ``N - 1`` by default. The baseline variant zeroes the upper columns
+    of each freshly built block in place.
     """
-    for start, window, lead, _ in _series_walk(series, order, first):
+    for start, window, lead, _ in _series_walk(series, order, first, stop):
         R = ar_regressor_tensor(window, ops, order)[lead:]
         if variant == "edge-laplacian-baseline":
-            R = R.copy()
             R[:, :, :order] = 0.0
         yield start, R
 
@@ -98,32 +94,35 @@ def _train_then_test(ds: EdgeSeriesDataset, order: int, variant: str, epochs: in
                      state, predict, step):
     """The train-then-test loop both protocols share.
 
-    ``step(state, X, d, y)`` adapts ``state`` over the periodically
-    extended training series with a full mask; ``predict(state, X)`` is
+    ``step(state, X, d, y)`` adapts ``state`` with a full mask over rows
+    ``order..epochs * N - 1`` of the training series' periodic extension,
+    whose row ``n`` is training row ``n mod N``; ``predict(state, X)`` is
     the one-step prediction from regressor matrix ``X``, scored before
     each training step and, with the final state and true histories, on
     every test snapshot. Returns the final state and both error traces.
     """
     _check_variant(variant)
-    if order >= ds.train_count:
+    if epochs < 1:
+        raise ValueError("epochs must be at least 1")
+    train = ds.train_series
+    N = ds.train_count
+    if order >= N:
         raise ValueError("filter order must be below the training length")
     ops = hodge_laplacians(ds.complex)
-    extended = extend_series(ds.train_series, epochs)
     ones = np.ones(ds.complex.num_edges)
 
-    train_errors = []
-    for start, R in _ar_windows(extended, ops, order, variant, order):
+    train_errors = np.empty(epochs * N - order)
+    for start, R in _ar_windows(train, ops, order, variant, order, epochs * N):
         for n, X in enumerate(R, start):
-            target = extended[n]
-            train_errors.append(_normalized_error(predict(state, X), target))
+            target = train[n % N]
+            train_errors[n - order] = _normalized_error(predict(state, X), target)
             state = step(state, X, ones, target)
 
-    test_errors = [
-        _normalized_error(predict(state, X), ds.series[n])
-        for start, R in _ar_windows(ds.series, ops, order, variant, ds.train_count)
-        for n, X in enumerate(R, start)
-    ]
-    return state, np.asarray(train_errors), np.asarray(test_errors)
+    test_errors = np.empty(ds.test_count)
+    for start, R in _ar_windows(ds.series, ops, order, variant, N):
+        for n, X in enumerate(R, start):
+            test_errors[n - N] = _normalized_error(predict(state, X), ds.series[n])
+    return state, train_errors, test_errors
 
 
 def run_ar_training(

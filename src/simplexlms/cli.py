@@ -7,7 +7,8 @@ a short summary is printed; an output that cannot be written is a
 configuration error, found before the run starts.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical divergence,
-4 infeasible sampling problem.
+4 infeasible sampling problem, 5 numerical failure (a linear-algebra or
+floating-point error that no check above caught, reported in one line).
 """
 
 from __future__ import annotations
@@ -16,6 +17,8 @@ import argparse
 import json
 import sys
 
+import numpy as np
+
 from .errors import ConfigError, DivergenceError, InfeasibleProblemError
 from .harness import check_output, emit_results, load_config, run_mode
 
@@ -23,6 +26,7 @@ _EXIT_OK = 0
 _EXIT_CONFIG = 2
 _EXIT_DIVERGED = 3
 _EXIT_INFEASIBLE = 4
+_EXIT_NUMERICAL = 5
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -180,6 +184,9 @@ def main(argv=None) -> int:
     except InfeasibleProblemError as exc:
         print(f"infeasible sampling problem: {exc}", file=sys.stderr)
         return _EXIT_INFEASIBLE
+    except (np.linalg.LinAlgError, FloatingPointError) as exc:
+        print(f"numerical failure: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return _EXIT_NUMERICAL
     return _EXIT_OK
 
 

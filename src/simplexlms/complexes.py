@@ -77,6 +77,9 @@ class HodgeOperators:
     access. The moment basis and the regressors need only the incidence
     factors and the small Grams ``l0`` and ``l2``, through which every
     Laplacian power factors; the E x E ones are formed only on request.
+    The regressors multiply by the C-ordered transposes ``b1_t`` and
+    ``b2_t`` too, each copied once on first access (a C-ordered pair, as
+    :func:`build_incidence` makes, keeps every product C-ordered).
     The O(E^3) eigendecomposition of
     ``l1`` (eigenvalues ascending) likewise runs on first access to the
     eigenbasis, since only the simplicial Fourier transform needs it.
@@ -90,6 +93,16 @@ class HodgeOperators:
     @property
     def num_edges(self) -> int:
         return self.b2.shape[0]
+
+    @cached_property
+    def b1_t(self) -> np.ndarray:
+        """``b1^T`` in C order, built once: the lower regressors' first factor."""
+        return np.ascontiguousarray(self.b1.T)
+
+    @cached_property
+    def b2_t(self) -> np.ndarray:
+        """``b2^T`` in C order, built once: the upper regressors' back factor."""
+        return np.ascontiguousarray(self.b2.T)
 
     @cached_property
     def l0(self) -> np.ndarray:

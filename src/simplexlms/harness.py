@@ -127,6 +127,14 @@ def _complex_with_edges(cfg: ExperimentConfig) -> SimplicialComplex2:
     return complex_
 
 
+def _numbers(value, what: str) -> np.ndarray:
+    """``value`` as a float array; a value that is not numeric is a config error."""
+    try:
+        return np.asarray(value, dtype=np.float64)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{what} must be numbers, got {value!r}") from None
+
+
 def resolve_noise(spec, num_edges: int, seed: int) -> np.ndarray:
     """Per-edge noise variances from a scalar, list, or random draw spec.
 
@@ -136,11 +144,21 @@ def resolve_noise(spec, num_edges: int, seed: int) -> np.ndarray:
     """
     rng = _sub_rng(seed, "noise")
     if not isinstance(spec, dict):
-        arr = np.broadcast_to(np.asarray(spec, dtype=np.float64), (num_edges,)).copy()
+        values = _numbers(spec, "noise variances")
+        if values.ndim > 1 or values.size not in {1, num_edges}:
+            raise ConfigError(f"noise variances must be one number or {num_edges}, "
+                              f"one per edge, got {spec!r}")
+        arr = np.broadcast_to(values, (num_edges,)).copy()
     elif "choices" in spec:
-        arr = rng.choice(np.asarray(spec["choices"], dtype=np.float64), size=num_edges)
+        choices = _numbers(spec["choices"], "noise choices")
+        if choices.ndim != 1 or choices.size == 0:
+            raise ConfigError(
+                f"noise choices must be a nonempty list of numbers, got {spec['choices']!r}")
+        arr = rng.choice(choices, size=num_edges)
     elif "low" in spec and "high" in spec:
-        bounds = np.array([spec["low"], spec["high"]], dtype=np.float64)
+        bounds = _numbers([spec["low"], spec["high"]], "noise bounds")
+        if bounds.shape != (2,):
+            raise ConfigError(f"noise bounds must be two numbers, got {spec!r}")
         # the bits of rng.uniform, which raises on a non-finite range: bad
         # bounds give NaN or inf draws, which the check below rejects
         with np.errstate(invalid="ignore", divide="ignore", over="ignore"):

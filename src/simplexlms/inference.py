@@ -26,6 +26,7 @@ differences in the test-suite.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -63,6 +64,11 @@ class CandidateSet:
     gram: np.ndarray            # (T_max, T_max)
     skeleton: HodgeOperators
     order: int
+
+    @cached_property
+    def b_matrix_t(self) -> np.ndarray:
+        """``b_matrix^T`` in C order, built once for the indicator regressors."""
+        return np.ascontiguousarray(self.b_matrix.T)
 
     @property
     def num_candidates(self) -> int:
@@ -164,8 +170,10 @@ def regressors_from_t(
     X = np.empty((1, cand.num_edges, 2 * order + 1))
     X[0, :, 0] = x_hist[0]
     rows = x_hist[::-1]
-    _power_columns(rows, cand.b_matrix, cand.gram, order, X[:, :, 1 : order + 1], t)
-    _power_columns(rows, cand.skeleton.b1.T, cand.skeleton.l0, order, X[:, :, order + 1 :])
+    _power_columns(rows, cand.b_matrix, cand.b_matrix_t, cand.gram, order,
+                   X[:, :, 1 : order + 1], t)
+    skeleton = cand.skeleton
+    _power_columns(rows, skeleton.b1_t, skeleton.b1, skeleton.l0, order, X[:, :, order + 1 :])
     return X[0]
 
 

@@ -43,8 +43,9 @@ __all__ = [
 # build regressors, so a block's working set fits in cache and memory does
 # not grow with the horizon.
 _WINDOW_ELEMENTS = 1 << 15
-# Fewest rows in a window: each window copies and re-reads both incidence
-# factors, which at large edge counts costs more than a few rows' products.
+# Fewest rows in a window: each window re-reads both incidence factors and
+# their transposes, which at large edge counts costs more than a few rows'
+# products.
 _MIN_WINDOW_ROWS = 64
 
 
@@ -185,12 +186,16 @@ class MomentSet:
     c_Xy: np.ndarray
 
 
-def _power_columns(x: np.ndarray, factor: np.ndarray, gram: np.ndarray, order: int,
-                   out: np.ndarray, weights: np.ndarray | None = None) -> None:
+def _power_columns(x: np.ndarray, factor: np.ndarray, factor_t: np.ndarray,
+                   gram: np.ndarray, order: int, out: np.ndarray,
+                   weights: np.ndarray | None = None) -> None:
     """Write ``L^m x(n-m)`` for ``m = 1..order`` into ``out``, with ``L = F diag(w) F^T``.
 
-    ``x`` holds N consecutive signal rows, ``factor`` is ``F`` (E x K),
-    ``gram`` is ``F^T F`` and ``weights`` is ``w`` (all ones if omitted).
+    ``x`` holds N consecutive signal rows, ``factor`` is ``F`` (E x K) and
+    ``factor_t`` is ``F^T``, both C-ordered: BLAS runs small products of
+    that layout up to twice as fast, so callers keep both forms rather
+    than copy one per call. ``gram`` is ``F^T F`` and ``weights`` is ``w``
+    (all ones if omitted).
     ``out`` is ``(N - order, E, order)``, a column block of a regressor
     tensor, and ``out[j, :, m - 1]`` receives ``L^m x(order + j - m)``.
     Since ``L^m = F (diag(w) F^T F)^(m-1) diag(w) F^T``, the rows are
@@ -200,15 +205,12 @@ def _power_columns(x: np.ndarray, factor: np.ndarray, gram: np.ndarray, order: i
     buffer, so no edge-sized temporary is allocated per power.
     """
     N = x.shape[0]
-    # both operands of every product C-ordered: BLAS runs small products of
-    # that layout up to twice as fast, so each call copies the factor once
-    q = x @ np.ascontiguousarray(factor)
-    back = np.ascontiguousarray(factor.T)
+    q = x @ factor
     buf = np.empty(out.shape[:2])
     for m in range(1, order + 1):
         if weights is not None:
             q = q * weights
-        out[:, :, m - 1] = np.matmul(q[order - m : N - m], back, out=buf)
+        out[:, :, m - 1] = np.matmul(q[order - m : N - m], factor_t, out=buf)
         if m < order:
             q = q @ gram
 
@@ -218,15 +220,16 @@ def regressor_tensor(x: np.ndarray, ops: HodgeOperators, order: int) -> np.ndarr
 
     Rows ``n < order`` are zero: no full history window exists there.
     The upper columns are :func:`_power_columns` of ``b2`` with Gram
-    ``l2``, the lower ones of ``b1^T`` with Gram ``l0``.
+    ``l2``, the lower ones of ``b1^T`` with Gram ``l0``; both factors'
+    C-ordered transposes are the operators' cached ``b2_t`` and ``b1_t``.
     """
     x = np.asarray(x, dtype=np.float64)
     N, E = x.shape
     out = np.zeros((N, E, 2 * order + 1))
     if N > order:
         out[order:, :, 0] = x[order:]
-        _power_columns(x, ops.b2, ops.l2, order, out[order:, :, 1 : order + 1])
-        _power_columns(x, ops.b1.T, ops.l0, order, out[order:, :, order + 1 :])
+        _power_columns(x, ops.b2, ops.b2_t, ops.l2, order, out[order:, :, 1 : order + 1])
+        _power_columns(x, ops.b1_t, ops.b1, ops.l0, order, out[order:, :, order + 1 :])
     return out
 
 
@@ -271,15 +274,21 @@ def _history_walk(blocks, order: int, start: int = 0, history: np.ndarray | None
         start += x.shape[0]
 
 
-def _series_walk(x: np.ndarray, order: int, first: int = 0):
-    """:func:`_history_walk` over rows ``first..N-1`` of an in-memory series.
+def _series_walk(x: np.ndarray, order: int, first: int = 0, stop: int | None = None):
+    """:func:`_history_walk` over rows ``first..stop-1`` of an in-memory series.
 
-    A block is one regressor window (:func:`_window_rows`, :func:`_stops`),
-    and the history of the first one is the series' rows before ``first``.
+    Row ``n`` is ``x[n mod N]`` for the series' ``N`` rows, so a ``stop``
+    past ``N`` (the default) walks the series' periodic extension without
+    building it. A block is one regressor window (:func:`_window_rows`,
+    :func:`_stops`); one that runs past row ``N - 1`` gathers its rows
+    modulo ``N``. The history of the first block is the series' rows
+    before ``first``, which must not exceed ``N``.
     """
     N, E = x.shape
-    bounds = [first, *_stops(first, N, _window_rows(E, order))] if first < N else []
-    blocks = ((x[lo:hi],) for lo, hi in zip(bounds, bounds[1:]))
+    stop = N if stop is None else stop
+    bounds = [first, *_stops(first, stop, _window_rows(E, order))] if first < stop else []
+    blocks = ((x[lo:hi] if hi <= N else x[np.arange(lo, hi) % N],)
+              for lo, hi in zip(bounds, bounds[1:]))
     return _history_walk(blocks, order, first, x[max(first - order, 0) : first])
 
 

@@ -333,6 +333,17 @@ def test_bad_counts_exit_2(tmp_path, complex_file, capsys, mode, flag, value):
     ("run-distributed", {"p": float("nan")}, "sampling probabilities must lie in [0, 1]"),
     ("infer-topology", {"p": float("nan")}, "sampling probabilities must lie in [0, 1]"),
     ("infer-topology", {"noise_var": {"choices": [-0.001]}}, "noise variances must be finite"),
+    # noise specs that are empty, not numeric or of the wrong length
+    ("run-lms", {"noise_var": {"choices": []}}, "noise choices must be a nonempty list"),
+    ("design-sampling", {"noise_var": {"choices": []}}, "noise choices must be a nonempty list"),
+    ("run-lms", {"noise_var": {"choices": [1e-3, "abc"]}}, "noise choices must be numbers"),
+    ("run-lms", {"noise_var": {"low": "abc", "high": 1e-3}}, "noise bounds must be numbers"),
+    ("run-distributed", {"noise_var": {"low": 1e-4, "high": "abc", "log": True}},
+     "noise bounds must be numbers"),
+    ("run-lms", {"noise_var": "abc"}, "noise variances must be numbers"),
+    ("design-sampling", {"noise_var": "abc"}, "noise variances must be numbers"),
+    ("run-lms", {"noise_var": [1e-3, 1e-4]}, "noise variances must be one number or"),
+    ("infer-topology", {"noise_var": [1e-3, 1e-4]}, "noise variances must be one number or"),
 ])
 def test_bad_knobs_exit_2(tmp_path, complex_file, capsys, monkeypatch, mode, values, message):
     from simplexlms import harness
@@ -344,6 +355,21 @@ def test_bad_knobs_exit_2(tmp_path, complex_file, capsys, monkeypatch, mode, val
     monkeypatch.setattr(harness, "solve_sampling", no_run)
     assert run_simulation(tmp_path, complex_file, mode, **values) == 2
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("error", [np.linalg.LinAlgError("Singular matrix"),
+                                   FloatingPointError("overflow encountered in multiply")],
+                         ids=["LinAlgError", "FloatingPointError"])
+def test_stray_numerical_error_exits_5(tmp_path, complex_file, capsys, monkeypatch, error):
+    # an error no check turned into a verdict: one line, no traceback
+    from simplexlms import harness
+
+    def failing(cfg):
+        raise error
+
+    monkeypatch.setitem(harness.MODES, "run-lms", failing)
+    assert run_simulation(tmp_path, complex_file, "run-lms") == 5
+    assert capsys.readouterr().err == f"numerical failure: {type(error).__name__}: {error}\n"
 
 
 @pytest.mark.parametrize("mode", ["run-lms", "run-distributed", "infer-topology"])

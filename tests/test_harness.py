@@ -10,7 +10,6 @@ from simplexlms import datasets, harness, signals
 from simplexlms.artrain import (
     VARIANTS,
     ar_regressor_tensor,
-    extend_series,
     run_ar_training,
     run_distributed_ar,
 )
@@ -23,10 +22,12 @@ from simplexlms.datasets import (
     traffic_surrogate,
     write_edge_series,
 )
-from simplexlms.diffusion import build_combination, lower_adjacency_neighborhoods
+from simplexlms.diffusion import (NetworkState, atc_step, build_combination,
+                                  lower_adjacency_neighborhoods)
 from simplexlms.errors import ConfigError
 from simplexlms.harness import emit_results, resolve_noise, resolve_p, run_mode
 from simplexlms.lms import LmsState, lms_step
+from test_lms import traced_peak
 
 
 # ----------------------------------------------------------------- datasets
@@ -122,12 +123,57 @@ def test_surrogate_follows_its_ar_recursion(complex_, with_upper, warmup):
 # ----------------------------------------------------------------- artrain
 
 
-def test_extend_series_modular_indexing():
+def extend_series(series, epochs):
+    """Periodic extension, built whole: row ``i`` is ``series[i mod N]``."""
+    return np.tile(np.asarray(series, dtype=np.float64), (epochs, 1))
+
+
+def tiled_replay(ds, order, variant, epochs, state, predict, step):
+    """The AR train-then-test loop over the tiled training series.
+
+    The regressors come in the protocols' windows, so the products match
+    theirs; the baseline zeroes the upper columns of a copy of each block.
+    """
+    ops = hodge_laplacians(ds.complex)
+    ones = np.ones(ds.complex.num_edges)
+
+    def regressors(series, first):
+        for start, window, lead, _ in signals._series_walk(series, order, first):
+            R = ar_regressor_tensor(window, ops, order)[lead:]
+            if variant == "edge-laplacian-baseline":
+                R = R.copy()
+                R[:, :, :order] = 0.0
+            yield from enumerate(R, start)
+
+    def error(state, X, target):
+        return np.linalg.norm(predict(state, X) - target) / np.linalg.norm(target)
+
+    ext = extend_series(ds.train_series, epochs)
+    train = []
+    for n, X in regressors(ext, order):
+        train.append(error(state, X, ext[n]))
+        state = step(state, X, ones, ext[n])
+    test = [error(state, X, ds.series[n]) for n, X in regressors(ds.series, ds.train_count)]
+    return state, np.array(train), np.array(test)
+
+
+def test_extend_series_modular_indexing(monkeypatch):
     series = np.arange(10, dtype=float).reshape(5, 2)
     ext = extend_series(series, 3)
     assert ext.shape == (15, 2)
     for i in range(15):
         assert np.array_equal(ext[i], series[i % 5])
+    # walked past the series' end in 3-row blocks, without building it, the
+    # series gives the extension's rows and the history before each block
+    monkeypatch.setattr(signals, "_WINDOW_ELEMENTS", 3 * 2 * 5)
+    monkeypatch.setattr(signals, "_MIN_WINDOW_ROWS", 1)
+    for first, stop in ((2, 15), (4, 11), (5, 7)):
+        starts = [first]
+        for start, window, lead, x in signals._series_walk(series, 2, first, stop):
+            assert start == starts[-1]
+            np.testing.assert_array_equal(window, ext[start - lead : start + x.shape[0]])
+            starts.append(start + x.shape[0])
+        assert starts[-1] == stop and len(starts) == 2 + (stop - first - 1) // 3
 
 
 def test_ar_training_shares_lms_step_path():
@@ -191,9 +237,51 @@ def test_distributed_ar_identity_combination_reduces_to_per_edge_lms():
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
+def test_ar_protocols_walk_the_tiled_series(variant):
+    # three epochs: windows of 180 (order 3) and 252 (order 2) rows straddle
+    # both epoch boundaries, and the periodic walk gives the tiled bits
+    ds = traffic_surrogate(seed=2)
+    E = ds.complex.num_edges
+    central = run_ar_training(ds, 3, 1e-4, variant=variant, epochs=3)
+    state, train, test = tiled_replay(ds, 3, variant, 3, LmsState(h=np.zeros(6), mu=1e-4),
+                                      lambda s, X: X @ s.h, lms_step)
+    for got, want in zip((central.coeffs, central.train_errors, central.test_errors),
+                         (state.h, train, test)):
+        np.testing.assert_array_equal(got, want)
+    comb = build_combination(lower_adjacency_neighborhoods(ds.complex), "uniform")
+    dist = run_distributed_ar(ds, 2, 1e-1, comb, epochs=3, variant=variant)
+    net, train, test = tiled_replay(
+        ds, 2, variant, 3, NetworkState(estimates=np.zeros((E, 4)), mu=np.full(E, 1e-1)),
+        lambda net, X: np.einsum("ij,ij->i", X, net.estimates),
+        lambda net, X, d, y: atc_step(net, comb, X, d, y))
+    for got, want in zip((dist.coeffs, dist.train_errors, dist.test_errors),
+                         (net.estimates, train, test)):
+        np.testing.assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize("runner", ["run_ar_training", "run_distributed_ar"])
+def test_ar_memory_does_not_grow_with_epochs(runner):
+    # at 50 epochs against 5, only the training error trace may grow: 8 bytes
+    # per extra training row, plus 64 KB of slack
+    ds = traffic_surrogate(seed=1)
+    if runner == "run_ar_training":
+        def run(epochs):
+            run_ar_training(ds, 3, 1e-4, epochs=epochs)
+    else:
+        comb = build_combination(lower_adjacency_neighborhoods(ds.complex), "uniform")
+
+        def run(epochs):
+            run_distributed_ar(ds, 2, 1e-1, comb, epochs=epochs)
+    run(1)  # warm caches
+    short, long = (traced_peak(lambda: run(epochs)) for epochs in (5, 50))
+    assert long - short <= 8 * 45 * ds.train_count + 64 * 1024, (short, long)
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
 def test_ar_protocols_multi_window_match_one_window(variant, monkeypatch):
     # 7-row windows: the 498 training rows and the 38 test rows (from 250)
-    # both cross window boundaries
+    # both cross window boundaries, and training windows straddle the epoch
+    # boundary at row 250
     ds = traffic_surrogate(seed=2)
     E = ds.complex.num_edges
     comb = build_combination(lower_adjacency_neighborhoods(ds.complex), "uniform")

@@ -403,6 +403,25 @@ def test_white_moment_basis_is_built_in_row_blocks(design_complex, order):
     assert peak < c.num_edges * (c.num_vertices + c.num_triangles) * 8, peak
 
 
+def test_regressor_windows_reuse_the_factor_transposes(design_complex):
+    # a 64-row window at 900 edges, order 3: the C-ordered transposes of both
+    # incidence factors are built once per operator set, not per window, so a
+    # window needs less beyond its regressors than one copy of b2^T
+    c = design_complex
+    ops = hodge_laplacians(c)
+    x = np.random.default_rng(0).standard_normal((67, c.num_edges))
+    regressor_tensor(x, ops, 3)
+    for transpose, factor in ((ops.b1_t, c.b1), (ops.b2_t, c.b2)):
+        assert transpose.flags.c_contiguous and np.array_equal(transpose, factor.T)
+    tracemalloc.start()
+    try:
+        R = regressor_tensor(x, ops, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - R.nbytes < c.b2.nbytes, (peak, R.nbytes)
+
+
 def test_white_run_keeps_a_scalar_covariance():
     # white streams at 600 edges: no E x E covariance, factor or moment input
     complex_ = grown_complex(40, 600, 40, seed=0)
