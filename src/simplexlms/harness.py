@@ -84,17 +84,40 @@ def _sub_rng(seed: int, tag: str) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(digest,)))
 
 
-def _positive(cfg: ExperimentConfig, key: str, value) -> float:
-    value = float(value)
+def _numbers(value, message: str) -> np.ndarray:
+    """``value`` as a float array; a value that is not numeric is a config error."""
+    try:
+        return np.asarray(value, dtype=np.float64)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{message}, got {value!r}") from None
+
+
+def _number(key: str, value) -> float:
+    number = _numbers(value, f"config key {key!r} must be a number")
+    if number.ndim:
+        raise ConfigError(f"config key {key!r} must be one number, got {value!r}")
+    return float(number)
+
+
+def _positive(key: str, value) -> float:
+    value = _number(key, value)
     if not 0 < value < np.inf:
         raise ConfigError(f"config key {key!r} must be positive and finite, got {value}")
     return value
 
 
-def _count(cfg: ExperimentConfig, key: str, value, minimum: int = 0) -> int:
-    value = int(value)
-    if value < minimum:
-        raise ConfigError(f"config key {key!r} must be at least {minimum}, got {value}")
+def _count(key: str, value, minimum: int = 0) -> int:
+    number = _number(key, value)
+    if not number.is_integer():
+        raise ConfigError(f"config key {key!r} must be a whole number, got {value!r}")
+    if number < minimum:
+        raise ConfigError(f"config key {key!r} must be at least {minimum}, got {int(number)}")
+    return int(number)
+
+
+def _flag(key: str, value) -> bool:
+    if not isinstance(value, bool):
+        raise ConfigError(f"config key {key!r} must be true or false, got {value!r}")
     return value
 
 
@@ -108,11 +131,13 @@ def build_complex_from_config(cfg: ExperimentConfig) -> SimplicialComplex2:
     if not isinstance(spec, dict):
         raise ConfigError("config needs either complex_file or a complex object")
     try:
-        vertices = int(spec["vertices"])
-        seed = int(spec.get("seed", 0))
+        vertices = _count("complex.vertices", spec["vertices"])
+        seed = _count("complex.seed", spec.get("seed", 0))
         if "edges" in spec:
-            return grown_complex(vertices, int(spec["edges"]), int(spec["triangles"]), seed)
-        return random_complex(vertices, float(spec["edge_prob"]), float(spec["fill_prob"]), seed)
+            return grown_complex(vertices, _count("complex.edges", spec["edges"]),
+                                 _count("complex.triangles", spec["triangles"]), seed)
+        return random_complex(vertices, _number("complex.edge_prob", spec["edge_prob"]),
+                              _number("complex.fill_prob", spec["fill_prob"]), seed)
     except KeyError as exc:
         raise ConfigError(f"complex object misses key {exc}") from exc
     except ValueError as exc:
@@ -127,12 +152,11 @@ def _complex_with_edges(cfg: ExperimentConfig) -> SimplicialComplex2:
     return complex_
 
 
-def _numbers(value, what: str) -> np.ndarray:
-    """``value`` as a float array; a value that is not numeric is a config error."""
-    try:
-        return np.asarray(value, dtype=np.float64)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{what} must be numbers, got {value!r}") from None
+def _per_edge(spec, num_edges: int, what: str) -> np.ndarray:
+    values = _numbers(spec, f"{what} must be numbers")
+    if values.ndim > 1 or values.size not in {1, num_edges}:
+        raise ConfigError(f"{what} must be one number or {num_edges}, one per edge, got {spec!r}")
+    return np.broadcast_to(values, (num_edges,)).copy()
 
 
 def resolve_noise(spec, num_edges: int, seed: int) -> np.ndarray:
@@ -144,19 +168,15 @@ def resolve_noise(spec, num_edges: int, seed: int) -> np.ndarray:
     """
     rng = _sub_rng(seed, "noise")
     if not isinstance(spec, dict):
-        values = _numbers(spec, "noise variances")
-        if values.ndim > 1 or values.size not in {1, num_edges}:
-            raise ConfigError(f"noise variances must be one number or {num_edges}, "
-                              f"one per edge, got {spec!r}")
-        arr = np.broadcast_to(values, (num_edges,)).copy()
+        arr = _per_edge(spec, num_edges, "noise variances")
     elif "choices" in spec:
-        choices = _numbers(spec["choices"], "noise choices")
+        choices = _numbers(spec["choices"], "noise choices must be numbers")
         if choices.ndim != 1 or choices.size == 0:
             raise ConfigError(
                 f"noise choices must be a nonempty list of numbers, got {spec['choices']!r}")
         arr = rng.choice(choices, size=num_edges)
     elif "low" in spec and "high" in spec:
-        bounds = _numbers([spec["low"], spec["high"]], "noise bounds")
+        bounds = _numbers([spec["low"], spec["high"]], "noise bounds must be numbers")
         if bounds.shape != (2,):
             raise ConfigError(f"noise bounds must be two numbers, got {spec!r}")
         # the bits of rng.uniform, which raises on a non-finite range: bad
@@ -183,7 +203,7 @@ def resolve_p(spec, num_edges: int, sigma_v2: np.ndarray | None = None) -> np.nd
         if "lowest_noise_fraction" in spec:
             if sigma_v2 is None:
                 raise ConfigError("lowest_noise_fraction needs noise variances")
-            fraction = float(spec["lowest_noise_fraction"])
+            fraction = _number("lowest_noise_fraction", spec["lowest_noise_fraction"])
             if not 0 < fraction <= 1:
                 raise ConfigError("lowest_noise_fraction must lie in (0, 1]")
             count = max(1, int(round(fraction * num_edges)))
@@ -192,7 +212,7 @@ def resolve_p(spec, num_edges: int, sigma_v2: np.ndarray | None = None) -> np.nd
             p[order[:count]] = 1.0
             return p
         raise ConfigError(f"unsupported sampling spec {spec!r}")
-    arr = np.broadcast_to(np.asarray(spec, dtype=np.float64), (num_edges,)).copy()
+    arr = _per_edge(spec, num_edges, "config key 'p'")
     if not np.all((0 <= arr) & (arr <= 1)):  # NaN fails too
         raise ConfigError("sampling probabilities must lie in [0, 1]")
     return arr
@@ -323,7 +343,7 @@ def emit_results(payload: dict, path, fmt: str = "json") -> None:
 
 
 def _metadata(cfg: ExperimentConfig) -> dict:
-    return {"version": __version__, "mode": cfg.mode, "seed": int(cfg.get("seed", 0))}
+    return {"version": __version__, "mode": cfg.mode, "seed": _count("seed", cfg.get("seed", 0))}
 
 
 def _stream_pieces(cfg: ExperimentConfig, complex_: SimplicialComplex2, realizations: int = 30):
@@ -332,14 +352,14 @@ def _stream_pieces(cfg: ExperimentConfig, complex_: SimplicialComplex2, realizat
     ``realizations`` is the count when the config gives none. The caller
     draws the coefficients, whose law depends on the mode.
     """
-    seed = int(cfg.get("seed", 0))
+    seed = _count("seed", cfg.get("seed", 0))
     E = complex_.num_edges
-    order = _count(cfg, "order", cfg.require("order"))
-    horizon = _count(cfg, "horizon", cfg.require("horizon"))
-    realizations = _count(cfg, "realizations", cfg.get("realizations", realizations), minimum=1)
+    order = _count("order", cfg.require("order"))
+    horizon = _count("horizon", cfg.require("horizon"))
+    realizations = _count("realizations", cfg.get("realizations", realizations), minimum=1)
     sigma_v2 = resolve_noise(cfg.get("noise_var", 0.0), E, seed)
     p = resolve_p(cfg.get("p", 1.0), E, sigma_v2)
-    signal_var = _positive(cfg, "signal_var", cfg.get("signal_var", 1.0))
+    signal_var = _positive("signal_var", cfg.get("signal_var", 1.0))
     stream = StreamConfig.white(E, signal_var, sigma_v2, p, horizon=horizon + order, seed=seed)
     return order, stream, horizon, realizations
 
@@ -357,15 +377,21 @@ def _input_errors():
         raise ConfigError(str(exc)) from exc
 
 
+def _deviation_fields(msd: np.ndarray) -> dict:
+    """The result fields of a deviation trajectory: itself, in dB, and its steady state in dB."""
+    return {"msd": msd.tolist(), "msd_db": to_db(msd).tolist(),
+            "steady_state_db": float(to_db(tail_average(msd)))}
+
+
 def mode_run_lms(cfg: ExperimentConfig) -> dict:
     complex_ = _complex_with_edges(cfg)
     order, stream, horizon, realizations = _stream_pieces(cfg, complex_)
-    scale = _positive(cfg, "coeff_scale", cfg.get("coeff_scale", 1.0))
+    scale = _positive("coeff_scale", cfg.get("coeff_scale", 1.0))
     coeffs = draw_coeffs(order, stream.seed, scale=scale)
-    mu = _positive(cfg, "mu", cfg.require("mu"))
+    mu = _positive("mu", cfg.require("mu"))
     with _input_errors():
         result = run_experiment(complex_, coeffs, stream, mu, realizations, horizon)
-    payload = {
+    return {
         "config": dict(cfg.values),
         "metadata": _metadata(cfg),
         "complex": {
@@ -373,36 +399,33 @@ def mode_run_lms(cfg: ExperimentConfig) -> dict:
             "edges": complex_.num_edges,
             "triangles": complex_.num_triangles,
         },
-        "msd": result.msd.tolist(),
-        "msd_db": result.msd_db.tolist(),
-        "steady_state_db": result.steady_state_db(),
+        **_deviation_fields(result.msd),
         "theory": result.theory.to_dict() if result.theory else None,
         "diverged": result.diverged,
     }
-    return payload
 
 
 def mode_design_sampling(cfg: ExperimentConfig) -> dict:
     complex_ = _complex_with_edges(cfg)
     ops = hodge_laplacians(complex_)
     E = complex_.num_edges
-    seed = int(cfg.get("seed", 0))
-    order = _count(cfg, "order", cfg.require("order"))
+    seed = _count("seed", cfg.get("seed", 0))
+    order = _count("order", cfg.require("order"))
     sigma_v2 = resolve_noise(cfg.get("noise_var", 0.0), E, seed)
-    signal_var = _positive(cfg, "signal_var", cfg.get("signal_var", 1.0))
-    tol = float(cfg.get("tol", 1e-6))
+    signal_var = _positive("signal_var", cfg.get("signal_var", 1.0))
+    tol = _number("tol", cfg.get("tol", 1e-6))
     if not 0.0 <= tol < np.inf:
         raise ConfigError(f"config key 'tol' must be finite and nonnegative, got {tol}")
-    max_iter = _count(cfg, "max_iter", cfg.get("max_iter", 2000), minimum=1)
+    max_iter = _count("max_iter", cfg.get("max_iter", 2000), minimum=1)
     with _input_errors():
         problem = SamplingProblem.from_moments(
             ops,
             signal_var,
             sigma_v2,
             order,
-            mu=_positive(cfg, "mu", cfg.require("mu")),
-            alpha=float(cfg.require("alpha")),
-            gamma=_positive(cfg, "gamma", cfg.require("gamma")),
+            mu=_positive("mu", cfg.require("mu")),
+            alpha=_number("alpha", cfg.require("alpha")),
+            gamma=_positive("gamma", cfg.require("gamma")),
             p_max=cfg.get("p_max", 1.0),
         )
     solution = solve_sampling(problem, tol=tol, max_iter=max_iter)
@@ -426,15 +449,15 @@ def mode_design_sampling(cfg: ExperimentConfig) -> dict:
 def mode_infer_topology(cfg: ExperimentConfig) -> dict:
     complex_ = build_complex_from_config(cfg)
     order, stream, horizon, realizations = _stream_pieces(cfg, complex_, realizations=10)
-    lam0, lam1 = float(cfg.require("lambda0")), float(cfg.require("lambda1"))
+    lam0, lam1 = (_number(key, cfg.require(key)) for key in ("lambda0", "lambda1"))
     with _input_errors():
         _check_threshold_order(lam0, lam1)
-    magnitude = _positive(cfg, "coeff_magnitude", cfg.get("coeff_magnitude", 1.0))
+    magnitude = _positive("coeff_magnitude", cfg.get("coeff_magnitude", 1.0))
     coeffs = draw_bounded_coeffs(order, stream.seed, magnitude=magnitude)
     cand = candidate_set(complex_, order)
     t_true = cand.true_indicator(complex_)
     schedule = [(0, t_true)]
-    removals = _count(cfg, "remove_triangles", cfg.get("remove_triangles", 0))
+    removals = _count("remove_triangles", cfg.get("remove_triangles", 0))
     if removals:
         filled = np.flatnonzero(t_true)
         if removals > filled.size:
@@ -449,8 +472,8 @@ def mode_infer_topology(cfg: ExperimentConfig) -> dict:
             coeffs,
             stream,
             schedule,
-            mu1=_positive(cfg, "mu1", cfg.require("mu1")),
-            mu2=_positive(cfg, "mu2", cfg.require("mu2")),
+            mu1=_positive("mu1", cfg.require("mu1")),
+            mu2=_positive("mu2", cfg.require("mu2")),
             lam0=lam0,
             lam1=lam1,
             horizon=horizon,
@@ -472,12 +495,12 @@ def mode_infer_topology(cfg: ExperimentConfig) -> dict:
 def mode_run_distributed(cfg: ExperimentConfig) -> dict:
     complex_ = _complex_with_edges(cfg)
     order, stream, horizon, realizations = _stream_pieces(cfg, complex_)
-    scale = _positive(cfg, "coeff_scale", cfg.get("coeff_scale", 1.0))
+    scale = _positive("coeff_scale", cfg.get("coeff_scale", 1.0))
     coeffs = draw_coeffs(order, stream.seed, scale=scale)
-    mu = np.array([_positive(cfg, "mu", m) for m in np.ravel(cfg.require("mu"))])
-    neighborhoods = lower_adjacency_neighborhoods(complex_)
-    comb = build_combination(neighborhoods, rule=cfg.get("rule", "uniform"))
+    mu = np.array([_positive("mu", m) for m in np.ravel(cfg.require("mu"))])
     with _input_errors():
+        comb = build_combination(lower_adjacency_neighborhoods(complex_),
+                                 rule=cfg.get("rule", "uniform"))
         result = run_distributed(
             complex_,
             coeffs,
@@ -486,7 +509,7 @@ def mode_run_distributed(cfg: ExperimentConfig) -> dict:
             mu,
             realizations,
             horizon,
-            track_agents=bool(cfg.get("emit_agent_traces", False)),
+            track_agents=_flag("emit_agent_traces", cfg.get("emit_agent_traces", False)),
         )
     combination_file = cfg.get("combination_out")
     if combination_file:
@@ -494,9 +517,7 @@ def mode_run_distributed(cfg: ExperimentConfig) -> dict:
     payload = {
         "config": dict(cfg.values),
         "metadata": _metadata(cfg),
-        "msd": result.msd.tolist(),
-        "msd_db": to_db(result.msd).tolist(),
-        "steady_state_db": float(to_db(tail_average(result.msd))),
+        **_deviation_fields(result.msd),
         "theory": {
             "rho_b": result.theory.rho_b,
             "stable": result.theory.stable,
@@ -512,15 +533,16 @@ def mode_run_distributed(cfg: ExperimentConfig) -> dict:
 
 
 def mode_ar_train(cfg: ExperimentConfig) -> dict:
-    order = _count(cfg, "order", cfg.require("order"))
-    mu = _positive(cfg, "mu", cfg.require("mu"))
-    epochs = _count(cfg, "epochs", cfg.get("epochs", 1), minimum=1)
+    metadata = _metadata(cfg)
+    order = _count("order", cfg.require("order"))
+    mu = _positive("mu", cfg.require("mu"))
+    epochs = _count("epochs", cfg.get("epochs", 1), minimum=1)
     if "surrogate" in cfg.values:
         spec = cfg.values["surrogate"]
         ds = traffic_surrogate(
-            seed=int(spec.get("seed", 0)),
-            order=_count(cfg, "surrogate.order", spec.get("order", order)),
-            with_upper=bool(spec.get("with_upper", True)),
+            seed=_count("surrogate.seed", spec.get("seed", 0)),
+            order=_count("surrogate.order", spec.get("order", order)),
+            with_upper=_flag("surrogate.with_upper", spec.get("with_upper", True)),
         )
     else:
         ds = ingest_edge_series(
@@ -530,7 +552,7 @@ def mode_ar_train(cfg: ExperimentConfig) -> dict:
         )
     variant = cfg.get("variant", "topo")
     with _input_errors():
-        if cfg.get("distributed", False):
+        if _flag("distributed", cfg.get("distributed", False)):
             comb = build_combination(
                 lower_adjacency_neighborhoods(ds.complex), rule=cfg.get("rule", "uniform")
             )
@@ -539,7 +561,7 @@ def mode_ar_train(cfg: ExperimentConfig) -> dict:
             result = run_ar_training(ds, order, mu, variant=variant, epochs=epochs)
     return {
         "config": dict(cfg.values),
-        "metadata": _metadata(cfg),
+        "metadata": metadata,
         "variant": result.variant,
         "train_errors": result.train_errors.tolist(),
         "test_errors": result.test_errors.tolist(),
@@ -548,6 +570,7 @@ def mode_ar_train(cfg: ExperimentConfig) -> dict:
 
 
 def mode_generate_complex(cfg: ExperimentConfig) -> dict:
+    metadata = _metadata(cfg)
     complex_ = build_complex_from_config(cfg)
     out = cfg.get("complex_out")
     if out:
@@ -555,15 +578,15 @@ def mode_generate_complex(cfg: ExperimentConfig) -> dict:
     series_out = cfg.get("series_out")
     if series_out:
         ds = traffic_surrogate(
-            seed=int(cfg.get("seed", 0)),
-            order=_count(cfg, "order", cfg.get("order", 3)),
-            with_upper=bool(cfg.get("with_upper", True)),
+            seed=metadata["seed"],
+            order=_count("order", cfg.get("order", 3)),
+            with_upper=_flag("with_upper", cfg.get("with_upper", True)),
             complex_=complex_,
         )
         write_edge_series(series_out, ds.series)
     return {
         "config": dict(cfg.values),
-        "metadata": _metadata(cfg),
+        "metadata": metadata,
         "vertices": complex_.num_vertices,
         "edges": complex_.num_edges,
         "triangles": complex_.num_triangles,

@@ -26,15 +26,14 @@ differences in the test-suite.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
 from .complexes import HodgeOperators, SimplicialComplex2, build_incidence, enumerate_3cliques
 from .errors import DivergenceError
 from .lms import LmsState, _monte_carlo, lms_step
-from .signals import (StreamConfig, _block_stops, _draw, _history_walk, _power_columns,
-                      _realization, edge_moment_matrices)
+from .signals import (StreamConfig, _block_stops, _draw, _history_walk, _realization,
+                      edge_moment_matrices, regressor_tensor)
 
 __all__ = [
     "CandidateSet",
@@ -52,31 +51,20 @@ __all__ = [
 
 @dataclass
 class CandidateSet:
-    """Candidate triangles of a 1-skeleton: triples and incidence columns.
+    """Candidate triangles of a 1-skeleton: their triples and operators.
 
-    ``gram`` is ``b_matrix^T b_matrix`` and ``skeleton`` holds the
-    operators of the 1-skeleton, whose lower Laplacian the candidates
-    leave unchanged.
+    ``ops`` holds the operators of the complex filled with every 3-clique,
+    one ``ops.b2`` column per triple; an indicator ``t`` weights its upper
+    Laplacian as ``L_u(t) = b2 diag(t) b2^T``.
     """
 
     triples: tuple[tuple[int, int, int], ...]
-    b_matrix: np.ndarray        # (E, T_max) signed incidence columns
-    gram: np.ndarray            # (T_max, T_max)
-    skeleton: HodgeOperators
+    ops: HodgeOperators
     order: int
-
-    @cached_property
-    def b_matrix_t(self) -> np.ndarray:
-        """``b_matrix^T`` in C order, built once for the indicator regressors."""
-        return np.ascontiguousarray(self.b_matrix.T)
 
     @property
     def num_candidates(self) -> int:
-        return self.b_matrix.shape[1]
-
-    @property
-    def num_edges(self) -> int:
-        return self.b_matrix.shape[0]
+        return self.ops.b2.shape[1]
 
     def true_indicator(self, complex_: SimplicialComplex2) -> np.ndarray:
         """0/1 vector marking which candidates are filled in ``complex_``."""
@@ -85,20 +73,11 @@ class CandidateSet:
 
 
 def candidate_set(complex_: SimplicialComplex2, order: int) -> CandidateSet:
-    """Enumerate candidates with their Gram and the 1-skeleton's operators.
-
-    The candidates' incidence columns are those of the complex filled with
-    every 3-clique; the skeleton shares the complex's ``b1``.
-    """
+    """The 3-cliques with the operators of the complex they fill, sharing its ``b1``."""
     cliques = enumerate_3cliques(complex_)
-    b_matrix = build_incidence(complex_.num_vertices, list(complex_.edges), cliques).b2
-    return CandidateSet(
-        triples=tuple(cliques),
-        b_matrix=b_matrix,
-        gram=b_matrix.T @ b_matrix,
-        skeleton=HodgeOperators(b1=complex_.b1, b2=np.zeros((complex_.num_edges, 0))),
-        order=order,
-    )
+    b2 = build_incidence(complex_.num_vertices, list(complex_.edges), cliques).b2
+    return CandidateSet(triples=tuple(cliques), ops=HodgeOperators(b1=complex_.b1, b2=b2),
+                        order=order)
 
 
 @dataclass
@@ -160,21 +139,14 @@ def _hard_threshold(v: np.ndarray, lam0: float, lam1: float) -> np.ndarray:
 def regressors_from_t(
     t: np.ndarray, cand: CandidateSet, x_hist: np.ndarray
 ) -> np.ndarray:
-    """Regressor matrix built from the weighted candidate upper Laplacian."""
+    """The regressors of the newest-first history ``x_hist`` under ``L_u(t)``."""
     order = cand.order
     x_hist = np.asarray(x_hist, dtype=np.float64)
-    if x_hist.shape != (order + 1, cand.num_edges):
+    if x_hist.shape != (order + 1, cand.ops.num_edges):
         raise ValueError(
-            f"history has shape {x_hist.shape}, expected ({order + 1}, {cand.num_edges})"
+            f"history has shape {x_hist.shape}, expected ({order + 1}, {cand.ops.num_edges})"
         )
-    X = np.empty((1, cand.num_edges, 2 * order + 1))
-    X[0, :, 0] = x_hist[0]
-    rows = x_hist[::-1]
-    _power_columns(rows, cand.b_matrix, cand.b_matrix_t, cand.gram, order,
-                   X[:, :, 1 : order + 1], t)
-    skeleton = cand.skeleton
-    _power_columns(rows, skeleton.b1_t, skeleton.b1, skeleton.l0, order, X[:, :, order + 1 :])
-    return X[0]
+    return regressor_tensor(x_hist[::-1], cand.ops, order, t)[-1]
 
 
 def grad_t(
@@ -184,12 +156,12 @@ def grad_t(
     """Instantaneous gradient of the masked squared residual w.r.t. ``t``.
 
     ``X`` is ``regressors_from_t(t, cand, obs.x_hist)``, for a caller that
-    has built it already; it is built here otherwise. With ``G = B^T B``,
-    ``B^T L^k v = (G diag(t))^k B^T v``, so both factors of each term
-    are iterated in the candidate space.
+    has built it already; it is built here otherwise. With ``B = ops.b2``
+    and ``G = ops.l2 = B^T B``, ``B^T L^k v = (G diag(t))^k B^T v``, so
+    both factors of each term are iterated in the candidate space.
     """
     order = cand.order
-    B = cand.b_matrix
+    B = cand.ops.b2
     if t.shape != (B.shape[1],):
         raise ValueError("indicator dimension mismatch")
     if X is None:
@@ -201,7 +173,7 @@ def grad_t(
     v = np.vstack([r_masked, obs.x_hist[1:]]) @ B
     iterates = [v]
     for _ in range(order - 1):
-        iterates.append((iterates[-1] * t) @ cand.gram)
+        iterates.append((iterates[-1] * t) @ cand.ops.l2)
     grad = np.zeros(B.shape[1])
     for m in range(1, order + 1):
         for l in range(m):
@@ -274,10 +246,10 @@ def run_inference(
     if not schedule or schedule[0][0] != 0:
         raise ValueError("schedule must start at iteration 0")
 
-    E = cand.num_edges
+    E = cand.ops.num_edges
     N = horizon + order
     # every indicator in [0, 1] weights the triangles of this complex
-    edge_moment_matrices(HodgeOperators(b1=cand.skeleton.b1, b2=cand.b_matrix), cfg.c_x, order)
+    edge_moment_matrices(cand.ops, cfg.c_x, order)
 
     def run_one(seed_r: int) -> np.ndarray:
         traj = np.empty((4, horizon + 1))

@@ -7,13 +7,13 @@ The update is the stochastic-gradient step
 whose error recursion is governed by Q = I - mu * c_X. Mean stability
 requires mu < 2 / lambda_max(c_X); under the small-step approximation
 the deviation converges to mu^2 Tr(g S), where S solves the Stein
-equation S = Q^T S Q + I. Q is symmetric, so with Q = U diag(q) U^T the
-solution is exactly
+equation S = Q^T S Q + I. With c_X = U diag(lam) U^T, Q = U diag(q) U^T
+for q = 1 - mu lam, and g~ = diag(U^T g U), the solution gives exactly
 
-    S = U diag(1 / (1 - q^2)) U^T,
+    mu^2 Tr(g S) = mu^2 sum_a g~_a / (1 - q_a^2),
 
-and mu^2 Tr(g S) expands to (mu/2) Tr(g c_X^{-1}) plus a second-order
-remainder.
+which expands to (mu/2) Tr(g c_X^{-1}) = (mu/2) sum_a g~_a / lam_a plus a
+second-order remainder: both read one eigendecomposition of c_X.
 """
 
 from __future__ import annotations
@@ -110,16 +110,6 @@ def _is_stable(rho: float) -> bool:
     return rho < 1.0 - _STABILITY_TOL
 
 
-def _steady_state_weight(Q: np.ndarray) -> np.ndarray:
-    """Solve S = Q^T S Q + I for symmetric Q with rho(Q) < 1.
-
-    In the eigenbasis Q = U diag(q) U^T the equation decouples entry by
-    entry, so S = U diag(1 / (1 - q^2)) U^T exactly.
-    """
-    q, u = np.linalg.eigh(Q)
-    return (u / (1.0 - q**2)) @ u.T
-
-
 def steady_state_msd(c_X: np.ndarray, g: np.ndarray, mu: float) -> tuple[float, float]:
     """Limiting deviation: the exact value mu^2 Tr(g S) and its first-order term.
 
@@ -127,21 +117,21 @@ def steady_state_msd(c_X: np.ndarray, g: np.ndarray, mu: float) -> tuple[float, 
     docstring). Returns ``(msd_exact, msd_first_order)`` where the first
     order term is (mu/2) Tr(g c_X^{-1}). Raises :class:`StabilityError`
     when the step-size is not mean-stable, with margin, for the given
-    moment matrix.
+    moment matrix; a stable step leaves every eigenvalue of ``c_X`` positive.
     """
     c_X = np.asarray(c_X, dtype=np.float64)
     g = np.asarray(g, dtype=np.float64)
-    dim = c_X.shape[0]
-    Q = np.eye(dim) - mu * c_X
-    rho = float(np.max(np.abs(np.linalg.eigvalsh(Q))))
+    lam, u = np.linalg.eigh(c_X)
+    q = 1.0 - mu * lam
+    rho = float(np.max(np.abs(q)))
     if mu <= 0 or not _is_stable(rho):
         raise StabilityError(
             f"step-size {mu} is unstable: spectral radius {rho:.6f} is not below "
             f"1 - {_STABILITY_TOL:g}"
         )
-    S = _steady_state_weight(Q)
-    msd_exact = float(mu**2 * np.trace(g @ S))
-    msd_first = float(0.5 * mu * np.trace(np.linalg.solve(c_X, g)))
+    g_tilde = np.einsum("ia,ij,ja->a", u, g, u)
+    msd_exact = float(mu**2 * np.sum(g_tilde / (1.0 - q**2)))
+    msd_first = float(0.5 * mu * np.sum(g_tilde / lam))
     return msd_exact, msd_first
 
 
@@ -268,13 +258,6 @@ class ExperimentResult:
     theory: TheoryReport | None
     realizations: int
     diverged: list[int]
-
-    @property
-    def msd_db(self) -> np.ndarray:
-        return to_db(self.msd)
-
-    def steady_state_db(self, fraction: float = 0.1) -> float:
-        return float(to_db(tail_average(self.msd, fraction)))
 
 
 def run_experiment(

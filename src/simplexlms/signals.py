@@ -215,20 +215,23 @@ def _power_columns(x: np.ndarray, factor: np.ndarray, factor_t: np.ndarray,
             q = q @ gram
 
 
-def regressor_tensor(x: np.ndarray, ops: HodgeOperators, order: int) -> np.ndarray:
+def regressor_tensor(x: np.ndarray, ops: HodgeOperators, order: int,
+                     weights: np.ndarray | None = None) -> np.ndarray:
     """Regressor matrices for a whole stream, shape (N, E, 2M+1).
 
     Rows ``n < order`` are zero: no full history window exists there.
     The upper columns are :func:`_power_columns` of ``b2`` with Gram
     ``l2``, the lower ones of ``b1^T`` with Gram ``l0``; both factors'
     C-ordered transposes are the operators' cached ``b2_t`` and ``b1_t``.
+    ``weights`` weights the upper Laplacian's triangles, ``L_u = b2 diag(w) b2^T``.
     """
     x = np.asarray(x, dtype=np.float64)
     N, E = x.shape
     out = np.zeros((N, E, 2 * order + 1))
     if N > order:
         out[order:, :, 0] = x[order:]
-        _power_columns(x, ops.b2, ops.b2_t, ops.l2, order, out[order:, :, 1 : order + 1])
+        _power_columns(x, ops.b2, ops.b2_t, ops.l2, order, out[order:, :, 1 : order + 1],
+                       weights)
         _power_columns(x, ops.b1_t, ops.b1, ops.l0, order, out[order:, :, order + 1 :])
     return out
 

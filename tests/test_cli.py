@@ -208,6 +208,7 @@ SIMULATION_KNOBS = {
     "run-distributed": {"mu": 1e-3},
     "infer-topology": {"mu1": 1e-2, "mu2": 1e-2, "lambda0": 0.1, "lambda1": 0.1},
     "ar-train": {"mu": 1e-4, "surrogate": {"seed": 1}},
+    "generate-complex": {},
 }
 
 
@@ -344,6 +345,32 @@ def test_bad_counts_exit_2(tmp_path, complex_file, capsys, mode, flag, value):
     ("design-sampling", {"noise_var": "abc"}, "noise variances must be numbers"),
     ("run-lms", {"noise_var": [1e-3, 1e-4]}, "noise variances must be one number or"),
     ("infer-topology", {"noise_var": [1e-3, 1e-4]}, "noise variances must be one number or"),
+    # knobs that are not numbers, or not whole numbers where a count is read
+    ("run-lms", {"seed": "abc"}, "config key 'seed' must be a number"),
+    ("run-lms", {"seed": -1}, "config key 'seed' must be at least 0"),
+    ("run-lms", {"mu": "x"}, "config key 'mu' must be a number"),
+    ("run-lms", {"mu": [1e-3, 1e-3]}, "config key 'mu' must be one number"),
+    ("run-lms", {"horizon": 50.5}, "config key 'horizon' must be a whole number"),
+    ("run-distributed", {"realizations": "two"}, "config key 'realizations' must be a number"),
+    ("run-lms", {"p": "abc"}, "config key 'p' must be numbers"),
+    ("run-lms", {"p": [0.5, 0.5]}, "config key 'p' must be one number or"),
+    ("run-lms", {"noise_var": 1e-3, "p": {"lowest_noise_fraction": "x"}},
+     "config key 'lowest_noise_fraction' must be a number"),
+    ("infer-topology", {"lambda0": "x"}, "config key 'lambda0' must be a number"),
+    ("design-sampling", {"tol": "x"}, "config key 'tol' must be a number"),
+    ("design-sampling", {"seed": 1.5}, "config key 'seed' must be a whole number"),
+    ("ar-train", {"surrogate": {"seed": "abc"}}, "config key 'surrogate.seed' must be a number"),
+    ("generate-complex", {"seed": 2.5}, "config key 'seed' must be a whole number"),
+    # a combination rule from the config file, which the flag's choices do not check
+    ("run-distributed", {"rule": "foo"}, "unknown combination rule 'foo'"),
+    # switches take JSON true or false only: the string "false" is not false
+    ("run-distributed", {"emit_agent_traces": "false"},
+     "config key 'emit_agent_traces' must be true or false"),
+    ("ar-train", {"distributed": "false"}, "config key 'distributed' must be true or false"),
+    ("ar-train", {"surrogate": {"seed": 1, "with_upper": "false"}},
+     "config key 'surrogate.with_upper' must be true or false"),
+    ("generate-complex", {"with_upper": 0, "series_out": os.devnull},
+     "config key 'with_upper' must be true or false"),
 ])
 def test_bad_knobs_exit_2(tmp_path, complex_file, capsys, monkeypatch, mode, values, message):
     from simplexlms import harness

@@ -222,7 +222,7 @@ def test_clique_incidence_vectors_match_filled_columns():
     c = random_complex(12, 0.45, 0.6, 8)
     cand = candidate_set(c, 1)
     assert list(cand.triples) == enumerate_3cliques(c)
-    cliques = dict(zip(cand.triples, cand.b_matrix.T))
+    cliques = dict(zip(cand.triples, cand.ops.b2.T))
     for (i, j, k), vec in cliques.items():
         expected = np.zeros(c.num_edges)
         expected[[c.edge_index[(i, j)], c.edge_index[(i, k)], c.edge_index[(j, k)]]] = [1, -1, 1]

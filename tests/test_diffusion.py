@@ -213,6 +213,26 @@ def test_dist_theory_reducible_counterexample():
     assert np.isnan(report.msd_total)
 
 
+def test_dist_theory_blocks_match_the_dense_embedding():
+    # per-agent oracles for the local spectra, the Kronecker form for B
+    c = grown_complex(11, 15, 10, seed=0)
+    E = c.num_edges
+    p = np.linspace(0.0, 1.0, E)   # agent 0 is never sampled: a zero moment
+    locals_ = local_moment_matrices(hodge_laplacians(c), p, 0.1 * np.eye(E), 2)
+    comb = build_combination(lower_adjacency_neighborhoods(c), "metropolis")
+    mu = np.linspace(1e-3, 2e-2, E)
+    report = dist_theory(comb, locals_, np.full(E, 1e-4), mu)
+    radius = np.array([np.max(np.abs(np.linalg.eigvalsh(C))) for C in locals_])
+    np.testing.assert_array_equal(report.local_radius, radius)
+    assert radius[0] == 0 and report.local_mu_bounds[0] == np.inf
+    np.testing.assert_array_equal(report.local_mu_bounds[1:], 2.0 / radius[1:])
+    assert report.checks.some_local_moment_nonsingular
+    dim = locals_.shape[1]
+    c_z = scipy.linalg.block_diag(*locals_)
+    dense = np.kron(comb.a, np.eye(dim)) @ (np.eye(E * dim) - np.repeat(mu, dim)[:, None] * c_z)
+    np.testing.assert_array_equal(report.b_matrix, dense)
+
+
 def test_dist_theory_matches_kronecker_solve():
     # brute-force reference: vec(S) = (I - B^T (x) B^T)^{-1} vec(I), n = E * dim = 45
     c = grown_complex(11, 15, 10, seed=0)

@@ -450,6 +450,18 @@ def test_run_mode_missing_key():
         run_mode("run-lms", {"complex": {"vertices": 8, "edge_prob": 0.4, "fill_prob": 0.5}})
 
 
+@pytest.mark.parametrize("spec, key", [
+    ({"vertices": 8.5, "edge_prob": 0.4, "fill_prob": 0.5}, "complex.vertices"),
+    ({"vertices": 8, "edge_prob": 0.4, "fill_prob": 0.5, "seed": 1.5}, "complex.seed"),
+    ({"vertices": 8, "edges": 10, "triangles": 2.5}, "complex.triangles"),
+    ({"vertices": 8, "edge_prob": "x", "fill_prob": 0.5}, "complex.edge_prob"),
+])
+def test_complex_spec_counts_are_whole_numbers(spec, key):
+    # a fractional count is rejected, not truncated
+    with pytest.raises(ConfigError, match=f"config key '{key}' must be a"):
+        run_mode("generate-complex", {"complex": spec})
+
+
 def test_mode_run_lms_payload():
     payload = run_mode(
         "run-lms",

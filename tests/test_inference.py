@@ -101,7 +101,7 @@ def filled_complex():
 
 def test_param_upper_zero_indicator(filled_complex):
     cand = candidate_set(filled_complex, order=2)
-    lu = param_upper_laplacian(np.zeros(cand.num_candidates), cand.b_matrix)
+    lu = param_upper_laplacian(np.zeros(cand.num_candidates), cand.ops.b2)
     assert np.allclose(lu, 0.0)
 
 
@@ -112,7 +112,7 @@ def test_param_upper_all_ones_equals_fully_filled(filled_complex):
         list(filled_complex.edges),
         [t for t, _ in zip(cand.triples, cand.triples)],
     )
-    lu = param_upper_laplacian(np.ones(cand.num_candidates), cand.b_matrix)
+    lu = param_upper_laplacian(np.ones(cand.num_candidates), cand.ops.b2)
     assert np.allclose(lu, hodge_laplacians(full).upper, atol=1e-12)
 
 
@@ -122,7 +122,7 @@ def test_param_upper_subset_matches_subcomplex(filled_complex):
     t = (rng.random(cand.num_candidates) < 0.4).astype(float)
     chosen = [cand.triples[j] for j in np.flatnonzero(t)]
     sub = build_incidence(filled_complex.num_vertices, list(filled_complex.edges), chosen)
-    lu = param_upper_laplacian(t, cand.b_matrix)
+    lu = param_upper_laplacian(t, cand.ops.b2)
     assert np.allclose(lu, hodge_laplacians(sub).upper, atol=1e-12)
 
 
@@ -130,7 +130,7 @@ def test_true_indicator_matches_filled_triangles(filled_complex):
     cand = candidate_set(filled_complex, order=2)
     t = cand.true_indicator(filled_complex)
     assert int(t.sum()) == filled_complex.num_triangles
-    lu = param_upper_laplacian(t, cand.b_matrix)
+    lu = param_upper_laplacian(t, cand.ops.b2)
     assert np.allclose(lu, hodge_laplacians(filled_complex).upper, atol=1e-12)
 
 
@@ -140,7 +140,7 @@ def test_regressors_from_t_match_explicit_build(filled_complex):
     t = rng.uniform(0, 1, cand.num_candidates)
     hist = rng.standard_normal((3, filled_complex.num_edges))
     X = regressors_from_t(t, cand, hist)
-    lu = param_upper_laplacian(t, cand.b_matrix)
+    lu = param_upper_laplacian(t, cand.ops.b2)
     ld = hodge_laplacians(filled_complex).lower
     expected = np.stack(
         [hist[0], lu @ hist[1], lu @ lu @ hist[2], ld @ hist[1], ld @ ld @ hist[2]],
@@ -208,7 +208,7 @@ def test_grad_single_candidate_analytic():
     )
     X = regressors_from_t(t, cand, obs.x_hist)
     r = obs.y - X @ h
-    b = cand.b_matrix[:, 0]
+    b = cand.ops.b2[:, 0]
     expected = -2.0 * (obs.d * r) @ (h[1] * np.outer(b, b) @ obs.x_hist[1])
     assert np.allclose(grad_t(h, t, cand, obs), [expected], atol=1e-12)
 

@@ -160,10 +160,13 @@ def test_steady_state_kronecker_equals_resolvent_identity():
         c = random_psd(dim, rng)
         g = random_psd(dim, rng, scale=0.1)
         mu = 0.4 / float(np.max(np.linalg.eigvalsh(c)))
-        exact, _ = steady_state_msd(c, g, mu)
+        exact, first = steady_state_msd(c, g, mu)
         Q = np.eye(dim) - mu * c
         direct = mu**2 * np.trace(g @ np.linalg.inv(np.eye(dim) - Q @ Q))
         assert abs(exact - direct) < 1e-10 * max(1.0, abs(direct))
+        # the first-order term (mu/2) Tr(c^{-1} g), by a direct solve
+        resolvent = 0.5 * mu * np.trace(np.linalg.solve(c, g))
+        assert abs(first - resolvent) <= 1e-12 * abs(resolvent)
 
 
 # ------------------------------------------------------------------- rate

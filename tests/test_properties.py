@@ -219,12 +219,20 @@ def test_regressor_tensor_matches_repeated_products(vertices, edge_prob, fill_pr
     E = complex_.num_edges
     assume(E > 0)
     ops = hodge_laplacians(complex_)
-    x = np.random.default_rng(seed).standard_normal((order + 6, E))
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((order + 6, E))
     R = regressor_tensor(x, ops, order)
     assert np.all(R[:order] == 0.0)
+    # fractional triangle weights: L_u = B2 diag(w) B2^T, its powers formed densely
+    w = rng.random(complex_.num_triangles)
+    R_w = regressor_tensor(x, ops, order, w)
+    upper_w = (ops.b2 * w) @ ops.b2.T
     for n in range(order, x.shape[0]):
         expected = naive_regressors(x[n - order : n + 1][::-1], ops, order)
         np.testing.assert_allclose(R[n], expected, rtol=0, atol=round_off(expected))
+        for m in range(1, order + 1):
+            expected[:, m] = np.linalg.matrix_power(upper_w, m) @ x[n - m]
+        np.testing.assert_allclose(R_w[n], expected, rtol=0, atol=round_off(expected))
 
 
 @settings(derandomize=True, max_examples=30, deadline=None)

@@ -385,7 +385,7 @@ def test_operators_share_one_read_only_incidence_pair(design_complex):
     for factor in (ops.b1, ops.b2):
         with pytest.raises(ValueError):
             factor[0, 0] = 5.0
-    assert candidate_set(c, 1).skeleton.b1 is c.b1
+    assert candidate_set(c, 1).ops.b1 is c.b1
 
 
 @pytest.mark.parametrize("order", [1, 2, 3])
@@ -468,7 +468,7 @@ def test_stream_paths_form_no_edge_by_edge_laplacian(small_complex, monkeypatch)
                               horizon=100)
     # run_experiment, the surrogate, run_ar_training, run_distributed
     assert len(made) == 4
-    for built in (ops, cand.skeleton, *made):
+    for built in (ops, cand.ops, *made):
         assert not {"upper", "lower", "l1"} & set(vars(built))
 
 
