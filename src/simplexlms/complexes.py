@@ -319,22 +319,21 @@ def grown_complex(
     num_edges: int,
     num_triangles: int,
     seed: int,
-    closure_bias: float = 0.7,
-    max_attempts: int = 200,
 ) -> SimplicialComplex2:
     """Random complex with exact vertex/edge/triangle counts.
 
-    Edges are added one at a time; with probability ``closure_bias`` the
-    new edge closes a wedge (two edges sharing a vertex), which produces
+    Edges are added one at a time; with probability 0.7 the new edge
+    closes a wedge (two edges sharing a vertex), which produces
     the clustered skeletons needed to host many triangles on few edges.
     Triangles are then a random subset of the 3-cliques. Retries with
-    fresh randomness until a skeleton with enough cliques appears.
+    fresh randomness, up to 200 times, until a skeleton with enough
+    cliques appears.
     """
     max_edges = num_vertices * (num_vertices - 1) // 2
     if num_edges > max_edges:
         raise ValueError(f"{num_edges} edges do not fit on {num_vertices} vertices")
     rng = np.random.default_rng(seed)
-    for _ in range(max_attempts):
+    for _ in range(200):
         have: set[tuple[int, int]] = set()
         adjacency: list[set[int]] = [set() for _ in range(num_vertices)]
 
@@ -346,7 +345,7 @@ def grown_complex(
 
         while len(have) < num_edges:
             candidate = None
-            if have and rng.random() < closure_bias:
+            if have and rng.random() < 0.7:
                 # close a wedge: pick a vertex with two neighbours that
                 # are not yet adjacent
                 centers = [v for v in range(num_vertices) if len(adjacency[v]) >= 2]
@@ -379,7 +378,7 @@ def grown_complex(
         return build_incidence(num_vertices, edges, triangles)
     raise ValueError(
         f"could not realise {num_triangles} triangles on {num_edges} edges "
-        f"after {max_attempts} attempts"
+        "after 200 attempts"
     )
 
 
@@ -403,7 +402,7 @@ def load_complex(path) -> SimplicialComplex2:
     """Read the text format written by :func:`save_complex`.
 
     Rejects malformed lines (with their line number) and any input that
-    is not downward closed.
+    :func:`build_incidence` rejects; every message starts with ``path``.
     """
     num_vertices = None
     edges: list[tuple[int, int]] = []
@@ -434,4 +433,7 @@ def load_complex(path) -> SimplicialComplex2:
                 )
     if num_vertices is None:
         raise ValueError(f"{path}: empty complex file")
-    return build_incidence(num_vertices, edges, triangles)
+    try:
+        return build_incidence(num_vertices, edges, triangles)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None

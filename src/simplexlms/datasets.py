@@ -129,13 +129,13 @@ def ingest_edge_series(
     )
 
 
-def reference_traffic_complex(seed: int = 2) -> SimplicialComplex2:
+def reference_traffic_complex() -> SimplicialComplex2:
     """A 17-vertex, 26-edge, 5-triangle complex for surrogate experiments.
 
-    The default seed yields a connected edge-agent communication graph,
-    so the same complex serves the distributed protocol.
+    Its seed yields a connected edge-agent communication graph, so the
+    same complex serves the distributed protocol.
     """
-    return grown_complex(17, 26, 5, seed=seed)
+    return grown_complex(17, 26, 5, seed=2)
 
 
 def _stable_ar_coeffs(
@@ -143,15 +143,14 @@ def _stable_ar_coeffs(
     order: int,
     rng: np.random.Generator,
     with_upper: bool,
-    margin_upper: float = 0.93,
-    margin_lower: float = 0.8,
 ) -> FilterCoeffs:
     """Random AR taps scaled so every spectral mode is strictly stable.
 
     The two Laplacians annihilate each other, so their nonzero
     eigenspaces are disjoint and each tap family can be budgeted
     separately: per mode the lag-wise coefficient magnitudes sum to at
-    most the family margin (reached on the top eigenvalue). Weight
+    most the family margin, 0.93 upper and 0.8 lower (reached on the top
+    eigenvalue). Weight
     concentrates on lag 1, which puts the dominant curl modes near the
     unit circle; the baseline filter class cannot represent those modes
     at all, so they carry the measurable upper-structure signal. The top
@@ -168,8 +167,8 @@ def _stable_ar_coeffs(
 
     h_u = np.zeros(order + 1)
     h_d = np.zeros(order)
-    weights_u = family(margin_upper) if with_upper else np.zeros(order)
-    weights_d = family(margin_lower)
+    weights_u = family(0.93) if with_upper else np.zeros(order)
+    weights_d = family(0.8)
     for m in range(1, order + 1):
         h_u[m] = weights_u[m - 1] / lam_u**m
         h_d[m - 1] = weights_d[m - 1] / lam_d**m
@@ -182,21 +181,20 @@ def synthetic_traffic_series(
     snapshots: int,
     seed: int,
     with_upper: bool = True,
-    noise_std: float = 0.05,
     warmup: int = 200,
 ) -> tuple[np.ndarray, FilterCoeffs]:
     """Autoregressive surrogate snapshots driven by the complex structure.
 
     The recursion applies random stable simplicial AR taps to white
-    innovations; with ``with_upper=False`` the generating process uses
-    only the lower Laplacian. Values are O(1) by construction: callers
-    must rescale if they need raw traffic magnitudes.
+    innovations of standard deviation 0.05; with ``with_upper=False`` the
+    generating process uses only the lower Laplacian. Values are O(1) by
+    construction: callers must rescale if they need raw traffic magnitudes.
     """
     ops = hodge_laplacians(complex_)
     rng = np.random.default_rng(seed)
     coeffs = _stable_ar_coeffs(ops, order, rng, with_upper)
     total = warmup + snapshots
-    innov = noise_std * rng.standard_normal((total, complex_.num_edges))
+    innov = 0.05 * rng.standard_normal((total, complex_.num_edges))
     taps = coeffs.flatten()[1:]
     # ``order`` zero rows of history before the first snapshot; row
     # ``order + n`` is x(n), and the last row of a window is only a

@@ -4,6 +4,12 @@ Configs are flat JSON objects; command-line flags override file values.
 Every runner is deterministic given the config (all randomness flows
 from the ``seed`` key through tagged child generators), so re-running a
 config reproduces its result file byte for byte.
+
+:func:`run_mode` is the one boundary between a config and the library:
+a ``ValueError`` or ``OSError`` raised anywhere inside a mode (a rejected
+input, a file that cannot be read or written) becomes a
+:class:`ConfigError`, and it writes the ``config``/``metadata`` envelope
+of every result.
 """
 
 from __future__ import annotations
@@ -123,10 +129,7 @@ def _flag(key: str, value) -> bool:
 
 def build_complex_from_config(cfg: ExperimentConfig) -> SimplicialComplex2:
     if "complex_file" in cfg.values:
-        try:
-            return load_complex(cfg.values["complex_file"])
-        except (OSError, ValueError) as exc:
-            raise ConfigError(f"cannot load complex: {exc}") from exc
+        return load_complex(cfg.values["complex_file"])
     spec = cfg.get("complex")
     if not isinstance(spec, dict):
         raise ConfigError("config needs either complex_file or a complex object")
@@ -140,8 +143,6 @@ def build_complex_from_config(cfg: ExperimentConfig) -> SimplicialComplex2:
                               _number("complex.fill_prob", spec["fill_prob"]), seed)
     except KeyError as exc:
         raise ConfigError(f"complex object misses key {exc}") from exc
-    except ValueError as exc:
-        raise ConfigError(f"invalid complex parameters: {exc}") from exc
 
 
 def _complex_with_edges(cfg: ExperimentConfig) -> SimplicialComplex2:
@@ -342,10 +343,6 @@ def emit_results(payload: dict, path, fmt: str = "json") -> None:
             os.remove(part)
 
 
-def _metadata(cfg: ExperimentConfig) -> dict:
-    return {"version": __version__, "mode": cfg.mode, "seed": _count("seed", cfg.get("seed", 0))}
-
-
 def _stream_pieces(cfg: ExperimentConfig, complex_: SimplicialComplex2, realizations: int = 30):
     """Filter order, stream config, horizon and realization count of a simulation mode.
 
@@ -364,19 +361,6 @@ def _stream_pieces(cfg: ExperimentConfig, complex_: SimplicialComplex2, realizat
     return order, stream, horizon, realizations
 
 
-@contextlib.contextmanager
-def _input_errors():
-    """Report a library call's rejection of its inputs (a ``ValueError``) as a config error.
-
-    The library checks what only it can, such as threshold orderings or a
-    moment basis that overflows at the configured signal scale.
-    """
-    try:
-        yield
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-
-
 def _deviation_fields(msd: np.ndarray) -> dict:
     """The result fields of a deviation trajectory: itself, in dB, and its steady state in dB."""
     return {"msd": msd.tolist(), "msd_db": to_db(msd).tolist(),
@@ -389,11 +373,8 @@ def mode_run_lms(cfg: ExperimentConfig) -> dict:
     scale = _positive("coeff_scale", cfg.get("coeff_scale", 1.0))
     coeffs = draw_coeffs(order, stream.seed, scale=scale)
     mu = _positive("mu", cfg.require("mu"))
-    with _input_errors():
-        result = run_experiment(complex_, coeffs, stream, mu, realizations, horizon)
+    result = run_experiment(complex_, coeffs, stream, mu, realizations, horizon)
     return {
-        "config": dict(cfg.values),
-        "metadata": _metadata(cfg),
         "complex": {
             "vertices": complex_.num_vertices,
             "edges": complex_.num_edges,
@@ -417,21 +398,18 @@ def mode_design_sampling(cfg: ExperimentConfig) -> dict:
     if not 0.0 <= tol < np.inf:
         raise ConfigError(f"config key 'tol' must be finite and nonnegative, got {tol}")
     max_iter = _count("max_iter", cfg.get("max_iter", 2000), minimum=1)
-    with _input_errors():
-        problem = SamplingProblem.from_moments(
-            ops,
-            signal_var,
-            sigma_v2,
-            order,
-            mu=_positive("mu", cfg.require("mu")),
-            alpha=_number("alpha", cfg.require("alpha")),
-            gamma=_positive("gamma", cfg.require("gamma")),
-            p_max=cfg.get("p_max", 1.0),
-        )
+    problem = SamplingProblem.from_moments(
+        ops,
+        signal_var,
+        sigma_v2,
+        order,
+        mu=_positive("mu", cfg.require("mu")),
+        alpha=_number("alpha", cfg.require("alpha")),
+        gamma=_positive("gamma", cfg.require("gamma")),
+        p_max=cfg.get("p_max", 1.0),
+    )
     solution = solve_sampling(problem, tol=tol, max_iter=max_iter)
     return {
-        "config": dict(cfg.values),
-        "metadata": _metadata(cfg),
         "p_star": solution.p_star.tolist(),
         "objective": solution.objective,
         "support": solution.support().tolist(),
@@ -450,8 +428,7 @@ def mode_infer_topology(cfg: ExperimentConfig) -> dict:
     complex_ = build_complex_from_config(cfg)
     order, stream, horizon, realizations = _stream_pieces(cfg, complex_, realizations=10)
     lam0, lam1 = (_number(key, cfg.require(key)) for key in ("lambda0", "lambda1"))
-    with _input_errors():
-        _check_threshold_order(lam0, lam1)
+    _check_threshold_order(lam0, lam1)
     magnitude = _positive("coeff_magnitude", cfg.get("coeff_magnitude", 1.0))
     coeffs = draw_bounded_coeffs(order, stream.seed, magnitude=magnitude)
     cand = candidate_set(complex_, order)
@@ -466,22 +443,19 @@ def mode_infer_topology(cfg: ExperimentConfig) -> dict:
         t_after = t_true.copy()
         t_after[drop] = 0.0
         schedule.append((horizon // 2, t_after))
-    with _input_errors():
-        result = run_inference(
-            cand,
-            coeffs,
-            stream,
-            schedule,
-            mu1=_positive("mu1", cfg.require("mu1")),
-            mu2=_positive("mu2", cfg.require("mu2")),
-            lam0=lam0,
-            lam1=lam1,
-            horizon=horizon,
-            realizations=realizations,
-        )
+    result = run_inference(
+        cand,
+        coeffs,
+        stream,
+        schedule,
+        mu1=_positive("mu1", cfg.require("mu1")),
+        mu2=_positive("mu2", cfg.require("mu2")),
+        lam0=lam0,
+        lam1=lam1,
+        horizon=horizon,
+        realizations=realizations,
+    )
     return {
-        "config": dict(cfg.values),
-        "metadata": _metadata(cfg),
         "candidates": cand.num_candidates,
         "true_triangles": int(np.sum(t_true)),
         "h_error": result.h_error.tolist(),
@@ -498,25 +472,15 @@ def mode_run_distributed(cfg: ExperimentConfig) -> dict:
     scale = _positive("coeff_scale", cfg.get("coeff_scale", 1.0))
     coeffs = draw_coeffs(order, stream.seed, scale=scale)
     mu = np.array([_positive("mu", m) for m in np.ravel(cfg.require("mu"))])
-    with _input_errors():
-        comb = build_combination(lower_adjacency_neighborhoods(complex_),
-                                 rule=cfg.get("rule", "uniform"))
-        result = run_distributed(
-            complex_,
-            coeffs,
-            stream,
-            comb,
-            mu,
-            realizations,
-            horizon,
-            track_agents=_flag("emit_agent_traces", cfg.get("emit_agent_traces", False)),
-        )
+    track_agents = _flag("emit_agent_traces", cfg.get("emit_agent_traces", False))
+    comb = build_combination(lower_adjacency_neighborhoods(complex_),
+                             rule=cfg.get("rule", "uniform"))
     combination_file = cfg.get("combination_out")
     if combination_file:
         save_combination(comb, combination_file)
+    result = run_distributed(complex_, coeffs, stream, comb, mu, realizations, horizon,
+                             track_agents=track_agents)
     payload = {
-        "config": dict(cfg.values),
-        "metadata": _metadata(cfg),
         **_deviation_fields(result.msd),
         "theory": {
             "rho_b": result.theory.rho_b,
@@ -533,12 +497,16 @@ def mode_run_distributed(cfg: ExperimentConfig) -> dict:
 
 
 def mode_ar_train(cfg: ExperimentConfig) -> dict:
-    metadata = _metadata(cfg)
     order = _count("order", cfg.require("order"))
     mu = _positive("mu", cfg.require("mu"))
     epochs = _count("epochs", cfg.get("epochs", 1), minimum=1)
+    train_count = cfg.get("train_count")
+    if train_count is not None:
+        train_count = _count("train_count", train_count, minimum=1)
     if "surrogate" in cfg.values:
         spec = cfg.values["surrogate"]
+        if not isinstance(spec, dict):
+            raise ConfigError(f"config key 'surrogate' must be an object, got {spec!r}")
         ds = traffic_surrogate(
             seed=_count("surrogate.seed", spec.get("seed", 0)),
             order=_count("surrogate.order", spec.get("order", order)),
@@ -548,20 +516,17 @@ def mode_ar_train(cfg: ExperimentConfig) -> dict:
         ds = ingest_edge_series(
             cfg.require("complex_file"),
             cfg.require("series_file"),
-            train_count=cfg.get("train_count"),
+            train_count=train_count,
         )
     variant = cfg.get("variant", "topo")
-    with _input_errors():
-        if _flag("distributed", cfg.get("distributed", False)):
-            comb = build_combination(
-                lower_adjacency_neighborhoods(ds.complex), rule=cfg.get("rule", "uniform")
-            )
-            result = run_distributed_ar(ds, order, mu, comb, epochs=epochs, variant=variant)
-        else:
-            result = run_ar_training(ds, order, mu, variant=variant, epochs=epochs)
+    if _flag("distributed", cfg.get("distributed", False)):
+        comb = build_combination(
+            lower_adjacency_neighborhoods(ds.complex), rule=cfg.get("rule", "uniform")
+        )
+        result = run_distributed_ar(ds, order, mu, comb, epochs=epochs, variant=variant)
+    else:
+        result = run_ar_training(ds, order, mu, variant=variant, epochs=epochs)
     return {
-        "config": dict(cfg.values),
-        "metadata": metadata,
         "variant": result.variant,
         "train_errors": result.train_errors.tolist(),
         "test_errors": result.test_errors.tolist(),
@@ -570,7 +535,6 @@ def mode_ar_train(cfg: ExperimentConfig) -> dict:
 
 
 def mode_generate_complex(cfg: ExperimentConfig) -> dict:
-    metadata = _metadata(cfg)
     complex_ = build_complex_from_config(cfg)
     out = cfg.get("complex_out")
     if out:
@@ -578,15 +542,13 @@ def mode_generate_complex(cfg: ExperimentConfig) -> dict:
     series_out = cfg.get("series_out")
     if series_out:
         ds = traffic_surrogate(
-            seed=metadata["seed"],
+            seed=_count("seed", cfg.get("seed", 0)),
             order=_count("order", cfg.get("order", 3)),
             with_upper=_flag("with_upper", cfg.get("with_upper", True)),
             complex_=complex_,
         )
         write_edge_series(series_out, ds.series)
     return {
-        "config": dict(cfg.values),
-        "metadata": metadata,
         "vertices": complex_.num_vertices,
         "edges": complex_.num_edges,
         "triangles": complex_.num_triangles,
@@ -600,7 +562,7 @@ def mode_analyze(cfg: ExperimentConfig) -> dict:
             payload = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read results file {path}: {exc}") from exc
-    summary: dict = {"results_file": str(path), "metadata": _metadata(cfg)}
+    summary: dict = {}
     if "msd" in payload:
         msd = np.asarray(payload["msd"], dtype=np.float64)
         summary["iterations"] = int(msd.size - 1)
@@ -633,6 +595,23 @@ MODES = {
 
 
 def run_mode(mode: str, values: dict) -> dict:
+    """Run ``mode`` on ``values``: its result fields under the ``config``/``metadata`` envelope.
+
+    The metadata is read first, so a bad seed is rejected before any
+    work. A ``ValueError`` or ``OSError`` raised inside the mode is a
+    rejected input or an unreadable or unwritable file, reported as a
+    :class:`ConfigError`; a ``LinAlgError``, which subclasses
+    ``ValueError``, is a numerical failure and passes through.
+    """
     if mode not in MODES:
         raise ConfigError(f"unknown mode {mode!r}")
-    return MODES[mode](ExperimentConfig(mode=mode, values=values))
+    cfg = ExperimentConfig(mode=mode, values=values)
+    try:
+        metadata = {"version": __version__, "mode": mode,
+                    "seed": _count("seed", values.get("seed", 0))}
+        fields = MODES[mode](cfg)
+    except np.linalg.LinAlgError:
+        raise
+    except (ValueError, OSError) as exc:
+        raise ConfigError(str(exc)) from exc
+    return {"config": dict(values), "metadata": metadata, **fields}

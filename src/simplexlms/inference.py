@@ -223,14 +223,14 @@ def run_inference(
     lam1: float,
     horizon: int,
     realizations: int,
-    t0: float = 0.5,
 ) -> InferenceResult:
     """Monte-Carlo run of the joint recursion with a topology schedule.
 
     ``schedule`` lists ``(start_iteration, true_indicator)`` segments,
     first entry starting at 0; observations at step ``n`` are generated
     with the indicator active at ``n``, so mid-stream entries model
-    topology changes. ``cfg`` gives the signal covariance, noise
+    topology changes. Each realization starts from ``h = 0`` and every
+    indicator at 0.5. ``cfg`` gives the signal covariance, noise
     variances, sampling probabilities and master seed, as it does for
     :func:`.lms.run_experiment`. Each realization's draws are those of a
     stream of ``horizon + order`` rows, made block by block at the row
@@ -253,7 +253,7 @@ def run_inference(
 
     def run_one(seed_r: int) -> np.ndarray:
         traj = np.empty((4, horizon + 1))
-        state = TopologyState(h=np.zeros(h_true.size), t=np.full(cand.num_candidates, t0),
+        state = TopologyState(h=np.zeros(h_true.size), t=np.full(cand.num_candidates, 0.5),
                               mu1=mu1, mu2=mu2, lam0=lam0, lam1=lam1)
         seg = 0
         t_true = np.asarray(schedule[0][1], dtype=np.float64)

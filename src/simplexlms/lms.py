@@ -61,10 +61,10 @@ def _db_or_none(value: float) -> float | None:
     return float(to_db(value)) if value > 0 else None
 
 
-def tail_average(trajectory: np.ndarray, fraction: float = 0.1) -> float:
-    """Mean of the final ``fraction`` of a trajectory (steady-state probe)."""
+def tail_average(trajectory: np.ndarray) -> float:
+    """Mean of the final tenth of a trajectory (steady-state probe)."""
     trajectory = np.asarray(trajectory, dtype=np.float64)
-    count = max(1, int(round(fraction * trajectory.size)))
+    count = max(1, int(round(0.1 * trajectory.size)))
     return float(np.mean(trajectory[-count:]))
 
 
@@ -114,25 +114,13 @@ def steady_state_msd(c_X: np.ndarray, g: np.ndarray, mu: float) -> tuple[float, 
     """Limiting deviation: the exact value mu^2 Tr(g S) and its first-order term.
 
     ``S`` solves S = Q^T S Q + I with Q = I - mu c_X (see the module
-    docstring). Returns ``(msd_exact, msd_first_order)`` where the first
-    order term is (mu/2) Tr(g c_X^{-1}). Raises :class:`StabilityError`
-    when the step-size is not mean-stable, with margin, for the given
-    moment matrix; a stable step leaves every eigenvalue of ``c_X`` positive.
+    docstring). Returns ``(msd_exact, msd_first_order)`` of
+    :func:`theory_report`, where the first order term is
+    (mu/2) Tr(g c_X^{-1}). Raises :class:`StabilityError` when the
+    step-size is not mean-stable, with margin, for the given moment matrix.
     """
-    c_X = np.asarray(c_X, dtype=np.float64)
-    g = np.asarray(g, dtype=np.float64)
-    lam, u = np.linalg.eigh(c_X)
-    q = 1.0 - mu * lam
-    rho = float(np.max(np.abs(q)))
-    if mu <= 0 or not _is_stable(rho):
-        raise StabilityError(
-            f"step-size {mu} is unstable: spectral radius {rho:.6f} is not below "
-            f"1 - {_STABILITY_TOL:g}"
-        )
-    g_tilde = np.einsum("ia,ij,ja->a", u, g, u)
-    msd_exact = float(mu**2 * np.sum(g_tilde / (1.0 - q**2)))
-    msd_first = float(0.5 * mu * np.sum(g_tilde / lam))
-    return msd_exact, msd_first
+    report = theory_report(c_X, g, mu)
+    return report.msd_exact, report.msd_first_order
 
 
 def convergence_rate(c_X: np.ndarray, mu: float) -> tuple[float, float]:
@@ -183,21 +171,34 @@ class TheoryReport:
 
 
 def theory_report(c_X: np.ndarray, g: np.ndarray, mu: float) -> TheoryReport:
+    """Every closed-form prediction for ``(c_X, g, mu)``, from one ``eigh(c_X)``.
+
+    Raises :class:`StabilityError` when the step-size is not mean-stable,
+    with margin; a stable step leaves every eigenvalue of ``c_X`` positive.
+    The fields are those of :func:`steady_state_msd`,
+    :func:`convergence_rate` (without its warning) and
+    :func:`max_stepsize`.
+    """
     c_X = np.asarray(c_X, dtype=np.float64)
-    lam = np.linalg.eigvalsh(c_X)
-    rho_Q = float(np.max(np.abs(1.0 - mu * lam)))
-    msd_exact, msd_first = steady_state_msd(c_X, g, mu)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        alpha, f_norm = convergence_rate(c_X, mu)
+    g = np.asarray(g, dtype=np.float64)
+    lam, u = np.linalg.eigh(c_X)
+    q = 1.0 - mu * lam
+    rho = float(np.max(np.abs(q)))
+    if mu <= 0 or not _is_stable(rho):
+        raise StabilityError(
+            f"step-size {mu} is unstable: spectral radius {rho:.6f} is not below "
+            f"1 - {_STABILITY_TOL:g}"
+        )
+    g_tilde = np.einsum("ia,ij,ja->a", u, g, u)
+    delta, nu = float(lam[0]), float(lam[-1])
     return TheoryReport(
         mu=mu,
-        mu_max=max_stepsize(c_X),
-        rho_Q=rho_Q,
-        msd_exact=msd_exact,
-        msd_first_order=msd_first,
-        alpha=alpha,
-        f_norm=f_norm,
+        mu_max=2.0 / nu,
+        rho_Q=rho,
+        msd_exact=float(mu**2 * np.sum(g_tilde / (1.0 - q**2))),
+        msd_first_order=float(0.5 * mu * np.sum(g_tilde / lam)),
+        alpha=1.0 - 2.0 * mu * delta,
+        f_norm=max((1.0 - mu * delta) ** 2, (1.0 - mu * nu) ** 2),
     )
 
 
@@ -267,14 +268,13 @@ def run_experiment(
     mu: float,
     realizations: int,
     horizon: int,
-    h0: np.ndarray | None = None,
 ) -> ExperimentResult:
     """Monte-Carlo deviation trajectory of the adaptive filter.
 
     Each realization draws an independent stream from a seed derived
     from ``cfg.seed`` (see :func:`_monte_carlo`, which also drops and
     reports diverged realizations). The trajectory has ``horizon + 1``
-    entries starting at the initial deviation.
+    entries starting at the deviation of the zero estimate.
     """
     ops = hodge_laplacians(complex_)
     order = coeffs.order
@@ -289,12 +289,11 @@ def run_experiment(
         warnings.warn("step-size fails the mean-stability bound; no theory report",
                       stacklevel=2)
 
-    h_init = np.zeros(h_true.size) if h0 is None else np.array(h0, dtype=np.float64)
-
     def run_one(seed: int) -> tuple[np.ndarray]:
         traj = np.empty(horizon + 1)
         blocks = generate_stream(coeffs, ops, _realization(cfg, horizon + order, seed))
-        states = _stream_states(LmsState(h=h_init, mu=mu), lms_step, blocks, order)
+        states = _stream_states(LmsState(h=np.zeros(h_true.size), mu=mu), lms_step, blocks,
+                                order)
         for k, state in enumerate(states):
             traj[k] = np.sum((h_true - state.h) ** 2)
         return (traj,)

@@ -371,6 +371,10 @@ def test_bad_counts_exit_2(tmp_path, complex_file, capsys, mode, flag, value):
      "config key 'surrogate.with_upper' must be true or false"),
     ("generate-complex", {"with_upper": 0, "series_out": os.devnull},
      "config key 'with_upper' must be true or false"),
+    # ar-train keys that are not the shape the mode reads
+    ("ar-train", {"surrogate": 5}, "config key 'surrogate' must be an object"),
+    ("ar-train", {"train_count": "abc"}, "config key 'train_count' must be a number"),
+    ("ar-train", {"train_count": 30.5}, "config key 'train_count' must be a whole number"),
 ])
 def test_bad_knobs_exit_2(tmp_path, complex_file, capsys, monkeypatch, mode, values, message):
     from simplexlms import harness
@@ -397,6 +401,19 @@ def test_stray_numerical_error_exits_5(tmp_path, complex_file, capsys, monkeypat
     monkeypatch.setitem(harness.MODES, "run-lms", failing)
     assert run_simulation(tmp_path, complex_file, "run-lms") == 5
     assert capsys.readouterr().err == f"numerical failure: {type(error).__name__}: {error}\n"
+
+
+def test_linear_algebra_error_inside_a_library_call_exits_5(tmp_path, complex_file, capsys,
+                                                           monkeypatch):
+    # a LinAlgError is a ValueError, but a numerical failure, not a rejected input
+    from simplexlms import harness
+
+    def failing(*args, **kwargs):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(harness, "run_experiment", failing)
+    assert run_simulation(tmp_path, complex_file, "run-lms") == 5
+    assert capsys.readouterr().err == "numerical failure: LinAlgError: Singular matrix\n"
 
 
 @pytest.mark.parametrize("mode", ["run-lms", "run-distributed", "infer-topology"])
@@ -464,6 +481,53 @@ def test_ar_train_from_files(tmp_path):
     assert json.loads(out.read_text())["mean_test_error"] > 0
 
 
+@pytest.mark.parametrize("fault", ["missing series", "missing complex", "repeated edge"])
+def test_ar_train_bad_input_file_exits_2(tmp_path, capsys, fault):
+    from simplexlms.datasets import traffic_surrogate, write_edge_series
+    from simplexlms.complexes import save_complex
+
+    ds = traffic_surrogate(seed=2)
+    complex_path = tmp_path / "c.txt"
+    series_path = tmp_path / "s.csv"
+    save_complex(ds.complex, complex_path)
+    write_edge_series(series_path, ds.series)
+    bad = series_path if fault == "missing series" else complex_path
+    if fault == "repeated edge":
+        lines = complex_path.read_text().splitlines()
+        lines.insert(2, lines[2])  # the first edge, twice
+        complex_path.write_text("\n".join(lines) + "\n")
+    else:
+        bad.unlink()
+    out = tmp_path / "ar.json"
+    code = run_cli(["ar-train", "--complex-file", complex_path, "--series-file", series_path,
+                    "--order", 2, "--mu", 1e-4, "--out", out])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1
+    assert str(bad) in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("mode, flag", [
+    ("generate-complex", "--complex-out"),
+    ("generate-complex", "--series-out"),
+    ("run-distributed", "--combination-out"),
+])
+def test_unwritable_side_output_exits_2(tmp_path, complex_file, capsys, monkeypatch, mode, flag):
+    # run-distributed writes its combination before the run, so the error comes first
+    from simplexlms import harness
+
+    def no_run(*args, **kwargs):
+        raise AssertionError("the run started before the combination was written")
+
+    monkeypatch.setattr(harness, "run_distributed", no_run)
+    target = tmp_path / "missing" / "side.out"
+    assert run_simulation(tmp_path, complex_file, mode, flag, target) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1
+    assert str(target) in err
+
+
 @pytest.mark.parametrize("token", ["nan", "inf"])
 def test_ar_train_non_finite_cell_exits_2(tmp_path, token, capsys):
     from simplexlms.datasets import traffic_surrogate, write_edge_series
@@ -516,6 +580,28 @@ def test_analyze_summarises_results(tmp_path, complex_file, capsys):
     summary = json.loads(capsys.readouterr().out)
     assert "steady_state_db" in summary
     assert "gap_db" in summary
+
+
+@pytest.mark.parametrize("mode", ["ar-train", "design-sampling"])
+def test_analyze_summarises_ar_and_design_results(tmp_path, complex_file, capsys, mode):
+    out = tmp_path / "result.json"
+    assert run_simulation(tmp_path, complex_file, mode, "--out", out) == 0
+    payload = json.loads(out.read_text())
+    capsys.readouterr()
+    assert run_cli(["analyze", "--results", out]) == 0
+    summary = json.loads(capsys.readouterr().out)
+    # the envelope of a result file; the results path is the one config key
+    assert summary["config"] == {"results_file": str(out)}
+    assert summary["metadata"]["mode"] == "analyze"
+    if mode == "ar-train":
+        errors = payload["test_errors"]
+        expected = {"mean_test_error": sum(errors) / len(errors), "max_test_error": max(errors)}
+    else:
+        p_star = payload["p_star"]
+        expected = {"sampling_rate": sum(p_star),
+                    "support_size": sum(value > 1e-6 for value in p_star)}
+    assert set(summary) == {"config", "metadata", *expected}
+    assert {key: summary[key] for key in expected} == pytest.approx(expected, rel=1e-12)
 
 
 def test_analyze_missing_file_exits_2(tmp_path):

@@ -13,6 +13,7 @@ from simplexlms.artrain import (
     run_ar_training,
     run_distributed_ar,
 )
+from simplexlms.cli import main
 from simplexlms.complexes import hodge_laplacians, random_complex, save_complex
 from simplexlms.datasets import (
     ingest_edge_series,
@@ -26,7 +27,9 @@ from simplexlms.diffusion import (NetworkState, atc_step, build_combination,
                                   lower_adjacency_neighborhoods)
 from simplexlms.errors import ConfigError
 from simplexlms.harness import emit_results, resolve_noise, resolve_p, run_mode
+from simplexlms.inference import candidate_set, run_inference
 from simplexlms.lms import LmsState, lms_step
+from simplexlms.signals import StreamConfig
 from test_lms import traced_peak
 
 
@@ -483,3 +486,56 @@ def test_mode_run_lms_payload():
     assert "records" not in payload
     assert len(payload["msd_db"]) == 201
     assert payload["msd_db"][0] == pytest.approx(10 * np.log10(payload["msd"][0]), rel=1e-14)
+
+
+INFER_VALUES = {
+    "complex": {"vertices": 8, "edge_prob": 0.5, "fill_prob": 0.5, "seed": 2},
+    "order": 1, "horizon": 40, "realizations": 2, "signal_var": 0.1, "noise_var": 1e-4,
+    "mu1": 1e-2, "mu2": 1e-2, "lambda0": 0.1, "lambda1": 0.1, "seed": 3,
+}
+
+
+def test_infer_topology_removes_triangles_mid_stream():
+    # removing every triangle fixes the schedule: all indicators drop to 0 at horizon // 2
+    complex_ = random_complex(8, 0.5, 0.5, 2)
+    removals = complex_.num_triangles
+    payload = run_mode("infer-topology", {**INFER_VALUES, "remove_triangles": removals})
+    cand = candidate_set(complex_, 1)
+    t_true = cand.true_indicator(complex_)
+    assert int(np.sum(t_true)) == removals == 3
+    stream = StreamConfig.white(complex_.num_edges, 0.1, 1e-4, 1.0, horizon=41, seed=3)
+    expected = run_inference(cand, harness.draw_bounded_coeffs(1, 3), stream,
+                             [(0, t_true), (20, np.zeros_like(t_true))],
+                             mu1=1e-2, mu2=1e-2, lam0=0.1, lam1=0.1, horizon=40, realizations=2)
+    assert payload["true_triangles"] == removals
+    for key in ("h_error", "t_error", "recovery_rate", "support_size"):
+        assert payload[key] == getattr(expected, key).tolist()
+
+
+def test_infer_topology_cannot_remove_more_triangles_than_it_holds(tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({**INFER_VALUES, "remove_triangles": 4}))
+    assert main(["infer-topology", "--config", str(config)]) == 2
+    assert "cannot remove more triangles than the complex holds" in capsys.readouterr().err
+
+
+def test_ar_train_distributed_through_run_mode():
+    payload = run_mode("ar-train", {"surrogate": {"seed": 1}, "order": 2, "mu": 1e-2,
+                                    "epochs": 2, "distributed": True})
+    ds = traffic_surrogate(seed=1, order=2)
+    comb = build_combination(lower_adjacency_neighborhoods(ds.complex), "uniform")
+    expected = run_distributed_ar(ds, 2, 1e-2, comb, epochs=2)
+    assert payload["variant"] == expected.variant
+    assert payload["train_errors"] == expected.train_errors.tolist()
+    assert payload["test_errors"] == expected.test_errors.tolist()
+    assert payload["mean_test_error"] == expected.mean_test_error
+
+
+def test_generate_complex_writes_a_series_that_ingests(tmp_path):
+    complex_path, series_path = tmp_path / "c.txt", tmp_path / "s.csv"
+    run_mode("generate-complex", {"complex": {"vertices": 8, "edge_prob": 0.5, "fill_prob": 0.5},
+                                  "seed": 4, "complex_out": str(complex_path),
+                                  "series_out": str(series_path)})
+    ds = ingest_edge_series(complex_path, series_path)
+    assert ds.series.shape == (288, ds.complex.num_edges)
+    assert np.array_equal(ds.series, traffic_surrogate(seed=4, complex_=ds.complex).series)

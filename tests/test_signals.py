@@ -228,6 +228,25 @@ def test_signal_draw_is_the_factor_product(edges):
         np.testing.assert_array_equal(x, z @ np.linalg.cholesky(variance * np.eye(edges)).T)
 
 
+def test_covariance_factor_eigen_fallback():
+    # a rank-deficient PSD covariance has no Cholesky factor: the eigen
+    # factor still reproduces it, and a clearly negative eigenvalue is rejected
+    rng = np.random.default_rng(0)
+    q, _ = np.linalg.qr(rng.standard_normal((5, 5)))
+
+    def covariance(*lam):
+        c = (q * np.array(lam)) @ q.T
+        return (c + c.T) / 2
+
+    c_x = covariance(2.0, 1.0, 0.5, 0.0, 0.0)
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.cholesky(c_x)
+    factor = signals._covariance_factor(c_x)
+    np.testing.assert_allclose(factor @ factor.T, c_x, rtol=0, atol=1e-12)
+    with pytest.raises(ValueError, match="positive semi-definite"):
+        signals._covariance_factor(covariance(2.0, 1.0, 0.5, 0.0, -1e-9))
+
+
 def test_stream_sample_covariance(small_complex, small_ops):
     E = small_complex.num_edges
     rng = np.random.default_rng(7)
