@@ -8,7 +8,8 @@ configuration error, found before the run starts.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical divergence,
 4 infeasible sampling problem, 5 numerical failure (a linear-algebra or
-floating-point error that no check above caught, reported in one line).
+floating-point error that no check above caught, or a non-finite value
+that a strict JSON result cannot hold, reported in one line).
 """
 
 from __future__ import annotations
@@ -143,7 +144,8 @@ def _collect_values(args: argparse.Namespace) -> dict:
 
 def _summary_line(mode: str, payload: dict) -> str:
     if mode == "run-lms" or mode == "run-distributed":
-        return f"{mode}: steady-state deviation {payload['steady_state_db']:.2f} dB"
+        db = payload["steady_state_db"]
+        return f"{mode}: steady-state deviation " + ("n/a" if db is None else f"{db:.2f} dB")
     if mode == "design-sampling":
         return (
             f"design-sampling: rate {payload['objective']:.4f} over "
@@ -170,7 +172,11 @@ def main(argv=None) -> int:
             check_output(args.mode, args.out, args.format)
         payload = run_mode(args.mode, values)
         if args.out:
-            emit_results(payload, args.out, fmt=args.format)
+            try:
+                emit_results(payload, args.out, fmt=args.format)
+            except ValueError as exc:  # a non-finite float, which strict JSON cannot hold
+                print(f"numerical failure: {exc}", file=sys.stderr)
+                return _EXIT_NUMERICAL
         if args.mode == "analyze":
             print(json.dumps(payload, indent=2))
         else:

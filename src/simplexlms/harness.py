@@ -238,12 +238,21 @@ def draw_bounded_coeffs(order: int, seed: int, magnitude: float = 1.0) -> Filter
     return FilterCoeffs(h_u=h_u, h_d=h_d)
 
 
+def _db_cells(msd: list) -> list:
+    """``to_db`` over a whole deviation trajectory; ``None`` (an empty cell) where not positive."""
+    msd = np.asarray(msd, dtype=np.float64)
+    db = to_db(np.where(msd > 0, msd, 1.0)).tolist()  # no log10 of a value that is not positive
+    return [d if m > 0 else None for d, m in zip(db, msd.tolist())]
+
+
 # The CSV row table of each mode: the header of the row-number column, then
-# (header, payload key) per column. A key names a per-row array, or a scalar
-# repeated on every row (a dotted path into the payload).
+# (header, payload key) per column, or (header, payload key, view) where
+# ``view`` maps the key's array to the column's cells. A key names a per-row
+# array, or a scalar repeated on every row (a dotted path into the payload).
 _CSV_COLUMNS = {
-    "run-lms": ("iteration", (("msd_db", "msd_db"), ("msd_theory_db", "theory.msd_exact_db"))),
-    "run-distributed": ("iteration", (("msd_db", "msd_db"),)),
+    "run-lms": ("iteration", (("msd_db", "msd", _db_cells),
+                              ("msd_theory_db", "theory.msd_exact_db"))),
+    "run-distributed": ("iteration", (("msd_db", "msd", _db_cells),)),
     "infer-topology": ("iteration", (("h_error", "h_error"), ("t_error", "t_error"),
                                      ("recovery_rate", "recovery_rate"),
                                      ("support_size", "support_size"))),
@@ -282,12 +291,12 @@ def _csv_rows(payload: dict, table):
     """Header, then one row per entry of the table's per-row arrays."""
     index, columns = table
     values = []
-    for _, key in columns:
+    for _, key, *view in columns:
         value = payload
         for part in key.split("."):
             value = (value or {}).get(part)
-        values.append(value)
-    yield [index] + [header for header, _ in columns]
+        values.append(view[0](value) if view else value)
+    yield [index] + [column[0] for column in columns]
     for k in range(len(values[0])):
         yield [k] + [v[k] if isinstance(v, list) else v for v in values]
 
@@ -362,9 +371,8 @@ def _stream_pieces(cfg: ExperimentConfig, complex_: SimplicialComplex2, realizat
 
 
 def _deviation_fields(msd: np.ndarray) -> dict:
-    """The result fields of a deviation trajectory: itself, in dB, and its steady state in dB."""
-    return {"msd": msd.tolist(), "msd_db": to_db(msd).tolist(),
-            "steady_state_db": float(to_db(tail_average(msd)))}
+    """The result fields of a deviation trajectory: itself, once, and its steady state in dB."""
+    return {"msd": msd.tolist(), "steady_state_db": _db_or_none(tail_average(msd))}
 
 
 def mode_run_lms(cfg: ExperimentConfig) -> dict:
@@ -504,6 +512,9 @@ def mode_ar_train(cfg: ExperimentConfig) -> dict:
     if train_count is not None:
         train_count = _count("train_count", train_count, minimum=1)
     if "surrogate" in cfg.values:
+        if train_count is not None:
+            raise ConfigError("config key 'train_count' applies only to a series file; "
+                              "the surrogate's train/test split is fixed")
         spec = cfg.values["surrogate"]
         if not isinstance(spec, dict):
             raise ConfigError(f"config key 'surrogate' must be an object, got {spec!r}")
@@ -566,12 +577,12 @@ def mode_analyze(cfg: ExperimentConfig) -> dict:
     if "msd" in payload:
         msd = np.asarray(payload["msd"], dtype=np.float64)
         summary["iterations"] = int(msd.size - 1)
-        summary["steady_state_db"] = float(to_db(tail_average(msd)))
+        steady_db = summary["steady_state_db"] = _db_or_none(tail_average(msd))
         theory = payload.get("theory") or {}
         theory_db = theory.get("msd_exact_db", theory.get("msd_per_agent_db"))
         if theory_db is not None:
             summary["theory_db"] = float(theory_db)
-            summary["gap_db"] = summary["steady_state_db"] - float(theory_db)
+            summary["gap_db"] = None if steady_db is None else steady_db - float(theory_db)
     if "test_errors" in payload:
         errors = np.asarray(payload["test_errors"], dtype=np.float64)
         summary["mean_test_error"] = float(np.mean(errors))

@@ -11,6 +11,7 @@ import pytest
 
 from simplexlms.cli import main
 from simplexlms.complexes import load_complex
+from simplexlms.lms import to_db
 
 
 def run_cli(args):
@@ -229,12 +230,14 @@ def test_zero_deviation_writes_strict_json(tmp_path, complex_file, mode):
     assert run_simulation(tmp_path, complex_file, mode, "--out", out) == 0
     payload = json.loads(out.read_text(), parse_constant=_reject_constant)
     theory = payload["theory"]
+    # each trajectory is written once, as floats: its dB view is derived where it is read
+    assert "msd_db" not in payload
+    assert len(payload["msd"]) == 21
+    assert all(isinstance(msd, float) for msd in payload["msd"])
     if mode == "run-lms":
         assert theory["msd_exact"] == 0 and theory["msd_exact_db"] is None
-        # the theory dB is written once, not per row; the rows' dB trajectory is floats
+        # the theory dB is written once, not per row
         assert "records" not in payload
-        assert len(payload["msd_db"]) == 21
-        assert all(isinstance(db, float) for db in payload["msd_db"])
     else:
         assert theory["stable"] is True
         assert theory["msd_per_agent"] == 0 and theory["msd_per_agent_db"] is None
@@ -257,6 +260,76 @@ def test_run_distributed_csv_rows(tmp_path, complex_file):
     assert len(rows) == 22
     assert [row.split(",")[0] for row in rows[1:]] == [str(k) for k in range(21)]
     assert all(np.isfinite(float(row.split(",")[1])) for row in rows[1:])
+
+
+@pytest.mark.parametrize("mode", ["run-lms", "run-distributed"])
+def test_csv_db_column_is_derived_from_the_trajectory(tmp_path, complex_file, mode):
+    # the JSON result holds the trajectory once; the CSV's msd_db column is to_db
+    # over the whole of it, in the bytes of a writer handed the dB list itself
+    json_out, csv_out = tmp_path / "result.json", tmp_path / "result.csv"
+    for out, fmt in ((json_out, "json"), (csv_out, "csv")):
+        assert run_simulation(tmp_path, complex_file, mode, "--noise-var", 1e-4,
+                              "--format", fmt, "--out", out) == 0
+    payload = json.loads(json_out.read_text())
+    msd = np.array(payload["msd"])
+    assert "msd_db" not in payload and msd.size == 21 and np.all(msd > 0)
+    header, theory = "iteration,msd_db", ""
+    if mode == "run-lms":
+        header, theory = header + ",msd_theory_db", f",{payload['theory']['msd_exact_db']!r}"
+    rows = csv_out.read_text().splitlines()
+    assert rows == [header] + [f"{k},{db!r}{theory}" for k, db in enumerate(to_db(msd).tolist())]
+    np.testing.assert_array_equal([float(row.split(",")[1]) for row in rows[1:]],
+                                  10 * np.log10(msd))
+
+
+def test_underflowing_deviation_has_no_db(tmp_path, capsys):
+    # a stable noise-free run whose deviation underflows to 0: the dB of a value
+    # that is not positive is null in JSON, an empty CSV cell and n/a in the summary
+    path = tmp_path / "complex.txt"
+    assert run_cli(["generate-complex", "--nodes", 8, "--edge-prob", 0.5, "--fill-prob", 0.5,
+                    "--seed", 1, "--complex-out", path]) == 0
+    run = ["run-lms", "--complex-file", path, "--order", 1, "--mu", 0.01, "--signal-var", 1,
+           "--horizon", 40000, "--realizations", 1, "--seed", 1]
+    json_out, csv_out = tmp_path / "result.json", tmp_path / "result.csv"
+    capsys.readouterr()
+    assert run_cli(run + ["--out", json_out]) == 0
+    assert run_cli(run + ["--format", "csv", "--out", csv_out]) == 0
+    assert capsys.readouterr() == ("run-lms: steady-state deviation n/a\n" * 2, "")
+    payload = json.loads(json_out.read_text(), parse_constant=_reject_constant)
+    msd = np.array(payload["msd"])
+    assert payload["steady_state_db"] is None
+    assert msd[0] > 0 and msd[-1] == 0 and np.all(msd >= 0)
+    rows = [row.split(",") for row in csv_out.read_text().splitlines()[1:]]
+    assert len(rows) == msd.size
+    assert [db == "" for _, db, _ in rows] == (msd == 0).tolist()
+    assert all(float(db) == to_db(m) for (_, db, _), m in zip(rows, msd) if m > 0)
+    assert run_cli(["analyze", "--results", json_out]) == 0
+    summary = json.loads(capsys.readouterr().out)
+    assert summary["steady_state_db"] is None and "gap_db" not in summary  # no theory dB
+    json_out.write_text(json.dumps({"msd": [1.0, 0.0], "theory": {"msd_exact_db": -30.0}}))
+    assert run_cli(["analyze", "--results", json_out]) == 0
+    summary = json.loads(capsys.readouterr().out)
+    assert summary["steady_state_db"] is None and summary["theory_db"] == -30.0
+    assert summary["gap_db"] is None
+
+
+def test_non_finite_result_value_exits_5(tmp_path, capsys, monkeypatch):
+    # strict JSON cannot hold NaN: a one-line numerical failure, and no file is left
+    from simplexlms import cli
+
+    def nan_payload(mode, values):
+        return {"metadata": {"mode": mode}, "steady_state_db": float("nan")}
+
+    monkeypatch.setattr(cli, "run_mode", nan_payload)
+    out = tmp_path / "result.json"
+    message = "numerical failure: Out of range float values are not JSON compliant: nan\n"
+    assert run_cli(["run-lms", "--out", out]) == 5
+    assert capsys.readouterr() == ("", message)
+    assert list(tmp_path.iterdir()) == []
+    out.write_text("kept")
+    assert run_cli(["run-lms", "--out", out]) == 5
+    assert capsys.readouterr() == ("", message)
+    assert out.read_text() == "kept" and list(tmp_path.iterdir()) == [out]
 
 
 @pytest.fixture()
@@ -375,6 +448,8 @@ def test_bad_counts_exit_2(tmp_path, complex_file, capsys, mode, flag, value):
     ("ar-train", {"surrogate": 5}, "config key 'surrogate' must be an object"),
     ("ar-train", {"train_count": "abc"}, "config key 'train_count' must be a number"),
     ("ar-train", {"train_count": 30.5}, "config key 'train_count' must be a whole number"),
+    # the surrogate's train/test split is fixed, so a train_count would be ignored
+    ("ar-train", {"train_count": 100}, "'train_count' applies only to a series file"),
 ])
 def test_bad_knobs_exit_2(tmp_path, complex_file, capsys, monkeypatch, mode, values, message):
     from simplexlms import harness

@@ -357,18 +357,19 @@ def test_emit_results_csv_fixed_columns(tmp_path):
     emit_results({"metadata": {"mode": "ar-train"}, "train_errors": [9.0],
                   "test_errors": [0.5, 0.25]}, path, fmt="csv")
     assert path.read_text().splitlines() == ["snapshot,test_error", "0,0.5", "1,0.25"]
-    payload = {"metadata": {"mode": "run-lms"}, "msd": [1.0, 0.1], "msd_db": [0.0, -10.0],
+    # the msd_db column is derived from msd: a deviation that is not positive has no dB
+    payload = {"metadata": {"mode": "run-lms"}, "msd": [1.0, 0.1, 0.0],
                "theory": {"msd_exact_db": -30.5}}
     emit_results(payload, path, fmt="csv")
     assert path.read_text().splitlines() == [
-        "iteration,msd_db,msd_theory_db", "0,0.0,-30.5", "1,-10.0,-30.5"]
+        "iteration,msd_db,msd_theory_db", "0,0.0,-30.5", "1,-10.0,-30.5", "2,,-30.5"]
     emit_results({**payload, "theory": None}, path, fmt="csv")
-    assert path.read_text().splitlines()[1:] == ["0,0.0,", "1,-10.0,"]
+    assert path.read_text().splitlines()[1:] == ["0,0.0,", "1,-10.0,", "2,,"]
 
 
 def test_emit_results_empty_records_with_header(tmp_path):
     path = tmp_path / "empty.csv"
-    emit_results({"metadata": {"mode": "run-distributed"}, "msd_db": []}, path, fmt="csv")
+    emit_results({"metadata": {"mode": "run-distributed"}, "msd": []}, path, fmt="csv")
     assert path.read_text().strip() == "iteration,msd_db"
     with pytest.raises(ConfigError, match="'design-sampling' has no CSV row table"):
         emit_results({"metadata": {"mode": "design-sampling"}}, tmp_path / "x.csv", fmt="csv")
@@ -377,7 +378,7 @@ def test_emit_results_empty_records_with_header(tmp_path):
 
 @pytest.mark.parametrize("fmt", ["json", "csv"])
 def test_emit_results_write_error_is_config_error(tmp_path, fmt):
-    payload = {"metadata": {"mode": "run-distributed"}, "msd_db": [0.0]}
+    payload = {"metadata": {"mode": "run-distributed"}, "msd": [1.0]}
     with pytest.raises(ConfigError, match="cannot write"):
         emit_results(payload, tmp_path / "missing" / "out", fmt=fmt)
 
@@ -465,7 +466,7 @@ def test_complex_spec_counts_are_whole_numbers(spec, key):
         run_mode("generate-complex", {"complex": spec})
 
 
-def test_mode_run_lms_payload():
+def test_mode_run_lms_payload(tmp_path):
     payload = run_mode(
         "run-lms",
         {
@@ -484,8 +485,13 @@ def test_mode_run_lms_payload():
     assert payload["metadata"]["seed"] == 5
     # each trajectory is written once, row 0 being the initial deviation
     assert "records" not in payload
-    assert len(payload["msd_db"]) == 201
-    assert payload["msd_db"][0] == pytest.approx(10 * np.log10(payload["msd"][0]), rel=1e-14)
+    assert "msd_db" not in payload
+    path = tmp_path / "result.csv"
+    emit_results(payload, path, fmt="csv")
+    rows = path.read_text().splitlines()[1:]
+    assert len(rows) == 201
+    assert float(rows[0].split(",")[1]) == pytest.approx(10 * np.log10(payload["msd"][0]),
+                                                         rel=1e-14)
 
 
 INFER_VALUES = {
