@@ -35,11 +35,9 @@ from .signals import (
 from .lms import (
     LmsState,
     TheoryReport,
-    convergence_rate,
     lms_step,
     max_stepsize,
     run_experiment,
-    steady_state_msd,
     theory_report,
 )
 from .sampling import SamplingProblem, SamplingSolution, check_constraints, solve_sampling

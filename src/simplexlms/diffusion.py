@@ -224,7 +224,6 @@ class TheoremChecks:
 class DistTheoryReport:
     """Mean/mean-square predictions for one distributed configuration."""
 
-    b_matrix: np.ndarray
     rho_b: float
     local_radius: np.ndarray     # per-agent spectral radius of C_z_i
     local_mu_bounds: np.ndarray  # 2 / rho(C_z_i)
@@ -279,7 +278,6 @@ def dist_theory(
         S = _stein_solve(B)
         msd_total = float(np.trace(R @ S))
     return DistTheoryReport(
-        b_matrix=B,
         rho_b=rho_b,
         local_radius=local_radius,
         local_mu_bounds=local_bounds,

@@ -608,8 +608,8 @@ MODES = {
 def run_mode(mode: str, values: dict) -> dict:
     """Run ``mode`` on ``values``: its result fields under the ``config``/``metadata`` envelope.
 
-    The metadata is read first, so a bad seed is rejected before any
-    work. A ``ValueError`` or ``OSError`` raised inside the mode is a
+    The seed and every side output path are checked before any work or
+    write. A ``ValueError`` or ``OSError`` raised inside the mode is a
     rejected input or an unreadable or unwritable file, reported as a
     :class:`ConfigError`; a ``LinAlgError``, which subclasses
     ``ValueError``, is a numerical failure and passes through.
@@ -620,6 +620,9 @@ def run_mode(mode: str, values: dict) -> dict:
     try:
         metadata = {"version": __version__, "mode": mode,
                     "seed": _count("seed", values.get("seed", 0))}
+        for key in ("complex_out", "series_out", "combination_out"):
+            if values.get(key):
+                check_output(mode, values[key])
         fields = MODES[mode](cfg)
     except np.linalg.LinAlgError:
         raise

@@ -38,7 +38,6 @@ from .signals import (StreamConfig, _block_stops, _draw, _history_walk, _realiza
 __all__ = [
     "CandidateSet",
     "TopologyState",
-    "Observation",
     "InferenceResult",
     "candidate_set",
     "prox_hard_threshold",
@@ -100,15 +99,6 @@ class TopologyState:
             raise ValueError("indicators must lie in [0, 1]")
 
 
-@dataclass
-class Observation:
-    """One time-step of data: newest-first signal history, mask, observation."""
-
-    x_hist: np.ndarray          # (M+1, E), row 0 is x(n)
-    d: np.ndarray
-    y: np.ndarray
-
-
 def _check_threshold_order(lam0: float, lam1: float) -> None:
     if lam0 < 0 or lam1 < 0:
         raise ValueError("attractor weights must be nonnegative")
@@ -150,13 +140,15 @@ def regressors_from_t(
 
 
 def grad_t(
-    h: np.ndarray, t: np.ndarray, cand: CandidateSet, obs: Observation, *,
-    X: np.ndarray | None = None,
+    h: np.ndarray, t: np.ndarray, cand: CandidateSet, x_hist: np.ndarray, d: np.ndarray,
+    y: np.ndarray, *, X: np.ndarray | None = None,
 ) -> np.ndarray:
     """Instantaneous gradient of the masked squared residual w.r.t. ``t``.
 
-    ``X`` is ``regressors_from_t(t, cand, obs.x_hist)``, for a caller that
-    has built it already; it is built here otherwise. With ``B = ops.b2``
+    ``x_hist`` is the newest-first signal history, (M+1, E) with row 0
+    ``x(n)``, ``d`` the mask and ``y`` the observation of one step. ``X``
+    is ``regressors_from_t(t, cand, x_hist)``, for a caller that has built
+    it already; it is built here otherwise. With ``B = ops.b2``
     and ``G = ops.l2 = B^T B``, ``B^T L^k v = (G diag(t))^k B^T v``, so
     both factors of each term are iterated in the candidate space.
     """
@@ -165,12 +157,12 @@ def grad_t(
     if t.shape != (B.shape[1],):
         raise ValueError("indicator dimension mismatch")
     if X is None:
-        X = regressors_from_t(t, cand, obs.x_hist)
-    r_masked = obs.d * (obs.y - X @ h)
+        X = regressors_from_t(t, cand, x_hist)
+    r_masked = d * (y - X @ h)
 
     # row 0: B^T (d*r); row m: B^T x(n-m). Power k of all rows at once:
     # w[k] = B^T L^k (d*r) and q[k][m] = B^T L^k x(n-m).
-    v = np.vstack([r_masked, obs.x_hist[1:]]) @ B
+    v = np.vstack([r_masked, x_hist[1:]]) @ B
     iterates = [v]
     for _ in range(order - 1):
         iterates.append((iterates[-1] * t) @ cand.ops.l2)
@@ -181,16 +173,18 @@ def grad_t(
     return grad
 
 
-def infer_step(state: TopologyState, cand: CandidateSet, obs: Observation) -> TopologyState:
+def infer_step(state: TopologyState, cand: CandidateSet, x_hist: np.ndarray, d: np.ndarray,
+               y: np.ndarray) -> TopologyState:
     """One joint update: masked LMS on ``h``, thresholded gradient on ``t``.
 
+    ``x_hist``, ``d`` and ``y`` are one step's data, as for :func:`grad_t`.
     ``state`` was checked when it was constructed; the step keeps ``t`` in
     [0, 1] and the thresholds unchanged, so the new state is not checked
     again.
     """
-    X = regressors_from_t(state.t, cand, obs.x_hist)
-    lms = lms_step(LmsState(h=state.h, mu=state.mu1, n=state.n), X, obs.d, obs.y)
-    g = grad_t(lms.h, state.t, cand, obs, X=X)
+    X = regressors_from_t(state.t, cand, x_hist)
+    lms = lms_step(LmsState(h=state.h, mu=state.mu1, n=state.n), X, d, y)
+    g = grad_t(lms.h, state.t, cand, x_hist, d, y, X=X)
     t_pre = np.clip(state.t - state.mu2 * g, 0.0, 1.0)
     t_new = _hard_threshold(t_pre, state.lam0, state.lam1)
     if not np.all(np.isfinite(t_new)):
@@ -274,7 +268,7 @@ def run_inference(
                 hist = window[lead + j - order : lead + j + 1][::-1]
                 X_true = regressors_from_t(t_true, cand, hist)
                 y = d[j] * (X_true @ h_true + v[j])
-                state = infer_step(state, cand, Observation(x_hist=hist, d=d[j], y=y))
+                state = infer_step(state, cand, hist, d[j], y)
                 record(k + 1)
         return traj
 

@@ -33,8 +33,6 @@ __all__ = [
     "ExperimentResult",
     "lms_step",
     "max_stepsize",
-    "steady_state_msd",
-    "convergence_rate",
     "theory_report",
     "run_experiment",
     "to_db",
@@ -97,9 +95,9 @@ def lms_step(state: LmsState, X: np.ndarray, d: np.ndarray, y: np.ndarray) -> Lm
 
 
 def max_stepsize(c_X: np.ndarray) -> float:
-    """Mean-stability bound 2 / lambda_max of the regressor moment."""
+    """Mean-stability bound 2 / lambda_max: :func:`theory_report`'s ``mu_max``, bit for bit."""
     c_X = np.asarray(c_X, dtype=np.float64)
-    lam_max = float(np.linalg.eigvalsh(c_X)[-1])
+    lam_max = float(np.linalg.eigh(c_X)[0][-1])
     if lam_max <= 0:
         raise ValueError("regressor moment matrix must be nonzero PSD")
     return 2.0 / lam_max
@@ -108,41 +106,6 @@ def max_stepsize(c_X: np.ndarray) -> float:
 def _is_stable(rho: float) -> bool:
     """True iff a recursion with spectral radius ``rho`` is stable with margin."""
     return rho < 1.0 - _STABILITY_TOL
-
-
-def steady_state_msd(c_X: np.ndarray, g: np.ndarray, mu: float) -> tuple[float, float]:
-    """Limiting deviation: the exact value mu^2 Tr(g S) and its first-order term.
-
-    ``S`` solves S = Q^T S Q + I with Q = I - mu c_X (see the module
-    docstring). Returns ``(msd_exact, msd_first_order)`` of
-    :func:`theory_report`, where the first order term is
-    (mu/2) Tr(g c_X^{-1}). Raises :class:`StabilityError` when the
-    step-size is not mean-stable, with margin, for the given moment matrix.
-    """
-    report = theory_report(c_X, g, mu)
-    return report.msd_exact, report.msd_first_order
-
-
-def convergence_rate(c_X: np.ndarray, mu: float) -> tuple[float, float]:
-    """Small-step rate estimate and the exact operator norm.
-
-    Returns ``(1 - 2 mu lambda_min, ||F||_2)`` with
-    ``||F||_2 = max((1 - mu lambda_min)^2, (1 - mu lambda_max)^2)``. The
-    estimate is only meaningful well below 2*lambda_min/lambda_max^2; a
-    warning is issued past that point.
-    """
-    c_X = np.asarray(c_X, dtype=np.float64)
-    lam = np.linalg.eigvalsh(c_X)
-    delta, nu = float(lam[0]), float(lam[-1])
-    if nu > 0 and mu >= 2.0 * delta / nu**2:
-        warnings.warn(
-            "step-size exceeds 2*lambda_min/lambda_max^2; the linear rate "
-            "approximation is unreliable here",
-            stacklevel=2,
-        )
-    approx = 1.0 - 2.0 * mu * delta
-    f_norm = max((1.0 - mu * delta) ** 2, (1.0 - mu * nu) ** 2)
-    return approx, f_norm
 
 
 @dataclass
@@ -175,9 +138,10 @@ def theory_report(c_X: np.ndarray, g: np.ndarray, mu: float) -> TheoryReport:
 
     Raises :class:`StabilityError` when the step-size is not mean-stable,
     with margin; a stable step leaves every eigenvalue of ``c_X`` positive.
-    The fields are those of :func:`steady_state_msd`,
-    :func:`convergence_rate` (without its warning) and
-    :func:`max_stepsize`.
+    ``mu_max`` is :func:`max_stepsize`. ``alpha = 1 - 2 mu lambda_min`` is
+    the small-step rate estimate, meaningful only well below
+    ``mu = 2 lambda_min / lambda_max^2``, and ``f_norm`` the exact operator
+    norm ``max((1 - mu lambda_min)^2, (1 - mu lambda_max)^2)``.
     """
     c_X = np.asarray(c_X, dtype=np.float64)
     g = np.asarray(g, dtype=np.float64)

@@ -77,14 +77,6 @@ class FilterCoeffs:
         return np.concatenate([self.h_u, self.h_d])
 
     @classmethod
-    def from_flat(cls, vec: np.ndarray) -> "FilterCoeffs":
-        vec = np.asarray(vec, dtype=np.float64)
-        if vec.ndim != 1 or vec.size % 2 == 0:
-            raise ValueError("flat coefficient vector must have odd length 2M+1")
-        order = (vec.size - 1) // 2
-        return cls(h_u=vec[: order + 1].copy(), h_d=vec[order + 1 :].copy())
-
-    @classmethod
     def random(cls, order: int, rng: np.random.Generator, scale: float = 1.0) -> "FilterCoeffs":
         return cls(
             h_u=scale * rng.standard_normal(order + 1),
@@ -158,10 +150,9 @@ class StreamConfig:
 class StreamBlock:
     """Consecutive rows ``start, start + 1, ...`` of one stream realisation.
 
-    ``x``, ``d``, ``y`` and ``v`` hold the block's rows of the signals,
-    masks, observations and noise, and ``X[j]`` is the regressor matrix
-    of row ``start + j``. Rows ``n < order`` have zero regressors and
-    observe zero.
+    ``x``, ``d`` and ``y`` hold the block's rows of the signals, masks and
+    observations, and ``X[j]`` is the regressor matrix of row ``start + j``.
+    Rows ``n < order`` have zero regressors and observe zero.
     """
 
     start: int
@@ -169,7 +160,6 @@ class StreamBlock:
     X: np.ndarray
     d: np.ndarray
     y: np.ndarray
-    v: np.ndarray
 
 
 @dataclass
@@ -383,7 +373,7 @@ def generate_stream(coeffs: FilterCoeffs, ops: HodgeOperators, cfg: StreamConfig
         first = max(order - start, 0)
         y = np.zeros_like(x)
         y[first:] = d[first:] * (X[first:] @ h + v[first:])
-        yield StreamBlock(start=start, x=x, X=X, d=d, y=y, v=v)
+        yield StreamBlock(start=start, x=x, X=X, d=d, y=y)
 
 
 def moments_closed_form(

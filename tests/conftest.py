@@ -5,6 +5,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from simplexlms import signals
 from simplexlms.errors import DivergenceError
 from simplexlms.signals import generate_stream
 
@@ -14,9 +15,13 @@ def whole_stream(coeffs, ops, cfg):
 
     A namespace of the signals ``x``, masks ``d``, observations ``y`` and
     noise ``v`` (the regressors are not kept), plus ``order`` and ``horizon``.
+    The blocks do not keep their noise, so ``v`` is drawn again with the
+    stream's seed and row bounds.
     """
-    rows = [(b.x, b.d, b.y, b.v) for b in generate_stream(coeffs, ops, cfg)]
-    x, d, y, v = (np.concatenate(column) for column in zip(*rows))
+    rows = [(b.x, b.d, b.y) for b in generate_stream(coeffs, ops, cfg)]
+    x, d, y = (np.concatenate(column) for column in zip(*rows))
+    stops = signals._block_stops(cfg.num_edges, coeffs.order, cfg.horizon)
+    v = np.concatenate([v for _, v, _ in signals._draw(cfg, stops)])
     return SimpleNamespace(x=x, d=d, y=y, v=v, order=coeffs.order, horizon=cfg.horizon)
 
 

@@ -33,7 +33,6 @@ from simplexlms.diffusion import (
     run_distributed,
 )
 from simplexlms.inference import (
-    Observation,
     candidate_set,
     grad_t,
     prox_hard_threshold,
@@ -42,8 +41,8 @@ from simplexlms.inference import (
 )
 from simplexlms.lms import (
     run_experiment,
-    steady_state_msd,
     tail_average,
+    theory_report,
     to_db,
 )
 from simplexlms.cli import main as cli_main
@@ -111,10 +110,8 @@ def test_criterion_2_first_order_gap_quadratic():
         # normalise so the largest step is comfortably stable
         scale = 20.0 / float(np.linalg.eigvalsh(base.c_X)[-1])
         c_X, g = scale * base.c_X, scale * base.g
-        gaps = [
-            abs(np.subtract(*steady_state_msd(c_X, g, mu)))
-            for mu in (1e-2, 5e-3, 2.5e-3)
-        ]
+        reports = [theory_report(c_X, g, mu) for mu in (1e-2, 5e-3, 2.5e-3)]
+        gaps = [abs(r.msd_exact - r.msd_first_order) for r in reports]
         ratios.extend([gaps[0] / gaps[1], gaps[1] / gaps[2]])
     ok = all(3.5 <= r <= 4.5 for r in ratios)
     report(2, ok, f"gap ratios in [{min(ratios):.3f}, {max(ratios):.3f}] within [3.5, 4.5]")
@@ -269,7 +266,7 @@ def test_criterion_5_topology_recovery_and_tracking():
 
     placeholder = FilterCoeffs(h_u=np.ones(3), h_d=np.ones(2))
     moments = moments_closed_form(ops, np.ones(E), sv * np.eye(E), sigma_v2, 2, placeholder)
-    theory_db = float(to_db(steady_state_msd(moments.c_X, moments.g, 1e-2)[0]))
+    theory_db = float(to_db(theory_report(moments.c_X, moments.g, 1e-2).msd_exact))
 
     recovered = tracked = total = 0
     tail_values = []
@@ -304,14 +301,14 @@ def test_criterion_5_topology_recovery_and_tracking():
 
 
 def test_criterion_6_indicator_gradient_correctness():
-    def numerical(h, t, cand, obs, step=1e-6):
+    def numerical(h, t, cand, x_hist, d, y, step=1e-6):
         grad = np.zeros_like(t)
         for j in range(t.size):
             for sign in (+1.0, -1.0):
                 tj = t.copy()
                 tj[j] += sign * step
-                X = regressors_from_t(tj, cand, obs.x_hist)
-                r = obs.d * (obs.y - X @ h)
+                X = regressors_from_t(tj, cand, x_hist)
+                r = d * (y - X @ h)
                 grad[j] += sign * float(r @ r)
         return grad / (2 * step)
 
@@ -327,13 +324,11 @@ def test_criterion_6_indicator_gradient_correctness():
         E = complex_.num_edges
         h = 0.5 * rng.standard_normal(2 * order + 1)
         t = rng.uniform(0, 1, cand.num_candidates)
-        obs = Observation(
-            x_hist=rng.standard_normal((order + 1, E)),
-            d=(rng.random(E) < 0.8).astype(float),
-            y=rng.standard_normal(E),
-        )
-        analytic = grad_t(h, t, cand, obs)
-        reference = numerical(h, t, cand, obs)
+        x_hist = rng.standard_normal((order + 1, E))
+        d = (rng.random(E) < 0.8).astype(float)
+        y = rng.standard_normal(E)
+        analytic = grad_t(h, t, cand, x_hist, d, y)
+        reference = numerical(h, t, cand, x_hist, d, y)
         rel = np.linalg.norm(analytic - reference) / max(np.linalg.norm(reference), 1e-8)
         worst = max(worst, rel)
         assert rel < 1e-5

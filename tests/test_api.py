@@ -2,6 +2,8 @@
 
 import importlib
 import pkgutil
+import re
+from pathlib import Path
 
 import pytest
 
@@ -22,3 +24,13 @@ def test_every_exported_name_exists(name):
 def test_star_imports_work():
     for name in ["simplexlms"] + [f"simplexlms.{m}" for m in MODULES]:
         exec(f"from {name} import *", {})
+
+
+def test_readme_names_resolve():
+    # a README that still names a removed function fails here
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    dotted = set(re.findall(r"simplexlms\.(\w+)\.(\w+)", readme))
+    assert ("lms", "theory_report") in dotted
+    missing = [f"simplexlms.{module}.{name}" for module, name in sorted(dotted)
+               if not hasattr(importlib.import_module(f"simplexlms.{module}"), name)]
+    assert not missing, f"README.md names missing functions: {missing}"

@@ -603,6 +603,16 @@ def test_unwritable_side_output_exits_2(tmp_path, complex_file, capsys, monkeypa
     assert str(target) in err
 
 
+def test_unwritable_side_output_writes_no_other_file(tmp_path, capsys):
+    # every side output path is checked before any work, so none is left behind
+    complex_out = tmp_path / "c.txt"
+    series_out = tmp_path / "missing" / "s.csv"
+    assert run_cli(["generate-complex", "--nodes", 9, "--edge-prob", 0.5, "--fill-prob", 0.6,
+                    "--seed", 3, "--complex-out", complex_out, "--series-out", series_out]) == 2
+    assert str(series_out) in capsys.readouterr().err
+    assert not complex_out.exists()
+
+
 @pytest.mark.parametrize("token", ["nan", "inf"])
 def test_ar_train_non_finite_cell_exits_2(tmp_path, token, capsys):
     from simplexlms.datasets import traffic_surrogate, write_edge_series

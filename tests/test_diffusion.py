@@ -213,6 +213,13 @@ def test_dist_theory_reducible_counterexample():
     assert np.isnan(report.msd_total)
 
 
+def dense_b(comb, locals_, mu):
+    # the Kronecker form of the mean recursion, B = (A (x) I)(I - M blkdiag(C_l))
+    dim = locals_.shape[1]
+    adapt = np.eye(len(mu) * dim) - np.repeat(mu, dim)[:, None] * scipy.linalg.block_diag(*locals_)
+    return np.kron(comb.a, np.eye(dim)) @ adapt
+
+
 def test_dist_theory_blocks_match_the_dense_embedding():
     # per-agent oracles for the local spectra, the Kronecker form for B
     c = grown_complex(11, 15, 10, seed=0)
@@ -227,10 +234,17 @@ def test_dist_theory_blocks_match_the_dense_embedding():
     assert radius[0] == 0 and report.local_mu_bounds[0] == np.inf
     np.testing.assert_array_equal(report.local_mu_bounds[1:], 2.0 / radius[1:])
     assert report.checks.some_local_moment_nonsingular
+    B = dense_b(comb, locals_, mu)
+    assert report.rho_b == float(np.max(np.abs(np.linalg.eigvals(B))))
+    assert report.stable
+    # a transposed or permuted B keeps the spectrum but not the deviation
     dim = locals_.shape[1]
-    c_z = scipy.linalg.block_diag(*locals_)
-    dense = np.kron(comb.a, np.eye(dim)) @ (np.eye(E * dim) - np.repeat(mu, dim)[:, None] * c_z)
-    np.testing.assert_array_equal(report.b_matrix, dense)
+    S = scipy.linalg.solve_discrete_lyapunov(B.T, np.eye(E * dim))
+    a_blk = np.kron(comb.a, np.eye(dim))
+    m_blk = np.kron(np.diag(mu), np.eye(dim))
+    g = scipy.linalg.block_diag(*(1e-4 * locals_))
+    expected = float(np.trace(a_blk @ m_blk @ g @ m_blk @ a_blk.T @ S))
+    assert abs(report.msd_total - expected) <= 1e-10 * abs(expected)
 
 
 def test_dist_theory_matches_kronecker_solve():
@@ -247,7 +261,7 @@ def test_dist_theory_matches_kronecker_solve():
     dim = locals_.shape[1]
     n = E * dim
     assert n == 45
-    B = report.b_matrix
+    B = dense_b(comb, locals_, mu)
     s = np.linalg.solve(np.eye(n * n) - np.kron(B.T, B.T), np.eye(n).reshape(-1, order="F"))
     S = s.reshape((n, n), order="F")
     a_blk = np.kron(comb.a, np.eye(dim))
@@ -285,7 +299,7 @@ def test_dist_theory_near_margin_matches_kronecker_solve():
     assert 1e-6 < 1.0 - report.rho_b < 4e-6
     dim = locals_.shape[1]
     assert E * dim == 75
-    S = kronecker_stein(report.b_matrix)
+    S = kronecker_stein(dense_b(comb, locals_, mu))
     a_blk = np.kron(comb.a, np.eye(dim))
     m_blk = np.kron(np.diag(mu), np.eye(dim))
     g = scipy.linalg.block_diag(*(sigma_v2[:, None, None] * locals_))
@@ -477,13 +491,15 @@ def test_mean_recursion_matrix_decays_geometrically():
     E = c.num_edges
     locals_ = local_moment_matrices(ops, np.ones(E), 0.1 * np.eye(E), 1)
     comb = build_combination(lower_adjacency_neighborhoods(c), "uniform")
-    rep = dist_theory(comb, locals_, np.full(E, 1e-5), np.full(E, 1e-2))
+    mu = np.full(E, 1e-2)
+    rep = dist_theory(comb, locals_, np.full(E, 1e-5), mu)
     assert rep.rho_b < 1
+    B = dense_b(comb, locals_, mu)
     rng = np.random.default_rng(9)
-    err = rng.standard_normal(rep.b_matrix.shape[0])
+    err = rng.standard_normal(B.shape[0])
     norms = [np.linalg.norm(err)]
     for _ in range(6000):
-        err = rep.b_matrix @ err
+        err = B @ err
         norms.append(np.linalg.norm(err))
     # slowest mode has rho ~ 0.999, so three decades need thousands of steps
     assert norms[-1] < 1e-3 * norms[0]

@@ -6,7 +6,6 @@ import pytest
 from simplexlms import inference, signals
 from simplexlms.complexes import build_incidence, hodge_laplacians, random_complex
 from simplexlms.inference import (
-    Observation,
     TopologyState,
     candidate_set,
     grad_t,
@@ -19,9 +18,9 @@ from simplexlms.lms import derived_seeds
 from simplexlms.signals import FilterCoeffs, StreamConfig
 
 
-def param_upper_laplacian(t, b_matrix):
+def param_upper_laplacian(t, b2):
     # dense oracle: the upper Laplacian of the weighted candidates, sum_j t_j b_j b_j^T
-    return (b_matrix * t) @ b_matrix.T
+    return (b2 * t) @ b2.T
 
 
 def brute_force_prox(v, lam0, lam1):
@@ -152,14 +151,14 @@ def test_regressors_from_t_match_explicit_build(filled_complex):
 # ---------------------------------------------------------------- gradient
 
 
-def numerical_grad_t(h, t, cand, obs, step=1e-6):
+def numerical_grad_t(h, t, cand, x_hist, d, y, step=1e-6):
     grad = np.zeros_like(t)
     for j in range(t.size):
         for sign in (+1.0, -1.0):
             tj = t.copy()
             tj[j] += sign * step
-            X = regressors_from_t(tj, cand, obs.x_hist)
-            r = obs.d * (obs.y - X @ h)
+            X = regressors_from_t(tj, cand, x_hist)
+            r = d * (y - X @ h)
             grad[j] += sign * float(r @ r)
     return grad / (2 * step)
 
@@ -172,12 +171,10 @@ def random_instance(rng, order, num_vertices=9):
     E = c.num_edges
     h = rng.standard_normal(2 * order + 1) * 0.5
     t = rng.uniform(0, 1, cand.num_candidates)
-    obs = Observation(
-        x_hist=rng.standard_normal((order + 1, E)),
-        d=(rng.random(E) < 0.8).astype(float),
-        y=rng.standard_normal(E),
-    )
-    return h, t, cand, obs
+    x_hist = rng.standard_normal((order + 1, E))
+    d = (rng.random(E) < 0.8).astype(float)
+    y = rng.standard_normal(E)
+    return h, t, cand, (x_hist, d, y)
 
 
 def test_grad_zero_when_upper_taps_vanish(filled_complex):
@@ -185,12 +182,10 @@ def test_grad_zero_when_upper_taps_vanish(filled_complex):
     rng = np.random.default_rng(4)
     h = np.array([1.3, 0.0, 0.0, 0.4, -0.2])  # upper taps at lags 1,2 are zero
     t = rng.uniform(0, 1, cand.num_candidates)
-    obs = Observation(
-        x_hist=rng.standard_normal((3, filled_complex.num_edges)),
-        d=np.ones(filled_complex.num_edges),
-        y=rng.standard_normal(filled_complex.num_edges),
-    )
-    assert np.allclose(grad_t(h, t, cand, obs), 0.0)
+    x_hist = rng.standard_normal((3, filled_complex.num_edges))
+    d = np.ones(filled_complex.num_edges)
+    y = rng.standard_normal(filled_complex.num_edges)
+    assert np.allclose(grad_t(h, t, cand, x_hist, d, y), 0.0)
 
 
 def test_grad_single_candidate_analytic():
@@ -201,16 +196,14 @@ def test_grad_single_candidate_analytic():
     rng = np.random.default_rng(5)
     h = rng.standard_normal(3)
     t = np.array([0.6])
-    obs = Observation(
-        x_hist=rng.standard_normal((2, 3)),
-        d=np.array([1.0, 0.0, 1.0]),
-        y=rng.standard_normal(3),
-    )
-    X = regressors_from_t(t, cand, obs.x_hist)
-    r = obs.y - X @ h
+    x_hist = rng.standard_normal((2, 3))
+    d = np.array([1.0, 0.0, 1.0])
+    y = rng.standard_normal(3)
+    X = regressors_from_t(t, cand, x_hist)
+    r = y - X @ h
     b = cand.ops.b2[:, 0]
-    expected = -2.0 * (obs.d * r) @ (h[1] * np.outer(b, b) @ obs.x_hist[1])
-    assert np.allclose(grad_t(h, t, cand, obs), [expected], atol=1e-12)
+    expected = -2.0 * (d * r) @ (h[1] * np.outer(b, b) @ x_hist[1])
+    assert np.allclose(grad_t(h, t, cand, x_hist, d, y), [expected], atol=1e-12)
 
 
 def test_grad_matches_finite_differences():
@@ -223,8 +216,8 @@ def test_grad_matches_finite_differences():
             continue
         h, t, cand, obs = inst
         analytic = numerical = None
-        analytic = grad_t(h, t, cand, obs)
-        numerical = numerical_grad_t(h, t, cand, obs)
+        analytic = grad_t(h, t, cand, *obs)
+        numerical = numerical_grad_t(h, t, cand, *obs)
         scale = max(np.linalg.norm(numerical), 1e-8)
         assert np.linalg.norm(analytic - numerical) / scale < 1e-5
         checked += 1
@@ -241,9 +234,8 @@ def test_infer_step_zero_residual_fixed_point(filled_complex):
     h = rng.standard_normal(5)
     hist = rng.standard_normal((3, filled_complex.num_edges))
     X = regressors_from_t(t, cand, hist)
-    obs = Observation(x_hist=hist, d=np.ones(filled_complex.num_edges), y=X @ h)
     state = TopologyState(h=h, t=t, mu1=1e-2, mu2=1e-2, lam0=0.1, lam1=0.1)
-    new = infer_step(state, cand, obs)
+    new = infer_step(state, cand, hist, np.ones(filled_complex.num_edges), X @ h)
     assert np.allclose(new.h, h)
     assert np.array_equal(new.t, t)
 
@@ -255,9 +247,8 @@ def test_infer_step_latched_indicators_stay_put(filled_complex):
     h = rng.standard_normal(5)
     hist = rng.standard_normal((3, filled_complex.num_edges))
     X = regressors_from_t(t, cand, hist)
-    obs = Observation(x_hist=hist, d=np.ones(filled_complex.num_edges), y=X @ h)
     state = TopologyState(h=h, t=t, mu1=1e-2, mu2=1e-2, lam0=0.1, lam1=0.1)
-    new = infer_step(state, cand, obs)
+    new = infer_step(state, cand, hist, np.ones(filled_complex.num_edges), X @ h)
     assert np.array_equal(new.t, t)
 
 
@@ -320,7 +311,7 @@ def hand_rolled_replay(complex_, coeffs, cand, sigma_v2, schedule, horizon, seed
             n = order + k - 1
             hist = x[n - order : n + 1][::-1]
             y = d[n] * (regressors_from_t(t_true, cand, hist) @ h_true + v[n])
-            state = infer_step(state, cand, Observation(x_hist=hist, d=d[n], y=y))
+            state = infer_step(state, cand, hist, d[n], y)
         out[:, k] = (np.sum((h_true - state.h) ** 2), np.sum((t_true - state.t) ** 2),
                      float(np.array_equal(state.t, t_true)), float(np.count_nonzero(state.t)))
     return out
@@ -396,10 +387,8 @@ def test_indicators_stay_in_unit_box_under_random_data():
         lam1=0.1,
     )
     for _ in range(200):
-        obs = Observation(
-            x_hist=0.1 * rng.standard_normal((3, c.num_edges)),
-            d=(rng.random(c.num_edges) < 0.7).astype(float),
-            y=0.1 * rng.standard_normal(c.num_edges),
-        )
-        state = infer_step(state, cand, obs)
+        x_hist = 0.1 * rng.standard_normal((3, c.num_edges))
+        d = (rng.random(c.num_edges) < 0.7).astype(float)
+        y = 0.1 * rng.standard_normal(c.num_edges)
+        state = infer_step(state, cand, x_hist, d, y)
         assert np.all(state.t >= 0.0) and np.all(state.t <= 1.0)

@@ -12,12 +12,10 @@ from simplexlms.errors import DivergenceError, StabilityError
 from simplexlms.lms import (
     LmsState,
     _monte_carlo,
-    convergence_rate,
     derived_seeds,
     lms_step,
     max_stepsize,
     run_experiment,
-    steady_state_msd,
     tail_average,
     theory_report,
     to_db,
@@ -119,6 +117,8 @@ def test_max_stepsize_matches_power_iteration():
             vec /= np.linalg.norm(vec)
         lam = float(vec @ c @ vec)
         assert abs(max_stepsize(c) - 2.0 / lam) < 1e-8
+        # the kept entry point and the report read the same eigenvalue
+        assert max_stepsize(c) == theory_report(c, c, 0.5 * max_stepsize(c)).mu_max
 
 
 # ------------------------------------------------------------ steady state
@@ -126,16 +126,17 @@ def test_max_stepsize_matches_power_iteration():
 
 def test_steady_state_scalar_closed_form():
     c, g, mu = 2.0, 0.3, 0.05
-    exact, first = steady_state_msd(np.array([[c]]), np.array([[g]]), mu)
+    report = theory_report(np.array([[c]]), np.array([[g]]), mu)
+    exact, first = report.msd_exact, report.msd_first_order
     assert np.isclose(exact, mu * g / (2 * c - mu * c**2))
     assert np.isclose(first, mu * g / (2 * c))
 
 
 def test_steady_state_rejects_unstable_step():
     with pytest.raises(StabilityError):
-        steady_state_msd(np.eye(2), np.eye(2), 2.5)
+        theory_report(np.eye(2), np.eye(2), 2.5)
     with pytest.raises(StabilityError):
-        steady_state_msd(np.eye(2), np.eye(2), -0.1)
+        theory_report(np.eye(2), np.eye(2), -0.1)
 
 
 def test_steady_state_gap_shrinks_fourfold():
@@ -147,8 +148,8 @@ def test_steady_state_gap_shrinks_fourfold():
         g = random_psd(dim, rng, scale=0.01)
         gaps = []
         for mu in (1e-2, 5e-3, 2.5e-3):
-            exact, first = steady_state_msd(c, g, mu)
-            gaps.append(abs(exact - first))
+            report = theory_report(c, g, mu)
+            gaps.append(abs(report.msd_exact - report.msd_first_order))
         for a, b in zip(gaps, gaps[1:]):
             assert 3.5 <= a / b <= 4.5
 
@@ -160,7 +161,8 @@ def test_steady_state_kronecker_equals_resolvent_identity():
         c = random_psd(dim, rng)
         g = random_psd(dim, rng, scale=0.1)
         mu = 0.4 / float(np.max(np.linalg.eigvalsh(c)))
-        exact, first = steady_state_msd(c, g, mu)
+        report = theory_report(c, g, mu)
+        exact, first = report.msd_exact, report.msd_first_order
         Q = np.eye(dim) - mu * c
         direct = mu**2 * np.trace(g @ np.linalg.inv(np.eye(dim) - Q @ Q))
         assert abs(exact - direct) < 1e-10 * max(1.0, abs(direct))
@@ -172,27 +174,21 @@ def test_steady_state_kronecker_equals_resolvent_identity():
 # ------------------------------------------------------------------- rate
 
 
-def test_convergence_rate_examples():
-    approx, _ = convergence_rate(np.eye(3), 1e-2)
-    assert np.isclose(approx, 0.98)
-    approx, f_norm = convergence_rate(np.eye(2), 0.01)
-    assert np.isclose(f_norm, 0.9801)
-    assert np.isclose(approx, 0.98)
+def test_rate_estimate_examples():
+    assert np.isclose(theory_report(np.eye(3), np.eye(3), 1e-2).alpha, 0.98)
+    report = theory_report(np.eye(2), np.eye(2), 0.01)
+    assert np.isclose(report.f_norm, 0.9801)
+    assert np.isclose(report.alpha, 0.98)
 
 
-def test_convergence_rate_error_bound():
+def test_rate_estimate_error_bound():
     rng = np.random.default_rng(7)
     mu = 1e-3
     for _ in range(10):
         c = random_psd(5, rng)
-        approx, f_norm = convergence_rate(c, mu)
+        report = theory_report(c, c, mu)
         nu = float(np.max(np.linalg.eigvalsh(c)))
-        assert abs(approx - f_norm) < 10 * mu**2 * nu**2
-
-
-def test_convergence_rate_warns_on_large_step():
-    with pytest.warns(UserWarning):
-        convergence_rate(np.diag([0.01, 10.0]), 0.15)
+        assert abs(report.alpha - report.f_norm) < 10 * mu**2 * nu**2
 
 
 def test_mean_recursion_decays_geometrically():

@@ -150,14 +150,17 @@ def test_stream_blocks_concatenate_to_one_block_draw(order, rows, blocks, overha
         mp.setattr(signals, "_WINDOW_ELEMENTS", window_budget(rows, order))
         mp.setattr(signals, "_MIN_WINDOW_ROWS", 1)
         got = list(signals.generate_stream(coeffs, WINDOW_OPS, cfg))
+        # the blocks do not keep their noise: draw it again at their row bounds
+        noise = [v for _, v, _ in signals._draw(cfg, signals._block_stops(E, order, horizon))]
         # oracle: the observations of the one-block draw, built in the same windows
         y = np.zeros_like(x)
         for start, window, lead, _ in signals._series_walk(x, order, first=order):
             X = regressor_tensor(window, WINDOW_OPS, order)[lead:]
             y[start : start + len(X)] = d[start : start + len(X)] * (X @ h + v[start : start + len(X)])
     assert [b.start for b in got] == [0] + list(range(order + rows, horizon, rows))
-    for name, whole in (("x", x), ("d", d), ("v", v), ("y", y)):
+    for name, whole in (("x", x), ("d", d), ("y", y)):
         np.testing.assert_array_equal(np.concatenate([getattr(b, name) for b in got]), whole)
+    np.testing.assert_array_equal(np.concatenate(noise), v)
     full = regressor_tensor(x, WINDOW_OPS, order)
     np.testing.assert_allclose(np.concatenate([b.X for b in got]), full,
                                rtol=0, atol=round_off(full) if full.size else 0.0)
