@@ -260,10 +260,10 @@ _CSV_COLUMNS = {
 }
 
 
-# Characters of encoded JSON gathered before one write to a result file. The
-# encoder's chunks are a few characters each, and a list of them takes about
-# six bytes per character, so this keeps the writer's buffer near 100 KB.
-_WRITE_CHARS = 1 << 14
+# Characters of encoded JSON gathered per write. A compact chunk, one array entry
+# and its comma, holds 2 to about 25 characters plus some 60 bytes of overhead, so
+# the buffer stays near 25 KB for float arrays and under 140 KB for the shortest.
+_WRITE_CHARS = 1 << 12
 
 
 def _csv_table(mode):
@@ -302,15 +302,15 @@ def _csv_rows(payload: dict, table):
 
 
 def _write_json(payload: dict, fh) -> None:
-    """The bytes of ``json.dump(payload, fh, indent=2, allow_nan=False)`` and a newline.
+    """The bytes of ``json.dump(payload, fh, separators=(",", ":"), allow_nan=False)``, newline.
 
-    The encoder's chunks (a few characters each) are joined into pieces of
-    about ``_WRITE_CHARS`` characters before each write, so a long file
-    takes few writes while memory stays bounded.
+    One line, each float written by ``float.__repr__``. The encoder's chunks are
+    joined into pieces of about ``_WRITE_CHARS`` characters per write, so a long
+    file takes few writes while memory stays bounded.
     """
     pending: list[str] = []
     size = 0
-    for chunk in json.JSONEncoder(indent=2, allow_nan=False).iterencode(payload):
+    for chunk in json.JSONEncoder(separators=(",", ":"), allow_nan=False).iterencode(payload):
         pending.append(chunk)
         size += len(chunk)
         if size >= _WRITE_CHARS:
@@ -321,35 +321,45 @@ def _write_json(payload: dict, fh) -> None:
     fh.write("".join(pending))
 
 
-def emit_results(payload: dict, path, fmt: str = "json") -> None:
-    """Write a result payload as strict JSON, or its mode's row table as CSV.
+@contextlib.contextmanager
+def _replacing(path):
+    """Yield the sibling ``<path>.part`` to write, and rename it onto ``path`` once complete.
 
-    The file is streamed into a sibling ``<path>.part`` and renamed onto
-    ``path`` once complete, so memory does not grow with the file and a
-    failed write leaves no file: an existing one keeps its bytes. JSON
-    files never hold the non-standard tokens ``NaN`` or ``Infinity``: a
-    payload with a non-finite float raises and leaves no file. CSV rows
-    come from the payload's per-row arrays, through the column table of
-    its ``metadata.mode``; a mode without a table, or a file that cannot
-    be written, is a :class:`ConfigError`.
+    A write that fails leaves no file, and an existing ``path`` keeps its
+    bytes. An ``OSError`` is a :class:`ConfigError` that names ``path``.
     """
-    if fmt == "csv":
-        table = _csv_table(payload.get("metadata", {}).get("mode"))
-    elif fmt != "json":
-        raise ConfigError(f"unknown output format {fmt!r}")
     part = os.fspath(path) + ".part"
     try:
-        with open(part, "w", newline="", encoding="utf-8") as fh:
-            if fmt == "json":
-                _write_json(payload, fh)
-            else:
-                csv.writer(fh).writerows(_csv_rows(payload, table))
+        yield part
         os.replace(part, path)
     except OSError as exc:
         raise ConfigError(f"cannot write {path}: {exc}") from exc
     finally:
         with contextlib.suppress(OSError):  # already gone after the rename
             os.remove(part)
+
+
+def emit_results(payload: dict, path, fmt: str = "json") -> None:
+    """Write a result payload as one line of strict, compact JSON, or its mode's row table as CSV.
+
+    The file is streamed into a sibling ``<path>.part`` and renamed onto
+    ``path`` once complete (through :func:`_replacing`, as the side outputs
+    are), so memory does not grow with the file and a failed write leaves no
+    file: an existing one keeps its bytes. JSON files never hold ``NaN`` or
+    ``Infinity``: a payload with a non-finite float raises and leaves no
+    file. CSV rows come from the payload's per-row arrays, through the
+    column table of its ``metadata.mode``; a mode without a table, or a
+    file that cannot be written, is a :class:`ConfigError`.
+    """
+    if fmt == "csv":
+        table = _csv_table(payload.get("metadata", {}).get("mode"))
+    elif fmt != "json":
+        raise ConfigError(f"unknown output format {fmt!r}")
+    with _replacing(path) as part, open(part, "w", newline="", encoding="utf-8") as fh:
+        if fmt == "json":
+            _write_json(payload, fh)
+        else:
+            csv.writer(fh).writerows(_csv_rows(payload, table))
 
 
 def _stream_pieces(cfg: ExperimentConfig, complex_: SimplicialComplex2, realizations: int = 30):
@@ -485,7 +495,8 @@ def mode_run_distributed(cfg: ExperimentConfig) -> dict:
                              rule=cfg.get("rule", "uniform"))
     combination_file = cfg.get("combination_out")
     if combination_file:
-        save_combination(comb, combination_file)
+        with _replacing(combination_file) as part:
+            save_combination(comb, part)
     result = run_distributed(complex_, coeffs, stream, comb, mu, realizations, horizon,
                              track_agents=track_agents)
     payload = {
@@ -549,7 +560,8 @@ def mode_generate_complex(cfg: ExperimentConfig) -> dict:
     complex_ = build_complex_from_config(cfg)
     out = cfg.get("complex_out")
     if out:
-        save_complex(complex_, out)
+        with _replacing(out) as part:
+            save_complex(complex_, part)
     series_out = cfg.get("series_out")
     if series_out:
         ds = traffic_surrogate(
@@ -558,7 +570,8 @@ def mode_generate_complex(cfg: ExperimentConfig) -> dict:
             with_upper=_flag("with_upper", cfg.get("with_upper", True)),
             complex_=complex_,
         )
-        write_edge_series(series_out, ds.series)
+        with _replacing(series_out) as part:
+            write_edge_series(part, ds.series)
     return {
         "vertices": complex_.num_vertices,
         "edges": complex_.num_edges,
@@ -566,29 +579,46 @@ def mode_generate_complex(cfg: ExperimentConfig) -> dict:
     }
 
 
+def _reject_constant(token):
+    raise ValueError(f"non-standard JSON constant {token}")
+
+
 def mode_analyze(cfg: ExperimentConfig) -> dict:
     path = cfg.require("results_file")
-    try:
+    try:  # strict JSON, every number read as a float
         with open(path, "r", encoding="utf-8") as fh:
-            payload = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+            payload = json.load(fh, parse_constant=_reject_constant, parse_int=float)
+    except (OSError, ValueError) as exc:
         raise ConfigError(f"cannot read results file {path}: {exc}") from exc
+    if not isinstance(payload, dict) or not isinstance(payload.get("theory") or {}, dict):
+        raise ConfigError(f"results file {path} must hold a JSON object, "
+                          "and its 'theory' an object or null")
+
+    def numbers(key: str) -> np.ndarray:
+        value = payload[key]
+        if isinstance(value, list) and value and all(type(v) is float for v in value):
+            if np.isfinite(array := np.array(value)).all():
+                return array
+        raise ConfigError(f"results file {path}: {key!r} must be a nonempty list of finite numbers")
+
     summary: dict = {}
     if "msd" in payload:
-        msd = np.asarray(payload["msd"], dtype=np.float64)
+        msd = numbers("msd")
         summary["iterations"] = int(msd.size - 1)
         steady_db = summary["steady_state_db"] = _db_or_none(tail_average(msd))
         theory = payload.get("theory") or {}
         theory_db = theory.get("msd_exact_db", theory.get("msd_per_agent_db"))
         if theory_db is not None:
-            summary["theory_db"] = float(theory_db)
-            summary["gap_db"] = None if steady_db is None else steady_db - float(theory_db)
+            if not (type(theory_db) is float and np.isfinite(theory_db)):
+                raise ConfigError(f"results file {path}: its theory dB must be finite or null")
+            summary["theory_db"] = theory_db
+            summary["gap_db"] = None if steady_db is None else steady_db - theory_db
     if "test_errors" in payload:
-        errors = np.asarray(payload["test_errors"], dtype=np.float64)
+        errors = numbers("test_errors")
         summary["mean_test_error"] = float(np.mean(errors))
         summary["max_test_error"] = float(np.max(errors))
     if "p_star" in payload:
-        p_star = np.asarray(payload["p_star"], dtype=np.float64)
+        p_star = numbers("p_star")
         summary["sampling_rate"] = float(np.sum(p_star))
         summary["support_size"] = int(np.sum(p_star > 1e-6))
     return summary

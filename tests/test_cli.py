@@ -613,6 +613,38 @@ def test_unwritable_side_output_writes_no_other_file(tmp_path, capsys):
     assert not complex_out.exists()
 
 
+@pytest.mark.parametrize("existing", [False, True])
+@pytest.mark.parametrize("mode, flag, writer, path_arg", [
+    ("generate-complex", "--complex-out", "save_complex", 1),
+    ("generate-complex", "--series-out", "write_edge_series", 0),
+    ("run-distributed", "--combination-out", "save_combination", 1),
+])
+def test_side_output_failing_midway_leaves_no_partial_file(tmp_path, complex_file, capsys,
+                                                          monkeypatch, mode, flag, writer,
+                                                          path_arg, existing):
+    # a side output is written like a result file: a sibling .part renamed once complete
+    from simplexlms import harness
+
+    def fails_midway(*args):
+        with open(args[path_arg], "w", encoding="utf-8") as fh:
+            fh.write("first rows\n")
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(harness, writer, fails_midway)
+    folder = tmp_path / "out"
+    folder.mkdir()
+    target = folder / "side.out"
+    if existing:
+        target.write_bytes(b"previous output\n")
+    assert run_simulation(tmp_path, complex_file, mode, flag, target) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1
+    assert "No space left on device" in err and str(target) in err
+    assert [p.name for p in folder.iterdir()] == (["side.out"] if existing else [])
+    if existing:
+        assert target.read_bytes() == b"previous output\n"
+
+
 @pytest.mark.parametrize("token", ["nan", "inf"])
 def test_ar_train_non_finite_cell_exits_2(tmp_path, token, capsys):
     from simplexlms.datasets import traffic_surrogate, write_edge_series
@@ -691,3 +723,52 @@ def test_analyze_summarises_ar_and_design_results(tmp_path, complex_file, capsys
 
 def test_analyze_missing_file_exits_2(tmp_path):
     assert run_cli(["analyze", "--results", tmp_path / "none.json"]) == 2
+
+
+@pytest.mark.parametrize("text, message", [
+    ("5", "must hold a JSON object"),
+    ("[1, 2]", "must hold a JSON object"),
+    ('{"msd": {"a": 1}}', "'msd' must be a nonempty list of finite numbers"),
+    ('{"msd": [1.0], "theory": 5}', "its 'theory' an object or null"),
+    ('{"msd": []}', "'msd' must be a nonempty list of finite numbers"),
+    ('{"msd": [1.0, NaN]}', "non-standard JSON constant NaN"),
+    # a literal that overflows reads as infinity, which no result file holds
+    ('{"msd": [1.0, 1e400]}', "'msd' must be a nonempty list of finite numbers"),
+    ('{"msd": [1.0, true]}', "'msd' must be a nonempty list of finite numbers"),
+    ('{"msd": [1.0], "theory": {"msd_exact_db": "-30"}}', "its theory dB must be finite"),
+    ('{"test_errors": ["0.5"]}', "'test_errors' must be a nonempty list of finite numbers"),
+    ('{"p_star": [[0.5]]}', "'p_star' must be a nonempty list of finite numbers"),
+], ids=["number", "list", "msd-object", "theory-number", "msd-empty", "nan", "overflow",
+        "msd-bool", "theory-db-string", "test-errors-string", "p-star-nested"])
+def test_analyze_rejects_a_malformed_results_file(tmp_path, capsys, text, message):
+    path = tmp_path / "result.json"
+    path.write_text(text)
+    assert run_cli(["analyze", "--results", path]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("config error: ") and err.count("\n") == 1
+    assert message in err and str(path) in err
+
+
+@pytest.mark.parametrize("mode, flags", [
+    ("run-lms", ["--noise-var", 1e-4]),
+    ("ar-train", []),
+    ("design-sampling", []),
+])
+def test_analyze_reads_indented_and_compact_files_alike(tmp_path, complex_file, capsys,
+                                                        mode, flags):
+    # result files written before they were compact are summarised as before
+    compact, indented = tmp_path / "compact.json", tmp_path / "indented.json"
+    assert run_simulation(tmp_path, complex_file, mode, *flags, "--out", compact) == 0
+    text = compact.read_text()
+    assert text.count("\n") == 1
+    indented.write_text(json.dumps(json.loads(text), indent=2) + "\n")
+    summaries = []
+    for path in (compact, indented):
+        capsys.readouterr()
+        assert run_cli(["analyze", "--results", path]) == 0
+        summary = json.loads(capsys.readouterr().out)
+        assert summary.pop("config") == {"results_file": str(path)}
+        summaries.append(summary)
+    assert summaries[0] == summaries[1]
+    assert len(summaries[0]) > 1

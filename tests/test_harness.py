@@ -5,6 +5,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from simplexlms import datasets, harness, signals
 from simplexlms.artrain import (
@@ -389,8 +391,12 @@ def long_payload():
             "msd_db": rng.standard_normal(30_001).tolist()}
 
 
+def compact_dump(payload):
+    return json.dumps(payload, separators=(",", ":")) + "\n"
+
+
 def test_json_writer_groups_the_encoder_chunks():
-    # the bytes of the indented dump, in a few large writes, not one per chunk
+    # the bytes of the compact dump, in a few large writes, not one per chunk
     payload = long_payload()
     writes = []
 
@@ -400,15 +406,15 @@ def test_json_writer_groups_the_encoder_chunks():
 
     harness._write_json(payload, Sink())
     text = "".join(writes)
-    assert text == json.dumps(payload, indent=2) + "\n"
+    assert text == compact_dump(payload)
     assert len(writes) <= len(text) // harness._WRITE_CHARS + 2
 
 
-def test_emit_results_json_is_the_indented_dump(tmp_path):
+def test_emit_results_json_is_the_compact_dump(tmp_path):
     payload = long_payload()
     path = tmp_path / "out.json"
     emit_results(payload, path)
-    assert path.read_text(encoding="utf-8") == json.dumps(payload, indent=2) + "\n"
+    assert path.read_text(encoding="utf-8") == compact_dump(payload)
     assert sorted(p.name for p in tmp_path.iterdir()) == ["out.json"]
 
 
@@ -424,6 +430,52 @@ def test_emit_results_streams_the_file(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < path.stat().st_size / 8, (peak, path.stat().st_size)
+
+
+def test_json_writer_buffer_stays_small_for_short_entries():
+    # one-digit entries make the most chunks per character; each chunk costs
+    # some 60 bytes besides its characters, and the buffer still stays small
+    payload = {"support_size": [1] * 100_000}
+
+    class Sink:
+        def write(self, text):
+            pass
+
+    harness._write_json(payload, Sink())  # warm up the encoder
+    tracemalloc.start()
+    try:
+        harness._write_json(payload, Sink())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 200_000, peak
+
+
+JSON_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([-0.0, 5e-324, 1.7976931348623157e308]),
+    st.text(st.characters(min_codepoint=0x80), max_size=5), st.text(max_size=5),
+)
+JSON_PAYLOADS = st.dictionaries(st.text(max_size=5), st.recursive(
+    JSON_SCALARS,
+    lambda inner: st.lists(inner, max_size=6) | st.dictionaries(st.text(max_size=5), inner,
+                                                                  max_size=4),
+    max_leaves=30,
+), max_size=5)
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(payload=JSON_PAYLOADS)
+def test_result_file_decodes_to_its_payload(tmp_path_factory, payload):
+    # lossless: every float keeps its repr (the sign of -0.0, subnormals, the largest double),
+    # ints stay ints, and the file is one line
+    path = tmp_path_factory.getbasetemp() / "property.json"
+    emit_results(payload, path)
+    text = path.read_text(encoding="utf-8")
+    decoded = json.loads(text)
+    assert decoded == payload and repr(decoded) == repr(payload)
+    assert text.endswith("\n") and text.count("\n") == 1
 
 
 @pytest.mark.parametrize("existing", [False, True])
