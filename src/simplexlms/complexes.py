@@ -10,14 +10,19 @@ signs of the two incidence matrices:
   contributes ``+1`` at edge ``(i, j)``, ``-1`` at ``(i, k)`` and ``+1``
   at ``(j, k)``.
 
-Both are held as one read-only ``float64`` pair, shared by every
-operator built from the complex. Their entries are small integers, so
-``B1 @ B2 == 0`` holds exactly in floating point too, which downstream
-code relies on.
+A complex keeps its simplex lists, and both factors are read from them
+by their nonzero entries (:class:`EdgeIncidence`), one row per edge:
+``B2`` and ``B1^T``. The dense matrices are built on first use, as one
+read-only ``float64`` pair shared by every operator built from the
+complex; the moment basis needs neither. Their entries are small
+integers, so ``B1 @ B2 == 0`` holds exactly in floating point too, which
+downstream code relies on, and a Gram matrix scattered from the entries
+holds the bits of the dense product.
 """
 
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -25,6 +30,7 @@ import numpy as np
 
 __all__ = [
     "SimplicialComplex2",
+    "EdgeIncidence",
     "HodgeOperators",
     "HodgeComponents",
     "build_incidence",
@@ -40,20 +46,84 @@ __all__ = [
 ]
 
 
+@dataclass(frozen=True)
+class EdgeIncidence:
+    """A signed incidence factor with one row per edge, held by its nonzero entries.
+
+    Row ``e`` holds ``signs[k]`` (``+1`` or ``-1``) at column ``cols[k]``
+    for ``k`` from ``indptr[e]`` to ``indptr[e + 1] - 1``. ``B2`` (edges x
+    triangles) and ``B1^T`` (edges x vertices) are of this kind.
+    """
+
+    indptr: np.ndarray
+    cols: np.ndarray
+    signs: np.ndarray
+    shape: tuple[int, int]
+
+    @classmethod
+    def from_rows(cls, rows: list, num_cols: int) -> "EdgeIncidence":
+        """The factor whose row ``e`` holds the ``(column, sign)`` pairs ``rows[e]``."""
+        entries = [entry for row in rows for entry in row]
+        return cls(
+            indptr=np.cumsum([0, *map(len, rows)], dtype=np.intp),
+            cols=np.array([col for col, _ in entries], dtype=np.intp),
+            signs=np.array([sign for _, sign in entries], dtype=np.float64),
+            shape=(len(rows), num_cols),
+        )
+
+    def row_block(self, lo: int, hi: int) -> np.ndarray:
+        """Rows ``lo..hi-1`` of the factor, dense and C-ordered, as a slice of :meth:`dense` is."""
+        hi = min(hi, self.shape[0])
+        a, b = self.indptr[lo], self.indptr[hi]
+        rows = np.repeat(np.arange(hi - lo), np.diff(self.indptr[lo : hi + 1]))
+        out = np.zeros((hi - lo, self.shape[1]))
+        out[rows, self.cols[a:b]] = self.signs[a:b]
+        return out
+
+    def dense(self, transposed: bool = False) -> np.ndarray:
+        """The factor, or its transpose, as a C-ordered ``float64`` array."""
+        if not transposed:
+            return self.row_block(0, self.shape[0])
+        out = np.zeros(self.shape[::-1])
+        out[self.cols, np.repeat(np.arange(self.shape[0]), np.diff(self.indptr))] = self.signs
+        return out
+
+    def gram(self) -> np.ndarray:
+        """``F^T F`` for this factor ``F``, scattered from the pairs of entries in a row.
+
+        Two columns share at most one row (two simplices at most one face),
+        so an entry off the diagonal is one product of signs and one on it
+        counts the column's entries: small integers, the bits of the dense
+        product ``F.T @ F``.
+        """
+        K = self.shape[1]
+        # the pairs (k1, k2) of entries in one row, row after row
+        n = np.diff(self.indptr)
+        size = n * n
+        pair = np.arange(size.sum()) - np.repeat(np.cumsum(size) - size, size)
+        start, width = np.repeat(self.indptr[:-1], size), np.repeat(n, size)
+        k1, k2 = start + pair // width, start + pair % width
+        out = np.zeros((K, K))
+        out[self.cols[k1], self.cols[k2]] = self.signs[k1] * self.signs[k2]
+        np.fill_diagonal(out, np.bincount(self.cols, minlength=K))
+        return out
+
+
 @dataclass
 class SimplicialComplex2:
     """A complex with vertices, oriented edges and oriented triangles.
 
     Instances are built by :func:`build_incidence` and treated as
-    immutable afterwards. ``b1`` and ``b2`` are ``float64`` and read-only,
-    so derived operators share them instead of copying.
+    immutable afterwards. The sparse factors ``sparse_b1_t`` and
+    ``sparse_b2`` and the dense incidence matrices ``b1`` and ``b2`` are
+    each built from the simplex lists on first access; ``b1`` and ``b2``
+    are ``float64`` and read-only, so derived operators share them
+    instead of copying.
     """
 
     num_vertices: int
     edges: tuple[tuple[int, int], ...]
     triangles: tuple[tuple[int, int, int], ...]
-    b1: np.ndarray
-    b2: np.ndarray
     edge_index: dict[tuple[int, int], int] = field(repr=False, default_factory=dict)
 
     @property
@@ -64,22 +134,56 @@ class SimplicialComplex2:
     def num_triangles(self) -> int:
         return len(self.triangles)
 
+    @cached_property
+    def sparse_b1_t(self) -> EdgeIncidence:
+        """``B1^T``: edge ``(i, j)`` has ``-1`` at vertex ``i`` and ``+1`` at ``j``."""
+        return EdgeIncidence.from_rows([((i, -1.0), (j, 1.0)) for i, j in self.edges],
+                                       self.num_vertices)
+
+    @cached_property
+    def sparse_b2(self) -> EdgeIncidence:
+        """``B2``: triangle ``(i, j, k)`` has ``+1, -1, +1`` at edges ``(i, j), (i, k), (j, k)``."""
+        at_edge: list[list[tuple[int, float]]] = [[] for _ in self.edges]
+        for t, (i, j, k) in enumerate(self.triangles):
+            for pair, sign in (((i, j), 1.0), ((i, k), -1.0), ((j, k), 1.0)):
+                at_edge[self.edge_index[pair]].append((t, sign))
+        return EdgeIncidence.from_rows(at_edge, self.num_triangles)
+
+    @cached_property
+    def b1(self) -> np.ndarray:
+        return _read_only(self.sparse_b1_t.dense(transposed=True))
+
+    @cached_property
+    def b2(self) -> np.ndarray:
+        return _read_only(self.sparse_b2.dense())
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
 
 @dataclass
 class HodgeOperators:
-    """Float incidence matrices of a 2-complex with its lazy Hodge algebra.
+    """Incidence factors of a 2-complex with its lazy Hodge algebra.
 
-    ``b1`` (vertices x edges) and ``b2`` (edges x triangles) are held as
-    given; :func:`hodge_laplacians` passes the complex's own read-only
-    pair. The Laplacians are Gram products of them, ``l0 = b1 b1^T``,
+    ``b1`` (vertices x edges) is the ``skeleton``'s and ``b2`` (edges x
+    triangles) the ``filling``'s, a complex on the same edges:
+    :func:`hodge_laplacians` passes the complex as both, a candidate set
+    its clique-filled complex as the filling. Both are read from their
+    complex, which builds the dense pair on first use, so the operators
+    share it and touch it only when a regressor, a Laplacian or the
+    eigenbasis asks. The moment basis reads the complexes' sparse factors
+    instead, and needs no dense pair.
+    The Laplacians are Gram products of the factors, ``l0 = b1 b1^T``,
     ``l2 = b2^T b2``, ``lower = b1^T b1``, ``upper = b2 b2^T`` and
-    ``l1 = lower + upper``, each a dense product computed on first
-    access. The moment basis and the regressors need only the incidence
-    factors and the small Grams ``l0`` and ``l2``, through which every
-    Laplacian power factors; the E x E ones are formed only on request.
+    ``l1 = lower + upper``, each computed on first access; the small
+    Grams ``l0`` and ``l2``, through which every Laplacian power factors,
+    are scattered from the sparse factors, and the E x E ones are dense
+    products formed only on request.
     The regressors multiply by the C-ordered transposes ``b1_t`` and
     ``b2_t`` too, each copied once on first access (a C-ordered pair, as
-    :func:`build_incidence` makes, keeps every product C-ordered).
+    the complex makes, keeps every product C-ordered).
     The O(E^3) eigendecomposition of
     ``l1`` (eigenvalues ascending) likewise runs on first access to the
     eigenbasis, since only the simplicial Fourier transform needs it.
@@ -87,12 +191,20 @@ class HodgeOperators:
     must only rely on basis-independent quantities (projections, norms).
     """
 
-    b1: np.ndarray
-    b2: np.ndarray
+    skeleton: SimplicialComplex2
+    filling: SimplicialComplex2
 
     @property
     def num_edges(self) -> int:
-        return self.b2.shape[0]
+        return self.skeleton.num_edges
+
+    @property
+    def b1(self) -> np.ndarray:
+        return self.skeleton.b1
+
+    @property
+    def b2(self) -> np.ndarray:
+        return self.filling.b2
 
     @cached_property
     def b1_t(self) -> np.ndarray:
@@ -106,11 +218,11 @@ class HodgeOperators:
 
     @cached_property
     def l0(self) -> np.ndarray:
-        return self.b1 @ self.b1.T
+        return self.skeleton.sparse_b1_t.gram()
 
     @cached_property
     def l2(self) -> np.ndarray:
-        return self.b2.T @ self.b2
+        return self.filling.sparse_b2.gram()
 
     @cached_property
     def lower(self) -> np.ndarray:
@@ -156,8 +268,9 @@ def build_incidence(
     edges: list[tuple[int, int]],
     triangles: list[tuple[int, int, int]] | None = None,
 ) -> SimplicialComplex2:
-    """Assemble the signed incidence matrices of a 2-complex.
+    """Check and store the simplex lists of a 2-complex.
 
+    The signed incidence matrices are built from them on first use.
     Vertex indices are 0-based. Edges must be given as ``(i, j)`` with
     ``i < j`` and triangles as ``(i, j, k)`` with ``i < j < k``; every
     triangle's three vertex pairs must appear in the edge list
@@ -196,35 +309,17 @@ def build_incidence(
         seen_tri.add((i, j, k))
         tri_list.append((i, j, k))
 
-    E = len(edge_list)
-    T = len(tri_list)
-    b1 = np.zeros((num_vertices, E))
-    for col, (i, j) in enumerate(edge_list):
-        b1[i, col] = -1.0
-        b1[j, col] = 1.0
-
-    b2 = np.zeros((E, T))
-    for col, (i, j, k) in enumerate(tri_list):
-        b2[edge_index[(i, j)], col] = 1.0
-        b2[edge_index[(i, k)], col] = -1.0
-        b2[edge_index[(j, k)], col] = 1.0
-    # one pair for the complex and every operator built from it
-    b1.setflags(write=False)
-    b2.setflags(write=False)
-
     return SimplicialComplex2(
         num_vertices=num_vertices,
         edges=tuple(edge_list),
         triangles=tuple(tri_list),
-        b1=b1,
-        b2=b2,
         edge_index=edge_index,
     )
 
 
 def hodge_laplacians(complex_: SimplicialComplex2) -> HodgeOperators:
-    """The complex's incidence pair, shared; its Laplacians are built on first use."""
-    return HodgeOperators(b1=complex_.b1, b2=complex_.b2)
+    """The complex's operators, sharing its incidence pair; each is built on first use."""
+    return HodgeOperators(skeleton=complex_, filling=complex_)
 
 
 def hodge_decompose(x: np.ndarray, complex_: SimplicialComplex2) -> HodgeComponents:
@@ -336,19 +431,22 @@ def grown_complex(
     for _ in range(200):
         have: set[tuple[int, int]] = set()
         adjacency: list[set[int]] = [set() for _ in range(num_vertices)]
+        # the vertices with two neighbours or more, ascending
+        centers: list[int] = []
 
         def add(i: int, j: int) -> None:
             pair = (min(i, j), max(i, j))
             have.add(pair)
-            adjacency[i].add(j)
-            adjacency[j].add(i)
+            for v, w in ((i, j), (j, i)):
+                adjacency[v].add(w)
+                if len(adjacency[v]) == 2:
+                    insort(centers, v)
 
         while len(have) < num_edges:
             candidate = None
             if have and rng.random() < 0.7:
                 # close a wedge: pick a vertex with two neighbours that
                 # are not yet adjacent
-                centers = [v for v in range(num_vertices) if len(adjacency[v]) >= 2]
                 if centers:
                     v = int(rng.choice(centers))
                     nbrs = sorted(adjacency[v])

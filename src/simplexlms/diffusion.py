@@ -74,15 +74,14 @@ def lower_adjacency_neighborhoods(complex_: SimplicialComplex2) -> list[list[int
     """Edges sharing a vertex, plus the edge itself (the default comm graph).
 
     These are the nonzero columns of ``lower = b1^T b1`` in each row, read
-    from the incidence matrix without forming it: the edges at a vertex
-    are the nonzeros of its row of ``b1``, and an edge's neighbourhood is
-    the union over the two vertices in its column.
+    from the edge list without forming it: an edge's neighbourhood is the
+    union of the edges at its two vertices.
     """
-    at_vertex = [set(np.flatnonzero(row).tolist()) for row in complex_.b1]
-    return [
-        sorted(set().union(*(at_vertex[v] for v in np.flatnonzero(column))))
-        for column in complex_.b1.T
-    ]
+    at_vertex: list[set[int]] = [set() for _ in range(complex_.num_vertices)]
+    for e, (i, j) in enumerate(complex_.edges):
+        at_vertex[i].add(e)
+        at_vertex[j].add(e)
+    return [sorted(at_vertex[i] | at_vertex[j]) for i, j in complex_.edges]
 
 
 def build_combination(

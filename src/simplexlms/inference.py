@@ -74,9 +74,9 @@ class CandidateSet:
 def candidate_set(complex_: SimplicialComplex2, order: int) -> CandidateSet:
     """The 3-cliques with the operators of the complex they fill, sharing its ``b1``."""
     cliques = enumerate_3cliques(complex_)
-    b2 = build_incidence(complex_.num_vertices, list(complex_.edges), cliques).b2
-    return CandidateSet(triples=tuple(cliques), ops=HodgeOperators(b1=complex_.b1, b2=b2),
-                        order=order)
+    filled = build_incidence(complex_.num_vertices, list(complex_.edges), cliques)
+    return CandidateSet(triples=tuple(cliques),
+                        ops=HodgeOperators(skeleton=complex_, filling=filled), order=order)
 
 
 @dataclass

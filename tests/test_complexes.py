@@ -1,5 +1,8 @@
 """Structural tests for complexes, Laplacians, decomposition and the SFT."""
 
+import hashlib
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -22,6 +25,43 @@ def seeded_complexes(count, num_vertices=12, edge_prob=0.4, fill_prob=0.5):
 
 
 # ---------------------------------------------------------------- incidence
+
+
+def test_incidence_is_dense_only_once_read():
+    # the 900-edge design complex: checking and storing the simplex lists
+    # takes less than one dense b1, and neither matrix exists until read
+    grown = grown_complex(150, 900, 300, seed=2)
+    edges, triangles = list(grown.edges), list(grown.triangles)
+    tracemalloc.start()
+    try:
+        c = build_incidence(150, edges, triangles)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 150 * 900 * 8, peak
+    assert not {"b1", "b2"} & set(vars(c))
+    b1, b2 = c.b1, c.b2
+    assert b1 is c.b1 and b2 is c.b2
+    assert b1.flags.c_contiguous and b2.flags.c_contiguous
+    dense_b1, dense_b2 = np.zeros((150, 900)), np.zeros((900, 300))
+    for col, (i, j) in enumerate(edges):
+        dense_b1[i, col], dense_b1[j, col] = -1.0, 1.0
+    for col, (i, j, k) in enumerate(triangles):
+        for pair, sign in (((i, j), 1.0), ((i, k), -1.0), ((j, k), 1.0)):
+            dense_b2[c.edge_index[pair], col] = sign
+    assert np.array_equal(b1, dense_b1) and np.array_equal(b2, dense_b2)
+
+
+def test_sparse_factors_give_the_dense_blocks_and_grams():
+    for c in (*seeded_complexes(4), build_incidence(3, [], []), build_incidence(4, [(0, 1)])):
+        for sparse, dense in ((c.sparse_b2, c.b2), (c.sparse_b1_t, c.b1.T)):
+            assert np.array_equal(sparse.dense(), dense)
+            assert np.array_equal(sparse.dense(transposed=True), dense.T)
+            for lo in range(0, c.num_edges, 3):
+                block = sparse.row_block(lo, lo + 3)
+                assert block.flags.c_contiguous
+                assert np.array_equal(block, dense[lo : lo + 3])
+            assert np.array_equal(sparse.gram(), dense.T @ dense)
 
 
 def test_single_edge_incidence():
@@ -128,14 +168,15 @@ def test_eigenbasis_is_computed_on_first_use(monkeypatch):
 def test_laplacians_are_computed_on_first_use():
     c = random_complex(10, 0.5, 0.5, 1)
     ops = hodge_laplacians(c)
-    assert set(vars(ops)) == {"b1", "b2"}
+    assert set(vars(ops)) == {"skeleton", "filling"}
     assert ops.num_edges == c.num_edges
     b1, b2 = c.b1.astype(float), c.b2.astype(float)
     assert np.array_equal(ops.l0, b1 @ b1.T)
     assert np.array_equal(ops.lower, b1.T @ b1)
     assert np.array_equal(ops.upper, b2 @ b2.T)
     assert np.array_equal(ops.l1, b1.T @ b1 + b2 @ b2.T)
-    assert set(vars(ops)) == {"b1", "b2", "l0", "lower", "upper", "l1"}
+    assert set(vars(ops)) == {"skeleton", "filling", "l0", "lower", "upper", "l1"}
+    assert np.array_equal(ops.l2, b2.T @ b2)
 
 
 def test_decompose_zero_signal():
@@ -260,6 +301,22 @@ def test_grown_complex_hits_exact_counts():
     c = grown_complex(11, 15, 10, seed=0)
     assert (c.num_vertices, c.num_edges, c.num_triangles) == (11, 15, 10)
     assert np.all(c.b1 @ c.b2 == 0)
+
+
+@pytest.mark.parametrize("size, digest", [
+    # the design-scale complexes of the benchmark
+    ((12, 30, 10, 0), "fdecc8f80e30d3ef"),
+    ((60, 250, 80, 1), "7428d5a65f9da819"),
+    ((150, 900, 300, 2), "d33bf26750823dbc"),
+    # the network of criterion 7 and the surrogate traffic complex of criterion 9
+    ((11, 15, 10, 0), "bc0a53064a985024"),
+    ((17, 26, 5, 2), "3d9ea21a63a56890"),
+])
+def test_grown_complexes_are_pinned(size, digest):
+    # the simplex lists of the complexes that results and benchmarks rest on
+    c = grown_complex(*size)
+    lists = repr((c.edges, c.triangles)).encode()
+    assert hashlib.sha256(lists).hexdigest()[:16] == digest
 
 
 # ------------------------------------------------------------ serialization

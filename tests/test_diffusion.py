@@ -5,6 +5,8 @@ import csv
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from simplexlms import signals
 from simplexlms.complexes import grown_complex, hodge_laplacians, random_complex
@@ -41,6 +43,21 @@ def test_uniform_three_cycle():
     nbrs = [[0, 1, 2], [0, 1, 2], [0, 1, 2]]
     comb = build_combination(nbrs, "uniform")
     assert np.allclose(comb.a, np.full((3, 3), 1 / 3))
+
+
+def b1_neighborhoods(complex_):
+    # oracle: the edges at each vertex are the nonzeros of its row of b1, and
+    # an edge's neighbourhood is their union over the vertices in its column
+    at_vertex = [set(np.flatnonzero(row).tolist()) for row in complex_.b1]
+    return [sorted(set().union(*(at_vertex[v] for v in np.flatnonzero(column))))
+            for column in complex_.b1.T]
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(vertices=st.integers(1, 12), edge_prob=st.floats(0.0, 1.0), seed=st.integers(0, 2**16))
+def test_neighborhoods_match_the_incidence_oracle(vertices, edge_prob, seed):
+    c = random_complex(vertices, edge_prob, 0.5, seed)
+    assert lower_adjacency_neighborhoods(c) == b1_neighborhoods(c)
 
 
 def test_row_stochastic_and_support():

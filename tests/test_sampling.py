@@ -1,11 +1,19 @@
 """Sampling-probability design: feasibility, oracle cases, support behavior."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from simplexlms.complexes import grown_complex, hodge_laplacians, random_complex
+from simplexlms.complexes import (
+    grown_complex,
+    hodge_laplacians,
+    load_complex,
+    random_complex,
+    save_complex,
+)
 from simplexlms.errors import InfeasibleProblemError
 from simplexlms.sampling import SamplingProblem, check_constraints, solve_sampling
 
@@ -318,3 +326,23 @@ def test_design_verdict_does_not_depend_on_units():
         designs.append(solve_sampling(prob, tol=1e-6, max_iter=1200))
     assert [d.converged for d in designs] == [True, True]
     assert abs(designs[1].objective - designs[0].objective) <= 1e-9 * designs[0].objective
+
+
+def test_design_path_forms_no_dense_incidence_pair(tmp_path):
+    # design-scale's 900-edge design, from its file to its solution: the
+    # whole job needs less memory than the dense b1 and b2 together
+    grown = grown_complex(150, 900, 300, seed=2)
+    save_complex(grown, tmp_path / "design.txt")
+    noise = core_noise(grown, np.random.default_rng([1, 3, 2]))
+    E, V, T = grown.num_edges, grown.num_vertices, grown.num_triangles
+    tracemalloc.start()
+    try:
+        ops = hodge_laplacians(load_complex(tmp_path / "design.txt"))
+        prob = SamplingProblem.from_moments(ops, 0.05, noise, 1, mu=1e-2, alpha=0.98,
+                                            gamma=1e-7)
+        solution = solve_sampling(prob, tol=1e-6, max_iter=1200)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert solution.converged
+    assert peak < E * (V + T) * 8, peak

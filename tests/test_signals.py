@@ -384,7 +384,53 @@ def test_edge_moments_need_no_edge_by_edge_array(order):
     finally:
         tracemalloc.stop()
     assert peak < E * E * 8, peak
-    assert set(vars(ops)) == {"b1", "b2"}  # no Laplacian was formed
+    assert set(vars(ops)) == {"skeleton", "filling"}  # no Laplacian was formed
+
+
+def dense_factor_moments(ops, c_x, order):
+    # the moment basis from row slices of the dense incidence factors and
+    # their BLAS Grams: the construction the sparse factors must reproduce
+    c_x = np.asarray(c_x, dtype=np.float64)
+    dim = 2 * order + 1
+    Z = np.zeros((ops.num_edges, dim, dim))
+    Z[:, 0, 0] = np.diag(c_x) if c_x.ndim else c_x
+    F = [ops.b2, ops.b1.T]
+    first = [1, order + 1]
+    grams = [f.T @ f for f in F]
+    if c_x.ndim:
+        weights = {(s, t): F[s].T @ (c_x @ F[t]) for t in range(2) for s in range(t + 1)}
+    else:
+        weights = {(0, 0): c_x * grams[0], (1, 1): F[1].T @ (c_x * F[1])}
+    step = max(1, signals._WINDOW_ELEMENTS // max(F[0].shape[1], F[1].shape[1], 1))
+    for lo in range(0, Z.shape[0], step):
+        block = Z[lo : lo + step]
+        A = [f[lo : lo + step] for f in F]
+        for m in range(order):
+            if m:
+                A = [a @ gram for a, gram in zip(A, grams)]
+            for (s, t), w in weights.items():
+                values = np.einsum("ik,ik->i", A[s] @ w, A[t])
+                block[:, first[s] + m, first[t] + m] = values
+                block[:, first[t] + m, first[s] + m] = values
+    return Z
+
+
+@pytest.mark.parametrize("order", [1, 2, 3])
+def test_moment_basis_has_the_bits_of_the_dense_factors(small_complex, order):
+    # scattered row blocks and Grams leave every bit of the basis as it was,
+    # the signs of zeros included
+    complexes = [small_complex, grown_complex(12, 30, 10, seed=0),
+                 grown_complex(60, 250, 80, seed=1), grown_complex(150, 900, 300, seed=2)]
+    for c in complexes:
+        ops = hodge_laplacians(c)
+        E = c.num_edges
+        a = np.random.default_rng(order).standard_normal((E, 6))
+        covariances = [np.float64(v) for v in (0.002, 0.05, 0.7, 1.0)]
+        if E <= 250:
+            covariances.append(a @ a.T / 6 + np.eye(E))
+        for c_x in covariances:
+            basis = edge_moment_matrices(ops, c_x, order)
+            assert basis.tobytes() == dense_factor_moments(ops, c_x, order).tobytes()
 
 
 @pytest.fixture(scope="module")
