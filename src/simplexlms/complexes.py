@@ -10,14 +10,14 @@ signs of the two incidence matrices:
   contributes ``+1`` at edge ``(i, j)``, ``-1`` at ``(i, k)`` and ``+1``
   at ``(j, k)``.
 
-A complex keeps its simplex lists, and both factors are read from them
-by their nonzero entries (:class:`EdgeIncidence`), one row per edge:
-``B2`` and ``B1^T``. The dense matrices are built on first use, as one
-read-only ``float64`` pair shared by every operator built from the
-complex; the moment basis needs neither. Their entries are small
-integers, so ``B1 @ B2 == 0`` holds exactly in floating point too, which
-downstream code relies on, and a Gram matrix scattered from the entries
-holds the bits of the dense product.
+A complex keeps its simplex lists and reads both factors from them by
+their nonzero entries (:class:`EdgeIncidence`), one row per edge: ``B2``
+and ``B1^T``. The dense matrices are built on first use, as one read-only
+``float64`` pair shared by every operator built from the complex. Their
+entries are small integers, so ``B1 @ B2 == 0`` holds exactly in floating
+point too, which downstream code relies on, and the sums over the sparse
+entries (Grams, and the diagonals that give the white moment basis) are
+the exact integers.
 """
 
 from __future__ import annotations
@@ -71,22 +71,20 @@ class EdgeIncidence:
             shape=(len(rows), num_cols),
         )
 
-    def row_block(self, lo: int, hi: int) -> np.ndarray:
-        """Rows ``lo..hi-1`` of the factor, dense and C-ordered, as a slice of :meth:`dense` is."""
-        hi = min(hi, self.shape[0])
-        a, b = self.indptr[lo], self.indptr[hi]
-        rows = np.repeat(np.arange(hi - lo), np.diff(self.indptr[lo : hi + 1]))
-        out = np.zeros((hi - lo, self.shape[1]))
-        out[rows, self.cols[a:b]] = self.signs[a:b]
-        return out
-
     def dense(self, transposed: bool = False) -> np.ndarray:
         """The factor, or its transpose, as a C-ordered ``float64`` array."""
-        if not transposed:
-            return self.row_block(0, self.shape[0])
-        out = np.zeros(self.shape[::-1])
-        out[self.cols, np.repeat(np.arange(self.shape[0]), np.diff(self.indptr))] = self.signs
+        rows = np.repeat(np.arange(self.shape[0]), np.diff(self.indptr))
+        out = np.zeros(self.shape[::-1] if transposed else self.shape)
+        out[(self.cols, rows) if transposed else (rows, self.cols)] = self.signs
         return out
+
+    def _pairs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The rows and the pairs ``(k1, k2)`` of entries in one row, row after row."""
+        n = np.diff(self.indptr)
+        size = n * n
+        pair = np.arange(size.sum()) - np.repeat(np.cumsum(size) - size, size)
+        start, width = np.repeat(self.indptr[:-1], size), np.repeat(n, size)
+        return np.repeat(np.arange(n.size), size), start + pair // width, start + pair % width
 
     def gram(self) -> np.ndarray:
         """``F^T F`` for this factor ``F``, scattered from the pairs of entries in a row.
@@ -97,16 +95,20 @@ class EdgeIncidence:
         product ``F.T @ F``.
         """
         K = self.shape[1]
-        # the pairs (k1, k2) of entries in one row, row after row
-        n = np.diff(self.indptr)
-        size = n * n
-        pair = np.arange(size.sum()) - np.repeat(np.cumsum(size) - size, size)
-        start, width = np.repeat(self.indptr[:-1], size), np.repeat(n, size)
-        k1, k2 = start + pair // width, start + pair % width
+        _, k1, k2 = self._pairs()
         out = np.zeros((K, K))
         out[self.cols[k1], self.cols[k2]] = self.signs[k1] * self.signs[k2]
         np.fill_diagonal(out, np.bincount(self.cols, minlength=K))
         return out
+
+    def pair_sum(self, p: np.ndarray) -> np.ndarray:
+        """``diag(F P F^T)``: per row, ``p`` summed over its pairs of entries times their signs.
+
+        An integer ``p`` gives exact integers (below ``2**53``) in any summation order.
+        """
+        rows, k1, k2 = self._pairs()
+        terms = self.signs[k1] * self.signs[k2] * p[self.cols[k1], self.cols[k2]]
+        return np.bincount(rows, weights=terms, minlength=self.shape[0])
 
 
 @dataclass
@@ -173,19 +175,17 @@ class HodgeOperators:
     its clique-filled complex as the filling. Both are read from their
     complex, which builds the dense pair on first use, so the operators
     share it and touch it only when a regressor, a Laplacian or the
-    eigenbasis asks. The moment basis reads the complexes' sparse factors
-    instead, and needs no dense pair.
+    eigenbasis asks; the white moment basis reads the sparse factors.
     The Laplacians are Gram products of the factors, ``l0 = b1 b1^T``,
     ``l2 = b2^T b2``, ``lower = b1^T b1``, ``upper = b2 b2^T`` and
     ``l1 = lower + upper``, each computed on first access; the small
     Grams ``l0`` and ``l2``, through which every Laplacian power factors,
     are scattered from the sparse factors, and the E x E ones are dense
-    products formed only on request.
-    The regressors multiply by the C-ordered transposes ``b1_t`` and
-    ``b2_t`` too, each copied once on first access (a C-ordered pair, as
-    the complex makes, keeps every product C-ordered).
-    The O(E^3) eigendecomposition of
-    ``l1`` (eigenvalues ascending) likewise runs on first access to the
+    products formed only on request. The regressors multiply by the
+    C-ordered transposes ``b1_t`` and ``b2_t`` too, each copied once on
+    first access (a C-ordered pair, as the complex makes, keeps every
+    product C-ordered). The O(E^3) eigendecomposition of ``l1``
+    (eigenvalues ascending) likewise runs on first access to the
     eigenbasis, since only the simplicial Fourier transform needs it.
     Repeated eigenvalues make the eigenvector basis non-unique; consumers
     must only rely on basis-independent quantities (projections, norms).
@@ -276,6 +276,8 @@ def build_incidence(
     triangle's three vertex pairs must appear in the edge list
     (downward closure). Duplicate simplices are rejected.
     """
+    if num_vertices < 0:
+        raise ValueError(f"vertex count {num_vertices} must not be negative")
     triangles = triangles or []
     edge_list: list[tuple[int, int]] = []
     edge_index: dict[tuple[int, int], int] = {}

@@ -145,9 +145,10 @@ def build_complex_from_config(cfg: ExperimentConfig) -> SimplicialComplex2:
         raise ConfigError(f"complex object misses key {exc}") from exc
 
 
-def _complex_with_edges(cfg: ExperimentConfig) -> SimplicialComplex2:
-    """The config's complex, for the modes that estimate or design over its edges."""
-    complex_ = build_complex_from_config(cfg)
+def _complex_with_edges(cfg: ExperimentConfig,
+                        complex_: SimplicialComplex2 | None = None) -> SimplicialComplex2:
+    """The config's complex (or ``complex_``), for modes that estimate or design over edges."""
+    complex_ = build_complex_from_config(cfg) if complex_ is None else complex_
     if complex_.num_edges == 0:
         raise ConfigError(f"mode {cfg.mode!r} needs a complex with edges; its edge set is empty")
     return complex_
@@ -443,7 +444,7 @@ def mode_design_sampling(cfg: ExperimentConfig) -> dict:
 
 
 def mode_infer_topology(cfg: ExperimentConfig) -> dict:
-    complex_ = build_complex_from_config(cfg)
+    complex_ = _complex_with_edges(cfg)
     order, stream, horizon, realizations = _stream_pieces(cfg, complex_, realizations=10)
     lam0, lam1 = (_number(key, cfg.require(key)) for key in ("lambda0", "lambda1"))
     _check_threshold_order(lam0, lam1)
@@ -540,6 +541,7 @@ def mode_ar_train(cfg: ExperimentConfig) -> dict:
             cfg.require("series_file"),
             train_count=train_count,
         )
+    _complex_with_edges(cfg, ds.complex)
     variant = cfg.get("variant", "topo")
     if _flag("distributed", cfg.get("distributed", False)):
         comb = build_combination(

@@ -453,21 +453,16 @@ def edge_moment_matrices(ops: HodgeOperators, c_x: np.ndarray | float,
     with different lags, so ``Z_i[a, b] = (Op_a c_x Op_b)_{ii}`` for
     equal lags.
 
-    Both powers factor through the incidence matrices, ``Op = A F^T``:
-    ``upper^m`` with ``F = b2`` and ``A = b2 (b2^T b2)^(m-1)``, ``lower^m``
-    with ``F = b1^T`` and ``A = b1^T l0^(m-1)``. Hence
-    ``Z_i[a, b] = sum_k (A_a W_ab)_{ik} (A_b)_{ik}`` with the small
-    ``W_ab = F_a^T c_x F_b``, the same for every ``m``, and no E x E
-    operator is formed. The rows of ``A`` are walked in blocks of about
-    ``_WINDOW_ELEMENTS`` floats, scattered from the complex's simplex
-    lists, so no edge-sized temporary is formed either. A 0-d ``c_x``
-    stands for ``c_x I`` (white signals of equal variance): then the upper
-    weight is ``c_x`` times the Gram, with no scaled ``E x T`` factor, and
-    the upper/lower weight ``c_x b2^T b1^T`` is zero because ``b1 b2 = 0``,
-    so it is skipped and those entries stay exact zeros; neither dense
-    incidence matrix is kept. A basis whose sum over the edges (``c_X`` at
-    ``p = 1``) is not finite, from a signal scale too large to represent,
-    raises a ``ValueError``.
+    With ``F = b2`` or ``b1^T`` and its Gram ``G = F^T F``, each power is
+    ``Op = A F^T`` with ``A = F G^(m-1)``. A 0-d ``c_x`` stands for
+    ``c_x I`` (white signals of equal variance), and ``b1 b2 = 0`` makes
+    ``Z_i`` diagonal: ``c_x`` times ``(Op^2)_{ii} = (F G^(2m-1) F^T)_{ii}``,
+    summed from the sparse factor, an exact integer in float64 on any
+    BLAS. A dense ``c_x`` gives ``Z_i[a, b] = sum_k (A_a W_ab)_{ik} (A_b)_{ik}``
+    with the small ``W_ab = F_a^T c_x F_b``, over row blocks of ``A`` of
+    about ``_WINDOW_ELEMENTS`` floats, so no E x E operator is formed. A
+    basis whose sum over the edges (``c_X`` at ``p = 1``) is not finite,
+    from a signal scale too large to represent, raises a ``ValueError``.
     """
     c_x = np.asarray(c_x, dtype=np.float64)
     dim = 2 * order + 1
@@ -485,40 +480,28 @@ def edge_moment_matrices(ops: HodgeOperators, c_x: np.ndarray | float,
 
 
 def _factor_moments(Z: np.ndarray, ops: HodgeOperators, c_x: np.ndarray, order: int) -> None:
-    """Fill the upper and lower entries of :func:`edge_moment_matrices`, row block by block.
-
-    The row blocks of both factors and their Grams ``l2`` and ``l0`` are
-    scattered from the sparse factors; each holds the bits of the dense
-    slice or product. Only a dense ``c_x`` needs the dense factors.
-    """
+    """Fill the upper and lower entries of :func:`edge_moment_matrices`."""
     # factors F and first columns of the upper and the lower taps
     F = [ops.filling.sparse_b2, ops.skeleton.sparse_b1_t]
     first = [1, order + 1]
-    if c_x.ndim:
-        dense = [ops.b2, ops.b1.T]
-        weights = {}
-        for t in range(2):
-            cx_f = c_x @ dense[t]
-            for s in range(t + 1):
-                weights[s, t] = dense[s].T @ cx_f
-    else:
-        # Each entry of the upper weight sums at most three terms c_x, so it
-        # is c_x times the Gram bit for bit. The lower weight's diagonal sums
-        # a vertex degree of them, and its last bit depends on the order of
-        # that sum, so it stays the BLAS product with the scaled factor
-        # (E x V, smaller than the upper E x T): a sampling design with tied
-        # optima can turn on that bit. Its dense b1 lives only for that
-        # product, and is gone before any Gram is formed.
-        b1 = F[1].dense(transposed=True)
-        lower = b1 @ (c_x * b1.T)
-        del b1
-        weights = {(0, 0): c_x * F[0].gram(), (1, 1): lower}
+    if not c_x.ndim:
+        for f, a in zip(F, first):
+            # power = G^(2m+1), G = F^T F, in place from m = 2: exact integers on any BLAS
+            gram = power = f.gram()
+            for m in range(order):
+                if m:
+                    power = np.matmul(gram, power @ gram, out=power if m > 1 else None)
+                Z[:, a + m, a + m] = c_x * f.pair_sum(power)
+        return
+    dense = [ops.b2, ops.b1.T]
+    cx_f = [c_x @ f for f in dense]
+    weights = {(s, t): dense[s].T @ cx_f[t] for t in range(2) for s in range(t + 1)}
     # the Grams carry a row block from one power to the next
     grams = [f.gram() for f in F] if order > 1 else []
     step = max(1, _WINDOW_ELEMENTS // max(F[0].shape[1], F[1].shape[1], 1))
     for lo in range(0, Z.shape[0], step):
         block = Z[lo : lo + step]
-        A = [f.row_block(lo, lo + step) for f in F]
+        A = [np.ascontiguousarray(f[lo : lo + step]) for f in dense]
         for m in range(order):
             if m:
                 A = [a @ gram for a, gram in zip(A, grams)]

@@ -502,24 +502,37 @@ def test_overflowing_signal_scale_exits_2(tmp_path, complex_file, capsys, mode):
 def edgeless_config(tmp_path):
     edgeless = tmp_path / "edgeless.txt"
     edgeless.write_text("3\n")
+    # a snapshot series of no edges: the header and the snapshot column alone
+    series = tmp_path / "edgeless.csv"
+    series.write_text("n\n" + "".join(f"{n}\n" for n in range(12)))
     config = tmp_path / "config.json"
     config.write_text(json.dumps({
-        "complex_file": str(edgeless), "order": 1, "horizon": 20, "realizations": 1,
-        "mu": 1e-3, "alpha": 0.99, "gamma": 1e-3, **SIMULATION_KNOBS["infer-topology"],
+        "complex_file": str(edgeless), "series_file": str(series), "order": 1,
+        "horizon": 20, "realizations": 1, "mu": 1e-3, "alpha": 0.99, "gamma": 1e-3,
+        **SIMULATION_KNOBS["infer-topology"],
     }))
     return config
 
 
-@pytest.mark.parametrize("mode", ["design-sampling", "run-lms", "run-distributed"])
+@pytest.mark.parametrize("mode", ["design-sampling", "run-lms", "run-distributed",
+                                  "infer-topology", "ar-train"])
 def test_edgeless_complex_exits_2(tmp_path, capsys, mode):
-    assert run_cli([mode, "--config", edgeless_config(tmp_path)]) == 2
+    # no edges to estimate over: an empty result (a recovery of 1.00, or test
+    # errors of 0.0) would read as a success
+    out = tmp_path / "result.json"
+    assert run_cli([mode, "--config", edgeless_config(tmp_path), "--out", out]) == 2
     assert "edge set is empty" in capsys.readouterr().err
+    assert not out.exists()
 
 
-def test_edgeless_complex_infer_topology_runs(tmp_path):
-    # no edges, no candidate triangles: the indicator vector is empty and
-    # trivially recovered, as before the stream was drawn block by block
-    assert run_cli(["infer-topology", "--config", edgeless_config(tmp_path)]) == 0
+@pytest.mark.parametrize("mode", ["generate-complex", "infer-topology"])
+def test_negative_vertex_count_exits_2(tmp_path, capsys, mode):
+    negative = tmp_path / "negative.txt"
+    negative.write_text("-3\n")
+    assert run_simulation(tmp_path, negative, mode) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1
+    assert "vertex count -3" in err and str(negative) in err
 
 
 def test_ar_train_with_surrogate_and_csv(tmp_path):

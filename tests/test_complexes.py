@@ -53,15 +53,17 @@ def test_incidence_is_dense_only_once_read():
 
 
 def test_sparse_factors_give_the_dense_blocks_and_grams():
+    rng = np.random.default_rng(0)
     for c in (*seeded_complexes(4), build_incidence(3, [], []), build_incidence(4, [(0, 1)])):
         for sparse, dense in ((c.sparse_b2, c.b2), (c.sparse_b1_t, c.b1.T)):
             assert np.array_equal(sparse.dense(), dense)
             assert np.array_equal(sparse.dense(transposed=True), dense.T)
-            for lo in range(0, c.num_edges, 3):
-                block = sparse.row_block(lo, lo + 3)
-                assert block.flags.c_contiguous
-                assert np.array_equal(block, dense[lo : lo + 3])
+            assert sparse.dense().flags.c_contiguous
             assert np.array_equal(sparse.gram(), dense.T @ dense)
+            # an integer P: every sum is exact, whatever its order
+            K = dense.shape[1]
+            for p in (sparse.gram(), rng.integers(-9, 10, (K, K)).astype(np.float64)):
+                assert np.array_equal(sparse.pair_sum(p), np.diag(dense @ p @ dense.T))
 
 
 def test_single_edge_incidence():
@@ -95,6 +97,16 @@ def test_duplicate_and_closure_errors():
         build_incidence(2, [(0, 5)], [])
     with pytest.raises(ValueError, match="ascending"):
         build_incidence(3, [(1, 0)], [])
+
+
+def test_negative_vertex_count_is_rejected(tmp_path):
+    with pytest.raises(ValueError, match="vertex count -3 must not be negative"):
+        build_incidence(-3, [], [])
+    path = tmp_path / "negative.txt"
+    path.write_text("-3\n")
+    with pytest.raises(ValueError, match="vertex count -3") as exc:
+        load_complex(path)
+    assert str(exc.value).startswith(f"{path}: ")
 
 
 def test_incidence_entries_and_column_sums():

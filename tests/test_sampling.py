@@ -305,7 +305,8 @@ def core_noise(complex_, rng):
     # criterion 3's noise law: triangle edges and every other edge form a 1e-7
     # core, the rest draw log-uniform from [1e-4, 1e-2]
     E = complex_.num_edges
-    core = set(np.flatnonzero(np.any(complex_.b2 != 0, axis=1)).tolist()) | set(range(0, E, 2))
+    core = {complex_.edge_index[pair] for i, j, k in complex_.triangles
+            for pair in ((i, j), (i, k), (j, k))} | set(range(0, E, 2))
     noise = np.full(E, 1e-7)
     noisy = [i for i in range(E) if i not in core]
     noise[noisy] = np.exp(rng.uniform(np.log(1e-4), np.log(1e-2), len(noisy)))

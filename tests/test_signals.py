@@ -1,6 +1,10 @@
 """Stream generation, regressors and moment formulas."""
 
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -388,19 +392,15 @@ def test_edge_moments_need_no_edge_by_edge_array(order):
 
 
 def dense_factor_moments(ops, c_x, order):
-    # the moment basis from row slices of the dense incidence factors and
-    # their BLAS Grams: the construction the sparse factors must reproduce
-    c_x = np.asarray(c_x, dtype=np.float64)
+    # the moment basis of a dense covariance from row slices of the dense
+    # incidence factors and their BLAS Grams: the construction it keeps
     dim = 2 * order + 1
     Z = np.zeros((ops.num_edges, dim, dim))
-    Z[:, 0, 0] = np.diag(c_x) if c_x.ndim else c_x
+    Z[:, 0, 0] = np.diag(c_x)
     F = [ops.b2, ops.b1.T]
     first = [1, order + 1]
     grams = [f.T @ f for f in F]
-    if c_x.ndim:
-        weights = {(s, t): F[s].T @ (c_x @ F[t]) for t in range(2) for s in range(t + 1)}
-    else:
-        weights = {(0, 0): c_x * grams[0], (1, 1): F[1].T @ (c_x * F[1])}
+    weights = {(s, t): F[s].T @ (c_x @ F[t]) for t in range(2) for s in range(t + 1)}
     step = max(1, signals._WINDOW_ELEMENTS // max(F[0].shape[1], F[1].shape[1], 1))
     for lo in range(0, Z.shape[0], step):
         block = Z[lo : lo + step]
@@ -415,22 +415,80 @@ def dense_factor_moments(ops, c_x, order):
     return Z
 
 
+def exact_white_moments(ops, order):
+    """``c -> `` the white basis at ``c_x = c I``, from the even powers of the Laplacians.
+
+    Their entries are small integers, exact in float64 whatever the BLAS
+    and its thread count, so each basis entry is ``c`` times an exact
+    integer, rounded once.
+    """
+    even = [[np.diag(np.linalg.matrix_power(laplacian, 2 * m)) for m in range(1, order + 1)]
+            for laplacian in (ops.upper, ops.lower)]
+
+    def basis(c):
+        Z = np.zeros((ops.num_edges, 2 * order + 1, 2 * order + 1))
+        Z[:, 0, 0] = c
+        for a, d in enumerate(even[0] + even[1], start=1):
+            Z[:, a, a] = c * d
+        return Z
+
+    return basis
+
+
 @pytest.mark.parametrize("order", [1, 2, 3])
 def test_moment_basis_has_the_bits_of_the_dense_factors(small_complex, order):
-    # scattered row blocks and Grams leave every bit of the basis as it was,
-    # the signs of zeros included
+    # a dense covariance keeps every bit of its basis, the signs of zeros
+    # included; a 0-d one gets the exact value
     complexes = [small_complex, grown_complex(12, 30, 10, seed=0),
                  grown_complex(60, 250, 80, seed=1), grown_complex(150, 900, 300, seed=2)]
     for c in complexes:
         ops = hodge_laplacians(c)
         E = c.num_edges
         a = np.random.default_rng(order).standard_normal((E, 6))
-        covariances = [np.float64(v) for v in (0.002, 0.05, 0.7, 1.0)]
+        exact = exact_white_moments(ops, order)
+        for v in (0.002, 0.05, 0.7, 1.0):
+            basis = edge_moment_matrices(ops, np.float64(v), order)
+            assert basis.tobytes() == exact(v).tobytes()
         if E <= 250:
-            covariances.append(a @ a.T / 6 + np.eye(E))
-        for c_x in covariances:
+            c_x = a @ a.T / 6 + np.eye(E)
             basis = edge_moment_matrices(ops, c_x, order)
             assert basis.tobytes() == dense_factor_moments(ops, c_x, order).tobytes()
+
+
+@pytest.mark.parametrize("args", [(12, 30, 10, 0), (30, 120, 40, 1), (60, 250, 80, 1),
+                                  (150, 900, 300, 2)], ids=["E30", "E120", "E250", "E900"])
+def test_white_moment_basis_is_exact(args):
+    # c times the diagonals of the even powers of the Hodge Laplacians, bit
+    # for bit, with exact zeros off the diagonal
+    ops = hodge_laplacians(grown_complex(*args))
+    for order in (1, 2, 3):
+        exact = exact_white_moments(ops, order)
+        for c in (0.002, 0.05, 0.1, 0.7):
+            assert edge_moment_matrices(ops, c, order).tobytes() == exact(c).tobytes()
+
+
+def test_white_moment_basis_does_not_depend_on_the_blas_threads():
+    # the same bytes at one BLAS thread and at two, in fresh processes
+    code = (
+        "import hashlib, numpy as np\n"
+        "from simplexlms.complexes import grown_complex, hodge_laplacians\n"
+        "from simplexlms.signals import edge_moment_matrices\n"
+        "h = hashlib.sha256()\n"
+        "for args in ((40, 600, 40, 0), (150, 900, 300, 2)):\n"
+        "    ops = hodge_laplacians(grown_complex(*args))\n"
+        "    for order in (1, 2, 3):\n"
+        "        for c in (0.002, 0.05, 0.7):\n"
+        "            h.update(edge_moment_matrices(ops, c, order).tobytes())\n"
+        "print(h.hexdigest())\n"
+    )
+    digests = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "PYTHONPATH": str(Path(signals.__file__).parents[1]),
+               "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads}
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=env, check=True, timeout=300)
+        digests.append(proc.stdout.strip())
+    assert len(digests[0]) == 64 and digests[0] == digests[1]
 
 
 @pytest.fixture(scope="module")
@@ -452,8 +510,8 @@ def test_operators_share_one_read_only_incidence_pair(design_complex):
 
 @pytest.mark.parametrize("order", [1, 2, 3])
 def test_white_moment_basis_is_built_in_row_blocks(design_complex, order):
-    # a 0-d covariance at 900 edges: the basis needs less than one dense copy
-    # of both incidence factors, so no E x K product is formed whole
+    # a 0-d covariance at 900 edges: the closed form needs less than one dense
+    # copy of both incidence factors, so no E x K array is formed
     c = design_complex
     ops = hodge_laplacians(c)
     tracemalloc.start()
