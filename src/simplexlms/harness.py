@@ -239,11 +239,10 @@ def draw_bounded_coeffs(order: int, seed: int, magnitude: float = 1.0) -> Filter
     return FilterCoeffs(h_u=h_u, h_d=h_d)
 
 
-def _db_cells(msd: list) -> list:
+def _db_cells(msd) -> np.ndarray:
     """``to_db`` over a whole deviation trajectory; ``None`` (an empty cell) where not positive."""
-    msd = np.asarray(msd, dtype=np.float64)
-    db = to_db(np.where(msd > 0, msd, 1.0)).tolist()  # no log10 of a value that is not positive
-    return [d if m > 0 else None for d, m in zip(db, msd.tolist())]
+    msd = np.asarray(msd, dtype=np.float64)  # no log10 of a value that is not positive
+    return np.where(msd > 0, to_db(np.where(msd > 0, msd, 1.0)), None)
 
 
 # The CSV row table of each mode: the header of the row-number column, then
@@ -261,9 +260,9 @@ _CSV_COLUMNS = {
 }
 
 
-# Characters of encoded JSON gathered per write. A compact chunk, one array entry
+# Characters of encoded JSON gathered per write. An encoder chunk, one list entry
 # and its comma, holds 2 to about 25 characters plus some 60 bytes of overhead, so
-# the buffer stays near 25 KB for float arrays and under 140 KB for the shortest.
+# the buffer stays near 25 KB for float lists and under 140 KB for the shortest.
 _WRITE_CHARS = 1 << 12
 
 
@@ -296,30 +295,49 @@ def _csv_rows(payload: dict, table):
         value = payload
         for part in key.split("."):
             value = (value or {}).get(part)
-        values.append(view[0](value) if view else value)
+        values.append(np.asarray(view[0](value) if view else value).tolist())  # Python values
     yield [index] + [column[0] for column in columns]
     for k in range(len(values[0])):
         yield [k] + [v[k] if isinstance(v, list) else v for v in values]
 
 
-def _write_json(payload: dict, fh) -> None:
-    """The bytes of ``json.dump(payload, fh, separators=(",", ":"), allow_nan=False)``, newline.
+def _array_pieces(array: np.ndarray):
+    """A finite float array as nested JSON lists, 512 entries a piece.
 
-    One line, each float written by ``float.__repr__``. The encoder's chunks are
-    joined into pieces of about ``_WRITE_CHARS`` characters per write, so a long
-    file takes few writes while memory stays bounded.
-    """
-    pending: list[str] = []
-    size = 0
-    for chunk in json.JSONEncoder(separators=(",", ":"), allow_nan=False).iterencode(payload):
-        pending.append(chunk)
-        size += len(chunk)
-        if size >= _WRITE_CHARS:
-            fh.write("".join(pending))
-            pending.clear()
-            size = 0
-    pending.append("\n")
-    fh.write("".join(pending))
+    Entries take the shortest exact form (``JSON.stringify``'s): ``float.__repr__`` less
+    a trailing ``.0``, which only integral values below 1e16 have (``-0.0`` is ``-0``),
+    so ``json.loads(text, parse_int=float)`` gives back every bit."""
+    if not np.isfinite(array).all():
+        raise ValueError("Out of range float values are not JSON compliant")
+    if array.ndim > 1:
+        for n, row in enumerate(array):
+            yield "," if n else "["
+            yield from _array_pieces(row)
+    else:
+        for start in range(0, len(array), 512):
+            text = ",".join(map(float.__repr__, array[start:start + 512].tolist())) + ","
+            yield ("," if start else "[") + text.replace(".0,", ",")[:-1]
+    yield "]" if len(array) else "[]"
+
+
+def _write_json(payload: dict, fh) -> None:
+    """``payload`` (string keys) as one line of compact, strict JSON and a newline.
+
+    An array value is written by :func:`_array_pieces`, any other one as ``json.dumps(value,
+    separators=(",", ":"), allow_nan=False)`` writes it, in writes of about ``_WRITE_CHARS``
+    characters: a long file takes few writes while memory stays bounded."""
+    encoder = json.JSONEncoder(separators=(",", ":"), allow_nan=False)
+    pending, size = [], 0
+    for n, (key, value) in enumerate(payload.items()):
+        pending.append(("," if n else "{") + encoder.encode(key) + ":")
+        for chunk in (_array_pieces(value) if isinstance(value, np.ndarray)
+                      else encoder.iterencode(value)):
+            pending.append(chunk)
+            size += len(chunk)
+            if size >= _WRITE_CHARS:
+                fh.write("".join(pending))
+                pending, size = [], 0
+    fh.write("".join(pending) + ("}\n" if payload else "{}\n"))
 
 
 @contextlib.contextmanager
@@ -383,7 +401,7 @@ def _stream_pieces(cfg: ExperimentConfig, complex_: SimplicialComplex2, realizat
 
 def _deviation_fields(msd: np.ndarray) -> dict:
     """The result fields of a deviation trajectory: itself, once, and its steady state in dB."""
-    return {"msd": msd.tolist(), "steady_state_db": _db_or_none(tail_average(msd))}
+    return {"msd": msd, "steady_state_db": _db_or_none(tail_average(msd))}
 
 
 def mode_run_lms(cfg: ExperimentConfig) -> dict:
@@ -429,7 +447,7 @@ def mode_design_sampling(cfg: ExperimentConfig) -> dict:
     )
     solution = solve_sampling(problem, tol=tol, max_iter=max_iter)
     return {
-        "p_star": solution.p_star.tolist(),
+        "p_star": solution.p_star,
         "objective": solution.objective,
         "support": solution.support().tolist(),
         "slacks": {
@@ -451,6 +469,8 @@ def mode_infer_topology(cfg: ExperimentConfig) -> dict:
     magnitude = _positive("coeff_magnitude", cfg.get("coeff_magnitude", 1.0))
     coeffs = draw_bounded_coeffs(order, stream.seed, magnitude=magnitude)
     cand = candidate_set(complex_, order)
+    if not cand.num_candidates:  # no 3-clique to recover: a recovery rate of 1 would be vacuous
+        raise ConfigError(f"{cfg.get('complex_file', 'the complex')} has no triangle candidates")
     t_true = cand.true_indicator(complex_)
     schedule = [(0, t_true)]
     removals = _count("remove_triangles", cfg.get("remove_triangles", 0))
@@ -477,10 +497,10 @@ def mode_infer_topology(cfg: ExperimentConfig) -> dict:
     return {
         "candidates": cand.num_candidates,
         "true_triangles": int(np.sum(t_true)),
-        "h_error": result.h_error.tolist(),
-        "t_error": result.t_error.tolist(),
-        "recovery_rate": result.recovery_rate.tolist(),
-        "support_size": result.support_size.tolist(),
+        "h_error": result.h_error,
+        "t_error": result.t_error,
+        "recovery_rate": result.recovery_rate,
+        "support_size": result.support_size,
         "diverged": result.diverged,
     }
 
@@ -512,7 +532,7 @@ def mode_run_distributed(cfg: ExperimentConfig) -> dict:
         "diverged": result.diverged,
     }
     if result.agent_msd is not None:
-        payload["agent_msd"] = result.agent_msd.tolist()
+        payload["agent_msd"] = result.agent_msd
     return payload
 
 
@@ -552,8 +572,8 @@ def mode_ar_train(cfg: ExperimentConfig) -> dict:
         result = run_ar_training(ds, order, mu, variant=variant, epochs=epochs)
     return {
         "variant": result.variant,
-        "train_errors": result.train_errors.tolist(),
-        "test_errors": result.test_errors.tolist(),
+        "train_errors": result.train_errors,
+        "test_errors": result.test_errors,
         "mean_test_error": result.mean_test_error,
     }
 

@@ -11,6 +11,7 @@ import pytest
 
 from simplexlms.cli import main
 from simplexlms.complexes import load_complex
+from simplexlms.harness import emit_results, run_mode
 from simplexlms.lms import to_db
 
 
@@ -525,6 +526,17 @@ def test_edgeless_complex_exits_2(tmp_path, capsys, mode):
     assert not out.exists()
 
 
+def test_complex_without_triangle_candidates_exits_2(tmp_path, capsys):
+    # edges but no three pairwise adjacent vertices: no triangle to recover, and a
+    # recovery of 1.00 over an empty support would read as a success
+    path = tmp_path / "path.txt"
+    path.write_text("3\n1 2\n2 3\n")
+    out = tmp_path / "result.json"
+    assert run_simulation(tmp_path, path, "infer-topology", "--out", out) == 2
+    assert capsys.readouterr().err == f"config error: {path} has no triangle candidates\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("mode", ["generate-complex", "infer-topology"])
 def test_negative_vertex_count_exits_2(tmp_path, capsys, mode):
     negative = tmp_path / "negative.txt"
@@ -732,6 +744,28 @@ def test_analyze_summarises_ar_and_design_results(tmp_path, complex_file, capsys
                     "support_size": sum(value > 1e-6 for value in p_star)}
     assert set(summary) == {"config", "metadata", *expected}
     assert {key: summary[key] for key in expected} == pytest.approx(expected, rel=1e-12)
+
+
+def test_analyze_reads_integral_design_entries_as_floats(tmp_path, complex_file, capsys):
+    # a design's zeros and ones are written as the JSON integers 0 and 1; analyze
+    # summarises that file as it does the same run written with every float by repr
+    values = {"complex_file": str(complex_file), "order": 1, "signal_var": 0.1, "seed": 2,
+              **SIMULATION_KNOBS["design-sampling"]}
+    payload = run_mode("design-sampling", values)
+    shortest, by_repr = tmp_path / "shortest.json", tmp_path / "by_repr.json"
+    emit_results(payload, shortest)
+    payload["p_star"] = payload["p_star"].tolist()
+    by_repr.write_text(json.dumps(payload, separators=(",", ":")) + "\n")
+    p_star = shortest.read_text().split('"p_star":[', 1)[1].split("]", 1)[0].split(",")
+    assert {"0", "1"} <= set(p_star) and "1.0" in by_repr.read_text()
+    summaries = []
+    for path in (shortest, by_repr):
+        capsys.readouterr()
+        assert run_cli(["analyze", "--results", path]) == 0
+        summaries.append(json.loads(capsys.readouterr().out))
+    for key in ("sampling_rate", "support_size"):
+        assert repr(summaries[0][key]) == repr(summaries[1][key])
+    assert summaries[0]["support_size"] == len(payload["support"])
 
 
 def test_analyze_missing_file_exits_2(tmp_path):

@@ -354,19 +354,30 @@ def test_emit_results_json_full_precision(tmp_path):
 
 
 def test_emit_results_csv_fixed_columns(tmp_path):
-    # each mode's column table fixes the column order; scalars repeat on every row
+    # each mode's column table fixes the column order; scalars repeat on every row.
+    # A mode hands its trajectories over as arrays, and each cell is the repr of
+    # the Python float, as it is for the same values in lists
     path = tmp_path / "out.csv"
-    emit_results({"metadata": {"mode": "ar-train"}, "train_errors": [9.0],
-                  "test_errors": [0.5, 0.25]}, path, fmt="csv")
-    assert path.read_text().splitlines() == ["snapshot,test_error", "0,0.5", "1,0.25"]
-    # the msd_db column is derived from msd: a deviation that is not positive has no dB
-    payload = {"metadata": {"mode": "run-lms"}, "msd": [1.0, 0.1, 0.0],
-               "theory": {"msd_exact_db": -30.5}}
-    emit_results(payload, path, fmt="csv")
-    assert path.read_text().splitlines() == [
-        "iteration,msd_db,msd_theory_db", "0,0.0,-30.5", "1,-10.0,-30.5", "2,,-30.5"]
-    emit_results({**payload, "theory": None}, path, fmt="csv")
-    assert path.read_text().splitlines()[1:] == ["0,0.0,", "1,-10.0,", "2,,"]
+    for trajectory in (list, np.array):
+        emit_results({"metadata": {"mode": "ar-train"}, "train_errors": trajectory([9.0]),
+                      "test_errors": trajectory([0.5, 0.25])}, path, fmt="csv")
+        assert path.read_text().splitlines() == ["snapshot,test_error", "0,0.5", "1,0.25"]
+        # the msd_db column is derived from msd: a deviation that is not positive has no dB
+        payload = {"metadata": {"mode": "run-lms"}, "msd": trajectory([1.0, 0.1, 0.0]),
+                   "theory": {"msd_exact_db": -30.5}}
+        emit_results(payload, path, fmt="csv")
+        assert path.read_text().splitlines() == [
+            "iteration,msd_db,msd_theory_db", "0,0.0,-30.5", "1,-10.0,-30.5", "2,,-30.5"]
+        emit_results({**payload, "theory": None}, path, fmt="csv")
+        assert path.read_text().splitlines()[1:] == ["0,0.0,", "1,-10.0,", "2,,"]
+        # integral entries keep their ".0" in CSV
+        emit_results({"metadata": {"mode": "infer-topology"},
+                      "h_error": trajectory([2.5, 0.125]), "t_error": trajectory([1.0, 0.0]),
+                      "recovery_rate": trajectory([0.0, 1.0]),
+                      "support_size": trajectory([23.0, 22.0])}, path, fmt="csv")
+        assert path.read_text().splitlines() == [
+            "iteration,h_error,t_error,recovery_rate,support_size",
+            "0,2.5,1.0,0.0,23.0", "1,0.125,0.0,1.0,22.0"]
 
 
 def test_emit_results_empty_records_with_header(tmp_path):
@@ -433,22 +444,25 @@ def test_emit_results_streams_the_file(tmp_path):
 
 
 def test_json_writer_buffer_stays_small_for_short_entries():
-    # one-digit entries make the most chunks per character; each chunk costs
-    # some 60 bytes besides its characters, and the buffer still stays small
-    payload = {"support_size": [1] * 100_000}
+    # one-digit list entries make the most encoder chunks per character; each
+    # chunk costs some 60 bytes besides its characters, and the buffer still
+    # stays small. An array is written a bounded slice at a time
 
     class Sink:
         def write(self, text):
             pass
 
-    harness._write_json(payload, Sink())  # warm up the encoder
-    tracemalloc.start()
-    try:
-        harness._write_json(payload, Sink())
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 200_000, peak
+    for payload in ({"support_size": [1] * 100_000},
+                    {"msd": np.random.default_rng(4).random(30_001)},
+                    {"support_size": np.ones(100_000)}):
+        harness._write_json(payload, Sink())  # warm up the encoder
+        tracemalloc.start()
+        try:
+            harness._write_json(payload, Sink())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 200_000, (list(payload), peak)
 
 
 JSON_SCALARS = st.one_of(
@@ -478,19 +492,51 @@ def test_result_file_decodes_to_its_payload(tmp_path_factory, payload):
     assert text.endswith("\n") and text.count("\n") == 1
 
 
+FLOAT64 = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([-0.0, 0.0, 5e-324, 1.7976931348623157e308, 1.0, -3.0,
+                     float(2**53 - 1), 1e16, 1e22]),
+    st.integers(-(2**53), 2**53).map(float),
+)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(values=st.lists(FLOAT64, max_size=1200), rows=st.sampled_from([0, 1, 3]))
+def test_array_entries_decode_to_their_bits(values, rows):
+    # each entry in its shortest exact form: an integral value is a JSON integer,
+    # -0.0 keeps its sign, and parse_int=float gives back every bit
+    array = np.array(values, dtype=np.float64)
+    if rows:  # a 2-D array, as agent_msd is
+        array = np.resize(array, (rows, array.size))
+
+    class Sink(list):
+        write = list.append
+
+    sink = Sink()
+    harness._write_json({"trajectory": array}, sink)
+    text = "".join(sink)
+    decoded = np.array(json.loads(text, parse_int=float)["trajectory"], dtype=np.float64)
+    assert decoded.shape == array.shape
+    assert np.array_equal(decoded.view(np.int64), array.view(np.int64))
+    assert ".0," not in text and ".0]" not in text
+    assert text.count("\n") == 1 and text.endswith("\n")
+
+
 @pytest.mark.parametrize("existing", [False, True])
 def test_emit_results_failed_write_leaves_no_file(tmp_path, existing):
-    # the non-finite value sits after most of the file has been streamed out
+    # the non-finite value sits after most of the file has been streamed out,
+    # in a list, or in an array, which is checked before any of it is written
     payload = long_payload()
     payload["msd"][-1] = float("nan")
     path = tmp_path / "out.json"
     if existing:
         path.write_bytes(b"previous result\n")
-    with pytest.raises(ValueError, match="JSON compliant"):
-        emit_results(payload, path)
-    if existing:
-        assert path.read_bytes() == b"previous result\n"
-    assert sorted(p.name for p in tmp_path.iterdir()) == (["out.json"] if existing else [])
+    for msd in (payload["msd"], np.array(payload["msd"])):
+        with pytest.raises(ValueError, match="JSON compliant"):
+            emit_results({**payload, "msd": msd}, path)
+        if existing:
+            assert path.read_bytes() == b"previous result\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == (["out.json"] if existing else [])
 
 
 # -------------------------------------------------------------- mode runners
@@ -546,6 +592,23 @@ def test_mode_run_lms_payload(tmp_path):
                                                          rel=1e-14)
 
 
+@pytest.mark.parametrize("mode", ["run-lms", "run-distributed"])
+def test_deviation_arrays_write_the_bytes_of_their_lists(tmp_path, mode):
+    # a deviation trajectory has no integral entry, so its array is written in the
+    # bytes of json.dumps of its list (agent traces are a 2-D array)
+    values = {"complex": {"vertices": 8, "edge_prob": 0.5, "fill_prob": 0.5, "seed": 1},
+              "order": 1, "mu": 1e-3, "horizon": 200, "realizations": 2, "signal_var": 0.1,
+              "noise_var": 1e-4, "seed": 5, "emit_agent_traces": mode == "run-distributed"}
+    payload = run_mode(mode, values)
+    arrays = [key for key, value in payload.items() if isinstance(value, np.ndarray)]
+    assert arrays == (["msd", "agent_msd"] if mode == "run-distributed" else ["msd"])
+    lists = {key: value.tolist() if key in arrays else value for key, value in payload.items()}
+    emit_results(payload, tmp_path / "arrays.json")
+    emit_results(lists, tmp_path / "lists.json")
+    assert (tmp_path / "arrays.json").read_bytes() == (tmp_path / "lists.json").read_bytes()
+    assert (tmp_path / "arrays.json").read_text() == compact_dump(lists)
+
+
 INFER_VALUES = {
     "complex": {"vertices": 8, "edge_prob": 0.5, "fill_prob": 0.5, "seed": 2},
     "order": 1, "horizon": 40, "realizations": 2, "signal_var": 0.1, "noise_var": 1e-4,
@@ -567,7 +630,7 @@ def test_infer_topology_removes_triangles_mid_stream():
                              mu1=1e-2, mu2=1e-2, lam0=0.1, lam1=0.1, horizon=40, realizations=2)
     assert payload["true_triangles"] == removals
     for key in ("h_error", "t_error", "recovery_rate", "support_size"):
-        assert payload[key] == getattr(expected, key).tolist()
+        np.testing.assert_array_equal(payload[key], getattr(expected, key), strict=True)
 
 
 def test_infer_topology_cannot_remove_more_triangles_than_it_holds(tmp_path, capsys):
@@ -584,8 +647,8 @@ def test_ar_train_distributed_through_run_mode():
     comb = build_combination(lower_adjacency_neighborhoods(ds.complex), "uniform")
     expected = run_distributed_ar(ds, 2, 1e-2, comb, epochs=2)
     assert payload["variant"] == expected.variant
-    assert payload["train_errors"] == expected.train_errors.tolist()
-    assert payload["test_errors"] == expected.test_errors.tolist()
+    np.testing.assert_array_equal(payload["train_errors"], expected.train_errors, strict=True)
+    np.testing.assert_array_equal(payload["test_errors"], expected.test_errors, strict=True)
     assert payload["mean_test_error"] == expected.mean_test_error
 
 
