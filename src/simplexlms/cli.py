@@ -1,10 +1,15 @@
 """Command-line front end.
 
 Every subcommand reads an optional JSON config (``--config``) and merges
-command-line flags on top of it, flags winning. Results are written with
-``--out`` (JSON by default, ``--format csv`` for the mode's row table) and
-a short summary is printed; an output that cannot be written is a
-configuration error, found before the run starts.
+command-line flags on top of it, flags winning; the mode then rejects any
+key it does not declare. The subcommands and their flags are generated
+from the mode key tables of ``harness.KEYS``: a key's flag is ``--`` plus
+the key with ``-`` for ``_`` unless the table names another (``--nodes``
+sets ``complex.vertices``, ``--results`` sets ``results_file``), and its
+type, choices or switch action follow the key's parser. Results are
+written with ``--out`` (JSON by default, ``--format csv`` for the mode's
+row table) and a short summary is printed; an output that cannot be
+written is a configuration error, found before the run starts.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical divergence,
 4 infeasible sampling problem, 5 numerical failure (a linear-algebra or
@@ -21,7 +26,20 @@ import sys
 import numpy as np
 
 from .errors import ConfigError, DivergenceError, InfeasibleProblemError
-from .harness import check_output, emit_results, load_config, run_mode
+from .harness import (
+    KEYS,
+    _at_least_one,
+    _count,
+    _flag,
+    _Object,
+    _OneOf,
+    _output,
+    _path,
+    check_output,
+    emit_results,
+    load_config,
+    run_mode,
+)
 
 _EXIT_OK = 0
 _EXIT_CONFIG = 2
@@ -29,22 +47,32 @@ _EXIT_DIVERGED = 3
 _EXIT_INFEASIBLE = 4
 _EXIT_NUMERICAL = 5
 
+_HELP = {
+    "generate-complex": "write a random complex (and optional surrogate series)",
+    "run-lms": "centralized adaptive filter experiment",
+    "design-sampling": "solve the sampling design problem",
+    "infer-topology": "joint coefficient and triangle estimation",
+    "run-distributed": "diffusion network experiment",
+    "ar-train": "autoregressive train/test protocol",
+    "analyze": "summarise a result file",
+}
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", help="JSON config file; flags override its values")
-    parser.add_argument("--out", help="result file path")
-    parser.add_argument("--format", choices=["json", "csv"], default="json")
-    parser.add_argument("--seed", type=int)
+# The flag type of each key parser that reads a whole number or a path; every other
+# parser's flag reads a float.
+_TYPES = {_count: int, _at_least_one: int, _path: None, _output: None}
+_CLI_ONLY = ("mode", "config", "out", "format")
 
 
-def _add_stream_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--complex-file", dest="complex_file")
-    parser.add_argument("--order", type=int)
-    parser.add_argument("--horizon", type=int)
-    parser.add_argument("--realizations", type=int)
-    parser.add_argument("--signal-var", dest="signal_var", type=float)
-    parser.add_argument("--noise-var", dest="noise_var", type=float)
-    parser.add_argument("--p", type=float)
+def _flags(table: dict, prefix: str = ""):
+    """``(flag, dotted key, parser)`` of each key of ``table`` that has a flag. A switch that
+    is on by default has none: its flag could only set it on."""
+    for key, (parser, default, *flag) in table.items():
+        if isinstance(parser, _Object):
+            for nested in parser.tables:
+                yield from _flags(nested, f"{prefix}{key}.")
+            parser = parser.scalar
+        if parser is not None and (flag or not prefix) and not (parser is _flag and default):
+            yield flag[0] if flag else key, prefix + key, parser
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -53,92 +81,38 @@ def build_parser() -> argparse.ArgumentParser:
         description="Adaptive filtering of edge flows on 2-dimensional simplicial complexes",
     )
     sub = parser.add_subparsers(dest="mode", required=True)
-
-    gen = sub.add_parser("generate-complex", help="write a random complex (and optional surrogate series)")
-    _add_common(gen)
-    gen.add_argument("--nodes", type=int)
-    gen.add_argument("--edge-prob", dest="edge_prob", type=float)
-    gen.add_argument("--fill-prob", dest="fill_prob", type=float)
-    gen.add_argument("--edges", type=int)
-    gen.add_argument("--triangles", type=int)
-    gen.add_argument("--complex-out", dest="complex_out")
-    gen.add_argument("--series-out", dest="series_out")
-
-    lms = sub.add_parser("run-lms", help="centralized adaptive filter experiment")
-    _add_common(lms)
-    _add_stream_flags(lms)
-    lms.add_argument("--mu", type=float)
-
-    design = sub.add_parser("design-sampling", help="solve the sampling design problem")
-    _add_common(design)
-    design.add_argument("--complex-file", dest="complex_file")
-    design.add_argument("--order", type=int)
-    design.add_argument("--signal-var", dest="signal_var", type=float)
-    design.add_argument("--noise-var", dest="noise_var", type=float)
-    design.add_argument("--mu", type=float)
-    design.add_argument("--alpha", type=float)
-    design.add_argument("--gamma", type=float)
-    design.add_argument("--p-max", dest="p_max", type=float)
-    design.add_argument("--tol", type=float)
-    design.add_argument("--max-iter", dest="max_iter", type=int)
-
-    infer = sub.add_parser("infer-topology", help="joint coefficient and triangle estimation")
-    _add_common(infer)
-    _add_stream_flags(infer)
-    infer.add_argument("--mu1", type=float)
-    infer.add_argument("--mu2", type=float)
-    infer.add_argument("--lambda0", type=float)
-    infer.add_argument("--lambda1", type=float)
-    infer.add_argument("--remove-triangles", dest="remove_triangles", type=int)
-
-    dist = sub.add_parser("run-distributed", help="diffusion network experiment")
-    _add_common(dist)
-    _add_stream_flags(dist)
-    dist.add_argument("--mu", type=float)
-    dist.add_argument("--rule", choices=["uniform", "metropolis"])
-    dist.add_argument("--emit-agent-traces", dest="emit_agent_traces", action="store_true",
-                      default=None)
-    dist.add_argument("--combination-out", dest="combination_out")
-
-    ar = sub.add_parser("ar-train", help="autoregressive train/test protocol")
-    _add_common(ar)
-    ar.add_argument("--complex-file", dest="complex_file")
-    ar.add_argument("--series-file", dest="series_file")
-    ar.add_argument("--train-count", dest="train_count", type=int)
-    ar.add_argument("--surrogate-seed", dest="surrogate_seed", type=int)
-    ar.add_argument("--order", type=int)
-    ar.add_argument("--mu", type=float)
-    ar.add_argument("--variant", choices=["topo", "edge-laplacian-baseline"])
-    ar.add_argument("--epochs", type=int)
-    ar.add_argument("--distributed", action="store_true", default=None)
-    ar.add_argument("--rule", choices=["uniform", "metropolis"])
-
-    analyze = sub.add_parser("analyze", help="summarise a result file")
-    _add_common(analyze)
-    analyze.add_argument("--results", dest="results_file")
-
+    for mode, table in KEYS.items():
+        mode_parser = sub.add_parser(mode, help=_HELP[mode])
+        mode_parser.add_argument("--config", help="JSON config file; flags override its values")
+        mode_parser.add_argument("--out", help="result file path")
+        mode_parser.add_argument("--format", choices=["json", "csv"], default="json")
+        flags = {flag: (dest, key_parser) for flag, dest, key_parser in _flags(table)}
+        for flag, (dest, key_parser) in flags.items():
+            if key_parser is _flag:
+                kind = {"action": "store_true", "default": None}
+            elif isinstance(key_parser, _OneOf):
+                kind = {"choices": key_parser.choices}
+            else:
+                kind = {"type": _TYPES.get(key_parser, float)}
+            mode_parser.add_argument("--" + flag.replace("_", "-"), dest=dest, **kind)
     return parser
 
 
 def _collect_values(args: argparse.Namespace) -> dict:
+    """The config file's values, with each flag given set on top: a dotted key sets that key
+    of its nested object. Nested objects are set last, so a new one ends the config."""
     values = load_config(args.config) if args.config else {}
-    skip = {"mode", "config", "out", "format"}
-    for key, value in vars(args).items():
-        if key in skip or value is None:
-            continue
-        values[key] = value
-    if "surrogate_seed" in values:
-        surrogate = dict(values.get("surrogate", {}))
-        surrogate["seed"] = values.pop("surrogate_seed")
-        values["surrogate"] = surrogate
-    if "nodes" in values:
-        spec = dict(values.get("complex", {}))
-        spec["vertices"] = values.pop("nodes")
-        for key in ("edge_prob", "fill_prob", "edges", "triangles"):
-            if key in values:
-                spec[key] = values.pop(key)
-        spec.setdefault("seed", values.get("seed", 0))
-        values["complex"] = spec
+    given = {dest: value for dest, value in vars(args).items()
+             if dest not in _CLI_ONLY and value is not None}
+    for dest, value in sorted(given.items(), key=lambda item: "." in item[0]):
+        name, _, key = dest.rpartition(".")
+        target = values
+        if name:
+            nested = values.get(name)
+            target = values[name] = dict(nested) if isinstance(nested, dict) else {}
+        target[key] = value
+    if any(dest.startswith("complex.") for dest in given):  # a complex from flags takes the run's seed
+        values["complex"].setdefault("seed", values.get("seed", 0))
     return values
 
 

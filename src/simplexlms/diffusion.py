@@ -44,6 +44,7 @@ __all__ = [
     "TheoremChecks",
     "DistTheoryReport",
     "DistResult",
+    "RULES",
     "lower_adjacency_neighborhoods",
     "build_combination",
     "check_irreducible",
@@ -52,6 +53,8 @@ __all__ = [
     "run_distributed",
     "save_combination",
 ]
+
+RULES = ("uniform", "metropolis")
 
 # Squarings allowed in the Stein solve: 2^64 terms of its series cover
 # every radius that passes the stability margin, rho(B) < 1 - 1e-9.
@@ -84,6 +87,11 @@ def lower_adjacency_neighborhoods(complex_: SimplicialComplex2) -> list[list[int
     return [sorted(at_vertex[i] | at_vertex[j]) for i, j in complex_.edges]
 
 
+def _check_rule(rule: str) -> None:
+    if rule not in RULES:
+        raise ValueError(f"unknown combination rule {rule!r}")
+
+
 def build_combination(
     neighborhoods: list[list[int]], rule: str = "uniform"
 ) -> CombinationMatrix:
@@ -95,6 +103,7 @@ def build_combination(
     on the self weight, which makes the matrix symmetric (hence doubly
     stochastic).
     """
+    _check_rule(rule)
     E = len(neighborhoods)
     a = np.zeros((E, E))
     degrees = [len(set(nbr)) - 1 for nbr in neighborhoods]
@@ -107,13 +116,11 @@ def build_combination(
         if rule == "uniform":
             for l in nbrs:
                 a[i, l] = 1.0 / len(nbrs)
-        elif rule == "metropolis":
+        else:
             for l in nbrs:
                 if l != i:
                     a[i, l] = 1.0 / (1.0 + max(degrees[i], degrees[l]))
             a[i, i] = 1.0 - np.sum(a[i])
-        else:
-            raise ValueError(f"unknown combination rule {rule!r}")
     return CombinationMatrix(
         a=a, neighborhoods=tuple(tuple(sorted(set(n))) for n in neighborhoods)
     )

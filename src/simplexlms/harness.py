@@ -1,15 +1,16 @@
 """Experiment orchestration: config handling, mode runners, result files.
 
-Configs are flat JSON objects; command-line flags override file values.
+Configs are JSON objects; command-line flags override file values. Each
+mode declares its keys once, in :data:`KEYS`: parser, default and flag.
 Every runner is deterministic given the config (all randomness flows
 from the ``seed`` key through tagged child generators), so re-running a
 config reproduces its result file byte for byte.
 
 :func:`run_mode` is the one boundary between a config and the library:
-a ``ValueError`` or ``OSError`` raised anywhere inside a mode (a rejected
-input, a file that cannot be read or written) becomes a
-:class:`ConfigError`, and it writes the ``config``/``metadata`` envelope
-of every result.
+it parses the config against its mode's table, and a ``ValueError`` or
+``OSError`` raised anywhere inside a mode (a rejected input, a file that
+cannot be read or written) becomes a :class:`ConfigError`. It writes the
+``config``/``metadata`` envelope of every result.
 """
 
 from __future__ import annotations
@@ -18,12 +19,11 @@ import contextlib
 import csv
 import json
 import os
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import __version__
-from .artrain import run_ar_training, run_distributed_ar
+from .artrain import VARIANTS, _check_variant, run_ar_training, run_distributed_ar
 from .complexes import (
     SimplicialComplex2,
     grown_complex,
@@ -34,6 +34,8 @@ from .complexes import (
 )
 from .datasets import ingest_edge_series, traffic_surrogate, write_edge_series
 from .diffusion import (
+    RULES,
+    _check_rule,
     build_combination,
     lower_adjacency_neighborhoods,
     run_distributed,
@@ -46,29 +48,13 @@ from .sampling import SamplingProblem, solve_sampling
 from .signals import FilterCoeffs, StreamConfig
 
 __all__ = [
-    "ExperimentConfig",
+    "KEYS",
     "load_config",
     "emit_results",
     "check_output",
     "run_mode",
     "MODES",
 ]
-
-
-@dataclass
-class ExperimentConfig:
-    """A validated mode name plus its key/value settings."""
-
-    mode: str
-    values: dict
-
-    def get(self, key, default=None):
-        return self.values.get(key, default)
-
-    def require(self, key):
-        if key not in self.values:
-            raise ConfigError(f"mode {self.mode!r} requires config key {key!r}")
-        return self.values[key]
 
 
 def load_config(path) -> dict:
@@ -98,6 +84,9 @@ def _numbers(value, message: str) -> np.ndarray:
         raise ConfigError(f"{message}, got {value!r}") from None
 
 
+# Key parsers: each takes the (dotted) key and its value as given, and returns
+# the value the mode reads or raises ConfigError.
+
 def _number(key: str, value) -> float:
     number = _numbers(value, f"config key {key!r} must be a number")
     if number.ndim:
@@ -112,6 +101,13 @@ def _positive(key: str, value) -> float:
     return value
 
 
+def _nonnegative(key: str, value) -> float:
+    value = _number(key, value)
+    if not 0.0 <= value < np.inf:
+        raise ConfigError(f"config key {key!r} must be finite and nonnegative, got {value}")
+    return value
+
+
 def _count(key: str, value, minimum: int = 0) -> int:
     number = _number(key, value)
     if not number.is_integer():
@@ -121,36 +117,213 @@ def _count(key: str, value, minimum: int = 0) -> int:
     return int(number)
 
 
+def _at_least_one(key: str, value) -> int:
+    return _count(key, value, minimum=1)
+
+
 def _flag(key: str, value) -> bool:
     if not isinstance(value, bool):
         raise ConfigError(f"config key {key!r} must be true or false, got {value!r}")
     return value
 
 
-def build_complex_from_config(cfg: ExperimentConfig) -> SimplicialComplex2:
-    if "complex_file" in cfg.values:
-        return load_complex(cfg.values["complex_file"])
+def _path(key: str, value) -> str:
+    if not isinstance(value, str):
+        raise ConfigError(f"config key {key!r} must be a file path, got {value!r}")
+    return value
+
+
+def _output(key: str, value) -> str:
+    """A side output path, checked as ``--out`` is."""
+    check_output(None, _path(key, value))
+    return value
+
+
+def _by_edge(key: str, value):
+    """A per-edge value as given: :func:`_per_edge` checks it against the complex's edge count."""
+    return value
+
+
+def _positives(key: str, value):
+    """A per-edge value whose every entry must be positive and finite."""
+    for entry in np.ravel(value):
+        _positive(key, entry)
+    return value
+
+
+def _noise_choices(key: str, value) -> np.ndarray:
+    choices = _numbers(value, "noise choices must be numbers")
+    if choices.ndim != 1 or choices.size == 0:
+        raise ConfigError(f"noise choices must be a nonempty list of numbers, got {value!r}")
+    return choices
+
+
+def _noise_bound(key: str, value) -> float:
+    bound = _numbers(value, "noise bounds must be numbers")
+    if bound.ndim:
+        raise ConfigError(f"noise bounds must be two numbers, got {value!r}")
+    return float(bound)
+
+
+def _fraction(key: str, value) -> float:
+    fraction = _number("lowest_noise_fraction", value)
+    if not 0 < fraction <= 1:
+        raise ConfigError("lowest_noise_fraction must lie in (0, 1]")
+    return fraction
+
+
+class _OneOf:
+    """A choice set; ``check``, the library's own test, rejects any other value."""
+
+    def __init__(self, choices: tuple, check):
+        self.choices, self.check = choices, check
+
+    def __call__(self, key: str, value):
+        self.check(value)
+        return value
+
+
+class _Object:
+    """A nested JSON object, parsed against whichever of ``tables`` declares the most of its
+    keys (the first on a tie). ``scalar`` parses a value given in its place; without one the
+    value must be an object."""
+
+    def __init__(self, *tables: dict, scalar=None):
+        self.tables, self.scalar = tables, scalar
+
+
+REQUIRED = object()  # the default of a key the config must give
+
+# Each mode's keys: key -> (parser, default[, flag]). A default of None leaves an
+# absent key absent. Every top-level key has the flag ``--<key>`` (``_`` as ``-``)
+# unless its entry names another; a nested key has a flag only where it names one.
+_COMMON = {"seed": (_count, 0)}
+_COMPLEX_BASE = {"vertices": (_count, REQUIRED, "nodes"), "seed": (_count, 0)}
+_COMPLEX = {
+    "complex_file": (_path, None),
+    "complex": (_Object(
+        {**_COMPLEX_BASE, "edge_prob": (_number, REQUIRED, "edge_prob"),
+         "fill_prob": (_number, REQUIRED, "fill_prob")},
+        {**_COMPLEX_BASE, "edges": (_count, REQUIRED, "edges"),
+         "triangles": (_count, REQUIRED, "triangles")},
+    ), None),
+}
+_STREAM = {
+    **_COMPLEX,
+    "order": (_count, REQUIRED),
+    "horizon": (_count, REQUIRED),
+    "realizations": (_at_least_one, 30),
+    "signal_var": (_positive, 1.0),
+    "noise_var": (_Object(
+        {"choices": (_noise_choices, REQUIRED)},
+        {"low": (_noise_bound, REQUIRED), "high": (_noise_bound, REQUIRED), "log": (_flag, False)},
+        scalar=_by_edge,
+    ), 0.0),
+    "p": (_Object({"lowest_noise_fraction": (_fraction, REQUIRED)}, scalar=_by_edge), 1.0),
+}
+_MU = {"mu": (_positive, REQUIRED)}
+_RULE = {"rule": (_OneOf(RULES, _check_rule), "uniform")}
+_COEFF_SCALE = {"coeff_scale": (_positive, 1.0)}
+
+KEYS = {
+    "generate-complex": {
+        **_COMMON, **_COMPLEX,
+        "complex_out": (_output, None),
+        "series_out": (_output, None),
+        "order": (_count, 3),
+        "with_upper": (_flag, True),
+    },
+    "run-lms": {**_COMMON, **_STREAM, **_MU, **_COEFF_SCALE},
+    "design-sampling": {
+        **_COMMON,
+        **{key: _STREAM[key] for key in ("complex_file", "complex", "order", "signal_var",
+                                         "noise_var")},
+        **_MU,
+        "alpha": (_number, REQUIRED),
+        "gamma": (_positive, REQUIRED),
+        "p_max": (_by_edge, 1.0),
+        "tol": (_nonnegative, 1e-6),
+        "max_iter": (_at_least_one, 2000),
+    },
+    "infer-topology": {
+        **_COMMON, **_STREAM,
+        "realizations": (_at_least_one, 10),
+        "mu1": (_positive, REQUIRED),
+        "mu2": (_positive, REQUIRED),
+        "lambda0": (_number, REQUIRED),
+        "lambda1": (_number, REQUIRED),
+        "remove_triangles": (_count, 0),
+        "coeff_magnitude": (_positive, 1.0),
+    },
+    "run-distributed": {
+        **_COMMON, **_STREAM,
+        "mu": (_positives, REQUIRED),
+        **_RULE,
+        "emit_agent_traces": (_flag, False),
+        "combination_out": (_output, None),
+        **_COEFF_SCALE,
+    },
+    "ar-train": {
+        **_COMMON,
+        "complex_file": _COMPLEX["complex_file"],
+        "series_file": (_path, None),
+        "train_count": (_at_least_one, None),
+        "surrogate": (_Object({"seed": (_count, 0, "surrogate_seed"), "order": (_count, None),
+                               "with_upper": (_flag, True)}), None),
+        "order": _STREAM["order"],
+        **_MU,
+        "variant": (_OneOf(VARIANTS, _check_variant), "topo"),
+        "epochs": (_at_least_one, 1),
+        "distributed": (_flag, False),
+        **_RULE,
+    },
+    "analyze": {**_COMMON, "results_file": (_path, REQUIRED, "results")},
+}
+
+
+def _parse(mode: str, table: dict, values: dict, prefix: str = "") -> dict:
+    """``values`` checked against ``table``: no undeclared key, each key parsed, defaults filled in."""
+    for key in values:
+        if key not in table:
+            raise ConfigError(f"mode {mode!r} has no config key {prefix + key!r}")
+    parsed = {}
+    for key, (parser, default, *_) in table.items():
+        name = prefix + key
+        if key not in values:
+            if default is REQUIRED:
+                raise ConfigError(f"{prefix[:-1]} object misses key {key!r}" if prefix
+                                  else f"mode {mode!r} requires config key {key!r}")
+            if default is not None:
+                parsed[key] = default
+            continue
+        value = values[key]
+        if isinstance(parser, _Object) and isinstance(value, dict):
+            nested = max(parser.tables, key=lambda t: len(t.keys() & value.keys()))
+            parsed[key] = _parse(mode, nested, value, name + ".")
+        elif isinstance(parser, _Object):
+            if parser.scalar is None:
+                raise ConfigError(f"config key {name!r} must be an object, got {value!r}")
+            parsed[key] = parser.scalar(name, value)
+        else:
+            parsed[key] = parser(name, value)
+    return parsed
+
+
+def build_complex_from_config(cfg: dict) -> SimplicialComplex2:
+    if "complex_file" in cfg:
+        return load_complex(cfg["complex_file"])
     spec = cfg.get("complex")
-    if not isinstance(spec, dict):
+    if spec is None:
         raise ConfigError("config needs either complex_file or a complex object")
-    try:
-        vertices = _count("complex.vertices", spec["vertices"])
-        seed = _count("complex.seed", spec.get("seed", 0))
-        if "edges" in spec:
-            return grown_complex(vertices, _count("complex.edges", spec["edges"]),
-                                 _count("complex.triangles", spec["triangles"]), seed)
-        return random_complex(vertices, _number("complex.edge_prob", spec["edge_prob"]),
-                              _number("complex.fill_prob", spec["fill_prob"]), seed)
-    except KeyError as exc:
-        raise ConfigError(f"complex object misses key {exc}") from exc
+    if "edges" in spec:
+        return grown_complex(spec["vertices"], spec["edges"], spec["triangles"], spec["seed"])
+    return random_complex(spec["vertices"], spec["edge_prob"], spec["fill_prob"], spec["seed"])
 
 
-def _complex_with_edges(cfg: ExperimentConfig,
-                        complex_: SimplicialComplex2 | None = None) -> SimplicialComplex2:
-    """The config's complex (or ``complex_``), for modes that estimate or design over edges."""
-    complex_ = build_complex_from_config(cfg) if complex_ is None else complex_
+def _complex_with_edges(mode: str, complex_: SimplicialComplex2) -> SimplicialComplex2:
+    """``complex_``, for modes that estimate or design over edges."""
     if complex_.num_edges == 0:
-        raise ConfigError(f"mode {cfg.mode!r} needs a complex with edges; its edge set is empty")
+        raise ConfigError(f"mode {mode!r} needs a complex with edges; its edge set is empty")
     return complex_
 
 
@@ -172,15 +345,9 @@ def resolve_noise(spec, num_edges: int, seed: int) -> np.ndarray:
     if not isinstance(spec, dict):
         arr = _per_edge(spec, num_edges, "noise variances")
     elif "choices" in spec:
-        choices = _numbers(spec["choices"], "noise choices must be numbers")
-        if choices.ndim != 1 or choices.size == 0:
-            raise ConfigError(
-                f"noise choices must be a nonempty list of numbers, got {spec['choices']!r}")
-        arr = rng.choice(choices, size=num_edges)
+        arr = rng.choice(spec["choices"], size=num_edges)
     elif "low" in spec and "high" in spec:
-        bounds = _numbers([spec["low"], spec["high"]], "noise bounds must be numbers")
-        if bounds.shape != (2,):
-            raise ConfigError(f"noise bounds must be two numbers, got {spec!r}")
+        bounds = np.array([spec["low"], spec["high"]], dtype=np.float64)
         # the bits of rng.uniform, which raises on a non-finite range: bad
         # bounds give NaN or inf draws, which the check below rejects
         with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
@@ -202,18 +369,13 @@ def resolve_p(spec, num_edges: int, sigma_v2: np.ndarray | None = None) -> np.nd
     the rest.
     """
     if isinstance(spec, dict):
-        if "lowest_noise_fraction" in spec:
-            if sigma_v2 is None:
-                raise ConfigError("lowest_noise_fraction needs noise variances")
-            fraction = _number("lowest_noise_fraction", spec["lowest_noise_fraction"])
-            if not 0 < fraction <= 1:
-                raise ConfigError("lowest_noise_fraction must lie in (0, 1]")
-            count = max(1, int(round(fraction * num_edges)))
-            order = np.argsort(sigma_v2, kind="stable")
-            p = np.zeros(num_edges)
-            p[order[:count]] = 1.0
-            return p
-        raise ConfigError(f"unsupported sampling spec {spec!r}")
+        if sigma_v2 is None:
+            raise ConfigError("lowest_noise_fraction needs noise variances")
+        count = max(1, int(round(spec["lowest_noise_fraction"] * num_edges)))
+        order = np.argsort(sigma_v2, kind="stable")
+        p = np.zeros(num_edges)
+        p[order[:count]] = 1.0
+        return p
     arr = _per_edge(spec, num_edges, "config key 'p'")
     if not np.all((0 <= arr) & (arr <= 1)):  # NaN fails too
         raise ConfigError("sampling probabilities must lie in [0, 1]")
@@ -381,22 +543,14 @@ def emit_results(payload: dict, path, fmt: str = "json") -> None:
             csv.writer(fh).writerows(_csv_rows(payload, table))
 
 
-def _stream_pieces(cfg: ExperimentConfig, complex_: SimplicialComplex2, realizations: int = 30):
-    """Filter order, stream config, horizon and realization count of a simulation mode.
-
-    ``realizations`` is the count when the config gives none. The caller
-    draws the coefficients, whose law depends on the mode.
-    """
-    seed = _count("seed", cfg.get("seed", 0))
-    E = complex_.num_edges
-    order = _count("order", cfg.require("order"))
-    horizon = _count("horizon", cfg.require("horizon"))
-    realizations = _count("realizations", cfg.get("realizations", realizations), minimum=1)
-    sigma_v2 = resolve_noise(cfg.get("noise_var", 0.0), E, seed)
-    p = resolve_p(cfg.get("p", 1.0), E, sigma_v2)
-    signal_var = _positive("signal_var", cfg.get("signal_var", 1.0))
-    stream = StreamConfig.white(E, signal_var, sigma_v2, p, horizon=horizon + order, seed=seed)
-    return order, stream, horizon, realizations
+def _stream(cfg: dict, complex_: SimplicialComplex2) -> StreamConfig:
+    """The stream config of a simulation mode; the caller draws the coefficients, whose law
+    depends on the mode."""
+    E, seed = complex_.num_edges, cfg["seed"]
+    sigma_v2 = resolve_noise(cfg["noise_var"], E, seed)
+    p = resolve_p(cfg["p"], E, sigma_v2)
+    return StreamConfig.white(E, cfg["signal_var"], sigma_v2, p,
+                              horizon=cfg["horizon"] + cfg["order"], seed=seed)
 
 
 def _deviation_fields(msd: np.ndarray) -> dict:
@@ -404,13 +558,12 @@ def _deviation_fields(msd: np.ndarray) -> dict:
     return {"msd": msd, "steady_state_db": _db_or_none(tail_average(msd))}
 
 
-def mode_run_lms(cfg: ExperimentConfig) -> dict:
-    complex_ = _complex_with_edges(cfg)
-    order, stream, horizon, realizations = _stream_pieces(cfg, complex_)
-    scale = _positive("coeff_scale", cfg.get("coeff_scale", 1.0))
-    coeffs = draw_coeffs(order, stream.seed, scale=scale)
-    mu = _positive("mu", cfg.require("mu"))
-    result = run_experiment(complex_, coeffs, stream, mu, realizations, horizon)
+def mode_run_lms(cfg: dict) -> dict:
+    complex_ = _complex_with_edges("run-lms", build_complex_from_config(cfg))
+    stream = _stream(cfg, complex_)
+    coeffs = draw_coeffs(cfg["order"], cfg["seed"], scale=cfg["coeff_scale"])
+    result = run_experiment(complex_, coeffs, stream, cfg["mu"], cfg["realizations"],
+                            cfg["horizon"])
     return {
         "complex": {
             "vertices": complex_.num_vertices,
@@ -423,29 +576,22 @@ def mode_run_lms(cfg: ExperimentConfig) -> dict:
     }
 
 
-def mode_design_sampling(cfg: ExperimentConfig) -> dict:
-    complex_ = _complex_with_edges(cfg)
-    ops = hodge_laplacians(complex_)
+def mode_design_sampling(cfg: dict) -> dict:
+    complex_ = _complex_with_edges("design-sampling", build_complex_from_config(cfg))
     E = complex_.num_edges
-    seed = _count("seed", cfg.get("seed", 0))
-    order = _count("order", cfg.require("order"))
-    sigma_v2 = resolve_noise(cfg.get("noise_var", 0.0), E, seed)
-    signal_var = _positive("signal_var", cfg.get("signal_var", 1.0))
-    tol = _number("tol", cfg.get("tol", 1e-6))
-    if not 0.0 <= tol < np.inf:
-        raise ConfigError(f"config key 'tol' must be finite and nonnegative, got {tol}")
-    max_iter = _count("max_iter", cfg.get("max_iter", 2000), minimum=1)
+    p_max = _per_edge(cfg["p_max"], E, "config key 'p_max'")
+    sigma_v2 = resolve_noise(cfg["noise_var"], E, cfg["seed"])
     problem = SamplingProblem.from_moments(
-        ops,
-        signal_var,
+        hodge_laplacians(complex_),
+        cfg["signal_var"],
         sigma_v2,
-        order,
-        mu=_positive("mu", cfg.require("mu")),
-        alpha=_number("alpha", cfg.require("alpha")),
-        gamma=_positive("gamma", cfg.require("gamma")),
-        p_max=cfg.get("p_max", 1.0),
+        cfg["order"],
+        mu=cfg["mu"],
+        alpha=cfg["alpha"],
+        gamma=cfg["gamma"],
+        p_max=p_max,
     )
-    solution = solve_sampling(problem, tol=tol, max_iter=max_iter)
+    solution = solve_sampling(problem, tol=cfg["tol"], max_iter=cfg["max_iter"])
     return {
         "p_star": solution.p_star,
         "objective": solution.objective,
@@ -461,19 +607,17 @@ def mode_design_sampling(cfg: ExperimentConfig) -> dict:
     }
 
 
-def mode_infer_topology(cfg: ExperimentConfig) -> dict:
-    complex_ = _complex_with_edges(cfg)
-    order, stream, horizon, realizations = _stream_pieces(cfg, complex_, realizations=10)
-    lam0, lam1 = (_number(key, cfg.require(key)) for key in ("lambda0", "lambda1"))
-    _check_threshold_order(lam0, lam1)
-    magnitude = _positive("coeff_magnitude", cfg.get("coeff_magnitude", 1.0))
-    coeffs = draw_bounded_coeffs(order, stream.seed, magnitude=magnitude)
-    cand = candidate_set(complex_, order)
+def mode_infer_topology(cfg: dict) -> dict:
+    complex_ = _complex_with_edges("infer-topology", build_complex_from_config(cfg))
+    stream = _stream(cfg, complex_)
+    _check_threshold_order(cfg["lambda0"], cfg["lambda1"])
+    coeffs = draw_bounded_coeffs(cfg["order"], cfg["seed"], magnitude=cfg["coeff_magnitude"])
+    cand = candidate_set(complex_, cfg["order"])
     if not cand.num_candidates:  # no 3-clique to recover: a recovery rate of 1 would be vacuous
         raise ConfigError(f"{cfg.get('complex_file', 'the complex')} has no triangle candidates")
     t_true = cand.true_indicator(complex_)
     schedule = [(0, t_true)]
-    removals = _count("remove_triangles", cfg.get("remove_triangles", 0))
+    removals, horizon = cfg["remove_triangles"], cfg["horizon"]
     if removals:
         filled = np.flatnonzero(t_true)
         if removals > filled.size:
@@ -487,12 +631,12 @@ def mode_infer_topology(cfg: ExperimentConfig) -> dict:
         coeffs,
         stream,
         schedule,
-        mu1=_positive("mu1", cfg.require("mu1")),
-        mu2=_positive("mu2", cfg.require("mu2")),
-        lam0=lam0,
-        lam1=lam1,
+        mu1=cfg["mu1"],
+        mu2=cfg["mu2"],
+        lam0=cfg["lambda0"],
+        lam1=cfg["lambda1"],
         horizon=horizon,
-        realizations=realizations,
+        realizations=cfg["realizations"],
     )
     return {
         "candidates": cand.num_candidates,
@@ -505,21 +649,17 @@ def mode_infer_topology(cfg: ExperimentConfig) -> dict:
     }
 
 
-def mode_run_distributed(cfg: ExperimentConfig) -> dict:
-    complex_ = _complex_with_edges(cfg)
-    order, stream, horizon, realizations = _stream_pieces(cfg, complex_)
-    scale = _positive("coeff_scale", cfg.get("coeff_scale", 1.0))
-    coeffs = draw_coeffs(order, stream.seed, scale=scale)
-    mu = np.array([_positive("mu", m) for m in np.ravel(cfg.require("mu"))])
-    track_agents = _flag("emit_agent_traces", cfg.get("emit_agent_traces", False))
-    comb = build_combination(lower_adjacency_neighborhoods(complex_),
-                             rule=cfg.get("rule", "uniform"))
-    combination_file = cfg.get("combination_out")
-    if combination_file:
-        with _replacing(combination_file) as part:
+def mode_run_distributed(cfg: dict) -> dict:
+    complex_ = _complex_with_edges("run-distributed", build_complex_from_config(cfg))
+    stream = _stream(cfg, complex_)
+    coeffs = draw_coeffs(cfg["order"], cfg["seed"], scale=cfg["coeff_scale"])
+    mu = _per_edge(cfg["mu"], complex_.num_edges, "config key 'mu'")
+    comb = build_combination(lower_adjacency_neighborhoods(complex_), rule=cfg["rule"])
+    if cfg.get("combination_out"):
+        with _replacing(cfg["combination_out"]) as part:
             save_combination(comb, part)
-    result = run_distributed(complex_, coeffs, stream, comb, mu, realizations, horizon,
-                             track_agents=track_agents)
+    result = run_distributed(complex_, coeffs, stream, comb, mu, cfg["realizations"],
+                             cfg["horizon"], track_agents=cfg["emit_agent_traces"])
     payload = {
         **_deviation_fields(result.msd),
         "theory": {
@@ -536,37 +676,28 @@ def mode_run_distributed(cfg: ExperimentConfig) -> dict:
     return payload
 
 
-def mode_ar_train(cfg: ExperimentConfig) -> dict:
-    order = _count("order", cfg.require("order"))
-    mu = _positive("mu", cfg.require("mu"))
-    epochs = _count("epochs", cfg.get("epochs", 1), minimum=1)
-    train_count = cfg.get("train_count")
-    if train_count is not None:
-        train_count = _count("train_count", train_count, minimum=1)
-    if "surrogate" in cfg.values:
-        if train_count is not None:
+def mode_ar_train(cfg: dict) -> dict:
+    if "surrogate" in cfg:
+        if "train_count" in cfg:
             raise ConfigError("config key 'train_count' applies only to a series file; "
                               "the surrogate's train/test split is fixed")
-        spec = cfg.values["surrogate"]
-        if not isinstance(spec, dict):
-            raise ConfigError(f"config key 'surrogate' must be an object, got {spec!r}")
-        ds = traffic_surrogate(
-            seed=_count("surrogate.seed", spec.get("seed", 0)),
-            order=_count("surrogate.order", spec.get("order", order)),
-            with_upper=_flag("surrogate.with_upper", spec.get("with_upper", True)),
-        )
+        for key in ("complex_file", "series_file"):
+            if key in cfg:
+                raise ConfigError(f"mode 'ar-train' takes config key {key!r} only without "
+                                  "'surrogate', which brings its own complex and series")
+        spec = cfg["surrogate"]
+        ds = traffic_surrogate(seed=spec["seed"], order=spec.get("order", cfg["order"]),
+                               with_upper=spec["with_upper"])
     else:
-        ds = ingest_edge_series(
-            cfg.require("complex_file"),
-            cfg.require("series_file"),
-            train_count=train_count,
-        )
-    _complex_with_edges(cfg, ds.complex)
-    variant = cfg.get("variant", "topo")
-    if _flag("distributed", cfg.get("distributed", False)):
-        comb = build_combination(
-            lower_adjacency_neighborhoods(ds.complex), rule=cfg.get("rule", "uniform")
-        )
+        for key in ("complex_file", "series_file"):
+            if key not in cfg:
+                raise ConfigError(f"mode 'ar-train' requires config key {key!r}")
+        ds = ingest_edge_series(cfg["complex_file"], cfg["series_file"],
+                                train_count=cfg.get("train_count"))
+    _complex_with_edges("ar-train", ds.complex)
+    order, mu, variant, epochs = cfg["order"], cfg["mu"], cfg["variant"], cfg["epochs"]
+    if cfg["distributed"]:
+        comb = build_combination(lower_adjacency_neighborhoods(ds.complex), rule=cfg["rule"])
         result = run_distributed_ar(ds, order, mu, comb, epochs=epochs, variant=variant)
     else:
         result = run_ar_training(ds, order, mu, variant=variant, epochs=epochs)
@@ -578,21 +709,15 @@ def mode_ar_train(cfg: ExperimentConfig) -> dict:
     }
 
 
-def mode_generate_complex(cfg: ExperimentConfig) -> dict:
+def mode_generate_complex(cfg: dict) -> dict:
     complex_ = build_complex_from_config(cfg)
-    out = cfg.get("complex_out")
-    if out:
-        with _replacing(out) as part:
+    if cfg.get("complex_out"):
+        with _replacing(cfg["complex_out"]) as part:
             save_complex(complex_, part)
-    series_out = cfg.get("series_out")
-    if series_out:
-        ds = traffic_surrogate(
-            seed=_count("seed", cfg.get("seed", 0)),
-            order=_count("order", cfg.get("order", 3)),
-            with_upper=_flag("with_upper", cfg.get("with_upper", True)),
-            complex_=complex_,
-        )
-        with _replacing(series_out) as part:
+    if cfg.get("series_out"):
+        ds = traffic_surrogate(seed=cfg["seed"], order=cfg["order"],
+                               with_upper=cfg["with_upper"], complex_=complex_)
+        with _replacing(cfg["series_out"]) as part:
             write_edge_series(part, ds.series)
     return {
         "vertices": complex_.num_vertices,
@@ -605,8 +730,8 @@ def _reject_constant(token):
     raise ValueError(f"non-standard JSON constant {token}")
 
 
-def mode_analyze(cfg: ExperimentConfig) -> dict:
-    path = cfg.require("results_file")
+def mode_analyze(cfg: dict) -> dict:
+    path = cfg["results_file"]
     try:  # strict JSON, every number read as a float
         with open(path, "r", encoding="utf-8") as fh:
             payload = json.load(fh, parse_constant=_reject_constant, parse_int=float)
@@ -660,24 +785,20 @@ MODES = {
 def run_mode(mode: str, values: dict) -> dict:
     """Run ``mode`` on ``values``: its result fields under the ``config``/``metadata`` envelope.
 
-    The seed and every side output path are checked before any work or
-    write. A ``ValueError`` or ``OSError`` raised inside the mode is a
-    rejected input or an unreadable or unwritable file, reported as a
-    :class:`ConfigError`; a ``LinAlgError``, which subclasses
-    ``ValueError``, is a numerical failure and passes through.
+    ``values`` are parsed against the mode's key table before any file is
+    read or any work starts. A ``ValueError`` or ``OSError`` raised inside
+    the mode is a rejected input or an unreadable or unwritable file,
+    reported as a :class:`ConfigError`; a ``LinAlgError``, which
+    subclasses ``ValueError``, is a numerical failure and passes through.
     """
     if mode not in MODES:
         raise ConfigError(f"unknown mode {mode!r}")
-    cfg = ExperimentConfig(mode=mode, values=values)
     try:
-        metadata = {"version": __version__, "mode": mode,
-                    "seed": _count("seed", values.get("seed", 0))}
-        for key in ("complex_out", "series_out", "combination_out"):
-            if values.get(key):
-                check_output(mode, values[key])
+        cfg = _parse(mode, KEYS[mode], values)
         fields = MODES[mode](cfg)
     except np.linalg.LinAlgError:
         raise
     except (ValueError, OSError) as exc:
         raise ConfigError(str(exc)) from exc
+    metadata = {"version": __version__, "mode": mode, "seed": cfg["seed"]}
     return {"config": dict(values), "metadata": metadata, **fields}

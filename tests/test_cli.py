@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -204,23 +205,25 @@ def test_unstable_network_writes_strict_json(tmp_path):
     assert payload["theory"]["msd_per_agent_db"] is None
 
 
+# each mode's keys of a short, noise-free run; every mode but ar-train, which
+# trains on the surrogate, also reads the complex file
+STREAM_KNOBS = {"order": 1, "horizon": 20, "realizations": 1, "signal_var": 0.1, "seed": 2}
 SIMULATION_KNOBS = {
-    "design-sampling": {"mu": 1e-2, "alpha": 0.98, "gamma": 1e-3},
-    "run-lms": {"mu": 1e-3},
-    "run-distributed": {"mu": 1e-3},
-    "infer-topology": {"mu1": 1e-2, "mu2": 1e-2, "lambda0": 0.1, "lambda1": 0.1},
-    "ar-train": {"mu": 1e-4, "surrogate": {"seed": 1}},
-    "generate-complex": {},
+    "design-sampling": {"order": 1, "signal_var": 0.1, "seed": 2,
+                        "mu": 1e-2, "alpha": 0.98, "gamma": 1e-3},
+    "run-lms": {**STREAM_KNOBS, "mu": 1e-3},
+    "run-distributed": {**STREAM_KNOBS, "mu": 1e-3},
+    "infer-topology": {**STREAM_KNOBS, "mu1": 1e-2, "mu2": 1e-2, "lambda0": 0.1, "lambda1": 0.1},
+    "ar-train": {"order": 1, "seed": 2, "mu": 1e-4, "surrogate": {"seed": 1}},
+    "generate-complex": {"order": 1, "seed": 2},
 }
 
 
 def run_simulation(tmp_path, complex_file, mode, *flags, **values):
     """Run a simulation mode on a short, noise-free config with ``values`` merged in."""
     config = tmp_path / "config.json"
-    config.write_text(json.dumps({
-        "complex_file": str(complex_file), "order": 1, "horizon": 20, "realizations": 1,
-        "signal_var": 0.1, "seed": 2, **SIMULATION_KNOBS[mode], **values,
-    }))
+    files = {} if mode == "ar-train" else {"complex_file": str(complex_file)}
+    config.write_text(json.dumps({**files, **SIMULATION_KNOBS[mode], **values}))
     return run_cli([mode, "--config", config, *flags])
 
 
@@ -451,6 +454,11 @@ def test_bad_counts_exit_2(tmp_path, complex_file, capsys, mode, flag, value):
     ("ar-train", {"train_count": 30.5}, "config key 'train_count' must be a whole number"),
     # the surrogate's train/test split is fixed, so a train_count would be ignored
     ("ar-train", {"train_count": 100}, "'train_count' applies only to a series file"),
+    # per-edge and per-agent lists name their key and the edge count
+    ("design-sampling", {"p_max": "abc"}, "config key 'p_max' must be numbers"),
+    ("design-sampling", {"p_max": [0.5, 0.5]},
+     "config key 'p_max' must be one number or 19, one per edge"),
+    ("run-distributed", {"mu": [0.01, 0.02]}, "config key 'mu' must be one number or 19, one per edge"),
 ])
 def test_bad_knobs_exit_2(tmp_path, complex_file, capsys, monkeypatch, mode, values, message):
     from simplexlms import harness
@@ -462,6 +470,162 @@ def test_bad_knobs_exit_2(tmp_path, complex_file, capsys, monkeypatch, mode, val
     monkeypatch.setattr(harness, "solve_sampling", no_run)
     assert run_simulation(tmp_path, complex_file, mode, **values) == 2
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("mode, values, key", [
+    ("generate-complex", {"complex_outt": "c.txt"}, "complex_outt"),
+    ("run-lms", {"signal_variance": 1e300}, "signal_variance"),
+    ("run-lms", {"nosie_var": 1e-3}, "nosie_var"),
+    ("design-sampling", {"horizon": 20}, "horizon"),
+    ("infer-topology", {"lambda_0": 0.1}, "lambda_0"),
+    ("run-distributed", {"emit_agent_trace": True}, "emit_agent_trace"),
+    ("ar-train", {"epoch": 2}, "epoch"),
+    ("analyze", {"result_file": "r.json"}, "result_file"),
+    # nested objects: a misspelled key is not dropped, a mixed complex is not resolved
+    ("run-lms", {"noise_var": {"low": 1e-4, "high": 1e-2, "lgo": True}}, "noise_var.lgo"),
+    ("run-lms", {"p": {"lowest_noise_fraction": 0.5, "extra": 1}}, "p.extra"),
+    ("ar-train", {"surrogate": {"seed": 1, "ordr": 2}}, "surrogate.ordr"),
+    ("generate-complex", {"complex": {"vertices": 8, "edges": 10, "triangles": 2,
+                                      "edge_prob": 0.5, "fill_prob": 0.5}}, "complex.edges"),
+])
+def test_undeclared_key_exits_2(tmp_path, complex_file, capsys, monkeypatch, mode, values, key):
+    from simplexlms import harness
+
+    def no_run(cfg):
+        raise AssertionError("the run started before the config was checked")
+
+    monkeypatch.setitem(harness.MODES, mode, no_run)
+    out = tmp_path / "result.json"
+    if mode == "analyze":
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"results_file": str(tmp_path / "in.json"), **values}))
+        code = run_cli([mode, "--config", config, "--out", out])
+    else:
+        code = run_simulation(tmp_path, complex_file, mode, "--out", out, **values)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1
+    assert f"'{key}'" in err and f"mode '{mode}'" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag", ["--complex-file", "--series-file"])
+def test_ar_train_surrogate_with_input_files_exits_2(tmp_path, complex_file, capsys, flag):
+    # the surrogate brings its own complex and series, so a file given beside it would be ignored
+    out = tmp_path / "ar.json"
+    assert run_simulation(tmp_path, complex_file, "ar-train", flag, complex_file, "--out", out) == 2
+    err = capsys.readouterr().err
+    assert f"mode 'ar-train' takes config key '{flag[2:].replace('-', '_')}' only without" in err
+    assert not out.exists()
+
+
+# The options of every subcommand as the parser spelled them before it was generated
+# from the key table: option, the config key it sets, and its type, choices or switch.
+STREAM_OPTIONS = [
+    ("--complex-file", "complex_file", str), ("--order", "order", int),
+    ("--horizon", "horizon", int), ("--realizations", "realizations", int),
+    ("--signal-var", "signal_var", float), ("--noise-var", "noise_var", float),
+    ("--p", "p", float),
+]
+RULES = ("uniform", "metropolis")
+PARENT_OPTIONS = {
+    "generate-complex": [
+        ("--nodes", "complex.vertices", int), ("--edge-prob", "complex.edge_prob", float),
+        ("--fill-prob", "complex.fill_prob", float), ("--edges", "complex.edges", int),
+        ("--triangles", "complex.triangles", int), ("--complex-out", "complex_out", str),
+        ("--series-out", "series_out", str),
+    ],
+    "run-lms": [*STREAM_OPTIONS, ("--mu", "mu", float)],
+    "design-sampling": [
+        ("--complex-file", "complex_file", str), ("--order", "order", int),
+        ("--signal-var", "signal_var", float), ("--noise-var", "noise_var", float),
+        ("--mu", "mu", float), ("--alpha", "alpha", float), ("--gamma", "gamma", float),
+        ("--p-max", "p_max", float), ("--tol", "tol", float), ("--max-iter", "max_iter", int),
+    ],
+    "infer-topology": [
+        *STREAM_OPTIONS, ("--mu1", "mu1", float), ("--mu2", "mu2", float),
+        ("--lambda0", "lambda0", float), ("--lambda1", "lambda1", float),
+        ("--remove-triangles", "remove_triangles", int),
+    ],
+    "run-distributed": [
+        *STREAM_OPTIONS, ("--mu", "mu", float), ("--rule", "rule", RULES),
+        ("--emit-agent-traces", "emit_agent_traces", "switch"),
+        ("--combination-out", "combination_out", str),
+    ],
+    "ar-train": [
+        ("--complex-file", "complex_file", str), ("--series-file", "series_file", str),
+        ("--train-count", "train_count", int), ("--surrogate-seed", "surrogate.seed", int),
+        ("--order", "order", int), ("--mu", "mu", float),
+        ("--variant", "variant", ("topo", "edge-laplacian-baseline")),
+        ("--epochs", "epochs", int), ("--distributed", "distributed", "switch"),
+        ("--rule", "rule", RULES),
+    ],
+    "analyze": [("--results", "results_file", str)],
+}
+
+
+@pytest.mark.parametrize("mode", list(PARENT_OPTIONS))
+def test_generated_parser_keeps_every_option(mode):
+    import argparse
+
+    from simplexlms import cli
+
+    parser = cli.build_parser()
+    sub = next(action for action in parser._actions
+               if isinstance(action, argparse._SubParsersAction)).choices[mode]
+    actions = {option: action for action in sub._actions for option in action.option_strings}
+    args = parser.parse_args([mode, "--config", "c.json", "--out", "o.json", "--format", "csv"])
+    assert (args.config, args.out, args.format) == ("c.json", "o.json", "csv")
+    assert list(actions["--format"].choices) == ["json", "csv"]
+    for option, key, kind in [("--seed", "seed", int), *PARENT_OPTIONS[mode]]:
+        action = actions[option]
+        if kind == "switch":
+            assert isinstance(action, argparse._StoreTrueAction)
+            argv, expected = [option], True
+        elif isinstance(kind, tuple):
+            assert isinstance(action, argparse._StoreAction) and action.type is None
+            assert tuple(action.choices) == kind
+            argv, expected = [option, kind[-1]], kind[-1]
+        else:
+            assert isinstance(action, argparse._StoreAction) and action.choices is None
+            assert action.type is (None if kind is str else kind)
+            argv, expected = [option, "3"], kind("3")
+        value = cli._collect_values(parser.parse_args([mode, *argv]))
+        for part in key.split("."):
+            value = value[part]
+        assert value == expected and type(value) is type(expected), option
+    with pytest.raises(SystemExit) as stop:
+        cli.main([mode, "--help"])
+    assert stop.value.code == 0
+
+
+def test_readme_key_table_matches_the_code():
+    # every (mode, key) the README documents is declared, every declared one is
+    # documented, and each documented flag is the flag the parser generates
+    from simplexlms import cli, harness
+
+    def declared(table, prefix=""):
+        for key, (parser, *_) in table.items():
+            yield prefix + key
+            if isinstance(parser, harness._Object):
+                for nested in parser.tables:
+                    yield from declared(nested, f"{prefix}{key}.")
+
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    header = "| key | modes | check | default | flag |\n|---|---|---|---|---|\n"
+    rows = readme.split(header, 1)[1].split("\n\n", 1)[0].splitlines()
+    documented, flags = set(), {}
+    for row in rows:
+        keys, modes, _, _, flag = (cell.strip() for cell in row.strip("|").split("|"))
+        keys, flag = re.findall(r"`([^`]+)`", keys), re.findall(r"`(--[^`]+)`", flag)
+        for mode in list(harness.KEYS) if modes == "all" else modes.split(", "):
+            documented |= {(mode, key) for key in keys}
+            flags.update({(mode, key): option for key, option in zip(keys, flag)})
+    assert documented == {(mode, key) for mode, table in harness.KEYS.items()
+                          for key in declared(table)}
+    assert flags == {(mode, key): "--" + option.replace("_", "-")
+                     for mode, table in harness.KEYS.items()
+                     for option, key, _ in cli._flags(table)}
 
 
 @pytest.mark.parametrize("error", [np.linalg.LinAlgError("Singular matrix"),
@@ -500,18 +664,17 @@ def test_overflowing_signal_scale_exits_2(tmp_path, complex_file, capsys, mode):
     assert "the moment basis must be finite" in capsys.readouterr().err
 
 
-def edgeless_config(tmp_path):
+def edgeless_config(tmp_path, mode):
     edgeless = tmp_path / "edgeless.txt"
     edgeless.write_text("3\n")
     # a snapshot series of no edges: the header and the snapshot column alone
     series = tmp_path / "edgeless.csv"
     series.write_text("n\n" + "".join(f"{n}\n" for n in range(12)))
+    knobs = {key: value for key, value in SIMULATION_KNOBS[mode].items() if key != "surrogate"}
+    if mode == "ar-train":
+        knobs["series_file"] = str(series)
     config = tmp_path / "config.json"
-    config.write_text(json.dumps({
-        "complex_file": str(edgeless), "series_file": str(series), "order": 1,
-        "horizon": 20, "realizations": 1, "mu": 1e-3, "alpha": 0.99, "gamma": 1e-3,
-        **SIMULATION_KNOBS["infer-topology"],
-    }))
+    config.write_text(json.dumps({"complex_file": str(edgeless), **knobs}))
     return config
 
 
@@ -521,7 +684,7 @@ def test_edgeless_complex_exits_2(tmp_path, capsys, mode):
     # no edges to estimate over: an empty result (a recovery of 1.00, or test
     # errors of 0.0) would read as a success
     out = tmp_path / "result.json"
-    assert run_cli([mode, "--config", edgeless_config(tmp_path), "--out", out]) == 2
+    assert run_cli([mode, "--config", edgeless_config(tmp_path, mode), "--out", out]) == 2
     assert "edge set is empty" in capsys.readouterr().err
     assert not out.exists()
 

@@ -598,7 +598,9 @@ def test_deviation_arrays_write_the_bytes_of_their_lists(tmp_path, mode):
     # bytes of json.dumps of its list (agent traces are a 2-D array)
     values = {"complex": {"vertices": 8, "edge_prob": 0.5, "fill_prob": 0.5, "seed": 1},
               "order": 1, "mu": 1e-3, "horizon": 200, "realizations": 2, "signal_var": 0.1,
-              "noise_var": 1e-4, "seed": 5, "emit_agent_traces": mode == "run-distributed"}
+              "noise_var": 1e-4, "seed": 5}
+    if mode == "run-distributed":
+        values["emit_agent_traces"] = True
     payload = run_mode(mode, values)
     arrays = [key for key, value in payload.items() if isinstance(value, np.ndarray)]
     assert arrays == (["msd", "agent_msd"] if mode == "run-distributed" else ["msd"])
