@@ -63,7 +63,7 @@ def _check_variant(variant: str) -> None:
 
 
 def ar_regressor_tensor(series: np.ndarray, ops, order: int) -> np.ndarray:
-    """Lag-1..M regressors for every snapshot, shape (N, E, 2M); rows < M zero.
+    """Lag-1..M regressors of every full history window, shape (N - M, E, 2M).
 
     These are the columns of :func:`regressor_tensor` without the lag-0 one.
     """
@@ -78,8 +78,8 @@ def _ar_windows(series: np.ndarray, ops, order: int, variant: str, first: int,
     ``N - 1`` by default. The baseline variant zeroes the upper columns
     of each freshly built block in place.
     """
-    for start, window, lead, _ in _series_walk(series, order, first, stop):
-        R = ar_regressor_tensor(window, ops, order)[lead:]
+    for start, window, _ in _series_walk(series, order, first, stop):
+        R = ar_regressor_tensor(window, ops, order)
         if variant == "edge-laplacian-baseline":
             R[:, :, :order] = 0.0
         yield start, R

@@ -77,12 +77,12 @@ def _flags(table: dict, prefix: str = ""):
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        prog="simplexlms",
+        prog="simplexlms", allow_abbrev=False,
         description="Adaptive filtering of edge flows on 2-dimensional simplicial complexes",
     )
     sub = parser.add_subparsers(dest="mode", required=True)
     for mode, table in KEYS.items():
-        mode_parser = sub.add_parser(mode, help=_HELP[mode])
+        mode_parser = sub.add_parser(mode, help=_HELP[mode], allow_abbrev=False)
         mode_parser.add_argument("--config", help="JSON config file; flags override its values")
         mode_parser.add_argument("--out", help="result file path")
         mode_parser.add_argument("--format", choices=["json", "csv"], default="json")

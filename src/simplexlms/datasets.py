@@ -197,11 +197,11 @@ def synthetic_traffic_series(
     innov = 0.05 * rng.standard_normal((total, complex_.num_edges))
     taps = coeffs.flatten()[1:]
     # ``order`` zero rows of history before the first snapshot; row
-    # ``order + n`` is x(n), and the last row of a window is only a
-    # placeholder for it, since the lag-0 column is dropped
+    # ``order + n`` is x(n), and a window of ``order + 1`` rows is its one
+    # step, whose last row is a placeholder since the lag-0 column is dropped
     x = np.zeros((order + total, complex_.num_edges))
     for n in range(total):
-        lags = regressor_tensor(x[n : n + order + 1], ops, order)[-1, :, 1:]
+        lags = regressor_tensor(x[n : n + order + 1], ops, order)[0, :, 1:]
         x[order + n] = innov[n] + lags @ taps
     return x[order + warmup :], coeffs
 

@@ -337,7 +337,7 @@ def run_distributed(
         agent_traj = np.empty((E, horizon + 1)) if track_agents else None
         blocks = generate_stream(coeffs, ops, _realization(cfg, horizon + order, seed))
         states = _stream_states(NetworkState(estimates=np.zeros((E, h_true.size)), mu=mu_vec),
-                                lambda net, z, d, y: atc_step(net, comb, z, d, y), blocks, order)
+                                lambda net, z, d, y: atc_step(net, comb, z, d, y), blocks)
         for k, net in enumerate(states):
             dev = np.sum((h_true - net.estimates) ** 2, axis=1)
             traj[k] = np.mean(dev)

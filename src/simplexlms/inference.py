@@ -136,7 +136,7 @@ def regressors_from_t(
         raise ValueError(
             f"history has shape {x_hist.shape}, expected ({order + 1}, {cand.ops.num_edges})"
         )
-    return regressor_tensor(x_hist[::-1], cand.ops, order, t)[-1]
+    return regressor_tensor(x_hist[::-1], cand.ops, order, t)[0]
 
 
 def grad_t(
@@ -227,20 +227,19 @@ def run_inference(
     indicator at 0.5. ``cfg`` gives the signal covariance, noise
     variances, sampling probabilities and master seed, as it does for
     :func:`.lms.run_experiment`. Each realization's draws are those of a
-    stream of ``horizon + order`` rows, made block by block at the row
-    bounds :func:`.signals.generate_stream` uses and walked with the same
-    history carry (:func:`.signals._history_walk`), so memory does not
-    grow with the horizon. Realizations run through the Monte-Carlo
-    engine, :func:`.lms._monte_carlo`. A signal scale whose moments
-    overflow on the complex of all candidates raises a ``ValueError``
-    before any step.
+    stream of ``order`` history rows and ``horizon`` steps, made block by
+    block at the row bounds :func:`.signals.generate_stream` uses and
+    walked with the same history carry (:func:`.signals._history_walk`),
+    so memory does not grow with the horizon. Realizations run through
+    the Monte-Carlo engine, :func:`.lms._monte_carlo`. A signal scale
+    whose moments overflow on the complex of all candidates raises a
+    ``ValueError`` before any step.
     """
     order = cand.order
     h_true = coeffs.flatten()
     if not schedule or schedule[0][0] != 0:
         raise ValueError("schedule must start at iteration 0")
 
-    E = cand.ops.num_edges
     N = horizon + order
     # every indicator in [0, 1] weights the triangles of this complex
     edge_moment_matrices(cand.ops, cfg.c_x, order)
@@ -257,15 +256,14 @@ def run_inference(
                           float(np.array_equal(state.t, t_true)), float(np.count_nonzero(state.t)))
 
         record(0)
-        draws = _draw(_realization(cfg, N, seed_r), _block_stops(E, order, N))
-        for start, window, lead, x, v, d in _history_walk(draws, order):
-            for n in range(max(start, order), start + x.shape[0]):
-                k = n - order
+        draws = _draw(_realization(cfg, N, seed_r), _block_stops(cand.ops.num_edges, order, N))
+        for start, window, x, v, d in _history_walk(draws, order, order, next(draws)[0]):
+            for j in range(x.shape[0]):
+                k = start + j - order
                 if seg + 1 < len(schedule) and k >= schedule[seg + 1][0]:
                     seg += 1
                     t_true = np.asarray(schedule[seg][1], dtype=np.float64)
-                j = n - start
-                hist = window[lead + j - order : lead + j + 1][::-1]
+                hist = window[j : j + order + 1][::-1]
                 X_true = regressors_from_t(t_true, cand, hist)
                 y = d[j] * (X_true @ h_true + v[j])
                 state = infer_step(state, cand, hist, d[j], y)

@@ -201,17 +201,17 @@ def _monte_carlo(seed: int, realizations: int, run_one):
     return [total / kept for total in sums], kept, diverged
 
 
-def _stream_states(state, step, blocks, first):
+def _stream_states(state, step, blocks):
     """The initial state, then the state after each step along the stream.
 
-    ``step(state, X, d, y)`` is applied at every row from ``first`` on
-    (the rows with a full history window), straight from the
-    :class:`.signals.StreamBlock` blocks of :func:`.signals.generate_stream`.
+    ``step(state, X, d, y)`` is applied at every row of the
+    :class:`.signals.StreamBlock` blocks of :func:`.signals.generate_stream`,
+    each a step: a stream of ``N`` rows gives ``N - order`` of them.
     """
     yield state
     for block in blocks:
-        for j in range(max(first - block.start, 0), block.y.shape[0]):
-            state = step(state, block.X[j], block.d[j], block.y[j])
+        for X, d, y in zip(block.X, block.d, block.y):
+            state = step(state, X, d, y)
             yield state
 
 
@@ -256,8 +256,7 @@ def run_experiment(
     def run_one(seed: int) -> tuple[np.ndarray]:
         traj = np.empty(horizon + 1)
         blocks = generate_stream(coeffs, ops, _realization(cfg, horizon + order, seed))
-        states = _stream_states(LmsState(h=np.zeros(h_true.size), mu=mu), lms_step, blocks,
-                                order)
+        states = _stream_states(LmsState(h=np.zeros(h_true.size), mu=mu), lms_step, blocks)
         for k, state in enumerate(states):
             traj[k] = np.sum((h_true - state.h) ** 2)
         return (traj,)

@@ -148,11 +148,11 @@ class StreamConfig:
 
 @dataclass
 class StreamBlock:
-    """Consecutive rows ``start, start + 1, ...`` of one stream realisation.
+    """Consecutive steps ``start, start + 1, ...`` of one stream realisation.
 
     ``x``, ``d`` and ``y`` hold the block's rows of the signals, masks and
     observations, and ``X[j]`` is the regressor matrix of row ``start + j``.
-    Rows ``n < order`` have zero regressors and observe zero.
+    Every row is a step: a stream of ``N`` rows has ``N - order`` of them.
     """
 
     start: int
@@ -207,9 +207,9 @@ def _power_columns(x: np.ndarray, factor: np.ndarray, factor_t: np.ndarray,
 
 def regressor_tensor(x: np.ndarray, ops: HodgeOperators, order: int,
                      weights: np.ndarray | None = None) -> np.ndarray:
-    """Regressor matrices for a whole stream, shape (N, E, 2M+1).
+    """Regressor matrices of every full history window, shape (N - M, E, 2M+1).
 
-    Rows ``n < order`` are zero: no full history window exists there.
+    Entry ``j`` is the matrix of row ``order + j``: one per full window.
     The upper columns are :func:`_power_columns` of ``b2`` with Gram
     ``l2``, the lower ones of ``b1^T`` with Gram ``l0``; both factors'
     C-ordered transposes are the operators' cached ``b2_t`` and ``b1_t``.
@@ -217,12 +217,10 @@ def regressor_tensor(x: np.ndarray, ops: HodgeOperators, order: int,
     """
     x = np.asarray(x, dtype=np.float64)
     N, E = x.shape
-    out = np.zeros((N, E, 2 * order + 1))
-    if N > order:
-        out[order:, :, 0] = x[order:]
-        _power_columns(x, ops.b2, ops.b2_t, ops.l2, order, out[order:, :, 1 : order + 1],
-                       weights)
-        _power_columns(x, ops.b1_t, ops.b1, ops.l0, order, out[order:, :, order + 1 :])
+    out = np.empty((N - order, E, 2 * order + 1))
+    out[:, :, 0] = x[order:]
+    _power_columns(x, ops.b2, ops.b2_t, ops.l2, order, out[:, :, 1 : order + 1], weights)
+    _power_columns(x, ops.b1_t, ops.b1, ops.l0, order, out[:, :, order + 1 :])
     return out
 
 
@@ -241,48 +239,48 @@ def _stops(first: int, stop: int, rows: int):
 
 
 def _block_stops(num_edges: int, order: int, horizon: int):
-    """Row bounds for :func:`_draw`: ``order`` plus one window's rows, then a window each."""
-    return _stops(order, horizon, _window_rows(num_edges, order))
+    """Row bounds for :func:`_draw`: the ``order`` history rows, then a window each."""
+    return chain((order,), _stops(order, horizon, _window_rows(num_edges, order)))
 
 
-def _history_walk(blocks, order: int, start: int = 0, history: np.ndarray | None = None):
-    """Carry the signal rows before each block of a stream into it.
+def _history_walk(blocks, order: int, start: int, history: np.ndarray):
+    """Carry the ``order`` signal rows before each block of a stream into it.
 
     ``blocks`` yields tuples ``(x, ...)`` where ``x`` holds the stream's
     next consecutive signal rows, from row ``start`` on, and ``history``
-    holds the (at most ``order``) rows just before ``start``. Yields
-    ``(start, window, lead, x, ...)`` per block, where ``window`` stacks
-    the ``lead`` rows before the block, at most ``order``, on top of
-    ``x``: the rows of ``regressor_tensor(window)[lead:]`` are the
-    block's regressors, so the blocks concatenate to the whole-stream
-    tensor while one window is alive. A block shorter than the order
-    takes history from several.
+    holds the ``order`` rows just before ``start``. Yields
+    ``(start, window, x, ...)`` per block, where ``window`` stacks the
+    ``order`` rows before the block on top of ``x``: every row of ``x``
+    is a step, and ``regressor_tensor(window)`` holds the block's
+    regressors, so the blocks concatenate to the whole-stream tensor
+    while one window is alive. A block shorter than the order takes
+    history from several.
     """
     for block in blocks:
-        x = block[0]
-        lead = 0 if history is None else history.shape[0]
-        window = np.concatenate([history, x]) if lead else x
-        yield (start, window, lead, *block)
-        history = window[max(window.shape[0] - order, 0) :].copy()
-        start += x.shape[0]
+        window = np.concatenate([history, block[0]])
+        yield (start, window, *block)
+        history = window[window.shape[0] - order :].copy()
+        start += window.shape[0] - order
 
 
-def _series_walk(x: np.ndarray, order: int, first: int = 0, stop: int | None = None):
-    """:func:`_history_walk` over rows ``first..stop-1`` of an in-memory series.
+def _series_walk(x: np.ndarray, order: int, first: int, stop: int | None = None):
+    """:func:`_history_walk` over the steps ``first..stop-1`` of an in-memory series.
 
     Row ``n`` is ``x[n mod N]`` for the series' ``N`` rows, so a ``stop``
     past ``N`` (the default) walks the series' periodic extension without
     building it. A block is one regressor window (:func:`_window_rows`,
     :func:`_stops`); one that runs past row ``N - 1`` gathers its rows
-    modulo ``N``. The history of the first block is the series' rows
-    before ``first``, which must not exceed ``N``.
+    modulo ``N``. The first block's history is the ``order`` rows before
+    ``first``: ``order <= first <= N``, or a ``ValueError`` is raised.
     """
     N, E = x.shape
+    if not order <= first <= N:
+        raise ValueError(f"a walk of order {order} over {N} rows cannot start at row {first}")
     stop = N if stop is None else stop
     bounds = [first, *_stops(first, stop, _window_rows(E, order))] if first < stop else []
     blocks = ((x[lo:hi] if hi <= N else x[np.arange(lo, hi) % N],)
               for lo, hi in zip(bounds, bounds[1:]))
-    return _history_walk(blocks, order, first, x[max(first - order, 0) : first])
+    return _history_walk(blocks, order, first, x[first - order : first])
 
 
 def _covariance_factor(c_x: np.ndarray) -> np.ndarray:
@@ -348,16 +346,15 @@ def _draw(cfg: StreamConfig, stops=None):
 def generate_stream(coeffs: FilterCoeffs, ops: HodgeOperators, cfg: StreamConfig):
     """Draw one stream realisation of the observation model, block by block.
 
-    A generator of :class:`StreamBlock`. The first block holds rows
-    ``0..order+rows-1`` and each later one the next ``rows`` rows, where
-    a block's regressors hold about ``_WINDOW_ELEMENTS`` floats and
-    ``rows`` is at least ``_MIN_WINDOW_ROWS``; a shorter last block joins
-    the one before it. Only the block's own rows are drawn
-    (:func:`_draw`). Its regressors are built once, from its signal rows
-    plus the ``order`` signal rows before them (:func:`_history_walk`),
-    and give ``y = d * (X h + v)``. Rows ``n < order`` have no full
-    history window and observe zero, so a stream of ``order`` rows
-    observes nothing. Memory does not grow with the horizon.
+    A generator of :class:`StreamBlock`. A stream of ``N = cfg.horizon``
+    rows yields ``N - order`` steps: its first ``order`` rows are drawn as
+    history, the first block starts at row ``order`` and each block holds
+    the next ``rows`` rows, where a block's regressors hold about
+    ``_WINDOW_ELEMENTS`` floats and ``rows`` is at least ``_MIN_WINDOW_ROWS``;
+    a shorter last block joins the one before it. Only the block's rows are
+    drawn (:func:`_draw`), and its regressors are built once, from them and
+    the ``order`` rows before them (:func:`_history_walk`), to give
+    ``y = d * (X h + v)``. Memory does not grow with the horizon.
     """
     if ops.num_edges != cfg.num_edges:
         raise ValueError("config dimension does not match the complex")
@@ -368,12 +365,9 @@ def generate_stream(coeffs: FilterCoeffs, ops: HodgeOperators, cfg: StreamConfig
 
     h = coeffs.flatten()
     draws = _draw(cfg, _block_stops(cfg.num_edges, order, N))
-    for start, window, lead, x, v, d in _history_walk(draws, order):
-        X = regressor_tensor(window, ops, order)[lead:]
-        first = max(order - start, 0)
-        y = np.zeros_like(x)
-        y[first:] = d[first:] * (X[first:] @ h + v[first:])
-        yield StreamBlock(start=start, x=x, X=X, d=d, y=y)
+    for start, window, x, v, d in _history_walk(draws, order, order, next(draws)[0]):
+        X = regressor_tensor(window, ops, order)
+        yield StreamBlock(start=start, x=x, X=X, d=d, y=d * (X @ h + v))
 
 
 def moments_closed_form(
@@ -417,9 +411,8 @@ def moments_empirical(blocks, order: int, sigma_v2: np.ndarray | None = None) ->
     """Time-averaged moment estimates from one realised stream.
 
     ``blocks`` are the :class:`StreamBlock` blocks of
-    :func:`generate_stream`; the sums run over their regressors block by
-    block, so memory does not grow with the horizon. Rows ``n < order``
-    have no full history window and are left out. The noise-weighted
+    :func:`generate_stream`; the sums run over their steps block by
+    block, so memory does not grow with the horizon. The noise-weighted
     moment needs the noise variances, which are model knowledge rather
     than observables; pass ``sigma_v2`` to estimate it (otherwise it is
     reported as zero).
@@ -428,13 +421,11 @@ def moments_empirical(blocks, order: int, sigma_v2: np.ndarray | None = None) ->
     c_X, g, c_Xy = np.zeros((dim, dim)), np.zeros((dim, dim)), np.zeros(dim)
     count = 0
     for block in blocks:
-        first = max(order - block.start, 0)
-        R, d, y = block.X[first:], block.d[first:], block.y[first:]
-        c_X += np.einsum("nia,ni,nib->ab", R, d, R)
-        c_Xy += np.einsum("nia,ni,ni->a", R, d, y)
+        c_X += np.einsum("nia,ni,nib->ab", block.X, block.d, block.X)
+        c_Xy += np.einsum("nia,ni,ni->a", block.X, block.d, block.y)
         if sigma_v2 is not None:
-            g += np.einsum("nia,i,ni,nib->ab", R, sigma_v2, d, R)
-        count += R.shape[0]
+            g += np.einsum("nia,i,ni,nib->ab", block.X, sigma_v2, block.d, block.X)
+        count += block.y.shape[0]
     if count < 1:
         raise ValueError("stream too short for the requested order")
     return MomentSet(c_X=c_X / count, g=g / count, c_Xy=c_Xy / count)

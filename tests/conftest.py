@@ -15,13 +15,15 @@ def whole_stream(coeffs, ops, cfg):
 
     A namespace of the signals ``x``, masks ``d``, observations ``y`` and
     noise ``v`` (the regressors are not kept), plus ``order`` and ``horizon``.
-    The blocks do not keep their noise, so ``v`` is drawn again with the
-    stream's seed and row bounds.
+    The blocks hold the ``horizon - order`` steps only, so ``d`` and ``y``
+    have that many rows and row ``n`` of the stream is their row
+    ``n - order``. ``x`` and ``v`` are drawn again with the stream's seed and
+    row bounds and hold every row, the history rows included.
     """
-    rows = [(b.x, b.d, b.y) for b in generate_stream(coeffs, ops, cfg)]
-    x, d, y = (np.concatenate(column) for column in zip(*rows))
+    rows = [(b.d, b.y) for b in generate_stream(coeffs, ops, cfg)]
+    d, y = (np.concatenate(column) for column in zip(*rows))
     stops = signals._block_stops(cfg.num_edges, coeffs.order, cfg.horizon)
-    v = np.concatenate([v for _, v, _ in signals._draw(cfg, stops)])
+    x, v, _ = (np.concatenate(column) for column in zip(*signals._draw(cfg, stops)))
     return SimpleNamespace(x=x, d=d, y=y, v=v, order=coeffs.order, horizon=cfg.horizon)
 
 

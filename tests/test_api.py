@@ -1,6 +1,8 @@
 """The package's exported names."""
 
+import ast
 import importlib
+import inspect
 import pkgutil
 import re
 from pathlib import Path
@@ -34,3 +36,27 @@ def test_readme_names_resolve():
     missing = [f"simplexlms.{module}.{name}" for module, name in sorted(dotted)
                if not hasattr(importlib.import_module(f"simplexlms.{module}"), name)]
     assert not missing, f"README.md names missing functions: {missing}"
+
+
+def test_benchmark_spans_are_traced_functions():
+    # the benchmark's traced run fails when a span it reads records no calls,
+    # and its tracer wraps only the functions a module defines and exports:
+    # a span whose function is renamed, privatised or deleted fails here first
+    layers = Path(__file__).resolve().parents[1] / "perfbench" / "layers.py"
+    tables = {node.targets[0].id: node.value
+              for node in ast.parse(layers.read_text(encoding="utf-8")).body
+              if isinstance(node, ast.Assign) and isinstance(node.targets[0], ast.Name)}
+    spans = {row.elts[2].value for row in tables["SPAN_METRICS"].elts}
+    spans |= {row.elts[0].value for row in tables["BUCKETED_SPANS"].elts}
+    assert {"signals.regressor_tensor", "artrain.ar_regressor_tensor",
+            "inference.regressors_from_t"} <= spans
+    untraced = []
+    for span in sorted(spans):
+        layer, name = span.split(".")
+        module = importlib.import_module(f"simplexlms.{layer}")
+        exported = getattr(module, "__all__", None)
+        public = name in exported if exported is not None else not name.startswith("_")
+        fn = getattr(module, name, None)
+        if not (public and inspect.isfunction(fn) and fn.__module__ == module.__name__):
+            untraced.append(span)
+    assert not untraced, f"benchmark spans the tracer would not wrap: {untraced}"

@@ -509,6 +509,19 @@ def test_undeclared_key_exits_2(tmp_path, complex_file, capsys, monkeypatch, mod
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv, unknown", [
+    # a prefix of a flag is not that flag: `--p` is not `--p-max`, nor `--real`
+    # `--realizations`, so a typo never sets another key
+    (["design-sampling", "--p", "0.5"], "--p"),
+    (["run-lms", "--real", "5", "--sig", "2"], "--real"),
+])
+def test_abbreviated_flag_exits_2(capsys, no_run, argv, unknown):
+    with pytest.raises(SystemExit) as stop:
+        run_cli(argv)
+    assert stop.value.code == 2
+    assert f"unrecognized arguments: {unknown}" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("flag", ["--complex-file", "--series-file"])
 def test_ar_train_surrogate_with_input_files_exits_2(tmp_path, complex_file, capsys, flag):
     # the surrogate brings its own complex and series, so a file given beside it would be ignored

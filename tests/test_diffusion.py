@@ -389,8 +389,8 @@ def atc_replay(instance, mu, seed, horizon):
     traj = np.empty((E, horizon + 1))
     traj[:, 0] = np.sum(h_true**2)
     for n in range(order, horizon + order):
-        z = regressor_tensor(batch.x[n - order : n + 1], ops, order)[-1]
-        net = atc_step(net, comb, z, batch.d[n], batch.y[n])
+        z = regressor_tensor(batch.x[n - order : n + 1], ops, order)[0]
+        net = atc_step(net, comb, z, batch.d[n - order], batch.y[n - order])
         traj[:, n - order + 1] = np.sum((h_true[None, :] - net.estimates) ** 2, axis=1)
     return traj
 
@@ -430,9 +430,8 @@ def test_run_distributed_identity_combination_matches_independent_runs(network_i
     for i in range(0, E, 5):
         state = LmsState(h=np.zeros(5), mu=1e-2)
         for k in range(40):
-            n = 2 + k
             state = lms_step(
-                state, R[n, i][None, :], batch.d[n, i : i + 1], batch.y[n, i : i + 1]
+                state, R[k, i][None, :], batch.d[k, i : i + 1], batch.y[k, i : i + 1]
             )
         assert np.isclose(
             result.agent_msd[i, 40], np.sum((h_true - state.h) ** 2), atol=1e-12

@@ -143,8 +143,8 @@ def tiled_replay(ds, order, variant, epochs, state, predict, step):
     ones = np.ones(ds.complex.num_edges)
 
     def regressors(series, first):
-        for start, window, lead, _ in signals._series_walk(series, order, first):
-            R = ar_regressor_tensor(window, ops, order)[lead:]
+        for start, window, _ in signals._series_walk(series, order, first):
+            R = ar_regressor_tensor(window, ops, order)
             if variant == "edge-laplacian-baseline":
                 R = R.copy()
                 R[:, :, :order] = 0.0
@@ -174,9 +174,9 @@ def test_extend_series_modular_indexing(monkeypatch):
     monkeypatch.setattr(signals, "_MIN_WINDOW_ROWS", 1)
     for first, stop in ((2, 15), (4, 11), (5, 7)):
         starts = [first]
-        for start, window, lead, x in signals._series_walk(series, 2, first, stop):
+        for start, window, x in signals._series_walk(series, 2, first, stop):
             assert start == starts[-1]
-            np.testing.assert_array_equal(window, ext[start - lead : start + x.shape[0]])
+            np.testing.assert_array_equal(window, ext[start - 2 : start + x.shape[0]])
             starts.append(start + x.shape[0])
         assert starts[-1] == stop and len(starts) == 2 + (stop - first - 1) // 3
 
@@ -193,9 +193,9 @@ def test_ar_training_shares_lms_step_path():
     errors = []
     ones = np.ones(ds.complex.num_edges)
     for n in range(order, ext.shape[0]):
-        pred = R[n] @ state.h
+        pred = R[n - order] @ state.h
         errors.append(np.linalg.norm(pred - ext[n]) / np.linalg.norm(ext[n]))
-        state = lms_step(state, R[n], ones, ext[n])
+        state = lms_step(state, R[n - order], ones, ext[n])
     assert np.allclose(result.train_errors, errors, atol=1e-15)
     assert np.allclose(result.coeffs, state.h, atol=1e-15)
 
@@ -236,7 +236,7 @@ def test_distributed_ar_identity_combination_reduces_to_per_edge_lms():
         state = LmsState(h=np.zeros(4), mu=1e-2)
         for n in range(2, ds.train_count):
             state = lms_step(
-                state, R[n, i][None, :], np.ones(1), ds.train_series[n, i : i + 1]
+                state, R[n - 2, i][None, :], np.ones(1), ds.train_series[n, i : i + 1]
             )
         assert np.allclose(dist.coeffs[i], state.h, atol=1e-13)
 

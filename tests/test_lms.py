@@ -222,8 +222,8 @@ def lms_replay(complex_, coeffs, cfg, mu, seed, horizon):
     state = LmsState(h=np.zeros(h_true.size), mu=mu)
     traj = [np.sum(h_true**2)]
     for n in range(order, horizon + order):
-        X = regressor_tensor(batch.x[n - order : n + 1], ops, order)[-1]
-        state = lms_step(state, X, batch.d[n], batch.y[n])
+        X = regressor_tensor(batch.x[n - order : n + 1], ops, order)[0]
+        state = lms_step(state, X, batch.d[n - order], batch.y[n - order])
         traj.append(np.sum((h_true - state.h) ** 2))
     return np.array(traj)
 

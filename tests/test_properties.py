@@ -92,21 +92,23 @@ def round_off(reference):
     overhang=st.integers(-1, 1),
 )
 def test_windows_concatenate_to_regressor_tensor(order, rows, first, blocks, overhang):
-    # an in-memory series walked from row `first`, with lengths one short of,
-    # at and one past a window boundary
+    # an in-memory series walked from row `first`, after its `order` history
+    # rows, with lengths one short of, at and one past a window boundary
+    assume(first >= order)
     E = WINDOW_OPS.l1.shape[0]
-    N = max(1, first + blocks * rows + overhang)
+    N = max(1, first, first + blocks * rows + overhang)
     x = np.random.default_rng(N).standard_normal((N, E))
     full = regressor_tensor(x, WINDOW_OPS, order)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(signals, "_WINDOW_ELEMENTS", window_budget(rows, order))
         mp.setattr(signals, "_MIN_WINDOW_ROWS", 1)
-        windows = [(start, regressor_tensor(window, WINDOW_OPS, order)[lead:])
-                   for start, window, lead, _ in signals._series_walk(x, order, first)]
+        windows = [(start, regressor_tensor(window, WINDOW_OPS, order))
+                   for start, window, _ in signals._series_walk(x, order, first)]
     assert [start for start, _ in windows] == list(range(first, N, rows))
     assert all(X.shape == (min(rows, N - start), E, 2 * order + 1) for start, X in windows)
     got = np.concatenate([X for _, X in windows]) if windows else full[:0]
-    np.testing.assert_allclose(got, full[first:], rtol=0, atol=round_off(full))
+    np.testing.assert_allclose(got, full[first - order :], rtol=0,
+                               atol=round_off(full) if full.size else 0.0)
 
 
 @settings(derandomize=True, max_examples=20, deadline=None)
@@ -122,7 +124,7 @@ def test_windowed_stream_matches_one_window(order, rows, extra):
         windowed = whole_stream(coeffs, WINDOW_OPS, cfg)
     for name in ("x", "d", "v"):
         assert np.array_equal(getattr(windowed, name), getattr(whole, name))
-    assert np.all(windowed.y[:order] == 0.0)
+    assert windowed.y.shape == (extra, E)
     np.testing.assert_allclose(windowed.y, whole.y, rtol=0, atol=round_off(whole.y))
 
 
@@ -154,12 +156,15 @@ def test_stream_blocks_concatenate_to_one_block_draw(order, rows, blocks, overha
         noise = [v for _, v, _ in signals._draw(cfg, signals._block_stops(E, order, horizon))]
         # oracle: the observations of the one-block draw, built in the same windows
         y = np.zeros_like(x)
-        for start, window, lead, _ in signals._series_walk(x, order, first=order):
-            X = regressor_tensor(window, WINDOW_OPS, order)[lead:]
+        for start, window, _ in signals._series_walk(x, order, first=order):
+            X = regressor_tensor(window, WINDOW_OPS, order)
             y[start : start + len(X)] = d[start : start + len(X)] * (X @ h + v[start : start + len(X)])
-    assert [b.start for b in got] == [0] + list(range(order + rows, horizon, rows))
+    # the first block starts after the `order` history rows, and every row is a step
+    assert [b.start for b in got] == [order] + list(range(order + rows, horizon, rows))
+    assert sum(len(b.y) for b in got) == horizon - order
     for name, whole in (("x", x), ("d", d), ("y", y)):
-        np.testing.assert_array_equal(np.concatenate([getattr(b, name) for b in got]), whole)
+        np.testing.assert_array_equal(np.concatenate([getattr(b, name) for b in got]),
+                                      whole[order:])
     np.testing.assert_array_equal(np.concatenate(noise), v)
     full = regressor_tensor(x, WINDOW_OPS, order)
     np.testing.assert_allclose(np.concatenate([b.X for b in got]), full,
@@ -174,11 +179,12 @@ def test_stream_blocks_concatenate_to_one_block_draw(order, rows, blocks, overha
     blocks=st.integers(0, 4),
     drawn=st.booleans(),
 )
-@example(order=3, rows=1, first=0, blocks=3, drawn=True)    # history from several blocks
-@example(order=2, rows=1, first=1, blocks=3, drawn=False)   # first > 0, short history
+@example(order=3, rows=1, first=3, blocks=3, drawn=True)    # history from several blocks
+@example(order=2, rows=1, first=3, blocks=3, drawn=False)   # first > order
 def test_history_walk_carries_the_rows_before_each_block(order, rows, first, blocks, drawn):
-    # each window is the block under the rows just before it, at most `order`
-    # of them, bit for bit: for a drawn stream and for an in-memory series
+    # each window is the block under the `order` rows just before it, bit for
+    # bit: for a drawn stream and for an in-memory series
+    assume(first >= order)
     E = WINDOW_OPS.l1.shape[0]
     N = first + blocks * rows + 1
     cfg = StreamConfig.white(E, sigma_v2=0.05, p=0.7, horizon=N, seed=N)
@@ -187,19 +193,18 @@ def test_history_walk_carries_the_rows_before_each_block(order, rows, first, blo
         mp.setattr(signals, "_WINDOW_ELEMENTS", window_budget(rows, order))
         mp.setattr(signals, "_MIN_WINDOW_ROWS", 1)
         if drawn:
-            first = 0
-            walk = signals._history_walk(signals._draw(cfg, signals._block_stops(E, order, N)),
-                                         order)
+            first = order
+            draws = signals._draw(cfg, signals._block_stops(E, order, N))
+            walk = signals._history_walk(draws, order, order, next(draws)[0])
         else:
             walk = signals._series_walk(x, order, first)
-        walked = [(start, window.copy(), lead, block) for start, window, lead, *block in walk]
+        walked = [(start, window.copy(), block) for start, window, *block in walk]
     assert walked[0][0] == first
     end = first
-    for start, window, lead, block in walked:
+    for start, window, block in walked:
         assert start == end
-        assert lead == min(order, start)
-        np.testing.assert_array_equal(window, x[start - lead : start + len(block[0])])
-        np.testing.assert_array_equal(window[lead:], block[0])
+        np.testing.assert_array_equal(window, x[start - order : start + len(block[0])])
+        np.testing.assert_array_equal(window[order:], block[0])
         if drawn:
             np.testing.assert_array_equal(block[1], v[start : start + len(block[0])])
             np.testing.assert_array_equal(block[2], d[start : start + len(block[0])])
@@ -225,17 +230,17 @@ def test_regressor_tensor_matches_repeated_products(vertices, edge_prob, fill_pr
     rng = np.random.default_rng(seed)
     x = rng.standard_normal((order + 6, E))
     R = regressor_tensor(x, ops, order)
-    assert np.all(R[:order] == 0.0)
+    assert R.shape == (6, E, 2 * order + 1)
     # fractional triangle weights: L_u = B2 diag(w) B2^T, its powers formed densely
     w = rng.random(complex_.num_triangles)
     R_w = regressor_tensor(x, ops, order, w)
     upper_w = (ops.b2 * w) @ ops.b2.T
     for n in range(order, x.shape[0]):
         expected = naive_regressors(x[n - order : n + 1][::-1], ops, order)
-        np.testing.assert_allclose(R[n], expected, rtol=0, atol=round_off(expected))
+        np.testing.assert_allclose(R[n - order], expected, rtol=0, atol=round_off(expected))
         for m in range(1, order + 1):
             expected[:, m] = np.linalg.matrix_power(upper_w, m) @ x[n - m]
-        np.testing.assert_allclose(R_w[n], expected, rtol=0, atol=round_off(expected))
+        np.testing.assert_allclose(R_w[n - order], expected, rtol=0, atol=round_off(expected))
 
 
 @settings(derandomize=True, max_examples=30, deadline=None)

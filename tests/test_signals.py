@@ -90,43 +90,42 @@ def test_regressors_upper_zero_without_triangles():
     ops = hodge_laplacians(c)
     rng = np.random.default_rng(0)
     x = rng.standard_normal((2, c.num_edges))
-    X = regressor_tensor(x, ops, 1)[1]
+    X = regressor_tensor(x, ops, 1)[0]
     assert np.allclose(X[:, 1], 0.0)
     assert not np.allclose(X[:, 2], 0.0)
 
 
 def test_regressors_match_naive_oracle(small_ops):
-    # both tensor builders, row by row, including the zero rows n < order
+    # both tensor builders, row by row: one entry per full window, entry
+    # n - order for row n
     rng = np.random.default_rng(2)
     E = small_ops.l1.shape[0]
     x = rng.standard_normal((12, E))
     for order in range(3):
         R = regressor_tensor(x, small_ops, order)
         R_ar = ar_regressor_tensor(x, small_ops, order)
-        assert R.shape == (12, E, 2 * order + 1)
-        assert R_ar.shape == (12, E, 2 * order)
-        assert np.all(R[:order] == 0.0)
-        assert np.all(R_ar[:order] == 0.0)
+        assert R.shape == (12 - order, E, 2 * order + 1)
+        assert R_ar.shape == (12 - order, E, 2 * order)
         for n in range(order, 12):
             hist = [x[n - m] for m in range(order + 1)]
             expected = naive_regressors(hist, small_ops, order)
-            assert np.allclose(R[n], expected, atol=1e-12)
-            assert np.allclose(R_ar[n], expected[:, 1:], atol=1e-12)
+            assert np.allclose(R[n - order], expected, atol=1e-12)
+            assert np.allclose(R_ar[n - order], expected[:, 1:], atol=1e-12)
 
 
 def test_regressor_tensor_matches_per_step(small_ops):
-    # row n of the stream tensor depends only on the window x[n-2..n]:
-    # it equals the last row built from that window alone
+    # row n of the stream tensor (entry n - 2) depends only on the window
+    # x[n-2..n]: it equals the one entry built from that window alone
     rng = np.random.default_rng(2)
     E = small_ops.l1.shape[0]
     x = rng.standard_normal((30, E))
     R = regressor_tensor(x, small_ops, 2)
-    assert np.allclose(R[:2], 0.0)
+    assert R.shape == (28, E, 5)
     for n in range(2, 30):
-        step = regressor_tensor(x[n - 2 : n + 1], small_ops, 2)[-1]
-        assert np.allclose(R[n], step, atol=1e-12)
+        step = regressor_tensor(x[n - 2 : n + 1], small_ops, 2)[0]
+        assert np.allclose(R[n - 2], step, atol=1e-12)
         hist = [x[n - m] for m in range(3)]
-        assert np.allclose(R[n], naive_regressors(hist, small_ops, 2), atol=1e-12)
+        assert np.allclose(R[n - 2], naive_regressors(hist, small_ops, 2), atol=1e-12)
 
 
 # ------------------------------------------------------------------- masks
@@ -186,12 +185,12 @@ def test_stream_matches_model_identity(small_complex, small_ops):
     cfg = StreamConfig.white(E, sigma_v2=0.05, p=0.7, horizon=60, seed=2)
     batch = whole_stream(coeffs, small_ops, cfg)
     h = coeffs.flatten()
+    assert batch.y.shape == (60 - batch.order, E)
     for n in range(batch.order, 60):
         hist = [batch.x[n - m] for m in range(3)]
         X = naive_regressors(hist, small_ops, 2)
-        expected = batch.d[n] * (X @ h + batch.v[n])
-        assert np.max(np.abs(batch.y[n] - expected)) < 1e-12
-    assert np.allclose(batch.y[: batch.order], 0.0)
+        expected = batch.d[n - batch.order] * (X @ h + batch.v[n])
+        assert np.max(np.abs(batch.y[n - batch.order] - expected)) < 1e-12
     # masked-out entries are exactly zero
     assert np.all(batch.y[batch.d == 0.0] == 0.0)
 
@@ -340,8 +339,8 @@ def test_moments_empirical_single_sample(small_ops):
 def test_moments_empirical_zero_signal(small_ops):
     E = small_ops.l1.shape[0]
     x = np.zeros((20, E))
-    block = StreamBlock(start=0, x=x, X=regressor_tensor(x, small_ops, 1), d=np.ones((20, E)),
-                        y=np.zeros((20, E)))
+    block = StreamBlock(start=1, x=x[1:], X=regressor_tensor(x, small_ops, 1),
+                        d=np.ones((19, E)), y=np.zeros((19, E)))
     m = moments_empirical([block], 1, sigma_v2=np.ones(E))
     assert np.allclose(m.c_X, 0)
     assert np.allclose(m.g, 0)
@@ -657,12 +656,15 @@ def test_a_thin_last_block_joins_the_one_before(small_ops):
     rows = signals._window_rows(E, 2)
     floor = signals._MIN_WINDOW_ROWS
     thin, full = 2 + 2 * rows + floor - 1, 2 + 2 * rows + floor
-    assert list(signals._block_stops(E, 2, thin)) == [2 + rows, thin]
-    assert list(signals._block_stops(E, 2, full)) == [2 + rows, 2 + 2 * rows, full]
-    assert list(signals._block_stops(E, 2, 10)) == [10]
+    assert list(signals._block_stops(E, 2, thin)) == [2, 2 + rows, thin]
+    assert list(signals._block_stops(E, 2, full)) == [2, 2 + rows, 2 + 2 * rows, full]
+    assert list(signals._block_stops(E, 2, 10)) == [2, 10]
     x = np.random.default_rng(3).standard_normal((2 + 2 * rows + 5, E))
-    windows = [(start, regressor_tensor(window, small_ops, 2)[lead:])
-               for start, window, lead, _ in signals._series_walk(x, 2, first=2)]
+    windows = [(start, regressor_tensor(window, small_ops, 2))
+               for start, window, _ in signals._series_walk(x, 2, first=2)]
     assert [(start, len(X)) for start, X in windows] == [(2, rows), (2 + rows, rows + 5)]
     np.testing.assert_allclose(np.concatenate([X for _, X in windows]),
-                               regressor_tensor(x, small_ops, 2)[2:], rtol=0, atol=1e-12)
+                               regressor_tensor(x, small_ops, 2), rtol=0, atol=1e-12)
+    # a walk starts after its ``order`` history rows, never before them
+    with pytest.raises(ValueError):
+        signals._series_walk(x, 2, first=1)
