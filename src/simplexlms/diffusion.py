@@ -33,7 +33,6 @@ from .lms import _is_stable, _monte_carlo, _stream_states
 from .signals import (
     FilterCoeffs,
     StreamConfig,
-    _realization,
     generate_stream,
     local_moment_matrices,
 )
@@ -313,12 +312,14 @@ def run_distributed(
     mu,
     realizations: int,
     horizon: int,
+    seed: int,
     track_agents: bool = False,
 ) -> DistResult:
     """Monte-Carlo run of the diffusion recursion on a simulated network.
 
-    Every realization draws one global signal stream; each agent sees
-    its own regressor row, mask and observation entry. Rounds are
+    Every realization draws one global stream of ``horizon`` steps from
+    ``cfg``, with a seed derived from ``seed``; each agent sees its own
+    regressor row, mask and observation entry. Rounds are
     synchronous with fixed agent order, so a fixed seed reproduces the
     trajectory bit for bit. Realizations run through the Monte-Carlo
     engine, :func:`.lms._monte_carlo`.
@@ -332,10 +333,10 @@ def run_distributed(
     locals_ = local_moment_matrices(ops, cfg.p, cfg.c_x, order)
     theory = dist_theory(comb, locals_, cfg.sigma_v2, mu_vec)
 
-    def run_one(seed: int) -> tuple[np.ndarray, ...]:
+    def run_one(seed_r: int) -> tuple[np.ndarray, ...]:
         traj = np.empty(horizon + 1)
         agent_traj = np.empty((E, horizon + 1)) if track_agents else None
-        blocks = generate_stream(coeffs, ops, _realization(cfg, horizon + order, seed))
+        blocks = generate_stream(coeffs, ops, cfg, horizon, seed_r)
         states = _stream_states(NetworkState(estimates=np.zeros((E, h_true.size)), mu=mu_vec),
                                 lambda net, z, d, y: atc_step(net, comb, z, d, y), blocks)
         for k, net in enumerate(states):
@@ -345,7 +346,7 @@ def run_distributed(
                 agent_traj[:, k] = dev
         return (traj, agent_traj) if track_agents else (traj,)
 
-    means, kept, diverged = _monte_carlo(cfg.seed, realizations, run_one)
+    means, kept, diverged = _monte_carlo(seed, realizations, run_one)
     return DistResult(msd=means[0], agent_msd=means[1] if track_agents else None,
                       theory=theory, realizations=kept, diverged=diverged)
 

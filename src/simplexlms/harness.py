@@ -544,13 +544,12 @@ def emit_results(payload: dict, path, fmt: str = "json") -> None:
 
 
 def _stream(cfg: dict, complex_: SimplicialComplex2) -> StreamConfig:
-    """The stream config of a simulation mode; the caller draws the coefficients, whose law
-    depends on the mode."""
-    E, seed = complex_.num_edges, cfg["seed"]
-    sigma_v2 = resolve_noise(cfg["noise_var"], E, seed)
+    """The signal model of a simulation mode; the caller passes the horizon and seed and
+    draws the coefficients, whose law depends on the mode."""
+    E = complex_.num_edges
+    sigma_v2 = resolve_noise(cfg["noise_var"], E, cfg["seed"])
     p = resolve_p(cfg["p"], E, sigma_v2)
-    return StreamConfig.white(E, cfg["signal_var"], sigma_v2, p,
-                              horizon=cfg["horizon"] + cfg["order"], seed=seed)
+    return StreamConfig.white(E, cfg["signal_var"], sigma_v2, p)
 
 
 def _deviation_fields(msd: np.ndarray) -> dict:
@@ -563,7 +562,7 @@ def mode_run_lms(cfg: dict) -> dict:
     stream = _stream(cfg, complex_)
     coeffs = draw_coeffs(cfg["order"], cfg["seed"], scale=cfg["coeff_scale"])
     result = run_experiment(complex_, coeffs, stream, cfg["mu"], cfg["realizations"],
-                            cfg["horizon"])
+                            cfg["horizon"], cfg["seed"])
     return {
         "complex": {
             "vertices": complex_.num_vertices,
@@ -622,7 +621,7 @@ def mode_infer_topology(cfg: dict) -> dict:
         filled = np.flatnonzero(t_true)
         if removals > filled.size:
             raise ConfigError("cannot remove more triangles than the complex holds")
-        drop = _sub_rng(stream.seed, "removals").choice(filled, size=removals, replace=False)
+        drop = _sub_rng(cfg["seed"], "removals").choice(filled, size=removals, replace=False)
         t_after = t_true.copy()
         t_after[drop] = 0.0
         schedule.append((horizon // 2, t_after))
@@ -635,8 +634,9 @@ def mode_infer_topology(cfg: dict) -> dict:
         mu2=cfg["mu2"],
         lam0=cfg["lambda0"],
         lam1=cfg["lambda1"],
-        horizon=horizon,
         realizations=cfg["realizations"],
+        horizon=horizon,
+        seed=cfg["seed"],
     )
     return {
         "candidates": cand.num_candidates,
@@ -659,7 +659,7 @@ def mode_run_distributed(cfg: dict) -> dict:
         with _replacing(cfg["combination_out"]) as part:
             save_combination(comb, part)
     result = run_distributed(complex_, coeffs, stream, comb, mu, cfg["realizations"],
-                             cfg["horizon"], track_agents=cfg["emit_agent_traces"])
+                             cfg["horizon"], cfg["seed"], track_agents=cfg["emit_agent_traces"])
     payload = {
         **_deviation_fields(result.msd),
         "theory": {

@@ -32,8 +32,8 @@ import numpy as np
 from .complexes import HodgeOperators, SimplicialComplex2, build_incidence, enumerate_3cliques
 from .errors import DivergenceError
 from .lms import LmsState, _monte_carlo, lms_step
-from .signals import (StreamConfig, _block_stops, _draw, _history_walk, _realization,
-                      edge_moment_matrices, regressor_tensor)
+from .signals import (StreamConfig, _block_stops, _draw, _history_walk, edge_moment_matrices,
+                      regressor_tensor)
 
 __all__ = [
     "CandidateSet",
@@ -215,8 +215,9 @@ def run_inference(
     mu2: float,
     lam0: float,
     lam1: float,
-    horizon: int,
     realizations: int,
+    horizon: int,
+    seed: int,
 ) -> InferenceResult:
     """Monte-Carlo run of the joint recursion with a topology schedule.
 
@@ -225,22 +226,21 @@ def run_inference(
     with the indicator active at ``n``, so mid-stream entries model
     topology changes. Each realization starts from ``h = 0`` and every
     indicator at 0.5. ``cfg`` gives the signal covariance, noise
-    variances, sampling probabilities and master seed, as it does for
-    :func:`.lms.run_experiment`. Each realization's draws are those of a
-    stream of ``order`` history rows and ``horizon`` steps, made block by
-    block at the row bounds :func:`.signals.generate_stream` uses and
-    walked with the same history carry (:func:`.signals._history_walk`),
-    so memory does not grow with the horizon. Realizations run through
-    the Monte-Carlo engine, :func:`.lms._monte_carlo`. A signal scale
-    whose moments overflow on the complex of all candidates raises a
-    ``ValueError`` before any step.
+    variances and sampling probabilities, and ``seed`` the master seed,
+    as for :func:`.lms.run_experiment`. Each realization's draws are those
+    of a stream of ``order`` history rows and ``horizon`` steps, made
+    block by block at the row bounds :func:`.signals.generate_stream`
+    uses and walked with the same history carry
+    (:func:`.signals._history_walk`), so memory does not grow with the
+    horizon. Realizations run through the Monte-Carlo engine,
+    :func:`.lms._monte_carlo`. A signal scale whose moments overflow on
+    the complex of all candidates raises a ``ValueError`` before any step.
     """
     order = cand.order
     h_true = coeffs.flatten()
     if not schedule or schedule[0][0] != 0:
         raise ValueError("schedule must start at iteration 0")
 
-    N = horizon + order
     # every indicator in [0, 1] weights the triangles of this complex
     edge_moment_matrices(cand.ops, cfg.c_x, order)
 
@@ -256,7 +256,7 @@ def run_inference(
                           float(np.array_equal(state.t, t_true)), float(np.count_nonzero(state.t)))
 
         record(0)
-        draws = _draw(_realization(cfg, N, seed_r), _block_stops(cand.ops.num_edges, order, N))
+        draws = _draw(cfg, seed_r, _block_stops(cand.ops.num_edges, order, horizon))
         for start, window, x, v, d in _history_walk(draws, order, order, next(draws)[0]):
             for j in range(x.shape[0]):
                 k = start + j - order
@@ -270,7 +270,7 @@ def run_inference(
                 record(k + 1)
         return traj
 
-    (h_error, t_error, recovery, support), kept, diverged = _monte_carlo(cfg.seed, realizations,
-                                                                         run_one)
+    means, kept, diverged = _monte_carlo(seed, realizations, run_one)
+    h_error, t_error, recovery, support = means
     return InferenceResult(h_error=h_error, t_error=t_error, recovery_rate=recovery,
                            support_size=support, realizations=kept, diverged=diverged)

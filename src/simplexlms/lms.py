@@ -25,7 +25,7 @@ import numpy as np
 
 from .complexes import SimplicialComplex2, hodge_laplacians
 from .errors import DivergenceError, StabilityError
-from .signals import FilterCoeffs, StreamConfig, _realization, generate_stream, moments_closed_form
+from .signals import FilterCoeffs, StreamConfig, generate_stream, moments_closed_form
 
 __all__ = [
     "LmsState",
@@ -232,13 +232,15 @@ def run_experiment(
     mu: float,
     realizations: int,
     horizon: int,
+    seed: int,
 ) -> ExperimentResult:
     """Monte-Carlo deviation trajectory of the adaptive filter.
 
-    Each realization draws an independent stream from a seed derived
-    from ``cfg.seed`` (see :func:`_monte_carlo`, which also drops and
-    reports diverged realizations). The trajectory has ``horizon + 1``
-    entries starting at the deviation of the zero estimate.
+    Each realization draws an independent stream of ``horizon`` steps
+    from ``cfg``, with a seed derived from ``seed`` (see
+    :func:`_monte_carlo`, which also drops and reports diverged
+    realizations). The trajectory has ``horizon + 1`` entries starting
+    at the deviation of the zero estimate.
     """
     ops = hodge_laplacians(complex_)
     order = coeffs.order
@@ -253,13 +255,13 @@ def run_experiment(
         warnings.warn("step-size fails the mean-stability bound; no theory report",
                       stacklevel=2)
 
-    def run_one(seed: int) -> tuple[np.ndarray]:
+    def run_one(seed_r: int) -> tuple[np.ndarray]:
         traj = np.empty(horizon + 1)
-        blocks = generate_stream(coeffs, ops, _realization(cfg, horizon + order, seed))
+        blocks = generate_stream(coeffs, ops, cfg, horizon, seed_r)
         states = _stream_states(LmsState(h=np.zeros(h_true.size), mu=mu), lms_step, blocks)
         for k, state in enumerate(states):
             traj[k] = np.sum((h_true - state.h) ** 2)
         return (traj,)
 
-    (msd,), kept, diverged = _monte_carlo(cfg.seed, realizations, run_one)
+    (msd,), kept, diverged = _monte_carlo(seed, realizations, run_one)
     return ExperimentResult(msd=msd, theory=theory, realizations=kept, diverged=diverged)

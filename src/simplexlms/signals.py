@@ -18,7 +18,6 @@ otherwise; correlated signals are only supported empirically.
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass
 from itertools import chain
 
@@ -86,23 +85,20 @@ class FilterCoeffs:
 
 @dataclass
 class StreamConfig:
-    """Generator parameters for one synthetic stream.
+    """The signal model of a synthetic stream; a draw takes its length and seed.
 
     ``c_x`` is the (symmetric PSD) spatial covariance of the white signal
     process, or a 0-d variance ``c`` standing for ``c I`` (white signals of
     equal variance, with no E x E array); ``sigma_v2`` the per-edge noise
-    variances and ``p`` the per-edge Bernoulli sampling probabilities. All
-    randomness derives from ``seed`` through independent child streams for
-    signal, noise and masks. The covariance factor the draws use is
-    computed once, by the check at construction; change ``c_x`` with
-    ``dataclasses.replace``, not by assignment.
+    variances and ``p`` the per-edge Bernoulli sampling probabilities. The
+    covariance factor the draws use is computed once, by the check at
+    construction; change ``c_x`` with ``dataclasses.replace``, not by
+    assignment.
     """
 
     c_x: np.ndarray
     sigma_v2: np.ndarray
     p: np.ndarray
-    horizon: int
-    seed: int
 
     def __post_init__(self):
         self.c_x = np.asarray(self.c_x, dtype=np.float64)
@@ -133,16 +129,12 @@ class StreamConfig:
         signal_var: float = 1.0,
         sigma_v2=0.0,
         p=1.0,
-        horizon: int = 1000,
-        seed: int = 0,
     ) -> "StreamConfig":
         """Convenience constructor for i.i.d. signals with scalar knobs."""
         return cls(
             c_x=np.float64(signal_var),
             sigma_v2=np.broadcast_to(np.asarray(sigma_v2, dtype=np.float64), (num_edges,)).copy(),
             p=np.broadcast_to(np.asarray(p, dtype=np.float64), (num_edges,)).copy(),
-            horizon=horizon,
-            seed=seed,
         )
 
 
@@ -150,13 +142,12 @@ class StreamConfig:
 class StreamBlock:
     """Consecutive steps ``start, start + 1, ...`` of one stream realisation.
 
-    ``x``, ``d`` and ``y`` hold the block's rows of the signals, masks and
-    observations, and ``X[j]`` is the regressor matrix of row ``start + j``.
-    Every row is a step: a stream of ``N`` rows has ``N - order`` of them.
+    ``d`` and ``y`` hold the block's rows of the masks and observations,
+    and ``X[j]`` is the regressor matrix of row ``start + j``, whose lag-0
+    column ``X[j, :, 0]`` is that row's signal.
     """
 
     start: int
-    x: np.ndarray
     X: np.ndarray
     d: np.ndarray
     y: np.ndarray
@@ -239,8 +230,9 @@ def _stops(first: int, stop: int, rows: int):
 
 
 def _block_stops(num_edges: int, order: int, horizon: int):
-    """Row bounds for :func:`_draw`: the ``order`` history rows, then a window each."""
-    return chain((order,), _stops(order, horizon, _window_rows(num_edges, order)))
+    """Row bounds for :func:`_draw`: the ``order`` history rows, then a window each
+    up to ``horizon`` steps."""
+    return chain((order,), _stops(order, horizon + order, _window_rows(num_edges, order)))
 
 
 def _history_walk(blocks, order: int, start: int, history: np.ndarray):
@@ -302,30 +294,22 @@ def _covariance_factor(c_x: np.ndarray) -> np.ndarray:
         return u * np.sqrt(np.clip(lam, 0.0, None))
 
 
-def _realization(cfg: StreamConfig, horizon: int, seed: int) -> StreamConfig:
-    """``cfg`` with another horizon and seed, sharing its checked arrays and factor."""
-    out = copy.copy(cfg)
-    out.horizon, out.seed = horizon, seed
-    return out
-
-
-def _draw(cfg: StreamConfig, stops=None):
+def _draw(cfg: StreamConfig, seed: int, stops):
     """Signals ``x``, noise ``v`` and masks ``d`` of one stream, block by block.
 
     Yields one ``(x, v, d)`` triple of ``(rows, E)`` arrays per entry of
     the increasing row bounds ``stops``, holding the rows from the
-    previous stop (0 at first) up to it; by default one block of all
-    ``cfg.horizon`` rows. Signals and noise are i.i.d. Gaussian; masks are
-    Bernoulli; signals use the covariance factor computed when ``cfg`` was
-    checked. Three child generators (signal, noise, mask) are spawned
-    from ``cfg.seed``, so the draws stay decoupled yet fully reproducible.
-    They carry their state from block to block, so a white stream's
-    blocks concatenate to the one-block draw bit for bit; a dense
-    covariance factor enters one matrix product per block, whose rounding
-    may depend on the block size.
+    previous stop (0 at first) up to it. Signals and noise are i.i.d.
+    Gaussian; masks are Bernoulli; signals use the covariance factor
+    computed when ``cfg`` was checked. Three child generators (signal,
+    noise, mask) are spawned from ``seed``, so the draws stay decoupled
+    yet fully reproducible. They carry their state from block to block,
+    so a white stream's blocks concatenate to the one-block draw bit for
+    bit; a dense covariance factor enters one matrix product per block,
+    whose rounding may depend on the block size.
     """
     sig, noise, mask = (np.random.default_rng(s)
-                        for s in np.random.SeedSequence(cfg.seed).spawn(3))
+                        for s in np.random.SeedSequence(seed).spawn(3))
     factor = cfg._factor
     scale = factor if factor.ndim == 0 else np.diag(factor)
     # a diagonal factor (white signals) scales columns: the same bits as the
@@ -333,7 +317,7 @@ def _draw(cfg: StreamConfig, stops=None):
     white = factor.ndim == 0 or np.array_equal(factor, np.diag(scale))
     noise_scale = np.sqrt(cfg.sigma_v2)
     start = 0
-    for stop in (cfg.horizon,) if stops is None else stops:
+    for stop in stops:
         shape = (stop - start, cfg.num_edges)
         x = sig.standard_normal(shape)
         x = x * scale if white else x @ factor.T
@@ -343,31 +327,31 @@ def _draw(cfg: StreamConfig, stops=None):
         start = stop
 
 
-def generate_stream(coeffs: FilterCoeffs, ops: HodgeOperators, cfg: StreamConfig):
+def generate_stream(coeffs: FilterCoeffs, ops: HodgeOperators, cfg: StreamConfig,
+                    horizon: int, seed: int):
     """Draw one stream realisation of the observation model, block by block.
 
-    A generator of :class:`StreamBlock`. A stream of ``N = cfg.horizon``
-    rows yields ``N - order`` steps: its first ``order`` rows are drawn as
-    history, the first block starts at row ``order`` and each block holds
-    the next ``rows`` rows, where a block's regressors hold about
-    ``_WINDOW_ELEMENTS`` floats and ``rows`` is at least ``_MIN_WINDOW_ROWS``;
-    a shorter last block joins the one before it. Only the block's rows are
-    drawn (:func:`_draw`), and its regressors are built once, from them and
-    the ``order`` rows before them (:func:`_history_walk`), to give
-    ``y = d * (X h + v)``. Memory does not grow with the horizon.
+    A generator of :class:`StreamBlock` that yields ``horizon`` steps drawn
+    from ``seed`` (a negative ``horizon`` raises a ``ValueError``): the first
+    ``order`` rows are drawn as history, the first block starts at row
+    ``order`` and each block holds the next ``rows`` rows, where a block's
+    regressors hold about ``_WINDOW_ELEMENTS`` floats and ``rows`` is at
+    least ``_MIN_WINDOW_ROWS``; a shorter last block joins the one before
+    it. Only the block's rows are drawn (:func:`_draw`), and its regressors
+    are built once, from them and the ``order`` rows before them
+    (:func:`_history_walk`), to give ``y = d * (X h + v)``. Memory does not
+    grow with the horizon.
     """
     if ops.num_edges != cfg.num_edges:
         raise ValueError("config dimension does not match the complex")
+    if horizon < 0:
+        raise ValueError(f"horizon must be nonnegative, got {horizon}")
     order = coeffs.order
-    N = cfg.horizon
-    if N < order:
-        raise ValueError("horizon must be at least the filter order")
-
     h = coeffs.flatten()
-    draws = _draw(cfg, _block_stops(cfg.num_edges, order, N))
-    for start, window, x, v, d in _history_walk(draws, order, order, next(draws)[0]):
+    draws = _draw(cfg, seed, _block_stops(cfg.num_edges, order, horizon))
+    for start, window, _, v, d in _history_walk(draws, order, order, next(draws)[0]):
         X = regressor_tensor(window, ops, order)
-        yield StreamBlock(start=start, x=x, X=X, d=d, y=d * (X @ h + v))
+        yield StreamBlock(start=start, X=X, d=d, y=d * (X @ h + v))
 
 
 def moments_closed_form(
@@ -507,4 +491,6 @@ def local_moment_matrices(
 ) -> np.ndarray:
     """Masked per-edge moments ``E{d_i z_i z_i^T} = p_i E{z_i z_i^T}``."""
     p = np.asarray(p, dtype=np.float64)
+    if p.shape != (ops.num_edges,):
+        raise ValueError("moment inputs must all match the edge count")
     return p[:, None, None] * edge_moment_matrices(ops, c_x, order)

@@ -10,21 +10,21 @@ from simplexlms.errors import DivergenceError
 from simplexlms.signals import generate_stream
 
 
-def whole_stream(coeffs, ops, cfg):
+def whole_stream(coeffs, ops, cfg, horizon, seed):
     """The blocks of ``generate_stream`` concatenated into one stream's rows.
 
     A namespace of the signals ``x``, masks ``d``, observations ``y`` and
-    noise ``v`` (the regressors are not kept), plus ``order`` and ``horizon``.
-    The blocks hold the ``horizon - order`` steps only, so ``d`` and ``y``
-    have that many rows and row ``n`` of the stream is their row
-    ``n - order``. ``x`` and ``v`` are drawn again with the stream's seed and
-    row bounds and hold every row, the history rows included.
+    noise ``v`` (the regressors are not kept), plus ``order``. The blocks
+    hold the ``horizon`` steps only, so ``d`` and ``y`` have that many rows
+    and row ``n`` of the stream is their row ``n - order``. ``x`` and ``v``
+    are drawn again with the stream's seed and row bounds and hold all
+    ``order + horizon`` rows, the history rows included.
     """
-    rows = [(b.d, b.y) for b in generate_stream(coeffs, ops, cfg)]
+    rows = [(b.d, b.y) for b in generate_stream(coeffs, ops, cfg, horizon, seed)]
     d, y = (np.concatenate(column) for column in zip(*rows))
-    stops = signals._block_stops(cfg.num_edges, coeffs.order, cfg.horizon)
-    x, v, _ = (np.concatenate(column) for column in zip(*signals._draw(cfg, stops)))
-    return SimpleNamespace(x=x, d=d, y=y, v=v, order=coeffs.order, horizon=cfg.horizon)
+    stops = signals._block_stops(cfg.num_edges, coeffs.order, horizon)
+    x, v, _ = (np.concatenate(column) for column in zip(*signals._draw(cfg, seed, stops)))
+    return SimpleNamespace(x=x, d=d, y=y, v=v, order=coeffs.order)
 
 
 @pytest.fixture()

@@ -73,14 +73,9 @@ def test_criterion_1_steady_state_theory_match():
     rng = np.random.default_rng(90)
     coeffs = FilterCoeffs.random(2, rng, scale=0.8)
     sigma_v2 = np.random.default_rng(91).choice([1e-6, 1e-4, 1e-3, 1e-2], size=E)
-    cfg = StreamConfig(
-        c_x=0.002 * np.eye(E),
-        sigma_v2=sigma_v2,
-        p=np.ones(E),
-        horizon=100,
-        seed=92,
-    )
-    result = run_experiment(complex_, coeffs, cfg, mu=1e-2, realizations=30, horizon=20000)
+    cfg = StreamConfig(c_x=0.002 * np.eye(E), sigma_v2=sigma_v2, p=np.ones(E))
+    result = run_experiment(complex_, coeffs, cfg, mu=1e-2, realizations=30, horizon=20000,
+                            seed=92)
     assert result.theory is not None and not result.diverged
     empirical_db = float(to_db(tail_average(result.msd)))
     theory_db = float(to_db(result.theory.msd_exact))
@@ -159,10 +154,9 @@ def test_criterion_3_sampling_design():
         solution = solve_sampling(prob, tol=1e-6, max_iter=1200)
         assert solution.slacks.feasible(1e-6), f"alpha={alpha}: {solution.slacks}"
         supports.append(solution.support(1e-3).size)
-        cfg = StreamConfig(
-            c_x=sv * np.eye(E), sigma_v2=sigma_v2, p=solution.p_star, horizon=100, seed=77
-        )
-        result = run_experiment(complex_, coeffs, cfg, mu, realizations=30, horizon=4000)
+        cfg = StreamConfig(c_x=sv * np.eye(E), sigma_v2=sigma_v2, p=solution.p_star)
+        result = run_experiment(complex_, coeffs, cfg, mu, realizations=30, horizon=4000,
+                                seed=77)
         # 95%-confidence tail mean across realizations stays under gamma
         tail = tail_average(result.msd)
         tails_db.append(float(to_db(tail)))
@@ -274,10 +268,10 @@ def test_criterion_5_topology_recovery_and_tracking():
         rng = np.random.default_rng(1000 + draw)
         coeffs = _inference_coeffs(rng)
         result = run_inference(
-            cand, coeffs, StreamConfig.white(E, sv, sigma_v2, seed=3000 + draw),
+            cand, coeffs, StreamConfig.white(E, sv, sigma_v2),
             [(0, t_true), (switch, t_after)],
             mu1=1e-2, mu2=1e-2, lam0=0.1, lam1=0.1,
-            horizon=horizon, realizations=5,
+            realizations=5, horizon=horizon, seed=3000 + draw,
         )
         recovered += result.recovery_rate[4999] * result.realizations
         tracked += result.recovery_rate[-1] * result.realizations
@@ -367,11 +361,10 @@ def test_criterion_7_distributed_theory_match():
     sigma_v2 = np.exp(
         np.random.default_rng(701).uniform(np.log(1e-7), np.log(1e-5), E)
     )
-    cfg = StreamConfig(c_x=0.1 * np.eye(E), sigma_v2=sigma_v2, p=np.ones(E),
-                       horizon=100, seed=8)
+    cfg = StreamConfig(c_x=0.1 * np.eye(E), sigma_v2=sigma_v2, p=np.ones(E))
     comb = build_combination(lower_adjacency_neighborhoods(complex_), "uniform")
     result = run_distributed(complex_, coeffs, cfg, comb, 1e-2,
-                             realizations=30, horizon=30000)
+                             realizations=30, horizon=30000, seed=8)
     assert result.theory.checks.all_hold() and result.theory.stable
     empirical_db = float(to_db(tail_average(result.msd)))
     theory_db = float(to_db(result.theory.msd_per_agent))

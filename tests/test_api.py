@@ -38,6 +38,31 @@ def test_readme_names_resolve():
     assert not missing, f"README.md names missing functions: {missing}"
 
 
+def test_readme_signatures_match():
+    # a backticked `name(a, b, ...)` of an exported function lists its leading
+    # parameters; a span may cross a line break, and math such as `c_X(p)` or a
+    # call such as `max_stepsize(moments.c_X)` is not a signature
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    exported = {}
+    for name in MODULES:
+        module = importlib.import_module(f"simplexlms.{name}")
+        exported.update({n: getattr(module, n) for n in getattr(module, "__all__", [])
+                         if inspect.isfunction(getattr(module, n))})
+    checked, stale = set(), []
+    for name, args in re.findall(r"`(?:simplexlms\.\w+\.)?(\w+)\(([\w\s,]*)\)`", readme):
+        if name not in exported:
+            continue
+        listed = [a.strip() for a in args.split(",")]
+        params = list(inspect.signature(exported[name]).parameters)
+        checked.add(name)
+        if params[: len(listed)] != listed:
+            stale.append(f"{name}({', '.join(listed)}) but the function takes {params}")
+    assert {"generate_stream", "moments_empirical", "regressor_tensor", "theory_report",
+            "max_stepsize", "run_experiment", "run_distributed", "run_inference",
+            "ar_regressor_tensor"} <= checked
+    assert not stale, f"README.md shows stale signatures: {stale}"
+
+
 def test_benchmark_spans_are_traced_functions():
     # the benchmark's traced run fails when a span it reads records no calls,
     # and its tracer wraps only the functions a module defines and exports:

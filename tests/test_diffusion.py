@@ -364,13 +364,7 @@ def network_instance():
     E = complex_.num_edges
     rng = np.random.default_rng(6)
     coeffs = FilterCoeffs.random(2, rng, scale=0.7)
-    cfg = StreamConfig(
-        c_x=0.1 * np.eye(E),
-        sigma_v2=np.full(E, 1e-5),
-        p=np.ones(E),
-        horizon=100,
-        seed=8,
-    )
+    cfg = StreamConfig(c_x=0.1 * np.eye(E), sigma_v2=np.full(E, 1e-5), p=np.ones(E))
     comb = build_combination(lower_adjacency_neighborhoods(complex_), "uniform")
     return complex_, coeffs, cfg, comb
 
@@ -378,13 +372,12 @@ def network_instance():
 def atc_replay(instance, mu, seed, horizon):
     """Per-agent deviations of one realization, replayed round by round from its seed."""
     from simplexlms.signals import regressor_tensor
-    from dataclasses import replace
 
     complex_, coeffs, cfg, comb = instance
     E, order = complex_.num_edges, coeffs.order
     ops = hodge_laplacians(complex_)
     h_true = coeffs.flatten()
-    batch = whole_stream(coeffs, ops, replace(cfg, horizon=horizon + order, seed=seed))
+    batch = whole_stream(coeffs, ops, cfg, horizon, seed)
     net = NetworkState(estimates=np.zeros((E, h_true.size)), mu=np.full(E, mu))
     traj = np.empty((E, horizon + 1))
     traj[:, 0] = np.sum(h_true**2)
@@ -397,15 +390,24 @@ def atc_replay(instance, mu, seed, horizon):
 
 def test_run_distributed_horizon_zero(network_instance):
     complex_, coeffs, cfg, comb = network_instance
-    result = run_distributed(complex_, coeffs, cfg, comb, 1e-2, realizations=2, horizon=0)
+    result = run_distributed(complex_, coeffs, cfg, comb, 1e-2, realizations=2, horizon=0, seed=8)
     assert result.msd.shape == (1,)
     assert np.isclose(result.msd[0], np.sum(coeffs.flatten() ** 2))
 
 
+def test_run_distributed_rejects_a_config_of_another_edge_count(network_instance):
+    # a config of 14 edges on 15: the edge-count message the centralized moments give
+    complex_, coeffs, _, comb = network_instance
+    E = complex_.num_edges
+    short = StreamConfig.white(E - 1, 0.1, 1e-5)
+    with pytest.raises(ValueError, match="moment inputs must all match the edge count"):
+        run_distributed(complex_, coeffs, short, comb, 1e-2, realizations=1, horizon=5, seed=8)
+
+
 def test_run_distributed_deterministic(network_instance):
     complex_, coeffs, cfg, comb = network_instance
-    a = run_distributed(complex_, coeffs, cfg, comb, 1e-2, realizations=2, horizon=50)
-    b = run_distributed(complex_, coeffs, cfg, comb, 1e-2, realizations=2, horizon=50)
+    a = run_distributed(complex_, coeffs, cfg, comb, 1e-2, realizations=2, horizon=50, seed=8)
+    b = run_distributed(complex_, coeffs, cfg, comb, 1e-2, realizations=2, horizon=50, seed=8)
     assert np.array_equal(a.msd, b.msd)
 
 
@@ -414,17 +416,16 @@ def test_run_distributed_identity_combination_matches_independent_runs(network_i
     E = complex_.num_edges
     identity = build_combination([[i] for i in range(E)])
     result = run_distributed(
-        complex_, coeffs, cfg, identity, 1e-2, realizations=1, horizon=40,
+        complex_, coeffs, cfg, identity, 1e-2, realizations=1, horizon=40, seed=8,
         track_agents=True,
     )
     # replay edge-wise LMS on the same stream
     from simplexlms.lms import derived_seeds
     from simplexlms.signals import regressor_tensor
-    from dataclasses import replace
 
     ops = hodge_laplacians(complex_)
-    seed = derived_seeds(cfg.seed, 1)[0]
-    batch = whole_stream(coeffs, ops, replace(cfg, horizon=42, seed=seed))
+    seed = derived_seeds(8, 1)[0]
+    batch = whole_stream(coeffs, ops, cfg, 40, seed)
     R = regressor_tensor(batch.x, ops, 2)
     h_true = coeffs.flatten()
     for i in range(0, E, 5):
@@ -445,12 +446,12 @@ def test_run_distributed_multi_window_matches_step_replay(network_instance, monk
     monkeypatch.setattr(signals, "_WINDOW_ELEMENTS", 7 * E * 5)
     monkeypatch.setattr(signals, "_MIN_WINDOW_ROWS", 1)
     result = run_distributed(complex_, coeffs, cfg, comb, 1e-2, realizations=2, horizon=40,
-                             track_agents=True)
+                             seed=8, track_agents=True)
 
     from simplexlms.lms import derived_seeds
 
     total = sum(atc_replay(network_instance, 1e-2, seed, 40)
-                for seed in derived_seeds(cfg.seed, 2))
+                for seed in derived_seeds(8, 2))
     np.testing.assert_allclose(result.agent_msd, total / 2, rtol=1e-12)
     np.testing.assert_allclose(result.msd, np.mean(total / 2, axis=0), rtol=1e-12)
 
@@ -461,10 +462,10 @@ def test_run_distributed_drops_diverged_realization(network_instance, diverge_in
 
     complex_, coeffs, cfg, comb = network_instance
     replays = [atc_replay(network_instance, 1e-2, seed, 30)
-               for seed in derived_seeds(cfg.seed, 3)]
+               for seed in derived_seeds(8, 3)]
     diverge_in(diffusion, "atc_step", {1})
     result = run_distributed(complex_, coeffs, cfg, comb, 1e-2, realizations=3, horizon=30,
-                             track_agents=True)
+                             seed=8, track_agents=True)
     assert result.diverged == [1]
     assert result.realizations == 2
     kept = (replays[0] + replays[2]) / 2
@@ -475,7 +476,8 @@ def test_run_distributed_drops_diverged_realization(network_instance, diverge_in
 def test_run_distributed_matches_theory(network_instance):
     # slowest mode decays like rho(B) ~ 0.999, so the run must be long
     complex_, coeffs, cfg, comb = network_instance
-    result = run_distributed(complex_, coeffs, cfg, comb, 1e-2, realizations=10, horizon=30000)
+    result = run_distributed(complex_, coeffs, cfg, comb, 1e-2, realizations=10, horizon=30000,
+                             seed=8)
     assert result.theory.stable
     assert result.theory.checks.all_hold()
     empirical_db = float(to_db(tail_average(result.msd)))

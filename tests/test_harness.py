@@ -626,10 +626,11 @@ def test_infer_topology_removes_triangles_mid_stream():
     cand = candidate_set(complex_, 1)
     t_true = cand.true_indicator(complex_)
     assert int(np.sum(t_true)) == removals == 3
-    stream = StreamConfig.white(complex_.num_edges, 0.1, 1e-4, 1.0, horizon=41, seed=3)
+    stream = StreamConfig.white(complex_.num_edges, 0.1, 1e-4, 1.0)
     expected = run_inference(cand, harness.draw_bounded_coeffs(1, 3), stream,
                              [(0, t_true), (20, np.zeros_like(t_true))],
-                             mu1=1e-2, mu2=1e-2, lam0=0.1, lam1=0.1, horizon=40, realizations=2)
+                             mu1=1e-2, mu2=1e-2, lam0=0.1, lam1=0.1, realizations=2, horizon=40,
+                             seed=3)
     assert payload["true_triangles"] == removals
     for key in ("h_error", "t_error", "recovery_rate", "support_size"):
         np.testing.assert_array_equal(payload[key], getattr(expected, key), strict=True)

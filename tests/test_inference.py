@@ -272,14 +272,15 @@ def test_recovery_on_small_complex():
     result = run_inference(
         cand,
         coeffs,
-        StreamConfig.white(E, signal_var=0.005, sigma_v2=1e-4, p=1.0, seed=31),
+        StreamConfig.white(E, signal_var=0.005, sigma_v2=1e-4, p=1.0),
         schedule=[(0, cand.true_indicator(c))],
         mu1=1e-2,
         mu2=1e-2,
         lam0=0.1,
         lam1=0.1,
-        horizon=3000,
         realizations=3,
+        horizon=3000,
+        seed=31,
     )
     assert result.recovery_rate[-1] == 1.0
     assert result.t_error[-1] == 0.0
@@ -331,9 +332,9 @@ def switch_instance():
 
 def _run_switch(instance, realizations, seed):
     c, coeffs, cand, sigma_v2, schedule = instance
-    cfg = StreamConfig.white(c.num_edges, signal_var=0.005, sigma_v2=sigma_v2, seed=seed)
+    cfg = StreamConfig.white(c.num_edges, signal_var=0.005, sigma_v2=sigma_v2)
     return run_inference(cand, coeffs, cfg, schedule, mu1=1e-2, mu2=1e-2, lam0=0.1, lam1=0.1,
-                         horizon=40, realizations=realizations)
+                         realizations=realizations, horizon=40, seed=seed)
 
 
 def _replays(instance, seed, count):

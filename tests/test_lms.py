@@ -1,5 +1,6 @@
 """Adaptive filter step, stability bounds and steady-state formulas."""
 
+import inspect
 import tracemalloc
 from dataclasses import replace
 
@@ -218,7 +219,7 @@ def lms_replay(complex_, coeffs, cfg, mu, seed, horizon):
     ops = hodge_laplacians(complex_)
     order = coeffs.order
     h_true = coeffs.flatten()
-    batch = whole_stream(coeffs, ops, replace(cfg, horizon=horizon + order, seed=seed))
+    batch = whole_stream(coeffs, ops, cfg, horizon, seed)
     state = LmsState(h=np.zeros(h_true.size), mu=mu)
     traj = [np.sum(h_true**2)]
     for n in range(order, horizon + order):
@@ -230,12 +231,9 @@ def lms_replay(complex_, coeffs, cfg, mu, seed, horizon):
 
 def test_run_experiment_horizon_zero(experiment_complex):
     coeffs = FilterCoeffs(h_u=[0.5, 0.1], h_d=[0.2])
-    cfg = StreamConfig.white(
-        experiment_complex.num_edges, signal_var=0.1, sigma_v2=1e-4, p=1.0,
-        horizon=10, seed=0,
-    )
+    cfg = StreamConfig.white(experiment_complex.num_edges, signal_var=0.1, sigma_v2=1e-4, p=1.0)
     result = run_experiment(experiment_complex, coeffs, cfg, mu=1e-3,
-                            realizations=2, horizon=0)
+                            realizations=2, horizon=0, seed=0)
     assert result.msd.shape == (1,)
     assert np.isclose(result.msd[0], np.sum(coeffs.flatten() ** 2))
 
@@ -245,14 +243,15 @@ def test_run_experiment_multi_window_matches_step_replay(experiment_complex, mon
     rng = np.random.default_rng(14)
     coeffs = FilterCoeffs.random(2, rng, scale=0.5)
     E = experiment_complex.num_edges
-    cfg = StreamConfig.white(E, signal_var=0.01, sigma_v2=1e-4, p=0.8, horizon=10, seed=4)
+    cfg = StreamConfig.white(E, signal_var=0.01, sigma_v2=1e-4, p=0.8)
     monkeypatch.setattr(signals, "_WINDOW_ELEMENTS", 7 * E * 5)
     monkeypatch.setattr(signals, "_MIN_WINDOW_ROWS", 1)
-    result = run_experiment(experiment_complex, coeffs, cfg, 5e-3, realizations=2, horizon=40)
+    result = run_experiment(experiment_complex, coeffs, cfg, 5e-3, realizations=2, horizon=40,
+                            seed=4)
     assert result.theory is not None
 
     total = sum(lms_replay(experiment_complex, coeffs, cfg, 5e-3, seed, 40)
-                for seed in derived_seeds(cfg.seed, 2))
+                for seed in derived_seeds(4, 2))
     np.testing.assert_allclose(result.msd, total / 2, rtol=1e-12)
 
 
@@ -275,25 +274,26 @@ def test_runner_memory_does_not_grow_with_horizon(experiment_complex, monkeypatc
 
     E = experiment_complex.num_edges
     coeffs = FilterCoeffs(h_u=[0.5, 0.1], h_d=[0.2])
-    cfg = StreamConfig.white(E, signal_var=0.01, sigma_v2=1e-4, p=0.8, horizon=10, seed=3)
+    cfg = StreamConfig.white(E, signal_var=0.01, sigma_v2=1e-4, p=0.8)
     monkeypatch.setattr(signals, "_WINDOW_ELEMENTS", 50 * E * 3)
     monkeypatch.setattr(signals, "_MIN_WINDOW_ROWS", 1)
     if runner == "run_experiment":
         def run(horizon):
-            run_experiment(experiment_complex, coeffs, cfg, 5e-3, realizations=2, horizon=horizon)
+            run_experiment(experiment_complex, coeffs, cfg, 5e-3, realizations=2, horizon=horizon,
+                           seed=3)
     elif runner == "run_distributed":
         comb = build_combination(lower_adjacency_neighborhoods(experiment_complex))
 
         def run(horizon):
             run_distributed(experiment_complex, coeffs, cfg, comb, 5e-3, realizations=2,
-                            horizon=horizon)
+                            horizon=horizon, seed=3)
     else:
         cand = candidate_set(experiment_complex, 1)
         schedule = [(0, cand.true_indicator(experiment_complex))]
 
         def run(horizon):
             run_inference(cand, coeffs, cfg, schedule, mu1=1e-2, mu2=1e-2, lam0=0.1, lam1=0.1,
-                          horizon=horizon, realizations=2)
+                          realizations=2, horizon=horizon, seed=3)
     horizon = 400
     run(horizon)  # warm caches
     short, long = (traced_peak(lambda: run(h)) for h in (horizon, 4 * horizon))
@@ -314,83 +314,111 @@ def test_runner_working_set_is_one_cache_sized_block(runner):
     if runner == "run_experiment":
         complex_ = grown_complex(12, 32, 8, seed=0)
         coeffs = FilterCoeffs.random(2, np.random.default_rng(1), scale=0.5)
-        cfg = StreamConfig.white(32, signal_var=0.01, sigma_v2=1e-4, p=0.8, horizon=10, seed=3)
+        cfg = StreamConfig.white(32, signal_var=0.01, sigma_v2=1e-4, p=0.8)
 
         def run():
-            run_experiment(complex_, coeffs, cfg, 5e-3, realizations=1, horizon=20_000)
+            run_experiment(complex_, coeffs, cfg, 5e-3, realizations=1, horizon=20_000, seed=3)
     else:
         complex_ = grown_complex(8, 15, 4, seed=0)
         coeffs = FilterCoeffs.random(1, np.random.default_rng(1), scale=0.5)
-        cfg = StreamConfig.white(15, signal_var=0.01, sigma_v2=1e-4, p=0.8, horizon=10, seed=3)
+        cfg = StreamConfig.white(15, signal_var=0.01, sigma_v2=1e-4, p=0.8)
         comb = build_combination(lower_adjacency_neighborhoods(complex_))
 
         def run():
-            run_distributed(complex_, coeffs, cfg, comb, 5e-3, realizations=1, horizon=30_000)
+            run_distributed(complex_, coeffs, cfg, comb, 5e-3, realizations=1, horizon=30_000,
+                            seed=3)
     assert traced_peak(run) < 2 * 2**20
 
 
 @pytest.mark.parametrize("runner", ["run_experiment", "run_distributed", "run_inference"])
 def test_covariance_is_factored_once_per_run(experiment_complex, monkeypatch, runner):
-    # the factor checked with the config serves every realization's draw
+    # the factor checked with the config serves every realization's draw, and
+    # every realization draws from the one config object the runner was given
+    from simplexlms import inference
     from simplexlms.diffusion import build_combination, lower_adjacency_neighborhoods, run_distributed
     from simplexlms.inference import candidate_set, run_inference
 
     E = experiment_complex.num_edges
     coeffs = FilterCoeffs(h_u=[0.5, 0.1], h_d=[0.2])
-    cfg = StreamConfig.white(E, signal_var=0.01, sigma_v2=1e-4, p=0.8, horizon=10, seed=3)
+    cfg = StreamConfig.white(E, signal_var=0.01, sigma_v2=1e-4, p=0.8)
     if runner == "run_experiment":
         def run():
-            run_experiment(experiment_complex, coeffs, cfg, 5e-3, realizations=5, horizon=30)
+            run_experiment(experiment_complex, coeffs, cfg, 5e-3, realizations=5, horizon=30,
+                           seed=3)
     elif runner == "run_distributed":
         comb = build_combination(lower_adjacency_neighborhoods(experiment_complex))
 
         def run():
             run_distributed(experiment_complex, coeffs, cfg, comb, 5e-3, realizations=5,
-                            horizon=30)
+                            horizon=30, seed=3)
     else:
         cand = candidate_set(experiment_complex, 1)
         schedule = [(0, cand.true_indicator(experiment_complex))]
 
         def run():
             run_inference(cand, coeffs, cfg, schedule, mu1=1e-2, mu2=1e-2, lam0=0.1, lam1=0.1,
-                          horizon=30, realizations=5)
-    factor = signals._covariance_factor
-    calls = []
+                          realizations=5, horizon=30, seed=3)
+    factor, draw = signals._covariance_factor, signals._draw
+    calls, configs = [], []
 
     def counted(c_x):
         calls.append(c_x.shape)
         return factor(c_x)
 
+    def recorded(config, seed, stops):
+        configs.append(config)
+        return draw(config, seed, stops)
+
     monkeypatch.setattr(signals, "_covariance_factor", counted)
+    monkeypatch.setattr(signals, "_draw", recorded)
+    monkeypatch.setattr(inference, "_draw", recorded)
     run()
     assert len(calls) <= 1, calls
+    assert len(configs) == 5 and all(config is cfg for config in configs)
 
 
 def test_realization_config_draws_like_a_replaced_one(experiment_complex):
-    # a realization's config shares the checked arrays and factor, and draws
-    # the bits of a freshly validated config with the same horizon and seed
+    # every realization draws from the config it was given, through the factor
+    # its check computed: the bits of a freshly validated copy's draw at the same
+    # horizon and seed, and the config is left unchanged
     E = experiment_complex.num_edges
     rng = np.random.default_rng(5)
-    cfg = StreamConfig(c_x=random_psd(E, rng), sigma_v2=np.full(E, 1e-3), p=np.full(E, 0.7),
-                       horizon=10, seed=2)
+    cfg = StreamConfig(c_x=random_psd(E, rng), sigma_v2=np.full(E, 1e-3), p=np.full(E, 0.7))
+    before = replace(cfg)
+    factor = cfg._factor
     coeffs = FilterCoeffs(h_u=[0.5, 0.1], h_d=[0.2])
     ops = hodge_laplacians(experiment_complex)
-    fresh = whole_stream(coeffs, ops, replace(cfg, horizon=90, seed=11))
-    shared = whole_stream(coeffs, ops, signals._realization(cfg, 90, 11))
-    assert (cfg.horizon, cfg.seed) == (10, 2)
+    fresh = whole_stream(coeffs, ops, replace(cfg), 88, 11)
+    shared = whole_stream(coeffs, ops, cfg, 88, 11)
+    assert cfg._factor is factor
+    for name in ("c_x", "sigma_v2", "p", "_factor"):
+        np.testing.assert_array_equal(getattr(cfg, name), getattr(before, name))
     for name in ("x", "v", "d", "y"):
         np.testing.assert_array_equal(getattr(shared, name), getattr(fresh, name))
+
+
+def test_runners_take_the_run_after_the_model():
+    # the config is the signal model; how many realizations, how long and from
+    # which seed are the last arguments of every runner
+    from simplexlms.diffusion import run_distributed
+    from simplexlms.inference import run_inference
+
+    for runner, tail in ((run_experiment, []), (run_distributed, ["track_agents"]),
+                         (run_inference, [])):
+        params = list(inspect.signature(runner).parameters)
+        assert params[len(params) - 3 - len(tail):] == ["realizations", "horizon", "seed", *tail]
 
 
 def test_run_experiment_drops_diverged_realization(experiment_complex, diverge_in):
     rng = np.random.default_rng(15)
     coeffs = FilterCoeffs.random(1, rng, scale=0.5)
     cfg = StreamConfig.white(experiment_complex.num_edges, signal_var=0.01, sigma_v2=1e-4,
-                             p=0.8, horizon=10, seed=6)
+                             p=0.8)
     replays = [lms_replay(experiment_complex, coeffs, cfg, 5e-3, seed, 30)
-               for seed in derived_seeds(cfg.seed, 3)]
+               for seed in derived_seeds(6, 3)]
     diverge_in(lms, "lms_step", {1})
-    result = run_experiment(experiment_complex, coeffs, cfg, 5e-3, realizations=3, horizon=30)
+    result = run_experiment(experiment_complex, coeffs, cfg, 5e-3, realizations=3, horizon=30,
+                            seed=6)
     assert result.diverged == [1]
     assert result.realizations == 2
     np.testing.assert_allclose(result.msd, (replays[0] + replays[2]) / 2, rtol=1e-12)
@@ -398,10 +426,10 @@ def test_run_experiment_drops_diverged_realization(experiment_complex, diverge_i
 
 def test_run_experiment_all_diverged_raises(experiment_complex, diverge_in):
     coeffs = FilterCoeffs(h_u=[0.5, 0.1], h_d=[0.2])
-    cfg = StreamConfig.white(experiment_complex.num_edges, signal_var=0.1, horizon=10, seed=0)
+    cfg = StreamConfig.white(experiment_complex.num_edges, signal_var=0.1)
     diverge_in(lms, "lms_step", {0, 1})
     with pytest.raises(DivergenceError, match="all realizations diverged"):
-        run_experiment(experiment_complex, coeffs, cfg, 1e-3, realizations=2, horizon=5)
+        run_experiment(experiment_complex, coeffs, cfg, 1e-3, realizations=2, horizon=5, seed=0)
 
 
 def test_monte_carlo_engine_bookkeeping():
@@ -426,18 +454,12 @@ def test_run_experiment_matches_theory(experiment_complex):
     rng = np.random.default_rng(9)
     coeffs = FilterCoeffs.random(1, rng)
     E = experiment_complex.num_edges
-    cfg = StreamConfig(
-        c_x=0.2 * np.eye(E),
-        sigma_v2=np.full(E, 1e-3),
-        p=np.ones(E),
-        horizon=100,
-        seed=11,
-    )
+    cfg = StreamConfig(c_x=0.2 * np.eye(E), sigma_v2=np.full(E, 1e-3), p=np.ones(E))
     ops = hodge_laplacians(experiment_complex)
     m = moments_closed_form(ops, cfg.p, cfg.c_x, cfg.sigma_v2, 1, coeffs)
     mu = 0.05 * max_stepsize(m.c_X)
     result = run_experiment(experiment_complex, coeffs, cfg, mu,
-                            realizations=30, horizon=6000)
+                            realizations=30, horizon=6000, seed=11)
     assert result.theory is not None
     empirical_db = float(to_db(tail_average(result.msd)))
     theory_db = float(to_db(result.theory.msd_exact))
@@ -447,12 +469,9 @@ def test_run_experiment_matches_theory(experiment_complex):
 def test_run_experiment_noise_free_descent(experiment_complex):
     rng = np.random.default_rng(10)
     coeffs = FilterCoeffs.random(1, rng)
-    cfg = StreamConfig.white(
-        experiment_complex.num_edges, signal_var=0.05, sigma_v2=0.0, p=1.0,
-        horizon=100, seed=12,
-    )
+    cfg = StreamConfig.white(experiment_complex.num_edges, signal_var=0.05, sigma_v2=0.0, p=1.0)
     result = run_experiment(experiment_complex, coeffs, cfg, mu=5e-3,
-                            realizations=10, horizon=2000)
+                            realizations=10, horizon=2000, seed=12)
     msd = result.msd
     # noise-free: averaged deviation decays (allow tiny stochastic wiggle)
     assert msd[-1] < 1e-6 * msd[0]
@@ -470,11 +489,11 @@ def test_run_experiment_sampling_tradeoff(experiment_complex):
     p_low = np.zeros(E)
     p_low[order_idx[: max(1, E // 4)]] = 1.0
 
-    base = dict(c_x=0.2 * np.eye(E), sigma_v2=noise, horizon=100)
-    cfg_full = StreamConfig(p=np.ones(E), seed=14, **base)
-    cfg_low = StreamConfig(p=p_low, seed=14, **base)
-    full = run_experiment(experiment_complex, coeffs, cfg_full, 1e-2, 20, 8000)
-    low = run_experiment(experiment_complex, coeffs, cfg_low, 1e-2, 20, 8000)
+    base = dict(c_x=0.2 * np.eye(E), sigma_v2=noise)
+    cfg_full = StreamConfig(p=np.ones(E), **base)
+    cfg_low = StreamConfig(p=p_low, **base)
+    full = run_experiment(experiment_complex, coeffs, cfg_full, 1e-2, 20, 8000, 14)
+    low = run_experiment(experiment_complex, coeffs, cfg_low, 1e-2, 20, 8000, 14)
     # lower floor with clean edges only
     assert tail_average(low.msd) < tail_average(full.msd)
     # faster convergence with all edges: earlier crossing of a mid threshold

@@ -116,12 +116,12 @@ def test_windows_concatenate_to_regressor_tensor(order, rows, first, blocks, ove
 def test_windowed_stream_matches_one_window(order, rows, extra):
     E = WINDOW_OPS.l1.shape[0]
     coeffs = FilterCoeffs.random(order, np.random.default_rng(extra), scale=0.5)
-    cfg = StreamConfig.white(E, sigma_v2=0.05, p=0.7, horizon=order + extra, seed=extra)
-    whole = whole_stream(coeffs, WINDOW_OPS, cfg)
+    cfg = StreamConfig.white(E, sigma_v2=0.05, p=0.7)
+    whole = whole_stream(coeffs, WINDOW_OPS, cfg, extra, extra)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(signals, "_WINDOW_ELEMENTS", window_budget(rows, order))
         mp.setattr(signals, "_MIN_WINDOW_ROWS", 1)
-        windowed = whole_stream(coeffs, WINDOW_OPS, cfg)
+        windowed = whole_stream(coeffs, WINDOW_OPS, cfg, extra, extra)
     for name in ("x", "d", "v"):
         assert np.array_equal(getattr(windowed, name), getattr(whole, name))
     assert windowed.y.shape == (extra, E)
@@ -135,36 +135,38 @@ def test_windowed_stream_matches_one_window(order, rows, extra):
     blocks=st.integers(0, 4),
     overhang=st.integers(-1, 1),
 )
-@example(order=3, rows=1, blocks=0, overhang=0)   # horizon == order
+@example(order=3, rows=1, blocks=0, overhang=0)   # horizon 0: history rows only
 @example(order=0, rows=2, blocks=0, overhang=0)   # the empty stream
 def test_stream_blocks_concatenate_to_one_block_draw(order, rows, blocks, overhang):
-    # horizons at, one short of and one past a block boundary, and horizon == order
+    # horizons at, one short of and one past a block boundary, and horizon 0
     E = WINDOW_OPS.l1.shape[0]
-    horizon = max(order, order + blocks * rows + overhang)
-    rng = np.random.default_rng(horizon + 7 * order)
+    horizon = max(0, blocks * rows + overhang)
+    N = order + horizon
+    rng = np.random.default_rng(N + 7 * order)
     coeffs = FilterCoeffs.random(order, rng, scale=0.5)
     # a non-uniform white covariance, so the draw scales its columns
     cfg = StreamConfig(c_x=np.diag(rng.uniform(0.5, 2.0, E)), sigma_v2=rng.uniform(0.0, 0.1, E),
-                       p=rng.uniform(0.3, 1.0, E), horizon=horizon, seed=horizon)
-    [(x, v, d)] = signals._draw(cfg)
+                       p=rng.uniform(0.3, 1.0, E))
+    [(x, v, d)] = signals._draw(cfg, N, (N,))
     h = coeffs.flatten()
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(signals, "_WINDOW_ELEMENTS", window_budget(rows, order))
         mp.setattr(signals, "_MIN_WINDOW_ROWS", 1)
-        got = list(signals.generate_stream(coeffs, WINDOW_OPS, cfg))
+        got = list(signals.generate_stream(coeffs, WINDOW_OPS, cfg, horizon, N))
         # the blocks do not keep their noise: draw it again at their row bounds
-        noise = [v for _, v, _ in signals._draw(cfg, signals._block_stops(E, order, horizon))]
+        noise = [v for _, v, _ in signals._draw(cfg, N, signals._block_stops(E, order, horizon))]
         # oracle: the observations of the one-block draw, built in the same windows
         y = np.zeros_like(x)
         for start, window, _ in signals._series_walk(x, order, first=order):
             X = regressor_tensor(window, WINDOW_OPS, order)
             y[start : start + len(X)] = d[start : start + len(X)] * (X @ h + v[start : start + len(X)])
     # the first block starts after the `order` history rows, and every row is a step
-    assert [b.start for b in got] == [order] + list(range(order + rows, horizon, rows))
-    assert sum(len(b.y) for b in got) == horizon - order
-    for name, whole in (("x", x), ("d", d), ("y", y)):
-        np.testing.assert_array_equal(np.concatenate([getattr(b, name) for b in got]),
-                                      whole[order:])
+    assert [b.start for b in got] == [order] + list(range(order + rows, N, rows))
+    assert sum(len(b.y) for b in got) == horizon
+    # a block's signal rows are the lag-0 column of its regressors
+    for parts, whole in (([b.X[:, :, 0] for b in got], x), ([b.d for b in got], d),
+                         ([b.y for b in got], y)):
+        np.testing.assert_array_equal(np.concatenate(parts), whole[order:])
     np.testing.assert_array_equal(np.concatenate(noise), v)
     full = regressor_tensor(x, WINDOW_OPS, order)
     np.testing.assert_allclose(np.concatenate([b.X for b in got]), full,
@@ -187,14 +189,14 @@ def test_history_walk_carries_the_rows_before_each_block(order, rows, first, blo
     assume(first >= order)
     E = WINDOW_OPS.l1.shape[0]
     N = first + blocks * rows + 1
-    cfg = StreamConfig.white(E, sigma_v2=0.05, p=0.7, horizon=N, seed=N)
-    [(x, v, d)] = signals._draw(cfg)
+    cfg = StreamConfig.white(E, sigma_v2=0.05, p=0.7)
+    [(x, v, d)] = signals._draw(cfg, N, (N,))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(signals, "_WINDOW_ELEMENTS", window_budget(rows, order))
         mp.setattr(signals, "_MIN_WINDOW_ROWS", 1)
         if drawn:
             first = order
-            draws = signals._draw(cfg, signals._block_stops(E, order, N))
+            draws = signals._draw(cfg, N, signals._block_stops(E, order, N - order))
             walk = signals._history_walk(draws, order, order, next(draws)[0])
         else:
             walk = signals._series_walk(x, order, first)

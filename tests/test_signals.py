@@ -1,5 +1,6 @@
 """Stream generation, regressors and moment formulas."""
 
+import dataclasses
 import os
 import subprocess
 import sys
@@ -133,7 +134,7 @@ def test_regressor_tensor_matches_per_step(small_ops):
 
 def stream_masks(p, horizon, seed):
     """The masks ``d`` of one white stream's draw, ``horizon`` rows of them."""
-    [(_, _, d)] = _draw(StreamConfig.white(np.size(p), p=p, horizon=horizon, seed=seed))
+    [(_, _, d)] = _draw(StreamConfig.white(np.size(p), p=p), seed, (horizon,))
     return d
 
 
@@ -164,17 +165,25 @@ def test_stream_config_rejects_nan_knobs(knob):
 def test_stream_identity_filter_passthrough(small_complex, small_ops):
     E = small_complex.num_edges
     coeffs = FilterCoeffs(h_u=[1.0], h_d=[])
-    cfg = StreamConfig.white(E, sigma_v2=0.0, p=1.0, horizon=50, seed=0)
-    batch = whole_stream(coeffs, small_ops, cfg)
+    cfg = StreamConfig.white(E, sigma_v2=0.0, p=1.0)
+    batch = whole_stream(coeffs, small_ops, cfg, 50, 0)
     assert np.allclose(batch.y[0:], batch.x[0:][np.arange(50) >= 0] * (np.arange(50)[:, None] >= 0))
     # order 0: y(n) = x(n) for every n
     assert np.allclose(batch.y, batch.x)
 
 
+def test_a_stream_config_is_the_signal_model(small_complex, small_ops):
+    # the horizon and seed belong to the draw, which rejects a negative horizon
+    assert [f.name for f in dataclasses.fields(StreamConfig)] == ["c_x", "sigma_v2", "p"]
+    cfg = StreamConfig.white(small_complex.num_edges, sigma_v2=0.01, p=0.5)
+    with pytest.raises(ValueError, match="horizon must be nonnegative"):
+        next(generate_stream(FilterCoeffs(h_u=[1.0, 0.5], h_d=[0.3]), small_ops, cfg, -1, 3))
+
+
 def test_stream_zero_sampling(small_complex, small_ops):
     coeffs = FilterCoeffs(h_u=[1.0, 0.5], h_d=[0.2])
-    cfg = StreamConfig.white(small_complex.num_edges, sigma_v2=0.1, p=0.0, horizon=40, seed=1)
-    batch = whole_stream(coeffs, small_ops, cfg)
+    cfg = StreamConfig.white(small_complex.num_edges, sigma_v2=0.1, p=0.0)
+    batch = whole_stream(coeffs, small_ops, cfg, 39, 1)
     assert np.allclose(batch.y, 0.0)
 
 
@@ -182,11 +191,11 @@ def test_stream_matches_model_identity(small_complex, small_ops):
     rng = np.random.default_rng(6)
     coeffs = FilterCoeffs.random(2, rng)
     E = small_complex.num_edges
-    cfg = StreamConfig.white(E, sigma_v2=0.05, p=0.7, horizon=60, seed=2)
-    batch = whole_stream(coeffs, small_ops, cfg)
+    cfg = StreamConfig.white(E, sigma_v2=0.05, p=0.7)
+    batch = whole_stream(coeffs, small_ops, cfg, 58, 2)
     h = coeffs.flatten()
-    assert batch.y.shape == (60 - batch.order, E)
-    for n in range(batch.order, 60):
+    assert batch.y.shape == (58, E)
+    for n in range(batch.order, batch.order + 58):
         hist = [batch.x[n - m] for m in range(3)]
         X = naive_regressors(hist, small_ops, 2)
         expected = batch.d[n - batch.order] * (X @ h + batch.v[n])
@@ -197,9 +206,9 @@ def test_stream_matches_model_identity(small_complex, small_ops):
 
 def test_stream_determinism(small_complex, small_ops):
     coeffs = FilterCoeffs(h_u=[0.5, 0.1], h_d=[0.3])
-    cfg = StreamConfig.white(small_complex.num_edges, sigma_v2=0.01, p=0.5, horizon=30, seed=77)
-    a = whole_stream(coeffs, small_ops, cfg)
-    b = whole_stream(coeffs, small_ops, cfg)
+    cfg = StreamConfig.white(small_complex.num_edges, sigma_v2=0.01, p=0.5)
+    a = whole_stream(coeffs, small_ops, cfg, 29, 77)
+    b = whole_stream(coeffs, small_ops, cfg, 29, 77)
     assert np.array_equal(a.x, b.x)
     assert np.array_equal(a.d, b.d)
     assert np.array_equal(a.y, b.y)
@@ -214,18 +223,16 @@ def test_signal_draw_is_the_factor_product(edges):
     covariances = [s * np.eye(edges) for s in (1e-3, 0.002, 0.1, 1.0, 7.3)]
     covariances += [np.diag(rng.uniform(0.01, 3.0, edges)), mixed @ mixed.T + np.eye(edges)]
     for c_x in covariances:
-        cfg = StreamConfig(c_x=c_x, sigma_v2=np.zeros(edges), p=np.ones(edges),
-                           horizon=40, seed=edges)
-        [(x, _, _)] = _draw(cfg)
-        sig_ss = np.random.SeedSequence(cfg.seed).spawn(3)[0]
+        cfg = StreamConfig(c_x=c_x, sigma_v2=np.zeros(edges), p=np.ones(edges))
+        [(x, _, _)] = _draw(cfg, edges, (40,))
+        sig_ss = np.random.SeedSequence(edges).spawn(3)[0]
         z = np.random.default_rng(sig_ss).standard_normal((40, edges))
         np.testing.assert_array_equal(x, z @ np.linalg.cholesky(c_x).T)
     # a 0-d variance c stands for c I: the bits of the dense config's draw
     for variance in (1e-3, 0.002, 0.1, 1.0, 7.3):
-        cfg = StreamConfig(c_x=variance, sigma_v2=np.zeros(edges), p=np.ones(edges),
-                           horizon=40, seed=edges)
+        cfg = StreamConfig(c_x=variance, sigma_v2=np.zeros(edges), p=np.ones(edges))
         assert cfg.num_edges == edges
-        [(x, _, _)] = _draw(cfg)
+        [(x, _, _)] = _draw(cfg, edges, (40,))
         np.testing.assert_array_equal(x, z @ np.linalg.cholesky(variance * np.eye(edges)).T)
 
 
@@ -253,11 +260,9 @@ def test_stream_sample_covariance(small_complex, small_ops):
     rng = np.random.default_rng(7)
     a = rng.standard_normal((E, E)) / np.sqrt(E)
     c_x = a @ a.T + 0.5 * np.eye(E)
-    cfg = StreamConfig(
-        c_x=c_x, sigma_v2=np.zeros(E), p=np.ones(E), horizon=100_000, seed=3
-    )
-    batch = whole_stream(FilterCoeffs(h_u=[1.0], h_d=[]), small_ops, cfg)
-    sample = batch.x.T @ batch.x / batch.horizon
+    cfg = StreamConfig(c_x=c_x, sigma_v2=np.zeros(E), p=np.ones(E))
+    batch = whole_stream(FilterCoeffs(h_u=[1.0], h_d=[]), small_ops, cfg, 100_000, 3)
+    sample = batch.x.T @ batch.x / batch.x.shape[0]
     rel = np.linalg.norm(sample - c_x) / np.linalg.norm(c_x)
     assert rel < 0.05
 
@@ -314,9 +319,10 @@ def test_moments_match_monte_carlo(small_complex, small_ops):
     coeffs = FilterCoeffs.random(1, rng, scale=0.5)
     p = rng.uniform(0.4, 1.0, E)
     sigma_v2 = rng.uniform(0.01, 0.05, E)
-    cfg = StreamConfig(c_x=np.eye(E), sigma_v2=sigma_v2, p=p, horizon=100_000, seed=4)
+    cfg = StreamConfig(c_x=np.eye(E), sigma_v2=sigma_v2, p=p)
     closed = moments_closed_form(small_ops, p, np.eye(E), sigma_v2, 1, coeffs)
-    empirical = moments_empirical(generate_stream(coeffs, small_ops, cfg), 1, sigma_v2=sigma_v2)
+    empirical = moments_empirical(generate_stream(coeffs, small_ops, cfg, 99_999, 4), 1,
+                                  sigma_v2=sigma_v2)
     rel_c = np.linalg.norm(empirical.c_X - closed.c_X) / np.linalg.norm(closed.c_X)
     rel_g = np.linalg.norm(empirical.g - closed.g) / np.linalg.norm(closed.g)
     rel_xy = np.linalg.norm(empirical.c_Xy - closed.c_Xy) / np.linalg.norm(closed.c_Xy)
@@ -331,7 +337,7 @@ def test_moments_empirical_single_sample(small_ops):
     x = rng.standard_normal((1, E))
     d = np.ones((1, E))
     y = x.copy()
-    block = StreamBlock(start=0, x=x, X=regressor_tensor(x, small_ops, 0), d=d, y=y)
+    block = StreamBlock(start=0, X=regressor_tensor(x, small_ops, 0), d=d, y=y)
     m = moments_empirical([block], 0)
     assert np.isclose(m.c_X[0, 0], np.sum(x**2))
 
@@ -339,7 +345,7 @@ def test_moments_empirical_single_sample(small_ops):
 def test_moments_empirical_zero_signal(small_ops):
     E = small_ops.l1.shape[0]
     x = np.zeros((20, E))
-    block = StreamBlock(start=1, x=x[1:], X=regressor_tensor(x, small_ops, 1),
+    block = StreamBlock(start=1, X=regressor_tensor(x, small_ops, 1),
                         d=np.ones((19, E)), y=np.zeros((19, E)))
     m = moments_empirical([block], 1, sigma_v2=np.ones(E))
     assert np.allclose(m.c_X, 0)
@@ -546,12 +552,12 @@ def test_white_run_keeps_a_scalar_covariance():
     complex_ = grown_complex(40, 600, 40, seed=0)
     E = complex_.num_edges
     coeffs = FilterCoeffs.random(1, np.random.default_rng(2), scale=0.3)
-    cfg = StreamConfig.white(E, 0.05, 1e-3, 0.8, horizon=10, seed=1)
-    run_experiment(complex_, coeffs, cfg, mu=1e-3, realizations=1, horizon=40)
+    cfg = StreamConfig.white(E, 0.05, 1e-3, 0.8)
+    run_experiment(complex_, coeffs, cfg, mu=1e-3, realizations=1, horizon=40, seed=1)
     tracemalloc.start()
     try:
-        cfg = StreamConfig.white(E, 0.05, 1e-3, 0.8, horizon=10, seed=1)
-        run_experiment(complex_, coeffs, cfg, mu=1e-3, realizations=1, horizon=40)
+        cfg = StreamConfig.white(E, 0.05, 1e-3, 0.8)
+        run_experiment(complex_, coeffs, cfg, mu=1e-3, realizations=1, horizon=40, seed=1)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -571,20 +577,20 @@ def test_stream_paths_form_no_edge_by_edge_laplacian(small_complex, monkeypatch)
         monkeypatch.setattr(module, "hodge_laplacians", record)
     E, order = small_complex.num_edges, 2
     coeffs = FilterCoeffs.random(order, np.random.default_rng(0), scale=0.3)
-    cfg = StreamConfig.white(E, 0.1, 1e-3, 0.8, horizon=300, seed=0)
+    cfg = StreamConfig.white(E, 0.1, 1e-3, 0.8)
     ops = hodge_laplacians(small_complex)
-    for _ in signals.generate_stream(coeffs, ops, cfg):
+    for _ in signals.generate_stream(coeffs, ops, cfg, 298, 0):
         pass
-    run_experiment(small_complex, coeffs, cfg, mu=1e-3, realizations=2, horizon=300)
+    run_experiment(small_complex, coeffs, cfg, mu=1e-3, realizations=2, horizon=300, seed=0)
     cand = candidate_set(small_complex, order)
-    run_inference(cand, coeffs, StreamConfig.white(E, 0.005, 1e-3, 0.8, seed=0),
+    run_inference(cand, coeffs, StreamConfig.white(E, 0.005, 1e-3, 0.8),
                   [(0, cand.true_indicator(small_complex))], 1e-2, 1e-2, 0.1, 0.1,
-                  horizon=100, realizations=1)
+                  realizations=1, horizon=100, seed=0)
     ds = traffic_surrogate(1, order=order, snapshots=60, train_count=50, complex_=small_complex)
     run_ar_training(ds, order, mu=1e-3)
     comb = diffusion.build_combination(diffusion.lower_adjacency_neighborhoods(small_complex))
     diffusion.run_distributed(small_complex, coeffs, cfg, comb, 1e-3, realizations=1,
-                              horizon=100)
+                              horizon=100, seed=0)
     # run_experiment, the surrogate, run_ar_training, run_distributed
     assert len(made) == 4
     for built in (ops, cand.ops, *made):
@@ -656,9 +662,9 @@ def test_a_thin_last_block_joins_the_one_before(small_ops):
     rows = signals._window_rows(E, 2)
     floor = signals._MIN_WINDOW_ROWS
     thin, full = 2 + 2 * rows + floor - 1, 2 + 2 * rows + floor
-    assert list(signals._block_stops(E, 2, thin)) == [2, 2 + rows, thin]
-    assert list(signals._block_stops(E, 2, full)) == [2, 2 + rows, 2 + 2 * rows, full]
-    assert list(signals._block_stops(E, 2, 10)) == [2, 10]
+    assert list(signals._block_stops(E, 2, thin - 2)) == [2, 2 + rows, thin]
+    assert list(signals._block_stops(E, 2, full - 2)) == [2, 2 + rows, 2 + 2 * rows, full]
+    assert list(signals._block_stops(E, 2, 8)) == [2, 10]
     x = np.random.default_rng(3).standard_normal((2 + 2 * rows + 5, E))
     windows = [(start, regressor_tensor(window, small_ops, 2))
                for start, window, _ in signals._series_walk(x, 2, first=2)]
