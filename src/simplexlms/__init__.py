@@ -33,7 +33,6 @@ from .signals import (
     moments_empirical,
 )
 from .lms import (
-    LmsState,
     TheoryReport,
     lms_step,
     max_stepsize,
@@ -42,7 +41,6 @@ from .lms import (
 )
 from .sampling import SamplingProblem, SamplingSolution, check_constraints, solve_sampling
 from .inference import (
-    TopologyState,
     candidate_set,
     grad_t,
     infer_step,
@@ -50,7 +48,6 @@ from .inference import (
 )
 from .diffusion import (
     CombinationMatrix,
-    NetworkState,
     atc_step,
     build_combination,
     check_irreducible,

@@ -22,8 +22,9 @@ import numpy as np
 
 from .complexes import hodge_laplacians
 from .datasets import EdgeSeriesDataset
-from .diffusion import CombinationMatrix, NetworkState, atc_step
-from .lms import LmsState, lms_step
+from .diffusion import CombinationMatrix, atc_step
+from .errors import DivergenceError
+from .lms import lms_step
 from .signals import _series_walk, regressor_tensor
 
 __all__ = [
@@ -94,12 +95,13 @@ def _train_then_test(ds: EdgeSeriesDataset, order: int, variant: str, epochs: in
                      state, predict, step):
     """The train-then-test loop both protocols share.
 
-    ``step(state, X, d, y)`` adapts ``state`` with a full mask over rows
-    ``order..epochs * N - 1`` of the training series' periodic extension,
-    whose row ``n`` is training row ``n mod N``; ``predict(state, X)`` is
-    the one-step prediction from regressor matrix ``X``, scored before
-    each training step and, with the final state and true histories, on
-    every test snapshot. Returns the final state and both error traces.
+    ``step(state, X, d, y)`` adapts the array of taps ``state`` with a full
+    mask over rows ``order..epochs * N - 1`` of the training series'
+    periodic extension, whose row ``n`` is training row ``n mod N``;
+    ``predict(state, X)`` is the one-step prediction from regressor matrix
+    ``X``, scored before each training step and, with the final state and
+    true histories, on every test snapshot. Returns the final state and
+    both error traces. A step's :class:`DivergenceError` names its step.
     """
     _check_variant(variant)
     if epochs < 1:
@@ -112,11 +114,14 @@ def _train_then_test(ds: EdgeSeriesDataset, order: int, variant: str, epochs: in
     ones = np.ones(ds.complex.num_edges)
 
     train_errors = np.empty(epochs * N - order)
-    for start, R in _ar_windows(train, ops, order, variant, order, epochs * N):
-        for n, X in enumerate(R, start):
-            target = train[n % N]
-            train_errors[n - order] = _normalized_error(predict(state, X), target)
-            state = step(state, X, ones, target)
+    try:
+        for start, R in _ar_windows(train, ops, order, variant, order, epochs * N):
+            for n, X in enumerate(R, start):
+                target = train[n % N]
+                train_errors[n - order] = _normalized_error(predict(state, X), target)
+                state = step(state, X, ones, target)
+    except DivergenceError as exc:
+        raise DivergenceError(f"{exc} at training step {n - order}") from None
 
     test_errors = np.empty(ds.test_count)
     for start, R in _ar_windows(ds.series, ops, order, variant, N):
@@ -138,11 +143,11 @@ def run_ar_training(
     mask; prediction on the test split uses the final coefficients with
     true histories (no adaptation on test data).
     """
-    state, train_errors, test_errors = _train_then_test(
-        ds, order, variant, epochs, LmsState(h=np.zeros(2 * order), mu=mu),
-        lambda s, X: X @ s.h, lms_step,
+    h, train_errors, test_errors = _train_then_test(
+        ds, order, variant, epochs, np.zeros(2 * order),
+        lambda h, X: X @ h, lambda h, X, d, y: lms_step(h, mu, X, d, y),
     )
-    return ARTrainResult(coeffs=state.h, train_errors=train_errors,
+    return ARTrainResult(coeffs=h, train_errors=train_errors,
                          test_errors=test_errors, variant=variant)
 
 
@@ -160,11 +165,11 @@ def run_distributed_ar(
     The reported coefficient matrix stacks the per-agent vectors as rows.
     """
     E = ds.complex.num_edges
-    net, train_errors, test_errors = _train_then_test(
-        ds, order, variant, epochs,
-        NetworkState(estimates=np.zeros((E, 2 * order)), mu=np.full(E, mu)),
-        lambda net, X: np.einsum("ij,ij->i", X, net.estimates),
-        lambda net, X, d, y: atc_step(net, comb, X, d, y),
+    mu_vec = np.full(E, mu)
+    H, train_errors, test_errors = _train_then_test(
+        ds, order, variant, epochs, np.zeros((E, 2 * order)),
+        lambda H, X: np.einsum("ij,ij->i", X, H),
+        lambda H, X, d, y: atc_step(H, mu_vec, comb, X, d, y),
     )
-    return ARTrainResult(coeffs=net.estimates, train_errors=train_errors,
+    return ARTrainResult(coeffs=H, train_errors=train_errors,
                          test_errors=test_errors, variant=variant)

@@ -39,7 +39,6 @@ from .signals import (
 
 __all__ = [
     "CombinationMatrix",
-    "NetworkState",
     "TheoremChecks",
     "DistTheoryReport",
     "DistResult",
@@ -152,28 +151,15 @@ def check_irreducible(comb: CombinationMatrix) -> bool:
     return reachable(support) and reachable(support.T)
 
 
-@dataclass
-class NetworkState:
-    """Per-agent coefficient estimates (rows) with per-agent step-sizes."""
+def atc_step(H: np.ndarray, mu: np.ndarray, comb: CombinationMatrix, z: np.ndarray,
+             d: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The estimates after one synchronous adapt-then-combine round; pure.
 
-    estimates: np.ndarray       # (E, 2M+1)
-    mu: np.ndarray              # (E,)
-    n: int = 0
-
-
-def atc_step(
-    net: NetworkState,
-    comb: CombinationMatrix,
-    z: np.ndarray,
-    d: np.ndarray,
-    y: np.ndarray,
-) -> NetworkState:
-    """One synchronous adapt-then-combine round.
-
-    Agents with ``d_i = 0`` skip adaptation and only combine. All agents
-    are processed in index order, so the round is deterministic.
+    ``H`` holds one row of taps per agent and ``mu`` the per-agent
+    step-sizes. Agents with ``d_i = 0`` skip adaptation and only combine.
+    All agents are processed in index order, so the round is
+    deterministic. A non-finite result raises :class:`DivergenceError`.
     """
-    H = net.estimates
     E, dim = H.shape
     if z.shape != (E, dim) or d.shape != (E,) or y.shape != (E,):
         raise ValueError(
@@ -181,11 +167,11 @@ def atc_step(
             f"estimates {H.shape}"
         )
     err = d * (y - np.einsum("ij,ij->i", z, H))
-    W = H + (net.mu * err)[:, None] * z
+    W = H + (mu * err)[:, None] * z
     H_new = comb.a @ W
     if not np.all(np.isfinite(H_new)):
-        raise DivergenceError(f"non-finite network state at round {net.n + 1}")
-    return NetworkState(estimates=H_new, mu=net.mu, n=net.n + 1)
+        raise DivergenceError("non-finite network state")
+    return H_new
 
 
 def _stein_solve(B: np.ndarray) -> np.ndarray:
@@ -334,13 +320,13 @@ def run_distributed(
     theory = dist_theory(comb, locals_, cfg.sigma_v2, mu_vec)
 
     def run_one(seed_r: int) -> tuple[np.ndarray, ...]:
+        blocks = generate_stream(coeffs, ops, cfg, horizon, seed_r)
         traj = np.empty(horizon + 1)
         agent_traj = np.empty((E, horizon + 1)) if track_agents else None
-        blocks = generate_stream(coeffs, ops, cfg, horizon, seed_r)
-        states = _stream_states(NetworkState(estimates=np.zeros((E, h_true.size)), mu=mu_vec),
-                                lambda net, z, d, y: atc_step(net, comb, z, d, y), blocks)
-        for k, net in enumerate(states):
-            dev = np.sum((h_true - net.estimates) ** 2, axis=1)
+        states = _stream_states(np.zeros((E, h_true.size)),
+                                lambda H, z, d, y: atc_step(H, mu_vec, comb, z, d, y), blocks)
+        for k, H in enumerate(states):
+            dev = np.sum((h_true - H) ** 2, axis=1)
             traj[k] = np.mean(dev)
             if track_agents:
                 agent_traj[:, k] = dev

@@ -422,12 +422,6 @@ _CSV_COLUMNS = {
 }
 
 
-# Characters of encoded JSON gathered per write. An encoder chunk, one list entry
-# and its comma, holds 2 to about 25 characters plus some 60 bytes of overhead, so
-# the buffer stays near 25 KB for float lists and under 140 KB for the shortest.
-_WRITE_CHARS = 1 << 12
-
-
 def _csv_table(mode):
     if mode not in _CSV_COLUMNS:
         raise ConfigError(f"mode {mode!r} has no CSV row table; write JSON instead")
@@ -486,20 +480,15 @@ def _write_json(payload: dict, fh) -> None:
     """``payload`` (string keys) as one line of compact, strict JSON and a newline.
 
     An array value is written by :func:`_array_pieces`, any other one as ``json.dumps(value,
-    separators=(",", ":"), allow_nan=False)`` writes it, in writes of about ``_WRITE_CHARS``
-    characters: a long file takes few writes while memory stays bounded."""
+    separators=(",", ":"), allow_nan=False)`` writes it, piece by piece into ``fh``, whose
+    own buffer groups the writes: memory stays bounded."""
     encoder = json.JSONEncoder(separators=(",", ":"), allow_nan=False)
-    pending, size = [], 0
     for n, (key, value) in enumerate(payload.items()):
-        pending.append(("," if n else "{") + encoder.encode(key) + ":")
+        fh.write(("," if n else "{") + encoder.encode(key) + ":")
         for chunk in (_array_pieces(value) if isinstance(value, np.ndarray)
                       else encoder.iterencode(value)):
-            pending.append(chunk)
-            size += len(chunk)
-            if size >= _WRITE_CHARS:
-                fh.write("".join(pending))
-                pending, size = [], 0
-    fh.write("".join(pending) + ("}\n" if payload else "{}\n"))
+            fh.write(chunk)
+    fh.write("}\n" if payload else "{}\n")
 
 
 @contextlib.contextmanager

@@ -31,13 +31,12 @@ import numpy as np
 
 from .complexes import HodgeOperators, SimplicialComplex2, build_incidence, enumerate_3cliques
 from .errors import DivergenceError
-from .lms import LmsState, _monte_carlo, lms_step
+from .lms import _monte_carlo, lms_step
 from .signals import (StreamConfig, _block_stops, _draw, _history_walk, edge_moment_matrices,
                       regressor_tensor)
 
 __all__ = [
     "CandidateSet",
-    "TopologyState",
     "InferenceResult",
     "candidate_set",
     "prox_hard_threshold",
@@ -77,26 +76,6 @@ def candidate_set(complex_: SimplicialComplex2, order: int) -> CandidateSet:
     filled = build_incidence(complex_.num_vertices, list(complex_.edges), cliques)
     return CandidateSet(triples=tuple(cliques),
                         ops=HodgeOperators(skeleton=complex_, filling=filled), order=order)
-
-
-@dataclass
-class TopologyState:
-    """Joint estimate: coefficients ``h``, indicators ``t``, both step-sizes."""
-
-    h: np.ndarray
-    t: np.ndarray
-    mu1: float
-    mu2: float
-    lam0: float
-    lam1: float
-    n: int = 0
-
-    def __post_init__(self):
-        self.h = np.asarray(self.h, dtype=np.float64)
-        self.t = np.asarray(self.t, dtype=np.float64)
-        _check_threshold_order(self.lam0, self.lam1)
-        if np.any(self.t < 0) or np.any(self.t > 1):
-            raise ValueError("indicators must lie in [0, 1]")
 
 
 def _check_threshold_order(lam0: float, lam1: float) -> None:
@@ -173,25 +152,27 @@ def grad_t(
     return grad
 
 
-def infer_step(state: TopologyState, cand: CandidateSet, x_hist: np.ndarray, d: np.ndarray,
-               y: np.ndarray) -> TopologyState:
-    """One joint update: masked LMS on ``h``, thresholded gradient on ``t``.
+def infer_step(h: np.ndarray, t: np.ndarray, cand: CandidateSet, x_hist: np.ndarray,
+               d: np.ndarray, y: np.ndarray, mu1: float, mu2: float, lam0: float,
+               lam1: float) -> tuple[np.ndarray, np.ndarray]:
+    """One joint update ``(h, t) -> (h, t)``: masked LMS on ``h``, thresholded gradient on ``t``.
 
-    ``x_hist``, ``d`` and ``y`` are one step's data, as for :func:`grad_t`.
-    ``state`` was checked when it was constructed; the step keeps ``t`` in
-    [0, 1] and the thresholds unchanged, so the new state is not checked
-    again.
+    ``x_hist``, ``d`` and ``y`` are one step's data, as for :func:`grad_t`;
+    ``mu1`` and ``mu2`` are the step-sizes of ``h`` and ``t``, and ``lam0``
+    and ``lam1`` the attractor weights of :func:`prox_hard_threshold`.
+    Indicators outside [0, 1] or misordered thresholds raise a
+    ``ValueError``, a non-finite result a :class:`DivergenceError`.
     """
-    X = regressors_from_t(state.t, cand, x_hist)
-    lms = lms_step(LmsState(h=state.h, mu=state.mu1, n=state.n), X, d, y)
-    g = grad_t(lms.h, state.t, cand, x_hist, d, y, X=X)
-    t_pre = np.clip(state.t - state.mu2 * g, 0.0, 1.0)
-    t_new = _hard_threshold(t_pre, state.lam0, state.lam1)
-    if not np.all(np.isfinite(t_new)):
-        raise DivergenceError(f"non-finite indicators at iteration {state.n + 1}")
-    new = object.__new__(TopologyState)
-    new.__dict__.update(vars(state), h=lms.h, t=t_new, n=state.n + 1)
-    return new
+    _check_threshold_order(lam0, lam1)
+    if t.size and not (t.min() >= 0 and t.max() <= 1):
+        raise ValueError("indicators must lie in [0, 1]")
+    X = regressors_from_t(t, cand, x_hist)
+    h = lms_step(h, mu1, X, d, y)
+    g = grad_t(h, t, cand, x_hist, d, y, X=X)
+    t = _hard_threshold(np.clip(t - mu2 * g, 0.0, 1.0), lam0, lam1)
+    if not np.all(np.isfinite(t)):
+        raise DivergenceError("non-finite indicators")
+    return h, t
 
 
 @dataclass
@@ -240,23 +221,24 @@ def run_inference(
     h_true = coeffs.flatten()
     if not schedule or schedule[0][0] != 0:
         raise ValueError("schedule must start at iteration 0")
+    _check_threshold_order(lam0, lam1)
 
     # every indicator in [0, 1] weights the triangles of this complex
     edge_moment_matrices(cand.ops, cfg.c_x, order)
 
     def run_one(seed_r: int) -> np.ndarray:
+        stops = _block_stops(cand.ops.num_edges, order, horizon)
         traj = np.empty((4, horizon + 1))
-        state = TopologyState(h=np.zeros(h_true.size), t=np.full(cand.num_candidates, 0.5),
-                              mu1=mu1, mu2=mu2, lam0=lam0, lam1=lam1)
+        h, t = np.zeros(h_true.size), np.full(cand.num_candidates, 0.5)
         seg = 0
         t_true = np.asarray(schedule[0][1], dtype=np.float64)
 
         def record(k: int) -> None:
-            traj[:, k] = (np.sum((h_true - state.h) ** 2), np.sum((t_true - state.t) ** 2),
-                          float(np.array_equal(state.t, t_true)), float(np.count_nonzero(state.t)))
+            traj[:, k] = (np.sum((h_true - h) ** 2), np.sum((t_true - t) ** 2),
+                          float(np.array_equal(t, t_true)), float(np.count_nonzero(t)))
 
         record(0)
-        draws = _draw(cfg, seed_r, _block_stops(cand.ops.num_edges, order, horizon))
+        draws = _draw(cfg, seed_r, stops)
         for start, window, x, v, d in _history_walk(draws, order, order, next(draws)[0]):
             for j in range(x.shape[0]):
                 k = start + j - order
@@ -266,7 +248,7 @@ def run_inference(
                 hist = window[j : j + order + 1][::-1]
                 X_true = regressors_from_t(t_true, cand, hist)
                 y = d[j] * (X_true @ h_true + v[j])
-                state = infer_step(state, cand, hist, d[j], y)
+                h, t = infer_step(h, t, cand, hist, d[j], y, mu1, mu2, lam0, lam1)
                 record(k + 1)
         return traj
 

@@ -28,7 +28,6 @@ from .errors import DivergenceError, StabilityError
 from .signals import FilterCoeffs, StreamConfig, generate_stream, moments_closed_form
 
 __all__ = [
-    "LmsState",
     "TheoryReport",
     "ExperimentResult",
     "lms_step",
@@ -71,27 +70,19 @@ def derived_seeds(master_seed: int, count: int) -> list[int]:
     return [int(s) for s in np.random.SeedSequence(master_seed).generate_state(count)]
 
 
-@dataclass
-class LmsState:
-    """Coefficient estimate, step-size, and iteration counter."""
-
-    h: np.ndarray
-    mu: float
-    n: int = 0
-
-
-def lms_step(state: LmsState, X: np.ndarray, d: np.ndarray, y: np.ndarray) -> LmsState:
-    """One masked stochastic-gradient update; pure function of its inputs."""
-    h = state.h
+def lms_step(h: np.ndarray, mu: float, X: np.ndarray, d: np.ndarray,
+             y: np.ndarray) -> np.ndarray:
+    """The taps after one masked stochastic-gradient update of ``h``; pure.
+    A non-finite result raises :class:`DivergenceError`."""
     if X.shape[1] != h.shape[0] or X.shape[0] != d.shape[0] or d.shape != y.shape:
         raise ValueError(
             f"inconsistent shapes: X {X.shape}, d {d.shape}, y {y.shape}, h {h.shape}"
         )
     residual = d * (y - X @ h)
-    h_new = h + state.mu * (X.T @ residual)
+    h_new = h + mu * (X.T @ residual)
     if not np.all(np.isfinite(h_new)):
-        raise DivergenceError(f"non-finite estimate at iteration {state.n + 1}")
-    return LmsState(h=h_new, mu=state.mu, n=state.n + 1)
+        raise DivergenceError("non-finite estimate")
+    return h_new
 
 
 def max_stepsize(c_X: np.ndarray) -> float:
@@ -174,11 +165,13 @@ def _monte_carlo(seed: int, realizations: int, run_one):
     steps the recursion and returns a sequence of fresh trajectory arrays
     (the rows of a 2-D array count as one each; the engine sums into the
     first kept ones in place). A realization that raises
-    :class:`DivergenceError` is dropped and its index recorded. The kept
-    trajectories are summed in realization order, so one realization's
-    stream is alive at a time and memory does not grow with the
-    realization count. Returns ``(means, kept, diverged)`` with the mean
-    of each trajectory over the kept realizations.
+    :class:`DivergenceError` or returns a non-finite entry (a deviation can
+    overflow before the state does; numpy does not warn of it here) is
+    dropped and its index recorded. The kept trajectories are summed in
+    realization order, so one realization's stream is alive at a time and
+    memory does not grow with the realization count. Returns ``(means,
+    kept, diverged)`` with the mean of each trajectory over the kept
+    realizations.
     """
     if realizations < 1:
         raise ValueError(f"realizations must be at least 1, got {realizations}")
@@ -186,11 +179,14 @@ def _monte_carlo(seed: int, realizations: int, run_one):
     diverged: list[int] = []
     for r, seed_r in enumerate(derived_seeds(seed, realizations)):
         try:
-            trajectories = run_one(seed_r)
+            with np.errstate(over="ignore", invalid="ignore"):
+                trajectories = run_one(seed_r)
+            finite = all(np.isfinite(t).all() for t in trajectories)
         except DivergenceError:
+            finite = False
+        if not finite:
             diverged.append(r)
-            continue
-        if sums is None:
+        elif sums is None:
             sums = list(trajectories)
         else:
             for total, trajectory in zip(sums, trajectories):
@@ -204,9 +200,10 @@ def _monte_carlo(seed: int, realizations: int, run_one):
 def _stream_states(state, step, blocks):
     """The initial state, then the state after each step along the stream.
 
-    ``step(state, X, d, y)`` is applied at every row of the
-    :class:`.signals.StreamBlock` blocks of :func:`.signals.generate_stream`,
-    each a step: a stream of ``N`` rows gives ``N - order`` of them.
+    A state is the recursion's array; ``step(state, X, d, y)`` returns the
+    next one at every row of the :class:`.signals.StreamBlock` blocks of
+    :func:`.signals.generate_stream`, each a step: a stream of ``N`` rows
+    gives ``N - order`` of them.
     """
     yield state
     for block in blocks:
@@ -256,11 +253,12 @@ def run_experiment(
                       stacklevel=2)
 
     def run_one(seed_r: int) -> tuple[np.ndarray]:
-        traj = np.empty(horizon + 1)
         blocks = generate_stream(coeffs, ops, cfg, horizon, seed_r)
-        states = _stream_states(LmsState(h=np.zeros(h_true.size), mu=mu), lms_step, blocks)
-        for k, state in enumerate(states):
-            traj[k] = np.sum((h_true - state.h) ** 2)
+        traj = np.empty(horizon + 1)
+        states = _stream_states(np.zeros(h_true.size),
+                                lambda h, X, d, y: lms_step(h, mu, X, d, y), blocks)
+        for k, h in enumerate(states):
+            traj[k] = np.sum((h_true - h) ** 2)
         return (traj,)
 
     (msd,), kept, diverged = _monte_carlo(seed, realizations, run_one)

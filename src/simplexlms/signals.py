@@ -231,7 +231,9 @@ def _stops(first: int, stop: int, rows: int):
 
 def _block_stops(num_edges: int, order: int, horizon: int):
     """Row bounds for :func:`_draw`: the ``order`` history rows, then a window each
-    up to ``horizon`` steps."""
+    up to ``horizon`` steps; a negative ``horizon`` raises a ``ValueError``."""
+    if horizon < 0:
+        raise ValueError(f"horizon must be nonnegative, got {horizon}")
     return chain((order,), _stops(order, horizon + order, _window_rows(num_edges, order)))
 
 
@@ -331,24 +333,28 @@ def generate_stream(coeffs: FilterCoeffs, ops: HodgeOperators, cfg: StreamConfig
                     horizon: int, seed: int):
     """Draw one stream realisation of the observation model, block by block.
 
-    A generator of :class:`StreamBlock` that yields ``horizon`` steps drawn
-    from ``seed`` (a negative ``horizon`` raises a ``ValueError``): the first
-    ``order`` rows are drawn as history, the first block starts at row
-    ``order`` and each block holds the next ``rows`` rows, where a block's
-    regressors hold about ``_WINDOW_ELEMENTS`` floats and ``rows`` is at
-    least ``_MIN_WINDOW_ROWS``; a shorter last block joins the one before
-    it. Only the block's rows are drawn (:func:`_draw`), and its regressors
-    are built once, from them and the ``order`` rows before them
-    (:func:`_history_walk`), to give ``y = d * (X h + v)``. Memory does not
-    grow with the horizon.
+    An iterator of :class:`StreamBlock` that yields ``horizon`` steps drawn
+    from ``seed``: the first ``order`` rows are drawn as history, the first
+    block starts at row ``order`` and each block holds the next ``rows``
+    rows, where a block's regressors hold about ``_WINDOW_ELEMENTS`` floats
+    and ``rows`` is at least ``_MIN_WINDOW_ROWS``; a shorter last block
+    joins the one before it. Only the block's rows are drawn (:func:`_draw`),
+    and its regressors are built once, from them and the ``order`` rows
+    before them (:func:`_history_walk`), to give ``y = d * (X h + v)``.
+    Memory does not grow with the horizon. A negative ``horizon``, or a
+    config of another edge count than ``ops``, raises a ``ValueError`` here,
+    before any draw.
     """
     if ops.num_edges != cfg.num_edges:
         raise ValueError("config dimension does not match the complex")
-    if horizon < 0:
-        raise ValueError(f"horizon must be nonnegative, got {horizon}")
+    stops = _block_stops(cfg.num_edges, coeffs.order, horizon)
+    return _stream_blocks(coeffs, ops, _draw(cfg, seed, stops))
+
+
+def _stream_blocks(coeffs: FilterCoeffs, ops: HodgeOperators, draws):
+    """The :class:`StreamBlock` blocks of :func:`generate_stream` from its draws."""
     order = coeffs.order
     h = coeffs.flatten()
-    draws = _draw(cfg, seed, _block_stops(cfg.num_edges, order, horizon))
     for start, window, _, v, d in _history_walk(draws, order, order, next(draws)[0]):
         X = regressor_tensor(window, ops, order)
         yield StreamBlock(start=start, X=X, d=d, y=d * (X @ h + v))

@@ -32,9 +32,10 @@ def diverge_in(monkeypatch):
     """Make a recursion's step function diverge in chosen realizations.
 
     ``diverge_in(module, name, realizations)`` replaces ``module.name``, a
-    step whose first argument carries the iteration counter ``n``, with one
-    that counts realizations by their first step (``n == 0``) and raises
-    :class:`DivergenceError` on every step of the listed ones.
+    step whose first argument is the recursion's state array, with one that
+    counts realizations by their first step (every runner starts from an
+    all-zero state) and raises :class:`DivergenceError` on every step of
+    the listed ones.
     """
 
     def install(module, name, realizations):
@@ -42,7 +43,7 @@ def diverge_in(monkeypatch):
         started = []
 
         def failing(state, *args):
-            if state.n == 0:
+            if not np.any(state):
                 started.append(len(started))
             if started[-1] in realizations:
                 raise DivergenceError(f"injected in realization {started[-1]}")

@@ -59,7 +59,7 @@ def test_readme_signatures_match():
             stale.append(f"{name}({', '.join(listed)}) but the function takes {params}")
     assert {"generate_stream", "moments_empirical", "regressor_tensor", "theory_report",
             "max_stepsize", "run_experiment", "run_distributed", "run_inference",
-            "ar_regressor_tensor"} <= checked
+            "ar_regressor_tensor", "lms_step", "atc_step", "infer_step"} <= checked
     assert not stale, f"README.md shows stale signatures: {stale}"
 
 

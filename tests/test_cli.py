@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from simplexlms.cli import main
-from simplexlms.complexes import load_complex
+from simplexlms.complexes import grown_complex, load_complex, save_complex
 from simplexlms.harness import emit_results, run_mode
 from simplexlms.lms import to_db
 
@@ -115,6 +115,24 @@ def test_divergent_run_exits_3(complex_file):
         ]
     )
     assert code == 3
+
+
+@pytest.mark.parametrize("flags", [["--horizon", 300],
+                                   ["--horizon", 300, "--out", "result.json"],
+                                   ["--horizon", 2000]],
+                         ids=["deviation-overflows", "deviation-overflows-out", "taps-overflow"])
+@pytest.mark.filterwarnings("error::RuntimeWarning", "ignore:step-size fails")
+def test_divergence_verdict_does_not_depend_on_out_or_horizon(tmp_path, capsys, flags):
+    # an unstable step on 250 edges: the recorded deviation overflows before
+    # the taps do, and either way both realizations diverge, with no numpy
+    # warning and no file
+    path = tmp_path / "complex.txt"
+    save_complex(grown_complex(60, 250, 80, 0), path)
+    flags = [tmp_path / f if f == "result.json" else f for f in flags]
+    assert run_cli(["run-lms", "--complex-file", path, "--order", 2, "--mu", 1e-5,
+                    "--realizations", 2, "--noise-var", 1e-3, *flags]) == 3
+    assert capsys.readouterr() == ("", "divergence: all realizations diverged\n")
+    assert list(tmp_path.iterdir()) == [path]
 
 
 def test_infeasible_sampling_exits_4(complex_file):

@@ -12,7 +12,6 @@ from simplexlms import signals
 from simplexlms.complexes import grown_complex, hodge_laplacians, random_complex
 from simplexlms.diffusion import (
     CombinationMatrix,
-    NetworkState,
     atc_step,
     build_combination,
     check_irreducible,
@@ -21,7 +20,7 @@ from simplexlms.diffusion import (
     run_distributed,
     save_combination,
 )
-from simplexlms.lms import LmsState, lms_step, tail_average, to_db
+from simplexlms.lms import lms_step, tail_average, to_db
 from simplexlms.signals import (
     FilterCoeffs,
     StreamConfig,
@@ -110,16 +109,14 @@ def test_atc_identity_combination_is_independent_lms():
     rng = np.random.default_rng(1)
     E, dim = 6, 3
     comb = build_combination([[i] for i in range(E)])
-    net = NetworkState(estimates=rng.standard_normal((E, dim)), mu=np.full(E, 0.05))
+    H = rng.standard_normal((E, dim))
     z = rng.standard_normal((E, dim))
     d = np.ones(E)
     y = rng.standard_normal(E)
-    new = atc_step(net, comb, z, d, y)
+    new = atc_step(H, np.full(E, 0.05), comb, z, d, y)
     for i in range(E):
-        solo = lms_step(
-            LmsState(h=net.estimates[i], mu=0.05), z[i][None, :], np.ones(1), y[i : i + 1]
-        )
-        assert np.allclose(new.estimates[i], solo.h, atol=1e-14)
+        solo = lms_step(H[i], 0.05, z[i][None, :], np.ones(1), y[i : i + 1])
+        assert np.allclose(new[i], solo, atol=1e-14)
 
 
 def test_atc_combine_only_contracts_toward_consensus():
@@ -128,14 +125,15 @@ def test_atc_combine_only_contracts_toward_consensus():
     comb = build_combination(lower_adjacency_neighborhoods(c), "uniform")
     assert check_irreducible(comb)
     E = c.num_edges
-    net = NetworkState(estimates=rng.standard_normal((E, 3)), mu=np.full(E, 0.1))
+    H = rng.standard_normal((E, 3))
+    mu = np.full(E, 0.1)
     z = np.zeros((E, 3))
     d = np.zeros(E)
     y = np.zeros(E)
-    spread = [np.max(np.ptp(net.estimates, axis=0))]
+    spread = [np.max(np.ptp(H, axis=0))]
     for _ in range(120):
-        net = atc_step(net, comb, z, d, y)
-        spread.append(np.max(np.ptp(net.estimates, axis=0)))
+        H = atc_step(H, mu, comb, z, d, y)
+        spread.append(np.max(np.ptp(H, axis=0)))
     diffs = np.diff(spread)
     assert np.all(diffs <= 1e-12)
     assert spread[-1] < 1e-3 * spread[0]
@@ -147,11 +145,11 @@ def test_atc_zero_innovation_consensus_invariant():
     nbrs = [[max(0, i - 1), i, min(E - 1, i + 1)] for i in range(E)]
     comb = build_combination(nbrs, "uniform")
     h = rng.standard_normal(dim)
-    net = NetworkState(estimates=np.tile(h, (E, 1)), mu=np.full(E, 0.05))
+    H = np.tile(h, (E, 1))
     z = rng.standard_normal((E, dim))
     y = z @ h  # zero innovation at every agent
-    new = atc_step(net, comb, z, np.ones(E), y)
-    assert np.allclose(new.estimates, net.estimates, atol=1e-13)
+    new = atc_step(H, np.full(E, 0.05), comb, z, np.ones(E), y)
+    assert np.allclose(new, H, atol=1e-13)
 
 
 def test_atc_stacked_error_identity():
@@ -168,7 +166,7 @@ def test_atc_stacked_error_identity():
         d = (rng.random(E) < 0.7).astype(float)
         v = rng.standard_normal(E)
         y = d * (z @ h_true + v)
-        new = atc_step(NetworkState(estimates=H, mu=mu), comb, z, d, y)
+        new = atc_step(H, mu, comb, z, d, y)
 
         err = (h_true[None, :] - H).reshape(-1)
         a_blk = np.kron(comb.a, np.eye(dim))
@@ -181,7 +179,7 @@ def test_atc_stacked_error_identity():
             g_inst[sl] = d[i] * z[i] * v[i]
         B_inst = a_blk @ (np.eye(E * dim) - m_diag[:, None] * c_z_inst)
         predicted = B_inst @ err - a_blk @ (m_diag * g_inst)
-        actual = (h_true[None, :] - new.estimates).reshape(-1)
+        actual = (h_true[None, :] - new).reshape(-1)
         assert np.max(np.abs(actual - predicted)) < 1e-12
 
 
@@ -378,13 +376,13 @@ def atc_replay(instance, mu, seed, horizon):
     ops = hodge_laplacians(complex_)
     h_true = coeffs.flatten()
     batch = whole_stream(coeffs, ops, cfg, horizon, seed)
-    net = NetworkState(estimates=np.zeros((E, h_true.size)), mu=np.full(E, mu))
+    H, mu_vec = np.zeros((E, h_true.size)), np.full(E, mu)
     traj = np.empty((E, horizon + 1))
     traj[:, 0] = np.sum(h_true**2)
     for n in range(order, horizon + order):
         z = regressor_tensor(batch.x[n - order : n + 1], ops, order)[0]
-        net = atc_step(net, comb, z, batch.d[n - order], batch.y[n - order])
-        traj[:, n - order + 1] = np.sum((h_true[None, :] - net.estimates) ** 2, axis=1)
+        H = atc_step(H, mu_vec, comb, z, batch.d[n - order], batch.y[n - order])
+        traj[:, n - order + 1] = np.sum((h_true[None, :] - H) ** 2, axis=1)
     return traj
 
 
@@ -429,13 +427,11 @@ def test_run_distributed_identity_combination_matches_independent_runs(network_i
     R = regressor_tensor(batch.x, ops, 2)
     h_true = coeffs.flatten()
     for i in range(0, E, 5):
-        state = LmsState(h=np.zeros(5), mu=1e-2)
+        h = np.zeros(5)
         for k in range(40):
-            state = lms_step(
-                state, R[k, i][None, :], batch.d[k, i : i + 1], batch.y[k, i : i + 1]
-            )
+            h = lms_step(h, 1e-2, R[k, i][None, :], batch.d[k, i : i + 1], batch.y[k, i : i + 1])
         assert np.isclose(
-            result.agent_msd[i, 40], np.sum((h_true - state.h) ** 2), atol=1e-12
+            result.agent_msd[i, 40], np.sum((h_true - h) ** 2), atol=1e-12
         )
 
 

@@ -1,5 +1,6 @@
 """Dataset ingestion, AR protocols, config handling and result emission."""
 
+import io
 import json
 import tracemalloc
 
@@ -25,12 +26,11 @@ from simplexlms.datasets import (
     traffic_surrogate,
     write_edge_series,
 )
-from simplexlms.diffusion import (NetworkState, atc_step, build_combination,
-                                  lower_adjacency_neighborhoods)
-from simplexlms.errors import ConfigError
+from simplexlms.diffusion import atc_step, build_combination, lower_adjacency_neighborhoods
+from simplexlms.errors import ConfigError, DivergenceError
 from simplexlms.harness import emit_results, resolve_noise, resolve_p, run_mode
 from simplexlms.inference import candidate_set, run_inference
-from simplexlms.lms import LmsState, lms_step
+from simplexlms.lms import lms_step
 from simplexlms.signals import StreamConfig
 from test_lms import traced_peak
 
@@ -189,15 +189,25 @@ def test_ar_training_shares_lms_step_path():
     ops = hodge_laplacians(ds.complex)
     ext = extend_series(ds.train_series, epochs)
     R = ar_regressor_tensor(ext, ops, order)
-    state = LmsState(h=np.zeros(2 * order), mu=mu)
+    h = np.zeros(2 * order)
     errors = []
     ones = np.ones(ds.complex.num_edges)
     for n in range(order, ext.shape[0]):
-        pred = R[n - order] @ state.h
+        pred = R[n - order] @ h
         errors.append(np.linalg.norm(pred - ext[n]) / np.linalg.norm(ext[n]))
-        state = lms_step(state, R[n - order], ones, ext[n])
+        h = lms_step(h, mu, R[n - order], ones, ext[n])
     assert np.allclose(result.train_errors, errors, atol=1e-15)
-    assert np.allclose(result.coeffs, state.h, atol=1e-15)
+    assert np.allclose(result.coeffs, h, atol=1e-15)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_ar_divergence_names_the_training_step():
+    ds = traffic_surrogate(seed=2)
+    comb = build_combination(lower_adjacency_neighborhoods(ds.complex), "uniform")
+    with pytest.raises(DivergenceError, match=r"^non-finite estimate at training step \d+$"):
+        run_ar_training(ds, 2, 1e3)
+    with pytest.raises(DivergenceError, match=r"^non-finite network state at training step \d+$"):
+        run_distributed_ar(ds, 2, 1e3, comb)
 
 
 def test_baseline_upper_coefficients_stay_zero():
@@ -233,12 +243,10 @@ def test_distributed_ar_identity_combination_reduces_to_per_edge_lms():
     ops = hodge_laplacians(ds.complex)
     R = ar_regressor_tensor(ds.train_series, ops, 2)
     for i in (0, E // 2):
-        state = LmsState(h=np.zeros(4), mu=1e-2)
+        h = np.zeros(4)
         for n in range(2, ds.train_count):
-            state = lms_step(
-                state, R[n - 2, i][None, :], np.ones(1), ds.train_series[n, i : i + 1]
-            )
-        assert np.allclose(dist.coeffs[i], state.h, atol=1e-13)
+            h = lms_step(h, 1e-2, R[n - 2, i][None, :], np.ones(1), ds.train_series[n, i : i + 1])
+        assert np.allclose(dist.coeffs[i], h, atol=1e-13)
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
@@ -248,19 +256,18 @@ def test_ar_protocols_walk_the_tiled_series(variant):
     ds = traffic_surrogate(seed=2)
     E = ds.complex.num_edges
     central = run_ar_training(ds, 3, 1e-4, variant=variant, epochs=3)
-    state, train, test = tiled_replay(ds, 3, variant, 3, LmsState(h=np.zeros(6), mu=1e-4),
-                                      lambda s, X: X @ s.h, lms_step)
+    h, train, test = tiled_replay(ds, 3, variant, 3, np.zeros(6), lambda h, X: X @ h,
+                                  lambda h, X, d, y: lms_step(h, 1e-4, X, d, y))
     for got, want in zip((central.coeffs, central.train_errors, central.test_errors),
-                         (state.h, train, test)):
+                         (h, train, test)):
         np.testing.assert_array_equal(got, want)
     comb = build_combination(lower_adjacency_neighborhoods(ds.complex), "uniform")
     dist = run_distributed_ar(ds, 2, 1e-1, comb, epochs=3, variant=variant)
-    net, train, test = tiled_replay(
-        ds, 2, variant, 3, NetworkState(estimates=np.zeros((E, 4)), mu=np.full(E, 1e-1)),
-        lambda net, X: np.einsum("ij,ij->i", X, net.estimates),
-        lambda net, X, d, y: atc_step(net, comb, X, d, y))
+    H, train, test = tiled_replay(
+        ds, 2, variant, 3, np.zeros((E, 4)), lambda H, X: np.einsum("ij,ij->i", X, H),
+        lambda H, X, d, y: atc_step(H, np.full(E, 1e-1), comb, X, d, y))
     for got, want in zip((dist.coeffs, dist.train_errors, dist.test_errors),
-                         (net.estimates, train, test)):
+                         (H, train, test)):
         np.testing.assert_array_equal(got, want)
 
 
@@ -407,18 +414,25 @@ def compact_dump(payload):
 
 
 def test_json_writer_groups_the_encoder_chunks():
-    # the bytes of the compact dump, in a few large writes, not one per chunk
+    # the bytes of the compact dump reach the file in a few large writes, not
+    # one per chunk: the buffers of a text file opened for writing group them
     payload = long_payload()
     writes = []
 
-    class Sink:
-        def write(self, text):
-            writes.append(text)
+    class Raw(io.RawIOBase):
+        def writable(self):
+            return True
 
-    harness._write_json(payload, Sink())
-    text = "".join(writes)
+        def write(self, data):
+            writes.append(bytes(data))
+            return len(data)
+
+    fh = io.TextIOWrapper(io.BufferedWriter(Raw()), encoding="utf-8", newline="")
+    harness._write_json(payload, fh)
+    fh.flush()
+    text = b"".join(writes).decode("utf-8")
     assert text == compact_dump(payload)
-    assert len(writes) <= len(text) // harness._WRITE_CHARS + 2
+    assert len(writes) <= len(text) // io.DEFAULT_BUFFER_SIZE + 2
 
 
 def test_emit_results_json_is_the_compact_dump(tmp_path):

@@ -6,7 +6,6 @@ import pytest
 from simplexlms import inference, signals
 from simplexlms.complexes import build_incidence, hodge_laplacians, random_complex
 from simplexlms.inference import (
-    TopologyState,
     candidate_set,
     grad_t,
     infer_step,
@@ -234,10 +233,10 @@ def test_infer_step_zero_residual_fixed_point(filled_complex):
     h = rng.standard_normal(5)
     hist = rng.standard_normal((3, filled_complex.num_edges))
     X = regressors_from_t(t, cand, hist)
-    state = TopologyState(h=h, t=t, mu1=1e-2, mu2=1e-2, lam0=0.1, lam1=0.1)
-    new = infer_step(state, cand, hist, np.ones(filled_complex.num_edges), X @ h)
-    assert np.allclose(new.h, h)
-    assert np.array_equal(new.t, t)
+    new_h, new_t = infer_step(h, t, cand, hist, np.ones(filled_complex.num_edges), X @ h,
+                              1e-2, 1e-2, 0.1, 0.1)
+    assert np.allclose(new_h, h)
+    assert np.array_equal(new_t, t)
 
 
 def test_infer_step_latched_indicators_stay_put(filled_complex):
@@ -247,16 +246,21 @@ def test_infer_step_latched_indicators_stay_put(filled_complex):
     h = rng.standard_normal(5)
     hist = rng.standard_normal((3, filled_complex.num_edges))
     X = regressors_from_t(t, cand, hist)
-    state = TopologyState(h=h, t=t, mu1=1e-2, mu2=1e-2, lam0=0.1, lam1=0.1)
-    new = infer_step(state, cand, hist, np.ones(filled_complex.num_edges), X @ h)
-    assert np.array_equal(new.t, t)
+    _, new_t = infer_step(h, t, cand, hist, np.ones(filled_complex.num_edges), X @ h,
+                          1e-2, 1e-2, 0.1, 0.1)
+    assert np.array_equal(new_t, t)
 
 
-def test_state_validation():
+def test_state_validation(filled_complex):
+    cand = candidate_set(filled_complex, order=2)
+    hist = np.zeros((3, filled_complex.num_edges))
+    d = y = np.zeros(filled_complex.num_edges)
+    t = np.zeros(cand.num_candidates)
     with pytest.raises(ValueError, match="ordering"):
-        TopologyState(h=np.zeros(3), t=np.zeros(1), mu1=0.1, mu2=0.1, lam0=0.4, lam1=0.4)
+        infer_step(np.zeros(5), t, cand, hist, d, y, 0.1, 0.1, 0.4, 0.4)
+    t[0] = 1.5
     with pytest.raises(ValueError, match=r"\[0, 1\]"):
-        TopologyState(h=np.zeros(3), t=np.array([1.5]), mu1=0.1, mu2=0.1, lam0=0.1, lam1=0.1)
+        infer_step(np.zeros(5), t, cand, hist, d, y, 0.1, 0.1, 0.1, 0.1)
 
 
 # ---------------------------------------------------------------- recovery
@@ -301,8 +305,7 @@ def hand_rolled_replay(complex_, coeffs, cand, sigma_v2, schedule, horizon, seed
     x = np.sqrt(signal_var) * np.random.default_rng(sig_ss).standard_normal((N, E))
     v = np.random.default_rng(noise_ss).standard_normal((N, E)) * np.sqrt(sigma_v2)
     d = (np.random.default_rng(mask_ss).random((N, E)) < 1.0).astype(np.float64)
-    state = TopologyState(h=np.zeros(h_true.size), t=np.full(cand.num_candidates, 0.5),
-                          mu1=mu, mu2=mu, lam0=lam, lam1=lam)
+    h, t = np.zeros(h_true.size), np.full(cand.num_candidates, 0.5)
     out = np.empty((4, horizon + 1))
     t_true = schedule[0][1]
     for k in range(horizon + 1):
@@ -312,9 +315,9 @@ def hand_rolled_replay(complex_, coeffs, cand, sigma_v2, schedule, horizon, seed
             n = order + k - 1
             hist = x[n - order : n + 1][::-1]
             y = d[n] * (regressors_from_t(t_true, cand, hist) @ h_true + v[n])
-            state = infer_step(state, cand, hist, d[n], y)
-        out[:, k] = (np.sum((h_true - state.h) ** 2), np.sum((t_true - state.t) ** 2),
-                     float(np.array_equal(state.t, t_true)), float(np.count_nonzero(state.t)))
+            h, t = infer_step(h, t, cand, hist, d[n], y, mu, mu, lam, lam)
+        out[:, k] = (np.sum((h_true - h) ** 2), np.sum((t_true - t) ** 2),
+                     float(np.array_equal(t, t_true)), float(np.count_nonzero(t)))
     return out
 
 
@@ -379,17 +382,12 @@ def test_indicators_stay_in_unit_box_under_random_data():
     c = random_complex(10, 0.55, 0.7, 29)
     cand = candidate_set(c, order=2)
     rng = np.random.default_rng(11)
-    state = TopologyState(
-        h=rng.standard_normal(5),
-        t=rng.uniform(0, 1, cand.num_candidates),
-        mu1=1e-3,
-        mu2=5.0,  # deliberately large indicator step
-        lam0=0.1,
-        lam1=0.1,
-    )
+    h = rng.standard_normal(5)
+    t = rng.uniform(0, 1, cand.num_candidates)
+    mu2 = 5.0  # deliberately large indicator step
     for _ in range(200):
         x_hist = 0.1 * rng.standard_normal((3, c.num_edges))
         d = (rng.random(c.num_edges) < 0.7).astype(float)
         y = 0.1 * rng.standard_normal(c.num_edges)
-        state = infer_step(state, cand, x_hist, d, y)
-        assert np.all(state.t >= 0.0) and np.all(state.t <= 1.0)
+        h, t = infer_step(h, t, cand, x_hist, d, y, 1e-3, mu2, 0.1, 0.1)
+        assert np.all(t >= 0.0) and np.all(t <= 1.0)

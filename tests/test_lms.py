@@ -7,11 +7,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from simplexlms import lms, signals
+from simplexlms import diffusion, inference, lms, signals
 from simplexlms.complexes import hodge_laplacians, random_complex
 from simplexlms.errors import DivergenceError, StabilityError
 from simplexlms.lms import (
-    LmsState,
     _monte_carlo,
     derived_seeds,
     lms_step,
@@ -44,9 +43,8 @@ def test_step_zero_innovation_keeps_estimate():
     h = rng.standard_normal(3)
     d = (rng.random(6) < 0.5).astype(float)
     y = X @ h
-    new = lms_step(LmsState(h=h, mu=0.1), X, d, y)
-    assert np.allclose(new.h, h)
-    assert new.n == 1
+    new = lms_step(h, 0.1, X, d, y)
+    assert np.allclose(new, h)
 
 
 def test_step_from_zero_full_mask():
@@ -54,8 +52,8 @@ def test_step_from_zero_full_mask():
     X = rng.standard_normal((5, 3))
     y = rng.standard_normal(5)
     mu = 0.05
-    new = lms_step(LmsState(h=np.zeros(3), mu=mu), X, np.ones(5), y)
-    assert np.allclose(new.h, mu * X.T @ y)
+    new = lms_step(np.zeros(3), mu, X, np.ones(5), y)
+    assert np.allclose(new, mu * X.T @ y)
 
 
 def test_step_error_recursion_identity():
@@ -70,20 +68,19 @@ def test_step_error_recursion_identity():
         v = rng.standard_normal(E)
         y = d * (X @ h_true + v)
         mu = 0.03
-        new = lms_step(LmsState(h=h, mu=mu), X, d, y)
+        new = lms_step(h, mu, X, d, y)
         Q = np.eye(dim) - mu * X.T @ (d[:, None] * X)
         g = X.T @ (d * v)
         predicted = Q @ (h_true - h) - mu * g
-        assert np.max(np.abs((h_true - new.h) - predicted)) < 1e-12
+        assert np.max(np.abs((h_true - new) - predicted)) < 1e-12
 
 
 @pytest.mark.filterwarnings("ignore")
 def test_step_shape_and_divergence_errors():
     with pytest.raises(ValueError):
-        lms_step(LmsState(h=np.zeros(3), mu=0.1), np.zeros((4, 2)), np.ones(4), np.ones(4))
-    state = LmsState(h=np.array([1e308]), mu=1e308)
+        lms_step(np.zeros(3), 0.1, np.zeros((4, 2)), np.ones(4), np.ones(4))
     with pytest.raises(DivergenceError):
-        lms_step(state, np.array([[1e10]]), np.ones(1), np.array([1e300]))
+        lms_step(np.array([1e308]), 1e308, np.array([[1e10]]), np.ones(1), np.array([1e300]))
 
 
 def test_step_is_pure():
@@ -91,11 +88,11 @@ def test_step_is_pure():
     X = rng.standard_normal((4, 3))
     d = np.ones(4)
     y = rng.standard_normal(4)
-    state = LmsState(h=np.zeros(3), mu=0.1)
-    first = lms_step(state, X, d, y)
-    second = lms_step(state, X, d, y)
-    assert np.array_equal(first.h, second.h)
-    assert np.array_equal(state.h, np.zeros(3))
+    h = np.zeros(3)
+    first = lms_step(h, 0.1, X, d, y)
+    second = lms_step(h, 0.1, X, d, y)
+    assert np.array_equal(first, second)
+    assert np.array_equal(h, np.zeros(3))
 
 
 # ---------------------------------------------------------------- stepsize
@@ -220,12 +217,12 @@ def lms_replay(complex_, coeffs, cfg, mu, seed, horizon):
     order = coeffs.order
     h_true = coeffs.flatten()
     batch = whole_stream(coeffs, ops, cfg, horizon, seed)
-    state = LmsState(h=np.zeros(h_true.size), mu=mu)
+    h = np.zeros(h_true.size)
     traj = [np.sum(h_true**2)]
     for n in range(order, horizon + order):
         X = regressor_tensor(batch.x[n - order : n + 1], ops, order)[0]
-        state = lms_step(state, X, batch.d[n - order], batch.y[n - order])
-        traj.append(np.sum((h_true - state.h) ** 2))
+        h = lms_step(h, mu, X, batch.d[n - order], batch.y[n - order])
+        traj.append(np.sum((h_true - h) ** 2))
     return np.array(traj)
 
 
@@ -409,6 +406,28 @@ def test_runners_take_the_run_after_the_model():
         assert params[len(params) - 3 - len(tail):] == ["realizations", "horizon", "seed", *tail]
 
 
+@pytest.mark.parametrize("runner", ["run_experiment", "run_distributed", "run_inference"])
+def test_runners_reject_a_negative_horizon(experiment_complex, runner):
+    # the draw's row bounds reject it before a trajectory entry is written
+    from simplexlms.diffusion import build_combination, lower_adjacency_neighborhoods
+    from simplexlms.inference import candidate_set
+
+    c = experiment_complex
+    coeffs = FilterCoeffs(h_u=[0.5, 0.1], h_d=[0.2])
+    cfg = StreamConfig.white(c.num_edges, signal_var=0.1, sigma_v2=1e-4)
+    cand = candidate_set(c, 1)
+    model = {
+        "run_experiment": (lms, (c, coeffs, cfg, 1e-3)),
+        "run_distributed": (diffusion, (c, coeffs, cfg,
+                                        build_combination(lower_adjacency_neighborhoods(c)), 1e-3)),
+        "run_inference": (inference, (cand, coeffs, cfg, [(0, cand.true_indicator(c))],
+                                      1e-2, 1e-2, 0.1, 0.1)),
+    }
+    module, args = model[runner]
+    with pytest.raises(ValueError, match="horizon must be nonnegative, got -1"):
+        getattr(module, runner)(*args, 2, -1, 0)
+
+
 def test_run_experiment_drops_diverged_realization(experiment_complex, diverge_in):
     rng = np.random.default_rng(15)
     coeffs = FilterCoeffs.random(1, rng, scale=0.5)
@@ -448,6 +467,18 @@ def test_monte_carlo_engine_bookkeeping():
         _monte_carlo(5, 2, lambda seed: run_one(seeds[1]))
     with pytest.raises(ValueError, match="at least 1"):
         _monte_carlo(5, 0, run_one)
+
+
+def test_monte_carlo_drops_a_non_finite_trajectory():
+    # an overflowing deviation is a divergence even when no step raised
+    def run_one(seed):
+        return np.array([1.0, np.inf if seed == seeds[0] else 2.0]), np.ones(2)
+
+    seeds = derived_seeds(3, 2)
+    (first, second), kept, diverged = _monte_carlo(3, 2, run_one)
+    assert (kept, diverged) == (1, [0])
+    np.testing.assert_array_equal(first, [1.0, 2.0])
+    np.testing.assert_array_equal(second, np.ones(2))
 
 
 def test_run_experiment_matches_theory(experiment_complex):

@@ -180,6 +180,17 @@ def test_a_stream_config_is_the_signal_model(small_complex, small_ops):
         next(generate_stream(FilterCoeffs(h_u=[1.0, 0.5], h_d=[0.3]), small_ops, cfg, -1, 3))
 
 
+def test_generate_stream_checks_its_arguments_when_called(small_complex, small_ops):
+    # the errors come from the call itself, before any block is asked for
+    coeffs = FilterCoeffs(h_u=[1.0, 0.5], h_d=[0.3])
+    cfg = StreamConfig.white(small_complex.num_edges, sigma_v2=0.01, p=0.5)
+    with pytest.raises(ValueError, match="horizon must be nonnegative"):
+        generate_stream(coeffs, small_ops, cfg, -1, 3)
+    short = StreamConfig.white(small_complex.num_edges - 1, sigma_v2=0.01, p=0.5)
+    with pytest.raises(ValueError, match="config dimension does not match"):
+        generate_stream(coeffs, small_ops, short, 5, 3)
+
+
 def test_stream_zero_sampling(small_complex, small_ops):
     coeffs = FilterCoeffs(h_u=[1.0, 0.5], h_d=[0.2])
     cfg = StreamConfig.white(small_complex.num_edges, sigma_v2=0.1, p=0.0)
