@@ -47,7 +47,6 @@ from .inference import (
     prox_hard_threshold,
 )
 from .diffusion import (
-    CombinationMatrix,
     atc_step,
     build_combination,
     check_irreducible,

@@ -22,7 +22,7 @@ import numpy as np
 
 from .complexes import hodge_laplacians
 from .datasets import EdgeSeriesDataset
-from .diffusion import CombinationMatrix, atc_step
+from .diffusion import atc_step
 from .errors import DivergenceError
 from .lms import lms_step
 from .signals import _series_walk, regressor_tensor
@@ -91,6 +91,7 @@ def _normalized_error(predicted: np.ndarray, actual: np.ndarray) -> float:
     return float(np.linalg.norm(predicted - actual)) / max(scale, 1e-300)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a divergence raises, and names its step
 def _train_then_test(ds: EdgeSeriesDataset, order: int, variant: str, epochs: int,
                      state, predict, step):
     """The train-then-test loop both protocols share.
@@ -155,7 +156,7 @@ def run_distributed_ar(
     ds: EdgeSeriesDataset,
     order: int,
     mu: float,
-    comb: CombinationMatrix,
+    comb: np.ndarray,
     epochs: int = 1,
     variant: str = "topo",
 ) -> ARTrainResult:

@@ -155,6 +155,9 @@ def main(argv=None) -> int:
             print(json.dumps(payload, indent=2))
         else:
             print(_summary_line(args.mode, payload))
+        if args.mode == "run-lms" and payload["theory"] is None:
+            print("run-lms: no theory report: step-size fails the mean-stability bound",
+                  file=sys.stderr)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return _EXIT_CONFIG

@@ -29,7 +29,7 @@ import numpy as np
 
 from .complexes import SimplicialComplex2, hodge_laplacians
 from .errors import DivergenceError
-from .lms import _is_stable, _monte_carlo, _stream_states
+from .lms import _is_stable, _monte_carlo
 from .signals import (
     FilterCoeffs,
     StreamConfig,
@@ -38,7 +38,6 @@ from .signals import (
 )
 
 __all__ = [
-    "CombinationMatrix",
     "TheoremChecks",
     "DistTheoryReport",
     "DistResult",
@@ -57,18 +56,6 @@ RULES = ("uniform", "metropolis")
 # Squarings allowed in the Stein solve: 2^64 terms of its series cover
 # every radius that passes the stability margin, rho(B) < 1 - 1e-9.
 _DOUBLING_STEPS = 64
-
-
-@dataclass
-class CombinationMatrix:
-    """Row-stochastic nonnegative weights supported on the neighbourhoods."""
-
-    a: np.ndarray
-    neighborhoods: tuple[tuple[int, ...], ...]
-
-    @property
-    def num_agents(self) -> int:
-        return self.a.shape[0]
 
 
 def lower_adjacency_neighborhoods(complex_: SimplicialComplex2) -> list[list[int]]:
@@ -92,8 +79,10 @@ def _check_rule(rule: str) -> None:
 
 def build_combination(
     neighborhoods: list[list[int]], rule: str = "uniform"
-) -> CombinationMatrix:
-    """Combination weights from neighbourhoods, uniform or Metropolis.
+) -> np.ndarray:
+    """The ``E x E`` row-stochastic nonnegative combination weights of the
+    neighbourhoods, uniform or Metropolis: ``a[i, l]`` is agent ``i``'s
+    weight on agent ``l``, nonzero only inside its neighbourhood.
 
     Every neighbourhood must contain its own agent. The uniform rule
     averages the neighbourhood; the Metropolis rule uses
@@ -119,19 +108,16 @@ def build_combination(
                 if l != i:
                     a[i, l] = 1.0 / (1.0 + max(degrees[i], degrees[l]))
             a[i, i] = 1.0 - np.sum(a[i])
-    return CombinationMatrix(
-        a=a, neighborhoods=tuple(tuple(sorted(set(n))) for n in neighborhoods)
-    )
+    return a
 
 
-def check_irreducible(comb: CombinationMatrix) -> bool:
-    """True iff the support digraph is strongly connected.
+def check_irreducible(comb: np.ndarray) -> bool:
+    """True iff the support digraph of the weights ``comb`` is strongly connected.
 
     Equivalent to some power of the matrix being entrywise positive at
     every pair, but scales to large agent counts.
     """
-    a = comb.a
-    E = a.shape[0]
+    E = comb.shape[0]
     if E == 0:
         return False
 
@@ -147,18 +133,19 @@ def check_irreducible(comb: CombinationMatrix) -> bool:
                     stack.append(int(j))
         return bool(np.all(seen))
 
-    support = a > 0
+    support = comb > 0
     return reachable(support) and reachable(support.T)
 
 
-def atc_step(H: np.ndarray, mu: np.ndarray, comb: CombinationMatrix, z: np.ndarray,
+def atc_step(H: np.ndarray, mu: np.ndarray, comb: np.ndarray, z: np.ndarray,
              d: np.ndarray, y: np.ndarray) -> np.ndarray:
     """The estimates after one synchronous adapt-then-combine round; pure.
 
-    ``H`` holds one row of taps per agent and ``mu`` the per-agent
-    step-sizes. Agents with ``d_i = 0`` skip adaptation and only combine.
-    All agents are processed in index order, so the round is
-    deterministic. A non-finite result raises :class:`DivergenceError`.
+    ``H`` holds one row of taps per agent, ``mu`` the per-agent
+    step-sizes and ``comb`` the combination weights. Agents with
+    ``d_i = 0`` skip adaptation and only combine. All agents are
+    processed in index order, so the round is deterministic. A
+    non-finite result raises :class:`DivergenceError`.
     """
     E, dim = H.shape
     if z.shape != (E, dim) or d.shape != (E,) or y.shape != (E,):
@@ -168,7 +155,7 @@ def atc_step(H: np.ndarray, mu: np.ndarray, comb: CombinationMatrix, z: np.ndarr
         )
     err = d * (y - np.einsum("ij,ij->i", z, H))
     W = H + (mu * err)[:, None] * z
-    H_new = comb.a @ W
+    H_new = comb @ W
     if not np.all(np.isfinite(H_new)):
         raise DivergenceError("non-finite network state")
     return H_new
@@ -225,20 +212,20 @@ class DistTheoryReport:
 
 
 def dist_theory(
-    comb: CombinationMatrix,
+    comb: np.ndarray,
     local_moments: np.ndarray,
     sigma_v2: np.ndarray,
     mu: np.ndarray,
 ) -> DistTheoryReport:
     """Stability and steady-state analysis of the diffusion recursion.
 
-    ``local_moments`` holds the masked per-agent moments ``C_z_i``
+    ``comb`` holds the combination weights ``a_il`` and ``local_moments``
+    the masked per-agent moments ``C_z_i``
     (shape (E, dim, dim)); an unstable configuration, one whose
     ``rho(B)`` does not clear 1 by the stability margin, is reported
     through the ``stable`` flag and NaN deviations rather than raised.
     """
-    A = comb.a
-    E = A.shape[0]
+    E = comb.shape[0]
     local_moments = np.asarray(local_moments, dtype=np.float64)
     sigma_v2 = np.asarray(sigma_v2, dtype=np.float64)
     mu = np.broadcast_to(np.asarray(mu, dtype=np.float64), (E,))
@@ -246,7 +233,7 @@ def dist_theory(
 
     # B[i, a, l, b] = a_il (I - mu_l C_l)[a, b]
     adapt = np.eye(dim) - mu[:, None, None] * local_moments
-    B = (A[:, None, :, None] * adapt.transpose(1, 0, 2)).reshape(E * dim, E * dim)
+    B = (comb[:, None, :, None] * adapt.transpose(1, 0, 2)).reshape(E * dim, E * dim)
     rho_b = float(np.max(np.abs(np.linalg.eigvals(B))))
 
     local_eigs = np.linalg.eigvalsh(local_moments)
@@ -265,7 +252,7 @@ def dist_theory(
     if stable:
         m = mu[:, None, None]
         noise = (m * (sigma_v2[:, None, None] * local_moments)) * m
-        R = np.einsum("il,jl,lab->iajb", A, A, noise, optimize=True).reshape(B.shape)
+        R = np.einsum("il,jl,lab->iajb", comb, comb, noise, optimize=True).reshape(B.shape)
         S = _stein_solve(B)
         msd_total = float(np.trace(R @ S))
     return DistTheoryReport(
@@ -294,7 +281,7 @@ def run_distributed(
     complex_: SimplicialComplex2,
     coeffs: FilterCoeffs,
     cfg: StreamConfig,
-    comb: CombinationMatrix,
+    comb: np.ndarray,
     mu,
     realizations: int,
     horizon: int,
@@ -319,29 +306,29 @@ def run_distributed(
     locals_ = local_moment_matrices(ops, cfg.p, cfg.c_x, order)
     theory = dist_theory(comb, locals_, cfg.sigma_v2, mu_vec)
 
-    def run_one(seed_r: int) -> tuple[np.ndarray, ...]:
+    def walk(seed_r: int):
         blocks = generate_stream(coeffs, ops, cfg, horizon, seed_r)
-        traj = np.empty(horizon + 1)
-        agent_traj = np.empty((E, horizon + 1)) if track_agents else None
-        states = _stream_states(np.zeros((E, h_true.size)),
-                                lambda H, z, d, y: atc_step(H, mu_vec, comb, z, d, y), blocks)
-        for k, H in enumerate(states):
-            dev = np.sum((h_true - H) ** 2, axis=1)
-            traj[k] = np.mean(dev)
-            if track_agents:
-                agent_traj[:, k] = dev
-        return (traj, agent_traj) if track_agents else (traj,)
+        H = np.zeros((E, h_true.size))
+        yield H
+        for block in blocks:
+            for z, d, y in zip(block.X, block.d, block.y):
+                H = atc_step(H, mu_vec, comb, z, d, y)
+                yield H
 
-    means, kept, diverged = _monte_carlo(seed, realizations, run_one)
-    return DistResult(msd=means[0], agent_msd=means[1] if track_agents else None,
+    def measure(H: np.ndarray):
+        dev = np.sum((h_true - H) ** 2, axis=1)
+        return np.append(np.mean(dev), dev) if track_agents else np.mean(dev)
+
+    means, kept, diverged = _monte_carlo(seed, realizations, horizon, walk, measure)
+    return DistResult(msd=means[:, 0], agent_msd=means[:, 1:].T if track_agents else None,
                       theory=theory, realizations=kept, diverged=diverged)
 
 
-def save_combination(comb: CombinationMatrix, path) -> None:
-    """CSV rows ``i, l, a_il`` for the nonzero weights."""
+def save_combination(comb: np.ndarray, path) -> None:
+    """CSV rows ``i, l, a_il`` for the nonzero weights of ``comb``."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["i", "l", "a_il"])
-        for i in range(comb.num_agents):
-            for l in np.flatnonzero(comb.a[i]):
-                writer.writerow([i, int(l), repr(float(comb.a[i, l]))])
+        for i, row in enumerate(comb):
+            for l in np.flatnonzero(row):
+                writer.writerow([i, int(l), repr(float(row[l]))])

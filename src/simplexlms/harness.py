@@ -77,11 +77,14 @@ def _sub_rng(seed: int, tag: str) -> np.random.Generator:
 
 
 def _numbers(value, message: str) -> np.ndarray:
-    """``value`` as a float array; a value that is not numeric is a config error."""
+    """``value`` as a float array; a value that is not a JSON number or a (nested) list of
+    them is a config error: numpy would read a string or a boolean as a number."""
     try:
-        return np.asarray(value, dtype=np.float64)
+        if not any(isinstance(leaf, (str, bool)) for leaf in np.ravel(np.array(value, object))):
+            return np.asarray(value, dtype=np.float64)
     except (TypeError, ValueError):
-        raise ConfigError(f"{message}, got {value!r}") from None
+        pass
+    raise ConfigError(f"{message}, got {value!r}")
 
 
 # Key parsers: each takes the (dotted) key and its value as given, and returns
@@ -146,7 +149,7 @@ def _by_edge(key: str, value):
 
 def _positives(key: str, value):
     """A per-edge value whose every entry must be positive and finite."""
-    for entry in np.ravel(value):
+    for entry in np.ravel(_numbers(value, f"config key {key!r} must be numbers")):
         _positive(key, entry)
     return value
 

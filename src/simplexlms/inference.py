@@ -95,13 +95,8 @@ def prox_hard_threshold(v: np.ndarray, lam0: float, lam1: float) -> np.ndarray:
     interval in between is left untouched.
     """
     _check_threshold_order(lam0, lam1)
-    return _hard_threshold(np.clip(np.asarray(v, dtype=np.float64), 0.0, 1.0), lam0, lam1)
-
-
-def _hard_threshold(v: np.ndarray, lam0: float, lam1: float) -> np.ndarray:
-    # the map of prox_hard_threshold on v in [0, 1], with thresholds already checked
-    low = np.sqrt(2.0 * lam0)
-    high = 1.0 - np.sqrt(2.0 * lam1)
+    v = np.clip(np.asarray(v, dtype=np.float64), 0.0, 1.0)
+    low, high = np.sqrt(2.0 * lam0), 1.0 - np.sqrt(2.0 * lam1)
     return np.where(v <= low, 0.0, np.where(v >= high, 1.0, v))
 
 
@@ -163,13 +158,12 @@ def infer_step(h: np.ndarray, t: np.ndarray, cand: CandidateSet, x_hist: np.ndar
     Indicators outside [0, 1] or misordered thresholds raise a
     ``ValueError``, a non-finite result a :class:`DivergenceError`.
     """
-    _check_threshold_order(lam0, lam1)
     if t.size and not (t.min() >= 0 and t.max() <= 1):
         raise ValueError("indicators must lie in [0, 1]")
     X = regressors_from_t(t, cand, x_hist)
     h = lms_step(h, mu1, X, d, y)
     g = grad_t(h, t, cand, x_hist, d, y, X=X)
-    t = _hard_threshold(np.clip(t - mu2 * g, 0.0, 1.0), lam0, lam1)
+    t = prox_hard_threshold(t - mu2 * g, lam0, lam1)
     if not np.all(np.isfinite(t)):
         raise DivergenceError("non-finite indicators")
     return h, t
@@ -226,19 +220,12 @@ def run_inference(
     # every indicator in [0, 1] weights the triangles of this complex
     edge_moment_matrices(cand.ops, cfg.c_x, order)
 
-    def run_one(seed_r: int) -> np.ndarray:
-        stops = _block_stops(cand.ops.num_edges, order, horizon)
-        traj = np.empty((4, horizon + 1))
+    def walk(seed_r: int):
+        draws = _draw(cfg, seed_r, _block_stops(cand.ops.num_edges, order, horizon))
         h, t = np.zeros(h_true.size), np.full(cand.num_candidates, 0.5)
         seg = 0
         t_true = np.asarray(schedule[0][1], dtype=np.float64)
-
-        def record(k: int) -> None:
-            traj[:, k] = (np.sum((h_true - h) ** 2), np.sum((t_true - t) ** 2),
-                          float(np.array_equal(t, t_true)), float(np.count_nonzero(t)))
-
-        record(0)
-        draws = _draw(cfg, seed_r, stops)
+        yield h, t, t_true
         for start, window, x, v, d in _history_walk(draws, order, order, next(draws)[0]):
             for j in range(x.shape[0]):
                 k = start + j - order
@@ -249,10 +236,14 @@ def run_inference(
                 X_true = regressors_from_t(t_true, cand, hist)
                 y = d[j] * (X_true @ h_true + v[j])
                 h, t = infer_step(h, t, cand, hist, d[j], y, mu1, mu2, lam0, lam1)
-                record(k + 1)
-        return traj
+                yield h, t, t_true
 
-    means, kept, diverged = _monte_carlo(seed, realizations, run_one)
-    h_error, t_error, recovery, support = means
+    def measure(state) -> tuple[float, ...]:
+        h, t, t_true = state
+        return (np.sum((h_true - h) ** 2), np.sum((t_true - t) ** 2),
+                float(np.array_equal(t, t_true)), float(np.count_nonzero(t)))
+
+    means, kept, diverged = _monte_carlo(seed, realizations, horizon, walk, measure)
+    h_error, t_error, recovery, support = means.T
     return InferenceResult(h_error=h_error, t_error=t_error, recovery_rate=recovery,
                            support_size=support, realizations=kept, diverged=diverged)

@@ -18,7 +18,6 @@ second-order remainder: both read one eigendecomposition of c_X.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -157,64 +156,55 @@ def theory_report(c_X: np.ndarray, g: np.ndarray, mu: float) -> TheoryReport:
     )
 
 
-def _monte_carlo(seed: int, realizations: int, run_one):
+def _monte_carlo(seed: int, realizations: int, horizon: int, walk, measure):
     """The Monte-Carlo engine of every recursion runner.
 
-    Calls ``run_one(seed_r)`` once per realization with the seeds
-    :func:`derived_seeds` gives for ``seed``; each call draws one stream,
-    steps the recursion and returns a sequence of fresh trajectory arrays
-    (the rows of a 2-D array count as one each; the engine sums into the
-    first kept ones in place). A realization that raises
-    :class:`DivergenceError` or returns a non-finite entry (a deviation can
-    overflow before the state does; numpy does not warn of it here) is
-    dropped and its index recorded. The kept trajectories are summed in
-    realization order, so one realization's stream is alive at a time and
-    memory does not grow with the realization count. Returns ``(means,
-    kept, diverged)`` with the mean of each trajectory over the kept
-    realizations.
+    Runs the generator ``walk(seed_r)`` once per realization with the
+    seeds :func:`derived_seeds` gives for ``seed``. A walk builds its
+    stream before its first ``yield`` (so a bad horizon raises before any
+    trajectory is allocated), then yields the recursion's state before the
+    first step and after each of the ``horizon`` steps; ``measure(state)``
+    gives that state's trajectory entries, a number or a 1-D array, as
+    one row of a ``(horizon + 1, width)`` trajectory. A realization that
+    raises :class:`DivergenceError` or holds a non-finite entry (a
+    deviation can overflow before the state does; numpy does not warn of
+    it here) is dropped and its index recorded. The kept trajectories are
+    summed in realization order, so one realization's stream is alive at a
+    time and memory does not grow with the realization count. Returns
+    ``(means, kept, diverged)`` with ``means`` the mean trajectory over
+    the kept realizations.
     """
     if realizations < 1:
         raise ValueError(f"realizations must be at least 1, got {realizations}")
-    sums = None
+    total = None
     diverged: list[int] = []
     for r, seed_r in enumerate(derived_seeds(seed, realizations)):
+        states = walk(seed_r)
         try:
             with np.errstate(over="ignore", invalid="ignore"):
-                trajectories = run_one(seed_r)
-            finite = all(np.isfinite(t).all() for t in trajectories)
+                first = measure(next(states))
+                traj = np.empty((horizon + 1, np.size(first)))
+                traj[0] = first
+                for k, state in enumerate(states, 1):
+                    traj[k] = measure(state)
+            finite = np.isfinite(traj).all()
         except DivergenceError:
             finite = False
         if not finite:
             diverged.append(r)
-        elif sums is None:
-            sums = list(trajectories)
+        elif total is None:
+            total = traj
         else:
-            for total, trajectory in zip(sums, trajectories):
-                total += trajectory
-    if sums is None:
+            total += traj
+    if total is None:
         raise DivergenceError("all realizations diverged")
     kept = realizations - len(diverged)
-    return [total / kept for total in sums], kept, diverged
-
-
-def _stream_states(state, step, blocks):
-    """The initial state, then the state after each step along the stream.
-
-    A state is the recursion's array; ``step(state, X, d, y)`` returns the
-    next one at every row of the :class:`.signals.StreamBlock` blocks of
-    :func:`.signals.generate_stream`, each a step: a stream of ``N`` rows
-    gives ``N - order`` of them.
-    """
-    yield state
-    for block in blocks:
-        for X, d, y in zip(block.X, block.d, block.y):
-            state = step(state, X, d, y)
-            yield state
+    return total / kept, kept, diverged
 
 
 @dataclass
 class ExperimentResult:
-    """Averaged deviation trajectory plus the matching theory report."""
+    """Averaged deviation trajectory and theory report, ``None`` if the step-size is unstable."""
 
     msd: np.ndarray
     theory: TheoryReport | None
@@ -249,17 +239,16 @@ def run_experiment(
         theory = theory_report(moments.c_X, moments.g, mu)
     except (StabilityError, ValueError):
         theory = None
-        warnings.warn("step-size fails the mean-stability bound; no theory report",
-                      stacklevel=2)
 
-    def run_one(seed_r: int) -> tuple[np.ndarray]:
+    def walk(seed_r: int):
         blocks = generate_stream(coeffs, ops, cfg, horizon, seed_r)
-        traj = np.empty(horizon + 1)
-        states = _stream_states(np.zeros(h_true.size),
-                                lambda h, X, d, y: lms_step(h, mu, X, d, y), blocks)
-        for k, h in enumerate(states):
-            traj[k] = np.sum((h_true - h) ** 2)
-        return (traj,)
+        h = np.zeros(h_true.size)
+        yield h
+        for block in blocks:
+            for X, d, y in zip(block.X, block.d, block.y):
+                h = lms_step(h, mu, X, d, y)
+                yield h
 
-    (msd,), kept, diverged = _monte_carlo(seed, realizations, run_one)
-    return ExperimentResult(msd=msd, theory=theory, realizations=kept, diverged=diverged)
+    means, kept, diverged = _monte_carlo(seed, realizations, horizon, walk,
+                                         lambda h: np.sum((h_true - h) ** 2))
+    return ExperimentResult(msd=means[:, 0], theory=theory, realizations=kept, diverged=diverged)

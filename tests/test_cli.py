@@ -105,7 +105,6 @@ def test_bad_config_file_exits_2(tmp_path):
     assert run_cli(["run-lms", "--config", bad]) == 2
 
 
-@pytest.mark.filterwarnings("ignore")
 def test_divergent_run_exits_3(complex_file):
     code = run_cli(
         [
@@ -121,7 +120,6 @@ def test_divergent_run_exits_3(complex_file):
                                    ["--horizon", 300, "--out", "result.json"],
                                    ["--horizon", 2000]],
                          ids=["deviation-overflows", "deviation-overflows-out", "taps-overflow"])
-@pytest.mark.filterwarnings("error::RuntimeWarning", "ignore:step-size fails")
 def test_divergence_verdict_does_not_depend_on_out_or_horizon(tmp_path, capsys, flags):
     # an unstable step on 250 edges: the recorded deviation overflows before
     # the taps do, and either way both realizations diverge, with no numpy
@@ -133,6 +131,26 @@ def test_divergence_verdict_does_not_depend_on_out_or_horizon(tmp_path, capsys, 
                     "--realizations", 2, "--noise-var", 1e-3, *flags]) == 3
     assert capsys.readouterr() == ("", "divergence: all realizations diverged\n")
     assert list(tmp_path.iterdir()) == [path]
+
+
+@pytest.mark.parametrize("horizon, code, err", [
+    (300, 3, "divergence: all realizations diverged\n"),
+    (5, 0, "run-lms: no theory report: step-size fails the mean-stability bound\n"),
+], ids=["diverges", "completes"])
+@pytest.mark.filterwarnings("error")
+def test_unstable_run_lms_reports_in_one_stderr_line(capsys, horizon, code, err):
+    # the step-size fails the mean-stability bound: no warning, one line either way
+    assert run_cli(["run-lms", "--nodes", 60, "--edges", 250, "--triangles", 80, "--order", 2,
+                    "--mu", 1e-5, "--seed", 0, "--horizon", horizon]) == code
+    assert capsys.readouterr().err == err
+
+
+@pytest.mark.parametrize("flags", [[], ["--distributed"]], ids=["centralized", "distributed"])
+@pytest.mark.filterwarnings("error")
+def test_ar_divergence_prints_one_stderr_line(capsys, flags):
+    assert run_cli(["ar-train", "--surrogate-seed", 2, "--order", 2, "--mu", 1e3, *flags]) == 3
+    err = capsys.readouterr().err
+    assert re.fullmatch(r"divergence: non-finite [a-z ]+ at training step \d+\n", err), err
 
 
 def test_infeasible_sampling_exits_4(complex_file):
@@ -477,6 +495,16 @@ def test_bad_counts_exit_2(tmp_path, complex_file, capsys, mode, flag, value):
     ("design-sampling", {"p_max": [0.5, 0.5]},
      "config key 'p_max' must be one number or 19, one per edge"),
     ("run-distributed", {"mu": [0.01, 0.02]}, "config key 'mu' must be one number or 19, one per edge"),
+    # JSON strings and booleans are not numbers, at any depth of a list
+    ("run-lms", {"order": "2"}, "config key 'order' must be a number"),
+    ("run-lms", {"realizations": True}, "config key 'realizations' must be a number"),
+    ("run-lms", {"mu": "1e-2"}, "config key 'mu' must be a number"),
+    ("run-distributed", {"mu": [1e-3, True]}, "config key 'mu' must be numbers"),
+    ("run-distributed", {"mu": [[1e-3], ["1e-3"]]}, "config key 'mu' must be numbers"),
+    ("design-sampling", {"p_max": [0.5, False]}, "config key 'p_max' must be numbers"),
+    ("run-lms", {"noise_var": {"choices": [1e-3, True]}}, "noise choices must be numbers"),
+    ("run-lms", {"noise_var": {"low": True, "high": 1e-3}}, "noise bounds must be numbers"),
+    ("run-lms", {"noise_var": [[1e-3], [False]]}, "noise variances must be numbers"),
 ])
 def test_bad_knobs_exit_2(tmp_path, complex_file, capsys, monkeypatch, mode, values, message):
     from simplexlms import harness

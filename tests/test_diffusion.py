@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from simplexlms import signals
 from simplexlms.complexes import grown_complex, hodge_laplacians, random_complex
 from simplexlms.diffusion import (
-    CombinationMatrix,
     atc_step,
     build_combination,
     check_irreducible,
@@ -35,13 +34,13 @@ from conftest import whole_stream
 
 def test_self_only_neighborhoods_give_identity():
     comb = build_combination([[0], [1], [2]])
-    assert np.array_equal(comb.a, np.eye(3))
+    assert np.array_equal(comb, np.eye(3))
 
 
 def test_uniform_three_cycle():
     nbrs = [[0, 1, 2], [0, 1, 2], [0, 1, 2]]
     comb = build_combination(nbrs, "uniform")
-    assert np.allclose(comb.a, np.full((3, 3), 1 / 3))
+    assert np.allclose(comb, np.full((3, 3), 1 / 3))
 
 
 def b1_neighborhoods(complex_):
@@ -68,20 +67,20 @@ def test_row_stochastic_and_support():
         nbrs = lower_adjacency_neighborhoods(c)
         for rule in ("uniform", "metropolis"):
             comb = build_combination(nbrs, rule)
-            assert np.max(np.abs(comb.a.sum(axis=1) - 1.0)) < 1e-12
-            assert np.all(comb.a >= 0)
-            for i, nbr in enumerate(comb.neighborhoods):
+            assert np.max(np.abs(comb.sum(axis=1) - 1.0)) < 1e-12
+            assert np.all(comb >= 0)
+            for i, nbr in enumerate(nbrs):
                 outside = np.setdiff1d(np.arange(c.num_edges), np.array(nbr))
-                assert np.all(comb.a[i, outside] == 0)
+                assert np.all(comb[i, outside] == 0)
 
 
 def test_metropolis_symmetric_doubly_stochastic_on_regular_graph():
     # 4-cycle of agents: every degree equal
     nbrs = [[0, 1, 3], [0, 1, 2], [1, 2, 3], [0, 2, 3]]
     comb = build_combination(nbrs, "metropolis")
-    assert np.allclose(comb.a, comb.a.T)
-    assert np.max(np.abs(comb.a.sum(axis=0) - 1.0)) < 1e-12
-    assert np.max(np.abs(comb.a.sum(axis=1) - 1.0)) < 1e-12
+    assert np.allclose(comb, comb.T)
+    assert np.max(np.abs(comb.sum(axis=0) - 1.0)) < 1e-12
+    assert np.max(np.abs(comb.sum(axis=1) - 1.0)) < 1e-12
 
 
 def test_empty_neighborhood_rejected():
@@ -96,10 +95,10 @@ def test_empty_neighborhood_rejected():
 
 def test_irreducible_cases():
     cycle = np.array([[0.5, 0.5, 0], [0, 0.5, 0.5], [0.5, 0, 0.5]])
-    assert check_irreducible(CombinationMatrix(a=cycle, neighborhoods=((0, 1), (1, 2), (0, 2))))
+    assert check_irreducible(cycle)
     blocks = np.array([[1.0, 0, 0], [0, 0.5, 0.5], [0, 0.5, 0.5]])
-    assert not check_irreducible(CombinationMatrix(a=blocks, neighborhoods=((0,), (1, 2), (1, 2))))
-    assert not check_irreducible(CombinationMatrix(a=np.eye(2), neighborhoods=((0,), (1,))))
+    assert not check_irreducible(blocks)
+    assert not check_irreducible(np.eye(2))
 
 
 # -------------------------------------------------------------------- atc
@@ -169,7 +168,7 @@ def test_atc_stacked_error_identity():
         new = atc_step(H, mu, comb, z, d, y)
 
         err = (h_true[None, :] - H).reshape(-1)
-        a_blk = np.kron(comb.a, np.eye(dim))
+        a_blk = np.kron(comb, np.eye(dim))
         m_diag = np.repeat(mu, dim)
         c_z_inst = np.zeros((E * dim, E * dim))
         g_inst = np.zeros(E * dim)
@@ -232,7 +231,7 @@ def dense_b(comb, locals_, mu):
     # the Kronecker form of the mean recursion, B = (A (x) I)(I - M blkdiag(C_l))
     dim = locals_.shape[1]
     adapt = np.eye(len(mu) * dim) - np.repeat(mu, dim)[:, None] * scipy.linalg.block_diag(*locals_)
-    return np.kron(comb.a, np.eye(dim)) @ adapt
+    return np.kron(comb, np.eye(dim)) @ adapt
 
 
 def test_dist_theory_blocks_match_the_dense_embedding():
@@ -255,7 +254,7 @@ def test_dist_theory_blocks_match_the_dense_embedding():
     # a transposed or permuted B keeps the spectrum but not the deviation
     dim = locals_.shape[1]
     S = scipy.linalg.solve_discrete_lyapunov(B.T, np.eye(E * dim))
-    a_blk = np.kron(comb.a, np.eye(dim))
+    a_blk = np.kron(comb, np.eye(dim))
     m_blk = np.kron(np.diag(mu), np.eye(dim))
     g = scipy.linalg.block_diag(*(1e-4 * locals_))
     expected = float(np.trace(a_blk @ m_blk @ g @ m_blk @ a_blk.T @ S))
@@ -279,7 +278,7 @@ def test_dist_theory_matches_kronecker_solve():
     B = dense_b(comb, locals_, mu)
     s = np.linalg.solve(np.eye(n * n) - np.kron(B.T, B.T), np.eye(n).reshape(-1, order="F"))
     S = s.reshape((n, n), order="F")
-    a_blk = np.kron(comb.a, np.eye(dim))
+    a_blk = np.kron(comb, np.eye(dim))
     m_blk = np.kron(np.diag(mu), np.eye(dim))
     g = scipy.linalg.block_diag(*(sigma_v2[:, None, None] * locals_))
     expected = float(np.trace(a_blk @ m_blk @ g @ m_blk @ a_blk.T @ S))
@@ -315,7 +314,7 @@ def test_dist_theory_near_margin_matches_kronecker_solve():
     dim = locals_.shape[1]
     assert E * dim == 75
     S = kronecker_stein(dense_b(comb, locals_, mu))
-    a_blk = np.kron(comb.a, np.eye(dim))
+    a_blk = np.kron(comb, np.eye(dim))
     m_blk = np.kron(np.diag(mu), np.eye(dim))
     g = scipy.linalg.block_diag(*(sigma_v2[:, None, None] * locals_))
     expected = float(np.trace(a_blk @ m_blk @ g @ m_blk @ a_blk.T @ S))
@@ -485,18 +484,18 @@ def test_run_distributed_matches_theory(network_instance):
 
 
 def test_combination_csv_roundtrip(tmp_path, network_instance):
-    _, _, _, comb = network_instance
+    complex_, _, _, comb = network_instance
     path = tmp_path / "comb.csv"
     save_combination(comb, path)
     with open(path, newline="", encoding="utf-8") as fh:
         header, *rows = csv.reader(fh)
     assert header == ["i", "l", "a_il"]
-    loaded = np.zeros_like(comb.a)
+    loaded = np.zeros_like(comb)
     for i, l, a_il in rows:
         loaded[int(i), int(l)] = float(a_il)
-    assert np.array_equal(loaded, comb.a)
-    neighborhoods = tuple(tuple(int(j) for j in np.flatnonzero(row)) for row in loaded)
-    assert neighborhoods == comb.neighborhoods
+    assert np.array_equal(loaded, comb)
+    neighborhoods = [[int(j) for j in np.flatnonzero(row)] for row in loaded]
+    assert neighborhoods == lower_adjacency_neighborhoods(complex_)
 
 
 def test_mean_recursion_matrix_decays_geometrically():

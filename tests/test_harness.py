@@ -200,7 +200,6 @@ def test_ar_training_shares_lms_step_path():
     assert np.allclose(result.coeffs, h, atol=1e-15)
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_ar_divergence_names_the_training_step():
     ds = traffic_surrogate(seed=2)
     comb = build_combination(lower_adjacency_neighborhoods(ds.complex), "uniform")

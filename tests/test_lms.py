@@ -454,31 +454,56 @@ def test_run_experiment_all_diverged_raises(experiment_complex, diverge_in):
 def test_monte_carlo_engine_bookkeeping():
     seeds = derived_seeds(5, 4)
 
-    def run_one(seed):
+    def walk(seed):
         if seed in (seeds[1], seeds[3]):
             raise DivergenceError("diverged")
-        return np.array([float(seed), 1.0]), np.full((2, 2), 3.0)
+        yield float(seed)
+        yield 1.0
 
-    (first, second), kept, diverged = _monte_carlo(5, 4, run_one)
+    def measure(state):
+        return state, 3.0, 3.0
+
+    means, kept, diverged = _monte_carlo(5, 4, 1, walk, measure)
+    first, second = means[:, 0], means[:, 1:]
     assert (kept, diverged) == (2, [1, 3])
     np.testing.assert_array_equal(first, [(seeds[0] + seeds[2]) / 2, 1.0])
     np.testing.assert_array_equal(second, np.full((2, 2), 3.0))
     with pytest.raises(DivergenceError, match="all realizations diverged"):
-        _monte_carlo(5, 2, lambda seed: run_one(seeds[1]))
+        _monte_carlo(5, 2, 1, lambda seed: walk(seeds[1]), measure)
     with pytest.raises(ValueError, match="at least 1"):
-        _monte_carlo(5, 0, run_one)
+        _monte_carlo(5, 0, 1, walk, measure)
 
 
 def test_monte_carlo_drops_a_non_finite_trajectory():
     # an overflowing deviation is a divergence even when no step raised
-    def run_one(seed):
-        return np.array([1.0, np.inf if seed == seeds[0] else 2.0]), np.ones(2)
+    def walk(seed):
+        yield 1.0
+        yield np.inf if seed == seeds[0] else 2.0
 
     seeds = derived_seeds(3, 2)
-    (first, second), kept, diverged = _monte_carlo(3, 2, run_one)
+    means, kept, diverged = _monte_carlo(3, 2, 1, walk, lambda state: (state, 1.0))
+    first, second = means[:, 0], means[:, 1]
     assert (kept, diverged) == (1, [0])
     np.testing.assert_array_equal(first, [1.0, 2.0])
     np.testing.assert_array_equal(second, np.ones(2))
+
+
+def test_monte_carlo_drops_a_walk_non_finite_mid_stream():
+    # the entry is checked once per realization, so the walk goes on after it
+    seeds = derived_seeds(7, 3)
+
+    def walk(seed):
+        rng = np.random.default_rng(seed)
+        state = rng.standard_normal(2)
+        yield state
+        for k in range(1, 6):
+            state = 0.9 * state + rng.standard_normal(2)
+            yield np.array([np.inf, state[1]]) if seed == seeds[1] and k == 3 else state
+
+    means, kept, diverged = _monte_carlo(7, 3, 5, walk, lambda state: state)
+    replays = [np.array(list(walk(seed))) for seed in (seeds[0], seeds[2])]
+    assert (kept, diverged) == (2, [1])
+    np.testing.assert_array_equal(means, (replays[0] + replays[1]) / 2)
 
 
 def test_run_experiment_matches_theory(experiment_complex):
