@@ -22,6 +22,7 @@ the exact integers.
 
 from __future__ import annotations
 
+import re
 from bisect import insort
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -537,3 +538,25 @@ def load_complex(path) -> SimplicialComplex2:
         return build_incidence(num_vertices, edges, triangles)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
+
+
+# Both read reprs each followed by ","; _SMALL starts with its literal, which is searched fast,
+# and its lookbehind then rejects a literal that sits inside a number (10.0005).
+_SMALL = re.compile(r"0\.00(?<!\d0\.00)(?:0(\d)(\d+)|0?(\d)(?=,))")  # 0.00015, 0.0005 or 0.005
+_INTEGRAL = re.compile(r"(?<![\d.])([1-9]\d*?)(0+)\.0(?=,)")  # 1500.0: digits 15, zeros 00
+
+
+def _spell(values: list, entries: bool = False) -> list[str]:
+    """Each float of ``values`` in its shortest exact spelling, the one every text file holds:
+    the shorter of ``repr``'s (positional from 1e-4 up to 1e16) and scientific form with a bare
+    exponent (``1e-7``, ``1.5e-4``, ``1e16``), ``repr``'s on a tie, so that JSON reads a float.
+    With ``entries`` (of a JSON array) an integral value drops its ``.0`` (``-0.0`` is ``-0``)."""
+    def integral(m):  # scientific form may be shorter from 10 up
+        scientific = f"{m[1][0]}.{m[1][1:]}".rstrip(".") + f"e{len(m[1] + m[2]) - 1}"
+        return min(m[0][:-2] if entries else m[0], scientific, key=len)  # the first on a tie
+
+    text = (",".join(map(float.__repr__, values)) + ",").replace("e+", "e").replace("e-0", "e-")
+    # shorter below 1e-3, and for one digit below 1e-2
+    text = _SMALL.sub(lambda m: f"{m[1]}.{m[2]}e-4" if m[1] else f"{m[3]}e-{len(m[0]) - 2}", text)
+    text = _INTEGRAL.sub(integral, text) if "0.0," in text else text
+    return (text.replace(".0,", ",") if entries else text)[:-1].split(",") if values else []

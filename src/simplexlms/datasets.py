@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .complexes import SimplicialComplex2, grown_complex, hodge_laplacians, load_complex
+from .complexes import SimplicialComplex2, _spell, grown_complex, hodge_laplacians, load_complex
 from .errors import ConfigError
 from .signals import FilterCoeffs, regressor_tensor
 
@@ -58,14 +58,14 @@ class EdgeSeriesDataset:
 
 
 def write_edge_series(path, series: np.ndarray) -> None:
-    """CSV with header ``n,e_1,...,e_E`` and one snapshot per row."""
+    """CSV with header ``n,e_1,...,e_E`` and one snapshot per row, spelled by ``_spell``."""
     series = np.asarray(series, dtype=np.float64)
     N, E = series.shape
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["n"] + [f"e_{j + 1}" for j in range(E)])
         for n in range(N):
-            writer.writerow([n] + [repr(float(v)) for v in series[n]])
+            writer.writerow([n] + _spell(series[n].tolist()))
 
 
 def read_edge_series(path) -> np.ndarray:

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .complexes import SimplicialComplex2, hodge_laplacians
+from .complexes import SimplicialComplex2, _spell, hodge_laplacians
 from .errors import DivergenceError
 from .lms import _is_stable, _monte_carlo
 from .signals import (
@@ -325,10 +325,10 @@ def run_distributed(
 
 
 def save_combination(comb: np.ndarray, path) -> None:
-    """CSV rows ``i, l, a_il`` for the nonzero weights of ``comb``."""
+    """CSV rows ``i, l, a_il`` for the nonzero weights of ``comb``, spelled by ``_spell``."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["i", "l", "a_il"])
         for i, row in enumerate(comb):
-            for l in np.flatnonzero(row):
-                writer.writerow([i, int(l), repr(float(row[l]))])
+            for l, weight in zip(np.flatnonzero(row).tolist(), _spell(row[row != 0].tolist())):
+                writer.writerow([i, l, weight])

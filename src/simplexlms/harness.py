@@ -26,6 +26,7 @@ from . import __version__
 from .artrain import VARIANTS, _check_variant, run_ar_training, run_distributed_ar
 from .complexes import (
     SimplicialComplex2,
+    _spell,
     grown_complex,
     hodge_laplacians,
     load_complex,
@@ -447,7 +448,7 @@ def check_output(mode: str, path, fmt: str = "json") -> None:
 
 
 def _csv_rows(payload: dict, table):
-    """Header, then one row per entry of the table's per-row arrays."""
+    """Header, then one row per entry of the table's per-row arrays, floats by :func:`_spell`."""
     index, columns = table
     values = []
     for _, key, *view in columns:
@@ -457,41 +458,42 @@ def _csv_rows(payload: dict, table):
         values.append(np.asarray(view[0](value) if view else value).tolist())  # Python values
     yield [index] + [column[0] for column in columns]
     for k in range(len(values[0])):
-        yield [k] + [v[k] if isinstance(v, list) else v for v in values]
+        row = [v[k] if isinstance(v, list) else v for v in values]
+        yield [k] + [_spell([cell])[0] if isinstance(cell, float) else cell for cell in row]
 
 
-def _array_pieces(array: np.ndarray):
-    """A finite float array as nested JSON lists, 512 entries a piece.
-
-    Entries take the shortest exact form (``JSON.stringify``'s): ``float.__repr__`` less
-    a trailing ``.0``, which only integral values below 1e16 have (``-0.0`` is ``-0``),
-    so ``json.loads(text, parse_int=float)`` gives back every bit."""
-    if not np.isfinite(array).all():
-        raise ValueError("Out of range float values are not JSON compliant")
-    if array.ndim > 1:
-        for n, row in enumerate(array):
+def _json_pieces(value):
+    """``value`` as compact, strict JSON: dicts (string keys), lists, tuples and 2-D arrays
+    entry by entry, floats by :func:`_spell` (an array's 512 a piece), others by ``json.dumps``."""
+    if isinstance(value, dict):
+        for n, (key, item) in enumerate(value.items()):
+            yield ("," if n else "{") + json.dumps(key) + ":"
+            yield from _json_pieces(item)
+        yield "}" if value else "{}"
+    elif isinstance(value, (list, tuple)) or getattr(value, "ndim", 0) > 1:
+        for n, item in enumerate(value):
             yield "," if n else "["
-            yield from _array_pieces(row)
+            yield from _json_pieces(item)
+        yield "]" if len(value) else "[]"
+    elif isinstance(value, (np.ndarray, float)) and not np.isfinite(value).all():
+        bad = float(np.extract(~np.isfinite(value), value)[0])
+        raise ValueError(f"Out of range float values are not JSON compliant: {bad!r}")
+    elif isinstance(value, np.ndarray):
+        for n in range(0, len(value), 512):
+            yield ("," if n else "[") + ",".join(_spell(value[n:n + 512].tolist(), entries=True))
+        yield "]" if len(value) else "[]"
+    elif isinstance(value, float):
+        yield _spell([value])[0]
     else:
-        for start in range(0, len(array), 512):
-            text = ",".join(map(float.__repr__, array[start:start + 512].tolist())) + ","
-            yield ("," if start else "[") + text.replace(".0,", ",")[:-1]
-    yield "]" if len(array) else "[]"
+        yield json.dumps(value)
 
 
 def _write_json(payload: dict, fh) -> None:
-    """``payload`` (string keys) as one line of compact, strict JSON and a newline.
-
-    An array value is written by :func:`_array_pieces`, any other one as ``json.dumps(value,
-    separators=(",", ":"), allow_nan=False)`` writes it, piece by piece into ``fh``, whose
-    own buffer groups the writes: memory stays bounded."""
-    encoder = json.JSONEncoder(separators=(",", ":"), allow_nan=False)
-    for n, (key, value) in enumerate(payload.items()):
-        fh.write(("," if n else "{") + encoder.encode(key) + ":")
-        for chunk in (_array_pieces(value) if isinstance(value, np.ndarray)
-                      else encoder.iterencode(value)):
-            fh.write(chunk)
-    fh.write("}\n" if payload else "{}\n")
+    """``payload`` as one line of :func:`_json_pieces` and a newline, piece by piece into ``fh``,
+    whose own buffer groups the writes: memory stays bounded."""
+    for piece in _json_pieces(payload):
+        fh.write(piece)
+    fh.write("\n")
 
 
 @contextlib.contextmanager

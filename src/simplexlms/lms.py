@@ -149,7 +149,7 @@ def theory_report(c_X: np.ndarray, g: np.ndarray, mu: float) -> TheoryReport:
         mu=mu,
         mu_max=2.0 / nu,
         rho_Q=rho,
-        msd_exact=float(mu**2 * np.sum(g_tilde / (1.0 - q**2))),
+        msd_exact=float(mu**2 * np.sum(g_tilde / (mu * lam * (2.0 - mu * lam)))),
         msd_first_order=float(0.5 * mu * np.sum(g_tilde / lam)),
         alpha=1.0 - 2.0 * mu * delta,
         f_norm=max((1.0 - mu * delta) ** 2, (1.0 - mu * nu) ** 2),

@@ -969,25 +969,40 @@ def test_analyze_summarises_ar_and_design_results(tmp_path, complex_file, capsys
 
 
 def test_analyze_reads_integral_design_entries_as_floats(tmp_path, complex_file, capsys):
-    # a design's zeros and ones are written as the JSON integers 0 and 1; analyze
-    # summarises that file as it does the same run written with every float by repr
-    values = {"complex_file": str(complex_file), "order": 1, "signal_var": 0.1, "seed": 2,
+    # a design's zeros and ones are written as the JSON integers 0 and 1, and a deviation
+    # below 1e-4 and the config echo's noise floor 1e-7 in scientific form with a bare
+    # exponent; analyze summarises each file as it does the json.dumps copy of its payload
+    files = {"complex_file": str(complex_file), "noise_var": 1e-7}
+    design = {**files, "order": 1, "signal_var": 0.1, "seed": 2,
               **SIMULATION_KNOBS["design-sampling"]}
-    payload = run_mode("design-sampling", values)
-    shortest, by_repr = tmp_path / "shortest.json", tmp_path / "by_repr.json"
-    emit_results(payload, shortest)
-    payload["p_star"] = payload["p_star"].tolist()
-    by_repr.write_text(json.dumps(payload, separators=(",", ":")) + "\n")
-    p_star = shortest.read_text().split('"p_star":[', 1)[1].split("]", 1)[0].split(",")
-    assert {"0", "1"} <= set(p_star) and "1.0" in by_repr.read_text()
-    summaries = []
-    for path in (shortest, by_repr):
-        capsys.readouterr()
-        assert run_cli(["analyze", "--results", path]) == 0
-        summaries.append(json.loads(capsys.readouterr().out))
-    for key in ("sampling_rate", "support_size"):
-        assert repr(summaries[0][key]) == repr(summaries[1][key])
-    assert summaries[0]["support_size"] == len(payload["support"])
+    lms = {**files, **SIMULATION_KNOBS["run-lms"], "coeff_scale": 1e-3}
+    for mode, values in (("design-sampling", design), ("run-lms", lms)):
+        payload = run_mode(mode, values)
+        shortest, by_repr = tmp_path / "shortest.json", tmp_path / "by_repr.json"
+        emit_results(payload, shortest)
+        lists = {key: value.tolist() if isinstance(value, np.ndarray) else value
+                 for key, value in payload.items()}
+        by_repr.write_text(json.dumps(lists, separators=(",", ":")) + "\n")
+        assert '"noise_var":1e-7,' in shortest.read_text()
+        assert '"noise_var":1e-07,' in by_repr.read_text()
+        if mode == "design-sampling":
+            p_star = shortest.read_text().split('"p_star":[', 1)[1].split("]", 1)[0].split(",")
+            assert {"0", "1"} <= set(p_star) and "1.0" in by_repr.read_text()
+        else:
+            assert max(lists["msd"]) < 1e-4 and "e-06," in by_repr.read_text()
+            assert "e-06" not in shortest.read_text()
+        summaries = []
+        for path in (shortest, by_repr):
+            capsys.readouterr()
+            assert run_cli(["analyze", "--results", path]) == 0
+            summary = json.loads(capsys.readouterr().out)
+            summaries.append({key: repr(value) for key, value in summary.items()
+                              if key != "config"})
+        assert summaries[0] == summaries[1]
+        if mode == "design-sampling":
+            assert summaries[0]["support_size"] == repr(len(payload["support"]))
+        else:
+            assert {"iterations", "steady_state_db", "theory_db", "gap_db"} <= summaries[0].keys()
 
 
 def test_analyze_missing_file_exits_2(tmp_path):

@@ -498,6 +498,25 @@ def test_combination_csv_roundtrip(tmp_path, network_instance):
     assert neighborhoods == lower_adjacency_neighborhoods(complex_)
 
 
+def test_combination_weights_read_back_their_bits(tmp_path):
+    # weights below 1e-4 and integral weights come back bit for bit; a -0.0 weight is
+    # zero, so it has no row
+    comb = np.array([[0.00015, 1e-7, 0.9998499, -0.0],
+                     [1.0, 0.0, 0.0, 0.0],
+                     [0.0, 1000.0, -999.0, 0.0],
+                     [0.0, 0.0, 2.5e-5, 0.999975]])
+    path = tmp_path / "comb.csv"
+    save_combination(comb, path)
+    with open(path, newline="", encoding="utf-8") as fh:
+        header, *rows = csv.reader(fh)
+    loaded = np.zeros_like(comb)
+    for i, l, a_il in rows:
+        loaded[int(i), int(l)] = float(a_il)
+    assert np.array_equal(loaded.view(np.int64), np.where(comb == 0, 0.0, comb).view(np.int64))
+    assert [a_il for _, _, a_il in rows[:3]] == ["1.5e-4", "1e-7", "0.9998499"]
+    assert [a_il for _, _, a_il in rows[4:6]] == ["1e3", "-999.0"]
+
+
 def test_mean_recursion_matrix_decays_geometrically():
     c = grown_complex(11, 15, 10, seed=0)
     ops = hodge_laplacians(c)

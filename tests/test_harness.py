@@ -2,6 +2,7 @@
 
 import io
 import json
+import re
 import tracemalloc
 
 import numpy as np
@@ -30,7 +31,7 @@ from simplexlms.diffusion import atc_step, build_combination, lower_adjacency_ne
 from simplexlms.errors import ConfigError, DivergenceError
 from simplexlms.harness import emit_results, resolve_noise, resolve_p, run_mode
 from simplexlms.inference import candidate_set, run_inference
-from simplexlms.lms import lms_step
+from simplexlms.lms import lms_step, to_db
 from simplexlms.signals import StreamConfig
 from test_lms import traced_peak
 
@@ -44,12 +45,17 @@ def test_reference_complex_dimensions():
 
 
 def test_edge_series_roundtrip(tmp_path):
+    # every bit comes back, for values below 1e-4, integral values and -0.0 too
     rng = np.random.default_rng(0)
     series = rng.standard_normal((12, 5))
+    series[0] = [1e-7, -2.5e-5, 0.00015, 1000.0, -0.0]
+    series[1] = [1e16, 100000.0, 1.0, 0.005, 5e-324]
     path = tmp_path / "series.csv"
     write_edge_series(path, series)
     loaded = read_edge_series(path)
-    assert np.array_equal(loaded, series)
+    assert np.array_equal(loaded.view(np.int64), series.view(np.int64))
+    assert path.read_text().splitlines()[1:3] == ["0,1e-7,-2.5e-5,1.5e-4,1e3,-0.0",
+                                                  "1,1e16,1e5,1.0,5e-3,5e-324"]
 
 
 def test_series_parse_errors(tmp_path):
@@ -361,8 +367,8 @@ def test_emit_results_json_full_precision(tmp_path):
 
 def test_emit_results_csv_fixed_columns(tmp_path):
     # each mode's column table fixes the column order; scalars repeat on every row.
-    # A mode hands its trajectories over as arrays, and each cell is the repr of
-    # the Python float, as it is for the same values in lists
+    # A mode hands its trajectories over as arrays, and each cell is spelled as a float
+    # nested in a JSON file is, as it is for the same values in lists: -10.0 is -1e1
     path = tmp_path / "out.csv"
     for trajectory in (list, np.array):
         emit_results({"metadata": {"mode": "ar-train"}, "train_errors": trajectory([9.0]),
@@ -373,10 +379,10 @@ def test_emit_results_csv_fixed_columns(tmp_path):
                    "theory": {"msd_exact_db": -30.5}}
         emit_results(payload, path, fmt="csv")
         assert path.read_text().splitlines() == [
-            "iteration,msd_db,msd_theory_db", "0,0.0,-30.5", "1,-10.0,-30.5", "2,,-30.5"]
+            "iteration,msd_db,msd_theory_db", "0,0.0,-30.5", "1,-1e1,-30.5", "2,,-30.5"]
         emit_results({**payload, "theory": None}, path, fmt="csv")
-        assert path.read_text().splitlines()[1:] == ["0,0.0,", "1,-10.0,", "2,,"]
-        # integral entries keep their ".0" in CSV
+        assert path.read_text().splitlines()[1:] == ["0,0.0,", "1,-1e1,", "2,,"]
+        # integral entries keep their ".0" in CSV where scientific form is no shorter
         emit_results({"metadata": {"mode": "infer-topology"},
                       "h_error": trajectory([2.5, 0.125]), "t_error": trajectory([1.0, 0.0]),
                       "recovery_rate": trajectory([0.0, 1.0]),
@@ -384,6 +390,21 @@ def test_emit_results_csv_fixed_columns(tmp_path):
         assert path.read_text().splitlines() == [
             "iteration,h_error,t_error,recovery_rate,support_size",
             "0,2.5,1.0,0.0,23.0", "1,0.125,0.0,1.0,22.0"]
+
+
+def test_csv_cells_read_back_their_bits(tmp_path):
+    # run-lms rows: each msd_db cell is to_db of its deviation, bit for bit, for dB values
+    # below 1e-4, integral ones and -0.0 too
+    msd = np.array([1.0, 1.00000001, 0.99999, 10.0, 1e-3, 1e-10, 0.5])
+    path = tmp_path / "out.csv"
+    emit_results({"metadata": {"mode": "run-lms"}, "msd": msd,
+                  "theory": {"msd_exact_db": -0.0}}, path, fmt="csv")
+    rows = [row.split(",") for row in path.read_text().splitlines()[1:]]
+    cells = np.array([float(db) for _, db, _ in rows])
+    expected = to_db(msd)
+    assert np.array_equal(cells.view(np.int64), expected.view(np.int64))
+    assert [db for _, db, _ in rows[3:6]] == ["1e1", "-3e1", "-1e2"]
+    assert {theory for _, _, theory in rows} == {"-0.0"}
 
 
 def test_emit_results_empty_records_with_header(tmp_path):
@@ -408,8 +429,52 @@ def long_payload():
             "msd_db": rng.standard_normal(30_001).tolist()}
 
 
+def spellings(value: float, entry: bool = False) -> tuple[str, str]:
+    """repr's spelling of ``value`` (less an integral ".0" in an array entry), and scientific
+    form with a bare exponent of the same digits."""
+    text = repr(value)
+    if entry and text.endswith(".0"):
+        text = text[:-2]
+    sign = "-" if text.startswith("-") else ""
+    mantissa, _, exponent = text.lstrip("-").partition("e")
+    whole, _, fraction = mantissa.partition(".")
+    digits = (whole + fraction).lstrip("0")
+    if not digits.rstrip("0"):  # a zero
+        return text, sign + "0e0"
+    exponent = int(exponent or 0) + len(whole) - 1 - (len(whole + fraction) - len(digits))
+    digits = digits.rstrip("0")
+    return text, sign + digits[0] + ("." + digits[1:] if len(digits) > 1 else "") + f"e{exponent}"
+
+
+def shortest(value: float, entry: bool = False) -> str:
+    """The shorter of the two spellings, repr's on a tie."""
+    text, scientific = spellings(value, entry)
+    return text if len(text) <= len(scientific) else scientific
+
+
 def compact_dump(payload):
-    return json.dumps(payload, separators=(",", ":")) + "\n"
+    """The result file of ``payload`` (no arrays): compact JSON, each float by shortest."""
+    def dump(value):
+        if isinstance(value, float):
+            return shortest(value)
+        if isinstance(value, dict):
+            return "{" + ",".join(json.dumps(k) + ":" + dump(v) for k, v in value.items()) + "}"
+        if isinstance(value, list):
+            return "[" + ",".join(map(dump, value)) + "]"
+        return json.dumps(value)
+    return dump(payload) + "\n"
+
+
+def test_result_file_spells_each_float_shortest(tmp_path):
+    # scientific form with a bare exponent where it is shorter, repr's spelling on a tie;
+    # an array entry drops an integral ".0", and a string is written as it is
+    nested = [1e-07, 0.00015, 0.0005, 0.005, 0.01, 1e16, 10.0, 123.0, -0.0, 1.0, 1e5, 1.5e-05]
+    path = tmp_path / "out.json"
+    emit_results({"nested": nested, "array": np.array(nested), "path": "run-e-05/0.0001"}, path)
+    assert path.read_text() == (
+        '{"nested":[1e-7,1.5e-4,5e-4,5e-3,0.01,1e16,1e1,123.0,-0.0,1.0,1e5,1.5e-5],'
+        '"array":[1e-7,1.5e-4,5e-4,5e-3,0.01,1e16,10,123,-0,1,1e5,1.5e-5],'
+        '"path":"run-e-05/0.0001"}\n')
 
 
 def test_json_writer_groups_the_encoder_chunks():
@@ -533,6 +598,43 @@ def test_array_entries_decode_to_their_bits(values, rows):
     assert np.array_equal(decoded.view(np.int64), array.view(np.int64))
     assert ".0," not in text and ".0]" not in text
     assert text.count("\n") == 1 and text.endswith("\n")
+
+
+SPELLED = st.one_of(
+    FLOAT64, st.floats(1e-4, 1e-3, exclude_max=True),
+    st.sampled_from([100000.0, 1e-4, 1e-3, 5e-3, 0.01, 1e15, 1.5e-5, 1e-7, 1e6, 10.0, 1000.0]),
+)
+# a JSON string, or a number token: the strings are skipped, the numbers kept
+JSON_TOKEN = re.compile(r'"(?:[^"\\]|\\.)*"|(-?[0-9][0-9.eE+-]*)')
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(values=st.lists(SPELLED, min_size=1, max_size=60),
+       text=st.sampled_from(["1e-05", "0.0001", "e+16", "run-e-05/x.txt", "1500.0,0.00015"]))
+def test_every_number_token_is_shortest_and_exact(values, text):
+    # an array entry, a nested list entry and a nested dict value each decode to their bits,
+    # are no longer than repr's spelling or the bare scientific one, and a nested one is a
+    # float; a string holding number-like text passes as it is
+    class Sink(list):
+        write = list.append
+
+    sink = Sink()
+    payload = {"array": np.array(values), "text": text,
+               "nested": {"list": values, "dict": {str(k): v for k, v in enumerate(values)}}}
+    harness._write_json(payload, sink)
+    written = "".join(sink)
+    decoded = json.loads(written)
+    assert decoded["text"] == text and f'"{text}"' in written
+    tokens = [t for t in JSON_TOKEN.findall(written) if t]
+    assert len(tokens) == 3 * len(values)
+    for n, (token, value) in enumerate(zip(tokens, values * 3)):
+        entry = n < len(values)
+        read = json.loads(token, parse_int=float)
+        assert np.float64(read).view(np.int64) == np.float64(value).view(np.int64), token
+        assert entry or type(json.loads(token)) is float
+        text_spelling, scientific = spellings(value, entry)
+        assert len(token) <= min(len(text_spelling), len(scientific)), token
+        assert token == shortest(value, entry)
 
 
 @pytest.mark.parametrize("existing", [False, True])

@@ -3,6 +3,7 @@
 import inspect
 import tracemalloc
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -128,6 +129,18 @@ def test_steady_state_scalar_closed_form():
     exact, first = report.msd_exact, report.msd_first_order
     assert np.isclose(exact, mu * g / (2 * c - mu * c**2))
     assert np.isclose(first, mu * g / (2 * c))
+
+
+@pytest.mark.parametrize("lam_min", [1e-4, 2e-6])
+def test_steady_state_is_exact_near_the_stability_margin(lam_min):
+    # 1 - rho is 1e-6 and 2e-8: 1 - q^2 cancels there, mu lam (2 - mu lam) does not.
+    # The reference evaluates the same closed form exactly from the same float inputs
+    lam, g, mu = [lam_min, 0.3, 1.0, 5.0], [1.0, 0.5, 2.0, 0.25], 1e-2
+    report = theory_report(np.diag(lam), np.diag(g), mu)
+    m = Fraction(mu)
+    exact = m**2 * sum(Fraction(g_a) / (1 - (1 - m * Fraction(l_a)) ** 2)
+                       for l_a, g_a in zip(lam, g))
+    assert abs(Fraction(report.msd_exact) - exact) <= Fraction(1e-15) * exact
 
 
 def test_steady_state_rejects_unstable_step():
