@@ -102,7 +102,8 @@ def _train_then_test(ds: EdgeSeriesDataset, order: int, variant: str, epochs: in
     ``predict(state, X)`` is the one-step prediction from regressor matrix
     ``X``, scored before each training step and, with the final state and
     true histories, on every test snapshot. Returns the final state and
-    both error traces. A step's :class:`DivergenceError` names its step.
+    both error traces. A non-finite entry in either trace, the first one
+    named, raises :class:`DivergenceError`.
     """
     _check_variant(variant)
     if epochs < 1:
@@ -115,19 +116,19 @@ def _train_then_test(ds: EdgeSeriesDataset, order: int, variant: str, epochs: in
     ones = np.ones(ds.complex.num_edges)
 
     train_errors = np.empty(epochs * N - order)
-    try:
-        for start, R in _ar_windows(train, ops, order, variant, order, epochs * N):
-            for n, X in enumerate(R, start):
-                target = train[n % N]
-                train_errors[n - order] = _normalized_error(predict(state, X), target)
-                state = step(state, X, ones, target)
-    except DivergenceError as exc:
-        raise DivergenceError(f"{exc} at training step {n - order}") from None
+    for start, R in _ar_windows(train, ops, order, variant, order, epochs * N):
+        for n, X in enumerate(R, start):
+            target = train[n % N]
+            train_errors[n - order] = _normalized_error(predict(state, X), target)
+            state = step(state, X, ones, target)
 
     test_errors = np.empty(ds.test_count)
     for start, R in _ar_windows(ds.series, ops, order, variant, N):
         for n, X in enumerate(R, start):
             test_errors[n - N] = _normalized_error(predict(state, X), ds.series[n])
+    for name, errors in (("training step", train_errors), ("test snapshot", test_errors)):
+        if not (finite := np.isfinite(errors)).all():
+            raise DivergenceError(f"non-finite prediction error at {name} {np.argmin(finite)}")
     return state, train_errors, test_errors
 
 

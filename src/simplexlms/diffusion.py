@@ -28,7 +28,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .complexes import SimplicialComplex2, _spell, hodge_laplacians
-from .errors import DivergenceError
 from .lms import _is_stable, _monte_carlo
 from .signals import (
     FilterCoeffs,
@@ -144,8 +143,8 @@ def atc_step(H: np.ndarray, mu: np.ndarray, comb: np.ndarray, z: np.ndarray,
     ``H`` holds one row of taps per agent, ``mu`` the per-agent
     step-sizes and ``comb`` the combination weights. Agents with
     ``d_i = 0`` skip adaptation and only combine. All agents are
-    processed in index order, so the round is deterministic. A
-    non-finite result raises :class:`DivergenceError`.
+    processed in index order, so the round is deterministic. Non-finite
+    data or estimates in give non-finite estimates out.
     """
     E, dim = H.shape
     if z.shape != (E, dim) or d.shape != (E,) or y.shape != (E,):
@@ -155,10 +154,7 @@ def atc_step(H: np.ndarray, mu: np.ndarray, comb: np.ndarray, z: np.ndarray,
         )
     err = d * (y - np.einsum("ij,ij->i", z, H))
     W = H + (mu * err)[:, None] * z
-    H_new = comb @ W
-    if not np.all(np.isfinite(H_new)):
-        raise DivergenceError("non-finite network state")
-    return H_new
+    return comb @ W
 
 
 def _stein_solve(B: np.ndarray) -> np.ndarray:

@@ -19,6 +19,7 @@ import contextlib
 import csv
 import json
 import os
+from itertools import repeat
 
 import numpy as np
 
@@ -448,42 +449,52 @@ def check_output(mode: str, path, fmt: str = "json") -> None:
 
 
 def _csv_rows(payload: dict, table):
-    """Header, then one row per entry of the table's per-row arrays, floats by :func:`_spell`."""
+    """Header, then a row per entry of the table's per-row arrays; floats by :func:`_spell`."""
     index, columns = table
     values = []
     for _, key, *view in columns:
         value = payload
         for part in key.split("."):
             value = (value or {}).get(part)
-        values.append(np.asarray(view[0](value) if view else value).tolist())  # Python values
+        cells = np.asarray(view[0](value) if view else value).tolist()  # Python values
+        column = cells if isinstance(cells, list) else [cells]
+        spelled = iter(_spell([cell for cell in column if isinstance(cell, float)]))
+        column = [next(spelled) if isinstance(cell, float) else cell for cell in column]
+        values.append(column if isinstance(cells, list) else repeat(column[0]))
     yield [index] + [column[0] for column in columns]
-    for k in range(len(values[0])):
-        row = [v[k] if isinstance(v, list) else v for v in values]
-        yield [k] + [_spell([cell])[0] if isinstance(cell, float) else cell for cell in row]
+    yield from ([k, *row] for k, row in enumerate(zip(*values)))
+
+
+def _json_floats(values) -> list[str]:
+    """:func:`_spell` of the floats ``values``, which strict JSON holds only when finite; an
+    array's integral entry drops its ``.0``, a list's keeps it."""
+    if not (finite := np.isfinite(values)).all():
+        bad = float(values[np.argmin(finite)])
+        raise ValueError(f"Out of range float values are not JSON compliant: {bad!r}")
+    array = isinstance(values, np.ndarray)
+    return _spell(values.tolist() if array else values, entries=array)
 
 
 def _json_pieces(value):
     """``value`` as compact, strict JSON: dicts (string keys), lists, tuples and 2-D arrays
-    entry by entry, floats by :func:`_spell` (an array's 512 a piece), others by ``json.dumps``."""
+    entry by entry, floats by :func:`_json_floats` (512 a call), others by ``json.dumps``."""
+    floats = isinstance(value, (list, tuple)) and value and all(type(v) is float for v in value)
     if isinstance(value, dict):
         for n, (key, item) in enumerate(value.items()):
             yield ("," if n else "{") + json.dumps(key) + ":"
             yield from _json_pieces(item)
         yield "}" if value else "{}"
-    elif isinstance(value, (list, tuple)) or getattr(value, "ndim", 0) > 1:
+    elif isinstance(value, (list, tuple)) and not floats or getattr(value, "ndim", 0) > 1:
         for n, item in enumerate(value):
             yield "," if n else "["
             yield from _json_pieces(item)
         yield "]" if len(value) else "[]"
-    elif isinstance(value, (np.ndarray, float)) and not np.isfinite(value).all():
-        bad = float(np.extract(~np.isfinite(value), value)[0])
-        raise ValueError(f"Out of range float values are not JSON compliant: {bad!r}")
-    elif isinstance(value, np.ndarray):
+    elif floats or isinstance(value, np.ndarray):
         for n in range(0, len(value), 512):
-            yield ("," if n else "[") + ",".join(_spell(value[n:n + 512].tolist(), entries=True))
+            yield ("," if n else "[") + ",".join(_json_floats(value[n:n + 512]))
         yield "]" if len(value) else "[]"
     elif isinstance(value, float):
-        yield _spell([value])[0]
+        yield _json_floats([value])[0]
     else:
         yield json.dumps(value)
 

@@ -30,7 +30,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .complexes import HodgeOperators, SimplicialComplex2, build_incidence, enumerate_3cliques
-from .errors import DivergenceError
 from .lms import _monte_carlo, lms_step
 from .signals import (StreamConfig, _block_stops, _draw, _history_walk, edge_moment_matrices,
                       regressor_tensor)
@@ -155,18 +154,15 @@ def infer_step(h: np.ndarray, t: np.ndarray, cand: CandidateSet, x_hist: np.ndar
     ``x_hist``, ``d`` and ``y`` are one step's data, as for :func:`grad_t`;
     ``mu1`` and ``mu2`` are the step-sizes of ``h`` and ``t``, and ``lam0``
     and ``lam1`` the attractor weights of :func:`prox_hard_threshold`.
-    Indicators outside [0, 1] or misordered thresholds raise a
-    ``ValueError``, a non-finite result a :class:`DivergenceError`.
+    Misordered thresholds or indicators outside [0, 1] raise a ``ValueError``;
+    NaN ones pass, and non-finite data or state in give non-finite state out.
     """
-    if t.size and not (t.min() >= 0 and t.max() <= 1):
+    if (t < 0).any() or (t > 1).any():
         raise ValueError("indicators must lie in [0, 1]")
     X = regressors_from_t(t, cand, x_hist)
     h = lms_step(h, mu1, X, d, y)
     g = grad_t(h, t, cand, x_hist, d, y, X=X)
-    t = prox_hard_threshold(t - mu2 * g, lam0, lam1)
-    if not np.all(np.isfinite(t)):
-        raise DivergenceError("non-finite indicators")
-    return h, t
+    return h, prox_hard_threshold(t - mu2 * g, lam0, lam1)
 
 
 @dataclass

@@ -72,16 +72,13 @@ def derived_seeds(master_seed: int, count: int) -> list[int]:
 def lms_step(h: np.ndarray, mu: float, X: np.ndarray, d: np.ndarray,
              y: np.ndarray) -> np.ndarray:
     """The taps after one masked stochastic-gradient update of ``h``; pure.
-    A non-finite result raises :class:`DivergenceError`."""
+    Non-finite data or taps in give non-finite taps out."""
     if X.shape[1] != h.shape[0] or X.shape[0] != d.shape[0] or d.shape != y.shape:
         raise ValueError(
             f"inconsistent shapes: X {X.shape}, d {d.shape}, y {y.shape}, h {h.shape}"
         )
     residual = d * (y - X @ h)
-    h_new = h + mu * (X.T @ residual)
-    if not np.all(np.isfinite(h_new)):
-        raise DivergenceError("non-finite estimate")
-    return h_new
+    return h + mu * (X.T @ residual)
 
 
 def max_stepsize(c_X: np.ndarray) -> float:
@@ -165,41 +162,39 @@ def _monte_carlo(seed: int, realizations: int, horizon: int, walk, measure):
     trajectory is allocated), then yields the recursion's state before the
     first step and after each of the ``horizon`` steps; ``measure(state)``
     gives that state's trajectory entries, a number or a 1-D array, as
-    one row of a ``(horizon + 1, width)`` trajectory. A realization that
-    raises :class:`DivergenceError` or holds a non-finite entry (a
-    deviation can overflow before the state does; numpy does not warn of
-    it here) is dropped and its index recorded. The kept trajectories are
-    summed in realization order, so one realization's stream is alive at a
-    time and memory does not grow with the realization count. Returns
-    ``(means, kept, diverged)`` with ``means`` the mean trajectory over
-    the kept realizations.
+    one row of a ``(horizon + 1, width)`` trajectory. A realization is
+    dropped, and its index recorded, if and only if its trajectory holds a
+    non-finite entry (a deviation can overflow before the state does; numpy
+    does not warn of it here). The kept trajectories are summed in
+    realization order, so one realization's stream is alive at a time and
+    memory does not grow with the realization count. Returns ``(means,
+    kept, diverged)`` with ``means`` the mean trajectory over the kept
+    realizations; if none is kept, the :class:`DivergenceError` names each
+    one's first non-finite step.
     """
     if realizations < 1:
         raise ValueError(f"realizations must be at least 1, got {realizations}")
     total = None
-    diverged: list[int] = []
+    diverged: dict[int, int] = {}  # realization: its first non-finite step
     for r, seed_r in enumerate(derived_seeds(seed, realizations)):
         states = walk(seed_r)
-        try:
-            with np.errstate(over="ignore", invalid="ignore"):
-                first = measure(next(states))
-                traj = np.empty((horizon + 1, np.size(first)))
-                traj[0] = first
-                for k, state in enumerate(states, 1):
-                    traj[k] = measure(state)
-            finite = np.isfinite(traj).all()
-        except DivergenceError:
-            finite = False
-        if not finite:
-            diverged.append(r)
+        with np.errstate(over="ignore", invalid="ignore"):
+            first = measure(next(states))
+            traj = np.empty((horizon + 1, np.size(first)))
+            traj[0] = first
+            for k, state in enumerate(states, 1):
+                traj[k] = measure(state)
+        if not (finite := np.isfinite(traj).all(axis=1)).all():
+            diverged[r] = int(np.argmin(finite))
         elif total is None:
             total = traj
         else:
             total += traj
     if total is None:
-        raise DivergenceError("all realizations diverged")
+        raise DivergenceError("all realizations diverged, at steps "
+                              + ", ".join(map(str, diverged.values())))
     kept = realizations - len(diverged)
-    return total / kept, kept, diverged
+    return total / kept, kept, list(diverged)
 
 
 @dataclass

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from simplexlms import signals
-from simplexlms.errors import DivergenceError
 from simplexlms.signals import generate_stream
 
 
@@ -34,8 +33,8 @@ def diverge_in(monkeypatch):
     ``diverge_in(module, name, realizations)`` replaces ``module.name``, a
     step whose first argument is the recursion's state array, with one that
     counts realizations by their first step (every runner starts from an
-    all-zero state) and raises :class:`DivergenceError` on every step of
-    the listed ones.
+    all-zero state) and hands every step of the listed ones a NaN state,
+    so that each returns NaN states.
     """
 
     def install(module, name, realizations):
@@ -46,7 +45,7 @@ def diverge_in(monkeypatch):
             if not np.any(state):
                 started.append(len(started))
             if started[-1] in realizations:
-                raise DivergenceError(f"injected in realization {started[-1]}")
+                state = np.full_like(state, np.nan)
             return step(state, *args)
 
         monkeypatch.setattr(module, name, failing)

@@ -129,12 +129,16 @@ def test_divergence_verdict_does_not_depend_on_out_or_horizon(tmp_path, capsys, 
     flags = [tmp_path / f if f == "result.json" else f for f in flags]
     assert run_cli(["run-lms", "--complex-file", path, "--order", 2, "--mu", 1e-5,
                     "--realizations", 2, "--noise-var", 1e-3, *flags]) == 3
-    assert capsys.readouterr() == ("", "divergence: all realizations diverged\n")
+    assert capsys.readouterr() == ("", "divergence: all realizations diverged, at steps 175, 183\n")
     assert list(tmp_path.iterdir()) == [path]
 
 
+DIVERGED_STEPS = [175, 183, 184, 180, 179, 182, 177, 184, 180, 178, 183, 181, 184, 179, 182,
+                  186, 183, 181, 179, 181, 180, 182, 180, 176, 181, 179, 179, 184, 181, 178]
+
+
 @pytest.mark.parametrize("horizon, code, err", [
-    (300, 3, "divergence: all realizations diverged\n"),
+    (300, 3, f"divergence: all realizations diverged, at steps {str(DIVERGED_STEPS)[1:-1]}\n"),
     (5, 0, "run-lms: no theory report: step-size fails the mean-stability bound\n"),
 ], ids=["diverges", "completes"])
 @pytest.mark.filterwarnings("error")
@@ -151,6 +155,17 @@ def test_ar_divergence_prints_one_stderr_line(capsys, flags):
     assert run_cli(["ar-train", "--surrogate-seed", 2, "--order", 2, "--mu", 1e3, *flags]) == 3
     err = capsys.readouterr().err
     assert re.fullmatch(r"divergence: non-finite [a-z ]+ at training step \d+\n", err), err
+
+
+@pytest.mark.filterwarnings("error")
+def test_diverging_topology_inference_exits_3(capsys, complex_file):
+    # a NaN indicator is a divergence, not an indicator outside [0, 1]: one line, exit 3
+    capsys.readouterr()
+    assert run_cli(["infer-topology", "--complex-file", complex_file, "--order", 2,
+                    "--mu1", 1e3, "--mu2", 1e-2, "--lambda0", 0.1, "--lambda1", 0.1,
+                    "--horizon", 200, "--realizations", 2, "--signal-var", 0.005,
+                    "--noise-var", 1e-4, "--seed", 2]) == 3
+    assert capsys.readouterr() == ("", "divergence: all realizations diverged, at steps 35, 35\n")
 
 
 def test_infeasible_sampling_exits_4(complex_file):

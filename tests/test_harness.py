@@ -1,5 +1,6 @@
 """Dataset ingestion, AR protocols, config handling and result emission."""
 
+import csv
 import io
 import json
 import re
@@ -209,9 +210,10 @@ def test_ar_training_shares_lms_step_path():
 def test_ar_divergence_names_the_training_step():
     ds = traffic_surrogate(seed=2)
     comb = build_combination(lower_adjacency_neighborhoods(ds.complex), "uniform")
-    with pytest.raises(DivergenceError, match=r"^non-finite estimate at training step \d+$"):
+    message = r"^non-finite prediction error at training step \d+$"
+    with pytest.raises(DivergenceError, match=message):
         run_ar_training(ds, 2, 1e3)
-    with pytest.raises(DivergenceError, match=r"^non-finite network state at training step \d+$"):
+    with pytest.raises(DivergenceError, match=message):
         run_distributed_ar(ds, 2, 1e3, comb)
 
 
@@ -637,10 +639,32 @@ def test_every_number_token_is_shortest_and_exact(values, text):
         assert token == shortest(value, entry)
 
 
+MIXED = st.one_of(SPELLED, st.integers(), st.booleans(), st.none(), st.text(max_size=3))
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(values=st.one_of(st.lists(SPELLED, max_size=1200), st.lists(MIXED, max_size=40)),
+       as_tuple=st.booleans())
+def test_a_list_writes_the_bytes_of_entry_by_entry_spelling(values, as_tuple):
+    # a list or tuple of floats only is spelled 512 entries a call, and each entry reads as
+    # its own _spell call does (1.0 keeps its ".0"); a mixed one goes entry by entry
+    expected = ",".join(harness._spell([v])[0] if isinstance(v, float) else json.dumps(v)
+                        for v in values)
+    value = tuple(values) if as_tuple else values
+    assert "".join(harness._json_pieces(value)) == f"[{expected}]"
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_a_non_finite_list_entry_is_not_json(bad):
+    for value in ([1.0, bad, 2.0], (bad,), [0.5] * 600 + [bad], [[1.0], [1, bad, "x"]]):
+        with pytest.raises(ValueError, match=f"^Out of range float .* compliant: {bad!r}$"):
+            "".join(harness._json_pieces({"x": value}))
+
+
 @pytest.mark.parametrize("existing", [False, True])
 def test_emit_results_failed_write_leaves_no_file(tmp_path, existing):
     # the non-finite value sits after most of the file has been streamed out,
-    # in a list, or in an array, which is checked before any of it is written
+    # in a list or in an array, each checked a slice at a time
     payload = long_payload()
     payload["msd"][-1] = float("nan")
     path = tmp_path / "out.json"
@@ -749,6 +773,38 @@ def test_infer_topology_removes_triangles_mid_stream():
     assert payload["true_triangles"] == removals
     for key in ("h_error", "t_error", "recovery_rate", "support_size"):
         np.testing.assert_array_equal(payload[key], getattr(expected, key), strict=True)
+
+
+def cell_by_cell_csv(payload: dict, table) -> bytes:
+    """A row table's CSV file with each float cell spelled by its own :func:`_spell` call."""
+    index, columns = table
+    values = []
+    for _, key, *view in columns:
+        value = payload
+        for part in key.split("."):
+            value = (value or {}).get(part)
+        values.append(np.asarray(view[0](value) if view else value).tolist())
+    sink = io.StringIO()
+    writer = csv.writer(sink)
+    writer.writerow([index] + [column[0] for column in columns])
+    for k in range(len(values[0])):
+        row = [v[k] if isinstance(v, list) else v for v in values]
+        writer.writerow([k] + [harness._spell([c])[0] if isinstance(c, float) else c for c in row])
+    return sink.getvalue().encode()
+
+
+@pytest.mark.parametrize("mode, values", [
+    ("run-lms", {"complex": {"vertices": 8, "edge_prob": 0.5, "fill_prob": 0.5, "seed": 1},
+                 "order": 1, "mu": 1e-2, "horizon": 300, "realizations": 2, "signal_var": 0.1,
+                 "noise_var": 1e-4, "seed": 5}),
+    ("infer-topology", {**INFER_VALUES, "remove_triangles": 2}),
+], ids=["run-lms", "infer-topology"])
+def test_csv_columns_write_the_bytes_of_cell_by_cell_spelling(tmp_path, mode, values):
+    # a column's floats are spelled in one call and a repeated scalar once
+    payload = run_mode(mode, values)
+    emit_results(payload, tmp_path / "rows.csv", fmt="csv")
+    expected = cell_by_cell_csv(payload, harness._CSV_COLUMNS[mode])
+    assert (tmp_path / "rows.csv").read_bytes() == expected
 
 
 def test_infer_topology_cannot_remove_more_triangles_than_it_holds(tmp_path, capsys):

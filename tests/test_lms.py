@@ -7,6 +7,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from simplexlms import diffusion, inference, lms, signals
 from simplexlms.complexes import hodge_laplacians, random_complex
@@ -80,8 +82,10 @@ def test_step_error_recursion_identity():
 def test_step_shape_and_divergence_errors():
     with pytest.raises(ValueError):
         lms_step(np.zeros(3), 0.1, np.zeros((4, 2)), np.ones(4), np.ones(4))
-    with pytest.raises(DivergenceError):
+    # a divergence is the caller's verdict: non-finite taps come out, nothing raises
+    assert not np.isfinite(
         lms_step(np.array([1e308]), 1e308, np.array([[1e10]]), np.ones(1), np.array([1e300]))
+    ).all()
 
 
 def test_step_is_pure():
@@ -460,7 +464,7 @@ def test_run_experiment_all_diverged_raises(experiment_complex, diverge_in):
     coeffs = FilterCoeffs(h_u=[0.5, 0.1], h_d=[0.2])
     cfg = StreamConfig.white(experiment_complex.num_edges, signal_var=0.1)
     diverge_in(lms, "lms_step", {0, 1})
-    with pytest.raises(DivergenceError, match="all realizations diverged"):
+    with pytest.raises(DivergenceError, match="^all realizations diverged, at steps 1, 1$"):
         run_experiment(experiment_complex, coeffs, cfg, 1e-3, realizations=2, horizon=5, seed=0)
 
 
@@ -468,10 +472,8 @@ def test_monte_carlo_engine_bookkeeping():
     seeds = derived_seeds(5, 4)
 
     def walk(seed):
-        if seed in (seeds[1], seeds[3]):
-            raise DivergenceError("diverged")
         yield float(seed)
-        yield 1.0
+        yield np.nan if seed in (seeds[1], seeds[3]) else 1.0
 
     def measure(state):
         return state, 3.0, 3.0
@@ -517,6 +519,58 @@ def test_monte_carlo_drops_a_walk_non_finite_mid_stream():
     replays = [np.array(list(walk(seed))) for seed in (seeds[0], seeds[2])]
     assert (kept, diverged) == (2, [1])
     np.testing.assert_array_equal(means, (replays[0] + replays[1]) / 2)
+
+
+def test_monte_carlo_names_each_diverged_step():
+    # a realization's step is its first non-finite trajectory row, in any column
+    seeds = derived_seeds(4, 3)
+    at = {seeds[0]: (4, 1), seeds[1]: (2, 0), seeds[2]: (7, 1)}
+
+    def walk(seed):
+        step, column = at[seed]
+        for k in range(8):
+            row = np.ones(2)
+            row[column] = np.nan if k == step else k
+            yield row
+
+    with pytest.raises(DivergenceError, match="^all realizations diverged, at steps 4, 2, 7$"):
+        _monte_carlo(4, 3, 7, walk, lambda state: state)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(data=st.data(), realizations=st.integers(1, 6), horizon=st.integers(0, 8),
+       width=st.integers(1, 3))
+def test_monte_carlo_drops_exactly_the_injected_realizations(data, realizations, horizon, width):
+    # NaN, inf or -inf at one entry of a random step of random realizations: those and only
+    # those are dropped, and the mean is the realization-order sum of the rest over kept
+    injected = data.draw(st.dictionaries(
+        st.integers(0, realizations - 1),
+        st.tuples(st.integers(0, horizon), st.integers(0, width - 1),
+                  st.sampled_from([np.nan, np.inf, -np.inf]))))
+    seeds = derived_seeds(11, realizations)
+    clean = [np.random.default_rng(seed).standard_normal((horizon + 1, width)) for seed in seeds]
+
+    def walk(seed):
+        r = seeds.index(seed)
+        for k, row in enumerate(clean[r]):
+            if r in injected and injected[r][0] == k:
+                row = row.copy()
+                row[injected[r][1]] = injected[r][2]
+            yield row
+
+    if len(injected) == realizations:
+        steps = ", ".join(str(injected[r][0]) for r in range(realizations))
+        with pytest.raises(DivergenceError, match=f"^all realizations diverged, at steps {steps}$"):
+            _monte_carlo(11, realizations, horizon, walk, lambda state: state)
+        return
+    means, kept, diverged = _monte_carlo(11, realizations, horizon, walk, lambda state: state)
+    assert diverged == sorted(injected)
+    assert kept == realizations - len(injected)
+    total = None
+    for r in range(realizations):
+        if r not in injected:
+            total = clean[r].copy() if total is None else total + clean[r]
+    assert np.array_equal(means.view(np.int64), (total / kept).view(np.int64))
 
 
 def test_run_experiment_matches_theory(experiment_complex):
