@@ -116,10 +116,23 @@ def _collect_values(args: argparse.Namespace) -> dict:
     return values
 
 
+def _unstable_theory(mode: str, payload: dict) -> str | None:
+    """The stderr line of a run-lms or run-distributed run whose theory is not stable."""
+    if mode == "run-lms" and payload["theory"] is None:
+        return "run-lms: no theory report: step-size fails the mean-stability bound"
+    if mode == "run-distributed" and not (theory := payload["theory"])["stable"]:
+        failed = ", ".join(theory.get("failed_hypotheses", [])) or "none"
+        return (f"run-distributed: theory not stable: rho_b {theory['rho_b']!r}, "
+                f"failing hypotheses: {failed}")
+    return None
+
+
 def _summary_line(mode: str, payload: dict) -> str:
     if mode == "run-lms" or mode == "run-distributed":
         db = payload["steady_state_db"]
-        return f"{mode}: steady-state deviation " + ("n/a" if db is None else f"{db:.2f} dB")
+        # a tail mean is a steady state only where the theory is stable
+        tail = "tail" if _unstable_theory(mode, payload) else "steady-state"
+        return f"{mode}: {tail} deviation " + ("n/a" if db is None else f"{db:.2f} dB")
     if mode == "design-sampling":
         return (
             f"design-sampling: rate {payload['objective']:.4f} over "
@@ -155,9 +168,8 @@ def main(argv=None) -> int:
             print(json.dumps(payload, indent=2))
         else:
             print(_summary_line(args.mode, payload))
-        if args.mode == "run-lms" and payload["theory"] is None:
-            print("run-lms: no theory report: step-size fails the mean-stability bound",
-                  file=sys.stderr)
+        if line := _unstable_theory(args.mode, payload):
+            print(line, file=sys.stderr)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return _EXIT_CONFIG

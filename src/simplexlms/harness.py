@@ -665,6 +665,7 @@ def mode_run_distributed(cfg: dict) -> dict:
             save_combination(comb, part)
     result = run_distributed(complex_, coeffs, stream, comb, mu, cfg["realizations"],
                              cfg["horizon"], cfg["seed"], track_agents=cfg["emit_agent_traces"])
+    failed = [name for name, holds in vars(result.theory.checks).items() if not holds]
     payload = {
         **_deviation_fields(result.msd),
         "theory": {
@@ -673,6 +674,7 @@ def mode_run_distributed(cfg: dict) -> dict:
             "hypotheses_hold": result.theory.checks.all_hold(),
             "msd_per_agent": result.theory.msd_per_agent if result.theory.stable else None,
             "msd_per_agent_db": _db_or_none(result.theory.msd_per_agent),
+            **({"failed_hypotheses": failed} if failed else {}),
         },
         "diverged": result.diverged,
     }

@@ -31,8 +31,7 @@ import numpy as np
 
 from .complexes import HodgeOperators, SimplicialComplex2, build_incidence, enumerate_3cliques
 from .lms import _monte_carlo, lms_step
-from .signals import (StreamConfig, _block_stops, _draw, _history_walk, edge_moment_matrices,
-                      regressor_tensor)
+from .signals import StreamConfig, edge_moment_matrices, generate_stream, regressor_tensor
 
 __all__ = [
     "CandidateSet",
@@ -192,47 +191,33 @@ def run_inference(
 ) -> InferenceResult:
     """Monte-Carlo run of the joint recursion with a topology schedule.
 
-    ``schedule`` lists ``(start_iteration, true_indicator)`` segments,
-    first entry starting at 0; observations at step ``n`` are generated
-    with the indicator active at ``n``, so mid-stream entries model
-    topology changes. Each realization starts from ``h = 0`` and every
-    indicator at 0.5. ``cfg`` gives the signal covariance, noise
-    variances and sampling probabilities, and ``seed`` the master seed,
-    as for :func:`.lms.run_experiment`. Each realization's draws are those
-    of a stream of ``order`` history rows and ``horizon`` steps, made
-    block by block at the row bounds :func:`.signals.generate_stream`
-    uses and walked with the same history carry
-    (:func:`.signals._history_walk`), so memory does not grow with the
-    horizon. Realizations run through the Monte-Carlo engine,
-    :func:`.lms._monte_carlo`. A signal scale whose moments overflow on
-    the complex of all candidates raises a ``ValueError`` before any step.
+    ``schedule`` lists ``(start_iteration, true_indicator)`` segments, the
+    first at 0; step ``n`` is observed under the indicator active at ``n``,
+    so later entries model topology changes. Each realization starts from
+    ``h = 0`` and every indicator at 0.5 and steps on the blocks of
+    :func:`.signals.generate_stream` on the candidates' operators under
+    ``schedule``, through :func:`.lms._monte_carlo`; ``cfg`` and ``seed``
+    are as for :func:`.lms.run_experiment`. A signal scale whose moments
+    overflow on the complex of all candidates, or a bad schedule, raises a
+    ``ValueError`` before any step.
     """
     order = cand.order
     h_true = coeffs.flatten()
-    if not schedule or schedule[0][0] != 0:
-        raise ValueError("schedule must start at iteration 0")
     _check_threshold_order(lam0, lam1)
 
     # every indicator in [0, 1] weights the triangles of this complex
     edge_moment_matrices(cand.ops, cfg.c_x, order)
 
     def walk(seed_r: int):
-        draws = _draw(cfg, seed_r, _block_stops(cand.ops.num_edges, order, horizon))
+        blocks = generate_stream(coeffs, cand.ops, cfg, horizon, seed_r, schedule)
         h, t = np.zeros(h_true.size), np.full(cand.num_candidates, 0.5)
-        seg = 0
-        t_true = np.asarray(schedule[0][1], dtype=np.float64)
-        yield h, t, t_true
-        for start, window, x, v, d in _history_walk(draws, order, order, next(draws)[0]):
-            for j in range(x.shape[0]):
-                k = start + j - order
-                if seg + 1 < len(schedule) and k >= schedule[seg + 1][0]:
-                    seg += 1
-                    t_true = np.asarray(schedule[seg][1], dtype=np.float64)
-                hist = window[j : j + order + 1][::-1]
-                X_true = regressors_from_t(t_true, cand, hist)
-                y = d[j] * (X_true @ h_true + v[j])
-                h, t = infer_step(h, t, cand, hist, d[j], y, mu1, mu2, lam0, lam1)
-                yield h, t, t_true
+        yield h, t, np.asarray(schedule[0][1], dtype=np.float64)
+        for block in blocks:
+            for j, (d, y) in enumerate(zip(block.d, block.y)):
+                hist = block.x[j : j + order + 1][::-1]
+                h, t = infer_step(h, t, cand, hist, d, y, mu1, mu2, lam0, lam1)
+                yield h, t, block.weights
+            del block  # frees the block's regressors before the next block is built
 
     def measure(state) -> tuple[float, ...]:
         h, t, t_true = state

@@ -18,6 +18,7 @@ otherwise; correlated signals are only supported empirically.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import chain
 
@@ -142,15 +143,18 @@ class StreamConfig:
 class StreamBlock:
     """Consecutive steps ``start, start + 1, ...`` of one stream realisation.
 
-    ``d`` and ``y`` hold the block's rows of the masks and observations,
-    and ``X[j]`` is the regressor matrix of row ``start + j``, whose lag-0
-    column ``X[j, :, 0]`` is that row's signal.
+    ``x`` holds the ``order`` signal rows before the block, then its own, so
+    ``x[j : j + order + 1][::-1]`` is row ``start + j``'s newest-first history.
+    ``d`` and ``y`` hold the block's masks and observations, and ``X[j]`` is
+    row ``start + j``'s regressor matrix under the triangle ``weights``.
     """
 
     start: int
+    x: np.ndarray
     X: np.ndarray
     d: np.ndarray
     y: np.ndarray
+    weights: np.ndarray | None = None
 
 
 @dataclass
@@ -229,12 +233,16 @@ def _stops(first: int, stop: int, rows: int):
     return chain(range(first + rows, stop - _MIN_WINDOW_ROWS + 1, rows), (stop,))
 
 
-def _block_stops(num_edges: int, order: int, horizon: int):
+def _block_stops(num_edges: int, order: int, horizon: int, starts=(0,)):
     """Row bounds for :func:`_draw`: the ``order`` history rows, then a window each
-    up to ``horizon`` steps; a negative ``horizon`` raises a ``ValueError``."""
+    up to ``horizon`` steps, cut at each segment start (a step) in ``starts``, so a
+    short segment leaves a window under ``_MIN_WINDOW_ROWS``; a negative
+    ``horizon`` raises a ``ValueError``."""
     if horizon < 0:
         raise ValueError(f"horizon must be nonnegative, got {horizon}")
-    return chain((order,), _stops(order, horizon + order, _window_rows(num_edges, order)))
+    rows = _window_rows(num_edges, order)
+    bounds = [order, *(order + s for s in starts if 0 < s < horizon), order + horizon]
+    return chain((order,), *(_stops(lo, hi, rows) for lo, hi in zip(bounds, bounds[1:])))
 
 
 def _history_walk(blocks, order: int, start: int, history: np.ndarray):
@@ -330,34 +338,41 @@ def _draw(cfg: StreamConfig, seed: int, stops):
 
 
 def generate_stream(coeffs: FilterCoeffs, ops: HodgeOperators, cfg: StreamConfig,
-                    horizon: int, seed: int):
+                    horizon: int, seed: int, schedule=((0, None),)):
     """Draw one stream realisation of the observation model, block by block.
 
     An iterator of :class:`StreamBlock` that yields ``horizon`` steps drawn
     from ``seed``: the first ``order`` rows are drawn as history, the first
-    block starts at row ``order`` and each block holds the next ``rows``
-    rows, where a block's regressors hold about ``_WINDOW_ELEMENTS`` floats
-    and ``rows`` is at least ``_MIN_WINDOW_ROWS``; a shorter last block
-    joins the one before it. Only the block's rows are drawn (:func:`_draw`),
-    and its regressors are built once, from them and the ``order`` rows
-    before them (:func:`_history_walk`), to give ``y = d * (X h + v)``.
-    Memory does not grow with the horizon. A negative ``horizon``, or a
-    config of another edge count than ``ops``, raises a ``ValueError`` here,
-    before any draw.
+    block starts at row ``order`` and each block holds the next window of
+    rows (:func:`_block_stops`). ``schedule`` lists ``(step, weights)``
+    segments: from its step on, the regressors weight the upper Laplacian's
+    triangles by ``weights`` (``None``: unweighted), and no block spans its
+    start; a white stream's draws are the same bits whatever the cuts. A
+    block draws its rows (:func:`_draw`) and builds its regressors once, with
+    the ``order`` rows before it (:func:`_history_walk`), for
+    ``y = d * (X h + v)``; memory does not grow with the horizon. A negative
+    ``horizon``, schedule steps that do not start at 0 and increase, or a
+    config of another edge count than ``ops``, raise a ``ValueError`` here.
     """
     if ops.num_edges != cfg.num_edges:
         raise ValueError("config dimension does not match the complex")
-    stops = _block_stops(cfg.num_edges, coeffs.order, horizon)
-    return _stream_blocks(coeffs, ops, _draw(cfg, seed, stops))
+    starts = [step for step, _ in schedule]
+    if starts[:1] != [0] or any(a >= b for a, b in zip(starts, starts[1:])):
+        raise ValueError(f"schedule steps must start at 0 and increase, got {starts}")
+    stops = _block_stops(cfg.num_edges, coeffs.order, horizon, starts)
+    weights = [None if w is None else np.asarray(w, dtype=np.float64) for _, w in schedule]
+    return _stream_blocks(coeffs, ops, _draw(cfg, seed, stops), starts, weights)
 
 
-def _stream_blocks(coeffs: FilterCoeffs, ops: HodgeOperators, draws):
+def _stream_blocks(coeffs: FilterCoeffs, ops: HodgeOperators, draws, starts, weights):
     """The :class:`StreamBlock` blocks of :func:`generate_stream` from its draws."""
     order = coeffs.order
     h = coeffs.flatten()
     for start, window, _, v, d in _history_walk(draws, order, order, next(draws)[0]):
-        X = regressor_tensor(window, ops, order)
-        yield StreamBlock(start=start, X=X, d=d, y=d * (X @ h + v))
+        w = weights[bisect_right(starts, start - order) - 1]
+        X = regressor_tensor(window, ops, order, w)
+        yield StreamBlock(start=start, x=window, X=X, d=d, y=d * (X @ h + v), weights=w)
+        del X  # a consumer that drops its block frees it before the next is built
 
 
 def moments_closed_form(

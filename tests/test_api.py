@@ -85,3 +85,18 @@ def test_benchmark_spans_are_traced_functions():
         if not (public and inspect.isfunction(fn) and fn.__module__ == module.__name__):
             untraced.append(span)
     assert not untraced, f"benchmark spans the tracer would not wrap: {untraced}"
+
+
+def test_benchmark_imports_resolve():
+    # the benchmark writes its inputs with the package's own writers: a name it
+    # imports that is moved or renamed fails here, not in the benchmark's run
+    imported = []
+    for path in sorted((Path(__file__).resolve().parents[1] / "perfbench").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("simplexlms"):
+                imported += [(path.name, node.module, alias.name) for alias in node.names]
+    assert {("workloads.py", "simplexlms.complexes", "save_complex"),
+            ("workloads.py", "simplexlms.datasets", "write_edge_series")} <= set(imported)
+    missing = [f"{file}: {module}.{name}" for file, module, name in imported
+               if not hasattr(importlib.import_module(module), name)]
+    assert not missing, f"benchmark imports missing names: {missing}"

@@ -149,6 +149,39 @@ def test_unstable_run_lms_reports_in_one_stderr_line(capsys, horizon, code, err)
     assert capsys.readouterr().err == err
 
 
+@pytest.mark.filterwarnings("error")
+def test_cut_off_network_reports_its_theory_in_one_stderr_line(tmp_path, capsys):
+    # two agents cut off from the other two: the combination is reducible, no
+    # triangle excites an upper tap, and rho(B) is 1
+    path, out = tmp_path / "complex.txt", tmp_path / "dist.json"
+    path.write_text("4\n1 2\n3 4\n", encoding="utf-8")
+    assert run_cli(["run-distributed", "--complex-file", path, "--order", 1, "--mu", 0.1,
+                    "--horizon", 50, "--out", out]) == 0
+    stdout, err = capsys.readouterr()
+    assert stdout == "run-distributed: tail deviation -0.31 dB\n"
+    rho = re.fullmatch(r"run-distributed: theory not stable: rho_b (\S+), failing hypotheses: "
+                       r"irreducible, some_local_moment_nonsingular\n", err)
+    assert rho and abs(float(rho[1]) - 1.0) < 1e-9, err
+    theory = json.loads(out.read_text())["theory"]
+    assert theory["failed_hypotheses"] == ["irreducible", "some_local_moment_nonsingular"]
+    assert (theory["stable"], theory["hypotheses_hold"]) == (False, False)
+
+
+@pytest.mark.filterwarnings("error")
+def test_unstable_step_network_reports_its_theory_in_one_stderr_line(tmp_path, capsys):
+    # montecarlo's network at a step-size above every local bound: the deviation
+    # grows by hundreds of dB in 30 rounds and stays finite, so nothing diverges
+    path = tmp_path / "complex.txt"
+    save_complex(grown_complex(11, 15, 10, 0), path)
+    assert run_cli(["run-distributed", "--complex-file", path, "--order", 1, "--mu", 0.7,
+                    "--horizon", 30, "--realizations", 2]) == 0
+    stdout, err = capsys.readouterr()
+    assert stdout == "run-distributed: tail deviation 451.51 dB\n"
+    rho = re.fullmatch(r"run-distributed: theory not stable: rho_b (\S+), failing hypotheses: "
+                       r"stepsizes_within_local_bounds\n", err)
+    assert rho and abs(float(rho[1]) - 6.94) < 5e-3, err
+
+
 @pytest.mark.parametrize("flags", [[], ["--distributed"]], ids=["centralized", "distributed"])
 @pytest.mark.filterwarnings("error")
 def test_ar_divergence_prints_one_stderr_line(capsys, flags):

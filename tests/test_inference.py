@@ -369,6 +369,21 @@ def test_run_inference_blocks_match_hand_rolled_draw(switch_instance, monkeypatc
     np.testing.assert_array_equal(_fields(result), (first + second) / 2)
 
 
+def test_run_inference_builds_one_regressor_set_per_step(switch_instance, monkeypatch):
+    # the observations come with the stream's blocks: the only per-step build is
+    # the step's own, under the estimated indicators
+    build, calls = inference.regressors_from_t, []
+
+    def counted(*args):
+        calls.append(1)
+        return build(*args)
+
+    monkeypatch.setattr(inference, "regressors_from_t", counted)
+    result = _run_switch(switch_instance, 2, seed=8)
+    assert result.realizations == 2
+    assert len(calls) == 2 * 40
+
+
 def test_run_inference_drops_diverged_realization(switch_instance, diverge_in):
     replays = _replays(switch_instance, 9, 3)
     diverge_in(inference, "infer_step", {1})

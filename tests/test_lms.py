@@ -385,7 +385,6 @@ def test_covariance_is_factored_once_per_run(experiment_complex, monkeypatch, ru
 
     monkeypatch.setattr(signals, "_covariance_factor", counted)
     monkeypatch.setattr(signals, "_draw", recorded)
-    monkeypatch.setattr(inference, "_draw", recorded)
     run()
     assert len(calls) <= 1, calls
     assert len(configs) == 5 and all(config is cfg for config in configs)

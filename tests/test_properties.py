@@ -267,3 +267,61 @@ def test_indicator_regressors_match_the_filled_complex(vertices, edge_prob, orde
     expected = regressor_tensor(hist[::-1], ops, order)[-1]
     np.testing.assert_allclose(regressors_from_t(t, cand, hist), expected,
                                rtol=0, atol=round_off(expected))
+
+
+# the candidate sets of WINDOW_OPS's 1-skeleton, by order: 13 edges, at least 2 candidates
+WINDOW_CANDIDATES = {order: candidate_set(random_complex(8, 0.6, 0.5, 4), order)
+                     for order in range(4)}
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(
+    order=st.integers(0, 3),
+    rows=st.integers(1, 6),
+    horizon=st.integers(0, 30),
+    steps=st.lists(st.integers(1, 34), max_size=4, unique=True),
+    narrow=st.booleans(),
+)
+@example(order=2, rows=4, horizon=12, steps=[1, 2, 11], narrow=True)   # one-step segments
+@example(order=3, rows=1, horizon=0, steps=[3], narrow=False)          # history rows only
+def test_scheduled_stream_cuts_blocks_at_segment_starts(order, rows, horizon, steps, narrow):
+    # a schedule splits the blocks at its segment starts and changes no draw;
+    # each observation is the per-step build under the active indicators
+    cand = WINDOW_CANDIDATES[order]
+    E = cand.ops.num_edges
+    rng = np.random.default_rng([order, rows, horizon, *steps])
+    starts = [0, *sorted(steps)]
+    indicators = [rng.random(cand.num_candidates) for _ in starts]
+    schedule = list(zip(starts, indicators))
+    coeffs = FilterCoeffs.random(order, rng, scale=0.5)
+    cfg = StreamConfig(c_x=np.diag(rng.uniform(0.5, 2.0, E)), sigma_v2=rng.uniform(0.0, 0.1, E),
+                       p=rng.uniform(0.3, 1.0, E))
+    with pytest.MonkeyPatch.context() as mp:
+        if narrow:
+            mp.setattr(signals, "_WINDOW_ELEMENTS", window_budget(rows, order))
+            mp.setattr(signals, "_MIN_WINDOW_ROWS", 1)
+        got = list(signals.generate_stream(coeffs, cand.ops, cfg, horizon, 5, schedule))
+        plain = list(signals.generate_stream(coeffs, cand.ops, cfg, horizon, 5))
+        draws = [signals._draw(cfg, 5, signals._block_stops(E, order, horizon, s))
+                 for s in (starts, (0,))]
+        (_, v, d), (_, v_plain, d_plain) = (map(np.concatenate, zip(*draw)) for draw in draws)
+    for start, *_ in schedule[1:]:
+        assert not any(b.start - order < start < b.start - order + len(b.y) for b in got)
+
+    def signal(blocks):
+        return np.concatenate([blocks[0].x[:order], *(b.x[order:] for b in blocks)])
+
+    np.testing.assert_array_equal(signal(got), signal(plain))
+    np.testing.assert_array_equal(v, v_plain)
+    np.testing.assert_array_equal(d, d_plain)
+    np.testing.assert_array_equal(np.concatenate([b.d for b in got]), d[order:])
+    x, h = signal(got), coeffs.flatten()
+    for b in got:
+        for j, y in enumerate(b.y):
+            n = b.start + j
+            active = indicators[np.searchsorted(starts, n - order, side="right") - 1]
+            assert b.weights is not None and np.array_equal(b.weights, active)
+            expected = d[n] * (regressors_from_t(active, cand, x[n - order : n + 1][::-1]) @ h
+                               + v[n])
+            np.testing.assert_allclose(y, expected, rtol=1e-12,
+                                       atol=1e-12 * float(np.max(np.abs(expected), initial=0)))

@@ -191,6 +191,17 @@ def test_generate_stream_checks_its_arguments_when_called(small_complex, small_o
         generate_stream(coeffs, small_ops, short, 5, 3)
 
 
+@pytest.mark.parametrize("schedule", [[], [(2, None)], [(0, None), (5, None), (5, None)],
+                                      [(0, None), (6, None), (4, None)]],
+                         ids=["empty", "late-start", "repeated-step", "decreasing-step"])
+def test_generate_stream_rejects_schedule_steps_that_do_not_increase(small_complex, small_ops,
+                                                                     schedule):
+    coeffs = FilterCoeffs(h_u=[1.0, 0.5], h_d=[0.3])
+    cfg = StreamConfig.white(small_complex.num_edges, sigma_v2=0.01, p=0.5)
+    with pytest.raises(ValueError, match="schedule steps must start at 0 and increase"):
+        generate_stream(coeffs, small_ops, cfg, 20, 3, schedule)
+
+
 def test_stream_zero_sampling(small_complex, small_ops):
     coeffs = FilterCoeffs(h_u=[1.0, 0.5], h_d=[0.2])
     cfg = StreamConfig.white(small_complex.num_edges, sigma_v2=0.1, p=0.0)
@@ -348,7 +359,7 @@ def test_moments_empirical_single_sample(small_ops):
     x = rng.standard_normal((1, E))
     d = np.ones((1, E))
     y = x.copy()
-    block = StreamBlock(start=0, X=regressor_tensor(x, small_ops, 0), d=d, y=y)
+    block = StreamBlock(start=0, x=x, X=regressor_tensor(x, small_ops, 0), d=d, y=y)
     m = moments_empirical([block], 0)
     assert np.isclose(m.c_X[0, 0], np.sum(x**2))
 
@@ -356,7 +367,7 @@ def test_moments_empirical_single_sample(small_ops):
 def test_moments_empirical_zero_signal(small_ops):
     E = small_ops.l1.shape[0]
     x = np.zeros((20, E))
-    block = StreamBlock(start=1, X=regressor_tensor(x, small_ops, 1),
+    block = StreamBlock(start=1, x=x, X=regressor_tensor(x, small_ops, 1),
                         d=np.ones((19, E)), y=np.zeros((19, E)))
     m = moments_empirical([block], 1, sigma_v2=np.ones(E))
     assert np.allclose(m.c_X, 0)
