@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
+from itertools import accumulate, chain
 
 import numpy as np
 
@@ -304,16 +305,14 @@ def run_distributed(
 
     def walk(seed_r: int):
         blocks = generate_stream(coeffs, ops, cfg, horizon, seed_r)
-        H = np.zeros((E, h_true.size))
-        yield H
-        for block in blocks:
-            for z, d, y in zip(block.X, block.d, block.y):
-                H = atc_step(H, mu_vec, comb, z, d, y)
-                yield H
+        steps = chain.from_iterable(zip(b.X, b.d, b.y) for b in blocks)
+        return accumulate(steps, lambda H, s: atc_step(H, mu_vec, comb, *s),
+                          initial=np.zeros((E, h_true.size)))
 
     def measure(H: np.ndarray):
-        dev = np.sum((h_true - H) ** 2, axis=1)
-        return np.append(np.mean(dev), dev) if track_agents else np.mean(dev)
+        dev = np.sum((h_true - H) ** 2, axis=2)
+        mean = np.mean(dev, axis=1, keepdims=True)
+        return np.hstack((mean, dev)) if track_agents else mean
 
     means, kept, diverged = _monte_carlo(seed, realizations, horizon, walk, measure)
     return DistResult(msd=means[:, 0], agent_msd=means[:, 1:].T if track_agents else None,

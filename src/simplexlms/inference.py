@@ -26,6 +26,7 @@ differences in the test-suite.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate, chain, repeat
 
 import numpy as np
 
@@ -208,21 +209,23 @@ def run_inference(
     # every indicator in [0, 1] weights the triangles of this complex
     edge_moment_matrices(cand.ops, cfg.c_x, order)
 
+    def block_steps(b):  # each step's newest-first history, mask, observation, true indicator
+        hists = (b.x[j : j + order + 1][::-1] for j in range(b.y.shape[0]))
+        return zip(hists, b.d, b.y, repeat(b.weights))
+
     def walk(seed_r: int):
         blocks = generate_stream(coeffs, cand.ops, cfg, horizon, seed_r, schedule)
-        h, t = np.zeros(h_true.size), np.full(cand.num_candidates, 0.5)
-        yield h, t, np.asarray(schedule[0][1], dtype=np.float64)
-        for block in blocks:
-            for j, (d, y) in enumerate(zip(block.d, block.y)):
-                hist = block.x[j : j + order + 1][::-1]
-                h, t = infer_step(h, t, cand, hist, d, y, mu1, mu2, lam0, lam1)
-                yield h, t, block.weights
-            del block  # frees the block's regressors before the next block is built
+        first = (np.zeros(h_true.size), np.full(cand.num_candidates, 0.5),
+                 np.asarray(schedule[0][1], dtype=np.float64))
+        states = accumulate(chain.from_iterable(map(block_steps, blocks)), lambda state, s: (
+            *infer_step(*state[:2], cand, *s[:3], mu1, mu2, lam0, lam1), s[3]), initial=first)
+        return map(np.concatenate, states)
 
-    def measure(state) -> tuple[float, ...]:
-        h, t, t_true = state
-        return (np.sum((h_true - h) ** 2), np.sum((t_true - t) ** 2),
-                float(np.array_equal(t, t_true)), float(np.count_nonzero(t)))
+    def measure(states: np.ndarray):
+        h, t, t_true = np.split(states, [h_true.size, h_true.size + cand.num_candidates], axis=1)
+        return np.column_stack((np.sum((h_true - h) ** 2, axis=1),
+                                np.sum((t_true - t) ** 2, axis=1),
+                                (t == t_true).all(axis=1), np.count_nonzero(t, axis=1)))
 
     means, kept, diverged = _monte_carlo(seed, realizations, horizon, walk, measure)
     h_error, t_error, recovery, support = means.T

@@ -19,12 +19,14 @@ second-order remainder: both read one eigendecomposition of c_X.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate, chain, islice
 
 import numpy as np
 
 from .complexes import SimplicialComplex2, hodge_laplacians
 from .errors import DivergenceError, StabilityError
-from .signals import FilterCoeffs, StreamConfig, generate_stream, moments_closed_form
+from .signals import (_MIN_WINDOW_ROWS, FilterCoeffs, StreamConfig, generate_stream,
+                      moments_closed_form)
 
 __all__ = [
     "TheoryReport",
@@ -156,21 +158,21 @@ def theory_report(c_X: np.ndarray, g: np.ndarray, mu: float) -> TheoryReport:
 def _monte_carlo(seed: int, realizations: int, horizon: int, walk, measure):
     """The Monte-Carlo engine of every recursion runner.
 
-    Runs the generator ``walk(seed_r)`` once per realization with the
-    seeds :func:`derived_seeds` gives for ``seed``. A walk builds its
-    stream before its first ``yield`` (so a bad horizon raises before any
-    trajectory is allocated), then yields the recursion's state before the
-    first step and after each of the ``horizon`` steps; ``measure(state)``
-    gives that state's trajectory entries, a number or a 1-D array, as
-    one row of a ``(horizon + 1, width)`` trajectory. A realization is
-    dropped, and its index recorded, if and only if its trajectory holds a
+    ``walk(seed_r)`` is an iterator of one realization's states, each an
+    array: the recursion's state before the first step and after each of
+    the ``horizon`` steps, for each seed :func:`derived_seeds` gives for
+    ``seed``. The engine stacks the states in chunks of up to
+    ``_MIN_WINDOW_ROWS``, and ``measure(states)`` maps a chunk to its
+    ``(rows, width)`` rows of the ``(horizon + 1, width)`` trajectory, each
+    row as it would score that state alone. A realization is dropped, and
+    its first non-finite step recorded, at the first chunk holding a
     non-finite entry (a deviation can overflow before the state does; numpy
-    does not warn of it here). The kept trajectories are summed in
-    realization order, so one realization's stream is alive at a time and
-    memory does not grow with the realization count. Returns ``(means,
-    kept, diverged)`` with ``means`` the mean trajectory over the kept
-    realizations; if none is kept, the :class:`DivergenceError` names each
-    one's first non-finite step.
+    does not warn of it here), and its walk goes no further. The kept
+    trajectories are summed in realization order, so one realization's
+    stream is alive at a time and memory does not grow with the realization
+    count. Returns ``(means, kept, diverged)`` with ``means`` the mean
+    trajectory over the kept realizations; if none is kept, the
+    :class:`DivergenceError` names each one's first non-finite step.
     """
     if realizations < 1:
         raise ValueError(f"realizations must be at least 1, got {realizations}")
@@ -179,17 +181,16 @@ def _monte_carlo(seed: int, realizations: int, horizon: int, walk, measure):
     for r, seed_r in enumerate(derived_seeds(seed, realizations)):
         states = walk(seed_r)
         with np.errstate(over="ignore", invalid="ignore"):
-            first = measure(next(states))
-            traj = np.empty((horizon + 1, np.size(first)))
-            traj[0] = first
-            for k, state in enumerate(states, 1):
-                traj[k] = measure(state)
-        if not (finite := np.isfinite(traj).all(axis=1)).all():
-            diverged[r] = int(np.argmin(finite))
-        elif total is None:
-            total = traj
-        else:
-            total += traj
+            for start in range(0, horizon + 1, _MIN_WINDOW_ROWS):
+                rows = measure(np.stack(list(islice(states, _MIN_WINDOW_ROWS))))
+                if start == 0:
+                    traj = np.empty((horizon + 1, rows.shape[1]))
+                traj[start : start + rows.shape[0]] = rows
+                if not (finite := np.isfinite(rows).all(axis=1)).all():
+                    diverged[r] = start + int(np.argmin(finite))
+                    break
+        if r not in diverged:
+            total = traj if total is None else np.add(total, traj, out=total)
     if total is None:
         raise DivergenceError("all realizations diverged, at steps "
                               + ", ".join(map(str, diverged.values())))
@@ -237,13 +238,9 @@ def run_experiment(
 
     def walk(seed_r: int):
         blocks = generate_stream(coeffs, ops, cfg, horizon, seed_r)
-        h = np.zeros(h_true.size)
-        yield h
-        for block in blocks:
-            for X, d, y in zip(block.X, block.d, block.y):
-                h = lms_step(h, mu, X, d, y)
-                yield h
+        steps = chain.from_iterable(zip(b.X, b.d, b.y) for b in blocks)
+        return accumulate(steps, lambda h, s: lms_step(h, mu, *s), initial=np.zeros(h_true.size))
 
     means, kept, diverged = _monte_carlo(seed, realizations, horizon, walk,
-                                         lambda h: np.sum((h_true - h) ** 2))
+                                         lambda H: np.sum((h_true - H) ** 2, axis=1, keepdims=True))
     return ExperimentResult(msd=means[:, 0], theory=theory, realizations=kept, diverged=diverged)

@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from simplexlms import lms, signals
 from simplexlms.cli import main
 from simplexlms.complexes import grown_complex, load_complex, save_complex
 from simplexlms.harness import emit_results, run_mode
@@ -120,17 +121,33 @@ def test_divergent_run_exits_3(complex_file):
                                    ["--horizon", 300, "--out", "result.json"],
                                    ["--horizon", 2000]],
                          ids=["deviation-overflows", "deviation-overflows-out", "taps-overflow"])
-def test_divergence_verdict_does_not_depend_on_out_or_horizon(tmp_path, capsys, flags):
+def test_divergence_verdict_does_not_depend_on_out_or_horizon(tmp_path, capsys, monkeypatch,
+                                                              flags):
     # an unstable step on 250 edges: the recorded deviation overflows before
     # the taps do, and either way both realizations diverge, with no numpy
-    # warning and no file
+    # warning and no file; each walk stops within a chunk of its first
+    # non-finite step, whatever the horizon
     path = tmp_path / "complex.txt"
     save_complex(grown_complex(60, 250, 80, 0), path)
     flags = [tmp_path / f if f == "result.json" else f for f in flags]
+    steps, stream, step = [], lms.generate_stream, lms.lms_step
+
+    def counted_stream(*args):
+        steps.append(0)
+        return stream(*args)
+
+    def counted_step(*args):
+        steps[-1] += 1
+        return step(*args)
+
+    monkeypatch.setattr(lms, "generate_stream", counted_stream)
+    monkeypatch.setattr(lms, "lms_step", counted_step)
     assert run_cli(["run-lms", "--complex-file", path, "--order", 2, "--mu", 1e-5,
                     "--realizations", 2, "--noise-var", 1e-3, *flags]) == 3
     assert capsys.readouterr() == ("", "divergence: all realizations diverged, at steps 175, 183\n")
     assert list(tmp_path.iterdir()) == [path]
+    assert len(steps) == 2
+    assert all(n <= first + signals._MIN_WINDOW_ROWS for n, first in zip(steps, (175, 183))), steps
 
 
 DIVERGED_STEPS = [175, 183, 184, 180, 179, 182, 177, 184, 180, 178, 183, 181, 184, 179, 182,

@@ -5,7 +5,7 @@ import csv
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from simplexlms import signals
@@ -19,7 +19,14 @@ from simplexlms.diffusion import (
     run_distributed,
     save_combination,
 )
-from simplexlms.lms import lms_step, tail_average, to_db
+from simplexlms.lms import (
+    lms_step,
+    max_stepsize,
+    run_experiment,
+    tail_average,
+    theory_report,
+    to_db,
+)
 from simplexlms.signals import (
     FilterCoeffs,
     StreamConfig,
@@ -350,6 +357,51 @@ def test_sum_of_local_moments_is_global_moment():
     locals_ = local_moment_matrices(ops, p, 0.1 * np.eye(E), 2)
     m = moments_closed_form(ops, p, 0.1 * np.eye(E), np.full(E, 1e-4), 2, coeffs)
     assert np.allclose(locals_.sum(axis=0), m.c_X, atol=1e-12)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(vertices=st.integers(6, 9), edge_prob=st.floats(0.4, 0.9), fill_prob=st.floats(0.3, 1.0),
+       order=st.integers(0, 3), white=st.booleans(), fraction=st.floats(0.01, 0.45),
+       seed=st.integers(0, 2**16))
+def test_full_consensus_theory_is_the_centralized_theory(vertices, edge_prob, fill_prob, order,
+                                                         white, fraction, seed):
+    # comb = 1/E everywhere and mu_l = E mu: B acts as Q = I - mu c_X on the consensus
+    # subspace and annihilates the rest, and R = 1 1^T (x) mu^2 g, so each agent's
+    # steady-state deviation is the centralized one and rho(B) = rho(Q). B's zero
+    # eigenvalues are defective, so eigvals places them up to about 1e-9 off zero:
+    # mu below 0.45 mu_max keeps rho(Q) above 0.1, clear of them
+    complex_ = random_complex(vertices, edge_prob, fill_prob, seed)
+    E = complex_.num_edges
+    ops = hodge_laplacians(complex_)
+    rng = np.random.default_rng(seed)
+    p = rng.uniform(0.3, 1.0, E)
+    sigma_v2 = rng.choice([1e-4, 1e-3, 1e-2], E)
+    c_x = np.eye(E) if white else np.diag(rng.uniform(0.1, 2.0, E))
+    m = moments_closed_form(ops, p, c_x, sigma_v2, order, FilterCoeffs.random(order, rng))
+    assume(np.linalg.eigvalsh(m.c_X)[0] > 1e-9 * np.linalg.eigvalsh(m.c_X)[-1])
+    mu = fraction * max_stepsize(m.c_X)
+    central = theory_report(m.c_X, m.g, mu)
+    network = dist_theory(np.full((E, E), 1.0 / E), local_moment_matrices(ops, p, c_x, order),
+                          sigma_v2, np.full(E, E * mu))
+    assert network.stable
+    assert network.msd_per_agent == pytest.approx(central.msd_exact, rel=1e-10, abs=0)
+    assert abs(network.rho_b - central.rho_Q) <= 1e-14
+
+
+def test_full_consensus_network_runs_the_centralized_filter():
+    # from equal rows, one round with comb = 1/E and mu_l = E mu is the LMS update
+    # h + mu X^T D (y - X h) on the same stream, up to rounding
+    complex_ = random_complex(8, 0.5, 0.6, 3)
+    E = complex_.num_edges
+    rng = np.random.default_rng(12)
+    coeffs = FilterCoeffs.random(2, rng, scale=0.5)
+    cfg = StreamConfig(c_x=np.diag(rng.uniform(0.05, 0.2, E)),
+                       sigma_v2=rng.choice([1e-4, 1e-3, 1e-2], E), p=rng.uniform(0.3, 1.0, E))
+    mu = 1e-3  # 0.18 of the mean-stability bound: steady state within the horizon
+    central = run_experiment(complex_, coeffs, cfg, mu, realizations=2, horizon=3000, seed=4)
+    network = run_distributed(complex_, coeffs, cfg, np.full((E, E), 1.0 / E), E * mu,
+                              realizations=2, horizon=3000, seed=4)
+    np.testing.assert_allclose(network.msd, central.msd, rtol=1e-11, atol=0)
 
 
 # -------------------------------------------------------------- simulation

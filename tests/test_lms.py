@@ -474,8 +474,8 @@ def test_monte_carlo_engine_bookkeeping():
         yield float(seed)
         yield np.nan if seed in (seeds[1], seeds[3]) else 1.0
 
-    def measure(state):
-        return state, 3.0, 3.0
+    def measure(states):
+        return np.column_stack((states, np.full((len(states), 2), 3.0)))
 
     means, kept, diverged = _monte_carlo(5, 4, 1, walk, measure)
     first, second = means[:, 0], means[:, 1:]
@@ -495,7 +495,8 @@ def test_monte_carlo_drops_a_non_finite_trajectory():
         yield np.inf if seed == seeds[0] else 2.0
 
     seeds = derived_seeds(3, 2)
-    means, kept, diverged = _monte_carlo(3, 2, 1, walk, lambda state: (state, 1.0))
+    means, kept, diverged = _monte_carlo(3, 2, 1, walk,
+                                         lambda states: np.column_stack((states, np.ones(2))))
     first, second = means[:, 0], means[:, 1]
     assert (kept, diverged) == (1, [0])
     np.testing.assert_array_equal(first, [1.0, 2.0])
@@ -503,7 +504,7 @@ def test_monte_carlo_drops_a_non_finite_trajectory():
 
 
 def test_monte_carlo_drops_a_walk_non_finite_mid_stream():
-    # the entry is checked once per realization, so the walk goes on after it
+    # the walk is scored a chunk at a time, and a diverged walk is dropped whole
     seeds = derived_seeds(7, 3)
 
     def walk(seed):
@@ -514,7 +515,7 @@ def test_monte_carlo_drops_a_walk_non_finite_mid_stream():
             state = 0.9 * state + rng.standard_normal(2)
             yield np.array([np.inf, state[1]]) if seed == seeds[1] and k == 3 else state
 
-    means, kept, diverged = _monte_carlo(7, 3, 5, walk, lambda state: state)
+    means, kept, diverged = _monte_carlo(7, 3, 5, walk, lambda states: states)
     replays = [np.array(list(walk(seed))) for seed in (seeds[0], seeds[2])]
     assert (kept, diverged) == (2, [1])
     np.testing.assert_array_equal(means, (replays[0] + replays[1]) / 2)
@@ -533,15 +534,16 @@ def test_monte_carlo_names_each_diverged_step():
             yield row
 
     with pytest.raises(DivergenceError, match="^all realizations diverged, at steps 4, 2, 7$"):
-        _monte_carlo(4, 3, 7, walk, lambda state: state)
+        _monte_carlo(4, 3, 7, walk, lambda states: states)
 
 
 @settings(derandomize=True, max_examples=150, deadline=None)
-@given(data=st.data(), realizations=st.integers(1, 6), horizon=st.integers(0, 8),
-       width=st.integers(1, 3))
+@given(data=st.data(), realizations=st.integers(1, 6),
+       horizon=st.integers(0, 8) | st.integers(60, 200), width=st.integers(1, 3))
 def test_monte_carlo_drops_exactly_the_injected_realizations(data, realizations, horizon, width):
     # NaN, inf or -inf at one entry of a random step of random realizations: those and only
-    # those are dropped, and the mean is the realization-order sum of the rest over kept
+    # those are dropped, and the mean is the realization-order sum of the rest over kept;
+    # a dropped walk is pulled no further than the chunk of its first non-finite step
     injected = data.draw(st.dictionaries(
         st.integers(0, realizations - 1),
         st.tuples(st.integers(0, horizon), st.integers(0, width - 1),
@@ -549,20 +551,29 @@ def test_monte_carlo_drops_exactly_the_injected_realizations(data, realizations,
     seeds = derived_seeds(11, realizations)
     clean = [np.random.default_rng(seed).standard_normal((horizon + 1, width)) for seed in seeds]
 
+    pulled = [0] * realizations
+
     def walk(seed):
         r = seeds.index(seed)
         for k, row in enumerate(clean[r]):
             if r in injected and injected[r][0] == k:
                 row = row.copy()
                 row[injected[r][1]] = injected[r][2]
+            pulled[r] += 1
             yield row
+
+    chunk = signals._MIN_WINDOW_ROWS
+    expected = [min(horizon + 1, (injected[r][0] // chunk + 1) * chunk) if r in injected
+                else horizon + 1 for r in range(realizations)]
 
     if len(injected) == realizations:
         steps = ", ".join(str(injected[r][0]) for r in range(realizations))
         with pytest.raises(DivergenceError, match=f"^all realizations diverged, at steps {steps}$"):
-            _monte_carlo(11, realizations, horizon, walk, lambda state: state)
+            _monte_carlo(11, realizations, horizon, walk, lambda states: states)
+        assert pulled == expected
         return
-    means, kept, diverged = _monte_carlo(11, realizations, horizon, walk, lambda state: state)
+    means, kept, diverged = _monte_carlo(11, realizations, horizon, walk, lambda states: states)
+    assert pulled == expected
     assert diverged == sorted(injected)
     assert kept == realizations - len(injected)
     total = None

@@ -1,11 +1,13 @@
 """Property tests of structural identities, on random complexes."""
 
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from simplexlms import signals
+from simplexlms import diffusion, inference, lms, signals
 from simplexlms.complexes import build_incidence, hodge_laplacians, random_complex
 from simplexlms.inference import candidate_set, regressors_from_t
 from simplexlms.signals import (
@@ -325,3 +327,98 @@ def test_scheduled_stream_cuts_blocks_at_segment_starts(order, rows, horizon, st
                                + v[n])
             np.testing.assert_allclose(y, expected, rtol=1e-12,
                                        atol=1e-12 * float(np.max(np.abs(expected), initial=0)))
+
+
+class Measured(Exception):
+    """Raised in place of the Monte-Carlo engine, with the ``measure`` a runner handed it."""
+
+
+def runner_measure(module, run):
+    """The chunk ``measure`` that ``run()`` hands ``module._monte_carlo``; no step is taken."""
+    def engine(seed, realizations, horizon, walk, measure):
+        raise Measured(measure)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(module, "_monte_carlo", engine)
+        with pytest.raises(Measured) as caught:
+            run()
+    return caught.value.args[0]
+
+
+@functools.lru_cache(maxsize=None)
+def chunk_measures(order, vertices):
+    """The measures of run_experiment, run_distributed without and with agent traces, and
+    run_inference on the candidates of the complete graph on ``vertices`` vertices, for
+    fixed coefficients of ``order``; the first three do not depend on the edge count."""
+    complex_ = random_complex(4, 1.0, 1.0, 0)
+    E = complex_.num_edges
+    coeffs = FilterCoeffs.random(order, np.random.default_rng(order))
+    cfg = StreamConfig.white(E, signal_var=0.1, sigma_v2=1e-3)
+    comb = np.full((E, E), 1.0 / E)
+    measures = [runner_measure(lms, lambda: lms.run_experiment(complex_, coeffs, cfg, 1e-3, 1, 1,
+                                                               0))]
+    measures += [runner_measure(diffusion, lambda: diffusion.run_distributed(
+        complex_, coeffs, cfg, comb, 1e-3, 1, 1, 0, track_agents=track)) for track in (False, True)]
+    cand = candidate_set(random_complex(vertices, 1.0, 0.0, 0), order)
+    schedule = [(0, np.zeros(cand.num_candidates))]
+    cfg = StreamConfig.white(cand.ops.num_edges, signal_var=0.1, sigma_v2=1e-3)
+    measures.append(runner_measure(inference, lambda: inference.run_inference(
+        cand, coeffs, cfg, schedule, 1e-3, 1e-3, 0.1, 0.1, 1, 1, 0)))
+    return coeffs.flatten(), measures
+
+
+def assert_same_bits(got, want):
+    # equal bit for bit, except that any NaN matches any NaN
+    nan = np.isnan(want)
+    assert got.shape == want.shape
+    assert np.array_equal(np.isnan(got), nan)
+    assert np.array_equal(got[~nan].view(np.int64), want[~nan].view(np.int64))
+
+
+def spoil(rng, states):
+    # NaN, inf or -inf in a random entry of about a third of the states
+    for state in states:
+        if rng.random() < 1 / 3:
+            state.flat[rng.integers(state.size)] = rng.choice([np.nan, np.inf, -np.inf])
+    return states
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(order=st.integers(0, 3), agents=st.sampled_from([15, 56, 250, 900]),
+       vertices=st.sampled_from([6, 8, 12, 19]), rows=st.integers(1, 64),
+       seed=st.integers(0, 2**16))
+def test_chunk_scores_equal_per_state_scores(order, agents, vertices, rows, seed):
+    # each runner's measure scores a stacked chunk of states bit for bit as the per-state
+    # formula below scores each state alone, for 1 to 64 states, networks of 15 to 900
+    # agents and 20, 56, 220 or 969 candidate triangles (the complete graph's 3-cliques)
+    h_true, (lms_measure, network, network_agents, joint) = chunk_measures(order, vertices)
+    dim, C = h_true.size, vertices * (vertices - 1) * (vertices - 2) // 6
+    rng = np.random.default_rng(seed)
+    scale = 10.0 ** rng.uniform(-3, 3)
+
+    def check(measure, per_state, states):
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = np.array([per_state(state) for state in states], dtype=np.float64)
+            assert_same_bits(measure(np.stack(states)), want.reshape(rows, -1))
+
+    def network_row(H, track):
+        dev = np.sum((h_true - H) ** 2, axis=1)
+        return np.append(np.mean(dev), dev) if track else np.mean(dev)
+
+    def joint_row(state):
+        h, t, t_true = state[:dim], state[dim : dim + C], state[dim + C :]
+        return (np.sum((h_true - h) ** 2), np.sum((t_true - t) ** 2),
+                float(np.array_equal(t, t_true)), float(np.count_nonzero(t)))
+
+    check(lms_measure, lambda h: np.sum((h_true - h) ** 2),
+          spoil(rng, list(scale * rng.standard_normal((rows, dim)))))
+    networks = spoil(rng, list(scale * rng.standard_normal((rows, agents, dim))))
+    check(network, lambda H: network_row(H, False), networks)
+    check(network_agents, lambda H: network_row(H, True), networks)
+    # about half the states hold t_true exactly; the rest differ in about a tenth of t,
+    # by 1e-16 to 0.1
+    t_true = (rng.random((rows, C)) < 0.5).astype(np.float64)
+    differs = (rng.random((rows, 1)) < 0.5) & (rng.random((rows, C)) < 0.1)
+    t = np.where(differs, np.abs(t_true - 10.0 ** rng.uniform(-16, -1, (rows, C))), t_true)
+    h = scale * rng.standard_normal((rows, dim))
+    check(joint, joint_row, spoil(rng, [np.concatenate(state) for state in zip(h, t, t_true)]))
