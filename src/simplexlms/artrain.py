@@ -17,6 +17,7 @@ training error trace.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -24,8 +25,8 @@ from .complexes import hodge_laplacians
 from .datasets import EdgeSeriesDataset
 from .diffusion import atc_step
 from .errors import DivergenceError
-from .lms import lms_step
-from .signals import _series_walk, regressor_tensor
+from .lms import _first_nonfinite, lms_step
+from .signals import _MIN_WINDOW_ROWS, _series_walk, regressor_tensor
 
 __all__ = [
     "ARTrainResult",
@@ -71,24 +72,12 @@ def ar_regressor_tensor(series: np.ndarray, ops, order: int) -> np.ndarray:
     return regressor_tensor(series, ops, order)[:, :, 1:]
 
 
-def _ar_windows(series: np.ndarray, ops, order: int, variant: str, first: int,
-                stop: int | None = None):
-    """``(start, R)`` blocks of the variant's lag regressors for rows ``first..stop-1``.
-
-    Row ``n`` is ``series[n mod N]`` (:func:`_series_walk`), up to row
-    ``N - 1`` by default. The baseline variant zeroes the upper columns
-    of each freshly built block in place.
-    """
-    for start, window, _ in _series_walk(series, order, first, stop):
-        R = ar_regressor_tensor(window, ops, order)
-        if variant == "edge-laplacian-baseline":
-            R[:, :, :order] = 0.0
-        yield start, R
-
-
-def _normalized_error(predicted: np.ndarray, actual: np.ndarray) -> float:
-    scale = float(np.linalg.norm(actual))
-    return float(np.linalg.norm(predicted - actual)) / max(scale, 1e-300)
+def _block_errors(predicted: np.ndarray, actual: np.ndarray) -> np.ndarray:
+    """Each row's ``norm(predicted - actual) / max(norm(actual), 1e-300)``, rounded as
+    ``np.linalg.norm`` rounds that row alone (``np.linalg.norm(..., axis=1)`` does not)."""
+    num, den = (np.sqrt(np.matmul(D[:, None, :], D[:, :, None])[:, 0, 0])
+                for D in (predicted - actual, actual))
+    return num / np.maximum(den, 1e-300)
 
 
 @np.errstate(over="ignore", invalid="ignore")  # a divergence raises, and names its step
@@ -98,37 +87,40 @@ def _train_then_test(ds: EdgeSeriesDataset, order: int, variant: str, epochs: in
 
     ``step(state, X, d, y)`` adapts the array of taps ``state`` with a full
     mask over rows ``order..epochs * N - 1`` of the training series'
-    periodic extension, whose row ``n`` is training row ``n mod N``;
-    ``predict(state, X)`` is the one-step prediction from regressor matrix
-    ``X``, scored before each training step and, with the final state and
-    true histories, on every test snapshot. Returns the final state and
-    both error traces. A non-finite entry in either trace, the first one
-    named, raises :class:`DivergenceError`.
+    periodic extension (:func:`_series_walk`); the test snapshots are then
+    walked with the final taps held. The steps are taken one ``accumulate``
+    per chunk of up to ``_MIN_WINDOW_ROWS`` regressor matrices ``X``, and
+    ``predict(X, H)`` gives each row's prediction ``X[k] H[k]``, rounded as
+    alone, from the stacked taps ``H`` before each step. At a chunk's first
+    non-finite error the walk stops and :class:`DivergenceError` names its
+    training step or test snapshot. Returns the final state and both traces.
     """
     _check_variant(variant)
     if epochs < 1:
         raise ValueError("epochs must be at least 1")
-    train = ds.train_series
     N = ds.train_count
     if order >= N:
         raise ValueError("filter order must be below the training length")
     ops = hodge_laplacians(ds.complex)
     ones = np.ones(ds.complex.num_edges)
 
-    train_errors = np.empty(epochs * N - order)
-    for start, R in _ar_windows(train, ops, order, variant, order, epochs * N):
-        for n, X in enumerate(R, start):
-            target = train[n % N]
-            train_errors[n - order] = _normalized_error(predict(state, X), target)
-            state = step(state, X, ones, target)
-
-    test_errors = np.empty(ds.test_count)
-    for start, R in _ar_windows(ds.series, ops, order, variant, N):
-        for n, X in enumerate(R, start):
-            test_errors[n - N] = _normalized_error(predict(state, X), ds.series[n])
-    for name, errors in (("training step", train_errors), ("test snapshot", test_errors)):
-        if not (finite := np.isfinite(errors)).all():
-            raise DivergenceError(f"non-finite prediction error at {name} {np.argmin(finite)}")
+    train_errors, test_errors = np.empty(epochs * N - order), np.empty(ds.test_count)
+    for trace, name, series, first, stop, adapt in (
+            (train_errors, "training step", ds.train_series, order, epochs * N, step),
+            (test_errors, "test snapshot", ds.series, N, None, lambda h, X, d, y: h)):
+        for start, window, Y in _series_walk(series, order, first, stop):
+            R = ar_regressor_tensor(window, ops, order)
+            if variant == "edge-laplacian-baseline":
+                R[:, :, :order] = 0.0
+            for lo in range(0, len(R), _MIN_WINDOW_ROWS):  # the engine's chunks
+                X, y = R[lo : lo + _MIN_WINDOW_ROWS], Y[lo : lo + _MIN_WINDOW_ROWS]
+                walk = accumulate(zip(X, y), lambda h, s: adapt(h, s[0], ones, s[1]), initial=state)
+                H = np.fromiter(walk, np.dtype((np.float64, state.shape)), len(X))
+                state = next(walk)
+                at = start - first + lo
+                trace[at : at + len(X)] = errors = _block_errors(predict(X, H), y)
+                if (bad := _first_nonfinite(errors)) is not None:
+                    raise DivergenceError(f"non-finite prediction error at {name} {at + bad}")
     return state, train_errors, test_errors
 
 
@@ -147,7 +139,8 @@ def run_ar_training(
     """
     h, train_errors, test_errors = _train_then_test(
         ds, order, variant, epochs, np.zeros(2 * order),
-        lambda h, X: X @ h, lambda h, X, d, y: lms_step(h, mu, X, d, y),
+        lambda R, H: np.matmul(R, H[:, :, None])[:, :, 0],
+        lambda h, X, d, y: lms_step(h, mu, X, d, y),
     )
     return ARTrainResult(coeffs=h, train_errors=train_errors,
                          test_errors=test_errors, variant=variant)
@@ -170,7 +163,7 @@ def run_distributed_ar(
     mu_vec = np.full(E, mu)
     H, train_errors, test_errors = _train_then_test(
         ds, order, variant, epochs, np.zeros((E, 2 * order)),
-        lambda H, X: np.einsum("ij,ij->i", X, H),
+        lambda R, H: np.einsum("nij,nij->ni", R, H),
         lambda H, X, d, y: atc_step(H, mu_vec, comb, X, d, y),
     )
     return ARTrainResult(coeffs=H, train_errors=train_errors,

@@ -155,6 +155,12 @@ def theory_report(c_X: np.ndarray, g: np.ndarray, mu: float) -> TheoryReport:
     )
 
 
+def _first_nonfinite(rows: np.ndarray) -> int | None:
+    """Index of the first of ``rows`` holding a non-finite entry, or ``None``."""
+    finite = np.isfinite(rows.reshape(len(rows), -1)).all(axis=1)
+    return None if finite.all() else int(np.argmin(finite))
+
+
 def _monte_carlo(seed: int, realizations: int, horizon: int, walk, measure):
     """The Monte-Carlo engine of every recursion runner.
 
@@ -186,8 +192,8 @@ def _monte_carlo(seed: int, realizations: int, horizon: int, walk, measure):
                 if start == 0:
                     traj = np.empty((horizon + 1, rows.shape[1]))
                 traj[start : start + rows.shape[0]] = rows
-                if not (finite := np.isfinite(rows).all(axis=1)).all():
-                    diverged[r] = start + int(np.argmin(finite))
+                if (bad := _first_nonfinite(rows)) is not None:
+                    diverged[r] = start + bad
                     break
         if r not in diverged:
             total = traj if total is None else np.add(total, traj, out=total)

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from simplexlms import datasets, harness, signals
+from simplexlms import artrain, datasets, harness, signals
 from simplexlms.artrain import (
     VARIANTS,
     ar_regressor_tensor,
@@ -215,6 +215,54 @@ def test_ar_divergence_names_the_training_step():
         run_ar_training(ds, 2, 1e3)
     with pytest.raises(DivergenceError, match=message):
         run_distributed_ar(ds, 2, 1e3, comb)
+
+
+def counted(monkeypatch, module, name):
+    """A one-entry list counting the calls made through ``module.name`` from now on."""
+    calls, fn = [0], getattr(module, name)
+
+    def count(*args):
+        calls[0] += 1
+        return fn(*args)
+
+    monkeypatch.setattr(module, name, count)
+    return calls
+
+
+@pytest.mark.parametrize("distributed", [False, True], ids=["central", "distributed"])
+def test_diverged_ar_walk_stops_within_a_chunk(distributed, monkeypatch):
+    # mu 1e3 diverges in the first window of a 30-epoch walk of 7,498 steps: the walk
+    # stops at the end of the chunk holding the first non-finite error, as the engine's does
+    ds = traffic_surrogate(seed=2)
+    comb = build_combination(lower_adjacency_neighborhoods(ds.complex), "uniform")
+    steps = counted(monkeypatch, artrain, "atc_step" if distributed else "lms_step")
+    with pytest.raises(DivergenceError,
+                       match=r"^non-finite prediction error at training step \d+$") as caught:
+        if distributed:
+            run_distributed_ar(ds, 2, 1e3, comb, epochs=30)
+        else:
+            run_ar_training(ds, 2, 1e3, epochs=30)
+    first = int(str(caught.value).rsplit(" ", 1)[1])
+    assert first < steps[0] <= first + signals._MIN_WINDOW_ROWS, steps
+
+
+@pytest.mark.parametrize("distributed", [False, True], ids=["central", "distributed"])
+def test_ar_protocols_call_their_step_and_regressors_at_call_time(distributed, monkeypatch):
+    # the span tracer rebinds module globals: each protocol must look its step and
+    # its regressor builder up in artrain at call time, once per step and per window
+    ds = traffic_surrogate(seed=2)
+    order, epochs, N = 2, 2, ds.train_count
+    steps = counted(monkeypatch, artrain, "atc_step" if distributed else "lms_step")
+    builds = counted(monkeypatch, artrain, "ar_regressor_tensor")
+    if distributed:
+        comb = build_combination(lower_adjacency_neighborhoods(ds.complex), "uniform")
+        run_distributed_ar(ds, order, 1e-1, comb, epochs=epochs)
+    else:
+        run_ar_training(ds, order, 1e-4, epochs=epochs)
+    windows = (list(signals._series_walk(ds.train_series, order, order, epochs * N))
+               + list(signals._series_walk(ds.series, order, N)))
+    assert steps[0] == epochs * N - order
+    assert builds[0] == len(windows) > 2
 
 
 def test_baseline_upper_coefficients_stay_zero():

@@ -1,13 +1,14 @@
 """Property tests of structural identities, on random complexes."""
 
 import functools
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from simplexlms import diffusion, inference, lms, signals
+from simplexlms import artrain, diffusion, inference, lms, signals
 from simplexlms.complexes import build_incidence, hodge_laplacians, random_complex
 from simplexlms.inference import candidate_set, regressors_from_t
 from simplexlms.signals import (
@@ -422,3 +423,49 @@ def test_chunk_scores_equal_per_state_scores(order, agents, vertices, rows, seed
     t = np.where(differs, np.abs(t_true - 10.0 ** rng.uniform(-16, -1, (rows, C))), t_true)
     h = scale * rng.standard_normal((rows, dim))
     check(joint, joint_row, spoil(rng, [np.concatenate(state) for state in zip(h, t, t_true)]))
+
+
+@functools.lru_cache(maxsize=None)
+def ar_predicts():
+    """The ``predict`` that run_ar_training and run_distributed_ar each hand
+    ``artrain._train_then_test``; no step is taken."""
+    def loop(ds, order, variant, epochs, state, predict, step):
+        raise Measured(predict)
+
+    ds = SimpleNamespace(complex=SimpleNamespace(num_edges=2))
+    predicts = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(artrain, "_train_then_test", loop)
+        for run in (lambda: artrain.run_ar_training(ds, 1, 1e-3),
+                    lambda: artrain.run_distributed_ar(ds, 1, 1e-3, np.eye(2))):
+            with pytest.raises(Measured) as caught:
+                run()
+            predicts.append(caught.value.args[0])
+    return predicts
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(rows=st.integers(1, 300), edges=st.sampled_from([15, 56, 250, 900]),
+       taps=st.sampled_from([2, 4, 6]), seed=st.integers(0, 2**16))
+@example(rows=300, edges=900, taps=6, seed=0)
+def test_ar_block_scores_equal_per_step_scores(rows, edges, taps, seed):
+    # both protocols' block predictions from stacked taps, and the block score, equal
+    # the per-step products and np.linalg.norm ratio bit for bit; about a tenth of the
+    # rows hold NaN or +-inf, and about a tenth of the targets are zero (the 1e-300 floor)
+    central, agents = ar_predicts()
+    rng = np.random.default_rng(seed)
+    scale = 10.0 ** rng.uniform(-3, 3)
+    R = scale * rng.standard_normal((rows, edges, taps))
+    h, H = rng.standard_normal((rows, taps)), rng.standard_normal((rows, edges, taps))
+    Y = scale * rng.standard_normal((rows, edges))
+    for block in (R, h, H, Y):
+        spoiled = rng.random(rows) < 0.1
+        block[spoiled, ..., rng.integers(block.shape[-1])] = rng.choice([np.nan, np.inf, -np.inf])
+    Y[rng.random(rows) < 0.1] = 0.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for got, want in ((central(R, h), [X @ h_k for X, h_k in zip(R, h)]),
+                          (agents(R, H), [np.einsum("ij,ij->i", X, H_k) for X, H_k in zip(R, H)])):
+            assert_same_bits(got, np.array(want))
+            errors = [np.linalg.norm(p - y) / max(np.linalg.norm(y), 1e-300)
+                      for p, y in zip(got, Y)]
+            assert_same_bits(artrain._block_errors(got, Y), np.array(errors))

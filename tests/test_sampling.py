@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from simplexlms.complexes import (
@@ -15,7 +15,9 @@ from simplexlms.complexes import (
     save_complex,
 )
 from simplexlms.errors import InfeasibleProblemError
+from simplexlms.lms import max_stepsize, theory_report
 from simplexlms.sampling import SamplingProblem, check_constraints, solve_sampling
+from simplexlms.signals import FilterCoeffs, edge_moment_matrices, moments_closed_form
 
 
 def scalar_problem(c=2.0, g_var=1e-6, mu=1e-2, alpha=0.98, gamma=1e-4, p_max=1.0):
@@ -347,3 +349,40 @@ def test_design_path_forms_no_dense_incidence_pair(tmp_path):
         tracemalloc.stop()
     assert solution.converged
     assert peak < E * (V + T) * 8, peak
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(vertices=st.integers(4, 10), edge_prob=st.floats(0.3, 1.0), fill_prob=st.floats(0.0, 1.0),
+       order=st.integers(0, 3), step=st.floats(0.01, 0.24), rate=st.floats(0.05, 1.0),
+       budget=st.floats(0.2, 10.0), seed=st.integers(0, 2**16))
+def test_design_meets_its_rate_target_through_the_theory(vertices, edge_prob, fill_prob, order,
+                                                         step, rate, budget, seed):
+    # the design's promise read through the other module: p_star's moments, fed to
+    # theory_report, give a rate estimate within tol of the target alpha. mu is below
+    # max_stepsize(c_X(p_max)) and r at most lambda_min(c_X(p_max)), so alpha lies in
+    # (0, 1) and every design point is stable; the budget may bind or make it infeasible
+    complex_ = random_complex(vertices, edge_prob, fill_prob, seed)
+    E = complex_.num_edges
+    assume(E > 0)
+    ops = hodge_laplacians(complex_)
+    rng = np.random.default_rng(seed)
+    c_x = rng.uniform(0.1, 1.0) if seed % 2 else np.diag(rng.uniform(0.1, 1.0, E))
+    sigma_v2 = 10.0 ** rng.uniform(-4, -2, E)
+    p_max = rng.uniform(0.3, 1.0, E)
+    coeffs = FilterCoeffs.random(order, rng)
+    lam = np.linalg.eigvalsh(moments_closed_form(ops, p_max, c_x, sigma_v2, order, coeffs).c_X)
+    assume(lam[0] > 1e-6 * lam[-1])
+    mu = step * max_stepsize(np.diag(lam))
+    r = rate * lam[0]
+    alpha, tol = 1.0 - 2.0 * mu * r, 1e-6
+    basis = edge_moment_matrices(ops, c_x, order)
+    prob = SamplingProblem(mu=mu, alpha=alpha, gamma=budget * mu * float(
+        np.sum(sigma_v2 * np.trace(basis, axis1=1, axis2=2) * p_max)) / (2.0 * r),
+        p_max=p_max, basis=basis, sigma_v2=sigma_v2)
+    try:
+        design = solve_sampling(prob, tol=tol)
+    except InfeasibleProblemError:
+        return
+    assume(design.converged)
+    moments = moments_closed_form(ops, design.p_star, c_x, sigma_v2, order, coeffs)
+    assert theory_report(moments.c_X, moments.g, mu).alpha <= alpha + (1.0 - alpha) * tol
