@@ -18,11 +18,10 @@ from .complexes import (
     hodge_decompose,
     hodge_laplacians,
     inverse_sft,
-    load_complex,
     random_complex,
-    save_complex,
     sft,
 )
+from .files import load_complex, save_complex
 from .signals import (
     FilterCoeffs,
     MomentSet,

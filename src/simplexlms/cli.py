@@ -20,12 +20,14 @@ that a strict JSON result cannot hold, reported in one line).
 from __future__ import annotations
 
 import argparse
+import ctypes
 import json
 import sys
 
 import numpy as np
 
 from .errors import ConfigError, DivergenceError, InfeasibleProblemError
+from .files import load_config
 from .harness import (
     KEYS,
     _at_least_one,
@@ -37,7 +39,6 @@ from .harness import (
     _path,
     check_output,
     emit_results,
-    load_config,
     run_mode,
 )
 
@@ -150,9 +151,25 @@ def _summary_line(mode: str, payload: dict) -> str:
     return f"{mode}: done"
 
 
+def _one_blas_thread():
+    """Pin numpy's bundled OpenBLAS to one thread, since result bits depend on the thread count,
+    and return the call that restores the count. Without the symbol a run is not pinned."""
+    try:  # the extension module's handle finds the symbols of the OpenBLAS it links
+        lib = ctypes.CDLL(np._core._multiarray_umath.__file__)
+        get, set_ = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
+    except (AttributeError, OSError):
+        print("note: BLAS thread count not pinned; result bits may depend on it", file=sys.stderr)
+        return lambda: None
+    get.argtypes, get.restype, set_.argtypes, set_.restype = (), ctypes.c_int, (ctypes.c_int,), None
+    threads = get()
+    set_(1)
+    return lambda: set_(threads)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    restore = _one_blas_thread()
     try:
         values = _collect_values(args)
         if args.out:
@@ -182,6 +199,8 @@ def main(argv=None) -> int:
     except (np.linalg.LinAlgError, FloatingPointError) as exc:
         print(f"numerical failure: {type(exc).__name__}: {exc}", file=sys.stderr)
         return _EXIT_NUMERICAL
+    finally:
+        restore()
     return _EXIT_OK
 
 

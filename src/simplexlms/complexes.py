@@ -22,12 +22,13 @@ the exact integers.
 
 from __future__ import annotations
 
-import re
 from bisect import insort
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
+
+from .files import save_complex  # noqa: F401  (perfbench/workloads.py imports it from here)
 
 __all__ = [
     "SimplicialComplex2",
@@ -42,8 +43,6 @@ __all__ = [
     "enumerate_3cliques",
     "random_complex",
     "grown_complex",
-    "save_complex",
-    "load_complex",
 ]
 
 
@@ -481,82 +480,3 @@ def grown_complex(
         f"could not realise {num_triangles} triangles on {num_edges} edges "
         "after 200 attempts"
     )
-
-
-def save_complex(complex_: SimplicialComplex2, path) -> None:
-    """Write the text format: vertex count, then `i j` edges, then `i j k` triangles.
-
-    Vertex indices are 1-based on disk; lines starting with ``#`` are
-    comments.
-    """
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"{complex_.num_vertices}\n")
-        fh.write("# edges\n")
-        for i, j in complex_.edges:
-            fh.write(f"{i + 1} {j + 1}\n")
-        fh.write("# triangles\n")
-        for i, j, k in complex_.triangles:
-            fh.write(f"{i + 1} {j + 1} {k + 1}\n")
-
-
-def load_complex(path) -> SimplicialComplex2:
-    """Read the text format written by :func:`save_complex`.
-
-    Rejects malformed lines (with their line number) and any input that
-    :func:`build_incidence` rejects; every message starts with ``path``.
-    """
-    num_vertices = None
-    edges: list[tuple[int, int]] = []
-    triangles: list[tuple[int, int, int]] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            parts = line.split()
-            try:
-                values = [int(p) for p in parts]
-            except ValueError as exc:
-                raise ValueError(f"{path}: line {lineno}: non-integer token") from exc
-            if num_vertices is None:
-                if len(values) != 1:
-                    raise ValueError(
-                        f"{path}: line {lineno}: expected the vertex count first"
-                    )
-                num_vertices = values[0]
-            elif len(values) == 2:
-                edges.append((values[0] - 1, values[1] - 1))
-            elif len(values) == 3:
-                triangles.append((values[0] - 1, values[1] - 1, values[2] - 1))
-            else:
-                raise ValueError(
-                    f"{path}: line {lineno}: expected an `i j` edge or `i j k` triangle"
-                )
-    if num_vertices is None:
-        raise ValueError(f"{path}: empty complex file")
-    try:
-        return build_incidence(num_vertices, edges, triangles)
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
-
-
-# Both read reprs each followed by ","; _SMALL starts with its literal, which is searched fast,
-# and its lookbehind then rejects a literal that sits inside a number (10.0005).
-_SMALL = re.compile(r"0\.00(?<!\d0\.00)(?:0(\d)(\d+)|0?(\d)(?=,))")  # 0.00015, 0.0005 or 0.005
-_INTEGRAL = re.compile(r"(?<![\d.])([1-9]\d*?)(0+)\.0(?=,)")  # 1500.0: digits 15, zeros 00
-
-
-def _spell(values: list, entries: bool = False) -> list[str]:
-    """Each float of ``values`` in its shortest exact spelling, the one every text file holds:
-    the shorter of ``repr``'s (positional from 1e-4 up to 1e16) and scientific form with a bare
-    exponent (``1e-7``, ``1.5e-4``, ``1e16``), ``repr``'s on a tie, so that JSON reads a float.
-    With ``entries`` (of a JSON array) an integral value drops its ``.0`` (``-0.0`` is ``-0``)."""
-    def integral(m):  # scientific form may be shorter from 10 up
-        scientific = f"{m[1][0]}.{m[1][1:]}".rstrip(".") + f"e{len(m[1] + m[2]) - 1}"
-        return min(m[0][:-2] if entries else m[0], scientific, key=len)  # the first on a tie
-
-    text = (",".join(map(float.__repr__, values)) + ",").replace("e+", "e").replace("e-0", "e-")
-    # shorter below 1e-3, and for one digit below 1e-2
-    text = _SMALL.sub(lambda m: f"{m[1]}.{m[2]}e-4" if m[1] else f"{m[3]}e-{len(m[0]) - 2}", text)
-    text = _INTEGRAL.sub(integral, text) if "0.0," in text else text
-    return (text.replace(".0,", ",") if entries else text)[:-1].split(",") if values else []

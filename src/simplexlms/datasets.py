@@ -1,28 +1,27 @@
-"""Edge time-series datasets: ingestion, serialisation and surrogates.
+"""Edge time-series datasets: ingestion and surrogates.
 
-The on-disk format pairs a complex file (see :mod:`.complexes`) with a
-CSV of snapshots whose header is ``n,e_1,...,e_E`` and whose rows hold
-one snapshot each. A generator for autoregressive surrogate traffic at
-the reference scale of 17 vertices / 26 edges / 5 triangles and 288
+A dataset pairs a complex file with a CSV of snapshots whose header is
+``n,e_1,...,e_E`` and whose rows hold one snapshot each; :mod:`.files`
+reads and writes both. A generator for autoregressive surrogate traffic
+at the reference scale of 17 vertices / 26 edges / 5 triangles and 288
 snapshots (250 train / 38 test) is included, since the original traffic
 measurements are not redistributed.
 """
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 
-from .complexes import SimplicialComplex2, _spell, grown_complex, hodge_laplacians, load_complex
+from .complexes import SimplicialComplex2, grown_complex, hodge_laplacians
 from .errors import ConfigError
+from .files import load_complex, read_edge_series
+from .files import write_edge_series  # noqa: F401  (perfbench/workloads.py imports it from here)
 from .signals import FilterCoeffs, regressor_tensor
 
 __all__ = [
     "EdgeSeriesDataset",
-    "read_edge_series",
-    "write_edge_series",
     "ingest_edge_series",
     "reference_traffic_complex",
     "synthetic_traffic_series",
@@ -55,50 +54,6 @@ class EdgeSeriesDataset:
     @property
     def train_series(self) -> np.ndarray:
         return self.series[: self.train_count]
-
-
-def write_edge_series(path, series: np.ndarray) -> None:
-    """CSV with header ``n,e_1,...,e_E`` and one snapshot per row, spelled by ``_spell``."""
-    series = np.asarray(series, dtype=np.float64)
-    N, E = series.shape
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["n"] + [f"e_{j + 1}" for j in range(E)])
-        for n in range(N):
-            writer.writerow([n] + _spell(series[n].tolist()))
-
-
-def read_edge_series(path) -> np.ndarray:
-    """Load a snapshot CSV; malformed or non-finite cells name the offending line."""
-    rows: list[list[float]] = []
-    with open(path, "r", newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ConfigError(f"{path}: empty series file") from None
-        if not header or header[0] != "n" or any(
-            h != f"e_{j + 1}" for j, h in enumerate(header[1:])
-        ):
-            raise ConfigError(f"{path}: header must be n,e_1,...,e_E, got {header!r}")
-        width = len(header) - 1
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != width + 1:
-                raise ConfigError(
-                    f"{path}: line {lineno}: expected {width + 1} cells, got {len(row)}"
-                )
-            try:
-                rows.append([float(v) for v in row[1:]])
-            except ValueError:
-                raise ConfigError(f"{path}: line {lineno}: non-numeric cell") from None
-    if not rows:
-        raise ConfigError(f"{path}: series file holds no snapshots")
-    series = np.asarray(rows, dtype=np.float64)
-    # float() accepts "nan" and "inf"; reject them here, not as a divergence later
-    bad = np.flatnonzero(~np.all(np.isfinite(series), axis=1))
-    if bad.size:
-        raise ConfigError(f"{path}: line {bad[0] + 2}: non-finite cell")
-    return series
 
 
 def ingest_edge_series(

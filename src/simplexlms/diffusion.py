@@ -22,13 +22,12 @@ with ``S`` from a discrete Lyapunov (Stein) solve by squared doubling
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from itertools import accumulate, chain
 
 import numpy as np
 
-from .complexes import SimplicialComplex2, _spell, hodge_laplacians
+from .complexes import SimplicialComplex2, hodge_laplacians
 from .lms import _is_stable, _monte_carlo
 from .signals import (
     FilterCoeffs,
@@ -48,7 +47,6 @@ __all__ = [
     "atc_step",
     "dist_theory",
     "run_distributed",
-    "save_combination",
 ]
 
 RULES = ("uniform", "metropolis")
@@ -221,6 +219,11 @@ def dist_theory(
     (shape (E, dim, dim)); an unstable configuration, one whose
     ``rho(B)`` does not clear 1 by the stability margin, is reported
     through the ``stable`` flag and NaN deviations rather than raised.
+
+    ``rho_b`` is read from ``np.linalg.eigvals`` of the non-normal ``B``, whose error on a
+    defective eigenvalue grows like the square root of machine epsilon (6.0e-10 at full
+    consensus, where the exact radius is 0): a radius that close to the ``1 - 1e-9`` margin
+    can be judged on the wrong side of it, and no certificate of the radius checks it.
     """
     E = comb.shape[0]
     local_moments = np.asarray(local_moments, dtype=np.float64)
@@ -317,13 +320,3 @@ def run_distributed(
     means, kept, diverged = _monte_carlo(seed, realizations, horizon, walk, measure)
     return DistResult(msd=means[:, 0], agent_msd=means[:, 1:].T if track_agents else None,
                       theory=theory, realizations=kept, diverged=diverged)
-
-
-def save_combination(comb: np.ndarray, path) -> None:
-    """CSV rows ``i, l, a_il`` for the nonzero weights of ``comb``, spelled by ``_spell``."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["i", "l", "a_il"])
-        for i, row in enumerate(comb):
-            for l, weight in zip(np.flatnonzero(row).tolist(), _spell(row[row != 0].tolist())):
-                writer.writerow([i, l, weight])

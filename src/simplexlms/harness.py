@@ -15,35 +15,19 @@ cannot be read or written) becomes a :class:`ConfigError`. It writes the
 
 from __future__ import annotations
 
-import contextlib
-import csv
-import json
 import os
-from itertools import repeat
 
 import numpy as np
 
 from . import __version__
 from .artrain import VARIANTS, _check_variant, run_ar_training, run_distributed_ar
-from .complexes import (
-    SimplicialComplex2,
-    _spell,
-    grown_complex,
-    hodge_laplacians,
-    load_complex,
-    random_complex,
-    save_complex,
-)
-from .datasets import ingest_edge_series, traffic_surrogate, write_edge_series
-from .diffusion import (
-    RULES,
-    _check_rule,
-    build_combination,
-    lower_adjacency_neighborhoods,
-    run_distributed,
-    save_combination,
-)
+from .complexes import SimplicialComplex2, grown_complex, hodge_laplacians, random_complex
+from .datasets import ingest_edge_series, traffic_surrogate
+from .diffusion import (RULES, _check_rule, build_combination, lower_adjacency_neighborhoods,
+                        run_distributed)
 from .errors import ConfigError
+from .files import (load_complex, read_results, save_combination, save_complex, write_edge_series,
+                    write_results)
 from .inference import _check_threshold_order, candidate_set, run_inference
 from .lms import _db_or_none, run_experiment, tail_average, to_db
 from .sampling import SamplingProblem, solve_sampling
@@ -51,25 +35,11 @@ from .signals import FilterCoeffs, StreamConfig
 
 __all__ = [
     "KEYS",
-    "load_config",
     "emit_results",
     "check_output",
     "run_mode",
     "MODES",
 ]
-
-
-def load_config(path) -> dict:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    except OSError as exc:
-        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
-    if not isinstance(data, dict):
-        raise ConfigError(f"config file {path} must hold a JSON object")
-    return data
 
 
 def _sub_rng(seed: int, tag: str) -> np.random.Generator:
@@ -448,104 +418,21 @@ def check_output(mode: str, path, fmt: str = "json") -> None:
         raise ConfigError(f"cannot write {path}: it is a directory")
 
 
-def _csv_rows(payload: dict, table):
-    """Header, then a row per entry of the table's per-row arrays; floats by :func:`_spell`."""
-    index, columns = table
-    values = []
-    for _, key, *view in columns:
-        value = payload
-        for part in key.split("."):
-            value = (value or {}).get(part)
-        cells = np.asarray(view[0](value) if view else value).tolist()  # Python values
-        column = cells if isinstance(cells, list) else [cells]
-        spelled = iter(_spell([cell for cell in column if isinstance(cell, float)]))
-        column = [next(spelled) if isinstance(cell, float) else cell for cell in column]
-        values.append(column if isinstance(cells, list) else repeat(column[0]))
-    yield [index] + [column[0] for column in columns]
-    yield from ([k, *row] for k, row in enumerate(zip(*values)))
-
-
-def _json_floats(values) -> list[str]:
-    """:func:`_spell` of the floats ``values``, which strict JSON holds only when finite; an
-    array's integral entry drops its ``.0``, a list's keeps it."""
-    if not (finite := np.isfinite(values)).all():
-        bad = float(values[np.argmin(finite)])
-        raise ValueError(f"Out of range float values are not JSON compliant: {bad!r}")
-    array = isinstance(values, np.ndarray)
-    return _spell(values.tolist() if array else values, entries=array)
-
-
-def _json_pieces(value):
-    """``value`` as compact, strict JSON: dicts (string keys), lists, tuples and 2-D arrays
-    entry by entry, floats by :func:`_json_floats` (512 a call), others by ``json.dumps``."""
-    floats = isinstance(value, (list, tuple)) and value and all(type(v) is float for v in value)
-    if isinstance(value, dict):
-        for n, (key, item) in enumerate(value.items()):
-            yield ("," if n else "{") + json.dumps(key) + ":"
-            yield from _json_pieces(item)
-        yield "}" if value else "{}"
-    elif isinstance(value, (list, tuple)) and not floats or getattr(value, "ndim", 0) > 1:
-        for n, item in enumerate(value):
-            yield "," if n else "["
-            yield from _json_pieces(item)
-        yield "]" if len(value) else "[]"
-    elif floats or isinstance(value, np.ndarray):
-        for n in range(0, len(value), 512):
-            yield ("," if n else "[") + ",".join(_json_floats(value[n:n + 512]))
-        yield "]" if len(value) else "[]"
-    elif isinstance(value, float):
-        yield _json_floats([value])[0]
-    else:
-        yield json.dumps(value)
-
-
-def _write_json(payload: dict, fh) -> None:
-    """``payload`` as one line of :func:`_json_pieces` and a newline, piece by piece into ``fh``,
-    whose own buffer groups the writes: memory stays bounded."""
-    for piece in _json_pieces(payload):
-        fh.write(piece)
-    fh.write("\n")
-
-
-@contextlib.contextmanager
-def _replacing(path):
-    """Yield the sibling ``<path>.part`` to write, and rename it onto ``path`` once complete.
-
-    A write that fails leaves no file, and an existing ``path`` keeps its
-    bytes. An ``OSError`` is a :class:`ConfigError` that names ``path``.
-    """
-    part = os.fspath(path) + ".part"
-    try:
-        yield part
-        os.replace(part, path)
-    except OSError as exc:
-        raise ConfigError(f"cannot write {path}: {exc}") from exc
-    finally:
-        with contextlib.suppress(OSError):  # already gone after the rename
-            os.remove(part)
-
-
 def emit_results(payload: dict, path, fmt: str = "json") -> None:
     """Write a result payload as one line of strict, compact JSON, or its mode's row table as CSV.
 
-    The file is streamed into a sibling ``<path>.part`` and renamed onto
-    ``path`` once complete (through :func:`_replacing`, as the side outputs
-    are), so memory does not grow with the file and a failed write leaves no
-    file: an existing one keeps its bytes. JSON files never hold ``NaN`` or
-    ``Infinity``: a payload with a non-finite float raises and leaves no
-    file. CSV rows come from the payload's per-row arrays, through the
-    column table of its ``metadata.mode``; a mode without a table, or a
-    file that cannot be written, is a :class:`ConfigError`.
+    The file is streamed by :func:`.files.write_results`, so memory does
+    not grow with the file and a failed write leaves no file: an existing
+    one keeps its bytes. A payload with a non-finite float raises. CSV rows
+    come from the column table of the payload's ``metadata.mode``; a mode
+    without a table, or a file that cannot be written, is a :class:`ConfigError`.
     """
+    table = None
     if fmt == "csv":
         table = _csv_table(payload.get("metadata", {}).get("mode"))
     elif fmt != "json":
         raise ConfigError(f"unknown output format {fmt!r}")
-    with _replacing(path) as part, open(part, "w", newline="", encoding="utf-8") as fh:
-        if fmt == "json":
-            _write_json(payload, fh)
-        else:
-            csv.writer(fh).writerows(_csv_rows(payload, table))
+    write_results(path, payload, table)
 
 
 def _stream(cfg: dict, complex_: SimplicialComplex2) -> StreamConfig:
@@ -661,8 +548,7 @@ def mode_run_distributed(cfg: dict) -> dict:
     mu = _per_edge(cfg["mu"], complex_.num_edges, "config key 'mu'")
     comb = build_combination(lower_adjacency_neighborhoods(complex_), rule=cfg["rule"])
     if cfg.get("combination_out"):
-        with _replacing(cfg["combination_out"]) as part:
-            save_combination(comb, part)
+        save_combination(comb, cfg["combination_out"])
     result = run_distributed(complex_, coeffs, stream, comb, mu, cfg["realizations"],
                              cfg["horizon"], cfg["seed"], track_agents=cfg["emit_agent_traces"])
     failed = [name for name, holds in vars(result.theory.checks).items() if not holds]
@@ -719,13 +605,11 @@ def mode_ar_train(cfg: dict) -> dict:
 def mode_generate_complex(cfg: dict) -> dict:
     complex_ = build_complex_from_config(cfg)
     if cfg.get("complex_out"):
-        with _replacing(cfg["complex_out"]) as part:
-            save_complex(complex_, part)
+        save_complex(complex_, cfg["complex_out"])
     if cfg.get("series_out"):
         ds = traffic_surrogate(seed=cfg["seed"], order=cfg["order"],
                                with_upper=cfg["with_upper"], complex_=complex_)
-        with _replacing(cfg["series_out"]) as part:
-            write_edge_series(part, ds.series)
+        write_edge_series(cfg["series_out"], ds.series)
     return {
         "vertices": complex_.num_vertices,
         "edges": complex_.num_edges,
@@ -733,18 +617,10 @@ def mode_generate_complex(cfg: dict) -> dict:
     }
 
 
-def _reject_constant(token):
-    raise ValueError(f"non-standard JSON constant {token}")
-
-
 def mode_analyze(cfg: dict) -> dict:
     path = cfg["results_file"]
-    try:  # strict JSON, every number read as a float
-        with open(path, "r", encoding="utf-8") as fh:
-            payload = json.load(fh, parse_constant=_reject_constant, parse_int=float)
-    except (OSError, ValueError) as exc:
-        raise ConfigError(f"cannot read results file {path}: {exc}") from exc
-    if not isinstance(payload, dict) or not isinstance(payload.get("theory") or {}, dict):
+    payload = read_results(path)
+    if not isinstance(payload.get("theory") or {}, dict):
         raise ConfigError(f"results file {path} must hold a JSON object, "
                           "and its 'theory' an object or null")
 

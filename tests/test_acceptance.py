@@ -21,7 +21,6 @@ from simplexlms.complexes import (
     hodge_laplacians,
     inverse_sft,
     random_complex,
-    save_complex,
     sft,
 )
 from simplexlms.artrain import run_ar_training, run_distributed_ar
@@ -47,6 +46,7 @@ from simplexlms.lms import (
 )
 from simplexlms.cli import main as cli_main
 from simplexlms.errors import InfeasibleProblemError
+from simplexlms.files import save_complex
 from simplexlms.sampling import SamplingProblem, solve_sampling
 from simplexlms.signals import (
     FilterCoeffs,

@@ -100,3 +100,27 @@ def test_benchmark_imports_resolve():
     missing = [f"{file}: {module}.{name}" for file, module, name in imported
                if not hasattr(importlib.import_module(module), name)]
     assert not missing, f"benchmark imports missing names: {missing}"
+
+
+def test_only_the_files_module_touches_a_file():
+    # one module owns every file format: only it opens a file or imports csv or re, json is
+    # used there and by the CLI's printout, and the numerics modules import no file module
+    numerics = {"complexes", "signals", "lms", "sampling", "inference", "diffusion", "artrain"}
+    file_modules = {"csv", "re", "json", "os", "io", "pathlib", "shutil", "tempfile", "pickle"}
+    file_calls = {"open", "loadtxt", "savetxt", "genfromtxt", "fromfile", "tofile"}
+    uses = {}
+    for path in sorted(Path(simplexlms.__file__).parent.glob("*.py")):
+        found = set()
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                found |= {alias.name.split(".")[0] for alias in node.names}
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                found.add(node.module.split(".")[0])
+            elif isinstance(node, ast.Call):
+                name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                found |= {"open("} if name in file_calls else set()
+        uses[path.stem] = found
+    assert {module for module, found in uses.items() if found & {"open(", "csv", "re"}} == {"files"}
+    assert {module for module, found in uses.items() if "json" in found} == {"files", "cli"}
+    assert {module: uses[module] & file_modules for module in numerics
+            if uses[module] & file_modules} == {}

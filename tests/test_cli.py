@@ -12,7 +12,8 @@ import pytest
 
 from simplexlms import lms, signals
 from simplexlms.cli import main
-from simplexlms.complexes import grown_complex, load_complex, save_complex
+from simplexlms.complexes import grown_complex
+from simplexlms.files import load_complex, save_complex
 from simplexlms.harness import emit_results, run_mode
 from simplexlms.lms import to_db
 
@@ -849,8 +850,8 @@ def test_ar_train_with_surrogate_and_csv(tmp_path):
 
 
 def test_ar_train_from_files(tmp_path):
-    from simplexlms.datasets import traffic_surrogate, write_edge_series
-    from simplexlms.complexes import save_complex
+    from simplexlms.datasets import traffic_surrogate
+    from simplexlms.files import save_complex, write_edge_series
 
     ds = traffic_surrogate(seed=2)
     complex_path = tmp_path / "c.txt"
@@ -870,8 +871,8 @@ def test_ar_train_from_files(tmp_path):
 
 @pytest.mark.parametrize("fault", ["missing series", "missing complex", "repeated edge"])
 def test_ar_train_bad_input_file_exits_2(tmp_path, capsys, fault):
-    from simplexlms.datasets import traffic_surrogate, write_edge_series
-    from simplexlms.complexes import save_complex
+    from simplexlms.datasets import traffic_surrogate
+    from simplexlms.files import save_complex, write_edge_series
 
     ds = traffic_surrogate(seed=2)
     complex_path = tmp_path / "c.txt"
@@ -926,23 +927,29 @@ def test_unwritable_side_output_writes_no_other_file(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("existing", [False, True])
-@pytest.mark.parametrize("mode, flag, writer, path_arg", [
-    ("generate-complex", "--complex-out", "save_complex", 1),
-    ("generate-complex", "--series-out", "write_edge_series", 0),
-    ("run-distributed", "--combination-out", "save_combination", 1),
+@pytest.mark.parametrize("mode, flag", [
+    ("generate-complex", "--complex-out"),
+    ("generate-complex", "--series-out"),
+    ("run-distributed", "--combination-out"),
 ])
 def test_side_output_failing_midway_leaves_no_partial_file(tmp_path, complex_file, capsys,
-                                                          monkeypatch, mode, flag, writer,
-                                                          path_arg, existing):
-    # a side output is written like a result file: a sibling .part renamed once complete
-    from simplexlms import harness
+                                                          monkeypatch, mode, flag, existing):
+    # a side output is written like a result file: a sibling .part renamed once complete;
+    # every writer opens its file in simplexlms.files, where the disk here fills midway
+    from simplexlms import files
 
-    def fails_midway(*args):
-        with open(args[path_arg], "w", encoding="utf-8") as fh:
-            fh.write("first rows\n")
+    def disk_full(text):
         raise OSError(28, "No space left on device")
 
-    monkeypatch.setattr(harness, writer, fails_midway)
+    def fills_midway(path, how="r", **kwargs):
+        fh = open(path, how, **kwargs)
+        if how == "w":
+            fh.write("first rows\n")
+            fh.flush()
+            fh.write = disk_full
+        return fh
+
+    monkeypatch.setattr(files, "open", fills_midway, raising=False)
     folder = tmp_path / "out"
     folder.mkdir()
     target = folder / "side.out"
@@ -959,8 +966,8 @@ def test_side_output_failing_midway_leaves_no_partial_file(tmp_path, complex_fil
 
 @pytest.mark.parametrize("token", ["nan", "inf"])
 def test_ar_train_non_finite_cell_exits_2(tmp_path, token, capsys):
-    from simplexlms.datasets import traffic_surrogate, write_edge_series
-    from simplexlms.complexes import save_complex
+    from simplexlms.datasets import traffic_surrogate
+    from simplexlms.files import save_complex, write_edge_series
 
     ds = traffic_surrogate(seed=2)
     complex_path = tmp_path / "c.txt"
@@ -992,6 +999,64 @@ def test_cli_import_leaves_scipy_out():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=env, check=True, timeout=120)
     assert proc.stdout.strip() == "False"
+
+
+def test_result_bytes_do_not_depend_on_the_blas_threads(tmp_path):
+    # at 900 edges two OpenBLAS threads round the regressor products otherwise than one;
+    # the CLI pins one thread for its run, so both processes write the one-thread bytes
+    import simplexlms
+
+    complex_path = tmp_path / "c.txt"
+    save_complex(grown_complex(150, 900, 300, 0), complex_path)
+    outs = []
+    for threads in ("1", "2"):
+        outs.append(tmp_path / f"r{threads}.json")
+        env = {**os.environ, "PYTHONPATH": str(Path(simplexlms.__file__).parents[1]),
+               "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads}
+        subprocess.run([sys.executable, "-m", "simplexlms.cli", "run-lms", "--complex-file",
+                        str(complex_path), "--order", "2", "--horizon", "64", "--realizations",
+                        "2", "--mu", "3.6e-8", "--seed", "0", "--out", str(outs[-1])],
+                       capture_output=True, env=env, check=True, timeout=300)
+    assert outs[0].read_bytes() == outs[1].read_bytes()
+
+
+def test_cli_pins_one_blas_thread_and_restores_the_count(tmp_path, monkeypatch):
+    import ctypes
+
+    from simplexlms import cli
+
+    lib = ctypes.CDLL(np._core._multiarray_umath.__file__)
+    if not hasattr(lib, "scipy_openblas_set_num_threads64_"):
+        pytest.skip("a numpy build without the bundled OpenBLAS thread control")
+    get, set_ = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
+    seen = []
+    run_mode = cli.run_mode
+    monkeypatch.setattr(cli, "run_mode", lambda *args: seen.append(get()) or run_mode(*args))
+    before = get()
+    set_(2)
+    try:
+        assert run_cli(["generate-complex", "--nodes", 6, "--edge-prob", 0.5,
+                        "--fill-prob", 0.5]) == 0
+        assert seen == [1] and get() == 2
+    finally:
+        set_(before)
+
+
+def test_generated_files_train_as_the_surrogate_does(tmp_path):
+    # generate-complex writes the surrogate's complex and series: training on the files
+    # scores every step as training on the surrogate does, bit for bit
+    complex_path, series_path = tmp_path / "c.txt", tmp_path / "s.csv"
+    assert run_cli(["generate-complex", "--nodes", 17, "--edges", 26, "--triangles", 5,
+                    "--seed", 2, "--complex-out", complex_path, "--series-out", series_path]) == 0
+    payloads = []
+    for source in (["--complex-file", complex_path, "--series-file", series_path],
+                   ["--surrogate-seed", 2]):
+        out = tmp_path / "ar.json"
+        assert run_cli(["ar-train", *source, "--order", 3, "--mu", 1e-3, "--out", out]) == 0
+        payloads.append(json.loads(out.read_text(), parse_int=float))
+    for key in ("train_errors", "test_errors"):
+        files_errors, surrogate_errors = (np.array(p[key]) for p in payloads)
+        assert files_errors.size and files_errors.tobytes() == surrogate_errors.tobytes()
 
 
 def test_analyze_summarises_results(tmp_path, complex_file, capsys):

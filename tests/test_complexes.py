@@ -13,11 +13,10 @@ from simplexlms.complexes import (
     hodge_decompose,
     hodge_laplacians,
     inverse_sft,
-    load_complex,
     random_complex,
-    save_complex,
     sft,
 )
+from simplexlms.files import load_complex, save_complex
 
 
 def seeded_complexes(count, num_vertices=12, edge_prob=0.4, fill_prob=0.5):

@@ -17,8 +17,8 @@ from simplexlms.diffusion import (
     dist_theory,
     lower_adjacency_neighborhoods,
     run_distributed,
-    save_combination,
 )
+from simplexlms.files import save_combination
 from simplexlms.lms import (
     lms_step,
     max_stepsize,

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from simplexlms import artrain, datasets, harness, signals
+from simplexlms import artrain, datasets, files, harness, signals
 from simplexlms.artrain import (
     VARIANTS,
     ar_regressor_tensor,
@@ -19,17 +19,16 @@ from simplexlms.artrain import (
     run_distributed_ar,
 )
 from simplexlms.cli import main
-from simplexlms.complexes import hodge_laplacians, random_complex, save_complex
+from simplexlms.complexes import hodge_laplacians, random_complex
 from simplexlms.datasets import (
     ingest_edge_series,
-    read_edge_series,
     reference_traffic_complex,
     synthetic_traffic_series,
     traffic_surrogate,
-    write_edge_series,
 )
 from simplexlms.diffusion import atc_step, build_combination, lower_adjacency_neighborhoods
 from simplexlms.errors import ConfigError, DivergenceError
+from simplexlms.files import read_edge_series, save_complex, write_edge_series
 from simplexlms.harness import emit_results, resolve_noise, resolve_p, run_mode
 from simplexlms.inference import candidate_set, run_inference
 from simplexlms.lms import lms_step, to_db
@@ -542,7 +541,7 @@ def test_json_writer_groups_the_encoder_chunks():
             return len(data)
 
     fh = io.TextIOWrapper(io.BufferedWriter(Raw()), encoding="utf-8", newline="")
-    harness._write_json(payload, fh)
+    files._write_json(payload, fh)
     fh.flush()
     text = b"".join(writes).decode("utf-8")
     assert text == compact_dump(payload)
@@ -583,10 +582,10 @@ def test_json_writer_buffer_stays_small_for_short_entries():
     for payload in ({"support_size": [1] * 100_000},
                     {"msd": np.random.default_rng(4).random(30_001)},
                     {"support_size": np.ones(100_000)}):
-        harness._write_json(payload, Sink())  # warm up the encoder
+        files._write_json(payload, Sink())  # warm up the encoder
         tracemalloc.start()
         try:
-            harness._write_json(payload, Sink())
+            files._write_json(payload, Sink())
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -641,7 +640,7 @@ def test_array_entries_decode_to_their_bits(values, rows):
         write = list.append
 
     sink = Sink()
-    harness._write_json({"trajectory": array}, sink)
+    files._write_json({"trajectory": array}, sink)
     text = "".join(sink)
     decoded = np.array(json.loads(text, parse_int=float)["trajectory"], dtype=np.float64)
     assert decoded.shape == array.shape
@@ -671,7 +670,7 @@ def test_every_number_token_is_shortest_and_exact(values, text):
     sink = Sink()
     payload = {"array": np.array(values), "text": text,
                "nested": {"list": values, "dict": {str(k): v for k, v in enumerate(values)}}}
-    harness._write_json(payload, sink)
+    files._write_json(payload, sink)
     written = "".join(sink)
     decoded = json.loads(written)
     assert decoded["text"] == text and f'"{text}"' in written
@@ -696,17 +695,17 @@ MIXED = st.one_of(SPELLED, st.integers(), st.booleans(), st.none(), st.text(max_
 def test_a_list_writes_the_bytes_of_entry_by_entry_spelling(values, as_tuple):
     # a list or tuple of floats only is spelled 512 entries a call, and each entry reads as
     # its own _spell call does (1.0 keeps its ".0"); a mixed one goes entry by entry
-    expected = ",".join(harness._spell([v])[0] if isinstance(v, float) else json.dumps(v)
+    expected = ",".join(files._spell([v])[0] if isinstance(v, float) else json.dumps(v)
                         for v in values)
     value = tuple(values) if as_tuple else values
-    assert "".join(harness._json_pieces(value)) == f"[{expected}]"
+    assert "".join(files._json_pieces(value)) == f"[{expected}]"
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
 def test_a_non_finite_list_entry_is_not_json(bad):
     for value in ([1.0, bad, 2.0], (bad,), [0.5] * 600 + [bad], [[1.0], [1, bad, "x"]]):
         with pytest.raises(ValueError, match=f"^Out of range float .* compliant: {bad!r}$"):
-            "".join(harness._json_pieces({"x": value}))
+            "".join(files._json_pieces({"x": value}))
 
 
 @pytest.mark.parametrize("existing", [False, True])
@@ -837,7 +836,7 @@ def cell_by_cell_csv(payload: dict, table) -> bytes:
     writer.writerow([index] + [column[0] for column in columns])
     for k in range(len(values[0])):
         row = [v[k] if isinstance(v, list) else v for v in values]
-        writer.writerow([k] + [harness._spell([c])[0] if isinstance(c, float) else c for c in row])
+        writer.writerow([k] + [files._spell([c])[0] if isinstance(c, float) else c for c in row])
     return sink.getvalue().encode()
 
 

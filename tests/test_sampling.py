@@ -7,14 +7,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from simplexlms.complexes import (
-    grown_complex,
-    hodge_laplacians,
-    load_complex,
-    random_complex,
-    save_complex,
-)
+from simplexlms.complexes import grown_complex, hodge_laplacians, random_complex
 from simplexlms.errors import InfeasibleProblemError
+from simplexlms.files import load_complex, save_complex
 from simplexlms.lms import max_stepsize, theory_report
 from simplexlms.sampling import SamplingProblem, check_constraints, solve_sampling
 from simplexlms.signals import FilterCoeffs, edge_moment_matrices, moments_closed_form
