@@ -17,7 +17,7 @@ training error trace.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, islice
 
 import numpy as np
 
@@ -26,7 +26,7 @@ from .datasets import EdgeSeriesDataset
 from .diffusion import atc_step
 from .errors import DivergenceError
 from .lms import _first_nonfinite, lms_step
-from .signals import _MIN_WINDOW_ROWS, _series_walk, regressor_tensor
+from .signals import _series_walk, regressor_tensor
 
 __all__ = [
     "ARTrainResult",
@@ -88,12 +88,13 @@ def _train_then_test(ds: EdgeSeriesDataset, order: int, variant: str, epochs: in
     ``step(state, X, d, y)`` adapts the array of taps ``state`` with a full
     mask over rows ``order..epochs * N - 1`` of the training series'
     periodic extension (:func:`_series_walk`); the test snapshots are then
-    walked with the final taps held. The steps are taken one ``accumulate``
-    per chunk of up to ``_MIN_WINDOW_ROWS`` regressor matrices ``X``, and
-    ``predict(X, H)`` gives each row's prediction ``X[k] H[k]``, rounded as
-    alone, from the stacked taps ``H`` before each step. At a chunk's first
-    non-finite error the walk stops and :class:`DivergenceError` names its
-    training step or test snapshot. Returns the final state and both traces.
+    walked with the final taps held. Each block of the walk is one chunk:
+    its steps are taken in one ``accumulate`` over its regressor matrices
+    ``X``, and ``predict(X, H)`` gives each row's prediction ``X[k] H[k]``,
+    rounded as alone, from the stacked taps ``H`` before each step. At a
+    block's first non-finite error the walk stops and
+    :class:`DivergenceError` names its training step or test snapshot.
+    Returns the final state and both traces.
     """
     _check_variant(variant)
     if epochs < 1:
@@ -112,15 +113,13 @@ def _train_then_test(ds: EdgeSeriesDataset, order: int, variant: str, epochs: in
             R = ar_regressor_tensor(window, ops, order)
             if variant == "edge-laplacian-baseline":
                 R[:, :, :order] = 0.0
-            for lo in range(0, len(R), _MIN_WINDOW_ROWS):  # the engine's chunks
-                X, y = R[lo : lo + _MIN_WINDOW_ROWS], Y[lo : lo + _MIN_WINDOW_ROWS]
-                walk = accumulate(zip(X, y), lambda h, s: adapt(h, s[0], ones, s[1]), initial=state)
-                H = np.fromiter(walk, np.dtype((np.float64, state.shape)), len(X))
-                state = next(walk)
-                at = start - first + lo
-                trace[at : at + len(X)] = errors = _block_errors(predict(X, H), y)
-                if (bad := _first_nonfinite(errors)) is not None:
-                    raise DivergenceError(f"non-finite prediction error at {name} {at + bad}")
+            walk = accumulate(zip(R, Y), lambda h, s: adapt(h, s[0], ones, s[1]), initial=state)
+            H = np.stack(list(islice(walk, len(R))))
+            state = next(walk)
+            at = start - first
+            trace[at : at + len(R)] = errors = _block_errors(predict(R, H), Y)
+            if (bad := _first_nonfinite(errors)) is not None:
+                raise DivergenceError(f"non-finite prediction error at {name} {at + bad}")
     return state, train_errors, test_errors
 
 

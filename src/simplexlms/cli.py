@@ -120,7 +120,7 @@ def _collect_values(args: argparse.Namespace) -> dict:
 def _unstable_theory(mode: str, payload: dict) -> str | None:
     """The stderr line of a run-lms or run-distributed run whose theory is not stable."""
     if mode == "run-lms" and payload["theory"] is None:
-        return "run-lms: no theory report: step-size fails the mean-stability bound"
+        return f"run-lms: no theory report: {payload['theory_failure']}"
     if mode == "run-distributed" and not (theory := payload["theory"])["stable"]:
         failed = ", ".join(theory.get("failed_hypotheses", [])) or "none"
         return (f"run-distributed: theory not stable: rho_b {theory['rho_b']!r}, "

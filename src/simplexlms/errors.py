@@ -21,5 +21,9 @@ class StabilityError(SimplexLmsError):
     """A step-size violates the mean-stability bound required by a formula."""
 
 
+class SingularMomentError(StabilityError):
+    """No step-size is stable: the regressor moment matrix has a zero eigenvalue."""
+
+
 class InfeasibleProblemError(SimplexLmsError):
     """The sampling design problem has no feasible point inside the box."""

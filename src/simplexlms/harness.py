@@ -463,6 +463,7 @@ def mode_run_lms(cfg: dict) -> dict:
         },
         **_deviation_fields(result.msd),
         "theory": result.theory.to_dict() if result.theory else None,
+        **({} if result.theory else {"theory_failure": result.theory_failure}),
         "diverged": result.diverged,
     }
 

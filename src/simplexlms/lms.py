@@ -24,8 +24,8 @@ from itertools import accumulate, chain, islice
 import numpy as np
 
 from .complexes import SimplicialComplex2, hodge_laplacians
-from .errors import DivergenceError, StabilityError
-from .signals import (_MIN_WINDOW_ROWS, FilterCoeffs, StreamConfig, generate_stream,
+from .errors import DivergenceError, SingularMomentError, StabilityError
+from .signals import (_BLOCK_ROWS, FilterCoeffs, StreamConfig, generate_stream,
                       moments_closed_form)
 
 __all__ = [
@@ -126,7 +126,8 @@ def theory_report(c_X: np.ndarray, g: np.ndarray, mu: float) -> TheoryReport:
     """Every closed-form prediction for ``(c_X, g, mu)``, from one ``eigh(c_X)``.
 
     Raises :class:`StabilityError` when the step-size is not mean-stable,
-    with margin; a stable step leaves every eigenvalue of ``c_X`` positive.
+    with margin, and its :class:`SingularMomentError` when no step-size is:
+    ``lambda_min(c_X)`` is zero, as on a tap no sampled edge excites.
     ``mu_max`` is :func:`max_stepsize`. ``alpha = 1 - 2 mu lambda_min`` is
     the small-step rate estimate, meaningful only well below
     ``mu = 2 lambda_min / lambda_max^2``, and ``f_norm`` the exact operator
@@ -135,6 +136,8 @@ def theory_report(c_X: np.ndarray, g: np.ndarray, mu: float) -> TheoryReport:
     c_X = np.asarray(c_X, dtype=np.float64)
     g = np.asarray(g, dtype=np.float64)
     lam, u = np.linalg.eigh(c_X)
+    if lam[0] <= 0:
+        raise SingularMomentError(f"lambda_min(c_X) = {lam[0] + 0.0:g}, so no step-size is stable")
     q = 1.0 - mu * lam
     rho = float(np.max(np.abs(q)))
     if mu <= 0 or not _is_stable(rho):
@@ -168,9 +171,9 @@ def _monte_carlo(seed: int, realizations: int, horizon: int, walk, measure):
     array: the recursion's state before the first step and after each of
     the ``horizon`` steps, for each seed :func:`derived_seeds` gives for
     ``seed``. The engine stacks the states in chunks of up to
-    ``_MIN_WINDOW_ROWS``, and ``measure(states)`` maps a chunk to its
-    ``(rows, width)`` rows of the ``(horizon + 1, width)`` trajectory, each
-    row as it would score that state alone. A realization is dropped, and
+    ``_BLOCK_ROWS``, a stream block's rows, and ``measure(states)`` maps a
+    chunk to its ``(rows, width)`` rows of the ``(horizon + 1, width)``
+    trajectory, each row as it would score that state alone. A realization is dropped, and
     its first non-finite step recorded, at the first chunk holding a
     non-finite entry (a deviation can overflow before the state does; numpy
     does not warn of it here), and its walk goes no further. The kept
@@ -187,8 +190,8 @@ def _monte_carlo(seed: int, realizations: int, horizon: int, walk, measure):
     for r, seed_r in enumerate(derived_seeds(seed, realizations)):
         states = walk(seed_r)
         with np.errstate(over="ignore", invalid="ignore"):
-            for start in range(0, horizon + 1, _MIN_WINDOW_ROWS):
-                rows = measure(np.stack(list(islice(states, _MIN_WINDOW_ROWS))))
+            for start in range(0, horizon + 1, _BLOCK_ROWS):
+                rows = measure(np.stack(list(islice(states, _BLOCK_ROWS))))
                 if start == 0:
                     traj = np.empty((horizon + 1, rows.shape[1]))
                 traj[start : start + rows.shape[0]] = rows
@@ -206,12 +209,13 @@ def _monte_carlo(seed: int, realizations: int, horizon: int, walk, measure):
 
 @dataclass
 class ExperimentResult:
-    """Averaged deviation trajectory and theory report, ``None`` if the step-size is unstable."""
+    """Averaged deviation trajectory and theory report; ``theory_failure`` says why it is ``None``."""
 
     msd: np.ndarray
     theory: TheoryReport | None
     realizations: int
     diverged: list[int]
+    theory_failure: str | None = None
 
 
 def run_experiment(
@@ -236,11 +240,13 @@ def run_experiment(
     h_true = coeffs.flatten()
 
     moments = moments_closed_form(ops, cfg.p, cfg.c_x, cfg.sigma_v2, order, coeffs)
-    theory: TheoryReport | None
+    theory = failure = None
     try:
         theory = theory_report(moments.c_X, moments.g, mu)
+    except SingularMomentError as exc:
+        failure = str(exc)
     except (StabilityError, ValueError):
-        theory = None
+        failure = "step-size fails the mean-stability bound"
 
     def walk(seed_r: int):
         blocks = generate_stream(coeffs, ops, cfg, horizon, seed_r)
@@ -249,4 +255,5 @@ def run_experiment(
 
     means, kept, diverged = _monte_carlo(seed, realizations, horizon, walk,
                                          lambda H: np.sum((h_true - H) ** 2, axis=1, keepdims=True))
-    return ExperimentResult(msd=means[:, 0], theory=theory, realizations=kept, diverged=diverged)
+    return ExperimentResult(msd=means[:, 0], theory=theory, realizations=kept, diverged=diverged,
+                            theory_failure=failure)

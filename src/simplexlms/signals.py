@@ -39,14 +39,11 @@ __all__ = [
     "local_moment_matrices",
 ]
 
-# Floats in one regressor window (256 KB): the unit in which stream consumers
-# build regressors, so a block's working set fits in cache and memory does
-# not grow with the horizon.
-_WINDOW_ELEMENTS = 1 << 15
-# Fewest rows in a window: each window re-reads both incidence factors and
-# their transposes, which at large edge counts costs more than a few rows'
-# products.
-_MIN_WINDOW_ROWS = 64
+# Rows of one block: the draws of a stream, the windows of a series walk, the
+# row blocks of the dense moment basis and the chunks the recursion runners
+# score by. A stream's working set is then a few blocks of E x (2M+1) floats,
+# whatever the horizon.
+_BLOCK_ROWS = 64
 
 
 @dataclass
@@ -219,30 +216,20 @@ def regressor_tensor(x: np.ndarray, ops: HodgeOperators, order: int,
     return out
 
 
-def _window_rows(num_edges: int, order: int) -> int:
-    """Rows of one regressor window: about ``_WINDOW_ELEMENTS`` floats, or the floor."""
-    return max(_MIN_WINDOW_ROWS, _WINDOW_ELEMENTS // (max(num_edges, 1) * (2 * order + 1)))
+def _stops(first: int, stop: int):
+    """Ends of ``_BLOCK_ROWS``-row blocks from ``first`` to ``stop``; the last may be shorter."""
+    return chain(range(first + _BLOCK_ROWS, stop, _BLOCK_ROWS), (stop,))
 
 
-def _stops(first: int, stop: int, rows: int):
-    """Ends of the windows of ``rows`` rows from ``first`` up to ``stop``.
-
-    A last window shorter than ``_MIN_WINDOW_ROWS`` joins the one before it,
-    so no window but a lone one is thinner than the floor.
-    """
-    return chain(range(first + rows, stop - _MIN_WINDOW_ROWS + 1, rows), (stop,))
-
-
-def _block_stops(num_edges: int, order: int, horizon: int, starts=(0,)):
-    """Row bounds for :func:`_draw`: the ``order`` history rows, then a window each
-    up to ``horizon`` steps, cut at each segment start (a step) in ``starts``, so a
-    short segment leaves a window under ``_MIN_WINDOW_ROWS``; a negative
-    ``horizon`` raises a ``ValueError``."""
+def _block_stops(order: int, horizon: int, starts=(0,)):
+    """Row bounds for :func:`_draw`: the ``order`` history rows, then blocks of
+    ``_BLOCK_ROWS`` rows up to ``horizon`` steps, cut at each segment start (a step) in
+    ``starts``, so the last block of a segment may be shorter; a negative ``horizon``
+    raises a ``ValueError``."""
     if horizon < 0:
         raise ValueError(f"horizon must be nonnegative, got {horizon}")
-    rows = _window_rows(num_edges, order)
     bounds = [order, *(order + s for s in starts if 0 < s < horizon), order + horizon]
-    return chain((order,), *(_stops(lo, hi, rows) for lo, hi in zip(bounds, bounds[1:])))
+    return chain((order,), *(_stops(lo, hi) for lo, hi in zip(bounds, bounds[1:])))
 
 
 def _history_walk(blocks, order: int, start: int, history: np.ndarray):
@@ -270,16 +257,16 @@ def _series_walk(x: np.ndarray, order: int, first: int, stop: int | None = None)
 
     Row ``n`` is ``x[n mod N]`` for the series' ``N`` rows, so a ``stop``
     past ``N`` (the default) walks the series' periodic extension without
-    building it. A block is one regressor window (:func:`_window_rows`,
-    :func:`_stops`); one that runs past row ``N - 1`` gathers its rows
+    building it. A block is ``_BLOCK_ROWS`` rows, the last one up to
+    ``stop`` shorter; one that runs past row ``N - 1`` gathers its rows
     modulo ``N``. The first block's history is the ``order`` rows before
     ``first``: ``order <= first <= N``, or a ``ValueError`` is raised.
     """
-    N, E = x.shape
+    N = x.shape[0]
     if not order <= first <= N:
         raise ValueError(f"a walk of order {order} over {N} rows cannot start at row {first}")
     stop = N if stop is None else stop
-    bounds = [first, *_stops(first, stop, _window_rows(E, order))] if first < stop else []
+    bounds = [first, *_stops(first, stop)] if first < stop else []
     blocks = ((x[lo:hi] if hi <= N else x[np.arange(lo, hi) % N],)
               for lo, hi in zip(bounds, bounds[1:]))
     return _history_walk(blocks, order, first, x[first - order : first])
@@ -343,8 +330,9 @@ def generate_stream(coeffs: FilterCoeffs, ops: HodgeOperators, cfg: StreamConfig
 
     An iterator of :class:`StreamBlock` that yields ``horizon`` steps drawn
     from ``seed``: the first ``order`` rows are drawn as history, the first
-    block starts at row ``order`` and each block holds the next window of
-    rows (:func:`_block_stops`). ``schedule`` lists ``(step, weights)``
+    block starts at row ``order`` and each block holds the next
+    ``_BLOCK_ROWS`` rows, or fewer before a segment start or the end
+    (:func:`_block_stops`). ``schedule`` lists ``(step, weights)``
     segments: from its step on, the regressors weight the upper Laplacian's
     triangles by ``weights`` (``None``: unweighted), and no block spans its
     start; a white stream's draws are the same bits whatever the cuts. A
@@ -359,7 +347,7 @@ def generate_stream(coeffs: FilterCoeffs, ops: HodgeOperators, cfg: StreamConfig
     starts = [step for step, _ in schedule]
     if starts[:1] != [0] or any(a >= b for a, b in zip(starts, starts[1:])):
         raise ValueError(f"schedule steps must start at 0 and increase, got {starts}")
-    stops = _block_stops(cfg.num_edges, coeffs.order, horizon, starts)
+    stops = _block_stops(coeffs.order, horizon, starts)
     weights = [None if w is None else np.asarray(w, dtype=np.float64) for _, w in schedule]
     return _stream_blocks(coeffs, ops, _draw(cfg, seed, stops), starts, weights)
 
@@ -456,7 +444,7 @@ def edge_moment_matrices(ops: HodgeOperators, c_x: np.ndarray | float,
     summed from the sparse factor, an exact integer in float64 on any
     BLAS. A dense ``c_x`` gives ``Z_i[a, b] = sum_k (A_a W_ab)_{ik} (A_b)_{ik}``
     with the small ``W_ab = F_a^T c_x F_b``, over row blocks of ``A`` of
-    about ``_WINDOW_ELEMENTS`` floats, so no E x E operator is formed. A
+    ``_BLOCK_ROWS`` rows, so no E x E operator is formed. A
     basis whose sum over the edges (``c_X`` at ``p = 1``) is not finite,
     from a signal scale too large to represent, raises a ``ValueError``.
     """
@@ -494,10 +482,9 @@ def _factor_moments(Z: np.ndarray, ops: HodgeOperators, c_x: np.ndarray, order: 
     weights = {(s, t): dense[s].T @ cx_f[t] for t in range(2) for s in range(t + 1)}
     # the Grams carry a row block from one power to the next
     grams = [f.gram() for f in F] if order > 1 else []
-    step = max(1, _WINDOW_ELEMENTS // max(F[0].shape[1], F[1].shape[1], 1))
-    for lo in range(0, Z.shape[0], step):
-        block = Z[lo : lo + step]
-        A = [np.ascontiguousarray(f[lo : lo + step]) for f in dense]
+    for lo in range(0, Z.shape[0], _BLOCK_ROWS):
+        block = Z[lo : lo + _BLOCK_ROWS]
+        A = [np.ascontiguousarray(f[lo : lo + _BLOCK_ROWS]) for f in dense]
         for m in range(order):
             if m:
                 A = [a @ gram for a, gram in zip(A, grams)]

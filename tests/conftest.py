@@ -21,7 +21,7 @@ def whole_stream(coeffs, ops, cfg, horizon, seed):
     """
     rows = [(b.d, b.y) for b in generate_stream(coeffs, ops, cfg, horizon, seed)]
     d, y = (np.concatenate(column) for column in zip(*rows))
-    stops = signals._block_stops(cfg.num_edges, coeffs.order, horizon)
+    stops = signals._block_stops(coeffs.order, horizon)
     x, v, _ = (np.concatenate(column) for column in zip(*signals._draw(cfg, seed, stops)))
     return SimpleNamespace(x=x, d=d, y=y, v=v, order=coeffs.order)
 

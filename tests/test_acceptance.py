@@ -6,9 +6,16 @@ each instance is calibrated so the pinned step-sizes sit inside the
 stability region of the corresponding moment matrices (their largest
 eigenvalues grow with high Laplacian powers, which bounds admissible
 signal power at fixed step-size).
+
+With ``SIMPLEXLMS_MARGINS=<path>`` set, the module writes each criterion's
+measured values, pinned bounds, margins and outcome to that JSON file.
 """
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -56,9 +63,78 @@ from simplexlms.signals import (
 )
 
 
-def report(criterion, ok, detail):
+# criterion -> {value, bound, margin, ok, detail}, one entry per report() call
+MARGINS = {}
+
+
+def _margin(value, low, high):
+    """Least distance of ``value`` (a number or list) inside ``[low, high]``, negative outside."""
+    values = np.atleast_1d(value)
+    sides = [values - low if low is not None else [], high - values if high is not None else []]
+    return float(np.min(np.concatenate(sides)))
+
+
+def report(criterion, ok, detail, **checks):
+    """Print the criterion's PASS or FAIL line, record it for the margins file, assert ``ok``.
+
+    Each keyword is one pinned check, ``name=(value, low, high)``: the measured
+    value, a number or a list of them, and the bounds it must lie within, ``None``
+    for an open side.
+    """
     print(f"[{'PASS' if ok else 'FAIL'}] criterion {criterion}: {detail}")
+    MARGINS[str(criterion)] = {
+        "value": {name: np.asarray(value, dtype=float).tolist()
+                  for name, (value, _, _) in checks.items()},
+        "bound": {name: [low, high] for name, (_, low, high) in checks.items()},
+        "margin": {name: _margin(*check) for name, check in checks.items()},
+        "ok": bool(ok),
+        "detail": detail,
+    }
     assert ok, detail
+
+
+def write_margins(path):
+    Path(path).write_text(json.dumps(MARGINS, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+
+
+@pytest.fixture(scope="module", autouse=True)
+def margins_file():
+    yield
+    if path := os.environ.get("SIMPLEXLMS_MARGINS"):
+        write_margins(path)
+
+
+def test_margins_file_records_each_outcome(tmp_path, monkeypatch):
+    # a failing criterion is recorded before its assertion fails, and each
+    # margin is the distance inside the nearer bound, negative outside it
+    monkeypatch.setitem(globals(), "MARGINS", {})
+    report("a", True, "inside", gap_db=(0.25, None, 1.0), rate=([0.97, 0.99], 0.95, None))
+    with pytest.raises(AssertionError, match="outside"):
+        report("b", False, "outside", ratio=(4.75, 3.5, 4.5))
+    write_margins(tmp_path / "margins.json")
+    entries = json.loads((tmp_path / "margins.json").read_text())
+    assert {k: e["ok"] for k, e in entries.items()} == {"a": True, "b": False}
+    assert entries["a"]["margin"] == {"gap_db": 0.75, "rate": pytest.approx(0.02)}
+    assert entries["a"]["bound"] == {"gap_db": [None, 1.0], "rate": [0.95, None]}
+    assert entries["b"] == {"value": {"ratio": 4.75}, "bound": {"ratio": [3.5, 4.5]},
+                            "margin": {"ratio": -0.25}, "ok": False, "detail": "outside"}
+
+
+def test_margins_file_is_written_by_a_session(tmp_path):
+    # a session with the variable set writes one entry per criterion it ran,
+    # each with its test's outcome
+    import simplexlms
+
+    path = tmp_path / "margins.json"
+    env = {**os.environ, "PYTHONPATH": str(Path(simplexlms.__file__).parents[1]),
+           "SIMPLEXLMS_MARGINS": str(path)}
+    proc = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+                           __file__, "-k", "criterion_2 or criterion_4"],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    entries = json.loads(path.read_text())
+    assert {k: e["ok"] for k, e in entries.items()} == {"2": True, "4": True}
+    assert 0 < entries["2"]["margin"]["gap_ratio"] <= 0.5
 
 
 # ------------------------------------------------------------- criterion 1
@@ -85,6 +161,7 @@ def test_criterion_1_steady_state_theory_match():
         gap <= 1.0,
         f"empirical {empirical_db:.2f} dB vs theory {theory_db:.2f} dB "
         f"(gap {gap:.2f} dB <= 1 dB, E={E})",
+        gap_db=(gap, None, 1.0),
     )
 
 
@@ -109,7 +186,8 @@ def test_criterion_2_first_order_gap_quadratic():
         gaps = [abs(r.msd_exact - r.msd_first_order) for r in reports]
         ratios.extend([gaps[0] / gaps[1], gaps[1] / gaps[2]])
     ok = all(3.5 <= r <= 4.5 for r in ratios)
-    report(2, ok, f"gap ratios in [{min(ratios):.3f}, {max(ratios):.3f}] within [3.5, 4.5]")
+    report(2, ok, f"gap ratios in [{min(ratios):.3f}, {max(ratios):.3f}] within [3.5, 4.5]",
+           gap_ratio=([min(ratios), max(ratios)], 3.5, 4.5))
 
 
 # ------------------------------------------------------------- criterion 3
@@ -167,6 +245,8 @@ def test_criterion_3_sampling_design():
         mono,
         f"supports {supports} non-increasing; validation tails {tails_db} dB "
         f"all <= {to_db(gamma):.0f} dB; scalar oracle to 1e-6",
+        support_drop=(-np.diff(supports), 0, None),
+        tail_db=(tails_db, None, float(to_db(gamma))),
     )
 
 
@@ -288,6 +368,9 @@ def test_criterion_5_topology_recovery_and_tracking():
         f"exact recovery within 5000 iters in {recovery_rate:.0%} of {total} runs "
         f"(>=95%); post-deletion re-convergence {tracking_rate:.0%} (>=90%); "
         f"post-recovery deviation {empirical_db:.2f} dB vs theory {theory_db:.2f} dB",
+        recovery_rate=(recovery_rate, 0.95, None),
+        tracking_rate=(tracking_rate, 0.90, None),
+        gap_db=(gap, None, 1.0),
     )
 
 
@@ -327,7 +410,8 @@ def test_criterion_6_indicator_gradient_correctness():
         worst = max(worst, rel)
         assert rel < 1e-5
         checked += 1
-    report(6, True, f"gradient vs central differences: worst relative error {worst:.2e} < 1e-5")
+    report(6, True, f"gradient vs central differences: worst relative error {worst:.2e} < 1e-5",
+           relative_error=(worst, None, 1e-5))
 
 
 # ------------------------------------------------------------- criterion 7
@@ -375,6 +459,9 @@ def test_criterion_7_distributed_theory_match():
         ok,
         f"stability held on {held} instances with 0 violations; network deviation "
         f"{empirical_db:.2f} dB vs theory {theory_db:.2f} dB (gap {gap:.2f} <= 1.5 dB)",
+        stable_instances=(held, 30, None),
+        violations=(violations, None, 0),
+        gap_db=(gap, None, 1.5),
     )
 
 
@@ -427,4 +514,6 @@ def test_criterion_9_baseline_superiority():
         ok,
         f"topo beats the edge-Laplacian baseline in {wins_central}/{runs} centralized "
         f"and {wins_dist}/{runs} distributed runs (>=90%)",
+        central_wins=(wins_central, 0.9 * runs, None),
+        distributed_wins=(wins_dist, 0.9 * runs, None),
     )

@@ -148,7 +148,7 @@ def test_divergence_verdict_does_not_depend_on_out_or_horizon(tmp_path, capsys, 
     assert capsys.readouterr() == ("", "divergence: all realizations diverged, at steps 175, 183\n")
     assert list(tmp_path.iterdir()) == [path]
     assert len(steps) == 2
-    assert all(n <= first + signals._MIN_WINDOW_ROWS for n, first in zip(steps, (175, 183))), steps
+    assert all(n <= first + signals._BLOCK_ROWS for n, first in zip(steps, (175, 183))), steps
 
 
 DIVERGED_STEPS = [175, 183, 184, 180, 179, 182, 177, 184, 180, 178, 183, 181, 184, 179, 182,
@@ -165,6 +165,21 @@ def test_unstable_run_lms_reports_in_one_stderr_line(capsys, horizon, code, err)
     assert run_cli(["run-lms", "--nodes", 60, "--edges", 250, "--triangles", 80, "--order", 2,
                     "--mu", 1e-5, "--seed", 0, "--horizon", horizon]) == code
     assert capsys.readouterr().err == err
+
+
+@pytest.mark.parametrize("flags", [["--fill-prob", 0.0], ["--fill-prob", 0.5, "--p", 0]],
+                         ids=["no-triangles", "unsampled"])
+@pytest.mark.filterwarnings("error")
+def test_singular_run_lms_says_no_step_size_is_stable(tmp_path, capsys, flags):
+    # no triangle excites the upper tap, or no edge is sampled: c_X is singular,
+    # and the stderr line names its zero eigenvalue rather than the step-size
+    out = tmp_path / "lms.json"
+    reason = "lambda_min(c_X) = 0, so no step-size is stable"
+    assert run_cli(["run-lms", "--nodes", 8, "--edge-prob", 0.5, *flags, "--order", 1,
+                    "--horizon", 200, "--realizations", 2, "--mu", 0.01, "--out", out]) == 0
+    assert capsys.readouterr().err == f"run-lms: no theory report: {reason}\n"
+    payload = json.loads(out.read_text())
+    assert (payload["theory"], payload["theory_failure"]) == (None, reason)
 
 
 @pytest.mark.filterwarnings("error")
@@ -206,6 +221,19 @@ def test_ar_divergence_prints_one_stderr_line(capsys, flags):
     assert run_cli(["ar-train", "--surrogate-seed", 2, "--order", 2, "--mu", 1e3, *flags]) == 3
     err = capsys.readouterr().err
     assert re.fullmatch(r"divergence: non-finite [a-z ]+ at training step \d+\n", err), err
+
+
+@pytest.mark.parametrize("flags", [[], ["--distributed"]], ids=["centralized", "distributed"])
+@pytest.mark.filterwarnings("error")
+def test_ar_train_runs_at_order_zero(tmp_path, capsys, flags):
+    # the zero-tap predictor predicts zero: every normalised error is exactly 1
+    out = tmp_path / "ar.json"
+    assert run_cli(["ar-train", "--surrogate-seed", 0, "--order", 0, "--mu", 1e-3,
+                    "--out", out, *flags]) == 0
+    assert capsys.readouterr() == ("ar-train[topo]: mean test error 1.0000\n", "")
+    payload = json.loads(out.read_text())
+    assert set(payload["train_errors"]) == set(payload["test_errors"]) == {1.0}
+    assert payload["mean_test_error"] == 1.0
 
 
 @pytest.mark.filterwarnings("error")

@@ -489,9 +489,7 @@ def test_run_distributed_identity_combination_matches_independent_runs(network_i
 def test_run_distributed_multi_window_matches_step_replay(network_instance, monkeypatch):
     # 7-row regressor windows: the 40 rounds span six windows
     complex_, coeffs, cfg, comb = network_instance
-    E = complex_.num_edges
-    monkeypatch.setattr(signals, "_WINDOW_ELEMENTS", 7 * E * 5)
-    monkeypatch.setattr(signals, "_MIN_WINDOW_ROWS", 1)
+    monkeypatch.setattr(signals, "_BLOCK_ROWS", 7)
     result = run_distributed(complex_, coeffs, cfg, comb, 1e-2, realizations=2, horizon=40,
                              seed=8, track_agents=True)
 

@@ -176,8 +176,7 @@ def test_extend_series_modular_indexing(monkeypatch):
         assert np.array_equal(ext[i], series[i % 5])
     # walked past the series' end in 3-row blocks, without building it, the
     # series gives the extension's rows and the history before each block
-    monkeypatch.setattr(signals, "_WINDOW_ELEMENTS", 3 * 2 * 5)
-    monkeypatch.setattr(signals, "_MIN_WINDOW_ROWS", 1)
+    monkeypatch.setattr(signals, "_BLOCK_ROWS", 3)
     for first, stop in ((2, 15), (4, 11), (5, 7)):
         starts = [first]
         for start, window, x in signals._series_walk(series, 2, first, stop):
@@ -242,7 +241,7 @@ def test_diverged_ar_walk_stops_within_a_chunk(distributed, monkeypatch):
         else:
             run_ar_training(ds, 2, 1e3, epochs=30)
     first = int(str(caught.value).rsplit(" ", 1)[1])
-    assert first < steps[0] <= first + signals._MIN_WINDOW_ROWS, steps
+    assert first < steps[0] <= first + signals._BLOCK_ROWS, steps
 
 
 @pytest.mark.parametrize("distributed", [False, True], ids=["central", "distributed"])
@@ -349,17 +348,15 @@ def test_ar_protocols_multi_window_match_one_window(variant, monkeypatch):
     # both cross window boundaries, and training windows straddle the epoch
     # boundary at row 250
     ds = traffic_surrogate(seed=2)
-    E = ds.complex.num_edges
     comb = build_combination(lower_adjacency_neighborhoods(ds.complex), "uniform")
 
     def runs():
         return (run_ar_training(ds, 2, 1e-3, variant=variant, epochs=2),
                 run_distributed_ar(ds, 2, 1e-2, comb, epochs=2, variant=variant))
 
-    monkeypatch.setattr(signals, "_WINDOW_ELEMENTS", 1 << 18)  # one window of every row
+    monkeypatch.setattr(signals, "_BLOCK_ROWS", 1 << 10)  # one window of every row
     whole = runs()
-    monkeypatch.setattr(signals, "_WINDOW_ELEMENTS", 7 * E * 5)
-    monkeypatch.setattr(signals, "_MIN_WINDOW_ROWS", 1)
+    monkeypatch.setattr(signals, "_BLOCK_ROWS", 7)
     for one, windowed in zip(whole, runs()):
         for name in ("coeffs", "train_errors", "test_errors"):
             np.testing.assert_allclose(getattr(windowed, name), getattr(one, name),

@@ -362,8 +362,7 @@ def test_run_inference_blocks_match_hand_rolled_draw(switch_instance, monkeypatc
     # order-2 draws in blocks of one row (history from several blocks) or of
     # seven rows: the 42 stream rows span many blocks, with the same bits
     c, _, cand, _, _ = switch_instance
-    monkeypatch.setattr(signals, "_WINDOW_ELEMENTS", rows * c.num_edges * (2 * cand.order + 1))
-    monkeypatch.setattr(signals, "_MIN_WINDOW_ROWS", 1)
+    monkeypatch.setattr(signals, "_BLOCK_ROWS", rows)
     result = _run_switch(switch_instance, 2, seed=8)
     first, second = _replays(switch_instance, 8, 2)
     np.testing.assert_array_equal(_fields(result), (first + second) / 2)

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from simplexlms import diffusion, inference, lms, signals
 from simplexlms.complexes import hodge_laplacians, random_complex
-from simplexlms.errors import DivergenceError, StabilityError
+from simplexlms.errors import DivergenceError, SingularMomentError, StabilityError
 from simplexlms.lms import (
     _monte_carlo,
     derived_seeds,
@@ -152,6 +152,9 @@ def test_steady_state_rejects_unstable_step():
         theory_report(np.eye(2), np.eye(2), 2.5)
     with pytest.raises(StabilityError):
         theory_report(np.eye(2), np.eye(2), -0.1)
+    # an unexcited tap: no step-size is stable, whatever mu
+    with pytest.raises(SingularMomentError, match=r"^lambda_min\(c_X\) = 0, so no step-size"):
+        theory_report(np.diag([0.0, 1.0]), np.eye(2), 0.5)
 
 
 def test_steady_state_gap_shrinks_fourfold():
@@ -258,8 +261,7 @@ def test_run_experiment_multi_window_matches_step_replay(experiment_complex, mon
     coeffs = FilterCoeffs.random(2, rng, scale=0.5)
     E = experiment_complex.num_edges
     cfg = StreamConfig.white(E, signal_var=0.01, sigma_v2=1e-4, p=0.8)
-    monkeypatch.setattr(signals, "_WINDOW_ELEMENTS", 7 * E * 5)
-    monkeypatch.setattr(signals, "_MIN_WINDOW_ROWS", 1)
+    monkeypatch.setattr(signals, "_BLOCK_ROWS", 7)
     result = run_experiment(experiment_complex, coeffs, cfg, 5e-3, realizations=2, horizon=40,
                             seed=4)
     assert result.theory is not None
@@ -289,8 +291,7 @@ def test_runner_memory_does_not_grow_with_horizon(experiment_complex, monkeypatc
     E = experiment_complex.num_edges
     coeffs = FilterCoeffs(h_u=[0.5, 0.1], h_d=[0.2])
     cfg = StreamConfig.white(E, signal_var=0.01, sigma_v2=1e-4, p=0.8)
-    monkeypatch.setattr(signals, "_WINDOW_ELEMENTS", 50 * E * 3)
-    monkeypatch.setattr(signals, "_MIN_WINDOW_ROWS", 1)
+    monkeypatch.setattr(signals, "_BLOCK_ROWS", 50)
     if runner == "run_experiment":
         def run(horizon):
             run_experiment(experiment_complex, coeffs, cfg, 5e-3, realizations=2, horizon=horizon,
@@ -562,7 +563,7 @@ def test_monte_carlo_drops_exactly_the_injected_realizations(data, realizations,
             pulled[r] += 1
             yield row
 
-    chunk = signals._MIN_WINDOW_ROWS
+    chunk = signals._BLOCK_ROWS
     expected = [min(horizon + 1, (injected[r][0] // chunk + 1) * chunk) if r in injected
                 else horizon + 1 for r in range(realizations)]
 

@@ -75,11 +75,6 @@ def test_moments_match_trace_formula(vertices, edge_prob, fill_prob, order, seed
                            rtol=1e-10, atol=1e-12 * scale)
 
 
-def window_budget(rows, order):
-    """``_WINDOW_ELEMENTS`` value that makes windows of ``rows`` rows."""
-    return rows * WINDOW_OPS.l1.shape[0] * (2 * order + 1)
-
-
 def round_off(reference):
     # row blocks may run other BLAS kernels than the whole-stream product,
     # so windowed and whole results agree to round-off, not bit for bit
@@ -103,8 +98,7 @@ def test_windows_concatenate_to_regressor_tensor(order, rows, first, blocks, ove
     x = np.random.default_rng(N).standard_normal((N, E))
     full = regressor_tensor(x, WINDOW_OPS, order)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(signals, "_WINDOW_ELEMENTS", window_budget(rows, order))
-        mp.setattr(signals, "_MIN_WINDOW_ROWS", 1)
+        mp.setattr(signals, "_BLOCK_ROWS", rows)
         windows = [(start, regressor_tensor(window, WINDOW_OPS, order))
                    for start, window, _ in signals._series_walk(x, order, first)]
     assert [start for start, _ in windows] == list(range(first, N, rows))
@@ -122,8 +116,7 @@ def test_windowed_stream_matches_one_window(order, rows, extra):
     cfg = StreamConfig.white(E, sigma_v2=0.05, p=0.7)
     whole = whole_stream(coeffs, WINDOW_OPS, cfg, extra, extra)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(signals, "_WINDOW_ELEMENTS", window_budget(rows, order))
-        mp.setattr(signals, "_MIN_WINDOW_ROWS", 1)
+        mp.setattr(signals, "_BLOCK_ROWS", rows)
         windowed = whole_stream(coeffs, WINDOW_OPS, cfg, extra, extra)
     for name in ("x", "d", "v"):
         assert np.array_equal(getattr(windowed, name), getattr(whole, name))
@@ -153,11 +146,10 @@ def test_stream_blocks_concatenate_to_one_block_draw(order, rows, blocks, overha
     [(x, v, d)] = signals._draw(cfg, N, (N,))
     h = coeffs.flatten()
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(signals, "_WINDOW_ELEMENTS", window_budget(rows, order))
-        mp.setattr(signals, "_MIN_WINDOW_ROWS", 1)
+        mp.setattr(signals, "_BLOCK_ROWS", rows)
         got = list(signals.generate_stream(coeffs, WINDOW_OPS, cfg, horizon, N))
         # the blocks do not keep their noise: draw it again at their row bounds
-        noise = [v for _, v, _ in signals._draw(cfg, N, signals._block_stops(E, order, horizon))]
+        noise = [v for _, v, _ in signals._draw(cfg, N, signals._block_stops(order, horizon))]
         # oracle: the observations of the one-block draw, built in the same windows
         y = np.zeros_like(x)
         for start, window, _ in signals._series_walk(x, order, first=order):
@@ -195,11 +187,10 @@ def test_history_walk_carries_the_rows_before_each_block(order, rows, first, blo
     cfg = StreamConfig.white(E, sigma_v2=0.05, p=0.7)
     [(x, v, d)] = signals._draw(cfg, N, (N,))
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(signals, "_WINDOW_ELEMENTS", window_budget(rows, order))
-        mp.setattr(signals, "_MIN_WINDOW_ROWS", 1)
+        mp.setattr(signals, "_BLOCK_ROWS", rows)
         if drawn:
             first = order
-            draws = signals._draw(cfg, N, signals._block_stops(E, order, N - order))
+            draws = signals._draw(cfg, N, signals._block_stops(order, N - order))
             walk = signals._history_walk(draws, order, order, next(draws)[0])
         else:
             walk = signals._series_walk(x, order, first)
@@ -301,11 +292,10 @@ def test_scheduled_stream_cuts_blocks_at_segment_starts(order, rows, horizon, st
                        p=rng.uniform(0.3, 1.0, E))
     with pytest.MonkeyPatch.context() as mp:
         if narrow:
-            mp.setattr(signals, "_WINDOW_ELEMENTS", window_budget(rows, order))
-            mp.setattr(signals, "_MIN_WINDOW_ROWS", 1)
+            mp.setattr(signals, "_BLOCK_ROWS", rows)
         got = list(signals.generate_stream(coeffs, cand.ops, cfg, horizon, 5, schedule))
         plain = list(signals.generate_stream(coeffs, cand.ops, cfg, horizon, 5))
-        draws = [signals._draw(cfg, 5, signals._block_stops(E, order, horizon, s))
+        draws = [signals._draw(cfg, 5, signals._block_stops(order, horizon, s))
                  for s in (starts, (0,))]
         (_, v, d), (_, v_plain, d_plain) = (map(np.concatenate, zip(*draw)) for draw in draws)
     for start, *_ in schedule[1:]:

@@ -428,7 +428,7 @@ def dense_factor_moments(ops, c_x, order):
     first = [1, order + 1]
     grams = [f.T @ f for f in F]
     weights = {(s, t): F[s].T @ (c_x @ F[t]) for t in range(2) for s in range(t + 1)}
-    step = max(1, signals._WINDOW_ELEMENTS // max(F[0].shape[1], F[1].shape[1], 1))
+    step = signals._BLOCK_ROWS
     for lo in range(0, Z.shape[0], step):
         block = Z[lo : lo + step]
         A = [f[lo : lo + step] for f in F]
@@ -652,8 +652,9 @@ def test_moment_basis_does_not_depend_on_the_row_block(monkeypatch, order):
     E = ops.num_edges
     a = np.random.default_rng(order).standard_normal((E, 6))
     for c_x in (np.float64(0.05), a @ a.T / 6 + np.eye(E)):
+        monkeypatch.setattr(signals, "_BLOCK_ROWS", E)
         whole = edge_moment_matrices(ops, c_x, order)
-        monkeypatch.setattr(signals, "_WINDOW_ELEMENTS", 7 * 40)
+        monkeypatch.setattr(signals, "_BLOCK_ROWS", 7)
         blocked = edge_moment_matrices(ops, c_x, order)
         monkeypatch.undo()
         np.testing.assert_allclose(blocked, whole, rtol=1e-14,
@@ -670,29 +671,30 @@ def test_overflowing_moment_basis_is_rejected(small_ops):
         local_moment_matrices(small_ops, np.ones(E), 1e307 * np.eye(E), 2)
 
 
-def test_window_rule_fits_cache_with_a_row_floor():
-    # about 256 KB of regressors per window, but never under 64 rows: a thin
-    # window at a large edge count re-reads the incidence factors for few rows
-    assert signals._window_rows(32, 2) * 32 * 5 <= 2**15
-    assert signals._window_rows(32, 2) > 64
-    assert signals._window_rows(900, 3) >= 64
-
-
-def test_a_thin_last_block_joins_the_one_before(small_ops):
-    # no block or window is thinner than the floor unless it is the only one
-    E = small_ops.num_edges
-    rows = signals._window_rows(E, 2)
-    floor = signals._MIN_WINDOW_ROWS
-    thin, full = 2 + 2 * rows + floor - 1, 2 + 2 * rows + floor
-    assert list(signals._block_stops(E, 2, thin - 2)) == [2, 2 + rows, thin]
-    assert list(signals._block_stops(E, 2, full - 2)) == [2, 2 + rows, 2 + 2 * rows, full]
-    assert list(signals._block_stops(E, 2, 8)) == [2, 10]
+def test_blocks_are_full_but_the_last_of_each_segment(small_ops):
+    # every block holds _BLOCK_ROWS rows but the last before a segment start
+    # or the stop, which is shorter, and no block spans a cut
+    E, rows = small_ops.num_edges, signals._BLOCK_ROWS
+    assert rows == 64
+    assert list(signals._block_stops(2, 2 * rows + 1)) == [2, 2 + rows, 2 + 2 * rows, 3 + 2 * rows]
+    assert list(signals._block_stops(2, 2 * rows)) == [2, 2 + rows, 2 + 2 * rows]
+    assert list(signals._block_stops(2, 8)) == [2, 10]
+    assert list(signals._block_stops(2, 0)) == [2, 2]
+    assert list(signals._block_stops(2, 200, (0, 70, 75))) == [
+        2, 2 + rows, 2 + 70, 2 + 75, 2 + 75 + rows, 2 + 200]
     x = np.random.default_rng(3).standard_normal((2 + 2 * rows + 5, E))
     windows = [(start, regressor_tensor(window, small_ops, 2))
                for start, window, _ in signals._series_walk(x, 2, first=2)]
-    assert [(start, len(X)) for start, X in windows] == [(2, rows), (2 + rows, rows + 5)]
+    assert [(start, len(X)) for start, X in windows] == [
+        (2, rows), (2 + rows, rows), (2 + 2 * rows, 5)]
     np.testing.assert_allclose(np.concatenate([X for _, X in windows]),
                                regressor_tensor(x, small_ops, 2), rtol=0, atol=1e-12)
+    # a walk to a stop past the series' end ends with a shorter block there,
+    # its rows taken modulo the series length
+    N = len(x)
+    walked = [(start, X) for start, _, X in signals._series_walk(x, 2, 2 + rows, N + 9)]
+    assert [(start, len(X)) for start, X in walked] == [(2 + rows, rows), (2 + 2 * rows, 14)]
+    np.testing.assert_array_equal(walked[-1][1], x[np.arange(2 + 2 * rows, N + 9) % N])
     # a walk starts after its ``order`` history rows, never before them
     with pytest.raises(ValueError):
         signals._series_walk(x, 2, first=1)
