@@ -17,7 +17,6 @@ training error trace.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate, islice
 
 import numpy as np
 
@@ -25,7 +24,7 @@ from .complexes import hodge_laplacians
 from .datasets import EdgeSeriesDataset
 from .diffusion import atc_step
 from .errors import DivergenceError
-from .lms import _first_nonfinite, lms_step
+from .lms import _walk, lms_step
 from .signals import _series_walk, regressor_tensor
 
 __all__ = [
@@ -80,7 +79,6 @@ def _block_errors(predicted: np.ndarray, actual: np.ndarray) -> np.ndarray:
     return num / np.maximum(den, 1e-300)
 
 
-@np.errstate(over="ignore", invalid="ignore")  # a divergence raises, and names its step
 def _train_then_test(ds: EdgeSeriesDataset, order: int, variant: str, epochs: int,
                      state, predict, step):
     """The train-then-test loop both protocols share.
@@ -88,13 +86,11 @@ def _train_then_test(ds: EdgeSeriesDataset, order: int, variant: str, epochs: in
     ``step(state, X, d, y)`` adapts the array of taps ``state`` with a full
     mask over rows ``order..epochs * N - 1`` of the training series'
     periodic extension (:func:`_series_walk`); the test snapshots are then
-    walked with the final taps held. Each block of the walk is one chunk:
-    its steps are taken in one ``accumulate`` over its regressor matrices
-    ``X``, and ``predict(X, H)`` gives each row's prediction ``X[k] H[k]``,
-    rounded as alone, from the stacked taps ``H`` before each step. At a
-    block's first non-finite error the walk stops and
-    :class:`DivergenceError` names its training step or test snapshot.
-    Returns the final state and both traces.
+    walked with the final taps held. Both walks are :func:`.lms._walk` over
+    the blocks' regressor matrices ``X``: ``predict(X, H)`` gives each row's
+    prediction ``X[k] H[k]``, rounded as alone, from the taps ``H`` before
+    each step. At a non-finite error :class:`DivergenceError` names its
+    training step or test snapshot. Returns the final state and both traces.
     """
     _check_variant(variant)
     if epochs < 1:
@@ -105,21 +101,22 @@ def _train_then_test(ds: EdgeSeriesDataset, order: int, variant: str, epochs: in
     ops = hodge_laplacians(ds.complex)
     ones = np.ones(ds.complex.num_edges)
 
+    def regressors(window):
+        R = ar_regressor_tensor(window, ops, order)
+        if variant == "edge-laplacian-baseline":
+            R[:, :, :order] = 0.0
+        return R
+
     train_errors, test_errors = np.empty(epochs * N - order), np.empty(ds.test_count)
     for trace, name, series, first, stop, adapt in (
             (train_errors, "training step", ds.train_series, order, epochs * N, step),
             (test_errors, "test snapshot", ds.series, N, None, lambda h, X, d, y: h)):
-        for start, window, Y in _series_walk(series, order, first, stop):
-            R = ar_regressor_tensor(window, ops, order)
-            if variant == "edge-laplacian-baseline":
-                R[:, :, :order] = 0.0
-            walk = accumulate(zip(R, Y), lambda h, s: adapt(h, s[0], ones, s[1]), initial=state)
-            H = np.stack(list(islice(walk, len(R))))
-            state = next(walk)
-            at = start - first
-            trace[at : at + len(R)] = errors = _block_errors(predict(R, H), Y)
-            if (bad := _first_nonfinite(errors)) is not None:
-                raise DivergenceError(f"non-finite prediction error at {name} {at + bad}")
+        blocks = ((regressors(window), Y)
+                  for _, window, Y in _series_walk(series, order, first, stop))
+        state, bad = _walk(blocks, lambda b: zip(*b), lambda h, s: adapt(h, s[0], ones, s[1]),
+                           state, lambda b, H: _block_errors(predict(b[0], H[:-1]), b[1]), trace)
+        if bad is not None:
+            raise DivergenceError(f"non-finite prediction error at {name} {bad}")
     return state, train_errors, test_errors
 
 

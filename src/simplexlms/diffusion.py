@@ -23,12 +23,11 @@ with ``S`` from a discrete Lyapunov (Stein) solve by squared doubling
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate, chain
 
 import numpy as np
 
 from .complexes import SimplicialComplex2, hodge_laplacians
-from .lms import _is_stable, _monte_carlo
+from .lms import _SINGULAR_TOL, _STABILITY_TOL, _monte_carlo
 from .signals import (
     FilterCoeffs,
     StreamConfig,
@@ -243,11 +242,11 @@ def dist_theory(
     scale = max(float(np.max(local_radius)), 1.0)
     checks = TheoremChecks(
         irreducible=check_irreducible(comb),
-        some_local_moment_nonsingular=bool(np.any(local_eigs[:, 0] > 1e-12 * scale)),
+        some_local_moment_nonsingular=bool(np.any(local_eigs[:, 0] > _SINGULAR_TOL * scale)),
         stepsizes_within_local_bounds=bool(np.all(mu < local_bounds)),
     )
 
-    stable = _is_stable(rho_b)
+    stable = rho_b < 1.0 - _STABILITY_TOL
     msd_total = float("nan")
     if stable:
         m = mu[:, None, None]
@@ -306,17 +305,14 @@ def run_distributed(
     locals_ = local_moment_matrices(ops, cfg.p, cfg.c_x, order)
     theory = dist_theory(comb, locals_, cfg.sigma_v2, mu_vec)
 
-    def walk(seed_r: int):
-        blocks = generate_stream(coeffs, ops, cfg, horizon, seed_r)
-        steps = chain.from_iterable(zip(b.X, b.d, b.y) for b in blocks)
-        return accumulate(steps, lambda H, s: atc_step(H, mu_vec, comb, *s),
-                          initial=np.zeros((E, h_true.size)))
-
-    def measure(H: np.ndarray):
+    def score(block, H: np.ndarray):
         dev = np.sum((h_true - H) ** 2, axis=2)
         mean = np.mean(dev, axis=1, keepdims=True)
         return np.hstack((mean, dev)) if track_agents else mean
 
-    means, kept, diverged = _monte_carlo(seed, realizations, horizon, walk, measure)
+    means, kept, diverged = _monte_carlo(
+        seed, realizations, horizon, 1 + E * track_agents,
+        lambda s: generate_stream(coeffs, ops, cfg, horizon, s), lambda b: zip(b.X, b.d, b.y),
+        lambda H, s: atc_step(H, mu_vec, comb, *s), np.zeros((E, h_true.size)), score)
     return DistResult(msd=means[:, 0], agent_msd=means[:, 1:].T if track_agents else None,
                       theory=theory, realizations=kept, diverged=diverged)

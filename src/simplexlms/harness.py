@@ -504,6 +504,9 @@ def mode_infer_topology(cfg: dict) -> dict:
     stream = _stream(cfg, complex_)
     _check_threshold_order(cfg["lambda0"], cfg["lambda1"])
     coeffs = draw_bounded_coeffs(cfg["order"], cfg["seed"], magnitude=cfg["coeff_magnitude"])
+    if not cfg["order"]:  # no regressor column depends on t: every indicator would stay at 0.5
+        raise ConfigError("mode 'infer-topology' needs order at least 1: at order 0 no regressor "
+                          "depends on the triangles")
     cand = candidate_set(complex_, cfg["order"])
     if not cand.num_candidates:  # no 3-clique to recover: a recovery rate of 1 would be vacuous
         raise ConfigError(f"{cfg.get('complex_file', 'the complex')} has no triangle candidates")
@@ -648,6 +651,11 @@ def mode_analyze(cfg: dict) -> dict:
         errors = numbers("test_errors")
         summary["mean_test_error"] = float(np.mean(errors))
         summary["max_test_error"] = float(np.max(errors))
+    if "recovery_rate" in payload:
+        recovery = numbers("recovery_rate")
+        summary["iterations"] = int(recovery.size - 1)
+        summary["final_recovery_rate"] = float(recovery[-1])
+        summary["final_support_size"] = float(numbers("support_size")[-1])
     if "p_star" in payload:
         p_star = numbers("p_star")
         summary["sampling_rate"] = float(np.sum(p_star))

@@ -26,7 +26,6 @@ differences in the test-suite.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate, chain, repeat
 
 import numpy as np
 
@@ -204,30 +203,27 @@ def run_inference(
     """
     order = cand.order
     h_true = coeffs.flatten()
+    dim = h_true.size  # the state is h, then t
     _check_threshold_order(lam0, lam1)
 
     # every indicator in [0, 1] weights the triangles of this complex
     edge_moment_matrices(cand.ops, cfg.c_x, order)
 
-    def block_steps(b):  # each step's newest-first history, mask, observation, true indicator
-        hists = (b.x[j : j + order + 1][::-1] for j in range(b.y.shape[0]))
-        return zip(hists, b.d, b.y, repeat(b.weights))
+    def steps(b):  # each step's newest-first history, mask and observation
+        return zip((b.x[j : j + order + 1][::-1] for j in range(b.y.shape[0])), b.d, b.y)
 
-    def walk(seed_r: int):
-        blocks = generate_stream(coeffs, cand.ops, cfg, horizon, seed_r, schedule)
-        first = (np.zeros(h_true.size), np.full(cand.num_candidates, 0.5),
-                 np.asarray(schedule[0][1], dtype=np.float64))
-        states = accumulate(chain.from_iterable(map(block_steps, blocks)), lambda state, s: (
-            *infer_step(*state[:2], cand, *s[:3], mu1, mu2, lam0, lam1), s[3]), initial=first)
-        return map(np.concatenate, states)
-
-    def measure(states: np.ndarray):
-        h, t, t_true = np.split(states, [h_true.size, h_true.size + cand.num_candidates], axis=1)
+    def score(b, states: np.ndarray):  # a state's true indicator is that of the step making it
+        h, t = states[:, :dim], states[:, dim:]
         return np.column_stack((np.sum((h_true - h) ** 2, axis=1),
-                                np.sum((t_true - t) ** 2, axis=1),
-                                (t == t_true).all(axis=1), np.count_nonzero(t, axis=1)))
+                                np.sum((b.weights - t) ** 2, axis=1),
+                                (t == b.weights).all(axis=1), np.count_nonzero(t, axis=1)))
 
-    means, kept, diverged = _monte_carlo(seed, realizations, horizon, walk, measure)
+    means, kept, diverged = _monte_carlo(
+        seed, realizations, horizon, 4,
+        lambda s: generate_stream(coeffs, cand.ops, cfg, horizon, s, schedule), steps,
+        lambda state, s: np.concatenate(infer_step(state[:dim], state[dim:], cand, *s,
+                                                   mu1, mu2, lam0, lam1)),
+        np.concatenate((np.zeros(dim), np.full(cand.num_candidates, 0.5))), score)
     h_error, t_error, recovery, support = means.T
     return InferenceResult(h_error=h_error, t_error=t_error, recovery_rate=recovery,
                            support_size=support, realizations=kept, diverged=diverged)

@@ -19,14 +19,13 @@ second-order remainder: both read one eigendecomposition of c_X.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate, chain, islice
+from itertools import accumulate
 
 import numpy as np
 
 from .complexes import SimplicialComplex2, hodge_laplacians
 from .errors import DivergenceError, SingularMomentError, StabilityError
-from .signals import (_BLOCK_ROWS, FilterCoeffs, StreamConfig, generate_stream,
-                      moments_closed_form)
+from .signals import FilterCoeffs, StreamConfig, generate_stream, moments_closed_form
 
 __all__ = [
     "TheoryReport",
@@ -47,6 +46,8 @@ __all__ = [
 # would call it stable and hand a singular or meaningless steady-state
 # equation to the solver.
 _STABILITY_TOL = 1e-9
+# A moment matrix whose least eigenvalue is at most this share of its largest is singular.
+_SINGULAR_TOL = 1e-12
 
 
 def to_db(value) -> np.ndarray:
@@ -92,11 +93,6 @@ def max_stepsize(c_X: np.ndarray) -> float:
     return 2.0 / lam_max
 
 
-def _is_stable(rho: float) -> bool:
-    """True iff a recursion with spectral radius ``rho`` is stable with margin."""
-    return rho < 1.0 - _STABILITY_TOL
-
-
 @dataclass
 class TheoryReport:
     """Closed-form predictions for one (c_X, g, mu) configuration."""
@@ -126,9 +122,12 @@ def theory_report(c_X: np.ndarray, g: np.ndarray, mu: float) -> TheoryReport:
     """Every closed-form prediction for ``(c_X, g, mu)``, from one ``eigh(c_X)``.
 
     Raises :class:`StabilityError` when the step-size is not mean-stable,
-    with margin, and its :class:`SingularMomentError` when no step-size is:
-    ``lambda_min(c_X)`` is zero, as on a tap no sampled edge excites.
-    ``mu_max`` is :func:`max_stepsize`. ``alpha = 1 - 2 mu lambda_min`` is
+    ``mu lambda_max`` below 2 with margin (a tiny step is stable, if slow),
+    and its :class:`SingularMomentError` when no step-size is:
+    ``lambda_min(c_X)`` is at most ``1e-12 lambda_max``, as on a tap no
+    sampled edge excites. The verdict overflows no array, so a huge step
+    raises with no numpy warning. ``mu_max`` is :func:`max_stepsize`.
+    ``alpha = 1 - 2 mu lambda_min`` is
     the small-step rate estimate, meaningful only well below
     ``mu = 2 lambda_min / lambda_max^2``, and ``f_norm`` the exact operator
     norm ``max((1 - mu lambda_min)^2, (1 - mu lambda_max)^2)``.
@@ -136,21 +135,18 @@ def theory_report(c_X: np.ndarray, g: np.ndarray, mu: float) -> TheoryReport:
     c_X = np.asarray(c_X, dtype=np.float64)
     g = np.asarray(g, dtype=np.float64)
     lam, u = np.linalg.eigh(c_X)
-    if lam[0] <= 0:
-        raise SingularMomentError(f"lambda_min(c_X) = {lam[0] + 0.0:g}, so no step-size is stable")
-    q = 1.0 - mu * lam
-    rho = float(np.max(np.abs(q)))
-    if mu <= 0 or not _is_stable(rho):
-        raise StabilityError(
-            f"step-size {mu} is unstable: spectral radius {rho:.6f} is not below "
-            f"1 - {_STABILITY_TOL:g}"
-        )
-    g_tilde = np.einsum("ia,ij,ja->a", u, g, u)
     delta, nu = float(lam[0]), float(lam[-1])
+    if delta <= _SINGULAR_TOL * nu:
+        raise SingularMomentError(f"lambda_min(c_X) = {delta + 0.0:g}, so no step-size is stable")
+    mu_nu = float(mu) * nu  # a Python float overflows to inf with no warning
+    if not (mu > 0 and mu_nu < 2.0 - _STABILITY_TOL):
+        raise StabilityError(f"step-size {mu} is unstable: mu lambda_max = {mu_nu:g} is not "
+                             f"in (0, 2 - {_STABILITY_TOL:g})")
+    g_tilde = np.einsum("ia,ij,ja->a", u, g, u)
     return TheoryReport(
         mu=mu,
         mu_max=2.0 / nu,
-        rho_Q=rho,
+        rho_Q=max(abs(1.0 - mu * delta), abs(1.0 - mu_nu)),
         msd_exact=float(mu**2 * np.sum(g_tilde / (mu * lam * (2.0 - mu * lam)))),
         msd_first_order=float(0.5 * mu * np.sum(g_tilde / lam)),
         alpha=1.0 - 2.0 * mu * delta,
@@ -158,47 +154,61 @@ def theory_report(c_X: np.ndarray, g: np.ndarray, mu: float) -> TheoryReport:
     )
 
 
-def _first_nonfinite(rows: np.ndarray) -> int | None:
-    """Index of the first of ``rows`` holding a non-finite entry, or ``None``."""
-    finite = np.isfinite(rows.reshape(len(rows), -1)).all(axis=1)
-    return None if finite.all() else int(np.argmin(finite))
+def _walk(blocks, read, step, state, score, out):
+    """Step a recursion over ``blocks``, scoring each block at once: the walk of every recursion.
+
+    ``read(block)`` gives a block's steps, taken in one ``accumulate`` of
+    ``step(state, s)`` from ``state``. ``score(block, H)`` maps the stacked
+    states ``H``, the one before the block's first step and then one after
+    each step, to rows of ``out``, each as it would score its state alone;
+    row ``n`` belongs to the state after ``n`` steps. A score of every
+    state gives ``len(H)`` rows, and a state the block before has scored is
+    not stacked again; a score of the state before each step, with that
+    step's data, gives ``len(H) - 1``. Every block but a lone first one
+    holds a step. The walk stops at the end of the block whose rows first
+    hold a non-finite entry (a score can overflow before the state does;
+    numpy does not warn of it here), so a diverged walk runs at most one
+    block past its first non-finite step. Returns the last state and that
+    row's index, or ``None`` if every row is finite.
+    """
+    taken = scored = 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for block in blocks:
+            states = list(accumulate(read(block), step, initial=state))
+            rows = score(block, np.stack(states[scored - taken :]))
+            out[scored : scored + len(rows)] = rows
+            if (bad := np.argwhere(~np.isfinite(rows))).size:
+                return states[-1], scored + int(bad[0, 0])
+            state, taken, scored = states[-1], taken + len(states) - 1, scored + len(rows)
+            del block  # free it before the next block is built
+    return state, None
 
 
-def _monte_carlo(seed: int, realizations: int, horizon: int, walk, measure):
+def _monte_carlo(seed: int, realizations: int, horizon: int, width: int, stream, *recursion):
     """The Monte-Carlo engine of every recursion runner.
 
-    ``walk(seed_r)`` is an iterator of one realization's states, each an
-    array: the recursion's state before the first step and after each of
-    the ``horizon`` steps, for each seed :func:`derived_seeds` gives for
-    ``seed``. The engine stacks the states in chunks of up to
-    ``_BLOCK_ROWS``, a stream block's rows, and ``measure(states)`` maps a
-    chunk to its ``(rows, width)`` rows of the ``(horizon + 1, width)``
-    trajectory, each row as it would score that state alone. A realization is dropped, and
-    its first non-finite step recorded, at the first chunk holding a
-    non-finite entry (a deviation can overflow before the state does; numpy
-    does not warn of it here), and its walk goes no further. The kept
-    trajectories are summed in realization order, so one realization's
-    stream is alive at a time and memory does not grow with the realization
-    count. Returns ``(means, kept, diverged)`` with ``means`` the mean
-    trajectory over the kept realizations; if none is kept, the
-    :class:`DivergenceError` names each one's first non-finite step.
+    For each seed :func:`derived_seeds` gives for ``seed``, one realization
+    walks the blocks of ``stream(seed_r)``, ``horizon`` steps, with the
+    ``read``, ``step``, start ``state`` and ``score`` of ``recursion``
+    (:func:`_walk`) into its ``(horizon + 1, width)`` trajectory, one row per
+    state. A realization is dropped, and its first non-finite step recorded,
+    when its walk stops at a non-finite row. The kept trajectories are summed
+    in realization order, so one realization's stream is alive at a time and
+    memory does not grow with the realization count. Returns ``(means, kept,
+    diverged)`` with ``means`` the mean trajectory over the kept
+    realizations; if none is kept, the :class:`DivergenceError` names each
+    one's first non-finite step.
     """
     if realizations < 1:
         raise ValueError(f"realizations must be at least 1, got {realizations}")
     total = None
     diverged: dict[int, int] = {}  # realization: its first non-finite step
     for r, seed_r in enumerate(derived_seeds(seed, realizations)):
-        states = walk(seed_r)
-        with np.errstate(over="ignore", invalid="ignore"):
-            for start in range(0, horizon + 1, _BLOCK_ROWS):
-                rows = measure(np.stack(list(islice(states, _BLOCK_ROWS))))
-                if start == 0:
-                    traj = np.empty((horizon + 1, rows.shape[1]))
-                traj[start : start + rows.shape[0]] = rows
-                if (bad := _first_nonfinite(rows)) is not None:
-                    diverged[r] = start + bad
-                    break
-        if r not in diverged:
+        blocks = stream(seed_r)  # a bad horizon raises here, before a trajectory is allocated
+        traj = np.empty((horizon + 1, width))
+        if (bad := _walk(blocks, *recursion, traj)[1]) is not None:
+            diverged[r] = bad
+        else:
             total = traj if total is None else np.add(total, traj, out=total)
     if total is None:
         raise DivergenceError("all realizations diverged, at steps "
@@ -248,12 +258,9 @@ def run_experiment(
     except (StabilityError, ValueError):
         failure = "step-size fails the mean-stability bound"
 
-    def walk(seed_r: int):
-        blocks = generate_stream(coeffs, ops, cfg, horizon, seed_r)
-        steps = chain.from_iterable(zip(b.X, b.d, b.y) for b in blocks)
-        return accumulate(steps, lambda h, s: lms_step(h, mu, *s), initial=np.zeros(h_true.size))
-
-    means, kept, diverged = _monte_carlo(seed, realizations, horizon, walk,
-                                         lambda H: np.sum((h_true - H) ** 2, axis=1, keepdims=True))
+    means, kept, diverged = _monte_carlo(
+        seed, realizations, horizon, 1, lambda s: generate_stream(coeffs, ops, cfg, horizon, s),
+        lambda b: zip(b.X, b.d, b.y), lambda h, s: lms_step(h, mu, *s), np.zeros(h_true.size),
+        lambda b, H: np.sum((h_true - H) ** 2, axis=1, keepdims=True))
     return ExperimentResult(msd=means[:, 0], theory=theory, realizations=kept, diverged=diverged,
                             theory_failure=failure)

@@ -124,3 +124,16 @@ def test_only_the_files_module_touches_a_file():
     assert {module for module, found in uses.items() if "json" in found} == {"files", "cli"}
     assert {module: uses[module] & file_modules for module in numerics
             if uses[module] & file_modules} == {}
+
+
+def test_one_walk_steps_every_recursion():
+    # one function steps, scores and stops every recursion: only its module uses
+    # itertools.accumulate, and only signals names the block size its walks are cut in
+    users = {"accumulate": set(), "_BLOCK_ROWS": set()}
+    for path in sorted(Path(simplexlms.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            names = ({alias.name for alias in node.names} if isinstance(node, ast.ImportFrom)
+                     else {getattr(node, "id", getattr(node, "attr", None))})
+            for name in names & users.keys():
+                users[name].add(path.stem)
+    assert users == {"accumulate": {"lms"}, "_BLOCK_ROWS": {"signals"}}

@@ -853,6 +853,16 @@ def test_complex_without_triangle_candidates_exits_2(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_infer_topology_at_order_zero_exits_2(tmp_path, complex_file, capsys):
+    # at order 0 the one regressor column is the lag-0 identity: no column depends on the
+    # indicators, which would stay at 0.5, and a recovery rate of 0.00 would read as a result
+    out = tmp_path / "result.json"
+    assert run_simulation(tmp_path, complex_file, "infer-topology", "--out", out, order=0) == 2
+    assert capsys.readouterr().err == ("config error: mode 'infer-topology' needs order at least "
+                                       "1: at order 0 no regressor depends on the triangles\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("mode", ["generate-complex", "infer-topology"])
 def test_negative_vertex_count_exits_2(tmp_path, capsys, mode):
     negative = tmp_path / "negative.txt"
@@ -1126,6 +1136,20 @@ def test_analyze_summarises_ar_and_design_results(tmp_path, complex_file, capsys
     assert {key: summary[key] for key in expected} == pytest.approx(expected, rel=1e-12)
 
 
+def test_analyze_summarises_infer_topology_results(tmp_path, complex_file, capsys):
+    out = tmp_path / "result.json"
+    assert run_simulation(tmp_path, complex_file, "infer-topology", "--out", out) == 0
+    payload = json.loads(out.read_text())
+    capsys.readouterr()
+    assert run_cli(["analyze", "--results", out]) == 0
+    summary = json.loads(capsys.readouterr().out)
+    assert summary.pop("config") == {"results_file": str(out)}
+    assert summary.pop("metadata")["mode"] == "analyze"
+    assert summary == {"iterations": SIMULATION_KNOBS["infer-topology"]["horizon"],
+                       "final_recovery_rate": payload["recovery_rate"][-1],
+                       "final_support_size": payload["support_size"][-1]}
+
+
 def test_analyze_reads_integral_design_entries_as_floats(tmp_path, complex_file, capsys):
     # a design's zeros and ones are written as the JSON integers 0 and 1, and a deviation
     # below 1e-4 and the config echo's noise floor 1e-7 in scientific form with a bare
@@ -1180,8 +1204,11 @@ def test_analyze_missing_file_exits_2(tmp_path):
     ('{"msd": [1.0], "theory": {"msd_exact_db": "-30"}}', "its theory dB must be finite"),
     ('{"test_errors": ["0.5"]}', "'test_errors' must be a nonempty list of finite numbers"),
     ('{"p_star": [[0.5]]}', "'p_star' must be a nonempty list of finite numbers"),
+    ('{"recovery_rate": [1.0], "support_size": []}',
+     "'support_size' must be a nonempty list of finite numbers"),
 ], ids=["number", "list", "msd-object", "theory-number", "msd-empty", "nan", "overflow",
-        "msd-bool", "theory-db-string", "test-errors-string", "p-star-nested"])
+        "msd-bool", "theory-db-string", "test-errors-string", "p-star-nested",
+        "support-size-empty"])
 def test_analyze_rejects_a_malformed_results_file(tmp_path, capsys, text, message):
     path = tmp_path / "result.json"
     path.write_text(text)

@@ -15,6 +15,7 @@ from simplexlms.complexes import hodge_laplacians, random_complex
 from simplexlms.errors import DivergenceError, SingularMomentError, StabilityError
 from simplexlms.lms import (
     _monte_carlo,
+    _walk,
     derived_seeds,
     lms_step,
     max_stepsize,
@@ -155,6 +156,31 @@ def test_steady_state_rejects_unstable_step():
     # an unexcited tap: no step-size is stable, whatever mu
     with pytest.raises(SingularMomentError, match=r"^lambda_min\(c_X\) = 0, so no step-size"):
         theory_report(np.diag([0.0, 1.0]), np.eye(2), 0.5)
+
+
+def test_steady_state_of_a_tiny_step_is_the_closed_form():
+    # mu lambda_min = 1e-9 sits on the margin of the spectral radius, yet the step is mean
+    # stable: mu_max is 1; the report is the exact closed form, evaluated exactly
+    lam, g, mu = [0.5, 1.0, 2.0], [1.0, 0.5, 2.0], 2e-9
+    report = theory_report(np.diag(lam), np.diag(g), mu)
+    assert report.mu_max == 1.0
+    m = Fraction(mu)
+    exact = m**2 * sum(Fraction(g_a) / (1 - (1 - m * Fraction(l_a)) ** 2)
+                       for l_a, g_a in zip(lam, g))
+    assert abs(Fraction(report.msd_exact) - exact) <= Fraction(1e-15) * exact
+
+
+@pytest.mark.filterwarnings("error")
+def test_huge_step_raises_without_a_warning():
+    with pytest.raises(StabilityError, match=r"^step-size 1e\+308 is unstable"):
+        theory_report(np.diag([1.0, 2.0]), np.eye(2), 1e308)
+
+
+def test_relatively_singular_moment_has_no_stable_step():
+    # lambda_min at most 1e-12 lambda_max is singular, as dist_theory judges a local moment
+    with pytest.raises(SingularMomentError, match=r"^lambda_min\(c_X\) = 1e-13"):
+        theory_report(np.diag([1e-13, 1.0]), np.eye(2), 0.5)
+    assert theory_report(np.diag([2e-12, 1.0]), np.eye(2), 0.5).mu_max == 2.0
 
 
 def test_steady_state_gap_shrinks_fourfold():
@@ -468,56 +494,106 @@ def test_run_experiment_all_diverged_raises(experiment_complex, diverge_in):
         run_experiment(experiment_complex, coeffs, cfg, 1e-3, realizations=2, horizon=5, seed=0)
 
 
+def replay(rows_of, block=64):
+    """The ``stream``, ``read`` and ``step`` of a walk through the states ``rows_of(seed)``, one
+    after each step: a step's datum is the state it leads to, and the stream cuts the data
+    into blocks of ``block`` steps, or one empty block for no step."""
+    def stream(seed):
+        rows = list(rows_of(seed))
+        return [rows[lo : lo + block] for lo in range(0, max(len(rows), 1), block)]
+
+    return stream, iter, lambda state, s: s
+
+
+def test_walk_scores_each_state_or_each_step():
+    # a scorer of every state writes one row more than the steps, a scorer of the state
+    # before each step one row per step; the state before a block is stacked once
+    blocks = [[1.0, 2.0], [3.0, 4.0, 5.0], [6.0]]
+    stacked = []
+
+    def score(block, H):
+        stacked.append(H.tolist())
+        return 10 * H
+
+    out = np.full(22, -1.0)
+    assert _walk(blocks, iter, lambda h, s: h + s, 0.0, score, out) == (21.0, None)
+    np.testing.assert_array_equal(out[:7], [0, 10, 30, 60, 100, 150, 210])
+    assert stacked == [[0, 1, 3], [6, 10, 15], [21]]
+    out = np.full(6, -1.0)
+    assert _walk(blocks, iter, lambda h, s: h + s, 0.0,
+                 lambda block, H: 10 * H[:-1], out) == (21.0, None)
+    np.testing.assert_array_equal(out, [0, 10, 30, 60, 100, 150])
+    # a walk of no step is one empty block: one row per state, none per step
+    out = np.full(1, -1.0)
+    assert _walk([[]], iter, lambda h, s: h + s, 7.0, lambda block, H: H, out) == (7.0, None)
+    assert out.tolist() == [7.0]
+    assert _walk([[]], iter, lambda h, s: h + s, 7.0, lambda block, H: H[:-1], out) == (7.0, None)
+
+
+def test_walk_stops_at_the_block_of_its_first_non_finite_row():
+    # the block holding the first non-finite row is walked to its end, and no block after it
+    read = []
+
+    def blocks():
+        for block in ([1.0, 2.0], [np.inf, 3.0], [4.0]):
+            read.append(block)
+            yield block
+
+    for score, bad in ((lambda block, H: H, 3), (lambda block, H: H[:-1], 3)):
+        read.clear()
+        out = np.zeros(6)
+        assert _walk(blocks(), iter, lambda h, s: h + s, 0.0, score, out) == (np.inf, bad)
+        assert read == [[1.0, 2.0], [np.inf, 3.0]]
+        assert out[bad] == np.inf
+
+
 def test_monte_carlo_engine_bookkeeping():
     seeds = derived_seeds(5, 4)
 
-    def walk(seed):
-        yield float(seed)
-        yield np.nan if seed in (seeds[1], seeds[3]) else 1.0
+    def rows(seed):
+        return [float(seed), np.nan if seed in (seeds[1], seeds[3]) else 1.0]
 
-    def measure(states):
-        return np.column_stack((states, np.full((len(states), 2), 3.0)))
+    def score(block, H):
+        return np.column_stack((H, np.full((len(H), 2), 3.0)))
 
-    means, kept, diverged = _monte_carlo(5, 4, 1, walk, measure)
+    means, kept, diverged = _monte_carlo(5, 4, 2, 3, *replay(rows), 0.0, score)
     first, second = means[:, 0], means[:, 1:]
     assert (kept, diverged) == (2, [1, 3])
-    np.testing.assert_array_equal(first, [(seeds[0] + seeds[2]) / 2, 1.0])
-    np.testing.assert_array_equal(second, np.full((2, 2), 3.0))
+    np.testing.assert_array_equal(first, [0.0, (seeds[0] + seeds[2]) / 2, 1.0])
+    np.testing.assert_array_equal(second, np.full((3, 2), 3.0))
     with pytest.raises(DivergenceError, match="all realizations diverged"):
-        _monte_carlo(5, 2, 1, lambda seed: walk(seeds[1]), measure)
+        _monte_carlo(5, 2, 2, 3, *replay(lambda seed: rows(seeds[1])), 0.0, score)
     with pytest.raises(ValueError, match="at least 1"):
-        _monte_carlo(5, 0, 1, walk, measure)
+        _monte_carlo(5, 0, 2, 3, *replay(rows), 0.0, score)
 
 
 def test_monte_carlo_drops_a_non_finite_trajectory():
     # an overflowing deviation is a divergence even when no step raised
-    def walk(seed):
-        yield 1.0
-        yield np.inf if seed == seeds[0] else 2.0
-
     seeds = derived_seeds(3, 2)
-    means, kept, diverged = _monte_carlo(3, 2, 1, walk,
-                                         lambda states: np.column_stack((states, np.ones(2))))
+    means, kept, diverged = _monte_carlo(
+        3, 2, 1, 2, *replay(lambda seed: [1e300 if seed == seeds[0] else 2.0]), 1.0,
+        lambda block, H: np.column_stack((H * H, np.ones(len(H)))))
     first, second = means[:, 0], means[:, 1]
     assert (kept, diverged) == (1, [0])
-    np.testing.assert_array_equal(first, [1.0, 2.0])
+    np.testing.assert_array_equal(first, [1.0, 4.0])
     np.testing.assert_array_equal(second, np.ones(2))
 
 
 def test_monte_carlo_drops_a_walk_non_finite_mid_stream():
-    # the walk is scored a chunk at a time, and a diverged walk is dropped whole
+    # the walk is scored a block at a time, and a diverged walk is dropped whole
     seeds = derived_seeds(7, 3)
+    start = np.array([0.5, -1.0])
 
-    def walk(seed):
+    def rows(seed):
         rng = np.random.default_rng(seed)
-        state = rng.standard_normal(2)
-        yield state
+        state = start
         for k in range(1, 6):
             state = 0.9 * state + rng.standard_normal(2)
             yield np.array([np.inf, state[1]]) if seed == seeds[1] and k == 3 else state
 
-    means, kept, diverged = _monte_carlo(7, 3, 5, walk, lambda states: states)
-    replays = [np.array(list(walk(seed))) for seed in (seeds[0], seeds[2])]
+    means, kept, diverged = _monte_carlo(7, 3, 5, 2, *replay(rows, block=2), start,
+                                         lambda block, H: H)
+    replays = [np.array([start, *rows(seed)]) for seed in (seeds[0], seeds[2])]
     assert (kept, diverged) == (2, [1])
     np.testing.assert_array_equal(means, (replays[0] + replays[1]) / 2)
 
@@ -527,60 +603,72 @@ def test_monte_carlo_names_each_diverged_step():
     seeds = derived_seeds(4, 3)
     at = {seeds[0]: (4, 1), seeds[1]: (2, 0), seeds[2]: (7, 1)}
 
-    def walk(seed):
+    def rows(seed):
         step, column = at[seed]
-        for k in range(8):
+        for k in range(1, 8):
             row = np.ones(2)
             row[column] = np.nan if k == step else k
             yield row
 
     with pytest.raises(DivergenceError, match="^all realizations diverged, at steps 4, 2, 7$"):
-        _monte_carlo(4, 3, 7, walk, lambda states: states)
+        _monte_carlo(4, 3, 7, 2, *replay(rows, block=3), np.ones(2), lambda block, H: H)
 
 
 @settings(derandomize=True, max_examples=150, deadline=None)
 @given(data=st.data(), realizations=st.integers(1, 6),
-       horizon=st.integers(0, 8) | st.integers(60, 200), width=st.integers(1, 3))
-def test_monte_carlo_drops_exactly_the_injected_realizations(data, realizations, horizon, width):
+       horizon=st.integers(0, 8) | st.integers(60, 200), width=st.integers(1, 3),
+       block=st.integers(1, 70))
+def test_monte_carlo_drops_exactly_the_injected_realizations(data, realizations, horizon, width,
+                                                             block):
     # NaN, inf or -inf at one entry of a random step of random realizations: those and only
     # those are dropped, and the mean is the realization-order sum of the rest over kept;
-    # a dropped walk is pulled no further than the chunk of its first non-finite step
+    # a dropped walk is pulled no further than the stream block of its first non-finite step
     injected = data.draw(st.dictionaries(
         st.integers(0, realizations - 1),
-        st.tuples(st.integers(0, horizon), st.integers(0, width - 1),
-                  st.sampled_from([np.nan, np.inf, -np.inf]))))
+        st.tuples(st.integers(1, max(horizon, 1)), st.integers(0, width - 1),
+                  st.sampled_from([np.nan, np.inf, -np.inf])),
+        max_size=realizations if horizon else 0))
     seeds = derived_seeds(11, realizations)
-    clean = [np.random.default_rng(seed).standard_normal((horizon + 1, width)) for seed in seeds]
+    start = np.random.default_rng(11).standard_normal(width)
+    clean = [np.random.default_rng(seed).standard_normal((horizon, width)) for seed in seeds]
 
-    pulled = [0] * realizations
+    pulled = []
 
-    def walk(seed):
+    def stream(seed):
         r = seeds.index(seed)
-        for k, row in enumerate(clean[r]):
-            if r in injected and injected[r][0] == k:
-                row = row.copy()
-                row[injected[r][1]] = injected[r][2]
-            pulled[r] += 1
-            yield row
+        rows = clean[r].copy()
+        if r in injected:
+            step, column, value = injected[r]
+            rows[step - 1, column] = value
+        pulled.append(0)
+        return (rows[lo : lo + block] for lo in range(0, max(horizon, 1), block))
 
-    chunk = signals._BLOCK_ROWS
-    expected = [min(horizon + 1, (injected[r][0] // chunk + 1) * chunk) if r in injected
-                else horizon + 1 for r in range(realizations)]
+    def step(state, row):
+        pulled[-1] += 1
+        return row
+
+    def run():
+        return _monte_carlo(11, realizations, horizon, width, stream, iter, step, start,
+                            lambda b, H: H)
+
+    expected = [min(horizon, ((injected[r][0] - 1) // block + 1) * block) if r in injected
+                else horizon for r in range(realizations)]
 
     if len(injected) == realizations:
         steps = ", ".join(str(injected[r][0]) for r in range(realizations))
         with pytest.raises(DivergenceError, match=f"^all realizations diverged, at steps {steps}$"):
-            _monte_carlo(11, realizations, horizon, walk, lambda states: states)
+            run()
         assert pulled == expected
         return
-    means, kept, diverged = _monte_carlo(11, realizations, horizon, walk, lambda states: states)
+    means, kept, diverged = run()
     assert pulled == expected
     assert diverged == sorted(injected)
     assert kept == realizations - len(injected)
     total = None
     for r in range(realizations):
         if r not in injected:
-            total = clean[r].copy() if total is None else total + clean[r]
+            traj = np.vstack((start, clean[r]))
+            total = traj if total is None else total + traj
     assert np.array_equal(means.view(np.int64), (total / kept).view(np.int64))
 
 

@@ -321,13 +321,13 @@ def test_scheduled_stream_cuts_blocks_at_segment_starts(order, rows, horizon, st
 
 
 class Measured(Exception):
-    """Raised in place of the Monte-Carlo engine, with the ``measure`` a runner handed it."""
+    """Raised in place of the Monte-Carlo engine, with the ``score`` a runner handed it."""
 
 
 def runner_measure(module, run):
-    """The chunk ``measure`` that ``run()`` hands ``module._monte_carlo``; no step is taken."""
-    def engine(seed, realizations, horizon, walk, measure):
-        raise Measured(measure)
+    """The block ``score`` that ``run()`` hands ``module._monte_carlo``; no step is taken."""
+    def engine(seed, realizations, horizon, width, stream, read, step, state, score):
+        raise Measured(score)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(module, "_monte_carlo", engine)
@@ -337,8 +337,8 @@ def runner_measure(module, run):
 
 
 @functools.lru_cache(maxsize=None)
-def chunk_measures(order, vertices):
-    """The measures of run_experiment, run_distributed without and with agent traces, and
+def block_scores(order, vertices):
+    """The block scores of run_experiment, run_distributed without and with agent traces, and
     run_inference on the candidates of the complete graph on ``vertices`` vertices, for
     fixed coefficients of ``order``; the first three do not depend on the edge count."""
     complex_ = random_complex(4, 1.0, 1.0, 0)
@@ -376,43 +376,45 @@ def spoil(rng, states):
 
 @settings(derandomize=True, max_examples=60, deadline=None)
 @given(order=st.integers(0, 3), agents=st.sampled_from([15, 56, 250, 900]),
-       vertices=st.sampled_from([6, 8, 12, 19]), rows=st.integers(1, 64),
+       vertices=st.sampled_from([6, 8, 12, 19]), rows=st.integers(1, 65),
        seed=st.integers(0, 2**16))
-def test_chunk_scores_equal_per_state_scores(order, agents, vertices, rows, seed):
-    # each runner's measure scores a stacked chunk of states bit for bit as the per-state
-    # formula below scores each state alone, for 1 to 64 states, networks of 15 to 900
-    # agents and 20, 56, 220 or 969 candidate triangles (the complete graph's 3-cliques)
-    h_true, (lms_measure, network, network_agents, joint) = chunk_measures(order, vertices)
+def test_block_scores_equal_per_state_scores(order, agents, vertices, rows, seed):
+    # each runner's score maps a stacked block of states bit for bit as the per-state
+    # formula below scores each state alone, for the 1 to 65 states a 64-step block stacks,
+    # networks of 15 to 900 agents and 20, 56, 220 or 969 candidate triangles (the complete
+    # graph's 3-cliques), whose true indicator the joint score reads from the block
+    h_true, (lms_score, network, network_agents, joint) = block_scores(order, vertices)
     dim, C = h_true.size, vertices * (vertices - 1) * (vertices - 2) // 6
     rng = np.random.default_rng(seed)
     scale = 10.0 ** rng.uniform(-3, 3)
 
-    def check(measure, per_state, states):
+    def check(score, per_state, states, block=None):
         with np.errstate(over="ignore", invalid="ignore"):
             want = np.array([per_state(state) for state in states], dtype=np.float64)
-            assert_same_bits(measure(np.stack(states)), want.reshape(rows, -1))
+            assert_same_bits(score(block, np.stack(states)), want.reshape(rows, -1))
 
     def network_row(H, track):
         dev = np.sum((h_true - H) ** 2, axis=1)
         return np.append(np.mean(dev), dev) if track else np.mean(dev)
 
     def joint_row(state):
-        h, t, t_true = state[:dim], state[dim : dim + C], state[dim + C :]
+        h, t = state[:dim], state[dim:]
         return (np.sum((h_true - h) ** 2), np.sum((t_true - t) ** 2),
                 float(np.array_equal(t, t_true)), float(np.count_nonzero(t)))
 
-    check(lms_measure, lambda h: np.sum((h_true - h) ** 2),
+    check(lms_score, lambda h: np.sum((h_true - h) ** 2),
           spoil(rng, list(scale * rng.standard_normal((rows, dim)))))
     networks = spoil(rng, list(scale * rng.standard_normal((rows, agents, dim))))
     check(network, lambda H: network_row(H, False), networks)
     check(network_agents, lambda H: network_row(H, True), networks)
     # about half the states hold t_true exactly; the rest differ in about a tenth of t,
     # by 1e-16 to 0.1
-    t_true = (rng.random((rows, C)) < 0.5).astype(np.float64)
+    t_true = (rng.random(C) < 0.5).astype(np.float64)
     differs = (rng.random((rows, 1)) < 0.5) & (rng.random((rows, C)) < 0.1)
     t = np.where(differs, np.abs(t_true - 10.0 ** rng.uniform(-16, -1, (rows, C))), t_true)
     h = scale * rng.standard_normal((rows, dim))
-    check(joint, joint_row, spoil(rng, [np.concatenate(state) for state in zip(h, t, t_true)]))
+    check(joint, joint_row, spoil(rng, [np.concatenate(state) for state in zip(h, t)]),
+          SimpleNamespace(weights=t_true))
 
 
 @functools.lru_cache(maxsize=None)
